@@ -4,8 +4,8 @@
 GO ?= go
 
 .PHONY: build test race chaos chaos-resume chaos-campaign fuzz fuzz-wal \
-	bench bench-baseline alloc-gate msg-gate msg-baseline diffcheck-gate \
-	diffcheck-soak autopar-gate lint lint-selftest vet all
+	bench bench-baseline bench-smoke alloc-gate msg-gate msg-baseline \
+	diffcheck-gate diffcheck-soak autopar-gate lint lint-selftest vet all
 
 all: vet build test
 
@@ -28,6 +28,8 @@ chaos:
 		-run 'Fault|Reliable|Chaos|Crash|Farm' \
 		./internal/transport/ ./internal/mpi/ ./internal/cluster/ \
 		./internal/parboil/sgemm/ ./internal/parboil/tpacf/
+	$(GO) test -count=20 -timeout 5m \
+		-run 'TestSessionIdenticalResultsUnderFaults|TestTeardown' ./internal/cluster/
 
 # The checkpoint/resume suites under -race: a master killed mid-farm, the
 # WAL reopened by a fresh session, results bit-identical to an undisturbed
@@ -64,6 +66,11 @@ bench:
 # commit BENCH_BASELINE.json).
 bench-baseline:
 	$(GO) run ./cmd/triolet-bench -bench-gate -write-baseline BENCH_BASELINE.json
+
+# The repository benchmark (BENCHMARK.json, bench/) as a smoke test: one rep
+# per workload with every output check on, ~10 s. Builds into .bench_build/.
+bench-smoke:
+	bash bench/run.sh -quick
 
 # Steady-state allocation gate: AllocsPerRun proofs over the block
 # engine's fast paths and the core skeletons' merge steps (must run

@@ -9,6 +9,7 @@ import (
 
 	"triolet/internal/mpi"
 	"triolet/internal/serial"
+	"triolet/internal/trace"
 	"triolet/internal/transport"
 )
 
@@ -103,6 +104,57 @@ func TestSessionIdenticalResultsUnderFaults(t *testing.T) {
 	faulty := run(chaosProfile(2026), fastRetry())
 	if clean != faulty || clean != 1+2+3+4 {
 		t.Fatalf("results diverged: clean=%d faulty=%d", clean, faulty)
+	}
+}
+
+// Teardown linger: the worker's last act is a send to the master, and the
+// master's acknowledgement of it is the one frame the fabric drops. The
+// master then finishes — dispatches shutdown, returns from its main — while
+// the worker is still retransmitting. It must stay up long enough to re-ack
+// (RunCtx's linger); a master that stops pumping on return leaves the
+// worker retransmitting into silence until it reports "rank 0 lost".
+//
+// Only the master→worker link drops and ack timeouts dwarf scheduling
+// noise, so the seed replays one drop pattern: exactly one frame dropped and
+// exactly one retry, the worker's. If a protocol change moves the master's
+// frame count the pattern check fails; re-pin the seed then.
+func TestTeardownFaultDroppedFinalAck(t *testing.T) {
+	resetRegistry()
+	registerSumKernel("chaos.lastack")
+	tr := trace.New()
+	var sum int
+	stats, err := runGuarded(t, Config{
+		Nodes: 2, CoresPerNode: 1,
+		Tracer: tr,
+		Reliable: &mpi.ReliableConfig{
+			AckTimeout:    20 * time.Millisecond,
+			MaxAckTimeout: 20 * time.Millisecond,
+			Retries:       5,
+			BackoffJitter: -1,
+		},
+		Fault: &transport.FaultConfig{
+			Seed:  7,
+			Links: map[transport.Link]transport.FaultProbs{{Src: 0, Dst: 1}: {Drop: 0.25}},
+		},
+	}, func(s *Session) error {
+		var err error
+		sum, err = invokeSum(s, "chaos.lastack")
+		return err
+	})
+	retries := [2]int{}
+	for _, e := range tr.Events() {
+		if e.Kind == trace.KindInstant && e.Phase == "net.retry" {
+			retries[e.Rank]++
+		}
+	}
+	if err != nil {
+		t.Fatalf("session: %v (%d dropped, retries by rank %v)", err, stats.Faults.Dropped, retries)
+	}
+	if stats.Faults.Dropped != 1 || retries != [2]int{0, 1} {
+		t.Fatalf("seed no longer drops exactly the final ack: %d dropped, retries by rank %v", stats.Faults.Dropped, retries)
+	}
+	if sum != 1+2 {
+		t.Fatalf("sum = %d", sum)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"triolet/internal/mpi"
@@ -235,6 +236,14 @@ func RunCtx(ctx context.Context, cfg Config, master func(s *Session) error) (tra
 	defer fabric.Close()
 
 	errs := make([]error, cfg.Nodes)
+	// Teardown linger: a rank that finished cleanly keeps pumping its
+	// reliable endpoint, in a receive nothing satisfies, until the last main
+	// has returned, so a peer whose final ack was dropped is re-acked instead
+	// of retransmitting into silence. Failed and crashed ranks do not linger.
+	var running atomic.Int32
+	running.Store(int32(cfg.Nodes))
+	lingerCtx, lastOut := context.WithCancel(ctx)
+	defer lastOut()
 	var wg sync.WaitGroup
 	for r := range cfg.Nodes {
 		wg.Add(1)
@@ -269,6 +278,11 @@ func RunCtx(ctx context.Context, cfg Config, master func(s *Session) error) (tra
 				// the experiment, and surviving it is the runtime's job,
 				// so the fabric stays up for everyone else.
 				fabric.Close()
+			}
+			if running.Add(-1) == 0 {
+				lastOut()
+			} else if errs[r] == nil && cfg.Reliable != nil {
+				comm.RecvCtx(lingerCtx, r, ctlTag) //nolint:errcheck // ends by cancellation
 			}
 		}()
 	}

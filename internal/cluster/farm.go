@@ -42,15 +42,6 @@ const (
 // is unset.
 const defaultFarmHeartbeat = time.Millisecond
 
-// Collect-loop poll backoff: the master sleeps between polls when nothing
-// has arrived, doubling from min to max. Results, heartbeats, and crash
-// notifications reset the ladder, so a busy farm stays hot while an idle
-// wait costs ~1 wakeup per millisecond instead of 20k/s.
-const (
-	collectBackoffMin = 50 * time.Microsecond
-	collectBackoffMax = time.Millisecond
-)
-
 // FarmFn is a farm kernel body: one task in, one result out. It runs on
 // whichever node the task lands on (a worker, or the master as fallback).
 type FarmFn func(n *Node, task []byte) ([]byte, error)
@@ -479,7 +470,8 @@ func (s *Session) FarmOpts(name string, tasks [][]byte, opt FarmOptions) (*FarmR
 	// Config.Clock, heartbeat retirement is a function of fabric time
 	// (provable under a simulated clock), not of wall-clock scheduling.
 	clk := s.fabric.Clock()
-	busy := map[int]int{} // worker rank → in-flight task index
+	ep := s.fabric.Endpoint(0) // the master idles on its own mailbox
+	busy := map[int]int{}      // worker rank → in-flight task index
 	lastSeen := map[int]time.Time{}
 	now := clk.Now()
 	for w := range alive {
@@ -541,11 +533,13 @@ func (s *Session) FarmOpts(name string, tasks [][]byte, opt FarmOptions) (*FarmR
 		return res, nil
 	}
 
-	backoff := time.Duration(0)
 	for done < len(tasks) {
 		if err := ctx.Err(); err != nil {
 			return res, fmt.Errorf("cluster: farm %q: %w", name, err)
 		}
+		// Read before draining: whatever lands after the drains below moves
+		// the generation, so the wait at the bottom cannot sleep through it.
+		gen := ep.Gen()
 
 		// Keep every idle live worker fed.
 		for len(queue) > 0 {
@@ -633,7 +627,6 @@ func (s *Session) FarmOpts(name string, tasks [][]byte, opt FarmOptions) (*FarmR
 				// A worker retired as silent may still deliver: its task
 				// was reassigned and already finished elsewhere. Drop the
 				// duplicate.
-				backoff = 0
 				continue
 			}
 			// A late result for a requeued task is still a first-class
@@ -653,60 +646,42 @@ func (s *Session) FarmOpts(name string, tasks [][]byte, opt FarmOptions) (*FarmR
 					return res, err
 				}
 			}
-			backoff = 0
 			continue
 		}
 
 		// Nothing arrived: sweep for deaths the fabric already knows
-		// about and for workers gone heartbeat-silent.
-		swept := false
+		// about and for workers gone heartbeat-silent, noting when the
+		// next survivor's silence would run out.
 		var toLose []int
+		var nextExpiry time.Time
+		now := clk.Now()
 		for w := range alive {
 			if s.fabric.Crashed(w) {
 				toLose = append(toLose, w)
 				continue
 			}
-			if hbTimeout > 0 && clk.Now().Sub(lastSeen[w]) > hbTimeout {
+			if hbTimeout <= 0 {
+				continue
+			}
+			expiry := lastSeen[w].Add(hbTimeout)
+			if !now.Before(expiry) {
 				tr.Instant(0, "farm.heartbeat-miss", int64(w))
 				toLose = append(toLose, w)
+			} else {
+				nextExpiry = transport.Sooner(nextExpiry, expiry)
 			}
 		}
 		for _, w := range toLose {
 			loseWorker(w)
-			swept = true
 		}
-		if swept {
-			backoff = 0
-			continue
+		// Idle until a frame arrives, a peer crashes, ctx is cancelled (the
+		// top of the loop reports it) or the earliest heartbeat expires.
+		if len(toLose) == 0 && ep.Wait(ctx, gen, nextExpiry) == transport.WaitClosed {
+			return res, fmt.Errorf("cluster: farm %q collect: %w", name, transport.ErrClosed)
 		}
-		if backoff == 0 {
-			backoff = collectBackoffMin
-		} else if backoff < collectBackoffMax {
-			backoff *= 2
-			if backoff > collectBackoffMax {
-				backoff = collectBackoffMax
-			}
-		}
-		sleepCtx(ctx, backoff)
 	}
 
 	return finish()
-}
-
-// sleepCtx sleeps for d or until ctx is cancelled, whichever is first.
-// The sleep is wall-clock on purpose: it paces the collect loop's polling
-// against the real scheduler; no protocol deadline is measured here.
-func sleepCtx(ctx context.Context, d time.Duration) {
-	if ctx.Done() == nil {
-		time.Sleep(d) //lint:allow fabrictime poll backoff paces the real scheduler; no fabric deadline is measured
-		return
-	}
-	t := time.NewTimer(d) //lint:allow fabrictime poll backoff paces the real scheduler; no fabric deadline is measured
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
-	}
 }
 
 // FarmT is the typed farm wrapper: codecs on both ends, same supervision

@@ -224,7 +224,8 @@ func (m *Mux) tracer() *trace.Tracer { return m.s.node.Tracer }
 // Poll drains protocol traffic without blocking and returns the next
 // event, if any: queued worker losses first, then a freshly arrived
 // result, then health-sweep retirements. ok is false when nothing
-// happened — the caller decides how to back off.
+// happened; a caller with nothing else to do then idles in the master
+// endpoint's Wait (generation read before the Poll) until NextExpiry.
 func (m *Mux) Poll() (MuxEvent, bool, error) {
 	if ev, ok := m.popEvent(); ok {
 		return ev, true, nil
@@ -263,7 +264,7 @@ func (m *Mux) Poll() (MuxEvent, bool, error) {
 			m.retire(w)
 			continue
 		}
-		if m.hbTimeout > 0 && now.Sub(m.lastSeen[w]) > m.hbTimeout {
+		if m.hbTimeout > 0 && !now.Before(m.lastSeen[w].Add(m.hbTimeout)) {
 			m.tracer().Instant(0, "mux.heartbeat-miss", int64(w))
 			m.retire(w)
 		}
@@ -272,6 +273,19 @@ func (m *Mux) Poll() (MuxEvent, bool, error) {
 		return ev, true, nil
 	}
 	return MuxEvent{}, false, nil
+}
+
+// NextExpiry is the earliest fabric-clock instant at which a live worker's
+// silence reaches the heartbeat timeout — when Poll has something to say
+// even if nothing arrives. Zero means never.
+func (m *Mux) NextExpiry() (next time.Time) {
+	if m.hbTimeout <= 0 {
+		return next
+	}
+	for w := range m.alive {
+		next = transport.Sooner(next, m.lastSeen[w].Add(m.hbTimeout))
+	}
+	return next
 }
 
 func (m *Mux) popEvent() (MuxEvent, bool) {

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"triolet/internal/checkpoint"
+	"triolet/internal/transport"
 )
 
 // State is a job's lifecycle state. Transitions only move forward:
@@ -344,6 +345,16 @@ type Service struct {
 	serving  bool
 	workers  int
 	draining []int
+	// ep is the attached Serve loop's endpoint, nil when none is attached.
+	// The loop idles on it, so Submit and Stop wake it there.
+	ep *transport.Endpoint
+}
+
+// wakeServeLocked rouses the attached Serve loop, if any.
+func (s *Service) wakeServeLocked() {
+	if s.ep != nil {
+		s.ep.Wake()
+	}
 }
 
 // NewService builds a service over cfg.Store and replays the registry: jobs
@@ -487,6 +498,7 @@ func (s *Service) Submit(sp Spec) error {
 	}
 	s.mu.Lock()
 	j.recorded = true
+	s.wakeServeLocked()
 	s.mu.Unlock()
 	return nil
 }
@@ -516,6 +528,7 @@ func (s *Service) liveLocked() int {
 func (s *Service) Stop() {
 	s.mu.Lock()
 	s.stopped = true
+	s.wakeServeLocked()
 	s.mu.Unlock()
 }
 

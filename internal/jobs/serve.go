@@ -7,12 +7,8 @@ import (
 
 	"triolet/internal/checkpoint"
 	"triolet/internal/cluster"
+	"triolet/internal/transport"
 )
-
-// servePoll is the idle backoff of the serve loop (wall clock: it paces the
-// real scheduler; all protocol deadlines — task timeouts, retry backoff —
-// are measured on the fabric clock).
-const servePoll = 100 * time.Microsecond
 
 // Serve attaches the service to a cluster session and runs jobs until the
 // context is cancelled (a crash, from the registry's point of view: nothing
@@ -28,12 +24,16 @@ func (s *Service) Serve(ctx context.Context, sess *cluster.Session) error {
 	defer func() {
 		s.mu.Lock()
 		s.serving = false
+		s.ep = nil
 		s.mu.Unlock()
 		mux.Close() // on a cancelled context the stop frames fail tolerably
 	}()
 	clk := sess.Fabric().Clock()
+	// The loop idles on the master's mailbox; Submit and Stop wake it there.
+	ep := sess.Fabric().Endpoint(0)
 	s.mu.Lock()
 	s.serving = true
+	s.ep = ep
 	// A job whose last task records reached the registry but whose summary
 	// did not (a crash in the gap) finishes now, without re-execution.
 	settled := make([]*job, 0)
@@ -55,6 +55,9 @@ func (s *Service) Serve(ctx context.Context, sess *cluster.Session) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		// Read before looking: a frame, Submit or Stop landing after this
+		// moves the generation, so the wait at the bottom cannot miss it.
+		gen := ep.Gen()
 		progress := false
 
 		// Drain every pending Mux observation.
@@ -84,7 +87,8 @@ func (s *Service) Serve(ctx context.Context, sess *cluster.Session) error {
 		}
 
 		// Fair-share dispatch onto idle, non-draining workers.
-		n, derr := s.dispatch(ctx, mux, clk.Now())
+		now := clk.Now()
+		n, derr := s.dispatch(ctx, mux, now)
 		if derr != nil {
 			return derr
 		}
@@ -94,7 +98,7 @@ func (s *Service) Serve(ctx context.Context, sess *cluster.Session) error {
 		// one ready task per iteration itself — degraded throughput, but
 		// jobs still reach a terminal state.
 		if mux.Workers() == 0 {
-			ranLocal, lerr := s.runLocalOnce(mux, clk.Now())
+			ranLocal, lerr := s.runLocalOnce(mux, now)
 			if lerr != nil {
 				return lerr
 			}
@@ -114,14 +118,38 @@ func (s *Service) Serve(ctx context.Context, sess *cluster.Session) error {
 		if stopNow {
 			return nil
 		}
-		if !progress {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(servePoll):
+		// Idle until a frame arrives, Submit or Stop wakes us, ctx is
+		// cancelled (the top of the loop reports it) or the fabric clock
+		// reaches the next heartbeat expiry, task timeout or backoff release.
+		if !progress && ep.Wait(ctx, gen, s.nextDeadline(now, mux.NextExpiry())) == transport.WaitClosed {
+			return transport.ErrClosed
+		}
+	}
+}
+
+// nextDeadline is the earliest fabric-clock instant at which the serve loop
+// must act with nothing arriving: at (the Mux's next heartbeat expiry), an
+// in-flight attempt's task timeout, or a retry-backoff release after now (one
+// at or before now only waits for a worker, whose result wakes the loop).
+func (s *Service) nextDeadline(now, at time.Time) time.Time {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, j := range s.jobs {
+		if j.state.Terminal() {
+			continue
+		}
+		if j.spec.TaskTimeout > 0 {
+			for _, fl := range j.inflight {
+				at = transport.Sooner(at, fl.start.Add(j.spec.TaskTimeout))
+			}
+		}
+		for _, rel := range j.notBefore {
+			if rel.After(now) {
+				at = transport.Sooner(at, rel)
 			}
 		}
 	}
+	return at
 }
 
 // dispatch runs one scheduling round and ships the plan. The plan is built
@@ -201,7 +229,7 @@ func (s *Service) sweepTimeouts(now time.Time) error {
 			continue
 		}
 		for task, fl := range j.inflight {
-			if now.Sub(fl.start) <= j.spec.TaskTimeout {
+			if now.Before(fl.start.Add(j.spec.TaskTimeout)) {
 				continue
 			}
 			delete(j.inflight, task)

@@ -1,12 +1,15 @@
 package jobs
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"testing"
 	"time"
 
 	"triolet/internal/checkpoint"
 	"triolet/internal/cluster"
+	"triolet/internal/mpi"
 )
 
 // Serve-path unit tests: handleEvent and sweepTimeouts are policy over the
@@ -345,5 +348,65 @@ func TestWorkerLostDoesNotRequeueSettledTask(t *testing.T) {
 	}
 	if contains(j.pending, task) {
 		t.Fatal("settled task requeued after worker loss")
+	}
+}
+
+// The serve loop idles on the master's mailbox with no poll tick. With
+// heartbeats and their timeout switched off nothing ever arrives or expires
+// on its own, so only Submit's and Stop's explicit wakes can move an idle
+// Serve (its waits have no deadline at all): the job must be dispatched and
+// the drain noticed promptly.
+func TestSubmitAndStopWakeIdleServe(t *testing.T) {
+	s := newTestService(t, Config{HeartbeatTimeout: -1})
+	served := make(chan error, 1)
+	go func() {
+		_, err := cluster.Run(cluster.Config{
+			Nodes: 2, CoresPerNode: 1,
+			Reliable:      &mpi.ReliableConfig{AckTimeout: time.Second},
+			FarmHeartbeat: time.Hour,
+		}, func(sess *cluster.Session) error {
+			return s.Serve(context.Background(), sess)
+		})
+		served <- err
+	}()
+	for !s.Metrics().Serving {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(10 * time.Millisecond) // let the loop go idle
+
+	tasks := makeTasks(4, 9)
+	start := time.Now()
+	if err := s.Submit(Spec{Name: "wake", Kernel: "jobs.echo", Tasks: tasks}); err != nil {
+		t.Fatal(err)
+	}
+	done, err := s.Wait("wake")
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("idle Serve never noticed the submission")
+	}
+	if took := time.Since(start); took > 500*time.Millisecond {
+		t.Errorf("submit→done took %v on an idle service", took)
+	}
+	s.Stop()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("serve: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("idle Serve never noticed Stop")
+	}
+	got, failed, err := s.Result("wake")
+	if err != nil || len(failed) != 0 {
+		t.Fatalf("result: %v, failed %v", err, failed)
+	}
+	for i, want := range wantResults(tasks) {
+		if !bytes.Equal(got[i], want) {
+			t.Fatalf("task %d result mismatch", i)
+		}
 	}
 }

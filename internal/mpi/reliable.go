@@ -87,8 +87,8 @@ type ReliableConfig struct {
 	// BackoffJitter spreads each attempt's ack deadline by up to this
 	// fraction of the timeout, drawn from a seeded per-rank stream
 	// (default 0.2; negative disables). Without it, every rank blocked on
-	// the same event hits the shared ack-timeout floor in the same poll
-	// window and retransmits in lockstep — a synchronized retransmit storm
+	// the same event hits the shared ack-timeout floor at the same instant
+	// and retransmits in lockstep — a synchronized retransmit storm
 	// that re-congests the fabric exactly when it is weakest. Jitter is
 	// strictly additive, so the round-trip floor that keeps simulated
 	// latency from reading as loss is never undercut, and the jittered
@@ -101,8 +101,6 @@ type ReliableConfig struct {
 	// from a specific rank fail fast regardless when the fabric reports
 	// that rank crashed.
 	RecvTimeout time.Duration
-	// PollInterval is the ack/receive poll granularity (default 100µs).
-	PollInterval time.Duration
 	// CoalesceDelay bounds how long a buffered beat may wait for a fuller
 	// frame before a deadline flush, measured on the fabric clock
 	// (default 1ms). Acknowledgements are not subject to it: they always
@@ -141,9 +139,6 @@ func (cfg ReliableConfig) withDefaults() ReliableConfig {
 	if cfg.BackoffJitter < 0 {
 		cfg.BackoffJitter = 0
 	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 100 * time.Microsecond
-	}
 	if cfg.CoalesceDelay <= 0 {
 		cfg.CoalesceDelay = time.Millisecond
 	}
@@ -176,7 +171,7 @@ type pendFrame struct {
 }
 
 // reliable holds the protocol state of one communicator. State access is
-// mutex-guarded (never across a sleep) so helper goroutines (Irecv) stay
+// mutex-guarded (never across a wait) so helper goroutines (Irecv) stay
 // safe, but the design point is the single owning goroutine of the Comm.
 type reliable struct {
 	c   *Comm
@@ -301,23 +296,22 @@ func decodeCoal(br *serial.Reader) (subs []coalSub, ok bool) {
 // held across application compute would read as loss to the stop-and-wait
 // sender and trigger retransmits of full data frames. Callers must hold
 // r.mu.
-func (r *reliable) pump() (progress bool, err error) {
+func (r *reliable) pump() error {
 	for _, wireTag := range [2]int{tagRelData, tagRelAck} {
 		for {
-			m, ok, terr := r.c.ep.TryRecv(transport.AnySource, wireTag)
-			if terr != nil {
-				return progress, terr
+			m, ok, err := r.c.ep.TryRecv(transport.AnySource, wireTag)
+			if err != nil {
+				return err
 			}
 			if !ok {
 				break
 			}
-			progress = true
 			if err := r.handleFrame(m); err != nil {
-				return progress, err
+				return err
 			}
 		}
 	}
-	return progress, r.flushPending()
+	return r.flushPending()
 }
 
 // handleFrame processes one incoming wire frame of any kind.
@@ -499,28 +493,40 @@ func (r *reliable) enqueue(src, tag int, payload []byte) {
 	r.stats.Delivered++
 }
 
-// sleepCtx sleeps for d or until ctx is cancelled, whichever is first.
-// The sleep is wall-clock on purpose: it paces retransmit polling against
-// the real scheduler; ack deadlines themselves are measured on the fabric
-// clock (r.clk — "Never call time.Now here" is enforced by fabrictime).
-func sleepCtx(ctx context.Context, d time.Duration) {
-	if ctx.Done() == nil {
-		time.Sleep(d) //lint:allow fabrictime retry-poll backoff paces the real scheduler; ack deadlines use the fabric clock
-		return
+// enqueueLocal delivers a self-addressed message, which never touches the
+// mailbox: a receive idling there (an Irecv helper) is woken explicitly.
+func (r *reliable) enqueueLocal(tag int, payload []byte) {
+	r.mu.Lock()
+	r.enqueue(r.c.Rank(), tag, payload)
+	r.mu.Unlock()
+	r.c.ep.Wake()
+}
+
+// idleUntil is deadline, or sooner if a buffered beat batch comes due for
+// its CoalesceDelay flush first. Callers hold r.mu.
+func (r *reliable) idleUntil(deadline time.Time) time.Time {
+	for dst, beats := range r.beats {
+		if len(beats) > 0 {
+			deadline = transport.Sooner(deadline, r.beatSince[dst].Add(r.cfg.CoalesceDelay))
+		}
 	}
-	t := time.NewTimer(d) //lint:allow fabrictime retry-poll backoff paces the real scheduler; ack deadlines use the fabric clock
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
+	return deadline
+}
+
+// takeAck consumes dst's acknowledgement of seq, if any. Callers hold r.mu.
+func (r *reliable) takeAck(dst int, seq uint64) bool {
+	_, ok := r.acked[dst][seq]
+	if ok {
+		delete(r.acked[dst], seq)
 	}
+	return ok
 }
 
 // send transmits one message with ack/retry. It blocks until the receiver
 // acknowledges (stop-and-wait; collectives send sequentially anyway) and
 // keeps serving incoming frames while it waits, so two ranks sending to
-// each other cannot deadlock. Cancelling ctx abandons the send within one
-// poll interval.
+// each other cannot deadlock. Between frames it idles in Endpoint.Wait until
+// a frame arrives, ctx is cancelled or the fabric-clock ack deadline passes.
 //
 // shared marks a payload the caller has relinquished (see Comm.SendShared):
 // local delivery then skips its defensive copy. Wire frames are always
@@ -535,9 +541,7 @@ func (r *reliable) send(ctx context.Context, dst, tag int, payload []byte, share
 		if !shared {
 			cp = append([]byte(nil), payload...)
 		}
-		r.mu.Lock()
-		r.enqueue(rank, tag, cp)
-		r.mu.Unlock()
+		r.enqueueLocal(tag, cp)
 		return nil
 	}
 	r.mu.Lock()
@@ -595,21 +599,20 @@ func (r *reliable) send(ctx context.Context, dst, tag int, payload []byte, share
 		r.mu.Unlock()
 		deadline := r.clk.Now().Add(r.jitter(timeout))
 		for {
+			// Read before the pump: a frame landing after the pump has
+			// moved the generation, so the Wait below cannot sleep through it.
+			gen := r.c.ep.Gen()
 			r.mu.Lock()
-			if _, ok := r.acked[dst][seq]; ok {
-				delete(r.acked[dst], seq)
-				r.mu.Unlock()
-				return finish(nil)
-			}
-			_, err := r.pump()
-			if err == nil {
-				if _, ok := r.acked[dst][seq]; ok {
-					delete(r.acked[dst], seq)
-					err = errAckedSentinel
+			acked := r.takeAck(dst, seq)
+			var err error
+			if !acked {
+				if err = r.pump(); err == nil {
+					acked = r.takeAck(dst, seq)
 				}
 			}
+			wakeAt := r.idleUntil(deadline)
 			r.mu.Unlock()
-			if err == errAckedSentinel {
+			if acked {
 				return finish(nil)
 			}
 			if err != nil {
@@ -618,10 +621,10 @@ func (r *reliable) send(ctx context.Context, dst, tag int, payload []byte, share
 			if cerr := ctx.Err(); cerr != nil {
 				return finish(cerr)
 			}
-			if r.clk.Now().After(deadline) {
+			if !r.clk.Now().Before(deadline) {
 				break
 			}
-			sleepCtx(ctx, r.cfg.PollInterval)
+			r.c.ep.Wait(ctx, gen, wakeAt)
 		}
 		timeout = time.Duration(float64(timeout) * r.cfg.Backoff)
 		if timeout > maxTimeout {
@@ -629,9 +632,6 @@ func (r *reliable) send(ctx context.Context, dst, tag int, payload []byte, share
 		}
 	}
 }
-
-// errAckedSentinel is an internal control-flow marker, never returned.
-var errAckedSentinel = errors.New("mpi: internal ack sentinel")
 
 // jitter stretches one attempt's ack timeout by a seeded random fraction in
 // [0, BackoffJitter). Strictly additive: the result is never below d, so the
@@ -693,10 +693,7 @@ func (r *reliable) buildDataFrame(dst int, seq uint64, tag int, payload []byte) 
 func (r *reliable) sendBeat(dst, tag int, payload []byte) error {
 	rank := r.c.Rank()
 	if dst == rank {
-		cp := append([]byte(nil), payload...)
-		r.mu.Lock()
-		r.enqueue(rank, tag, cp)
-		r.mu.Unlock()
+		r.enqueueLocal(tag, append([]byte(nil), payload...))
 		return nil
 	}
 	if !r.coalesce {
@@ -707,6 +704,7 @@ func (r *reliable) sendBeat(dst, tag int, payload []byte) error {
 	defer r.mu.Unlock()
 	if len(r.beats[dst]) == 0 {
 		r.beatSince[dst] = r.clk.Now()
+		defer r.c.ep.Wake() // an idling loop adopts the new flush deadline
 	}
 	r.beats[dst] = append(r.beats[dst], pendFrame{tag: tag, payload: cp})
 	if len(r.beats[dst]) >= r.cfg.CoalesceLimit ||
@@ -729,24 +727,24 @@ func (r *reliable) match(src, tag int) (transport.Message, bool) {
 
 // recv blocks until a reassembled delivery matches (src, tag). A crashed
 // specific source fails fast with RankLostError; RecvTimeout (if set)
-// bounds the overall wait, and cancelling ctx abandons it within one poll
-// interval.
+// bounds the overall wait on the fabric clock. It idles like send, so an
+// arrival, a local enqueue, a peer crash or a cancelled ctx ends the wait.
 func (r *reliable) recv(ctx context.Context, src, tag int) (transport.Message, error) {
 	var deadline time.Time
 	if r.cfg.RecvTimeout > 0 {
 		deadline = r.clk.Now().Add(r.cfg.RecvTimeout)
 	}
 	for {
+		gen := r.c.ep.Gen() // before the pump; see send
 		r.mu.Lock()
 		m, ok := r.match(src, tag)
-		var progress bool
 		var err error
 		if !ok {
-			progress, err = r.pump()
-			if err == nil {
+			if err = r.pump(); err == nil {
 				m, ok = r.match(src, tag)
 			}
 		}
+		wakeAt := r.idleUntil(deadline)
 		r.mu.Unlock()
 		if ok {
 			return m, nil
@@ -754,20 +752,17 @@ func (r *reliable) recv(ctx context.Context, src, tag int) (transport.Message, e
 		if err != nil {
 			return transport.Message{}, err
 		}
-		if progress {
-			continue
-		}
 		if cerr := ctx.Err(); cerr != nil {
 			return transport.Message{}, cerr
 		}
 		if src != transport.AnySource && src != r.c.Rank() && r.c.f.Crashed(src) {
 			return transport.Message{}, &RankLostError{Rank: src}
 		}
-		if !deadline.IsZero() && r.clk.Now().After(deadline) {
+		if !deadline.IsZero() && !r.clk.Now().Before(deadline) {
 			return transport.Message{}, fmt.Errorf("mpi: recv(src=%d, tag=%d) timed out after %v: %w",
 				src, tag, r.cfg.RecvTimeout, ErrRankLost)
 		}
-		sleepCtx(ctx, r.cfg.PollInterval)
+		r.c.ep.Wait(ctx, gen, wakeAt)
 	}
 }
 
@@ -778,7 +773,7 @@ func (r *reliable) tryRecv(src, tag int) (transport.Message, bool, error) {
 	if m, ok := r.match(src, tag); ok {
 		return m, true, nil
 	}
-	if _, err := r.pump(); err != nil {
+	if err := r.pump(); err != nil {
 		return transport.Message{}, false, err
 	}
 	m, ok := r.match(src, tag)

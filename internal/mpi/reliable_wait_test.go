@@ -1,0 +1,99 @@
+package mpi
+
+import (
+	"testing"
+	"time"
+
+	"triolet/internal/transport"
+)
+
+// The reliable layer idles on its endpoint's mailbox, never on a poll tick.
+// Each test removes every other way a wait could end, so that completing at
+// all says why the waits returned (transport's own tests pin each reason).
+
+// With the fabric clock frozen no deadline can ever pass; nothing here calls
+// Wake (no beats, self-sends or crashes), the context is Background and the
+// fabric stays open. A ping-pong that completes therefore proves every wait
+// on both ranks ended because a frame arrived.
+func TestReliablePingPongOnFrozenClockWakesOnArrivalOnly(t *testing.T) {
+	f := transport.New(transport.Config{Ranks: 2, Clock: newFakeClock()})
+	defer f.Close()
+	cfg := ReliableConfig{AckTimeout: time.Millisecond, Retries: 2}
+	a, b := NewReliableComm(f, 0, cfg), NewReliableComm(f, 1, cfg)
+
+	const rounds = 200
+	echoed := make(chan error, 1)
+	go func() {
+		for range rounds {
+			m, err := b.Recv(0, 3)
+			if err == nil {
+				err = b.Send(0, 3, m.Payload)
+			}
+			if err != nil {
+				echoed <- err
+				return
+			}
+		}
+		echoed <- nil
+	}()
+	start := time.Now()
+	for i := range rounds {
+		if err := a.Send(1, 3, []byte{byte(i)}); err != nil {
+			t.Fatalf("ping %d: %v", i, err)
+		}
+		if _, err := a.Recv(1, 3); err != nil {
+			t.Fatalf("pong %d: %v", i, err)
+		}
+	}
+	if err := <-echoed; err != nil {
+		t.Fatalf("echo side: %v", err)
+	}
+	// Four hops a round; a single millisecond tick per hop would be 800ms.
+	if took := time.Since(start); took > 400*time.Millisecond {
+		t.Errorf("%d round trips took %v: progress is waiting on a timer", rounds, took)
+	}
+	for name, c := range map[string]*Comm{"a": a, "b": b} {
+		if s := c.ReliableStats(); s.Retries != 0 {
+			t.Errorf("%s retransmitted on a frozen clock: %+v", name, s)
+		}
+	}
+}
+
+// A self-addressed send never touches the mailbox, so it must wake a
+// receive already idling there. On a one-rank fabric nothing can arrive, so
+// an Irecv that completes well inside RecvTimeout was ended by that wake,
+// not by a deadline.
+func TestReliableSelfSendWakesBlockedIrecv(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		send func(c *Comm) error
+	}{
+		{"send", func(c *Comm) error { return c.Send(0, 5, []byte("self")) }},
+		{"beat", func(c *Comm) error { return c.SendBeat(0, 5, []byte("self")) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := transport.New(transport.Config{Ranks: 1})
+			defer f.Close()
+			comm := NewReliableComm(f, 0, ReliableConfig{RecvTimeout: 500 * time.Millisecond})
+			req := comm.Irecv(0, 5)
+			time.Sleep(5 * time.Millisecond) // let the helper block
+			if req.Test() {
+				t.Fatal("Irecv complete before the send")
+			}
+			start := time.Now()
+			if err := c.send(comm); err != nil {
+				t.Fatal(err)
+			}
+			m, err := req.Wait()
+			if err != nil {
+				t.Fatalf("Irecv: %v", err)
+			}
+			if string(m.Payload) != "self" || m.Src != 0 {
+				t.Fatalf("msg = %+v", m)
+			}
+			if took := time.Since(start); took > 100*time.Millisecond {
+				t.Errorf("Irecv completed %v after the self-send", took)
+			}
+		})
+	}
+}

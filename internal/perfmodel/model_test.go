@@ -251,12 +251,27 @@ func TestFig3SequentialOrdering(t *testing.T) {
 	}
 }
 
+// fixtureCal is a Calibrate() result recorded on the development host
+// (2-core linux/amd64, go1.24), rounded to two digits.
+var fixtureCal = Calibration{
+	MRIQUnit:           [3]float64{RefC: 3.0e-8, Triolet: 3.1e-8, Eden: 3.7e-8},
+	SGEMMMac:           [3]float64{RefC: 6.3e-10, Triolet: 7.4e-10, Eden: 6.4e-10},
+	SGEMMTransposeElem: 1.0e-9,
+	TPACFPair:          [3]float64{RefC: 1.9e-8, Triolet: 2.3e-8, Eden: 2.0e-8},
+	CUTCPCell:          [3]float64{RefC: 5.1e-9, Triolet: 2.6e-8, Eden: 5.2e-9},
+	SerPerByte:         7.0e-10,
+	AllocPerByte:       5.0e-11,
+	AddF32:             3.8e-10,
+}
+
 func TestModelSensitivityToNetwork(t *testing.T) {
-	skipUnderRace(t)
 	// Sanity of the time equations: a 10× slower network must hurt the
 	// communication-bound benchmarks (sgemm, cutcp) at 8 nodes and leave
-	// the compute-bound one (mri-q) nearly untouched.
-	mo := getModel()
+	// the compute-bound one (mri-q) nearly untouched. The equations are
+	// what is under test, not the host, so they run over a fixed
+	// calibration: calibrated live under load, cutcp's ratio read 1.34x
+	// against the 1.5x floor on unchanged code.
+	mo := NewModelWith(fixtureCal)
 	slow := mo.Mach
 	slow.NetBandwidth /= 10
 	slow.NetLatency *= 10

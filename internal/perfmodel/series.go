@@ -63,9 +63,13 @@ type Model struct {
 
 // NewModel calibrates on the current machine and applies the default
 // (paper-scale) parameters.
-func NewModel() *Model {
+func NewModel() *Model { return NewModelWith(Calibrate()) }
+
+// NewModelWith applies the default (paper-scale) parameters to a given
+// calibration.
+func NewModelWith(cal Calibration) *Model {
 	return &Model{
-		Cal:   Calibrate(),
+		Cal:   cal,
 		Mach:  DefaultMachine(),
 		MRIQ:  DefaultMRIQ(),
 		SGEMM: DefaultSGEMM(),

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // AnySource matches a message from any sender in Recv.
@@ -76,6 +77,13 @@ type mailbox struct {
 	queue   []Message
 	closed  bool
 	crashed bool
+
+	// Wait-primitive state (wait.go).
+	arrivals uint64      // deliveries so far
+	wakes    uint64      // explicit Wake calls so far
+	watched  []ctxWatch  // contexts whose cancellation broadcasts here
+	timer    *time.Timer // the rank's one deadline timer, created on first use
+	armedAt  time.Time   // fabric-clock instant the timer is set for; zero once fired
 }
 
 // closeErr reports why a closed mailbox rejects operations. Callers hold mu.
@@ -240,6 +248,7 @@ func (f *Fabric) deliver(src, dst, tag int, payload []byte) error {
 		return err
 	}
 	mb.queue = append(mb.queue, Message{Src: src, Tag: tag, Payload: payload})
+	mb.arrivals++
 	mb.cond.Broadcast()
 	mb.mu.Unlock()
 	return nil
@@ -318,8 +327,7 @@ func (f *Fabric) TryRecv(dst, src, tag int) (Message, bool, error) {
 func (f *Fabric) Close() {
 	for _, mb := range f.boxes {
 		mb.mu.Lock()
-		mb.closed = true
-		mb.cond.Broadcast()
+		mb.shut(false)
 		mb.mu.Unlock()
 	}
 }
@@ -337,12 +345,15 @@ func (f *Fabric) CrashRank(r int) {
 	}
 	mb := f.boxes[r]
 	mb.mu.Lock()
-	if !mb.closed {
-		mb.closed = true
-		mb.crashed = true
-		mb.cond.Broadcast()
-	}
+	mb.shut(true)
 	mb.mu.Unlock()
+	// Peers idle on their own mailboxes: wake them so a loop waiting on the
+	// dead rank re-reads Crashed now, not at its next deadline.
+	for peer := range f.boxes {
+		if peer != r {
+			f.Endpoint(peer).Wake()
+		}
+	}
 }
 
 // Crashed reports whether rank r has been killed. The retry/ack layer uses
