@@ -73,11 +73,13 @@ bench-smoke:
 	bash bench/run.sh -quick
 
 # Steady-state allocation gate: AllocsPerRun proofs over the block
-# engine's fast paths and the core skeletons' merge steps (must run
-# without -race; the detector instruments allocations).
+# engine's fast paths, the core skeletons' merge steps and cutcp's
+# per-atom generator (must run without -race; the detector instruments
+# allocations).
 alloc-gate:
 	$(GO) test -count=1 -timeout 5m \
-		-run 'ZeroAllocs|Allocs|Arena|Presize' ./internal/iter/ ./internal/core/
+		-run 'ZeroAllocs|Allocs|Arena|Presize' \
+		./internal/iter/ ./internal/core/ ./internal/parboil/cutcp/
 
 # Message-volume regression gate against the checked-in wire baseline.
 msg-gate:

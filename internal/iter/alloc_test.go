@@ -208,3 +208,50 @@ func TestHistogramAllocsSizeIndependent(t *testing.T) {
 		t.Fatalf("Histogram allocations scale with input: %.1f at 1Ki vs %.1f at 32Ki", small, large)
 	}
 }
+
+// TestHistogramNestInnerLoopsZeroAllocs: the histogram consumers walk a
+// nest themselves and drive short inner indexers — flat or partial, with no
+// block kernel — through At with the bin update inline. Over prebuilt inner
+// iterators that is zero allocations; over ConcatMap's closure form it is
+// exactly what the producer allocates per outer element, whatever the inner
+// length (1x vs 8x at equal outer length).
+func TestHistogramNestInnerLoopsZeroAllocs(t *testing.T) {
+	const outer = 64
+	bins := make([]int64, 16)
+	wbins := make([]float64, 16)
+	flat := func(i, n int) Iter[int] {
+		return IdxFlat(Idx[int]{N: n, At: func(j int) int { return (i + j) % 16 }})
+	}
+	partial := func(i, n int) Iter[int] {
+		return IdxFilter(FIdx[int]{N: n, At: func(j int) (int, bool) { return (i + j) % 16, j%3 != 0 }})
+	}
+	weigh := func(b int) Bin[float64] { return Bin[float64]{I: b, W: 0.5} }
+	var closureForm [2][2]float64 // [consumer][inner length] allocations
+	for li, inner := range []int{3, 24} {
+		for name, mk := range map[string]func(i, n int) Iter[int]{"flat": flat, "partial": partial} {
+			inners := make([]Iter[int], outer)
+			winners := make([]Iter[Bin[float64]], outer)
+			for i := range inners {
+				inners[i] = mk(i, inner)
+				winners[i] = Map(weigh, inners[i])
+			}
+			nest, wnest := IdxNest(IdxOf(inners)), IdxNest(IdxOf(winners))
+			if n := testing.AllocsPerRun(20, func() { HistogramInto(bins, nest) }); n != 0 {
+				t.Fatalf("HistogramInto over %d %s inner loops of %d allocated %.1f per run, want 0", outer, name, inner, n)
+			}
+			if n := testing.AllocsPerRun(20, func() { WeightedHistogramInto(wbins, wnest) }); n != 0 {
+				t.Fatalf("WeightedHistogramInto over %d %s inner loops of %d allocated %.1f per run, want 0", outer, name, inner, n)
+			}
+		}
+		cm := ConcatMap(func(i int) Iter[int] { return partial(i, inner) }, Range(outer))
+		wcm := Map(weigh, cm)
+		closureForm[0][li] = testing.AllocsPerRun(20, func() { HistogramInto(bins, cm) })
+		closureForm[1][li] = testing.AllocsPerRun(20, func() { WeightedHistogramInto(wbins, wcm) })
+	}
+	for c, name := range []string{"HistogramInto", "WeightedHistogramInto"} {
+		if closureForm[c][0] != closureForm[c][1] {
+			t.Fatalf("%s over ConcatMap allocated %.0f at inner length 3 and %.0f at 24: the consumer allocates per element",
+				name, closureForm[c][0], closureForm[c][1])
+		}
+	}
+}

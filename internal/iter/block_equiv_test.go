@@ -24,6 +24,7 @@ type driverObs struct {
 	fsum  float64
 	count int
 	hist  []int64
+	whist []float64
 	split int64
 	ok    bool // split observed
 }
@@ -36,6 +37,9 @@ func observeDrivers(it Iter[int64]) driverObs {
 	}
 	o.fsum = Sum(Map(func(v int64) float64 { return float64(v) * 0.1 }, it))
 	o.hist = Histogram(64, Map(func(v int64) int { return int(((v % 64) + 64) % 64) }, it))
+	o.whist = WeightedHistogram(64, Map(func(v int64) Bin[float64] {
+		return Bin[float64]{I: int(((v % 64) + 64) % 64), W: float64(v) * 0.1}
+	}, it))
 	if it.CanSplit() {
 		n, _ := it.OuterLen()
 		for _, r := range domain.BlockPartition(n, 3) {
@@ -99,6 +103,10 @@ func TestBlockDriverMatchesPerElementDriver(t *testing.T) {
 				t.Logf("hist[%d] = %d vs %d for ops %+v", b, blocked.hist[b], scalar.hist[b], ops)
 				return false
 			}
+			if blocked.whist[b] != scalar.whist[b] {
+				t.Logf("whist[%d] = %v vs %v for ops %+v", b, blocked.whist[b], scalar.whist[b], ops)
+				return false
+			}
 		}
 		if blocked.ok != scalar.ok || blocked.split != scalar.split {
 			t.Logf("split sum %d vs %d for ops %+v", blocked.split, scalar.split, ops)
@@ -141,6 +149,9 @@ func observeEqual(it Iter[int64]) string {
 	for b := range scalar.hist {
 		if blocked.hist[b] != scalar.hist[b] {
 			return "Histogram"
+		}
+		if blocked.whist[b] != scalar.whist[b] {
+			return "WeightedHistogram"
 		}
 	}
 	if blocked.ok != scalar.ok || blocked.split != scalar.split {

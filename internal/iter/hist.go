@@ -39,12 +39,22 @@ func WeightedHistogram[W Number](n int, it Iter[Bin[W]]) []W {
 
 // HistogramInto adds it's counts into an existing bin array, enabling
 // per-thread private histograms that are merged afterwards (the two-level
-// reduction of paper §3.4).
+// reduction of paper §3.4). Nests recurse and indexers — partial ones
+// without a block kernel included — are driven through At with the bin
+// update inline (sumInner's shape), so an inner loop costs no collector, no
+// closure and one indirect call per element.
 func HistogramInto(bins []int64, it Iter[int]) {
 	n := len(bins)
-	if it.kind == KIdxFlat && blockDriverEnabled {
+	switch it.kind {
+	case KIdxNest:
+		inner := it.idxN
+		for i := 0; i < inner.N; i++ {
+			HistogramInto(bins, inner.At(i))
+		}
+		return
+	case KIdxFlat:
 		ix := it.idx
-		if back := ix.backing(); back != nil {
+		if back := ix.backing(); blockDriverEnabled && back != nil {
 			for _, b := range back {
 				if b >= 0 && b < n {
 					bins[b]++
@@ -52,7 +62,7 @@ func HistogramInto(bins []int64, it Iter[int]) {
 			}
 			return
 		}
-		if gen := ix.fillGen(); gen != nil && ix.N >= blockMin {
+		if gen := ix.fillGen(); blockDriverEnabled && gen != nil && ix.N >= blockMin {
 			g := gen()
 			buf := make([]int, blockLen(ix.N))
 			for base := 0; base < ix.N; base += BlockSize {
@@ -70,20 +80,43 @@ func HistogramInto(bins []int64, it Iter[int]) {
 			}
 			return
 		}
+		for i := 0; i < ix.N; i++ {
+			if b := ix.At(i); b >= 0 && b < n {
+				bins[b]++
+			}
+		}
+		return
+	case KIdxFilter:
+		if fx := it.fidx; fx.fast == nil {
+			for i := 0; i < fx.N; i++ {
+				if b, ok := fx.At(i); ok && b >= 0 && b < n {
+					bins[b]++
+				}
+			}
+			return
+		}
 	}
-	Collect(it)(func(b int) {
+	collectInto(it, func(b int) {
 		if b >= 0 && b < n {
 			bins[b]++
 		}
 	})
 }
 
-// WeightedHistogramInto adds it's weighted updates into an existing array.
+// WeightedHistogramInto adds it's weighted updates into an existing array;
+// same traversal as HistogramInto.
 func WeightedHistogramInto[W Number](bins []W, it Iter[Bin[W]]) {
 	n := len(bins)
-	if it.kind == KIdxFlat && blockDriverEnabled {
+	switch it.kind {
+	case KIdxNest:
+		inner := it.idxN
+		for i := 0; i < inner.N; i++ {
+			WeightedHistogramInto(bins, inner.At(i))
+		}
+		return
+	case KIdxFlat:
 		ix := it.idx
-		if back := ix.backing(); back != nil {
+		if back := ix.backing(); blockDriverEnabled && back != nil {
 			for _, u := range back {
 				if u.I >= 0 && u.I < n {
 					bins[u.I] += u.W
@@ -91,7 +124,7 @@ func WeightedHistogramInto[W Number](bins []W, it Iter[Bin[W]]) {
 			}
 			return
 		}
-		if gen := ix.fillGen(); gen != nil && ix.N >= blockMin {
+		if gen := ix.fillGen(); blockDriverEnabled && gen != nil && ix.N >= blockMin {
 			g := gen()
 			buf := make([]Bin[W], blockLen(ix.N))
 			for base := 0; base < ix.N; base += BlockSize {
@@ -109,8 +142,23 @@ func WeightedHistogramInto[W Number](bins []W, it Iter[Bin[W]]) {
 			}
 			return
 		}
+		for i := 0; i < ix.N; i++ {
+			if u := ix.At(i); u.I >= 0 && u.I < n {
+				bins[u.I] += u.W
+			}
+		}
+		return
+	case KIdxFilter:
+		if fx := it.fidx; fx.fast == nil {
+			for i := 0; i < fx.N; i++ {
+				if u, ok := fx.At(i); ok && u.I >= 0 && u.I < n {
+					bins[u.I] += u.W
+				}
+			}
+			return
+		}
 	}
-	Collect(it)(func(u Bin[W]) {
+	collectInto(it, func(u Bin[W]) {
 		if u.I >= 0 && u.I < n {
 			bins[u.I] += u.W
 		}

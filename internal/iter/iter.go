@@ -445,93 +445,80 @@ func mergeHint(a, b ParHint) ParHint { return max(a, b) }
 // becomes one loop of the resulting loop nest. Slice-backed and
 // block-capable producers feed the worker from tight buffer loops.
 func Collect[T any](it Iter[T]) Collector[T] {
+	return func(w func(T)) { collectInto(it, w) }
+}
+
+// collectInto runs Collect's loop nest: one recursive walk, so a nest builds
+// no collector closure per inner iterator.
+func collectInto[T any](it Iter[T], w func(T)) {
 	switch it.kind {
 	case KIdxFlat:
 		ix := it.idx
 		if back := ix.backing(); blockDriverEnabled && back != nil {
-			return func(w func(T)) {
-				for _, v := range back {
+			for _, v := range back {
+				w(v)
+			}
+			return
+		}
+		if gen := ix.fillGen(); blockDriverEnabled && gen != nil && ix.N >= blockMin {
+			g := gen()
+			buf := make([]T, blockLen(ix.N))
+			for base := 0; base < ix.N; base += BlockSize {
+				b := buf[:min(BlockSize, ix.N-base)]
+				g(b, base)
+				for _, v := range b {
 					w(v)
 				}
 			}
+			return
 		}
-		if gen := ix.fillGen(); blockDriverEnabled && gen != nil && ix.N >= blockMin {
-			n := ix.N
-			return func(w func(T)) {
-				g := gen()
-				buf := make([]T, blockLen(n))
-				for base := 0; base < n; base += BlockSize {
-					end := base + BlockSize
-					if end > n {
-						end = n
-					}
-					b := buf[:end-base]
-					g(b, base)
-					for _, v := range b {
-						w(v)
-					}
-				}
-			}
+		for i := 0; i < ix.N; i++ {
+			w(ix.At(i))
 		}
-		return IdxToColl(ix)
 	case KStepFlat:
-		return StepToColl(it.step)
+		cur := it.step.Gen()
+		for v, ok := cur(); ok; v, ok = cur() {
+			w(v)
+		}
 	case KIdxNest:
 		inner := it.idxN
-		return func(w func(T)) {
-			for i := 0; i < inner.N; i++ {
-				Collect(inner.At(i))(w)
-			}
+		for i := 0; i < inner.N; i++ {
+			collectInto(inner.At(i), w)
 		}
 	case KStepNest:
-		inner := it.stepN
-		return func(w func(T)) {
-			cur := inner.Gen()
-			for {
-				sub, ok := cur()
-				if !ok {
-					return
-				}
-				Collect(sub)(w)
-			}
+		cur := it.stepN.Gen()
+		for sub, ok := cur(); ok; sub, ok = cur() {
+			collectInto(sub, w)
 		}
 	case KIdxFilter:
 		fx := it.fidx
 		if back, pred := fx.filterView(); blockDriverEnabled && back != nil {
-			return func(w func(T)) {
-				for _, v := range back {
-					if pred(v) {
-						w(v)
-					}
-				}
-			}
-		}
-		if gen := fx.cfill(); blockDriverEnabled && gen != nil && fx.N >= blockMin {
-			n := fx.N
-			return func(w func(T)) {
-				g := gen()
-				buf := make([]T, blockLen(n))
-				for base := 0; base < n; base += BlockSize {
-					end := base + BlockSize
-					if end > n {
-						end = n
-					}
-					k := g(buf[:end-base], base, end-base)
-					for _, v := range buf[:k] {
-						w(v)
-					}
-				}
-			}
-		}
-		return func(w func(T)) {
-			for i := 0; i < fx.N; i++ {
-				if v, ok := fx.At(i); ok {
+			for _, v := range back {
+				if pred(v) {
 					w(v)
 				}
 			}
+			return
 		}
+		if gen := fx.cfill(); blockDriverEnabled && gen != nil && fx.N >= blockMin {
+			g := gen()
+			buf := make([]T, blockLen(fx.N))
+			for base := 0; base < fx.N; base += BlockSize {
+				n := min(BlockSize, fx.N-base)
+				for _, v := range buf[:g(buf[:n], base, n)] {
+					w(v)
+				}
+			}
+			return
+		}
+		for i := 0; i < fx.N; i++ {
+			if v, ok := fx.At(i); ok {
+				w(v)
+			}
+		}
+	default:
+		panic("iter: bad kind")
 	}
-	panic("iter: bad kind")
 }
 
 // Reduce folds the iterator left-to-right with worker w from initial

@@ -60,17 +60,14 @@ func Gen(atoms int, dim domain.Dim3, spacing, cutoff float32, seed uint64) *Inpu
 }
 
 // cellRange clamps the cells whose coordinate lies within cutoff of pos to
-// [0, n): the bounding slab of an atom along one axis.
+// [0, n): the bounding slab of an atom along one axis, empty (hi == lo)
+// when the atom is more than a cutoff outside the grid.
 func cellRange(pos, cutoff, spacing float32, n int) (int, int) {
 	lo := int(math.Ceil(float64((pos - cutoff) / spacing)))
 	hi := int(math.Floor(float64((pos + cutoff) / spacing)))
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > n-1 {
-		hi = n - 1
-	}
-	return lo, hi + 1 // half-open
+	lo = max(lo, 0)
+	hi = min(hi, n-1)
+	return lo, max(hi+1, lo) // half-open
 }
 
 // Contribution computes one atom's potential at a grid point, or (0,

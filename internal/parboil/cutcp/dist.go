@@ -61,41 +61,43 @@ func geoCodec() serial.Codec[Geometry] {
 
 // ---- Triolet ----
 
-// atomBins is the paper's "gridPts a" generator: the iterator of weighted
-// histogram updates one atom induces — a nested traversal over the atom's
-// bounding-box grid rows, filtered to the cutoff sphere. Each inner row is
-// a flat indexer whose Filter simplifies to the partial-indexer form
-// (iter.KIdxFilter), so the cutoff test fuses into the row loop without
-// per-cell allocation, matching how Triolet's optimizer erases filter's
-// one-element steppers. The aggregate is irregular: atoms near the grid
-// boundary contribute fewer updates.
-func atomBins(g Geometry, a Atom) iter.Iter[iter.Bin[float32]] {
+// gridPts is the paper's "gridPts a" generator: the weighted histogram
+// updates one atom induces on the grid planes zClip, as bins of a grid that
+// starts at plane zClip.Lo (the whole grid for Triolet, one slab for
+// TrioletSlab). The atom's clipped bounding box is a bounded nest, so it is
+// one partial indexer, not a ConcatMap over rows: At un-linearises k to
+// (z, y, x) in Accumulate's z-y-x order and Contribution's own ok is the
+// rejection bit. That is one closure per atom, where ConcatMap's closure
+// form costs Go one allocation per outer element — here, per row of every
+// box (DESIGN.md §8). An empty box (atom outside the grid or the slab) has
+// N = 0. The aggregate is irregular: atoms near the grid boundary
+// contribute fewer updates.
+func gridPts(g Geometry, a Atom, zClip domain.Range) iter.Iter[iter.Bin[float32]] {
 	zr, yr, xr := AtomBox(g, a)
-	ny, nx := yr.Len(), xr.Len()
-	rows := iter.Range(zr.Len() * ny)
-	return iter.ConcatMap(func(ri int) iter.Iter[iter.Bin[float32]] {
-		z := zr.Lo + ri/ny
-		y := yr.Lo + ri%ny
-		base := (z*g.Dim.H + y) * g.Dim.W
-		row := iter.IdxFlat(iter.Idx[iter.Bin[float32]]{N: nx, At: func(j int) iter.Bin[float32] {
-			x := xr.Lo + j
-			v, ok := Contribution(g, a, domain.Ix3{Z: z, Y: y, X: x})
-			if !ok {
-				return iter.Bin[float32]{I: -1}
-			}
-			return iter.Bin[float32]{I: base + x, W: v}
-		}})
-		return iter.Filter(func(b iter.Bin[float32]) bool { return b.I >= 0 }, row)
-	}, rows)
+	zr = zr.Intersect(zClip)
+	// 32-bit operands: a box is far below 2^32 cells, and At divides twice
+	// per cell.
+	ny, nx := uint32(yr.Len()), uint32(xr.Len())
+	return iter.IdxFilter(iter.FIdx[iter.Bin[float32]]{N: zr.Len() * yr.Len() * xr.Len(), At: func(k int) (iter.Bin[float32], bool) {
+		row := uint32(k) / nx
+		z, y, x := zr.Lo+int(row/ny), yr.Lo+int(row%ny), xr.Lo+int(uint32(k)%nx)
+		v, ok := Contribution(g, a, domain.Ix3{Z: z, Y: y, X: x})
+		return iter.Bin[float32]{I: ((z-zClip.Lo)*g.Dim.H+y)*g.Dim.W + x, W: v}, ok
+	}})
+}
+
+// atomUpdates is the cutcp pipeline [f a r | a <- atoms, r <- gridPts a].
+func atomUpdates(g Geometry, atoms []Atom, zClip domain.Range) iter.Iter[iter.Bin[float32]] {
+	return iter.ConcatMap(func(a Atom) iter.Iter[iter.Bin[float32]] {
+		return gridPts(g, a, zClip)
+	}, iter.FromSlice(atoms))
 }
 
 // SeqTriolet runs the cutcp floating-point histogram as a single-threaded
 // Triolet iterator pipeline — the "Triolet" bar of paper Fig. 3.
 func SeqTriolet(in *Input) []float32 {
-	it := iter.ConcatMap(func(a Atom) iter.Iter[iter.Bin[float32]] {
-		return atomBins(in.Geo, a)
-	}, iter.FromSlice(in.Atoms))
-	return iter.WeightedHistogram(in.Geo.Points(), it)
+	g := in.Geo
+	return iter.WeightedHistogram(g.Points(), atomUpdates(g, in.Atoms, domain.Range{Hi: g.Dim.D}))
 }
 
 // SeqEden runs the Eden-style sequential kernel: imperative loops over
@@ -145,6 +147,11 @@ func SeqEdenIdiomatic(in *Input) []float32 {
 	return grid
 }
 
+// atomGrain is the leaf size, in atoms, of the threaded histogram: a leaf
+// pays one Split, and an atom is only a few thousand cells. On cutcp-node
+// 64 read about a tenth under 1 in alternated pairs, at half the allocation.
+const atomGrain = 64
+
 // trioletOp distributes atoms across nodes; each node computes a private
 // copy of the whole grid as a thread-parallel floating-point histogram,
 // and grids are summed up the reduction tree — exactly the paper's
@@ -156,10 +163,8 @@ var trioletOp = core.NewMapReduce(
 	geoCodec(),
 	serial.F32s(),
 	func(n *cluster.Node, atoms []Atom, g Geometry) ([]float32, error) {
-		it := iter.LocalPar(iter.ConcatMap(func(a Atom) iter.Iter[iter.Bin[float32]] {
-			return atomBins(g, a)
-		}, iter.FromSlice(atoms)))
-		return core.WeightedHistogramLocal(n.Pool, g.Points(), it, 1), nil
+		it := iter.LocalPar(atomUpdates(g, atoms, domain.Range{Hi: g.Dim.D}))
+		return core.WeightedHistogramLocal(n.Pool, g.Points(), it, atomGrain), nil
 	},
 	func(a, b []float32) []float32 { array.AddInto(a, b); return a },
 )

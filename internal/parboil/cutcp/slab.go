@@ -62,39 +62,9 @@ func slabTaskCodec() serial.Codec[slabTask] {
 // clipped to the slab and bins rebased to slab-local indices.
 func slabGrid(n *cluster.Node, t slabTask) []float32 {
 	g := t.Geo
-	depth := t.ZHi - t.ZLo
-	points := depth * g.Dim.H * g.Dim.W
-	it := iter.LocalPar(iter.ConcatMap(func(a Atom) iter.Iter[iter.Bin[float32]] {
-		return atomSlabBins(g, a, t.ZLo, t.ZHi)
-	}, iter.FromSlice(t.Atoms)))
-	var pool = n.Pool
-	return core.WeightedHistogramLocal(pool, points, it, 1)
-}
-
-// atomSlabBins is atomBins with the Z-range clipped to [zLo, zHi) and
-// linear indices rebased to the slab.
-func atomSlabBins(g Geometry, a Atom, zLo, zHi int) iter.Iter[iter.Bin[float32]] {
-	zr, yr, xr := AtomBox(g, a)
-	zr = zr.Intersect(domain.Range{Lo: zLo, Hi: zHi})
-	ny, nx := yr.Len(), xr.Len()
-	if zr.Empty() || ny == 0 || nx == 0 {
-		return iter.Empty[iter.Bin[float32]]()
-	}
-	rows := iter.Range(zr.Len() * ny)
-	return iter.ConcatMap(func(ri int) iter.Iter[iter.Bin[float32]] {
-		z := zr.Lo + ri/ny
-		y := yr.Lo + ri%ny
-		base := ((z-zLo)*g.Dim.H + y) * g.Dim.W
-		row := iter.IdxFlat(iter.Idx[iter.Bin[float32]]{N: nx, At: func(j int) iter.Bin[float32] {
-			x := xr.Lo + j
-			v, ok := Contribution(g, a, domain.Ix3{Z: z, Y: y, X: x})
-			if !ok {
-				return iter.Bin[float32]{I: -1}
-			}
-			return iter.Bin[float32]{I: base + x, W: v}
-		}})
-		return iter.Filter(func(b iter.Bin[float32]) bool { return b.I >= 0 }, row)
-	}, rows)
+	points := (t.ZHi - t.ZLo) * g.Dim.H * g.Dim.W
+	it := iter.LocalPar(atomUpdates(g, t.Atoms, domain.Range{Lo: t.ZLo, Hi: t.ZHi}))
+	return core.WeightedHistogramLocal(n.Pool, points, it, atomGrain)
 }
 
 // slabOp: the kernel computes its slab and the gather concatenates slabs
