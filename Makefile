@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: build test race chaos chaos-resume chaos-campaign fuzz fuzz-wal \
 	bench bench-baseline bench-smoke alloc-gate msg-gate msg-baseline \
-	diffcheck-gate diffcheck-soak autopar-gate lint lint-selftest vet all
+	diffcheck-gate diffcheck-soak autopar-gate lint lint-selftest loc vet all
 
 all: vet build test
 
@@ -49,9 +49,11 @@ chaos-resume:
 chaos-campaign:
 	./scripts/chaos-campaign.sh
 
-# 30-second fuzz smoke over the wire-format decoders.
+# 30-second fuzz smokes over the wire-format decoders: the serial slice
+# codecs and the farm engine's task/result frames.
 fuzz:
 	$(GO) test -fuzz=FuzzSliceDecoders -fuzztime=30s ./internal/serial
+	$(GO) test -fuzz=FuzzMuxFrames -fuzztime=30s ./internal/cluster
 
 # Fuzz the checkpoint WAL decoder: arbitrary bytes must yield a valid
 # prefix, never a panic or a runaway allocation.
@@ -120,3 +122,8 @@ lint:
 # Prove each analyzer still catches an injected violation of its contract.
 lint-selftest:
 	./scripts/lint-selftest.sh
+
+# Non-test Go lines per internal/* package (the roadmap's "lines go down"
+# criteria are read off this table).
+loc:
+	./scripts/loc.sh

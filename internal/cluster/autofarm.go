@@ -17,9 +17,7 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 
-	"triolet/internal/checkpoint"
 	"triolet/internal/transport"
 )
 
@@ -53,129 +51,14 @@ func (s *Session) FarmAuto(name string, tasks [][]byte, plan FarmPlan, opt FarmO
 	before := s.fabric.Stats().Bytes
 	start := clk.Now()
 
-	var fr *FarmResult
-	var err error
-	if plan.Distribute && s.node.Nodes() > 1 {
-		fr, err = s.FarmOpts(name, tasks, opt)
-	} else {
-		fr, err = s.farmLocal(name, tasks, opt)
-	}
+	// A master-local plan is the same farm with no worker dispatched: tasks
+	// run on the master one at a time (node-local parallelism belongs to the
+	// kernel's own pool loops, and the pool runs one region at a time).
+	fr, err := s.farm(name, tasks, opt, plan.Distribute)
 
 	tr.Instant(0, "plan.observed", clk.Now().Sub(start).Microseconds())
 	tr.Instant(0, "plan.observed-bytes", s.fabric.Stats().Bytes-before)
 	return fr, err
-}
-
-// farmLocal executes every task on the master under the farm's per-task
-// failure policy (attempts, quarantine, checkpoint/resume, timing), with
-// no worker dispatch. Tasks run one at a time: node-local parallelism
-// belongs to the kernel's own pool loops, and the pool runs one region at
-// a time.
-func (s *Session) farmLocal(name string, tasks [][]byte, opt FarmOptions) (*FarmResult, error) {
-	fn, ok := lookupFarm(name)
-	if !ok {
-		return nil, fmt.Errorf("cluster: farm kernel %q not registered", name)
-	}
-	ctx := opt.Context
-	if ctx == nil {
-		ctx = s.node.Comm.Context()
-	}
-	maxAttempts := opt.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = defaultMaxAttempts
-	}
-	if opt.Checkpoint != nil && opt.Job == "" {
-		return nil, fmt.Errorf("cluster: farm %q: checkpointing requires a job name", name)
-	}
-
-	res := &FarmResult{Results: make([][]byte, len(tasks))}
-	completed := make([]bool, len(tasks))
-	tr := s.node.Tracer
-	clk := s.fabric.Clock()
-
-	record := func(rec checkpoint.Record) error {
-		if opt.Checkpoint == nil {
-			return nil
-		}
-		rec.Job = opt.Job
-		if err := opt.Checkpoint.Append(rec); err != nil {
-			return fmt.Errorf("cluster: farm %q checkpoint: %w", name, err)
-		}
-		tr.Instant(0, "farm.checkpoint", int64(len(rec.Payload)))
-		return nil
-	}
-
-	if opt.Checkpoint != nil {
-		recs, err := opt.Checkpoint.Load(opt.Job)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: farm %q: load checkpoint: %w", name, err)
-		}
-		for _, rec := range recs {
-			if rec.Task < 0 || rec.Task >= len(tasks) || completed[rec.Task] {
-				continue
-			}
-			switch rec.Kind {
-			case checkpoint.KindResult:
-				res.Results[rec.Task] = rec.Payload
-			case checkpoint.KindFailed:
-				res.Failed = append(res.Failed, TaskFailure{
-					Task: rec.Task, Attempts: rec.Attempts, Err: string(rec.Payload),
-				})
-			default:
-				continue
-			}
-			completed[rec.Task] = true
-			res.Resumed++
-		}
-		if res.Resumed > 0 {
-			tr.Instant(0, "farm.resume", int64(res.Resumed))
-		}
-	}
-
-	for idx := range tasks {
-		if completed[idx] {
-			continue
-		}
-		var lastErr error
-		settled := false
-		for attempt := 1; attempt <= maxAttempts && !settled; attempt++ {
-			if err := ctx.Err(); err != nil {
-				return res, fmt.Errorf("cluster: farm %q: %w", name, err)
-			}
-			start := clk.Now()
-			out, ferr := runFarmTask(s.node, fn, tasks[idx])
-			if ferr != nil {
-				lastErr = ferr
-				tr.Instant(0, "farm.task-fail", int64(idx))
-				if attempt > 1 {
-					res.Retried++
-				}
-				continue
-			}
-			if opt.OnTaskTiming != nil {
-				if d := clk.Now().Sub(start); d > 0 {
-					opt.OnTaskTiming(idx, d)
-				}
-			}
-			if err := record(checkpoint.Record{Task: idx, Kind: checkpoint.KindResult, Payload: out}); err != nil {
-				return res, err
-			}
-			res.Results[idx] = out
-			res.MasterRan++
-			settled = true
-		}
-		if !settled {
-			msg := lastErr.Error()
-			if err := record(checkpoint.Record{
-				Task: idx, Kind: checkpoint.KindFailed, Attempts: maxAttempts, Payload: []byte(msg),
-			}); err != nil {
-				return res, err
-			}
-			res.Failed = append(res.Failed, TaskFailure{Task: idx, Attempts: maxAttempts, Err: msg})
-			tr.Instant(0, "farm.quarantine", int64(idx))
-		}
-	}
-	return res, nil
 }
 
 // AutoFarm provisions a virtual cluster sized by the plan, runs one farm

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -99,8 +98,8 @@ func TestFarmAutoDistributedMatchesLocal(t *testing.T) {
 }
 
 // The local path reports every task's kernel time exactly once; the
-// distributed path delivers timings over the (best-effort) beat tag with
-// valid indices, positive durations, and no duplicates.
+// distributed path delivers timings on the result frames with valid
+// indices, positive durations, and no duplicates.
 func TestFarmAutoTaskTimings(t *testing.T) {
 	resetRegistry()
 	resetFarmRegistry()
@@ -145,46 +144,8 @@ func TestFarmAutoTaskTimings(t *testing.T) {
 	}
 }
 
-// farmLocal honors the farm failure policy: retries up to MaxAttempts,
-// quarantines persistent failures, and leaves the fail/quarantine instants.
-func TestFarmLocalRetriesAndQuarantines(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
-	RegisterFarm("auto.flaky", func(n *Node, task []byte) ([]byte, error) {
-		if len(task) > 0 && task[0] == 0xFF {
-			return nil, errors.New("always fails")
-		}
-		return task, nil
-	})
-	tasks := autoTasks(5)
-	tasks[2] = []byte{0xFF, 1}
-	tr := trace.New()
-
-	fr, _, err := AutoFarm(Config{CoresPerNode: 1, Tracer: tr},
-		FarmPlan{Distribute: false, Label: "auto-flaky"}, "auto.flaky", tasks,
-		FarmOptions{MaxAttempts: 2})
-	if err != nil {
-		t.Fatalf("AutoFarm: %v", err)
-	}
-	if len(fr.Failed) != 1 || fr.Failed[0].Task != 2 || fr.Failed[0].Attempts != 2 {
-		t.Fatalf("Failed = %+v, want task 2 after 2 attempts", fr.Failed)
-	}
-	if fr.Results[2] != nil {
-		t.Fatal("quarantined task has a result")
-	}
-	if fr.Retried != 1 {
-		t.Fatalf("Retried = %d, want 1", fr.Retried)
-	}
-	if got := tr.InstantValues("farm.task-fail"); len(got) != 2 {
-		t.Fatalf("farm.task-fail instants = %v, want 2", got)
-	}
-	if got := tr.InstantValues("farm.quarantine"); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("farm.quarantine instants = %v, want [2]", got)
-	}
-}
-
-// farmLocal resumes from a checkpoint store exactly like the distributed
-// farm: stored tasks are returned bit-identically and never re-executed.
+// A master-local plan resumes from a checkpoint store exactly like the
+// distributed farm: stored tasks are returned bit-identically and never re-executed.
 func TestFarmLocalCheckpointResume(t *testing.T) {
 	resetRegistry()
 	resetFarmRegistry()

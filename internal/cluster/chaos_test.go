@@ -233,55 +233,6 @@ func TestFarmReassignsLostWorkerTasks(t *testing.T) {
 	}
 }
 
-func TestFarmMasterFallbackWhenAllWorkersDie(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
-	RegisterFarm("chaos.square", func(n *Node, task []byte) ([]byte, error) {
-		return []byte{task[0] * task[0]}, nil
-	})
-
-	// Every worker dies right after the dispatch handshake. The master is
-	// the job's last resort: it must run the remaining tasks itself and
-	// still return a complete result set.
-	cfg := &transport.FaultConfig{
-		Seed: 4,
-		Crashes: []transport.Crash{
-			{Rank: 1, AfterSends: 1},
-			{Rank: 2, AfterSends: 1},
-			{Rank: 3, AfterSends: 1},
-		},
-	}
-	const tasks = 6
-	var res *FarmResult
-	_, err := runGuarded(t, Config{
-		Nodes: 4, CoresPerNode: 1,
-		Fault:    cfg,
-		Reliable: fastRetry(),
-	}, func(s *Session) error {
-		in := make([][]byte, tasks)
-		for i := range in {
-			in[i] = []byte{byte(i)}
-		}
-		var err error
-		res, err = s.Farm("chaos.square", in)
-		return err
-	})
-	if err != nil {
-		t.Fatalf("session: %v", err)
-	}
-	for i, out := range res.Results {
-		if len(out) != 1 || out[0] != byte(i*i) {
-			t.Fatalf("task %d result = %v, want [%d]", i, out, i*i)
-		}
-	}
-	if res.MasterRan == 0 {
-		t.Fatalf("master never ran fallback tasks: %+v", res)
-	}
-	if len(res.Lost) != 3 {
-		t.Fatalf("Lost = %v, want all three workers", res.Lost)
-	}
-}
-
 func TestFarmTypedUnderLossyFabric(t *testing.T) {
 	resetRegistry()
 	resetFarmRegistry()

@@ -148,6 +148,9 @@ func resetRegistry() {
 type Session struct {
 	node   *Node
 	fabric *transport.Fabric
+	// farmRuns counts this session's farm calls; each stamps its frames
+	// with its number (see farmRun.run).
+	farmRuns int
 }
 
 // Node returns the master's node services (rank 0's communicator and pool);
@@ -179,23 +182,25 @@ func (s *Session) Invoke(name string) error {
 	if _, ok := lookupWorker(name); !ok {
 		return fmt.Errorf("cluster: kernel %q not registered", name)
 	}
-	if s.node.cfg.Reliable != nil {
-		lost, err := s.dispatch(name)
-		if err != nil {
-			return fmt.Errorf("cluster: invoke %q: %w", name, err)
-		}
-		if len(lost) > 0 {
-			return fmt.Errorf("cluster: invoke %q: workers %v: %w", name, lost, mpi.ErrRankLost)
-		}
-		return nil
+	lost, err := s.dispatch(name)
+	if err != nil {
+		return fmt.Errorf("cluster: invoke %q: %w", name, err)
 	}
-	_, err := mpi.BcastT(s.node.Comm, 0, stringCodec(), name)
-	return err
+	if len(lost) > 0 {
+		return fmt.Errorf("cluster: invoke %q: workers %v: %w", name, lost, mpi.ErrRankLost)
+	}
+	return nil
 }
 
-// dispatch sends a control string to every worker directly, skipping ranks
-// already known lost; it returns the ranks that could not be reached.
+// dispatch sends a control string to every worker — the other side of
+// nextKernel. Without the reliable layer it is a broadcast; with it, direct
+// sends that skip ranks already known lost and return the ranks that could
+// not be reached, so one dead rank cannot wedge a subtree of the tree.
 func (s *Session) dispatch(name string) (lost []int, err error) {
+	if s.node.cfg.Reliable == nil {
+		_, err := mpi.BcastT(s.node.Comm, 0, stringCodec(), name)
+		return nil, err
+	}
 	for dst := 1; dst < s.node.Nodes(); dst++ {
 		if err := s.node.Comm.Send(dst, ctlTag, []byte(name)); err != nil {
 			if errors.Is(err, mpi.ErrRankLost) || errors.Is(err, transport.ErrCrashed) {
@@ -312,15 +317,9 @@ func masterMain(s *Session, master func(*Session) error) error {
 		s.fabric.Close()
 		return err
 	}
-	if s.node.cfg.Reliable != nil {
-		// Direct shutdown, tolerating ranks lost during the run: the
-		// broadcast tree would wedge an entire subtree behind one dead
-		// interior rank.
-		_, err := s.dispatch(shutdownName)
-		return err
-	}
-	_, bErr := mpi.BcastT(s.node.Comm, 0, stringCodec(), shutdownName)
-	return bErr
+	// Shutdown tolerates ranks lost during the run.
+	_, err := s.dispatch(shutdownName)
+	return err
 }
 
 func workerMain(n *Node) error {
@@ -333,6 +332,9 @@ func workerMain(n *Node) error {
 			return nil
 		}
 		w, ok := lookupWorker(name)
+		if name == muxKernelName {
+			w, ok = muxWorkerMain, true
+		}
 		if !ok {
 			return fmt.Errorf("cluster: node %d: unknown kernel %q", n.Rank(), name)
 		}

@@ -6,41 +6,32 @@
 // worker's in-flight task, keeps going with the survivors, and — if every
 // worker dies — runs the remainder itself.
 //
-// On top of worker loss the farm supervises the tasks themselves: a kernel
-// error or panic is a per-task failure retried on another worker up to
-// MaxAttempts and then quarantined in FarmResult.Failed instead of killing
-// the job; completed tasks can be written to a checkpoint.Store so a
-// restarted master resumes a named job re-executing only unfinished work;
-// and the whole run is cancellable through a context. The session degrades
-// gracefully and reports the partial failure in FarmResult instead of
-// deadlocking, which is exactly the behavior the paper's lossless-MPI
-// runtime cannot offer (§3.4).
+// The mechanism — dispatch, the worker loop, result collection, liveness,
+// the master fallback — is the Mux (farmmux.go). This file is the
+// single-job policy over it: a kernel error or panic is a per-task failure
+// retried on another worker up to MaxAttempts and then quarantined in
+// FarmResult.Failed instead of killing the job; completed tasks can be
+// written to a checkpoint.Store so a restarted master resumes a named job
+// re-executing only unfinished work; and the whole run is cancellable
+// through a context. The session degrades gracefully and reports the
+// partial failure in FarmResult instead of deadlocking, which is exactly
+// the behavior the paper's lossless-MPI runtime cannot offer (§3.4).
 package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
 	"triolet/internal/checkpoint"
-	"triolet/internal/mpi"
 	"triolet/internal/serial"
+	"triolet/internal/trace"
 	"triolet/internal/transport"
 )
-
-// Reserved user tags for the farm protocol (just below the control tag).
-const (
-	farmTaskTag   = mpi.MaxUserTag - 1
-	farmResultTag = mpi.MaxUserTag - 2
-	farmBeatTag   = mpi.MaxUserTag - 3
-)
-
-// defaultFarmHeartbeat is the worker beat interval when Config.FarmHeartbeat
-// is unset.
-const defaultFarmHeartbeat = time.Millisecond
 
 // FarmFn is a farm kernel body: one task in, one result out. It runs on
 // whichever node the task lands on (a worker, or the master as fallback).
@@ -56,13 +47,11 @@ var (
 // used worker-side (task loop) and master-side (fallback execution).
 func RegisterFarm(name string, fn FarmFn) {
 	farmMu.Lock()
+	defer farmMu.Unlock()
 	if _, dup := farmRegistry[name]; dup {
-		farmMu.Unlock()
 		panic(fmt.Sprintf("cluster: duplicate farm kernel %q", name))
 	}
 	farmRegistry[name] = fn
-	farmMu.Unlock()
-	RegisterWorker(name, func(n *Node) error { return farmWorker(n, fn) })
 }
 
 func lookupFarm(name string) (FarmFn, bool) {
@@ -79,47 +68,6 @@ func resetFarmRegistry() {
 	farmRegistry = map[string]FarmFn{}
 }
 
-// encodeTask frames one task assignment (stop=true carries no task).
-// timing asks the worker to report the task's kernel time back on the
-// heartbeat tag (see encodeTiming) — set when the master has an
-// OnTaskTiming observer, one flag byte otherwise.
-func encodeTask(stop bool, index int, payload []byte, timing bool) []byte {
-	w := serial.NewWriter(len(payload) + 16)
-	w.Bool(stop)
-	w.Int(index)
-	w.Bool(timing)
-	w.RawBytes(payload)
-	return w.Bytes()
-}
-
-// encodeTiming frames one per-task timing report: the payload of a
-// timing beat. Timing rides the unacked beat path on purpose — losing a
-// sample under faults only deprives the recalibrator of one observation,
-// and beats coalesce/piggyback so the control-plane message budget is
-// unchanged.
-func encodeTiming(index int, elapsed time.Duration) []byte {
-	w := serial.NewWriter(16)
-	w.Int(index)
-	w.U64(uint64(elapsed))
-	return w.Bytes()
-}
-
-// decodeTiming parses a timing beat payload. ok is false for a plain
-// liveness beat (empty payload) or a malformed one — both are just
-// liveness signals to the caller.
-func decodeTiming(payload []byte) (index int, elapsed time.Duration, ok bool) {
-	if len(payload) == 0 {
-		return 0, 0, false
-	}
-	r := serial.NewReader(payload)
-	index = r.Int()
-	elapsed = time.Duration(r.U64())
-	if r.Err() != nil || r.Remaining() != 0 || elapsed < 0 {
-		return 0, 0, false
-	}
-	return index, elapsed, true
-}
-
 // runFarmTask invokes the kernel with panic containment: a panicking
 // FarmFn yields a per-task error carrying the panic value, not a dead
 // rank with no diagnostic.
@@ -130,91 +78,6 @@ func runFarmTask(n *Node, fn FarmFn, task []byte) (out []byte, err error) {
 		}
 	}()
 	return fn(n, task)
-}
-
-// farmWorker is the node-side task loop: receive, compute, reply, repeat
-// until the stop frame. A helper goroutine sends liveness beats to the
-// master every Config.FarmHeartbeat — also while the kernel is computing —
-// so the master's health monitor can tell a long task from a dead worker.
-func farmWorker(n *Node, fn FarmFn) error {
-	interval := n.cfg.FarmHeartbeat
-	if interval <= 0 {
-		interval = defaultFarmHeartbeat
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(interval) //lint:allow fabrictime beat pacing is real-time by design; liveness deadlines are measured on the fabric clock master-side
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				// Beats are idempotent liveness signals: the master only
-				// cares that they keep arriving, so they ride the unacked
-				// coalesced path instead of costing a framed send plus an
-				// ack each (see mpi.Comm.SendBeat).
-				if err := n.Comm.SendBeat(0, farmBeatTag, nil); err != nil {
-					return // master unreachable: the task loop will find out
-				}
-			}
-		}
-	}()
-	defer func() {
-		close(stop)
-		wg.Wait()
-	}()
-	clk := clockOf(n)
-	for {
-		m, err := n.Comm.Recv(0, farmTaskTag)
-		if err != nil {
-			if errors.Is(err, mpi.ErrRankLost) {
-				// The master stopped acknowledging us — it has retired this
-				// worker (we were paused or partitioned) or died. Either
-				// way the job's outcome is decided master-side; exiting the
-				// task loop quietly keeps a zombie worker from aborting a
-				// session that already wrote us off.
-				return nil
-			}
-			return err
-		}
-		r := serial.NewReader(m.Payload)
-		stopFrame := r.Bool()
-		idx := r.Int()
-		timing := r.Bool()
-		task := r.RawBytes()
-		if r.Err() != nil {
-			return fmt.Errorf("cluster: node %d: malformed farm task: %w", n.Rank(), r.Err())
-		}
-		if stopFrame {
-			return nil
-		}
-		start := clk.Now()
-		out, ferr := runFarmTask(n, fn, task)
-		if timing && ferr == nil {
-			// Best-effort: a lost timing beat costs one recalibration
-			// sample, nothing else. Sent before the result so coalescing
-			// piggybacks it on (or ahead of) the result frame.
-			_ = n.Comm.SendBeat(0, farmBeatTag, encodeTiming(idx, clk.Now().Sub(start)))
-		}
-		w := serial.NewWriter(len(out) + 16)
-		w.Int(idx)
-		w.Bool(ferr == nil)
-		if ferr != nil {
-			w.String(ferr.Error())
-		} else {
-			w.RawBytes(out)
-		}
-		if err := n.Comm.Send(0, farmResultTag, w.Bytes()); err != nil {
-			if errors.Is(err, mpi.ErrRankLost) {
-				return nil // retired mid-reply: same quiet exit as above
-			}
-			return err
-		}
-	}
 }
 
 // TaskFailure is one quarantined task: it failed MaxAttempts times (on
@@ -285,9 +148,9 @@ type FarmOptions struct {
 	HeartbeatTimeout time.Duration
 	// OnTaskTiming, when non-nil, receives each successful task's kernel
 	// time, measured on the executing node's fabric clock and carried
-	// back on the heartbeat tag. Delivery is best-effort (beats are
-	// unacked) and at-most-once per task; the callback runs on the
-	// master's collect loop. This is AutoPar's recalibration feed.
+	// back on the result frame. It is called at most once per task (for
+	// the execution that settled it, and only for a positive duration), on
+	// the master's farm loop. This is AutoPar's recalibration feed.
 	OnTaskTiming func(task int, elapsed time.Duration)
 }
 
@@ -310,9 +173,193 @@ func (s *Session) Farm(name string, tasks [][]byte) (*FarmResult, error) {
 // FarmOpts is Farm under explicit supervision options: cancellation,
 // checkpoint/resume, and per-task failure policy. See FarmOptions.
 func (s *Session) FarmOpts(name string, tasks [][]byte, opt FarmOptions) (*FarmResult, error) {
-	fn, ok := lookupFarm(name)
-	if !ok {
+	return s.farm(name, tasks, opt, true)
+}
+
+// farmRun is one farm call's bookkeeping: which tasks are settled, how
+// often each has failed and where, and what is waiting for a worker.
+type farmRun struct {
+	name string
+	// run stamps this call's assignments in the frame's Job field, so a
+	// straggler's result from an earlier call on the session is told apart
+	// from this call's task of the same index.
+	run   string
+	tasks [][]byte
+	opt   FarmOptions
+	tr    *trace.Tracer
+	res   *FarmResult
+
+	completed  []bool
+	attempts   []int
+	lastWorker []int // rank whose failure requeued the task, -1 for none
+	queue      []int
+	done       int
+}
+
+// record appends one checkpoint record; a checkpoint that cannot be
+// written is job-fatal, because the resume guarantee would be silently
+// broken otherwise.
+func (r *farmRun) record(rec checkpoint.Record) error {
+	if r.opt.Checkpoint == nil {
+		return nil
+	}
+	rec.Job = r.opt.Job
+	if err := r.opt.Checkpoint.Append(rec); err != nil {
+		return fmt.Errorf("cluster: farm %q checkpoint: %w", r.name, err)
+	}
+	r.tr.Instant(0, "farm.checkpoint", int64(len(rec.Payload)))
+	return nil
+}
+
+// resume replays the job's checkpoint records, marking their tasks finished.
+func (r *farmRun) resume() error {
+	if r.opt.Checkpoint == nil {
+		return nil
+	}
+	recs, err := r.opt.Checkpoint.Load(r.opt.Job)
+	if err != nil {
+		return fmt.Errorf("cluster: farm %q: load checkpoint: %w", r.name, err)
+	}
+	for _, rec := range recs {
+		if rec.Task < 0 || rec.Task >= len(r.tasks) || r.completed[rec.Task] {
+			continue
+		}
+		switch rec.Kind {
+		case checkpoint.KindResult:
+			r.res.Results[rec.Task] = rec.Payload
+		case checkpoint.KindFailed:
+			r.res.Failed = append(r.res.Failed, TaskFailure{
+				Task: rec.Task, Attempts: rec.Attempts, Err: string(rec.Payload),
+			})
+		default:
+			continue
+		}
+		r.completed[rec.Task] = true
+		r.done++
+		r.res.Resumed++
+	}
+	if r.res.Resumed > 0 {
+		r.tr.Instant(0, "farm.resume", int64(r.res.Resumed))
+	}
+	return nil
+}
+
+// failTask applies the per-task failure policy: count the attempt,
+// requeue for another worker, quarantine once the budget is spent.
+func (r *farmRun) failTask(idx, worker int, msg string) error {
+	r.attempts[idx]++
+	r.tr.Instant(0, "farm.task-fail", int64(idx))
+	if r.attempts[idx] < r.opt.MaxAttempts {
+		r.lastWorker[idx] = worker
+		r.queue = append(r.queue, idx)
+		r.res.Retried++
+		return nil
+	}
+	if err := r.record(checkpoint.Record{
+		Task: idx, Kind: checkpoint.KindFailed,
+		Attempts: r.attempts[idx], Payload: []byte(msg),
+	}); err != nil {
+		return err
+	}
+	r.res.Failed = append(r.res.Failed, TaskFailure{Task: idx, Attempts: r.attempts[idx], Err: msg})
+	r.completed[idx] = true
+	r.done++
+	r.tr.Instant(0, "farm.quarantine", int64(idx))
+	return nil
+}
+
+// finishTask records and stores one successful result.
+func (r *farmRun) finishTask(idx int, out []byte) error {
+	if err := r.record(checkpoint.Record{Task: idx, Kind: checkpoint.KindResult, Payload: out}); err != nil {
+		return err
+	}
+	r.res.Results[idx] = out
+	r.completed[idx] = true
+	r.done++
+	return nil
+}
+
+// take pops the next queued task for worker w (0 is the master),
+// preferring one w has not just failed, so a flaky task's retry lands on
+// another worker when one exists.
+func (r *farmRun) take(w int) MuxAssignment {
+	pick := 0
+	for i, idx := range r.queue {
+		if r.lastWorker[idx] != w {
+			pick = i
+			break
+		}
+	}
+	idx := r.queue[pick]
+	r.queue = slices.Delete(r.queue, pick, pick+1)
+	return MuxAssignment{Job: r.run, Kernel: r.name, Task: idx, Payload: r.tasks[idx]}
+}
+
+// handle applies one Mux observation to the run.
+func (r *farmRun) handle(ev MuxEvent) error {
+	if ev.Kind == MuxWorkerLost {
+		r.res.Lost = append(r.res.Lost, ev.Worker)
+		for _, a := range ev.Requeued {
+			// The in-flight task goes back to the front of the line, unless
+			// a late result from an earlier holder settled it meanwhile.
+			if !r.completed[a.Task] {
+				r.queue = slices.Insert(r.queue, 0, a.Task)
+				r.res.Reassigned++
+			}
+		}
+		return nil
+	}
+	if ev.Job != r.run {
+		// A worker written off during an earlier farm call on this session
+		// woke up and replied: its task index means nothing to this call.
+		return nil
+	}
+	idx := ev.Task
+	if idx >= len(r.tasks) {
+		return fmt.Errorf("cluster: farm %q: malformed result from node %d", r.name, ev.Worker)
+	}
+	if r.completed[idx] {
+		// A worker retired as silent may still deliver: its task was
+		// reassigned and already finished elsewhere. Drop the duplicate.
+		return nil
+	}
+	// A late result for a requeued task is still a first-class outcome;
+	// pull the task back out of the queue.
+	if i := slices.Index(r.queue, idx); i >= 0 {
+		r.queue = slices.Delete(r.queue, i, i+1)
+	}
+	if !ev.OK {
+		msg := ev.Err
+		if ev.Worker != 0 {
+			msg = fmt.Sprintf("node %d: %s", ev.Worker, ev.Err)
+		}
+		return r.failTask(idx, ev.Worker, msg)
+	}
+	if err := r.finishTask(idx, ev.Result); err != nil {
+		return err
+	}
+	if ev.Worker == 0 {
+		r.res.MasterRan++
+	}
+	// Only the execution that settles a task is reported, so the observer
+	// sees each task at most once.
+	if r.opt.OnTaskTiming != nil && ev.Elapsed > 0 {
+		r.opt.OnTaskTiming(idx, ev.Elapsed)
+	}
+	return nil
+}
+
+// farm is the single-job policy over the Mux: resume from the checkpoint,
+// keep every idle worker fed from the queue, settle each result or failure
+// as it arrives, and idle on the master's mailbox in between. With
+// distribute false the Mux is opened with no worker dispatched, so every
+// task takes the master-fallback path (FarmAuto's master-local plans).
+func (s *Session) farm(name string, tasks [][]byte, opt FarmOptions, distribute bool) (*FarmResult, error) {
+	if _, ok := lookupFarm(name); !ok {
 		return nil, fmt.Errorf("cluster: farm kernel %q not registered", name)
+	}
+	if opt.Checkpoint != nil && opt.Job == "" {
+		return nil, fmt.Errorf("cluster: farm %q: checkpointing requires a job name", name)
 	}
 	ctx := opt.Context
 	if ctx == nil {
@@ -320,368 +367,89 @@ func (s *Session) FarmOpts(name string, tasks [][]byte, opt FarmOptions) (*FarmR
 		// unwinds an optionless Farm too.
 		ctx = s.node.Comm.Context()
 	}
-	maxAttempts := opt.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = defaultMaxAttempts
+	if opt.MaxAttempts <= 0 {
+		opt.MaxAttempts = defaultMaxAttempts
 	}
-	hbTimeout := opt.HeartbeatTimeout
-	if hbTimeout == 0 {
-		hbTimeout = defaultHeartbeatTimeout
+	s.farmRuns++
+	r := &farmRun{
+		name: name, run: "\x00farm" + strconv.Itoa(s.farmRuns), tasks: tasks, opt: opt,
+		tr:         s.node.Tracer,
+		res:        &FarmResult{Results: make([][]byte, len(tasks))},
+		completed:  make([]bool, len(tasks)),
+		attempts:   make([]int, len(tasks)),
+		lastWorker: make([]int, len(tasks)),
 	}
-	timing := opt.OnTaskTiming != nil
-	var timingSeen map[int]bool
-	if timing {
-		timingSeen = make(map[int]bool, len(tasks))
+	if err := r.resume(); err != nil {
+		return nil, err
 	}
-	// reportTiming delivers one at-most-once timing sample to the observer.
-	reportTiming := func(idx int, d time.Duration) {
-		if !timing || idx < 0 || idx >= len(tasks) || timingSeen[idx] || d <= 0 {
-			return
-		}
-		timingSeen[idx] = true
-		opt.OnTaskTiming(idx, d)
-	}
-	if opt.Checkpoint != nil && opt.Job == "" {
-		return nil, fmt.Errorf("cluster: farm %q: checkpointing requires a job name", name)
-	}
-
-	res := &FarmResult{Results: make([][]byte, len(tasks))}
-	completed := make([]bool, len(tasks))
-	attempts := make([]int, len(tasks))
-	lastWorker := make([]int, len(tasks)) // rank whose failure requeued the task
-	for i := range lastWorker {
-		lastWorker[i] = -1
-	}
-	done := 0
-	tr := s.node.Tracer
-
-	// record appends one checkpoint record; a checkpoint that cannot be
-	// written is job-fatal, because the resume guarantee would be silently
-	// broken otherwise.
-	record := func(rec checkpoint.Record) error {
-		if opt.Checkpoint == nil {
-			return nil
-		}
-		rec.Job = opt.Job
-		if err := opt.Checkpoint.Append(rec); err != nil {
-			return fmt.Errorf("cluster: farm %q checkpoint: %w", name, err)
-		}
-		tr.Instant(0, "farm.checkpoint", int64(len(rec.Payload)))
-		return nil
-	}
-
-	// Resume: replay the job's records, marking their tasks finished.
-	if opt.Checkpoint != nil {
-		recs, err := opt.Checkpoint.Load(opt.Job)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: farm %q: load checkpoint: %w", name, err)
-		}
-		for _, rec := range recs {
-			if rec.Task < 0 || rec.Task >= len(tasks) || completed[rec.Task] {
-				continue
-			}
-			switch rec.Kind {
-			case checkpoint.KindResult:
-				res.Results[rec.Task] = rec.Payload
-			case checkpoint.KindFailed:
-				res.Failed = append(res.Failed, TaskFailure{
-					Task: rec.Task, Attempts: rec.Attempts, Err: string(rec.Payload),
-				})
-			default:
-				continue
-			}
-			completed[rec.Task] = true
-			done++
-			res.Resumed++
-		}
-		if res.Resumed > 0 {
-			tr.Instant(0, "farm.resume", int64(res.Resumed))
-		}
-	}
-
-	// failTask applies the per-task failure policy: count the attempt,
-	// requeue for another worker, quarantine once the budget is spent.
-	var queue []int
-	failTask := func(idx, worker int, msg string) error {
-		attempts[idx]++
-		tr.Instant(0, "farm.task-fail", int64(idx))
-		if attempts[idx] >= maxAttempts {
-			if err := record(checkpoint.Record{
-				Task: idx, Kind: checkpoint.KindFailed,
-				Attempts: attempts[idx], Payload: []byte(msg),
-			}); err != nil {
-				return err
-			}
-			res.Failed = append(res.Failed, TaskFailure{Task: idx, Attempts: attempts[idx], Err: msg})
-			completed[idx] = true
-			done++
-			tr.Instant(0, "farm.quarantine", int64(idx))
-			return nil
-		}
-		lastWorker[idx] = worker
-		queue = append(queue, idx)
-		res.Retried++
-		return nil
-	}
-	// finishTask records and stores one successful result.
-	finishTask := func(idx int, out []byte) error {
-		if err := record(checkpoint.Record{Task: idx, Kind: checkpoint.KindResult, Payload: out}); err != nil {
-			return err
-		}
-		res.Results[idx] = out
-		completed[idx] = true
-		done++
-		return nil
-	}
-
-	// Dispatch the kernel to the workers.
-	var lost []int
-	if s.node.cfg.Reliable == nil {
-		if _, err := mpi.BcastT(s.node.Comm, 0, stringCodec(), name); err != nil {
-			return nil, fmt.Errorf("cluster: farm %q dispatch: %w", name, err)
-		}
-	} else {
-		var err error
-		lost, err = s.dispatch(name)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: farm %q dispatch: %w", name, err)
-		}
-	}
-	res.Lost = lost
-	lostAtDispatch := make(map[int]bool, len(lost))
-	for _, w := range lost {
-		lostAtDispatch[w] = true
-	}
-
-	alive := make(map[int]bool)
-	for w := 1; w < s.node.Nodes(); w++ {
-		alive[w] = true
-	}
-	for _, w := range lost {
-		delete(alive, w)
-	}
-
 	for i := range tasks {
-		if !completed[i] {
-			queue = append(queue, i)
+		r.lastWorker[i] = -1
+		if !r.completed[i] {
+			r.queue = append(r.queue, i)
 		}
 	}
-	// Liveness bookkeeping runs on the fabric clock: with an injected
-	// Config.Clock, heartbeat retirement is a function of fabric time
-	// (provable under a simulated clock), not of wall-clock scheduling.
-	clk := s.fabric.Clock()
+	mux, err := s.openMux(MuxOptions{HeartbeatTimeout: opt.HeartbeatTimeout}, distribute)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: farm %q: %w", name, err)
+	}
+
 	ep := s.fabric.Endpoint(0) // the master idles on its own mailbox
-	busy := map[int]int{}      // worker rank → in-flight task index
-	lastSeen := map[int]time.Time{}
-	now := clk.Now()
-	for w := range alive {
-		lastSeen[w] = now
-	}
-
-	// loseWorker retires w and requeues its in-flight task, front of line.
-	loseWorker := func(w int) {
-		if idx, ok := busy[w]; ok {
-			queue = append([]int{idx}, queue...)
-			res.Reassigned++
-			delete(busy, w)
-		}
-		delete(alive, w)
-		res.Lost = append(res.Lost, w)
-		tr.Instant(0, "farm.retire", int64(w))
-	}
-	// assign hands a queued task to w, preferring one w has not just
-	// failed (so a flaky task's retry lands on another worker when one
-	// exists). A lost worker is retired (its task stays queued); any
-	// other send failure is job-fatal.
-	assign := func(w int) error {
-		pick := 0
-		for i, idx := range queue {
-			if lastWorker[idx] != w {
-				pick = i
-				break
-			}
-		}
-		idx := queue[pick]
-		if err := s.node.Comm.SendCtx(ctx, w, farmTaskTag, encodeTask(false, idx, tasks[idx], timing)); err != nil {
-			if errors.Is(err, mpi.ErrRankLost) || errors.Is(err, transport.ErrCrashed) {
-				loseWorker(w)
-				return nil
-			}
-			return err
-		}
-		queue = append(queue[:pick], queue[pick+1:]...)
-		busy[w] = idx
-		lastSeen[w] = clk.Now()
-		return nil
-	}
-
-	finish := func() (*FarmResult, error) {
-		// Release the workers back to the kernel-dispatch loop: every
-		// rank that received the dispatch — including retired-but-alive
-		// ones — is still blocked in its task loop and needs the stop
-		// frame. Sends to dead ranks fail tolerably.
-		for w := 1; w < s.node.Nodes(); w++ {
-			if lostAtDispatch[w] {
-				continue
-			}
-			if err := s.node.Comm.Send(w, farmTaskTag, encodeTask(true, 0, nil, false)); err != nil &&
-				!errors.Is(err, mpi.ErrRankLost) && !errors.Is(err, transport.ErrCrashed) {
-				return res, fmt.Errorf("cluster: farm %q stop: %w", name, err)
-			}
-		}
-		sort.Slice(res.Failed, func(i, j int) bool { return res.Failed[i].Task < res.Failed[j].Task })
-		return res, nil
-	}
-
-	for done < len(tasks) {
+	for r.done < len(tasks) {
 		if err := ctx.Err(); err != nil {
-			return res, fmt.Errorf("cluster: farm %q: %w", name, err)
+			return r.res, fmt.Errorf("cluster: farm %q: %w", name, err)
 		}
-		// Read before draining: whatever lands after the drains below moves
+		// Read before draining: whatever lands after the Poll below moves
 		// the generation, so the wait at the bottom cannot sleep through it.
 		gen := ep.Gen()
 
-		// Keep every idle live worker fed.
-		for len(queue) > 0 {
-			idle := -1
-			for w := range alive {
-				if _, b := busy[w]; !b {
-					idle = w
-					break
-				}
-			}
-			if idle < 0 {
+		// Keep every idle live worker fed. A send to a worker that died
+		// retires it inside Assign; the task returns as a MuxWorkerLost event.
+		for _, w := range mux.Idle() {
+			if len(r.queue) == 0 {
 				break
 			}
-			if err := assign(idle); err != nil {
-				return res, fmt.Errorf("cluster: farm %q assign: %w", name, err)
+			if err := mux.Assign(ctx, w, r.take(w)); err != nil {
+				return r.res, fmt.Errorf("cluster: farm %q assign: %w", name, err)
 			}
+		}
+
+		ev, ok, err := mux.Poll()
+		if err != nil {
+			return r.res, fmt.Errorf("cluster: farm %q: %w", name, err)
+		}
+		if ok {
+			// One event per turn: the worker a result frees is fed before
+			// the next result is settled (a checkpointed settle is an fsync).
+			if err := r.handle(ev); err != nil {
+				return r.res, err
+			}
+			continue
 		}
 
 		// No workers left: the master is its own last resort, under the
-		// same per-task failure policy.
-		if len(alive) == 0 {
-			for len(queue) > 0 {
-				if err := ctx.Err(); err != nil {
-					return res, fmt.Errorf("cluster: farm %q: %w", name, err)
-				}
-				idx := queue[0]
-				queue = queue[1:]
-				taskStart := clk.Now()
-				out, ferr := runFarmTask(s.node, fn, tasks[idx])
-				if ferr == nil {
-					reportTiming(idx, clk.Now().Sub(taskStart))
-				}
-				if ferr != nil {
-					if err := failTask(idx, 0, ferr.Error()); err != nil {
-						return res, err
-					}
-					continue
-				}
-				if err := finishTask(idx, out); err != nil {
-					return res, err
-				}
-				res.MasterRan++
-			}
-			continue // done == len(tasks) now; the loop exits
-		}
-
-		// Drain heartbeats: each beat refreshes its sender's lastSeen.
-		for {
-			hm, ok, err := s.node.Comm.TryRecv(transport.AnySource, farmBeatTag)
-			if err != nil {
-				return res, fmt.Errorf("cluster: farm %q heartbeat drain: %w", name, err)
-			}
-			if !ok {
-				break
-			}
-			lastSeen[hm.Src] = clk.Now()
-			if idx, d, tok := decodeTiming(hm.Payload); tok {
-				reportTiming(idx, d)
-			}
-		}
-
-		m, ok, err := s.node.Comm.TryRecv(transport.AnySource, farmResultTag)
-		if err != nil {
-			return res, fmt.Errorf("cluster: farm %q collect: %w", name, err)
-		}
-		if ok {
-			lastSeen[m.Src] = clk.Now()
-			r := serial.NewReader(m.Payload)
-			idx := r.Int()
-			okTask := r.Bool()
-			var taskErr string
-			var out []byte
-			if okTask {
-				out = r.RawBytes()
-			} else {
-				taskErr = r.String()
-			}
-			if r.Err() != nil || idx < 0 || idx >= len(tasks) {
-				return res, fmt.Errorf("cluster: farm %q: malformed result from node %d", name, m.Src)
-			}
-			if b, inFlight := busy[m.Src]; inFlight && b == idx {
-				delete(busy, m.Src)
-			}
-			if completed[idx] {
-				// A worker retired as silent may still deliver: its task
-				// was reassigned and already finished elsewhere. Drop the
-				// duplicate.
-				continue
-			}
-			// A late result for a requeued task is still a first-class
-			// outcome; pull the task back out of the queue.
-			for i, q := range queue {
-				if q == idx {
-					queue = append(queue[:i], queue[i+1:]...)
-					break
-				}
-			}
-			if okTask {
-				if err := finishTask(idx, out); err != nil {
-					return res, err
-				}
-			} else {
-				if err := failTask(idx, m.Src, fmt.Sprintf("node %d: %s", m.Src, taskErr)); err != nil {
-					return res, err
+		// same per-task failure policy. With the Mux drained every
+		// unfinished task is queued, so this ends the run or ctx does.
+		if mux.Workers() == 0 {
+			for len(r.queue) > 0 && ctx.Err() == nil {
+				if err := r.handle(mux.RunLocal(r.take(0))); err != nil {
+					return r.res, err
 				}
 			}
 			continue
 		}
 
-		// Nothing arrived: sweep for deaths the fabric already knows
-		// about and for workers gone heartbeat-silent, noting when the
-		// next survivor's silence would run out.
-		var toLose []int
-		var nextExpiry time.Time
-		now := clk.Now()
-		for w := range alive {
-			if s.fabric.Crashed(w) {
-				toLose = append(toLose, w)
-				continue
-			}
-			if hbTimeout <= 0 {
-				continue
-			}
-			expiry := lastSeen[w].Add(hbTimeout)
-			if !now.Before(expiry) {
-				tr.Instant(0, "farm.heartbeat-miss", int64(w))
-				toLose = append(toLose, w)
-			} else {
-				nextExpiry = transport.Sooner(nextExpiry, expiry)
-			}
-		}
-		for _, w := range toLose {
-			loseWorker(w)
-		}
 		// Idle until a frame arrives, a peer crashes, ctx is cancelled (the
 		// top of the loop reports it) or the earliest heartbeat expires.
-		if len(toLose) == 0 && ep.Wait(ctx, gen, nextExpiry) == transport.WaitClosed {
-			return res, fmt.Errorf("cluster: farm %q collect: %w", name, transport.ErrClosed)
+		if ep.Wait(ctx, gen, mux.NextExpiry()) == transport.WaitClosed {
+			return r.res, fmt.Errorf("cluster: farm %q collect: %w", name, transport.ErrClosed)
 		}
 	}
 
-	return finish()
+	if err := mux.Close(); err != nil {
+		return r.res, fmt.Errorf("cluster: farm %q: %w", name, err)
+	}
+	sort.Slice(r.res.Failed, func(i, j int) bool { return r.res.Failed[i].Task < r.res.Failed[j].Task })
+	return r.res, nil
 }
 
 // FarmT is the typed farm wrapper: codecs on both ends, same supervision

@@ -1,24 +1,26 @@
-// Multiplexed farm engine: the transport mechanism under the multi-tenant
-// job service (internal/jobs). A single farm run owns every worker for the
-// duration of one task list; the Mux instead keeps all workers parked in
-// one long-lived task loop whose frames name their kernel per task, so the
-// master can interleave tasks from many concurrent jobs onto the shared
-// pool. The Mux is pure mechanism — dispatch, result collection, liveness —
-// and makes no scheduling decisions: which job's task goes out next is the
-// caller's policy (the jobs package's weighted deficit round-robin).
+// The farm engine: the one task-distribution mechanism in this package.
+// OpenMux parks every worker in one long-lived task loop whose frames name
+// their kernel and owning job per task; the master assigns tasks to idle
+// workers, polls for results and worker losses, and can run a task itself
+// when no worker is left. The Mux is pure mechanism — dispatch, result
+// collection, liveness — and makes no scheduling decisions. Its two
+// clients bring the policy: Session.FarmOpts (farm.go) runs one task list
+// under a retry/quarantine/checkpoint policy, and the job service
+// (internal/jobs) interleaves tasks from many concurrent jobs onto the
+// shared pool by weighted deficit round-robin.
 //
-// Fault handling mirrors the single farm: a worker that crashes, stops
-// acknowledging, or goes heartbeat-silent is retired, and its in-flight
-// assignment comes back to the caller as a MuxWorkerLost event for
-// requeueing. Late results from a retired-but-alive worker are delivered
-// as ordinary MuxTaskDone events — deduplication is the caller's job,
-// exactly as it is for the single farm's completed[] check.
+// Fault handling: a worker that crashes, stops acknowledging, or goes
+// heartbeat-silent is retired, and its in-flight assignment comes back to
+// the caller as a MuxWorkerLost event for requeueing. Late results from a
+// retired-but-alive worker are delivered as ordinary MuxTaskDone events —
+// deduplication is the caller's job.
 package cluster
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -28,28 +30,22 @@ import (
 	"triolet/internal/transport"
 )
 
-// Reserved user tags for the mux protocol, continuing the farm block
-// (ctlTag, farmTaskTag, farmResultTag, farmBeatTag occupy MaxUserTag..-3).
+// Reserved user tags for the farm protocol, just below the control tag
+// (ctlTag is MaxUserTag).
 const (
-	muxTaskTag   = mpi.MaxUserTag - 4
-	muxResultTag = mpi.MaxUserTag - 5
-	muxBeatTag   = mpi.MaxUserTag - 6
+	muxTaskTag   = mpi.MaxUserTag - 1
+	muxResultTag = mpi.MaxUserTag - 2
+	muxBeatTag   = mpi.MaxUserTag - 3
 )
 
-// muxKernelName is the reserved worker-loop kernel the Mux dispatches; like
-// shutdownName it is unregistrable by applications (NUL prefix).
+// muxKernelName is the reserved name the Mux dispatches to start the worker
+// loop (workerMain runs muxWorkerMain for it); like shutdownName it is
+// unregistrable by applications (NUL prefix).
 const muxKernelName = "\x00jobs.mux"
 
-// ensureMuxWorker installs the mux worker loop in the kernel registry. It
-// is idempotent (unlike RegisterWorker) because tests reset the registry
-// between sessions and every Mux open must be able to restore it.
-func ensureMuxWorker() {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, ok := registry[muxKernelName]; !ok {
-		registry[muxKernelName] = muxWorkerMain
-	}
-}
+// defaultFarmHeartbeat is the worker beat interval when Config.FarmHeartbeat
+// is unset.
+const defaultFarmHeartbeat = time.Millisecond
 
 // MuxAssignment is one task routed through the Mux: a job-qualified,
 // kernel-named unit of work.
@@ -101,7 +97,7 @@ type MuxOptions struct {
 }
 
 // Mux is the master's handle on the multiplexed worker pool. It is owned
-// by a single goroutine (the job service's serve loop), like a Comm.
+// by a single goroutine (its client's loop), like a Comm.
 type Mux struct {
 	s         *Session
 	clk       transport.Clock
@@ -111,50 +107,49 @@ type Mux struct {
 	lastSeen  map[int]time.Time
 	events    []MuxEvent
 	closed    bool
-	// lostAtDispatch are ranks that never received the worker-loop
-	// dispatch; they must not be sent stop frames at Close.
-	lostAtDispatch map[int]bool
+	// parked are the ranks that received the worker-loop dispatch, retired
+	// ones included: each is owed a stop frame at Close.
+	parked []int
 }
 
 // OpenMux dispatches the multiplexed worker loop to every worker node and
 // returns the master's handle. Workers already lost at dispatch are
 // reported through the first Poll calls as MuxWorkerLost events.
 func (s *Session) OpenMux(opt MuxOptions) (*Mux, error) {
-	ensureMuxWorker()
+	return s.openMux(opt, true)
+}
+
+// openMux is OpenMux; with dispatch false no worker is parked, so the
+// handle has no live workers and only RunLocal executes anything.
+func (s *Session) openMux(opt MuxOptions, dispatch bool) (*Mux, error) {
 	hb := opt.HeartbeatTimeout
 	if hb == 0 {
 		hb = defaultHeartbeatTimeout
 	}
 	m := &Mux{
-		s:              s,
-		clk:            s.fabric.Clock(),
-		hbTimeout:      hb,
-		alive:          make(map[int]bool),
-		busy:           make(map[int]MuxAssignment),
-		lastSeen:       make(map[int]time.Time),
-		lostAtDispatch: make(map[int]bool),
+		s:         s,
+		clk:       s.fabric.Clock(),
+		hbTimeout: hb,
+		alive:     make(map[int]bool),
+		busy:      make(map[int]MuxAssignment),
+		lastSeen:  make(map[int]time.Time),
 	}
-	var lost []int
-	if s.node.cfg.Reliable == nil {
-		if _, err := mpi.BcastT(s.node.Comm, 0, stringCodec(), muxKernelName); err != nil {
-			return nil, fmt.Errorf("cluster: mux dispatch: %w", err)
-		}
-	} else {
-		var err error
-		lost, err = s.dispatch(muxKernelName)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: mux dispatch: %w", err)
-		}
+	if !dispatch {
+		return m, nil
+	}
+	lost, err := s.dispatch(muxKernelName)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: mux dispatch: %w", err)
 	}
 	now := m.clk.Now()
 	for w := 1; w < s.node.Nodes(); w++ {
+		if slices.Contains(lost, w) {
+			m.events = append(m.events, MuxEvent{Kind: MuxWorkerLost, Worker: w})
+			continue
+		}
 		m.alive[w] = true
 		m.lastSeen[w] = now
-	}
-	for _, w := range lost {
-		delete(m.alive, w)
-		m.lostAtDispatch[w] = true
-		m.events = append(m.events, MuxEvent{Kind: MuxWorkerLost, Worker: w})
+		m.parked = append(m.parked, w)
 	}
 	return m, nil
 }
@@ -175,12 +170,6 @@ func (m *Mux) Idle() []int {
 		}
 	}
 	return idle
-}
-
-// Busy reports w's in-flight assignment, if any.
-func (m *Mux) Busy(w int) (MuxAssignment, bool) {
-	a, ok := m.busy[w]
-	return a, ok
 }
 
 // Assign sends one task to live idle worker w. A send that fails because w
@@ -216,7 +205,7 @@ func (m *Mux) retire(w int) {
 	}
 	delete(m.alive, w)
 	m.events = append(m.events, ev)
-	m.tracer().Instant(0, "mux.retire", int64(w))
+	m.tracer().Instant(0, "farm.retire", int64(w))
 }
 
 func (m *Mux) tracer() *trace.Tracer { return m.s.node.Tracer }
@@ -265,7 +254,7 @@ func (m *Mux) Poll() (MuxEvent, bool, error) {
 			continue
 		}
 		if m.hbTimeout > 0 && !now.Before(m.lastSeen[w].Add(m.hbTimeout)) {
-			m.tracer().Instant(0, "mux.heartbeat-miss", int64(w))
+			m.tracer().Instant(0, "farm.heartbeat-miss", int64(w))
 			m.retire(w)
 		}
 	}
@@ -299,38 +288,39 @@ func (m *Mux) popEvent() (MuxEvent, bool) {
 
 // RunLocal executes one assignment on the master itself — the no-workers
 // fallback — and returns its MuxTaskDone event without touching the wire.
-func (m *Mux) RunLocal(a MuxAssignment) MuxEvent {
+func (m *Mux) RunLocal(a MuxAssignment) MuxEvent { return execute(m.s.node, a) }
+
+// execute runs assignment a on node n and returns its MuxTaskDone event:
+// the kernel looked up by name, a panic contained as a task error, the
+// compute time measured on the fabric clock.
+func execute(n *Node, a MuxAssignment) MuxEvent {
+	ev := MuxEvent{Kind: MuxTaskDone, Worker: n.Rank(), Job: a.Job, Task: a.Task}
 	fn, ok := lookupFarm(a.Kernel)
-	ev := MuxEvent{Kind: MuxTaskDone, Worker: 0, Job: a.Job, Task: a.Task}
 	if !ok {
-		ev.Err = fmt.Sprintf("cluster: farm kernel %q not registered", a.Kernel)
+		ev.Err = fmt.Sprintf("cluster: node %d: unknown farm kernel %q", n.Rank(), a.Kernel)
 		return ev
 	}
-	start := m.clk.Now()
-	out, err := runFarmTask(m.s.node, fn, a.Payload)
-	ev.Elapsed = m.clk.Now().Sub(start)
+	clk := clockOf(n)
+	start := clk.Now()
+	out, err := runFarmTask(n, fn, a.Payload)
+	ev.Elapsed = clk.Now().Sub(start)
 	if err != nil {
 		ev.Err = err.Error()
 		return ev
 	}
-	ev.OK = true
-	ev.Result = out
+	ev.OK, ev.Result = true, out
 	return ev
 }
 
-// Close releases every worker that received the dispatch back to the
-// kernel-dispatch loop (retired-but-alive workers included: they are still
-// blocked in the task loop and need the stop frame). Sends to dead ranks
-// fail tolerably.
+// Close releases every parked worker back to the kernel-dispatch loop
+// (retired-but-alive workers included: they are still blocked in the task
+// loop and need the stop frame). Sends to dead ranks fail tolerably.
 func (m *Mux) Close() error {
 	if m.closed {
 		return nil
 	}
 	m.closed = true
-	for w := 1; w < m.s.node.Nodes(); w++ {
-		if m.lostAtDispatch[w] {
-			continue
-		}
+	for _, w := range m.parked {
 		if err := m.s.node.Comm.Send(w, muxTaskTag, encodeMuxTask(true, MuxAssignment{})); err != nil &&
 			!errors.Is(err, mpi.ErrRankLost) && !errors.Is(err, transport.ErrCrashed) {
 			return fmt.Errorf("cluster: mux stop: %w", err)
@@ -350,18 +340,34 @@ func encodeMuxTask(stop bool, a MuxAssignment) []byte {
 	return w.Bytes()
 }
 
-// encodeMuxResult frames one execution outcome, carrying the kernel's
-// fabric-clock compute time for per-job accounting.
-func encodeMuxResult(a MuxAssignment, ok bool, out []byte, errMsg string, elapsed time.Duration) []byte {
-	w := serial.NewWriter(len(out) + len(errMsg) + len(a.Job) + 40)
-	w.String(a.Job)
-	w.Int(a.Task)
-	w.U64(uint64(elapsed))
-	w.Bool(ok)
-	if ok {
-		w.RawBytes(out)
+// decodeMuxTask parses a task frame, as strictly as decodeMuxResult: a
+// short read, trailing bytes or a negative task index is an error.
+func decodeMuxTask(payload []byte) (stop bool, a MuxAssignment, err error) {
+	r := serial.NewReader(payload)
+	stop = r.Bool()
+	a = MuxAssignment{Job: r.String(), Kernel: r.String(), Task: r.Int(), Payload: r.RawBytes()}
+	if r.Err() != nil {
+		return false, MuxAssignment{}, r.Err()
+	}
+	if r.Remaining() != 0 || a.Task < 0 {
+		return false, MuxAssignment{}, errors.New("trailing bytes or negative task index")
+	}
+	return stop, a, nil
+}
+
+// encodeMuxResult frames one MuxTaskDone event, carrying the kernel's
+// fabric-clock compute time for task timing and per-job accounting. The
+// sender is not framed: the receiver knows who it heard from.
+func encodeMuxResult(ev MuxEvent) []byte {
+	w := serial.NewWriter(len(ev.Result) + len(ev.Err) + len(ev.Job) + 40)
+	w.String(ev.Job)
+	w.Int(ev.Task)
+	w.U64(uint64(ev.Elapsed))
+	w.Bool(ev.OK)
+	if ev.OK {
+		w.RawBytes(ev.Result)
 	} else {
-		w.String(errMsg)
+		w.String(ev.Err)
 	}
 	return w.Bytes()
 }
@@ -379,15 +385,17 @@ func decodeMuxResult(src int, payload []byte) (MuxEvent, error) {
 	} else {
 		ev.Err = r.String()
 	}
-	if r.Err() != nil || r.Remaining() != 0 || ev.Task < 0 {
+	if r.Err() != nil || r.Remaining() != 0 || ev.Task < 0 || ev.Elapsed < 0 {
 		return MuxEvent{}, fmt.Errorf("malformed mux result from node %d", src)
 	}
 	return ev, nil
 }
 
 // muxWorkerMain is the node-side loop: receive a kernel-named task,
-// execute, reply with timing, repeat until the stop frame. Beats ride the
-// unacked coalesced path like farm heartbeats.
+// execute, reply with timing, repeat until the stop frame. A helper
+// goroutine sends liveness beats to the master every Config.FarmHeartbeat —
+// also while the kernel is computing — so the master's health sweep can
+// tell a long task from a dead worker.
 func muxWorkerMain(n *Node) error {
 	interval := n.cfg.FarmHeartbeat
 	if interval <= 0 {
@@ -405,6 +413,10 @@ func muxWorkerMain(n *Node) error {
 			case <-stop:
 				return
 			case <-tick.C:
+				// Beats are idempotent liveness signals: the master only
+				// cares that they keep arriving, so they ride the unacked
+				// coalesced path instead of costing a framed send plus an
+				// ack each (see mpi.Comm.SendBeat).
 				if err := n.Comm.SendBeat(0, muxBeatTag, nil); err != nil {
 					return // master unreachable: the task loop will find out
 				}
@@ -415,42 +427,27 @@ func muxWorkerMain(n *Node) error {
 		close(stop)
 		wg.Wait()
 	}()
-	clk := clockOf(n)
 	for {
 		m, err := n.Comm.Recv(0, muxTaskTag)
 		if err != nil {
 			if errors.Is(err, mpi.ErrRankLost) {
-				// Retired (or orphaned) worker: exit quietly, as in
-				// farmWorker — the master has already written us off.
+				// The master stopped acknowledging us — it has retired this
+				// worker (we were paused or partitioned) or died. Either
+				// way the job's outcome is decided master-side; exiting the
+				// task loop quietly keeps a zombie worker from aborting a
+				// session that already wrote us off.
 				return nil
 			}
 			return err
 		}
-		r := serial.NewReader(m.Payload)
-		stopFrame := r.Bool()
-		a := MuxAssignment{Job: r.String(), Kernel: r.String(), Task: r.Int(), Payload: r.RawBytes()}
-		if r.Err() != nil {
-			return fmt.Errorf("cluster: node %d: malformed mux task: %w", n.Rank(), r.Err())
+		stopFrame, a, err := decodeMuxTask(m.Payload)
+		if err != nil {
+			return fmt.Errorf("cluster: node %d: malformed mux task: %w", n.Rank(), err)
 		}
 		if stopFrame {
 			return nil
 		}
-		fn, ok := lookupFarm(a.Kernel)
-		var out []byte
-		var ferr error
-		var elapsed time.Duration
-		if !ok {
-			ferr = fmt.Errorf("cluster: node %d: unknown farm kernel %q", n.Rank(), a.Kernel)
-		} else {
-			start := clk.Now()
-			out, ferr = runFarmTask(n, fn, a.Payload)
-			elapsed = clk.Now().Sub(start)
-		}
-		msg := ""
-		if ferr != nil {
-			msg = ferr.Error()
-		}
-		if err := n.Comm.Send(0, muxResultTag, encodeMuxResult(a, ferr == nil, out, msg, elapsed)); err != nil {
+		if err := n.Comm.Send(0, muxResultTag, encodeMuxResult(execute(n, a))); err != nil {
 			if errors.Is(err, mpi.ErrRankLost) {
 				return nil // retired mid-reply: quiet exit
 			}

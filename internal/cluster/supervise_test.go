@@ -49,38 +49,6 @@ func TestFarmPanicQuarantined(t *testing.T) {
 	}
 }
 
-// A master-side panic in the fallback path is contained the same way.
-func TestFarmMasterFallbackPanicQuarantined(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
-	RegisterFarm("sup.solo-panic", func(n *Node, task []byte) ([]byte, error) {
-		if task[0] == 0 {
-			panic("boom")
-		}
-		return []byte{task[0] * 2}, nil
-	})
-	// Nodes: 1 → no workers exist, every task runs on the master.
-	_, err := runGuarded(t, Config{Nodes: 1, CoresPerNode: 1}, func(s *Session) error {
-		fr, err := s.Farm("sup.solo-panic", [][]byte{{0}, {1}, {2}})
-		if err != nil {
-			return err
-		}
-		if fr.MasterRan < 2 {
-			return fmt.Errorf("MasterRan = %d", fr.MasterRan)
-		}
-		if len(fr.Failed) != 1 || fr.Failed[0].Task != 0 {
-			return fmt.Errorf("Failed = %+v", fr.Failed)
-		}
-		if fr.Results[1][0] != 2 || fr.Results[2][0] != 4 {
-			return fmt.Errorf("results = %v", fr.Results)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // A task that fails transiently succeeds on retry and is not quarantined.
 func TestFarmTransientFailureRetried(t *testing.T) {
 	resetRegistry()

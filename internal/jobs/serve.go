@@ -152,30 +152,36 @@ func (s *Service) nextDeadline(now, at time.Time) time.Time {
 	return at
 }
 
+// launchLocked records scheduler decision p as an attempt in flight.
+// Callers hold s.mu.
+func (p plannedDispatch) launchLocked(now time.Time) {
+	p.job.inflight[p.task] = inflight{worker: p.worker, start: now}
+	p.job.bytesIn += int64(len(p.job.spec.Tasks[p.task]))
+	p.job.markRunningLocked(now)
+}
+
+// assignment is p as the Mux ships it. It reads only the job's spec, which
+// is immutable once admitted, so it needs no lock.
+func (p plannedDispatch) assignment() cluster.MuxAssignment {
+	sp := &p.job.spec
+	return cluster.MuxAssignment{Job: sp.Name, Kernel: sp.Kernel, Task: p.task, Payload: sp.Tasks[p.task]}
+}
+
 // dispatch runs one scheduling round and ships the plan. The plan is built
 // and recorded under the service mutex; the sends happen outside it so a
 // slow acknowledged send does not block Submit or the status surface.
 func (s *Service) dispatch(ctx context.Context, mux *cluster.Mux, now time.Time) (int, error) {
 	s.mu.Lock()
-	idle := s.usableWorkers(mux.Idle())
-	plan := s.schedule(now, idle)
+	plan := s.schedule(now, s.usableWorkers(mux.Idle()))
 	for _, p := range plan {
-		p.job.inflight[p.task] = inflight{worker: p.worker, start: now}
-		p.job.bytesIn += int64(len(p.job.spec.Tasks[p.task]))
-		p.job.markRunningLocked(now)
+		p.launchLocked(now)
 	}
 	s.mu.Unlock()
 	for _, p := range plan {
-		a := cluster.MuxAssignment{
-			Job:     p.job.spec.Name,
-			Kernel:  p.job.spec.Kernel,
-			Task:    p.task,
-			Payload: p.job.spec.Tasks[p.task],
-		}
 		// A send to a worker that died retires it inside Assign and the
 		// assignment returns through a MuxWorkerLost event for requeueing.
-		if err := mux.Assign(ctx, p.worker, a); err != nil {
-			return 0, fmt.Errorf("jobs: dispatch %q/%d: %w", a.Job, a.Task, err)
+		if err := mux.Assign(ctx, p.worker, p.assignment()); err != nil {
+			return 0, fmt.Errorf("jobs: dispatch %q/%d: %w", p.job.spec.Name, p.task, err)
 		}
 	}
 	return len(plan), nil
@@ -185,43 +191,79 @@ func (s *Service) dispatch(ctx context.Context, mux *cluster.Mux, now time.Time)
 func (s *Service) runLocalOnce(mux *cluster.Mux, now time.Time) (bool, error) {
 	s.mu.Lock()
 	plan := s.schedule(now, []int{0})
-	var a cluster.MuxAssignment
-	if len(plan) == 1 {
-		p := plan[0]
-		p.job.inflight[p.task] = inflight{worker: 0, start: now}
-		p.job.bytesIn += int64(len(p.job.spec.Tasks[p.task]))
-		p.job.markRunningLocked(now)
-		a = cluster.MuxAssignment{
-			Job:     p.job.spec.Name,
-			Kernel:  p.job.spec.Kernel,
-			Task:    p.task,
-			Payload: p.job.spec.Tasks[p.task],
-		}
+	for _, p := range plan {
+		p.launchLocked(now)
 	}
 	s.mu.Unlock()
-	if a.Job == "" {
+	if len(plan) == 0 {
 		return false, nil
 	}
-	ev := mux.RunLocal(a)
-	return true, s.handleEvent(ev, now)
+	return true, s.handleEvent(mux.RunLocal(plan[0].assignment()), now)
+}
+
+// attemptFailedLocked climbs the degradation ladder for one failed attempt
+// — a kernel error or a timeout — of an unsettled task: count it and, while
+// the task's attempts and the job's retry budget remain, put it back in the
+// queue behind seeded exponential backoff (front keeps the task's place in
+// line; otherwise it joins the end). It reports false when the ladder is
+// spent and the caller must quarantine the task. Callers hold s.mu.
+func (s *Service) attemptFailedLocked(j *job, task int, front bool, now time.Time) (retry bool) {
+	j.attempts[task]++
+	attempts := j.attempts[task]
+	if attempts >= j.spec.MaxTaskAttempts || j.retriesUsed >= j.spec.RetryBudget {
+		return false
+	}
+	j.retriesUsed++
+	if front {
+		j.requeueFront(task)
+	} else if !contains(j.pending, task) {
+		j.pending = append(j.pending, task)
+	}
+	j.notBefore[task] = now.Add(s.failureBackoff(attempts))
+	return true
+}
+
+// quarantine is the ladder's final rung, for kernel failures, timeouts and
+// quota breaches alike: the KindFailed record is appended first (write-
+// ahead, outside the lock like every store write), then the task settles
+// as failed and the job may complete degraded with a partial-result report.
+// A task something else settled during the append is left as it is.
+func (s *Service) quarantine(q quarantined, now time.Time) error {
+	if err := s.cfg.Store.Append(checkpoint.Record{
+		Job: q.j.spec.Name, Task: q.task, Kind: checkpoint.KindFailed,
+		Attempts: q.attempts, Payload: []byte(q.msg),
+	}); err != nil {
+		return fmt.Errorf("jobs: checkpoint quarantine %q/%d: %w", q.j.spec.Name, q.task, err)
+	}
+	s.mu.Lock()
+	if q.j.state.Terminal() || q.j.settledTask(q.task) {
+		s.mu.Unlock()
+		return nil
+	}
+	q.j.failed[q.task] = q.msg
+	q.j.pending = removeTask(q.j.pending, q.task)
+	delete(q.j.notBefore, q.task)
+	q.j.noteSettleLocked(now)
+	return s.maybeCompleteLocked(q.j)
+}
+
+// quarantined is one task on its way to the final rung.
+type quarantined struct {
+	j        *job
+	task     int
+	attempts int
+	msg      string
 }
 
 // sweepTimeouts reaps attempts whose fabric-clock age exceeds their job's
 // TaskTimeout. The slow rank keeps its Mux liveness (it may just be
 // overloaded) but pays a health penalty, and a timeout counts as a failed
-// attempt on the same degradation ladder as handleTaskDone: retry elsewhere
-// after seeded backoff while attempts and budget remain, quarantine
-// (durably) when they run out — a task that hangs forever must still drive
-// its job to a terminal state instead of being reassigned without bound.
-// If the original attempt's result arrives later anyway it is deduplicated.
+// attempt on the same degradation ladder as a kernel failure — a task that
+// hangs forever must still drive its job to a terminal state instead of
+// being reassigned without bound. If the original attempt's result arrives
+// later anyway it is deduplicated.
 func (s *Service) sweepTimeouts(now time.Time) error {
-	type quarantined struct {
-		j        *job
-		task     int
-		attempts int
-		msg      string
-	}
-	var quarantine []quarantined
+	var spent []quarantined
 	s.mu.Lock()
 	for _, name := range s.order {
 		j := s.jobs[name]
@@ -240,38 +282,17 @@ func (s *Service) sweepTimeouts(now time.Time) error {
 				continue
 			}
 			s.noteWorkerFailure(fl.worker)
-			j.attempts[task]++
-			attempts := j.attempts[task]
-			if attempts < j.spec.MaxTaskAttempts && j.retriesUsed < j.spec.RetryBudget {
-				// Rung 1: the task keeps its place in line but waits out the
-				// same seeded exponential backoff as an explicit failure.
-				j.retriesUsed++
-				j.requeueFront(task)
-				j.notBefore[task] = now.Add(s.failureBackoff(attempts))
-				continue
+			if !s.attemptFailedLocked(j, task, true, now) {
+				spent = append(spent, quarantined{
+					j: j, task: task, attempts: j.attempts[task],
+					msg: fmt.Sprintf("task timed out after %v (attempt %d)", j.spec.TaskTimeout, j.attempts[task]),
+				})
 			}
-			quarantine = append(quarantine, quarantined{
-				j: j, task: task, attempts: attempts,
-				msg: fmt.Sprintf("task timed out after %v (attempt %d)", j.spec.TaskTimeout, attempts),
-			})
 		}
 	}
 	s.mu.Unlock()
-	// Final rung, outside the lock like every store write: quarantine is
-	// write-ahead, then the job may complete degraded.
-	for _, q := range quarantine {
-		if err := s.cfg.Store.Append(checkpoint.Record{
-			Job: q.j.spec.Name, Task: q.task, Kind: checkpoint.KindFailed,
-			Attempts: q.attempts, Payload: []byte(q.msg),
-		}); err != nil {
-			return fmt.Errorf("jobs: checkpoint timeout quarantine %q/%d: %w", q.j.spec.Name, q.task, err)
-		}
-		s.mu.Lock()
-		q.j.failed[q.task] = q.msg
-		q.j.pending = removeTask(q.j.pending, q.task)
-		delete(q.j.notBefore, q.task)
-		q.j.noteSettleLocked(now)
-		if err := s.maybeCompleteLocked(q.j); err != nil {
+	for _, q := range spent {
+		if err := s.quarantine(q, now); err != nil {
 			return err
 		}
 	}
@@ -280,17 +301,10 @@ func (s *Service) sweepTimeouts(now time.Time) error {
 
 // sweepQuotas degrades jobs whose accounted fabric bytes (payloads
 // dispatched + results returned) crossed their declared ByteBudget. The
-// still-pending tasks quarantine durably with a QuotaError message — the
-// same write-ahead rung as any other failure — so the job stops consuming
-// fabric and completes Degraded once its in-flight attempts settle.
+// still-pending tasks quarantine with a QuotaError message, so the job stops
+// consuming fabric and completes Degraded once its in-flight attempts settle.
 func (s *Service) sweepQuotas(now time.Time) error {
-	type quarantined struct {
-		j        *job
-		task     int
-		attempts int
-		msg      string
-	}
-	var quarantine []quarantined
+	var over []quarantined
 	s.mu.Lock()
 	for _, name := range s.order {
 		j := s.jobs[name]
@@ -299,27 +313,12 @@ func (s *Service) sweepQuotas(now time.Time) error {
 		}
 		qe := &QuotaError{Job: j.spec.Name, Used: j.bytesIn + j.bytesOut, Budget: j.spec.ByteBudget}
 		for _, task := range j.pending {
-			quarantine = append(quarantine, quarantined{j: j, task: task, attempts: j.attempts[task], msg: qe.Error()})
+			over = append(over, quarantined{j: j, task: task, attempts: j.attempts[task], msg: qe.Error()})
 		}
 	}
 	s.mu.Unlock()
-	for _, q := range quarantine {
-		if err := s.cfg.Store.Append(checkpoint.Record{
-			Job: q.j.spec.Name, Task: q.task, Kind: checkpoint.KindFailed,
-			Attempts: q.attempts, Payload: []byte(q.msg),
-		}); err != nil {
-			return fmt.Errorf("jobs: checkpoint quota quarantine %q/%d: %w", q.j.spec.Name, q.task, err)
-		}
-		s.mu.Lock()
-		if q.j.state.Terminal() || q.j.settledTask(q.task) {
-			s.mu.Unlock()
-			continue
-		}
-		q.j.failed[q.task] = q.msg
-		q.j.pending = removeTask(q.j.pending, q.task)
-		delete(q.j.notBefore, q.task)
-		q.j.noteSettleLocked(now)
-		if err := s.maybeCompleteLocked(q.j); err != nil {
+	for _, q := range over {
+		if err := s.quarantine(q, now); err != nil {
 			return err
 		}
 	}
@@ -412,37 +411,18 @@ func (s *Service) handleTaskDone(ev cluster.MuxEvent, now time.Time) error {
 		return s.maybeCompleteLocked(j)
 	}
 
-	// Failure: climb the degradation ladder.
+	// Failure: climb the degradation ladder — retry elsewhere, at the end
+	// of the queue, or quarantine.
 	if ev.Worker != 0 {
 		s.noteWorkerFailure(ev.Worker)
 	}
-	j.attempts[ev.Task]++
+	retry := s.attemptFailedLocked(j, ev.Task, false, now)
 	attempts := j.attempts[ev.Task]
-	if attempts < j.spec.MaxTaskAttempts && j.retriesUsed < j.spec.RetryBudget {
-		// Rung 1: retry elsewhere after seeded exponential backoff.
-		j.retriesUsed++
-		if !contains(j.pending, ev.Task) {
-			j.pending = append(j.pending, ev.Task)
-		}
-		j.notBefore[ev.Task] = now.Add(s.failureBackoff(attempts))
-		s.mu.Unlock()
+	s.mu.Unlock()
+	if retry {
 		return nil
 	}
-	// Final rung: quarantine (write-ahead, like results) and let the job
-	// complete degraded with a partial-result report.
-	s.mu.Unlock()
-	if err := s.cfg.Store.Append(checkpoint.Record{
-		Job: ev.Job, Task: ev.Task, Kind: checkpoint.KindFailed,
-		Attempts: attempts, Payload: []byte(ev.Err),
-	}); err != nil {
-		return fmt.Errorf("jobs: checkpoint quarantine %q/%d: %w", ev.Job, ev.Task, err)
-	}
-	s.mu.Lock()
-	j.failed[ev.Task] = ev.Err
-	j.pending = removeTask(j.pending, ev.Task)
-	delete(j.notBefore, ev.Task)
-	j.noteSettleLocked(now)
-	return s.maybeCompleteLocked(j)
+	return s.quarantine(quarantined{j: j, task: ev.Task, attempts: attempts, msg: ev.Err}, now)
 }
 
 func contains(xs []int, x int) bool {

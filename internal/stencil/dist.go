@@ -13,8 +13,8 @@ import (
 )
 
 // haloTag carries halo-exchange payloads. It lives in its own region of the
-// user tag space, below the farm (MaxUserTag-1..-3) and mux
-// (MaxUserTag-4..-6) control tags.
+// user tag space, below cluster's control tag (MaxUserTag) and farm-engine
+// tags (MaxUserTag-1..-3).
 const haloTag = mpi.MaxUserTag - 16
 
 // Partition is the row-slab partition map of an h×w grid over a fixed rank
