@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: build test race chaos chaos-resume chaos-campaign fuzz fuzz-wal \
 	bench bench-baseline bench-smoke alloc-gate msg-gate msg-baseline \
-	diffcheck-gate diffcheck-soak autopar-gate lint lint-selftest loc vet all
+	diffcheck-gate diffcheck-soak autopar-gate lint lint-selftest inline-gate loc vet all
 
 all: vet build test
 
@@ -75,13 +75,13 @@ bench-smoke:
 	bash bench/run.sh -quick
 
 # Steady-state allocation gate: AllocsPerRun proofs over the block
-# engine's fast paths, the core skeletons' merge steps and cutcp's
-# per-atom generator (must run without -race; the detector instruments
-# allocations).
+# engine's fast paths, the core skeletons' merge steps, cutcp's per-atom
+# generator and the stencil sweep (must run without -race; the detector
+# instruments allocations).
 alloc-gate:
 	$(GO) test -count=1 -timeout 5m \
 		-run 'ZeroAllocs|Allocs|Arena|Presize' \
-		./internal/iter/ ./internal/core/ ./internal/parboil/cutcp/
+		./internal/iter/ ./internal/core/ ./internal/parboil/cutcp/ ./internal/stencil/
 
 # Message-volume regression gate against the checked-in wire baseline.
 msg-gate:
@@ -122,6 +122,11 @@ lint:
 # Prove each analyzer still catches an injected violation of its contract.
 lint-selftest:
 	./scripts/lint-selftest.sh
+
+# stencil.Neighborhood.At must stay inside the compiler's inlining budget:
+# the regression (a branch in At) is silent everywhere else and costs 3x.
+inline-gate:
+	./scripts/inline-gate.sh
 
 # Non-test Go lines per internal/* package (the roadmap's "lines go down"
 # criteria are read off this table).

@@ -9,8 +9,6 @@
 package core
 
 import (
-	"fmt"
-
 	"triolet/internal/array"
 	"triolet/internal/domain"
 	"triolet/internal/iter"
@@ -128,34 +126,6 @@ func BuildSliceLocal[T any](pool *sched.Pool, it iter.Iter[T], grain int) []T {
 		iter.FillRange(out[lo:hi], it, lo)
 	})
 	return out
-}
-
-// Build2IntoLocal evaluates a 2-D iterator into dst, which must share its
-// domain shape. Unlike Build2Local it allocates nothing: double-buffered
-// consumers (the stencil skeleton's sweep) alternate two matrices across
-// iterations. Parallel leaves are whole-row bands at sched.RowGrain, so
-// every split point is a row boundary — a row is written by exactly one
-// worker — while each leaf still covers at least one BlockAlign-wide run of
-// cells for the block kernels underneath.
-func Build2IntoLocal[T any](pool *sched.Pool, dst iter.Matrix2[T], it iter.Iter2[T]) {
-	d := it.Dom()
-	if dst.H != d.H || dst.W != d.W {
-		panic(fmt.Sprintf("core: Build2IntoLocal %dx%d into %dx%d", d.H, d.W, dst.H, dst.W))
-	}
-	if d.Empty() {
-		return
-	}
-	if it.Hint() == iter.Sequential || pool == nil {
-		iter.BuildInto(dst, it, d.Whole())
-		return
-	}
-	w := d.W
-	pool.ParallelFor(d.H, sched.RowGrain(w), func(_, lo, hi int) {
-		iter.BuildInto(dst, it, domain.Rect{
-			Rows: domain.Range{Lo: lo, Hi: hi},
-			Cols: domain.Range{Lo: 0, Hi: w},
-		})
-	})
 }
 
 // Build2Local materializes a 2-D iterator into a matrix, evaluating

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"triolet/internal/cluster"
-	"triolet/internal/core"
 	"triolet/internal/domain"
 	"triolet/internal/iter"
 	"triolet/internal/mpi"
@@ -121,21 +120,18 @@ func newHaloPlan(p Partition, rank, radius int, b Boundary) haloPlan {
 	return pl
 }
 
-// Slab is one rank's share of a distributed stencil grid: its owned rows,
-// radius-r ghost storage above and below, a back buffer for double-buffered
-// sweeps, and reusable scratch for the exchange. The steady state of an
-// iterated slab reuses all grid-sized buffers; only the per-message wire
-// encoding allocates.
+// Slab is one rank's share of a distributed stencil grid. Each generation
+// is one padded buffer — radius ghost rows covering [Lo-radius, Lo), the
+// owned rows, radius ghost rows covering [Hi, Hi+radius) — so rows next to
+// a ghost are interior rows. Front (the sweeper's window), back and exchange
+// scratch are allocated once; then only the wire encoding allocates.
 type Slab[T any] struct {
 	Part Partition
 	Rank int
 
-	par     Params[T]
 	elems   serial.Codec[[]T]
-	rows    []T // front: nRows×W, current generation
+	sw      sweeper[T] // reads the front buffer, the current generation
 	back    []T
-	top     []T // radius×W ghost rows covering [Lo-radius, Lo)
-	bot     []T // radius×W ghost rows covering [Hi, Hi+radius)
 	plan    haloPlan
 	scratch []T
 }
@@ -155,26 +151,26 @@ func NewSlab[T any](part Partition, rank int, par Params[T], elems serial.Codec[
 		return nil, fmt.Errorf("stencil: slab %d got %d cells for %d rows of width %d",
 			rank, len(rows), own.Len(), part.W)
 	}
+	pad := par.Radius
+	front := make([]T, (own.Len()+2*pad)*part.W)
+	copy(front[pad*part.W:], rows)
 	s := &Slab[T]{
 		Part:  part,
 		Rank:  rank,
-		par:   par,
 		elems: elems,
-		rows:  append([]T(nil), rows...),
-		back:  make([]T, len(rows)),
+		sw:    newSweeper(par, front, part.H, part.W, own.Lo, own.Len(), pad),
+		back:  make([]T, len(front)),
 		plan:  newHaloPlan(part, rank, par.Radius, par.Boundary),
 	}
-	if !own.Empty() && par.Radius > 0 {
-		s.top = make([]T, par.Radius*part.W)
-		s.bot = make([]T, par.Radius*part.W)
-	}
-	// Border-constant slots never change across iterations: fill once.
+	// Border-constant slots never change: fill once, in both generations.
 	// (Under Normal a sourceless slot is never read and stays zero.)
 	if par.Boundary == Border {
 		for _, slot := range s.plan.borderSlots {
-			row := s.slotRow(slot)
-			for i := range row {
-				row[i] = par.Border
+			for _, buf := range [][]T{front, s.back} {
+				row := s.slotRow(buf, slot)
+				for i := range row {
+					row[i] = par.Border
+				}
 			}
 		}
 	}
@@ -183,24 +179,22 @@ func NewSlab[T any](part Partition, rank int, par Params[T], elems serial.Codec[
 
 // Rows returns the slab's current generation (owned rows, no ghosts). The
 // slice is the live front buffer; it is valid until the next Sweep.
-func (s *Slab[T]) Rows() []T { return s.rows }
+func (s *Slab[T]) Rows() []T { return s.owned(s.sw.buf) }
 
-// slotRow returns ghost slot's backing row (slots index top then bottom).
-func (s *Slab[T]) slotRow(slot int) []T {
-	w := s.Part.W
-	if slot < s.par.Radius {
-		return s.top[slot*w : (slot+1)*w]
+// owned returns the owned rows of a padded generation buffer.
+func (s *Slab[T]) owned(buf []T) []T { return buf[s.sw.pad*s.Part.W:][:s.sw.nRows*s.Part.W] }
+
+// slotRow returns ghost slot's row of a padded buffer (pad above, then below).
+func (s *Slab[T]) slotRow(buf []T, slot int) []T {
+	w, row := s.Part.W, slot
+	if slot >= s.sw.radius {
+		row += s.sw.nRows
 	}
-	k := slot - s.par.Radius
-	return s.bot[k*w : (k+1)*w]
+	return buf[row*w : (row+1)*w]
 }
 
 // ownRow returns the front-buffer row at global index y.
-func (s *Slab[T]) ownRow(y int) []T {
-	w := s.Part.W
-	off := (y - s.Part.Rows[s.Rank].Lo) * w
-	return s.rows[off : off+w]
-}
+func (s *Slab[T]) ownRow(y int) []T { return s.sw.buf[(y-s.sw.rowLo+s.sw.pad)*s.Part.W:][:s.Part.W] }
 
 // ExchangeHalos refreshes the slab's ghost rows from the cluster's current
 // front buffers. Every rank with a non-empty plan must call it once per
@@ -209,16 +203,21 @@ func (s *Slab[T]) ownRow(y int) []T {
 // needed rows concatenated in its slot order, encoded with the slab's
 // element codec; the payload is attributed to Stats.HaloBytes via SendHalo.
 func (s *Slab[T]) ExchangeHalos(c *mpi.Comm) error {
-	w := s.Part.W
+	if err := s.postHalos(c); err != nil {
+		return err
+	}
+	return s.finishHalos(c)
+}
+
+// postHalos is the exchange's first half: self-sourced ghosts, then every
+// send. It only reads owned rows.
+func (s *Slab[T]) postHalos(c *mpi.Comm) error {
 	for _, lr := range s.plan.local {
-		copy(s.slotRow(lr[0]), s.ownRow(lr[1]))
+		copy(s.slotRow(s.sw.buf, lr[0]), s.ownRow(lr[1]))
 	}
 	for j, rows := range s.plan.sendTo {
 		if len(rows) == 0 {
 			continue
-		}
-		if cap(s.scratch) < len(rows)*w {
-			s.scratch = make([]T, 0, len(rows)*w)
 		}
 		buf := s.scratch[:0]
 		for _, y := range rows {
@@ -229,6 +228,14 @@ func (s *Slab[T]) ExchangeHalos(c *mpi.Comm) error {
 			return fmt.Errorf("stencil: halo send %d→%d: %w", s.Rank, j, err)
 		}
 	}
+	return nil
+}
+
+// finishHalos is the second half: every receive, written straight into the
+// front buffer's ghost rows — no owned row, so rows whose window reaches no
+// ghost can be swept between the halves.
+func (s *Slab[T]) finishHalos(c *mpi.Comm) error {
+	w := s.Part.W
 	for i, slots := range s.plan.recvFrom {
 		if len(slots) == 0 {
 			continue
@@ -243,38 +250,48 @@ func (s *Slab[T]) ExchangeHalos(c *mpi.Comm) error {
 				s.Rank, i, len(got), len(slots), err)
 		}
 		for k, slot := range slots {
-			copy(s.slotRow(slot), got[k*w:(k+1)*w])
+			copy(s.slotRow(s.sw.buf, slot), got[k*w:(k+1)*w])
 		}
 	}
 	return nil
 }
 
-// Sweep advances the slab one generation on the node's pool: the back
-// buffer is written from the front rows plus the ghosts ExchangeHalos just
-// refreshed, then the buffers swap roles. The sweep only reads the ghost
-// arrays and only writes the back buffer, and the swap touches neither, so
-// a sweep can never alias a concurrently exchanged halo.
+// Sweep advances the slab one generation on the node's pool: back's owned
+// rows are written from the front buffer as ExchangeHalos just refreshed
+// it, then the buffers swap roles. A sweep writes only the back buffer, so
+// it can never alias an exchanged halo.
 func (s *Slab[T]) Sweep(pool *sched.Pool, fn Func[T]) {
-	own := s.Part.Rows[s.Rank]
-	if own.Empty() {
-		return
+	s.sw.run(pool, fn, s.owned(s.back), 0, s.sw.nRows)
+	s.sw.buf, s.back = s.back, s.sw.buf
+}
+
+// step is one iteration with the exchange hidden behind the interior: post
+// the sends, sweep the rows that read no ghost while the halos are on the
+// wire, receive, sweep the radius rows at each end. A slab of at most
+// 2·radius rows has no interior and sweeps everything after the receive.
+func (s *Slab[T]) step(c *mpi.Comm, pool *sched.Pool, fn Func[T]) error {
+	n, out := s.sw.nRows, s.owned(s.back)
+	lo, hi := s.sw.radius, n-s.sw.radius
+	if lo >= hi {
+		lo, hi = 0, 0
 	}
-	st := Stencil[T]{Params: s.par, Fn: fn}
-	v := &view[T]{
-		h: s.Part.H, w: s.Part.W,
-		rows: s.rows, rowLo: own.Lo, nRows: own.Len(),
-		top: s.top, bot: s.bot,
-		radius: s.par.Radius, b: s.par.Boundary, border: s.par.Border,
+	if err := s.postHalos(c); err != nil {
+		return err
 	}
-	dst := iter.Matrix2[T]{H: own.Len(), W: s.Part.W, Data: s.back}
-	core.Build2IntoLocal(pool, dst, st.sweepIter(v))
-	s.rows, s.back = s.back, s.rows
+	s.sw.run(pool, fn, out, lo, hi)
+	if err := s.finishHalos(c); err != nil {
+		return err
+	}
+	s.sw.run(pool, fn, out, 0, lo)
+	s.sw.run(pool, fn, out, hi, n)
+	s.sw.buf, s.back = s.back, s.sw.buf
+	return nil
 }
 
 // Op is a registered distributed stencil kernel over the cluster's
 // collectives: the master broadcasts a header (shape, iterations, Params)
-// and scatters row slabs; every rank then alternates ExchangeHalos and
-// Sweep locally; the final generation is gathered back in rank order.
+// and scatters row slabs; every rank then iterates Slab.step — exchange
+// overlapped with the interior sweep; the final generation is gathered back.
 // Register once at init — one registration serves every grid shape, radius,
 // and boundary strategy, which travel in the header.
 type Op[T any] struct {
@@ -352,10 +369,9 @@ func (op *Op[T]) iterate(n *cluster.Node, hdr opHeader[T], rows []T) ([]T, error
 	endKernel := n.Phase("kernel")
 	defer endKernel()
 	for i := 0; i < hdr.iters; i++ {
-		if err := sl.ExchangeHalos(n.Comm); err != nil {
+		if err := sl.step(n.Comm, n.Pool, op.fn); err != nil {
 			return nil, err
 		}
-		sl.Sweep(n.Pool, op.fn)
 	}
 	return sl.Rows(), nil
 }

@@ -3,11 +3,13 @@
 // halo-exchange primitive over mpi.Comm with attributed ghost traffic, and
 // the four SkeLibEd boundary strategies (NORMAL, WRAP, MIRROR, BORDER).
 //
-// The intra-node sweep is an iter.Iter2 pipeline materialized through
-// core.Build2IntoLocal, so it inherits the block engine's row-aligned
-// splitting and allocation discipline; the cross-node paths (Op over
-// collectives, FarmOp over Session.Farm) slab the grid by rows and refresh
-// radius-r ghost rows before every sweep.
+// Every sweep — local, slab, farm task — is one row-range loop over a
+// halo-padded window (sweeper): interior cells run the kernel straight off
+// the window, each neighborhood read one inlined load; the few cells whose
+// window leaves the buffer have their reads staged through the boundary
+// strategy first. The cross-node paths (Op over collectives, FarmOp over
+// Session.Farm) slab the grid by rows with radius-r ghost rows contiguous
+// to the owned rows; Op hides each halo exchange behind the interior rows.
 //
 // Boundary semantics, after SkeLibEd:
 //
@@ -23,8 +25,6 @@ package stencil
 import (
 	"fmt"
 
-	"triolet/internal/core"
-	"triolet/internal/domain"
 	"triolet/internal/iter"
 	"triolet/internal/sched"
 )
@@ -96,12 +96,9 @@ type Stencil[T any] struct {
 // out-of-grid reads resolved by the boundary strategy. It is a small value;
 // passing it by value keeps kernels allocation-free.
 type Neighborhood[T any] struct {
-	v    *view[T]
+	win  *window[T]
+	c    int // center's index into win.buf
 	y, x int // center, in global grid coordinates
-	// fast is the center's index into v.rows when the whole neighborhood
-	// lies inside the owned rows (no boundary or ghost resolution needed),
-	// else -1.
-	fast int
 }
 
 // Y reports the center's global row.
@@ -112,54 +109,58 @@ func (nb Neighborhood[T]) X() int { return nb.x }
 
 // Radius reports the declared radius, so one registered kernel can serve
 // any radius carried in Params.
-func (nb Neighborhood[T]) Radius() int { return nb.v.radius }
+func (nb Neighborhood[T]) Radius() int { return nb.win.radius }
 
-// At reads the cell at offset (dy, dx) from the center.
-func (nb Neighborhood[T]) At(dy, dx int) T {
-	if nb.fast >= 0 {
-		return nb.v.rows[nb.fast+dy*nb.v.w+dx]
-	}
-	return nb.v.at(nb.y+dy, nb.x+dx)
+// At reads the cell at offset (dy, dx) from the center: one indexed load,
+// no branch, so the compiler inlines it into the kernel (cost 15 of a budget
+// of 80; a real call per read costs the sweep 3×, and scripts/inline-gate.sh
+// keeps it so). Reads needing a boundary decision are resolved before the
+// kernel runs (sweeper.edge).
+func (nb Neighborhood[T]) At(dy, dx int) T { return nb.win.buf[nb.c+dy*nb.win.stride+dx] }
+
+// The benchmarks' two element shapes, instantiated here so that
+// `go build -gcflags=-m=2 ./internal/stencil` prints At's inlining verdict.
+var _, _ = Neighborhood[float64].At, Neighborhood[int64].At
+
+// window is what a Neighborhood indexes: a row-major buffer holding the
+// whole (2·radius+1)² square around every center handed out.
+type window[T any] struct {
+	buf            []T
+	stride, radius int
 }
 
-// view is the window a sweep reads: the rows this rank owns plus, in
-// distributed runs, prefilled ghost rows covering [rowLo-radius, rowLo) and
-// [rowHi, rowHi+radius). Reads that miss the window resolve through the
-// boundary strategy against the global h×w domain — only possible in local
-// (whole-grid) sweeps, where every in-grid row is owned.
-type view[T any] struct {
-	h, w   int // global grid dimensions
-	rows   []T // owned rows, nRows×w, starting at global row rowLo
-	rowLo  int
-	nRows  int
-	top    []T // radius×w ghost rows above rowLo, nil in local sweeps
-	bot    []T // radius×w ghost rows from rowLo+nRows, nil in local sweeps
-	radius int
-	b      Boundary
-	border T
+// sweeper runs sweeps over one padded window: the nRows rows this rank owns
+// (from global row rowLo) between pad ghost rows above and pad below, each
+// stride = grid width cells wide, in one buffer. Distributed sweeps have
+// pad = radius and strategy-resolved ghosts, so every row's window is
+// resident; a local (whole-grid) sweep has pad = 0. A cell whose window is
+// not resident — grid-edge columns, grid-edge rows of a local sweep — has
+// its reads staged: resolved through at into the executing worker's side²
+// cells of stage, which the kernel indexes exactly like the window.
+type sweeper[T any] struct {
+	window[T]
+	Params[T]
+	stage             window[T] // side = 2·radius+1
+	h                 int       // global grid height
+	rowLo, nRows, pad int
 }
 
-func (v *view[T]) at(y, x int) T {
-	x, ok := mapIndex(x, v.w, v.b)
-	if !ok {
-		return v.border
+func newSweeper[T any](par Params[T], buf []T, h, w, rowLo, nRows, pad int) sweeper[T] {
+	return sweeper[T]{window: window[T]{buf, w, par.Radius}, Params: par, h: h, rowLo: rowLo, nRows: nRows, pad: pad}
+}
+
+// at resolves global cell (y, x): where a read meets the boundary strategy.
+func (s *sweeper[T]) at(y, x int) T {
+	x, okx := mapIndex(x, s.stride, s.Boundary)
+	row, oky := y-s.rowLo+s.pad, true
+	if row < 0 || row >= s.nRows+2*s.pad {
+		// Only a local sweep gets here: row = y, and it owns every in-grid row.
+		row, oky = mapIndex(y, s.h, s.Boundary)
 	}
-	if y >= v.rowLo && y < v.rowLo+v.nRows {
-		return v.rows[(y-v.rowLo)*v.w+x]
+	if !okx || !oky {
+		return s.Border
 	}
-	if v.top != nil || v.bot != nil {
-		// Distributed: ghost rows were prefilled by ExchangeHalos with
-		// already-strategy-resolved values, so no further y mapping.
-		if y < v.rowLo {
-			return v.top[(y-v.rowLo+v.radius)*v.w+x]
-		}
-		return v.bot[(y-v.rowLo-v.nRows)*v.w+x]
-	}
-	y, ok = mapIndex(y, v.h, v.b)
-	if !ok {
-		return v.border
-	}
-	return v.rows[(y-v.rowLo)*v.w+x]
+	return s.buf[row*s.stride+x]
 }
 
 // mapIndex resolves index i on a length-n axis under boundary strategy b.
@@ -195,28 +196,74 @@ func mapIndex(i, n int, b Boundary) (int, bool) {
 	}
 }
 
-// sweepIter expresses one sweep over v's owned rows as a 2-D iterator whose
-// (y, x) element — y local to the slab — is the kernel applied at that
-// cell. Materializing it through core.Build2IntoLocal is what runs the
-// sweep on the block engine.
-func (st Stencil[T]) sweepIter(v *view[T]) iter.Iter2[T] {
-	r := st.Radius
-	at := func(y, x int) T {
-		gy := y + v.rowLo
-		if st.Boundary == Normal && (gy < r || gy+r >= v.h || x < r || x+r >= v.w) {
-			// NORMAL: no full in-grid neighborhood — carry the old value.
-			return v.rows[y*v.w+x]
-		}
-		nb := Neighborhood[T]{v: v, y: gy, x: x, fast: -1}
-		if x >= r && x+r < v.w && gy-r >= v.rowLo && gy+r < v.rowLo+v.nRows {
-			nb.fast = y*v.w + x
-		}
-		return st.Fn(nb)
+// run writes the next generation of owned rows [lo, hi) into out (nRows ×
+// stride, no ghosts), in whole-row leaves on the pool.
+func (s *sweeper[T]) run(pool *sched.Pool, fn Func[T], out []T, lo, hi int) {
+	workers, grain := 1, sched.RowGrain(s.stride)
+	if pool != nil && hi-lo > grain {
+		workers = pool.Workers()
 	}
-	return iter.LocalPar2(iter.Idx2Flat(iter.Idx2[T]{
-		Dom: domain.Dim2{H: v.nRows, W: v.w},
-		At:  at,
-	}))
+	if side := 2*s.radius + 1; s.Boundary != Normal && len(s.stage.buf) < workers*side*side {
+		s.stage = window[T]{buf: make([]T, workers*side*side), stride: side, radius: s.radius}
+	}
+	if workers == 1 {
+		s.rows(fn, out, 0, lo, hi)
+		return
+	}
+	pool.ParallelFor(hi-lo, grain, func(worker, a, b int) { s.rows(fn, out, worker, lo+a, lo+b) })
+}
+
+// rows sweeps output rows [lo, hi): per row it carries Normal's
+// out-of-grid rows and columns, stages the cells whose window is not
+// resident, and runs the interior columns straight off the window.
+func (s *sweeper[T]) rows(fn Func[T], out []T, worker, lo, hi int) {
+	r, w := s.radius, s.stride
+	xlo, xhi := min(r, w), max(w-r, min(r, w))
+	for y := lo; y < hi; y++ {
+		gy, base := s.rowLo+y, (y+s.pad)*w
+		dst, src := out[y*w:(y+1)*w], s.buf[base:base+w]
+		ilo, ihi := xlo, xhi // interior columns: the cell's window is resident
+		carry := s.Boundary == Normal && (gy < r || gy+r >= s.h)
+		if resident := y+s.pad >= r && y+r < s.nRows+s.pad; carry || !resident {
+			ilo, ihi = w, w
+		}
+		if s.Boundary == Normal {
+			// No full in-grid neighborhood — carry the old value.
+			copy(dst[:ilo], src[:ilo])
+			copy(dst[ihi:], src[ihi:])
+		} else {
+			s.edge(fn, dst, worker, gy, 0, ilo)
+			s.edge(fn, dst, worker, gy, ihi, w)
+		}
+		apply(fn, dst[ilo:ihi], Neighborhood[T]{win: &s.window, c: base + ilo, y: gy, x: ilo})
+	}
+}
+
+// edge computes cells [x0, x1) of global row gy, whose windows are not
+// resident, each staged through at into worker's cells of stage.
+func (s *sweeper[T]) edge(fn Func[T], dst []T, worker, gy, x0, x1 int) {
+	r, side := s.radius, s.stage.stride
+	k0 := worker * side * side
+	for x := x0; x < x1; x++ {
+		k := k0
+		for dy := -r; dy <= r; dy++ {
+			for dx := -r; dx <= r; dx++ {
+				s.stage.buf[k] = s.at(gy+dy, x+dx)
+				k++
+			}
+		}
+		apply(fn, dst[x:x+1], Neighborhood[T]{win: &s.stage, c: k0 + r*side + r, y: gy, x: x})
+	}
+}
+
+// apply is the one loop that calls the kernel: dst is a run of one output
+// row, nb its first cell's neighborhood, the next center the next index.
+func apply[T any](fn Func[T], dst []T, nb Neighborhood[T]) {
+	for i := range dst {
+		dst[i] = fn(nb)
+		nb.x++
+		nb.c++
+	}
 }
 
 func (st Stencil[T]) checkGrid(g iter.Matrix2[T]) {
@@ -243,12 +290,8 @@ func (st Stencil[T]) Sweep(pool *sched.Pool, dst, src iter.Matrix2[T]) {
 	if dst.H != src.H || dst.W != src.W {
 		panic(fmt.Sprintf("stencil: sweep %dx%d into %dx%d", src.H, src.W, dst.H, dst.W))
 	}
-	v := &view[T]{
-		h: src.H, w: src.W,
-		rows: src.Data, rowLo: 0, nRows: src.H,
-		radius: st.Radius, b: st.Boundary, border: st.Border,
-	}
-	core.Build2IntoLocal(pool, dst, st.sweepIter(v))
+	s := newSweeper(st.Params, src.Data, src.H, src.W, 0, src.H, 0)
+	s.run(pool, st.Fn, dst.Data, 0, src.H)
 }
 
 // Iterate applies the stencil iters times with double buffering — two

@@ -1,6 +1,9 @@
 package transport
 
-import "time"
+import (
+	"runtime"
+	"time"
+)
 
 // Clock is the fabric's time source. Protocol layers built on the fabric —
 // notably the reliable layer's acknowledgement deadlines — must read time
@@ -39,4 +42,21 @@ func (f *Fabric) WireDelay(bytes int) time.Duration {
 		return 0
 	}
 	return f.cfg.Delay.delayFor(bytes)
+}
+
+// holdSlack is the tail of a hold no sleep can land in: the 1.1 ms an idle
+// time.Sleep rounds up to on the hosts this runs on (measured: Sleep(50µs)
+// returns after 1.09 ms; bench/README.md, "Host"), plus an eighth.
+const holdSlack = 1100 * time.Microsecond * 9 / 8
+
+// hold blocks for d of real time: where the fabric turns modelled wire time
+// into elapsed time. It sleeps what the host timer can resolve and yield-spins
+// the last holdSlack, so a 50 µs hold costs 50 µs, not a tick; it times itself
+// on the system clock, so an injected Clock sizes a hold but cannot stall one.
+func hold(d time.Duration) {
+	start := time.Now()
+	time.Sleep(d - holdSlack) // returns at once when that is not positive
+	for time.Since(start) < d {
+		runtime.Gosched()
+	}
 }

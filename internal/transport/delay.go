@@ -87,7 +87,7 @@ func (d *delayer) submit(src, dst, tag int, payload []byte) {
 	eq.mu.Unlock()
 }
 
-// drain delivers an edge's messages in order, sleeping to each readyAt.
+// drain delivers an edge's messages in order, holding each to its readyAt.
 func (d *delayer) drain(src int, eq *edgeQueue) {
 	defer d.wg.Done()
 	for {
@@ -98,12 +98,17 @@ func (d *delayer) drain(src int, eq *edgeQueue) {
 			return
 		}
 		m := eq.pending[0]
-		eq.pending = eq.pending[1:]
+		// Release the payload, and empty the queue in place: re-slicing past
+		// the last message would cost a depth-1 queue a realloc per submit.
+		eq.pending[0] = delayedMsg{}
+		if len(eq.pending) == 1 {
+			eq.pending = eq.pending[:0]
+		} else {
+			eq.pending = eq.pending[1:]
+		}
 		eq.mu.Unlock()
 
-		if wait := m.readyAt.Sub(d.f.Clock().Now()); wait > 0 {
-			time.Sleep(wait) //lint:allow fabrictime realizes simulated latency as real elapsed time; the wait itself is computed on the fabric clock
-		}
+		hold(m.readyAt.Sub(d.f.Clock().Now()))
 		d.f.deliver(src, m.dst, m.tag, m.payload)
 	}
 }
