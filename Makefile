@@ -129,6 +129,7 @@ inline-gate:
 	./scripts/inline-gate.sh
 
 # Non-test Go lines per internal/* package (the roadmap's "lines go down"
-# criteria are read off this table).
+# criteria are read off this table; `./scripts/loc.sh -base <git-ref>` adds
+# each package's delta against that ref).
 loc:
 	./scripts/loc.sh

@@ -6,7 +6,6 @@ import (
 	"triolet/internal/array"
 	"triolet/internal/cluster"
 	"triolet/internal/domain"
-	"triolet/internal/mpi"
 	"triolet/internal/serial"
 )
 
@@ -16,11 +15,7 @@ import (
 // input slice, and sections are gathered in rank order into the final
 // array. mri-q's image construction uses this shape (paper §4.2).
 type BuildArrayOp[S, A any, E any] struct {
-	name   string
-	sCodec serial.Codec[S]
-	aCodec serial.Codec[A]
-	eCodec serial.Codec[[]E]
-	kernel func(n *cluster.Node, slice S, aux A) ([]E, error)
+	*collective[S, A, []E]
 }
 
 // NewBuildArray registers a distributed array builder under name. The
@@ -32,81 +27,16 @@ func NewBuildArray[S, A any, E any](
 	eCodec serial.Codec[[]E],
 	kernel func(n *cluster.Node, slice S, aux A) ([]E, error),
 ) *BuildArrayOp[S, A, E] {
-	op := &BuildArrayOp[S, A, E]{
-		name:   name,
-		sCodec: sCodec,
-		aCodec: aCodec,
-		eCodec: eCodec,
-		kernel: kernel,
-	}
-	cluster.RegisterWorker(name, op.workerBody)
-	return op
-}
-
-// Name reports the kernel's registered name.
-func (op *BuildArrayOp[S, A, E]) Name() string { return op.name }
-
-func (op *BuildArrayOp[S, A, E]) workerBody(n *cluster.Node) error {
-	endScatter := n.Phase("scatter")
-	slice, err := mpi.ScatterT(n.Comm, 0, op.sCodec, nil)
-	endScatter()
-	if err != nil {
-		return fmt.Errorf("core: %s scatter: %w", op.name, err)
-	}
-	var zeroA A
-	endBcast := n.Phase("bcast")
-	aux, err := mpi.BcastT(n.Comm, 0, op.aCodec, zeroA)
-	endBcast()
-	if err != nil {
-		return fmt.Errorf("core: %s bcast: %w", op.name, err)
-	}
-	endKernel := n.Phase("kernel")
-	out, err := op.kernel(n, slice, aux)
-	endKernel()
-	if err != nil {
-		return fmt.Errorf("core: %s kernel: %w", op.name, err)
-	}
-	endGather := n.Phase("gather")
-	_, err = mpi.GatherT(n.Comm, 0, op.eCodec, out)
-	endGather()
-	return err
+	return &BuildArrayOp[S, A, E]{newCollective(name, sCodec, aCodec, eCodec, kernel, nil)}
 }
 
 // Run executes the skeleton from the master and returns the assembled
 // array of src.Tasks() elements.
 func (op *BuildArrayOp[S, A, E]) Run(s *cluster.Session, src DistSource[S], aux A) ([]E, error) {
-	n := s.Node()
-	if err := s.Invoke(op.name); err != nil {
+	ranges := domain.BlockPartition(src.Tasks(), s.Node().Nodes())
+	sections, err := op.run(s, func() []S { return sliceRanges(src, ranges) }, aux)
+	if err != nil {
 		return nil, err
-	}
-	endScatter := n.Phase("scatter")
-	ranges := domain.BlockPartition(src.Tasks(), n.Nodes())
-	parts := make([]S, n.Nodes())
-	for i, r := range ranges {
-		parts[i] = src.Slice(r)
-	}
-	mine, err := mpi.ScatterT(n.Comm, 0, op.sCodec, parts)
-	endScatter()
-	if err != nil {
-		return nil, fmt.Errorf("core: %s scatter: %w", op.name, err)
-	}
-	endBcast := n.Phase("bcast")
-	aux, err = mpi.BcastT(n.Comm, 0, op.aCodec, aux)
-	endBcast()
-	if err != nil {
-		return nil, fmt.Errorf("core: %s bcast: %w", op.name, err)
-	}
-	endKernel := n.Phase("kernel")
-	myOut, err := op.kernel(n, mine, aux)
-	endKernel()
-	if err != nil {
-		return nil, fmt.Errorf("core: %s kernel: %w", op.name, err)
-	}
-	endGather := n.Phase("gather")
-	sections, err := mpi.GatherT(n.Comm, 0, op.eCodec, myOut)
-	endGather()
-	if err != nil {
-		return nil, fmt.Errorf("core: %s gather: %w", op.name, err)
 	}
 	out := make([]E, 0, src.Tasks())
 	for i, sec := range sections {
@@ -126,11 +56,7 @@ func (op *BuildArrayOp[S, A, E]) Run(s *cluster.Session, src DistSource[S], aux 
 // returns its block, and blocks are assembled at the master. This is the
 // paper's two-line sgemm decomposition (paper §2, §4.3).
 type Build2DOp[S, A any, E any] struct {
-	name   string
-	sCodec serial.Codec[S]
-	aCodec serial.Codec[A]
-	mCodec serial.Codec[array.Matrix[E]]
-	kernel func(n *cluster.Node, slice S, aux A) (array.Matrix[E], error)
+	*collective[S, A, array.Matrix[E]]
 }
 
 // NewBuild2D registers a distributed 2-D block builder under name. The
@@ -142,84 +68,24 @@ func NewBuild2D[S, A any, E any](
 	mCodec serial.Codec[array.Matrix[E]],
 	kernel func(n *cluster.Node, slice S, aux A) (array.Matrix[E], error),
 ) *Build2DOp[S, A, E] {
-	op := &Build2DOp[S, A, E]{
-		name:   name,
-		sCodec: sCodec,
-		aCodec: aCodec,
-		mCodec: mCodec,
-		kernel: kernel,
-	}
-	cluster.RegisterWorker(name, op.workerBody)
-	return op
-}
-
-// Name reports the kernel's registered name.
-func (op *Build2DOp[S, A, E]) Name() string { return op.name }
-
-func (op *Build2DOp[S, A, E]) workerBody(n *cluster.Node) error {
-	endScatter := n.Phase("scatter")
-	slice, err := mpi.ScatterT(n.Comm, 0, op.sCodec, nil)
-	endScatter()
-	if err != nil {
-		return fmt.Errorf("core: %s scatter: %w", op.name, err)
-	}
-	var zeroA A
-	endBcast := n.Phase("bcast")
-	aux, err := mpi.BcastT(n.Comm, 0, op.aCodec, zeroA)
-	endBcast()
-	if err != nil {
-		return fmt.Errorf("core: %s bcast: %w", op.name, err)
-	}
-	endKernel := n.Phase("kernel")
-	block, err := op.kernel(n, slice, aux)
-	endKernel()
-	if err != nil {
-		return fmt.Errorf("core: %s kernel: %w", op.name, err)
-	}
-	endGather := n.Phase("gather")
-	_, err = mpi.GatherT(n.Comm, 0, op.mCodec, block)
-	endGather()
-	return err
+	return &Build2DOp[S, A, E]{newCollective(name, sCodec, aCodec, mCodec, kernel, nil)}
 }
 
 // Run executes the skeleton from the master and returns the assembled
 // src.Dom()-shaped matrix.
 func (op *Build2DOp[S, A, E]) Run(s *cluster.Session, src DistSource2[S], aux A) (array.Matrix[E], error) {
 	var zero array.Matrix[E]
-	n := s.Node()
-	if err := s.Invoke(op.name); err != nil {
-		return zero, err
-	}
-	endScatter := n.Phase("scatter")
 	dom := src.Dom()
-	py, px := dom.GridShape(n.Nodes())
-	rects := dom.GridPartition(py, px)
-	parts := make([]S, n.Nodes())
-	for i, r := range rects {
-		parts[i] = src.SliceRect(r)
-	}
-	mine, err := mpi.ScatterT(n.Comm, 0, op.sCodec, parts)
-	endScatter()
+	rects := dom.GridPartition(dom.GridShape(s.Node().Nodes()))
+	blocks, err := op.run(s, func() []S {
+		parts := make([]S, len(rects))
+		for i, r := range rects {
+			parts[i] = src.SliceRect(r)
+		}
+		return parts
+	}, aux)
 	if err != nil {
-		return zero, fmt.Errorf("core: %s scatter: %w", op.name, err)
-	}
-	endBcast := n.Phase("bcast")
-	aux, err = mpi.BcastT(n.Comm, 0, op.aCodec, aux)
-	endBcast()
-	if err != nil {
-		return zero, fmt.Errorf("core: %s bcast: %w", op.name, err)
-	}
-	endKernel := n.Phase("kernel")
-	myBlock, err := op.kernel(n, mine, aux)
-	endKernel()
-	if err != nil {
-		return zero, fmt.Errorf("core: %s kernel: %w", op.name, err)
-	}
-	endGather := n.Phase("gather")
-	blocks, err := mpi.GatherT(n.Comm, 0, op.mCodec, myBlock)
-	endGather()
-	if err != nil {
-		return zero, fmt.Errorf("core: %s gather: %w", op.name, err)
+		return zero, err
 	}
 	out := array.NewMatrix[E](dom.H, dom.W)
 	for i, b := range blocks {

@@ -205,7 +205,6 @@ func (d detSource[S]) Slice(r domain.Range) detSlice[S] {
 // from across its Par axis.
 type DetSumOp[S any] struct {
 	inner *MapReduceOp[detSlice[S], struct{}, []chunkSum]
-	mk    func(n *cluster.Node, slice S, base int) iter.Iter[float64]
 }
 
 // NewDetSum registers a deterministic distributed sum under name. mk builds
@@ -219,7 +218,6 @@ func NewDetSum[S any](
 	sCodec serial.Codec[S],
 	mk func(n *cluster.Node, slice S, base int) iter.Iter[float64],
 ) *DetSumOp[S] {
-	op := &DetSumOp[S]{mk: mk}
 	kernel := func(n *cluster.Node, ds detSlice[S], _ struct{}) ([]chunkSum, error) {
 		it := mk(n, ds.val, ds.base)
 		nLocal, ok := it.OuterLen()
@@ -241,13 +239,11 @@ func NewDetSum[S any](
 		}
 		return out, nil
 	}
-	op.inner = NewMapReduce(name, detSliceCodec(sCodec), serial.Unit(), chunkSumsCodec(),
-		kernel, mergeChunkSums)
 	// Node boundaries must not cut through chunks: partition whole chunks.
-	op.inner.partition = func(n, p int) []domain.Range {
-		return domain.AlignedPartition(n, p, DetChunk)
-	}
-	return op
+	return &DetSumOp[S]{newMapReduce(name, detSliceCodec(sCodec), serial.Unit(), chunkSumsCodec(),
+		kernel, mergeChunkSums, func(n, p int) []domain.Range {
+			return domain.AlignedPartition(n, p, DetChunk)
+		})}
 }
 
 // Name reports the kernel's registered name.

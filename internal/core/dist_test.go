@@ -1,8 +1,11 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"triolet/internal/array"
 	"triolet/internal/cluster"
@@ -10,6 +13,7 @@ import (
 	"triolet/internal/iter"
 	"triolet/internal/serial"
 	"triolet/internal/trace"
+	"triolet/internal/transport"
 )
 
 // Distributed kernels are registered once per process, at init, exactly as
@@ -365,4 +369,235 @@ func TestDuplicateKernelNamePanics(t *testing.T) {
 	NewMapReduce("test.dot", serial.Unit(), serial.Unit(), serial.IntC(),
 		func(*cluster.Node, struct{}, struct{}) (int, error) { return 0, nil },
 		func(a, b int) int { return a + b })
+}
+
+// The skeleton contract. The same small integer kernel is registered under
+// each of the four distributed skeletons; aux names the rank whose kernel
+// fails with errContract (-1: none), so one registration per skeleton
+// serves the answer, wire-shape, span and error rows of the table.
+var errContract = errors.New("contract: kernel failed")
+
+func failOn(n *cluster.Node, rank int) error {
+	if n.Rank() == rank {
+		return errContract
+	}
+	return nil
+}
+
+func rectCodec() serial.Codec[domain.Rect] {
+	return serial.Funcs[domain.Rect]{
+		Enc: func(w *serial.Writer, r domain.Rect) {
+			w.Int(r.Rows.Lo)
+			w.Int(r.Rows.Hi)
+			w.Int(r.Cols.Lo)
+			w.Int(r.Cols.Hi)
+		},
+		Dec: func(r *serial.Reader) domain.Rect {
+			return domain.Rect{
+				Rows: domain.Range{Lo: r.Int(), Hi: r.Int()},
+				Cols: domain.Range{Lo: r.Int(), Hi: r.Int()},
+			}
+		},
+	}
+}
+
+// contractGridW is the width of contractGrid's task domain: tasks×3 cells,
+// cell (y, x) holding y*contractGridW+x.
+const contractGridW = 3
+
+var (
+	contractSum = NewMapReduce("contract.sum", serial.Ints(), serial.IntC(), serial.IntC(),
+		func(n *cluster.Node, xs []int, fail int) (int, error) {
+			return iter.Sum(iter.FromSlice(xs)), failOn(n, fail)
+		},
+		func(a, b int) int { return a + b })
+	contractSquares = NewBuildArray("contract.squares", serial.Ints(), serial.IntC(), serial.Ints(),
+		func(n *cluster.Node, xs []int, fail int) ([]int, error) {
+			return iter.ToSlice(iter.Map(func(x int) int { return x * x }, iter.FromSlice(xs))), failOn(n, fail)
+		})
+	contractEvens = NewFlatMap("contract.evens", serial.Ints(), serial.IntC(), serial.Ints(),
+		func(n *cluster.Node, xs []int, fail int) ([]int, error) {
+			return iter.ToSlice(iter.Filter(func(x int) bool { return x%2 == 0 }, iter.FromSlice(xs))), failOn(n, fail)
+		})
+	contractGrid = NewBuild2D("contract.grid", rectCodec(), serial.IntC(), serial.MatrixF64(),
+		func(n *cluster.Node, r domain.Rect, fail int) (array.Matrix[float64], error) {
+			m := array.NewMatrix[float64](r.Rows.Len(), r.Cols.Len())
+			for y := range m.H {
+				for x := range m.W {
+					m.Set(y, x, float64((r.Rows.Lo+y)*contractGridW+r.Cols.Lo+x))
+				}
+			}
+			return m, failOn(n, fail)
+		})
+)
+
+func contractInput(tasks int) []int {
+	xs := make([]int, tasks)
+	for i := range xs {
+		xs[i] = i + 1
+	}
+	return xs
+}
+
+// wireShape is the fabric traffic of one skeleton call plus the session's
+// dispatch and shutdown broadcasts.
+type wireShape struct{ msgs, bytes int64 }
+
+// TestSkeletonContract pins what every distributed skeleton promises,
+// whichever way it cuts its domain and collects its partials.
+func TestSkeletonContract(t *testing.T) {
+	cases := []struct {
+		name string
+		// run executes the skeleton over tasks tasks with aux fail and
+		// returns its result; seq is the sequential answer.
+		run func(s *cluster.Session, tasks, fail int) (any, error)
+		seq func(tasks int) any
+		// collect names the last phase: a tree reduce or a gather.
+		collect string
+		// wire is the traffic of a 1000-task call at 1, 2 and 4 nodes,
+		// recorded before the skeletons shared one engine.
+		wire map[int]wireShape
+	}{
+		{
+			name: "MapReduce",
+			run: func(s *cluster.Session, tasks, fail int) (any, error) {
+				return contractSum.Run(s, SliceSource(contractInput(tasks)), fail)
+			},
+			seq:     func(tasks int) any { return tasks * (tasks + 1) / 2 },
+			collect: "reduce",
+			wire:    map[int]wireShape{1: {0, 0}, 2: {5, 4061}, 4: {15, 6183}},
+		},
+		{
+			name: "BuildArray",
+			run: func(s *cluster.Session, tasks, fail int) (any, error) {
+				return contractSquares.Run(s, SliceSource(contractInput(tasks)), fail)
+			},
+			seq: func(tasks int) any {
+				out := make([]int, tasks)
+				for i := range out {
+					out[i] = (i + 1) * (i + 1)
+				}
+				return out
+			},
+			collect: "gather",
+			wire:    map[int]wireShape{1: {0, 0}, 2: {5, 8065}, 4: {15, 12195}},
+		},
+		{
+			name: "FlatMap",
+			run: func(s *cluster.Session, tasks, fail int) (any, error) {
+				return contractEvens.Run(s, SliceSource(contractInput(tasks)), fail)
+			},
+			seq: func(tasks int) any {
+				out := []int{}
+				for i := 2; i <= tasks; i += 2 {
+					out = append(out, i)
+				}
+				return out
+			},
+			collect: "gather",
+			wire:    map[int]wireShape{1: {0, 0}, 2: {5, 6063}, 4: {15, 9189}},
+		},
+		{
+			name: "Build2D",
+			run: func(s *cluster.Session, tasks, fail int) (any, error) {
+				src := FuncSource2[domain.Rect]{
+					D:       domain.NewDim2(tasks, contractGridW),
+					SliceFn: func(r domain.Rect) domain.Rect { return r },
+				}
+				return contractGrid.Run(s, src, fail)
+			},
+			seq: func(tasks int) any {
+				m := array.NewMatrix[float64](tasks, contractGridW)
+				for i := range m.Data {
+					m.Data[i] = float64(i)
+				}
+				return m
+			},
+			collect: "gather",
+			wire:    map[int]wireShape{1: {0, 0}, 2: {5, 12102}, 4: {15, 16306}},
+		},
+	}
+	// runWithin fails the test instead of hanging when a rank never unwinds.
+	runWithin := func(t *testing.T, cfg cluster.Config, master func(*cluster.Session) error) (transport.Stats, error) {
+		t.Helper()
+		type outcome struct {
+			stats transport.Stats
+			err   error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			stats, err := cluster.Run(cfg, master)
+			done <- outcome{stats, err}
+		}()
+		select {
+		case o := <-done:
+			return o.stats, o.err
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%+v: session did not unwind", cfg)
+			panic("unreachable")
+		}
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// Empty domains and more nodes than tasks (empty slices on the
+			// trailing ranks) still produce the sequential answer.
+			for _, shape := range []struct{ tasks, nodes int }{{0, 1}, {0, 4}, {3, 8}, {1, 2}} {
+				var got any
+				_, err := runWithin(t, cluster.Config{Nodes: shape.nodes, CoresPerNode: 1},
+					func(s *cluster.Session) error {
+						var err error
+						got, err = c.run(s, shape.tasks, -1)
+						return err
+					})
+				if err != nil {
+					t.Fatalf("%+v: %v", shape, err)
+				}
+				if want := c.seq(shape.tasks); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%+v: got %v, want %v", shape, got, want)
+				}
+			}
+			// A kernel error on any one rank unwinds every rank, and the
+			// session reports the kernel's own error.
+			for _, fail := range []int{0, 2} {
+				_, err := runWithin(t, cluster.Config{Nodes: 3, CoresPerNode: 1},
+					func(s *cluster.Session) error {
+						_, err := c.run(s, 100, fail)
+						return err
+					})
+				if !errors.Is(err, errContract) {
+					t.Errorf("kernel failing on rank %d: err = %v, want errContract", fail, err)
+				}
+			}
+			// Same collectives, same codecs, same partitions: the wire
+			// shape is a constant. Every rank brackets the same phases.
+			for _, nodes := range []int{1, 2, 4} {
+				tr := trace.New()
+				stats, err := runWithin(t, cluster.Config{Nodes: nodes, CoresPerNode: 1, Tracer: tr},
+					func(s *cluster.Session) error {
+						_, err := c.run(s, 1000, -1)
+						return err
+					})
+				if err != nil {
+					t.Fatalf("%d nodes: %v", nodes, err)
+				}
+				if got := (wireShape{stats.Messages, stats.Bytes}); got != c.wire[nodes] {
+					t.Errorf("%d nodes: wire %+v, want %+v", nodes, got, c.wire[nodes])
+				}
+				seen := map[int]map[string]bool{}
+				for _, sp := range tr.Spans() {
+					if seen[sp.Rank] == nil {
+						seen[sp.Rank] = map[string]bool{}
+					}
+					seen[sp.Rank][sp.Phase] = true
+				}
+				for r := range nodes {
+					for _, phase := range []string{"scatter", "bcast", "kernel", c.collect} {
+						if !seen[r][phase] {
+							t.Errorf("%d nodes: rank %d has no %q span", nodes, r, phase)
+						}
+					}
+				}
+			}
+		})
+	}
 }

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"triolet/internal/cluster"
 	"triolet/internal/domain"
 	"triolet/internal/iter"
-	"triolet/internal/mpi"
 	"triolet/internal/sched"
 	"triolet/internal/serial"
 )
@@ -19,11 +16,7 @@ import (
 // output order equals the sequential order even though per-node output
 // sizes are only known at run time.
 type FlatMapOp[S, A any, E any] struct {
-	name   string
-	sCodec serial.Codec[S]
-	aCodec serial.Codec[A]
-	eCodec serial.Codec[[]E]
-	kernel func(n *cluster.Node, slice S, aux A) ([]E, error)
+	*collective[S, A, []E]
 }
 
 // NewFlatMap registers a distributed variable-length producer under name.
@@ -36,89 +29,31 @@ func NewFlatMap[S, A any, E any](
 	eCodec serial.Codec[[]E],
 	kernel func(n *cluster.Node, slice S, aux A) ([]E, error),
 ) *FlatMapOp[S, A, E] {
-	op := &FlatMapOp[S, A, E]{
-		name:   name,
-		sCodec: sCodec,
-		aCodec: aCodec,
-		eCodec: eCodec,
-		kernel: kernel,
-	}
-	cluster.RegisterWorker(name, op.workerBody)
-	return op
-}
-
-// Name reports the kernel's registered name.
-func (op *FlatMapOp[S, A, E]) Name() string { return op.name }
-
-func (op *FlatMapOp[S, A, E]) workerBody(n *cluster.Node) error {
-	endScatter := n.Phase("scatter")
-	slice, err := mpi.ScatterT(n.Comm, 0, op.sCodec, nil)
-	endScatter()
-	if err != nil {
-		return fmt.Errorf("core: %s scatter: %w", op.name, err)
-	}
-	var zeroA A
-	endBcast := n.Phase("bcast")
-	aux, err := mpi.BcastT(n.Comm, 0, op.aCodec, zeroA)
-	endBcast()
-	if err != nil {
-		return fmt.Errorf("core: %s bcast: %w", op.name, err)
-	}
-	endKernel := n.Phase("kernel")
-	out, err := op.kernel(n, slice, aux)
-	endKernel()
-	if err != nil {
-		return fmt.Errorf("core: %s kernel: %w", op.name, err)
-	}
-	endGather := n.Phase("gather")
-	_, err = mpi.GatherT(n.Comm, 0, op.eCodec, out)
-	endGather()
-	return err
+	return &FlatMapOp[S, A, E]{newCollective(name, sCodec, aCodec, eCodec, kernel, nil)}
 }
 
 // Run executes the skeleton and returns the concatenated output.
 func (op *FlatMapOp[S, A, E]) Run(s *cluster.Session, src DistSource[S], aux A) ([]E, error) {
-	n := s.Node()
-	if err := s.Invoke(op.name); err != nil {
+	sections, err := op.run(s, func() []S {
+		return sliceRanges(src, domain.BlockPartition(src.Tasks(), s.Node().Nodes()))
+	}, aux)
+	if err != nil {
 		return nil, err
 	}
-	endScatter := n.Phase("scatter")
-	parts := make([]S, n.Nodes())
-	for i, r := range domain.BlockPartition(src.Tasks(), n.Nodes()) {
-		parts[i] = src.Slice(r)
-	}
-	mine, err := mpi.ScatterT(n.Comm, 0, op.sCodec, parts)
-	endScatter()
-	if err != nil {
-		return nil, fmt.Errorf("core: %s scatter: %w", op.name, err)
-	}
-	endBcast := n.Phase("bcast")
-	aux, err = mpi.BcastT(n.Comm, 0, op.aCodec, aux)
-	endBcast()
-	if err != nil {
-		return nil, fmt.Errorf("core: %s bcast: %w", op.name, err)
-	}
-	endKernel := n.Phase("kernel")
-	myOut, err := op.kernel(n, mine, aux)
-	endKernel()
-	if err != nil {
-		return nil, fmt.Errorf("core: %s kernel: %w", op.name, err)
-	}
-	endGather := n.Phase("gather")
-	sections, err := mpi.GatherT(n.Comm, 0, op.eCodec, myOut)
-	endGather()
-	if err != nil {
-		return nil, fmt.Errorf("core: %s gather: %w", op.name, err)
-	}
+	return concat(sections), nil
+}
+
+// concat joins sections in order into one exactly-sized slice.
+func concat[T any](sections [][]T) []T {
 	total := 0
 	for _, sec := range sections {
 		total += len(sec)
 	}
-	out := make([]E, 0, total)
+	out := make([]T, 0, total)
 	for _, sec := range sections {
 		out = append(out, sec...)
 	}
-	return out, nil
+	return out
 }
 
 // CollectLocal packs a (possibly irregular) iterator into a slice on one
@@ -146,13 +81,5 @@ func CollectLocal[T any](pool *sched.Pool, it iter.Iter[T], grain int) []T {
 			parts[b] = iter.ToSlice(iter.Split(it, blocks[b]))
 		}
 	})
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]T, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
+	return concat(parts)
 }

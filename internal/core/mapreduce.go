@@ -5,7 +5,6 @@ import (
 
 	"triolet/internal/cluster"
 	"triolet/internal/domain"
-	"triolet/internal/mpi"
 	"triolet/internal/serial"
 )
 
@@ -20,15 +19,10 @@ import (
 // node (e.g. mri-q's sample array, tpacf's observed data set), R the
 // result.
 type MapReduceOp[S, A, R any] struct {
-	name    string
-	sCodec  serial.Codec[S]
-	aCodec  serial.Codec[A]
-	rCodec  serial.Codec[R]
-	kernel  func(n *cluster.Node, slice S, aux A) (R, error)
-	combine func(R, R) R
-	// partition overrides the node partition (default BlockPartition).
-	// The deterministic reduction skeletons set it to a chunk-aligned
-	// partition so fixed-offset chunks never straddle two nodes.
+	*collective[S, A, R]
+	// partition cuts the task range into one range per node. The
+	// deterministic reduction skeletons use a chunk-aligned partition so
+	// fixed-offset chunks never straddle two nodes.
 	partition func(tasks, nodes int) []domain.Range
 }
 
@@ -44,94 +38,40 @@ func NewMapReduce[S, A, R any](
 	kernel func(n *cluster.Node, slice S, aux A) (R, error),
 	combine func(R, R) R,
 ) *MapReduceOp[S, A, R] {
-	op := &MapReduceOp[S, A, R]{
-		name:    name,
-		sCodec:  sCodec,
-		aCodec:  aCodec,
-		rCodec:  rCodec,
-		kernel:  kernel,
-		combine: combine,
-	}
-	cluster.RegisterWorker(name, op.workerBody)
-	return op
+	return newMapReduce(name, sCodec, aCodec, rCodec, kernel, combine, domain.BlockPartition)
 }
 
-// Name reports the kernel's registered name.
-func (op *MapReduceOp[S, A, R]) Name() string { return op.name }
-
-// workerBody is the non-master side: receive slice and aux, compute, feed
-// the reduction tree.
-func (op *MapReduceOp[S, A, R]) workerBody(n *cluster.Node) error {
-	endScatter := n.Phase("scatter")
-	slice, err := mpi.ScatterT(n.Comm, 0, op.sCodec, nil)
-	endScatter()
-	if err != nil {
-		return fmt.Errorf("core: %s scatter: %w", op.name, err)
+// newMapReduce is NewMapReduce with the node partition chosen by the caller.
+func newMapReduce[S, A, R any](
+	name string,
+	sCodec serial.Codec[S],
+	aCodec serial.Codec[A],
+	rCodec serial.Codec[R],
+	kernel func(n *cluster.Node, slice S, aux A) (R, error),
+	combine func(R, R) R,
+	partition func(tasks, nodes int) []domain.Range,
+) *MapReduceOp[S, A, R] {
+	return &MapReduceOp[S, A, R]{
+		collective: newCollective(name, sCodec, aCodec, rCodec, kernel, combine),
+		partition:  partition,
 	}
-	var zeroA A
-	endBcast := n.Phase("bcast")
-	aux, err := mpi.BcastT(n.Comm, 0, op.aCodec, zeroA)
-	endBcast()
-	if err != nil {
-		return fmt.Errorf("core: %s bcast: %w", op.name, err)
-	}
-	endKernel := n.Phase("kernel")
-	r, err := op.kernel(n, slice, aux)
-	endKernel()
-	if err != nil {
-		return fmt.Errorf("core: %s kernel: %w", op.name, err)
-	}
-	endReduce := n.Phase("reduce")
-	_, _, err = mpi.ReduceT(n.Comm, op.rCodec, r, op.combine)
-	endReduce()
-	return err
 }
 
-// Run executes the skeleton from the master: block-partitions src's tasks
-// across nodes, ships slices and the aux broadcast, computes the master's
-// own share inline, and returns the tree-reduced result.
+// Run executes the skeleton from the master: partitions src's tasks across
+// nodes, ships slices and the aux broadcast, computes the master's own
+// share inline, and returns the tree-reduced result.
 func (op *MapReduceOp[S, A, R]) Run(s *cluster.Session, src DistSource[S], aux A) (R, error) {
 	var zero R
-	n := s.Node()
-	if err := s.Invoke(op.name); err != nil {
+	totals, err := op.run(s, func() []S {
+		return sliceRanges(src, op.partition(src.Tasks(), s.Node().Nodes()))
+	}, aux)
+	if err != nil {
 		return zero, err
 	}
-	endScatter := n.Phase("scatter")
-	split := op.partition
-	if split == nil {
-		split = domain.BlockPartition
-	}
-	parts := make([]S, n.Nodes())
-	for i, r := range split(src.Tasks(), n.Nodes()) {
-		parts[i] = src.Slice(r)
-	}
-	mine, err := mpi.ScatterT(n.Comm, 0, op.sCodec, parts)
-	endScatter()
-	if err != nil {
-		return zero, fmt.Errorf("core: %s scatter: %w", op.name, err)
-	}
-	endBcast := n.Phase("bcast")
-	aux, err = mpi.BcastT(n.Comm, 0, op.aCodec, aux)
-	endBcast()
-	if err != nil {
-		return zero, fmt.Errorf("core: %s bcast: %w", op.name, err)
-	}
-	endKernel := n.Phase("kernel")
-	r, err := op.kernel(n, mine, aux)
-	endKernel()
-	if err != nil {
-		return zero, fmt.Errorf("core: %s kernel: %w", op.name, err)
-	}
-	endReduce := n.Phase("reduce")
-	total, ok, err := mpi.ReduceT(n.Comm, op.rCodec, r, op.combine)
-	endReduce()
-	if err != nil {
-		return zero, fmt.Errorf("core: %s reduce: %w", op.name, err)
-	}
-	if !ok {
+	if len(totals) != 1 {
 		return zero, fmt.Errorf("core: %s reduce produced no result at root", op.name)
 	}
-	return total, nil
+	return totals[0], nil
 }
 
 // RunLocal executes the same kernel without leaving the master node,

@@ -3,6 +3,7 @@ package iter
 import (
 	"fmt"
 
+	"triolet/internal/array"
 	"triolet/internal/domain"
 )
 
@@ -165,28 +166,10 @@ func Build[T any](it Iter2[T]) Matrix2[T] {
 	return m
 }
 
-// Matrix2 duplicates the minimal matrix surface iter needs (row-major flat
-// storage) without importing internal/array, keeping this package
-// dependency-free except for domain. internal/array.Matrix converts to and
-// from Matrix2 for free since the layouts are identical.
-type Matrix2[T any] struct {
-	H, W int
-	Data []T
-}
-
-// Row returns row y as a view.
-func (m Matrix2[T]) Row(y int) []T { return m.Data[y*m.W : (y+1)*m.W : (y+1)*m.W] }
-
-// At returns the element at (y, x).
-func (m Matrix2[T]) At(y, x int) T { return m.Data[y*m.W+x] }
-
-// Clone returns a deep copy. Double-buffered consumers (iterated stencils)
-// clone once and then alternate buffers in place.
-func (m Matrix2[T]) Clone() Matrix2[T] {
-	cp := make([]T, len(m.Data))
-	copy(cp, m.Data)
-	return Matrix2[T]{H: m.H, W: m.W, Data: cp}
-}
+// Matrix2 is array.Matrix under the name iter's 2-D consumers use for it:
+// one row-major matrix type serves iterators, skeletons and wire codecs, so
+// no seam between them converts.
+type Matrix2[T any] = array.Matrix[T]
 
 // MatrixRows iterates over a matrix's rows as zero-copy slice views — the
 // post-fusion form of the paper's rows function, where each row iterator

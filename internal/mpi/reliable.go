@@ -68,6 +68,9 @@ func (e *RankLostError) Error() string {
 
 func (e *RankLostError) Unwrap() error { return ErrRankLost }
 
+// ackBackoff multiplies the ack timeout after each retransmission.
+const ackBackoff = 1.6
+
 // ReliableConfig tunes the ack/retry protocol. Zero values select the
 // defaults noted on each field.
 type ReliableConfig struct {
@@ -79,9 +82,6 @@ type ReliableConfig struct {
 	// Retries is the number of retransmissions before a silent peer is
 	// declared lost (default 8).
 	Retries int
-	// Backoff multiplies the timeout after each retransmission
-	// (default 1.6).
-	Backoff float64
 	// MaxAckTimeout caps the backed-off timeout (default 250ms).
 	MaxAckTimeout time.Duration
 	// BackoffJitter spreads each attempt's ack deadline by up to this
@@ -126,9 +126,6 @@ func (cfg ReliableConfig) withDefaults() ReliableConfig {
 	}
 	if cfg.Retries <= 0 {
 		cfg.Retries = 8
-	}
-	if cfg.Backoff < 1 {
-		cfg.Backoff = 1.6
 	}
 	if cfg.MaxAckTimeout <= 0 {
 		cfg.MaxAckTimeout = 250 * time.Millisecond
@@ -626,7 +623,7 @@ func (r *reliable) send(ctx context.Context, dst, tag int, payload []byte, share
 			}
 			r.c.ep.Wait(ctx, gen, wakeAt)
 		}
-		timeout = time.Duration(float64(timeout) * r.cfg.Backoff)
+		timeout = time.Duration(float64(timeout) * ackBackoff)
 		if timeout > maxTimeout {
 			timeout = maxTimeout
 		}

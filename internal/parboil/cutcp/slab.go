@@ -7,9 +7,7 @@ import (
 	"triolet/internal/core"
 	"triolet/internal/domain"
 	"triolet/internal/iter"
-	"triolet/internal/mpi"
 	"triolet/internal/serial"
-	"triolet/internal/transport"
 )
 
 // Slab-decomposed cutcp: an extension beyond the paper's implementation.
@@ -132,88 +130,4 @@ func TrioletSlab(s *cluster.Session, in *Input) ([]float32, error) {
 		return nil, fmt.Errorf("cutcp: slab gather produced %d points, want %d", len(out), g.Points())
 	}
 	return out, nil
-}
-
-// RefSlab is the matching hand-written reference for the extension:
-// explicit sends of routed atom lists, per-slab compute, slab gather.
-func RefSlab(cfg cluster.Config, in *Input) ([]float32, error) {
-	var out []float32
-	g := in.Geo
-	err := mpiRunSlab(cfg, in, func(c *mpi.Comm, t slabTask, grid *[]float32) {
-		*grid = make([]float32, (t.ZHi-t.ZLo)*g.Dim.H*g.Dim.W)
-		for _, a := range t.Atoms {
-			accumulateSlab(g, a, t.ZLo, t.ZHi, *grid)
-		}
-	}, &out)
-	return out, err
-}
-
-// accumulateSlab is Accumulate clipped and rebased to a slab.
-func accumulateSlab(g Geometry, a Atom, zLo, zHi int, grid []float32) {
-	zr, yr, xr := AtomBox(g, a)
-	zr = zr.Intersect(domain.Range{Lo: zLo, Hi: zHi})
-	for z := zr.Lo; z < zr.Hi; z++ {
-		for y := yr.Lo; y < yr.Hi; y++ {
-			base := ((z-zLo)*g.Dim.H + y) * g.Dim.W
-			for x := xr.Lo; x < xr.Hi; x++ {
-				if v, ok := Contribution(g, a, domain.Ix3{Z: z, Y: y, X: x}); ok {
-					grid[base+x] += v
-				}
-			}
-		}
-	}
-}
-
-func mpiRunSlab(cfg cluster.Config, in *Input, kernel func(c *mpi.Comm, t slabTask, grid *[]float32), out *[]float32) error {
-	g := in.Geo
-	const tagTask = 11
-	const tagSlab = 12
-	return mpi.Run(transport.Config{Ranks: cfg.Nodes}, func(c *mpi.Comm) error {
-		if c.Rank() == 0 {
-			slabs := domain.BlockPartition(g.Dim.D, c.Size())
-			routed := make([][]Atom, c.Size())
-			for _, a := range in.Atoms {
-				zr, _, _ := AtomBox(g, a)
-				for sIdx, slab := range slabs {
-					if !slab.Intersect(zr).Empty() {
-						routed[sIdx] = append(routed[sIdx], a)
-					}
-				}
-			}
-			for dst := 1; dst < c.Size(); dst++ {
-				t := slabTask{Atoms: routed[dst], Geo: g, ZLo: slabs[dst].Lo, ZHi: slabs[dst].Hi}
-				if err := c.Send(dst, tagTask, serial.Marshal(slabTaskCodec(), t)); err != nil {
-					return err
-				}
-			}
-			var grid []float32
-			kernel(c, slabTask{Atoms: routed[0], Geo: g, ZLo: slabs[0].Lo, ZHi: slabs[0].Hi}, &grid)
-			result := make([]float32, 0, g.Points())
-			result = append(result, grid...)
-			for src := 1; src < c.Size(); src++ {
-				msg, err := c.Recv(src, tagSlab)
-				if err != nil {
-					return err
-				}
-				slab, err := serial.Unmarshal(serial.F32s(), msg.Payload)
-				if err != nil {
-					return err
-				}
-				result = append(result, slab...)
-			}
-			*out = result
-			return nil
-		}
-		msg, err := c.Recv(0, tagTask)
-		if err != nil {
-			return err
-		}
-		t, err := serial.Unmarshal(slabTaskCodec(), msg.Payload)
-		if err != nil {
-			return err
-		}
-		var grid []float32
-		kernel(c, t, &grid)
-		return c.Send(0, tagSlab, serial.Marshal(serial.F32s(), grid))
-	})
 }

@@ -35,18 +35,6 @@ func TestSlabMatchesSeq(t *testing.T) {
 	}
 }
 
-func TestRefSlabMatchesSeq(t *testing.T) {
-	in := smallInput(120, 43)
-	want := Seq(in)
-	got, err := RefSlab(cluster.Config{Nodes: 4, CoresPerNode: 1}, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := diffcheck.TolCutcpGrid.MaxRelDiffF32(got, want); d > diffcheck.TolCutcpGrid.RelDiff {
-		t.Fatalf("max rel diff %v", d)
-	}
-}
-
 // The extension's reason to exist: the replicated-grid implementation
 // ships one full grid per non-root node up the reduction tree, while the
 // slab version ships each slab exactly once — total grid traffic drops
@@ -74,6 +62,22 @@ func TestSlabReducesTraffic(t *testing.T) {
 	// duplicates boundary atoms).
 	if slab.Bytes*2 > replicated.Bytes {
 		t.Fatalf("slab moved %d bytes vs replicated %d: no traffic win", slab.Bytes, replicated.Bytes)
+	}
+}
+
+// accumulateSlab is Accumulate clipped and rebased to a slab.
+func accumulateSlab(g Geometry, a Atom, zLo, zHi int, grid []float32) {
+	zr, yr, xr := AtomBox(g, a)
+	zr = zr.Intersect(domain.Range{Lo: zLo, Hi: zHi})
+	for z := zr.Lo; z < zr.Hi; z++ {
+		for y := yr.Lo; y < yr.Hi; y++ {
+			base := ((z-zLo)*g.Dim.H + y) * g.Dim.W
+			for x := xr.Lo; x < xr.Hi; x++ {
+				if v, ok := Contribution(g, a, domain.Ix3{Z: z, Y: y, X: x}); ok {
+					grid[base+x] += v
+				}
+			}
+		}
 	}
 }
 

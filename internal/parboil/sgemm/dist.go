@@ -37,23 +37,17 @@ func blockCodec() serial.Codec[blockSlice] {
 	}
 }
 
-// m2 views an array.Matrix as an iter.Matrix2 (identical layout).
-func m2(m array.Matrix[float32]) iter.Matrix2[float32] {
-	return iter.Matrix2[float32]{H: m.H, W: m.W, Data: m.Data}
-}
-
 // blockMul computes one output block with the paper's two-line Triolet
 // program: outerproduct of row iterators, dot product per element,
 // materialized with the (optionally threaded) block builder.
 func blockMul(pool *sched.Pool, s blockSlice) array.Matrix[float32] {
-	zipped := iter.OuterProduct(iter.MatrixRows(m2(s.ARows)), iter.MatrixRows(m2(s.BTRows)))
+	zipped := iter.OuterProduct(iter.MatrixRows(s.ARows), iter.MatrixRows(s.BTRows))
 	prods := iter.Map2(func(p iter.Pair[[]float32, []float32]) float32 {
 		// dot(u, v): the fused sequential inner loop over two contiguous
 		// row views.
 		return RowDot(s.Alpha, p.Fst, p.Snd)
 	}, zipped)
-	out := core.Build2Local(pool, iter.LocalPar2(prods))
-	return array.Matrix[float32]{H: out.H, W: out.W, Data: out.Data}
+	return core.Build2Local(pool, iter.LocalPar2(prods))
 }
 
 // blockMulImperative is the unboxed-array loop nest the hand-optimized

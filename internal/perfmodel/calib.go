@@ -1,6 +1,7 @@
 package perfmodel
 
 import (
+	"slices"
 	"time"
 
 	"triolet/internal/array"
@@ -46,21 +47,53 @@ type Calibration struct {
 // rejects scheduler noise, which matters on a small shared machine:
 // identical kernels must calibrate to identical costs.
 func measure(units int, f func()) float64 {
-	const minDur = 25 * time.Millisecond
-	const minCalls = 5
-	f() // warm up
-	best := time.Duration(1<<62 - 1)
-	total := time.Duration(0)
-	for calls := 0; calls < minCalls || total < minDur; calls++ {
-		start := time.Now()
-		f()
-		d := time.Since(start)
-		total += d
-		if d < best {
-			best = d
+	return measureEach(units, f)[0]
+}
+
+// measureEach is measure for rival implementations of one kernel, timed in
+// interleaved rounds — fs[0], fs[1], …, fs[0], … — each keeping its own
+// minimum. The model's shape claims are orderings between rivals, so a
+// burst of host load must not land on one of them alone, as it does when
+// each is measured to completion before the next starts. Rounds continue
+// until the minima have settled: on a busy host a rival that has not yet
+// had a clean run keeps improving, and stopping at a fixed count would
+// freeze that lag into the ordering.
+func measureEach(units int, fs ...func()) []float64 {
+	const (
+		minDur    = 25 * time.Millisecond
+		minRounds = 5
+		settled   = 3  // consecutive rounds in which no minimum fell by 2 %
+		maxRounds = 60 // bound on a host that never goes quiet
+	)
+	best := make([]time.Duration, len(fs))
+	total := make([]time.Duration, len(fs))
+	for i, f := range fs {
+		f() // warm up
+		best[i] = time.Duration(1<<62 - 1)
+	}
+	quiet := 0
+	for round := 0; ; round++ {
+		sampled := round >= minRounds && slices.Min(total) >= minDur
+		if sampled && (quiet >= settled || round >= maxRounds) {
+			break
+		}
+		quiet++
+		for i, f := range fs {
+			start := time.Now()
+			f()
+			d := time.Since(start)
+			total[i] += d
+			if d < best[i]-best[i]/50 {
+				quiet = 0
+			}
+			best[i] = min(best[i], d)
 		}
 	}
-	return best.Seconds() / float64(units)
+	out := make([]float64, len(fs))
+	for i, b := range best {
+		out[i] = b.Seconds() / float64(units)
+	}
+	return out
 }
 
 var sink float64 // defeat dead-code elimination
@@ -104,7 +137,9 @@ func CalibratePlanning() Calibration {
 }
 
 // Calibrate measures every unit cost on the current machine. It takes on
-// the order of a second and should be called once per process.
+// the order of a second and should be called once per process. Each
+// kernel's rivals are passed to measureEach in Impl order: RefC, Triolet,
+// Eden.
 func Calibrate() Calibration {
 	var c Calibration
 
@@ -112,9 +147,10 @@ func Calibrate() Calibration {
 	{
 		in := mriq.Gen(192, 256, 42)
 		units := in.NumVoxels() * in.NumSamples()
-		c.MRIQUnit[RefC] = measure(units, func() { sink += float64(mriq.Seq(in)[0].Re) })
-		c.MRIQUnit[Triolet] = measure(units, func() { sink += float64(mriq.SeqTriolet(in)[0].Re) })
-		c.MRIQUnit[Eden] = measure(units, func() { sink += float64(mriq.SeqEden(in)[0].Re) })
+		c.MRIQUnit = [3]float64(measureEach(units,
+			func() { sink += float64(mriq.Seq(in)[0].Re) },
+			func() { sink += float64(mriq.SeqTriolet(in)[0].Re) },
+			func() { sink += float64(mriq.SeqEden(in)[0].Re) }))
 	}
 
 	// sgemm: 320³, large enough that per-element pipeline overhead is
@@ -122,9 +158,10 @@ func Calibrate() Calibration {
 	{
 		in := sgemm.Gen(320, 320, 320, 42)
 		units := 320 * 320 * 320
-		c.SGEMMMac[RefC] = measure(units, func() { sink += float64(sgemm.Seq(in).Data[0]) })
-		c.SGEMMMac[Triolet] = measure(units, func() { sink += float64(sgemm.SeqTriolet(in).Data[0]) })
-		c.SGEMMMac[Eden] = measure(units, func() { sink += float64(sgemm.SeqEden(in).Data[0]) })
+		c.SGEMMMac = [3]float64(measureEach(units,
+			func() { sink += float64(sgemm.Seq(in).Data[0]) },
+			func() { sink += float64(sgemm.SeqTriolet(in).Data[0]) },
+			func() { sink += float64(sgemm.SeqEden(in).Data[0]) }))
 
 		m := array.NewMatrix[float32](256, 256)
 		c.SGEMMTransposeElem = measure(256*256, func() {
@@ -138,9 +175,10 @@ func Calibrate() Calibration {
 		n := int64(96)
 		s := int64(4)
 		units := int(n*(n-1)/2 + s*(n*n) + s*(n*(n-1)/2))
-		c.TPACFPair[RefC] = measure(units, func() { sink += float64(tpacf.Seq(in).DD[0]) })
-		c.TPACFPair[Triolet] = measure(units, func() { sink += float64(tpacf.SeqTriolet(in).DD[0]) })
-		c.TPACFPair[Eden] = measure(units, func() { sink += float64(tpacf.SeqEden(in).DD[0]) })
+		c.TPACFPair = [3]float64(measureEach(units,
+			func() { sink += float64(tpacf.Seq(in).DD[0]) },
+			func() { sink += float64(tpacf.SeqTriolet(in).DD[0]) },
+			func() { sink += float64(tpacf.SeqEden(in).DD[0]) }))
 	}
 
 	// cutcp: 64 atoms on a 16³ grid.
@@ -151,9 +189,10 @@ func Calibrate() Calibration {
 			zr, yr, xr := cutcp.AtomBox(in.Geo, a)
 			units += zr.Len() * yr.Len() * xr.Len()
 		}
-		c.CUTCPCell[RefC] = measure(units, func() { sink += float64(cutcp.Seq(in)[0]) })
-		c.CUTCPCell[Triolet] = measure(units, func() { sink += float64(cutcp.SeqTriolet(in)[0]) })
-		c.CUTCPCell[Eden] = measure(units, func() { sink += float64(cutcp.SeqEden(in)[0]) })
+		c.CUTCPCell = [3]float64(measureEach(units,
+			func() { sink += float64(cutcp.Seq(in)[0]) },
+			func() { sink += float64(cutcp.SeqTriolet(in)[0]) },
+			func() { sink += float64(cutcp.SeqEden(in)[0]) }))
 	}
 
 	measureCommon(&c)

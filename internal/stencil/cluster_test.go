@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"triolet/internal/mpi"
 	"triolet/internal/serial"
 	"triolet/internal/stencil"
+	"triolet/internal/trace"
 	"triolet/internal/transport"
 )
 
@@ -247,4 +249,63 @@ func TestFarmOpChaosResume(t *testing.T) {
 		}
 	}
 	_ = os.Remove(walPath)
+}
+
+// TestOpSkeletonContract holds stencil.Op to the rows of core's skeleton
+// contract that apply to it (a stencil.Func cannot fail, so the kernel-error
+// rows do not): an empty grid and more nodes than rows give the local
+// answer, the wire shape at 1, 2 and 4 nodes is the constant recorded when
+// Op still hand-rolled its collectives, and every rank brackets its
+// scatter, bcast, kernel and gather.
+func TestOpSkeletonContract(t *testing.T) {
+	par := stencil.Params[int64]{Radius: 1, Boundary: stencil.Wrap}
+	const iters = 2
+	for _, shape := range []struct{ h, w, nodes int }{{0, 5, 1}, {0, 5, 4}, {3, 5, 8}} {
+		g := fillI64(shape.h, shape.w, 7)
+		want := refIterate(g, par, sumKernel(1), iters)
+		var got iter.Matrix2[int64]
+		if _, err := cluster.Run(cluster.Config{Nodes: shape.nodes, CoresPerNode: 1},
+			func(s *cluster.Session) error {
+				var err error
+				got, err = opSum1.Run(s, g, par, iters)
+				return err
+			}); err != nil {
+			t.Fatalf("%+v: %v", shape, err)
+		}
+		if got.H != shape.h || got.W != shape.w || !slices.Equal(got.Data, want) {
+			t.Errorf("%+v: got %dx%d %v, want %v", shape, got.H, got.W, got.Data, want)
+		}
+	}
+
+	type wireShape struct{ msgs, bytes, halo int64 }
+	wire := map[int]wireShape{1: {0, 0, 0}, 2: {9, 1669, 544}, 4: {31, 2991, 1152}}
+	g := fillI64(16, 8, 11)
+	for _, nodes := range []int{1, 2, 4} {
+		tr := trace.New()
+		stats, err := cluster.Run(cluster.Config{Nodes: nodes, CoresPerNode: 1, Tracer: tr},
+			func(s *cluster.Session) error {
+				_, err := opSum1.Run(s, g, par, iters)
+				return err
+			})
+		if err != nil {
+			t.Fatalf("%d nodes: %v", nodes, err)
+		}
+		if got := (wireShape{stats.Messages, stats.Bytes, stats.HaloBytes}); got != wire[nodes] {
+			t.Errorf("%d nodes: wire %+v, want %+v", nodes, got, wire[nodes])
+		}
+		seen := map[int]map[string]bool{}
+		for _, sp := range tr.Spans() {
+			if seen[sp.Rank] == nil {
+				seen[sp.Rank] = map[string]bool{}
+			}
+			seen[sp.Rank][sp.Phase] = true
+		}
+		for r := range nodes {
+			for _, phase := range []string{"scatter", "bcast", "kernel", "gather"} {
+				if !seen[r][phase] {
+					t.Errorf("%d nodes: rank %d has no %q span", nodes, r, phase)
+				}
+			}
+		}
+	}
 }

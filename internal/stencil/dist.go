@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"triolet/internal/cluster"
+	"triolet/internal/core"
 	"triolet/internal/domain"
 	"triolet/internal/iter"
 	"triolet/internal/mpi"
@@ -288,28 +289,29 @@ func (s *Slab[T]) step(c *mpi.Comm, pool *sched.Pool, fn Func[T]) error {
 	return nil
 }
 
-// Op is a registered distributed stencil kernel over the cluster's
-// collectives: the master broadcasts a header (shape, iterations, Params)
-// and scatters row slabs; every rank then iterates Slab.step — exchange
-// overlapped with the interior sweep; the final generation is gathered back.
-// Register once at init — one registration serves every grid shape, radius,
-// and boundary strategy, which travel in the header.
+// Op is a registered distributed stencil kernel: an instance of core's
+// FlatMap skeleton whose source is the grid's rows, whose aux is a header
+// (shape, iterations, Params) and whose kernel iterates Slab.step — each
+// exchange overlapped with the interior sweep — over the rank's row slab;
+// the final generation is gathered back. Register once at init — one
+// registration serves every grid shape, radius, and boundary strategy,
+// which travel in the header.
 type Op[T any] struct {
-	name  string
 	elem  serial.Codec[T]
 	elems serial.Codec[[]T]
 	fn    Func[T]
+	dist  *core.FlatMapOp[[]T, opHeader[T], T]
 }
 
 // NewOp registers the distributed stencil kernel "stencil.<name>".
 func NewOp[T any](name string, elem serial.Codec[T], elems serial.Codec[[]T], fn Func[T]) *Op[T] {
-	op := &Op[T]{name: "stencil." + name, elem: elem, elems: elems, fn: fn}
-	cluster.RegisterWorker(op.name, op.workerBody)
+	op := &Op[T]{elem: elem, elems: elems, fn: fn}
+	op.dist = core.NewFlatMap("stencil."+name, elems, op.hdrCodec(), elems, op.iterate)
 	return op
 }
 
 // Name reports the kernel's registered name.
-func (op *Op[T]) Name() string { return op.name }
+func (op *Op[T]) Name() string { return op.dist.Name() }
 
 // Fn returns the kernel function, so callers can run the same kernel
 // locally.
@@ -341,33 +343,15 @@ func (op *Op[T]) hdrCodec() serial.Codec[opHeader[T]] {
 	}
 }
 
-func (op *Op[T]) workerBody(n *cluster.Node) error {
-	var zero opHeader[T]
-	hdr, err := mpi.BcastT(n.Comm, 0, op.hdrCodec(), zero)
-	if err != nil {
-		return fmt.Errorf("%s header: %w", op.name, err)
-	}
-	rows, err := mpi.ScatterT(n.Comm, 0, op.elems, nil)
-	if err != nil {
-		return fmt.Errorf("%s scatter: %w", op.name, err)
-	}
-	out, err := op.iterate(n, hdr, rows)
-	if err != nil {
-		return err
-	}
-	_, err = mpi.GatherT(n.Comm, 0, op.elems, out)
-	return err
-}
-
-// iterate is the per-rank body shared by master and workers.
-func (op *Op[T]) iterate(n *cluster.Node, hdr opHeader[T], rows []T) ([]T, error) {
+// iterate is the skeleton's kernel: every rank sweeps its slab hdr.iters
+// times. The partition it derives from the header is the one the skeleton
+// cut rows by — both block-partition hdr.h rows over the nodes.
+func (op *Op[T]) iterate(n *cluster.Node, rows []T, hdr opHeader[T]) ([]T, error) {
 	part := NewPartition(hdr.h, hdr.w, n.Nodes())
 	sl, err := NewSlab(part, n.Rank(), hdr.par, op.elems, rows)
 	if err != nil {
 		return nil, err
 	}
-	endKernel := n.Phase("kernel")
-	defer endKernel()
 	for i := 0; i < hdr.iters; i++ {
 		if err := sl.step(n.Comm, n.Pool, op.fn); err != nil {
 			return nil, err
@@ -386,41 +370,16 @@ func (op *Op[T]) Run(s *cluster.Session, g iter.Matrix2[T], par Params[T], iters
 	if len(g.Data) != g.H*g.W {
 		return zero, fmt.Errorf("stencil: %dx%d grid with %d cells", g.H, g.W, len(g.Data))
 	}
-	n := s.Node()
-	if err := s.Invoke(op.name); err != nil {
-		return zero, err
+	rows := core.FuncSource[[]T]{
+		N:       g.H,
+		SliceFn: func(r domain.Range) []T { return g.Data[r.Lo*g.W : r.Hi*g.W] },
 	}
-	hdr := opHeader[T]{h: g.H, w: g.W, iters: iters, par: par}
-	if _, err := mpi.BcastT(n.Comm, 0, op.hdrCodec(), hdr); err != nil {
-		return zero, fmt.Errorf("%s header: %w", op.name, err)
-	}
-	endScatter := n.Phase("scatter")
-	part := NewPartition(g.H, g.W, n.Nodes())
-	parts := make([][]T, n.Nodes())
-	for i, r := range part.Rows {
-		parts[i] = g.Data[r.Lo*g.W : r.Hi*g.W]
-	}
-	mine, err := mpi.ScatterT(n.Comm, 0, op.elems, parts)
-	endScatter()
-	if err != nil {
-		return zero, fmt.Errorf("%s scatter: %w", op.name, err)
-	}
-	out, err := op.iterate(n, hdr, mine)
+	data, err := op.dist.Run(s, rows, opHeader[T]{h: g.H, w: g.W, iters: iters, par: par})
 	if err != nil {
 		return zero, err
 	}
-	endGather := n.Phase("gather")
-	all, err := mpi.GatherT(n.Comm, 0, op.elems, out)
-	endGather()
-	if err != nil {
-		return zero, fmt.Errorf("%s gather: %w", op.name, err)
+	if len(data) != g.H*g.W {
+		return zero, fmt.Errorf("%s gather: %d cells for %dx%d grid", op.Name(), len(data), g.H, g.W)
 	}
-	res := iter.Matrix2[T]{H: g.H, W: g.W, Data: make([]T, 0, g.H*g.W)}
-	for _, rows := range all {
-		res.Data = append(res.Data, rows...)
-	}
-	if len(res.Data) != g.H*g.W {
-		return zero, fmt.Errorf("%s gather: %d cells for %dx%d grid", op.name, len(res.Data), g.H, g.W)
-	}
-	return res, nil
+	return iter.Matrix2[T]{H: g.H, W: g.W, Data: data}, nil
 }
