@@ -33,12 +33,15 @@ chaos:
 
 # The checkpoint/resume suites under -race: a master killed mid-farm, the
 # WAL reopened by a fresh session, results bit-identical to an undisturbed
-# run — plus the cancellation-latency tests they depend on.
+# run — for the farm, the farmed stencil and the job service, sampled under
+# chaos and enumerated at every durable write (CrashPoint) — plus the
+# cancellation-latency tests they depend on.
 chaos-resume:
 	$(GO) test -race -count=1 -timeout 5m \
-		-run 'Resume|Quarantine|Heartbeat|Cancel|Ctx' \
+		-run 'Resume|Quarantine|Heartbeat|Cancel|Ctx|CrashPoint' \
 		./internal/cluster/ ./internal/parboil/sgemm/ \
-		./internal/transport/ ./internal/mpi/
+		./internal/transport/ ./internal/mpi/ ./internal/stencil/ \
+		./internal/jobs/ ./internal/diffcheck/
 
 # The multi-tenant job-service acceptance gate (-race test + the
 # triolet-bench -campaign command): concurrent jobs with one poison-heavy

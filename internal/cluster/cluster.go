@@ -149,7 +149,7 @@ type Session struct {
 	node   *Node
 	fabric *transport.Fabric
 	// farmRuns counts this session's farm calls; each stamps its frames
-	// with its number (see farmRun.run).
+	// with its number (see Session.farm).
 	farmRuns int
 }
 

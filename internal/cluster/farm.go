@@ -7,21 +7,17 @@
 // worker dies — runs the remainder itself.
 //
 // The mechanism — dispatch, the worker loop, result collection, liveness,
-// the master fallback — is the Mux (farmmux.go). This file is the
-// single-job policy over it: a kernel error or panic is a per-task failure
-// retried on another worker up to MaxAttempts and then quarantined in
-// FarmResult.Failed instead of killing the job; completed tasks can be
-// written to a checkpoint.Store so a restarted master resumes a named job
-// re-executing only unfinished work; and the whole run is cancellable
-// through a context. The session degrades gracefully and reports the
-// partial failure in FarmResult instead of deadlocking, which is exactly
-// the behavior the paper's lossless-MPI runtime cannot offer (§3.4).
+// the master fallback — is the Mux (farmmux.go); the per-task failure
+// policy is the Ledger (ledger.go). This file joins the two for a single
+// job, cancellable through a context. The session degrades gracefully and
+// reports the partial failure in FarmResult instead of deadlocking, which is
+// exactly the behavior the paper's lossless-MPI runtime cannot offer (§3.4).
 package cluster
 
 import (
 	"context"
 	"fmt"
-	"slices"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -29,7 +25,6 @@ import (
 
 	"triolet/internal/checkpoint"
 	"triolet/internal/serial"
-	"triolet/internal/trace"
 	"triolet/internal/transport"
 )
 
@@ -176,184 +171,13 @@ func (s *Session) FarmOpts(name string, tasks [][]byte, opt FarmOptions) (*FarmR
 	return s.farm(name, tasks, opt, true)
 }
 
-// farmRun is one farm call's bookkeeping: which tasks are settled, how
-// often each has failed and where, and what is waiting for a worker.
-type farmRun struct {
-	name string
-	// run stamps this call's assignments in the frame's Job field, so a
-	// straggler's result from an earlier call on the session is told apart
-	// from this call's task of the same index.
-	run   string
-	tasks [][]byte
-	opt   FarmOptions
-	tr    *trace.Tracer
-	res   *FarmResult
-
-	completed  []bool
-	attempts   []int
-	lastWorker []int // rank whose failure requeued the task, -1 for none
-	queue      []int
-	done       int
-}
-
-// record appends one checkpoint record; a checkpoint that cannot be
-// written is job-fatal, because the resume guarantee would be silently
-// broken otherwise.
-func (r *farmRun) record(rec checkpoint.Record) error {
-	if r.opt.Checkpoint == nil {
-		return nil
-	}
-	rec.Job = r.opt.Job
-	if err := r.opt.Checkpoint.Append(rec); err != nil {
-		return fmt.Errorf("cluster: farm %q checkpoint: %w", r.name, err)
-	}
-	r.tr.Instant(0, "farm.checkpoint", int64(len(rec.Payload)))
-	return nil
-}
-
-// resume replays the job's checkpoint records, marking their tasks finished.
-func (r *farmRun) resume() error {
-	if r.opt.Checkpoint == nil {
-		return nil
-	}
-	recs, err := r.opt.Checkpoint.Load(r.opt.Job)
-	if err != nil {
-		return fmt.Errorf("cluster: farm %q: load checkpoint: %w", r.name, err)
-	}
-	for _, rec := range recs {
-		if rec.Task < 0 || rec.Task >= len(r.tasks) || r.completed[rec.Task] {
-			continue
-		}
-		switch rec.Kind {
-		case checkpoint.KindResult:
-			r.res.Results[rec.Task] = rec.Payload
-		case checkpoint.KindFailed:
-			r.res.Failed = append(r.res.Failed, TaskFailure{
-				Task: rec.Task, Attempts: rec.Attempts, Err: string(rec.Payload),
-			})
-		default:
-			continue
-		}
-		r.completed[rec.Task] = true
-		r.done++
-		r.res.Resumed++
-	}
-	if r.res.Resumed > 0 {
-		r.tr.Instant(0, "farm.resume", int64(r.res.Resumed))
-	}
-	return nil
-}
-
-// failTask applies the per-task failure policy: count the attempt,
-// requeue for another worker, quarantine once the budget is spent.
-func (r *farmRun) failTask(idx, worker int, msg string) error {
-	r.attempts[idx]++
-	r.tr.Instant(0, "farm.task-fail", int64(idx))
-	if r.attempts[idx] < r.opt.MaxAttempts {
-		r.lastWorker[idx] = worker
-		r.queue = append(r.queue, idx)
-		r.res.Retried++
-		return nil
-	}
-	if err := r.record(checkpoint.Record{
-		Task: idx, Kind: checkpoint.KindFailed,
-		Attempts: r.attempts[idx], Payload: []byte(msg),
-	}); err != nil {
-		return err
-	}
-	r.res.Failed = append(r.res.Failed, TaskFailure{Task: idx, Attempts: r.attempts[idx], Err: msg})
-	r.completed[idx] = true
-	r.done++
-	r.tr.Instant(0, "farm.quarantine", int64(idx))
-	return nil
-}
-
-// finishTask records and stores one successful result.
-func (r *farmRun) finishTask(idx int, out []byte) error {
-	if err := r.record(checkpoint.Record{Task: idx, Kind: checkpoint.KindResult, Payload: out}); err != nil {
-		return err
-	}
-	r.res.Results[idx] = out
-	r.completed[idx] = true
-	r.done++
-	return nil
-}
-
-// take pops the next queued task for worker w (0 is the master),
-// preferring one w has not just failed, so a flaky task's retry lands on
-// another worker when one exists.
-func (r *farmRun) take(w int) MuxAssignment {
-	pick := 0
-	for i, idx := range r.queue {
-		if r.lastWorker[idx] != w {
-			pick = i
-			break
-		}
-	}
-	idx := r.queue[pick]
-	r.queue = slices.Delete(r.queue, pick, pick+1)
-	return MuxAssignment{Job: r.run, Kernel: r.name, Task: idx, Payload: r.tasks[idx]}
-}
-
-// handle applies one Mux observation to the run.
-func (r *farmRun) handle(ev MuxEvent) error {
-	if ev.Kind == MuxWorkerLost {
-		r.res.Lost = append(r.res.Lost, ev.Worker)
-		for _, a := range ev.Requeued {
-			// The in-flight task goes back to the front of the line, unless
-			// a late result from an earlier holder settled it meanwhile.
-			if !r.completed[a.Task] {
-				r.queue = slices.Insert(r.queue, 0, a.Task)
-				r.res.Reassigned++
-			}
-		}
-		return nil
-	}
-	if ev.Job != r.run {
-		// A worker written off during an earlier farm call on this session
-		// woke up and replied: its task index means nothing to this call.
-		return nil
-	}
-	idx := ev.Task
-	if idx >= len(r.tasks) {
-		return fmt.Errorf("cluster: farm %q: malformed result from node %d", r.name, ev.Worker)
-	}
-	if r.completed[idx] {
-		// A worker retired as silent may still deliver: its task was
-		// reassigned and already finished elsewhere. Drop the duplicate.
-		return nil
-	}
-	// A late result for a requeued task is still a first-class outcome;
-	// pull the task back out of the queue.
-	if i := slices.Index(r.queue, idx); i >= 0 {
-		r.queue = slices.Delete(r.queue, i, i+1)
-	}
-	if !ev.OK {
-		msg := ev.Err
-		if ev.Worker != 0 {
-			msg = fmt.Sprintf("node %d: %s", ev.Worker, ev.Err)
-		}
-		return r.failTask(idx, ev.Worker, msg)
-	}
-	if err := r.finishTask(idx, ev.Result); err != nil {
-		return err
-	}
-	if ev.Worker == 0 {
-		r.res.MasterRan++
-	}
-	// Only the execution that settles a task is reported, so the observer
-	// sees each task at most once.
-	if r.opt.OnTaskTiming != nil && ev.Elapsed > 0 {
-		r.opt.OnTaskTiming(idx, ev.Elapsed)
-	}
-	return nil
-}
-
-// farm is the single-job policy over the Mux: resume from the checkpoint,
-// keep every idle worker fed from the queue, settle each result or failure
-// as it arrives, and idle on the master's mailbox in between. With
-// distribute false the Mux is opened with no worker dispatched, so every
-// task takes the master-fallback path (FarmAuto's master-local plans).
+// farm is the single-job client of the Mux: one Ledger (ledger.go) holds the
+// failure ladder, and this loop replays the job's checkpoint into it, keeps
+// every idle worker fed from it, settles one Mux event per turn through it —
+// a checkpointed outcome is appended to the store before it is committed —
+// and idles on the master's mailbox in between. With distribute false the
+// Mux is opened with no worker dispatched, so every task takes the
+// master-fallback path (FarmAuto's master-local plans).
 func (s *Session) farm(name string, tasks [][]byte, opt FarmOptions, distribute bool) (*FarmResult, error) {
 	if _, ok := lookupFarm(name); !ok {
 		return nil, fmt.Errorf("cluster: farm kernel %q not registered", name)
@@ -370,22 +194,25 @@ func (s *Session) farm(name string, tasks [][]byte, opt FarmOptions, distribute 
 	if opt.MaxAttempts <= 0 {
 		opt.MaxAttempts = defaultMaxAttempts
 	}
+	tr := s.node.Tracer
+	// The ledger is named for this call, not for opt.Job: the name stamps
+	// assignments on the wire, so a straggler's result from an earlier call
+	// on the session is told apart from this call's task of the same index.
+	// A farm call retries without a job-wide budget and without backoff.
 	s.farmRuns++
-	r := &farmRun{
-		name: name, run: "\x00farm" + strconv.Itoa(s.farmRuns), tasks: tasks, opt: opt,
-		tr:         s.node.Tracer,
-		res:        &FarmResult{Results: make([][]byte, len(tasks))},
-		completed:  make([]bool, len(tasks)),
-		attempts:   make([]int, len(tasks)),
-		lastWorker: make([]int, len(tasks)),
-	}
-	if err := r.resume(); err != nil {
-		return nil, err
-	}
-	for i := range tasks {
-		r.lastWorker[i] = -1
-		if !r.completed[i] {
-			r.queue = append(r.queue, i)
+	run := "\x00farm" + strconv.Itoa(s.farmRuns)
+	l := NewLedger(run, name, tasks, opt.MaxAttempts, math.MaxInt, nil)
+	res := &l.FarmResult // returned as it stands, partial, when the run fails
+	if opt.Checkpoint != nil {
+		recs, err := opt.Checkpoint.Load(opt.Job)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: farm %q: load checkpoint: %w", name, err)
+		}
+		for _, rec := range recs {
+			l.Replay(rec)
+		}
+		if res.Resumed > 0 {
+			tr.Instant(0, "farm.resume", int64(res.Resumed))
 		}
 	}
 	mux, err := s.openMux(MuxOptions{HeartbeatTimeout: opt.HeartbeatTimeout}, distribute)
@@ -393,10 +220,58 @@ func (s *Session) farm(name string, tasks [][]byte, opt FarmOptions, distribute 
 		return nil, fmt.Errorf("cluster: farm %q: %w", name, err)
 	}
 
+	clk := s.fabric.Clock()
+	// settle applies one Mux observation to the ledger.
+	settle := func(ev MuxEvent) error {
+		if ev.Kind == MuxWorkerLost {
+			res.Lost = append(res.Lost, ev.Worker)
+			for _, a := range ev.Requeued {
+				l.WorkerLost(ev.Worker, a)
+			}
+			return nil
+		}
+		if ev.Job == run && ev.Task >= len(tasks) {
+			return fmt.Errorf("cluster: farm %q: malformed result from node %d", name, ev.Worker)
+		}
+		verdict, rec := l.Observe(ev, clk.Now())
+		if verdict == VerdictDuplicate {
+			return nil
+		}
+		if !ev.OK {
+			tr.Instant(0, "farm.task-fail", int64(ev.Task))
+		}
+		if verdict == VerdictRetry {
+			return nil
+		}
+		if opt.Checkpoint != nil {
+			// A checkpoint that cannot be written is job-fatal: the resume
+			// guarantee would be silently broken otherwise.
+			rec.Job = opt.Job
+			if err := opt.Checkpoint.Append(rec); err != nil {
+				return fmt.Errorf("cluster: farm %q checkpoint: %w", name, err)
+			}
+			tr.Instant(0, "farm.checkpoint", int64(len(rec.Payload)))
+		}
+		l.Commit(rec)
+		if verdict == VerdictQuarantine {
+			tr.Instant(0, "farm.quarantine", int64(ev.Task))
+			return nil
+		}
+		if ev.Worker == 0 {
+			res.MasterRan++
+		}
+		// Only the execution that settles a task is reported, so the observer
+		// sees each task at most once.
+		if opt.OnTaskTiming != nil && ev.Elapsed > 0 {
+			opt.OnTaskTiming(ev.Task, ev.Elapsed)
+		}
+		return nil
+	}
+
 	ep := s.fabric.Endpoint(0) // the master idles on its own mailbox
-	for r.done < len(tasks) {
+	for l.Settled() < len(tasks) {
 		if err := ctx.Err(); err != nil {
-			return r.res, fmt.Errorf("cluster: farm %q: %w", name, err)
+			return res, fmt.Errorf("cluster: farm %q: %w", name, err)
 		}
 		// Read before draining: whatever lands after the Poll below moves
 		// the generation, so the wait at the bottom cannot sleep through it.
@@ -405,23 +280,24 @@ func (s *Session) farm(name string, tasks [][]byte, opt FarmOptions, distribute 
 		// Keep every idle live worker fed. A send to a worker that died
 		// retires it inside Assign; the task returns as a MuxWorkerLost event.
 		for _, w := range mux.Idle() {
-			if len(r.queue) == 0 {
+			a, ok := l.Next(w, clk.Now())
+			if !ok {
 				break
 			}
-			if err := mux.Assign(ctx, w, r.take(w)); err != nil {
-				return r.res, fmt.Errorf("cluster: farm %q assign: %w", name, err)
+			if err := mux.Assign(ctx, w, a); err != nil {
+				return res, fmt.Errorf("cluster: farm %q assign: %w", name, err)
 			}
 		}
 
 		ev, ok, err := mux.Poll()
 		if err != nil {
-			return r.res, fmt.Errorf("cluster: farm %q: %w", name, err)
+			return res, fmt.Errorf("cluster: farm %q: %w", name, err)
 		}
 		if ok {
 			// One event per turn: the worker a result frees is fed before
 			// the next result is settled (a checkpointed settle is an fsync).
-			if err := r.handle(ev); err != nil {
-				return r.res, err
+			if err := settle(ev); err != nil {
+				return res, err
 			}
 			continue
 		}
@@ -430,9 +306,13 @@ func (s *Session) farm(name string, tasks [][]byte, opt FarmOptions, distribute 
 		// same per-task failure policy. With the Mux drained every
 		// unfinished task is queued, so this ends the run or ctx does.
 		if mux.Workers() == 0 {
-			for len(r.queue) > 0 && ctx.Err() == nil {
-				if err := r.handle(mux.RunLocal(r.take(0))); err != nil {
-					return r.res, err
+			for ctx.Err() == nil {
+				a, ok := l.Next(0, clk.Now())
+				if !ok {
+					break
+				}
+				if err := settle(mux.RunLocal(a)); err != nil {
+					return res, err
 				}
 			}
 			continue
@@ -441,15 +321,15 @@ func (s *Session) farm(name string, tasks [][]byte, opt FarmOptions, distribute 
 		// Idle until a frame arrives, a peer crashes, ctx is cancelled (the
 		// top of the loop reports it) or the earliest heartbeat expires.
 		if ep.Wait(ctx, gen, mux.NextExpiry()) == transport.WaitClosed {
-			return r.res, fmt.Errorf("cluster: farm %q collect: %w", name, transport.ErrClosed)
+			return res, fmt.Errorf("cluster: farm %q collect: %w", name, transport.ErrClosed)
 		}
 	}
 
 	if err := mux.Close(); err != nil {
-		return r.res, fmt.Errorf("cluster: farm %q: %w", name, err)
+		return res, fmt.Errorf("cluster: farm %q: %w", name, err)
 	}
-	sort.Slice(r.res.Failed, func(i, j int) bool { return r.res.Failed[i].Task < r.res.Failed[j].Task })
-	return r.res, nil
+	sort.Slice(res.Failed, func(i, j int) bool { return res.Failed[i].Task < res.Failed[j].Task })
+	return res, nil
 }
 
 // FarmT is the typed farm wrapper: codecs on both ends, same supervision

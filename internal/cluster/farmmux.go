@@ -4,10 +4,11 @@
 // workers, polls for results and worker losses, and can run a task itself
 // when no worker is left. The Mux is pure mechanism — dispatch, result
 // collection, liveness — and makes no scheduling decisions. Its two
-// clients bring the policy: Session.FarmOpts (farm.go) runs one task list
-// under a retry/quarantine/checkpoint policy, and the job service
-// (internal/jobs) interleaves tasks from many concurrent jobs onto the
-// shared pool by weighted deficit round-robin.
+// clients bring the policy, each with one Ledger (ledger.go) per job for
+// the retry/quarantine/checkpoint rules: Session.FarmOpts (farm.go) runs
+// one task list, and the job service (internal/jobs) interleaves tasks
+// from many concurrent jobs onto the shared pool by weighted deficit
+// round-robin.
 //
 // Fault handling: a worker that crashes, stops acknowledging, or goes
 // heartbeat-silent is retired, and its in-flight assignment comes back to

@@ -148,43 +148,3 @@ func (d Dim3) Contains(ix Ix3) bool {
 }
 
 func (d Dim3) String() string { return fmt.Sprintf("Dim3(%dx%dx%d)", d.D, d.H, d.W) }
-
-// Box is a rectangular sub-volume of a Dim3 domain: half-open ranges along
-// each axis. Atom bounding boxes (cutcp) and 3-D block decompositions hand
-// out Boxes.
-type Box struct {
-	Z, Y, X Range
-}
-
-// Size reports the number of index points in the box.
-func (b Box) Size() int { return b.Z.Len() * b.Y.Len() * b.X.Len() }
-
-// Empty reports whether the box contains no points.
-func (b Box) Empty() bool { return b.Z.Empty() || b.Y.Empty() || b.X.Empty() }
-
-// Contains reports whether ix lies inside the box.
-func (b Box) Contains(ix Ix3) bool {
-	return b.Z.Contains(ix.Z) && b.Y.Contains(ix.Y) && b.X.Contains(ix.X)
-}
-
-// Intersect returns the overlap of two boxes (possibly empty).
-func (b Box) Intersect(c Box) Box {
-	return Box{Z: b.Z.Intersect(c.Z), Y: b.Y.Intersect(c.Y), X: b.X.Intersect(c.X)}
-}
-
-func (b Box) String() string { return fmt.Sprintf("Box{z %v, y %v, x %v}", b.Z, b.Y, b.X) }
-
-// Whole returns the box covering the entire domain.
-func (d Dim3) Whole() Box {
-	return Box{Z: Range{Lo: 0, Hi: d.D}, Y: Range{Lo: 0, Hi: d.H}, X: Range{Lo: 0, Hi: d.W}}
-}
-
-// SlabPartition splits the domain into p slabs along the Z axis (the
-// simple 3-D work decomposition; slabs keep rows contiguous).
-func (d Dim3) SlabPartition(p int) []Box {
-	out := make([]Box, 0, p)
-	for _, zr := range BlockPartition(d.D, p) {
-		out = append(out, Box{Z: zr, Y: Range{Lo: 0, Hi: d.H}, X: Range{Lo: 0, Hi: d.W}})
-	}
-	return out
-}

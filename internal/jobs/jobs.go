@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"triolet/internal/checkpoint"
+	"triolet/internal/cluster"
 	"triolet/internal/transport"
 )
 
@@ -238,13 +239,9 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// inflight is one dispatched attempt.
-type inflight struct {
-	worker int
-	start  time.Time // fabric clock, for TaskTimeout
-}
-
-// job is the service-internal state of one admitted job.
+// job is the service-internal state of one admitted job: its tenancy.
+// Everything per task — the queue, attempts, what is in flight, results and
+// quarantines — is in the job's ledger.
 type job struct {
 	spec  Spec
 	state State
@@ -253,18 +250,9 @@ type job struct {
 	// returns false), so a failed Submit can roll the slot back with
 	// nothing in flight — see Submit.
 	recorded bool
-	// pending holds task indices awaiting dispatch, in queue order.
-	pending []int
-	// notBefore maps a pending task to its backoff release time (fabric
-	// clock); absent means dispatchable now.
-	notBefore map[int]time.Time
-	inflight  map[int]inflight
-	completed map[int][]byte
-	failed    map[int]string
-	attempts  map[int]int
+	ledger   *cluster.Ledger
 	// credit is the WDRR deficit counter (see sched.go).
 	credit      float64
-	retriesUsed int
 	taskSeconds time.Duration
 	bytesIn     int64
 	bytesOut    int64
@@ -302,25 +290,16 @@ func (j *job) overQuotaLocked() bool {
 	return j.spec.ByteBudget > 0 && j.bytesIn+j.bytesOut > j.spec.ByteBudget
 }
 
-func newJob(sp Spec) *job {
-	j := &job{
-		spec:      sp,
-		state:     Queued,
-		notBefore: map[int]time.Time{},
-		inflight:  map[int]inflight{},
-		completed: map[int][]byte{},
-		failed:    map[int]string{},
-		attempts:  map[int]int{},
-		done:      make(chan struct{}),
+// newJob opens sp's job with every task pending. backoff is the service's
+// retry schedule (see failureBackoff).
+func newJob(sp Spec, backoff func(attempt int) time.Duration) *job {
+	return &job{
+		spec:   sp,
+		state:  Queued,
+		ledger: cluster.NewLedger(sp.Name, sp.Kernel, sp.Tasks, sp.MaxTaskAttempts, sp.RetryBudget, backoff),
+		done:   make(chan struct{}),
 	}
-	for i := range sp.Tasks {
-		j.pending = append(j.pending, i)
-	}
-	return j
 }
-
-// settled reports how many tasks have reached a final per-task outcome.
-func (j *job) settled() int { return len(j.completed) + len(j.failed) }
 
 // Service is the multi-tenant job service. Submit and the status accessors
 // are safe from any goroutine (the HTTP surface calls them); Serve runs in
@@ -391,31 +370,10 @@ func (s *Service) recover() error {
 			if _, dup := s.jobs[rec.Job]; dup {
 				return fmt.Errorf("jobs: registry: duplicate spec for %q", rec.Job)
 			}
-			j := newJob(sp)
+			j := newJob(sp, s.failureBackoff)
 			j.recorded = true // the spec record is what we just read
 			s.jobs[rec.Job] = j
 			s.order = append(s.order, rec.Job)
-		case checkpoint.KindResult:
-			j, ok := s.jobs[rec.Job]
-			if !ok {
-				continue // a pre-service farm checkpoint sharing the store
-			}
-			j.completed[rec.Task] = rec.Payload
-			j.pending = removeTask(j.pending, rec.Task)
-			if j.state == Queued {
-				j.state = Running
-			}
-		case checkpoint.KindFailed:
-			j, ok := s.jobs[rec.Job]
-			if !ok {
-				continue
-			}
-			j.failed[rec.Task] = string(rec.Payload)
-			j.attempts[rec.Task] = rec.Attempts
-			j.pending = removeTask(j.pending, rec.Task)
-			if j.state == Queued {
-				j.state = Running
-			}
 		case checkpoint.KindJobDone:
 			sum, derr := decodeDone(rec.Payload)
 			if derr != nil {
@@ -427,28 +385,29 @@ func (s *Service) recover() error {
 				// were reclaimed and only the summary survives. Rebuild a
 				// tombstone — the name stays reserved and the status surface
 				// keeps reporting the outcome, but Result() is empty.
-				j = newJob(Spec{Name: rec.Job, Tasks: make([][]byte, sum.completed+sum.failed)})
+				// The ledger is empty; only the task count is restored.
+				j = newJob(Spec{Name: rec.Job}, nil)
+				j.spec.Tasks = make([][]byte, sum.completed+sum.failed)
 				j.recorded = true
-				j.pending = nil
 				s.jobs[rec.Job] = j
 				s.order = append(s.order, rec.Job)
 			}
 			j.state = sum.state
-			j.retriesUsed = sum.retriesUsed
+			// A terminal job's ledger is closed; its retry count is the
+			// summary's, not what this process replayed.
+			j.ledger.Retried = sum.retriesUsed
 			j.taskSeconds = sum.taskSeconds
 			close(j.done)
+		default:
+			// A task outcome. The ledger ignores a record it cannot place
+			// (index out of range, task already settled); one for a job this
+			// service never admitted is a farm checkpoint sharing the store.
+			if j, ok := s.jobs[rec.Job]; ok && j.ledger.Replay(rec) && j.state == Queued {
+				j.state = Running
+			}
 		}
 	}
 	return nil
-}
-
-func removeTask(pending []int, task int) []int {
-	for i, t := range pending {
-		if t == task {
-			return append(pending[:i], pending[i+1:]...)
-		}
-	}
-	return pending
 }
 
 // Submit admits one job: the spec is validated, durably recorded
@@ -479,7 +438,7 @@ func (s *Service) Submit(sp Spec) error {
 	// until the spec record is durable, so nothing can be in flight if the
 	// append fails and the slot is rolled back (the crash-resume invariant:
 	// no task ever executes for a job without a durable admission record).
-	j := newJob(sp)
+	j := newJob(sp, s.failureBackoff)
 	s.jobs[sp.Name] = j
 	s.order = append(s.order, sp.Name)
 	s.mu.Unlock()
@@ -560,12 +519,12 @@ func (s *Service) Result(name string) ([][]byte, map[int]string, error) {
 		return nil, nil, fmt.Errorf("jobs: %q not terminal (%s)", name, j.state)
 	}
 	out := make([][]byte, len(j.spec.Tasks))
-	for t, r := range j.completed {
+	for t, r := range j.ledger.Results {
 		out[t] = append([]byte(nil), r...)
 	}
-	quarantined := make(map[int]string, len(j.failed))
-	for t, msg := range j.failed {
-		quarantined[t] = msg
+	quarantined := make(map[int]string, len(j.ledger.Failed))
+	for _, f := range j.ledger.Failed {
+		quarantined[f.Task] = f.Err
 	}
 	return out, quarantined, nil
 }

@@ -58,11 +58,11 @@ func (s *Service) statusLocked(j *job, totalWeight int) JobStatus {
 		Kernel:      j.spec.Kernel,
 		Weight:      j.spec.Weight,
 		Tasks:       len(j.spec.Tasks),
-		Completed:   len(j.completed),
-		Failed:      len(j.failed),
-		Inflight:    len(j.inflight),
-		Pending:     len(j.pending),
-		RetriesUsed: j.retriesUsed,
+		Completed:   j.ledger.Settled() - len(j.ledger.Failed),
+		Failed:      len(j.ledger.Failed),
+		Inflight:    j.ledger.InFlight(),
+		Pending:     len(j.ledger.Pending()),
+		RetriesUsed: j.ledger.Retried,
 		RetryBudget: j.spec.RetryBudget,
 		TaskSeconds: j.taskSeconds.Seconds(),
 		BytesIn:     j.bytesIn,

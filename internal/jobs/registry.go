@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"time"
 
+	"triolet/internal/cluster"
 	"triolet/internal/serial"
 )
 
@@ -99,12 +100,11 @@ type doneSummary struct {
 }
 
 // resultCRC folds completed results in task order into one checksum.
-func resultCRC(numTasks int, completed map[int][]byte) uint32 {
+func resultCRC(l *cluster.Ledger) uint32 {
 	h := crc32.NewIEEE()
 	var idx [8]byte
-	for t := 0; t < numTasks; t++ {
-		r, ok := completed[t]
-		if !ok {
+	for t, r := range l.Results {
+		if !l.Completed(t) {
 			continue
 		}
 		for i := range idx {

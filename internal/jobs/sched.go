@@ -2,6 +2,8 @@ package jobs
 
 import (
 	"time"
+
+	"triolet/internal/cluster"
 )
 
 // Fair-share scheduling: weighted deficit round-robin (WDRR) over the
@@ -20,64 +22,19 @@ import (
 // rank sheds load gracefully before the heartbeat sweep retires it. Scores
 // decay on success, so a recovered rank earns its way back.
 
-// settledTask reports whether task t already has a final per-task outcome.
-// A settled task must never dispatch again, whatever queue it strayed into.
-func (j *job) settledTask(t int) bool {
-	_, done := j.completed[t]
-	_, failed := j.failed[t]
-	return done || failed
-}
-
 // ready reports whether job j has a task dispatchable at fabric time now.
 // Unrecorded jobs (admission record not yet durable — see Submit) are never
 // ready.
 func (j *job) ready(now time.Time) bool {
-	if !j.recorded || j.state.Terminal() {
-		return false
-	}
-	for _, t := range j.pending {
-		if j.settledTask(t) {
-			continue
-		}
-		if rel, held := j.notBefore[t]; !held || !rel.After(now) {
-			return true
-		}
-	}
-	return false
-}
-
-// nextReady pops the first dispatchable pending task, preserving queue
-// order for the rest. ok is false when every pending task is in backoff.
-// Settled tasks that strayed back into the queue are dropped, not returned.
-func (j *job) nextReady(now time.Time) (task int, ok bool) {
-	for i := 0; i < len(j.pending); {
-		t := j.pending[i]
-		if j.settledTask(t) {
-			j.pending = append(j.pending[:i], j.pending[i+1:]...)
-			delete(j.notBefore, t)
-			continue
-		}
-		if rel, held := j.notBefore[t]; held && rel.After(now) {
-			i++
-			continue
-		}
-		j.pending = append(j.pending[:i], j.pending[i+1:]...)
-		delete(j.notBefore, t)
-		return t, true
-	}
-	return 0, false
-}
-
-// requeueFront puts a task back at the head of the queue (lost-worker
-// reassignment: the task was next in line and keeps its place).
-func (j *job) requeueFront(task int) {
-	j.pending = append([]int{task}, j.pending...)
+	return j.recorded && !j.state.Terminal() && j.ledger.Ready(now)
 }
 
 // schedule runs one WDRR round: it fills the provided idle-worker list with
-// assignments in fair-share order and returns them. Callers hold s.mu. The
-// walk is deterministic — admission-order ring, ascending idle ranks — so a
-// given state always yields the same dispatch plan (campaign replays).
+// assignments in fair-share order — each taken from its job's ledger, which
+// counts it in flight from now, and charged to its tenant — and returns
+// them. Callers hold s.mu. The walk is deterministic — admission-order ring,
+// ascending idle ranks — so a given state always yields the same dispatch
+// plan (campaign replays).
 //
 // The ring rotates: each call resumes where the previous dispatch left off
 // (s.ringIdx). Without the rotation a busy pool's steady state — workers
@@ -126,13 +83,15 @@ func (s *Service) schedule(now time.Time, idle []int) []plannedDispatch {
 				j.credit += float64(j.spec.Weight)
 			}
 			for j.credit >= 1 && len(idle) > 0 {
-				task, ok := j.nextReady(now)
+				a, ok := j.ledger.Next(idle[0], now)
 				if !ok {
 					j.credit = 0
 					break
 				}
 				j.credit--
-				plan = append(plan, plannedDispatch{job: j, task: task, worker: idle[0]})
+				j.bytesIn += int64(len(a.Payload))
+				j.markRunningLocked(now)
+				plan = append(plan, plannedDispatch{a: a, worker: idle[0]})
 				idle = idle[1:]
 				progressed = true
 				if len(idle) == 0 {
@@ -151,14 +110,14 @@ func (s *Service) schedule(now time.Time, idle []int) []plannedDispatch {
 	return plan
 }
 
-// plannedDispatch is one scheduler decision: job j's task on worker.
+// plannedDispatch is one scheduler decision: assignment a on worker.
 type plannedDispatch struct {
-	job    *job
-	task   int
+	a      cluster.MuxAssignment
 	worker int
 }
 
-// failureBackoff computes attempt n's retry delay: exponential from
+// failureBackoff is the backoff schedule every job's ledger is opened with.
+// It computes attempt n's retry delay: exponential from
 // BackoffBase, capped at BackoffMax, stretched by up to 20% seeded jitter
 // so retries of tasks that failed together do not return together.
 // Callers hold s.mu (the rng is shared).

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"triolet/internal/cluster"
 )
 
 // Scheduler unit tests: schedule() is pure policy over the job table, so
@@ -33,7 +35,7 @@ func submitN(t *testing.T, s *Service, name string, tasks, weight int) {
 func countByJob(plan []plannedDispatch) map[string]int {
 	got := map[string]int{}
 	for _, p := range plan {
-		got[p.job.spec.Name]++
+		got[p.a.Job]++
 	}
 	return got
 }
@@ -91,7 +93,7 @@ func TestWDRRTrickleSharesByWeight(t *testing.T) {
 		if len(plan) != 1 {
 			t.Fatalf("offer %d dispatched %d tasks, want 1", i, len(plan))
 		}
-		got[plan[0].job.spec.Name]++
+		got[plan[0].a.Job]++
 	}
 	if got["first"] != 10 || got["second"] != 10 || got["third"] != 20 {
 		t.Fatalf("trickle dispatch counts = %v, want first:10 second:10 third:20", got)
@@ -101,17 +103,26 @@ func TestWDRRTrickleSharesByWeight(t *testing.T) {
 // Tasks in backoff are invisible to the scheduler until their fabric-clock
 // release time, then dispatch normally.
 func TestScheduleHonorsBackoffRelease(t *testing.T) {
-	s := newTestService(t, Config{})
+	s := newTestService(t, Config{BackoffBase: 10 * time.Millisecond, BackoffMax: 10 * time.Millisecond})
 	submitN(t, s, "j", 2, 1)
-	j := s.jobs["j"]
 	now := time.Unix(0, 0)
-	j.notBefore[0] = now.Add(10 * time.Millisecond)
-	j.notBefore[1] = now.Add(10 * time.Millisecond)
+	// Both tasks fail their first attempt at now: each retry is held for
+	// 10ms plus at most 20% jitter.
+	for _, p := range s.schedule(now, []int{1, 2}) {
+		if err := s.handleEvent(cluster.MuxEvent{
+			Kind: cluster.MuxTaskDone, Worker: p.worker, Job: "j", Task: p.a.Task, Err: "flaky",
+		}, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.jobs["j"].ledger.Pending(); len(got) != 2 {
+		t.Fatalf("failed attempts not requeued: pending = %v", got)
+	}
 
 	if plan := s.schedule(now, []int{1, 2}); len(plan) != 0 {
 		t.Fatalf("dispatched %d tasks still in backoff", len(plan))
 	}
-	plan := s.schedule(now.Add(11*time.Millisecond), []int{1, 2})
+	plan := s.schedule(now.Add(13*time.Millisecond), []int{1, 2})
 	if len(plan) != 2 {
 		t.Fatalf("released tasks not dispatched: %d", len(plan))
 	}
@@ -133,10 +144,10 @@ func TestScheduleIsDeterministic(t *testing.T) {
 		t.Fatalf("plan lengths differ: %d vs %d", len(p1), len(p2))
 	}
 	for i := range p1 {
-		if p1[i].job.spec.Name != p2[i].job.spec.Name || p1[i].task != p2[i].task || p1[i].worker != p2[i].worker {
+		if p1[i].a.Job != p2[i].a.Job || p1[i].a.Task != p2[i].a.Task || p1[i].worker != p2[i].worker {
 			t.Fatalf("plan diverges at %d: %v vs %v", i,
-				[3]any{p1[i].job.spec.Name, p1[i].task, p1[i].worker},
-				[3]any{p2[i].job.spec.Name, p2[i].task, p2[i].worker})
+				[3]any{p1[i].a.Job, p1[i].a.Task, p1[i].worker},
+				[3]any{p2[i].a.Job, p2[i].a.Task, p2[i].worker})
 		}
 	}
 }

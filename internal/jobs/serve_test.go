@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 	"triolet/internal/mpi"
 )
 
-// Serve-path unit tests: handleEvent and sweepTimeouts are policy over the
+// Serve-path unit tests: handleEvent and sweep are policy over the
 // job table, exercised here without a cluster. Single-threaded calls stand
 // in for the serve goroutine, locking s.mu where the real caller would.
 
@@ -98,7 +99,7 @@ func TestUnknownJobResultDropped(t *testing.T) {
 	}
 }
 
-// dispatchTo mimics the dispatch bookkeeping for one scheduled task.
+// dispatchTo schedules one task onto worker, as dispatch would.
 func dispatchTo(t *testing.T, s *Service, worker int, now time.Time) int {
 	t.Helper()
 	s.mu.Lock()
@@ -107,12 +108,7 @@ func dispatchTo(t *testing.T, s *Service, worker int, now time.Time) int {
 	if len(plan) != 1 {
 		t.Fatalf("schedule at %v returned %d assignments, want 1", now, len(plan))
 	}
-	p := plan[0]
-	p.job.inflight[p.task] = inflight{worker: p.worker, start: now}
-	if p.job.state == Queued {
-		p.job.state = Running
-	}
-	return p.task
+	return plan[0].a.Task
 }
 
 // A task that hangs on every attempt climbs the same degradation ladder as
@@ -139,17 +135,18 @@ func TestTimeoutClimbsDegradationLadder(t *testing.T) {
 
 	// First timeout: an attempt is burned, the retry waits out backoff.
 	now = now.Add(6 * time.Millisecond)
-	if err := s.sweepTimeouts(now); err != nil {
+	if err := s.sweep(now); err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
-	if j.attempts[task] != 1 || j.retriesUsed != 1 {
-		t.Fatalf("after first timeout attempts=%d retriesUsed=%d, want 1/1", j.attempts[task], j.retriesUsed)
+	l := j.ledger
+	if l.Attempts(task) != 1 || l.Retried != 1 {
+		t.Fatalf("after first timeout attempts=%d retried=%d, want 1/1", l.Attempts(task), l.Retried)
 	}
-	if len(j.inflight) != 0 || !contains(j.pending, task) {
-		t.Fatalf("timed-out task not requeued: inflight=%v pending=%v", j.inflight, j.pending)
+	if l.InFlight() != 0 || !slices.Contains(l.Pending(), task) {
+		t.Fatalf("timed-out task not requeued: inflight=%d pending=%v", l.InFlight(), l.Pending())
 	}
-	if rel, held := j.notBefore[task]; !held || !rel.After(now) {
-		t.Fatalf("timed-out retry has no backoff: notBefore=%v now=%v", j.notBefore, now)
+	if rel := l.Deadline(now, 0); !rel.After(now) {
+		t.Fatalf("timed-out retry has no backoff: release=%v now=%v", rel, now)
 	}
 	s.mu.Lock()
 	early := s.schedule(now, []int{1})
@@ -163,14 +160,14 @@ func TestTimeoutClimbsDegradationLadder(t *testing.T) {
 	now = now.Add(10 * time.Millisecond)
 	task = dispatchTo(t, s, 2, now)
 	now = now.Add(6 * time.Millisecond)
-	if err := s.sweepTimeouts(now); err != nil {
+	if err := s.sweep(now); err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
 	if j.state != Degraded {
 		t.Fatalf("always-hanging job state = %s, want degraded", j.state)
 	}
-	if _, quarantined := j.failed[task]; !quarantined {
-		t.Fatalf("exhausted task not quarantined: %v", j.failed)
+	if f := l.Failed; len(f) != 1 || f[0].Task != task {
+		t.Fatalf("exhausted task not quarantined: %v", f)
 	}
 	select {
 	case <-j.done:
@@ -197,7 +194,7 @@ func TestTimeoutClimbsDegradationLadder(t *testing.T) {
 
 // When a timed-out attempt's late result settles a task while the retry is
 // still running elsewhere, the retry's eventual result must retire its
-// inflight entry in the dedup path — otherwise sweepTimeouts keeps "timing
+// inflight entry in the dedup path — otherwise sweep keeps "timing
 // out" the stale entry and the settled task is re-executed forever.
 func TestLateResultThenRetryResultRetiresInflight(t *testing.T) {
 	s := newTestService(t, Config{BackoffBase: time.Millisecond, BackoffMax: time.Millisecond})
@@ -213,23 +210,24 @@ func TestLateResultThenRetryResultRetiresInflight(t *testing.T) {
 	now := time.Unix(0, 0)
 	task := dispatchTo(t, s, 1, now) // attempt on worker 1
 
-	// Timeout, then redispatch the retry onto worker 2.
+	// Timeout, then redispatch the retry onto worker 2. The timed-out task
+	// rejoined the tail, so worker 3 takes the job's other task first — and
+	// fails it, which leaves that task pending and the job live to the end.
 	now = now.Add(6 * time.Millisecond)
-	if err := s.sweepTimeouts(now); err != nil {
+	if err := s.sweep(now); err != nil {
 		t.Fatal(err)
 	}
 	now = now.Add(2 * time.Millisecond)
 	s.mu.Lock()
-	retry := -1
-	for _, p := range s.schedule(now, []int{2}) {
-		if p.task == task {
-			retry = p.task
-			p.job.inflight[p.task] = inflight{worker: 2, start: now}
-		}
-	}
+	plan := s.schedule(now, []int{3, 2})
 	s.mu.Unlock()
-	if retry != task {
-		t.Fatalf("retry did not redispatch task %d", task)
+	if len(plan) != 2 || plan[1].a.Task != task || plan[1].worker != 2 {
+		t.Fatalf("retry did not redispatch task %d on worker 2: %+v", task, plan)
+	}
+	if err := s.handleEvent(cluster.MuxEvent{
+		Kind: cluster.MuxTaskDone, Worker: 3, Job: "dup", Task: plan[0].a.Task, Err: "flaky",
+	}, now); err != nil {
+		t.Fatal(err)
 	}
 
 	// The late first-attempt result settles the task...
@@ -247,31 +245,32 @@ func TestLateResultThenRetryResultRetiresInflight(t *testing.T) {
 	}, now); err != nil {
 		t.Fatal(err)
 	}
-	if string(j.completed[task]) != "first" {
-		t.Fatalf("first settlement did not stand: %q", j.completed[task])
+	l := j.ledger
+	if got := l.Results[task]; string(got) != "first" {
+		t.Fatalf("first settlement did not stand: %q", got)
 	}
-	if _, stale := j.inflight[task]; stale {
+	if l.InFlight() != 0 {
 		t.Fatal("retry worker's inflight entry survived the duplicate result")
 	}
 
 	// No resurrection: a later sweep and schedule must not touch the
 	// settled task, and the job's retry budget stops bleeding.
-	usedBefore := j.retriesUsed
+	usedBefore := l.Retried
 	now = now.Add(time.Hour)
-	if err := s.sweepTimeouts(now); err != nil {
+	if err := s.sweep(now); err != nil {
 		t.Fatal(err)
 	}
-	if contains(j.pending, task) {
+	if slices.Contains(l.Pending(), task) {
 		t.Fatal("settled task requeued by the timeout sweep")
 	}
-	if j.retriesUsed != usedBefore {
-		t.Fatalf("retry budget bled on a settled task: %d -> %d", usedBefore, j.retriesUsed)
+	if l.Retried != usedBefore {
+		t.Fatalf("retry budget bled on a settled task: %d -> %d", usedBefore, l.Retried)
 	}
 	s.mu.Lock()
-	plan := s.schedule(now, []int{1, 2})
+	plan = s.schedule(now, []int{1, 2})
 	s.mu.Unlock()
 	for _, p := range plan {
-		if p.task == task {
+		if p.a.Task == task {
 			t.Fatal("scheduler re-dispatched a settled task")
 		}
 	}
@@ -301,20 +300,21 @@ func TestSweepDropsStaleEntryForSettledTask(t *testing.T) {
 	}, now); err != nil {
 		t.Fatal(err)
 	}
-	if _, infl := j.inflight[task]; !infl {
+	l := j.ledger
+	if l.InFlight() != 1 {
 		t.Fatal("test setup: worker 3's attempt should still be inflight")
 	}
 
 	now = now.Add(6 * time.Millisecond)
-	if err := s.sweepTimeouts(now); err != nil {
+	if err := s.sweep(now); err != nil {
 		t.Fatal(err)
 	}
-	if _, infl := j.inflight[task]; infl {
+	if l.InFlight() != 0 {
 		t.Fatal("stale inflight entry survived the sweep")
 	}
-	if contains(j.pending, task) || j.attempts[task] != 0 || j.retriesUsed != 0 {
-		t.Fatalf("settled task penalized by sweep: pending=%v attempts=%v retriesUsed=%d",
-			j.pending, j.attempts, j.retriesUsed)
+	if slices.Contains(l.Pending(), task) || l.Attempts(task) != 0 || l.Retried != 0 {
+		t.Fatalf("settled task penalized by sweep: pending=%v attempts=%d retried=%d",
+			l.Pending(), l.Attempts(task), l.Retried)
 	}
 	if s.health[3] != 0 {
 		t.Fatalf("worker 3 health penalized for a settled task: %v", s.health[3])
@@ -343,10 +343,10 @@ func TestWorkerLostDoesNotRequeueSettledTask(t *testing.T) {
 	}, now); err != nil {
 		t.Fatal(err)
 	}
-	if _, infl := j.inflight[task]; infl {
+	if j.ledger.InFlight() != 0 {
 		t.Fatal("lost worker's stale inflight entry survived")
 	}
-	if contains(j.pending, task) {
+	if slices.Contains(j.ledger.Pending(), task) {
 		t.Fatal("settled task requeued after worker loss")
 	}
 }
