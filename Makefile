@@ -22,7 +22,8 @@ race:
 	$(GO) test -race -count=1 ./internal/...
 
 # The fault-injection suites, run fresh (no test cache) with a deadline:
-# the failure mode they exist to catch is a hang.
+# the failure mode they exist to catch is a hang. The farmed stencil's
+# rollback (workers killed holding resident slabs) runs under -race.
 chaos:
 	$(GO) test -count=1 -timeout 5m \
 		-run 'Fault|Reliable|Chaos|Crash|Farm' \
@@ -30,6 +31,7 @@ chaos:
 		./internal/parboil/sgemm/ ./internal/parboil/tpacf/
 	$(GO) test -count=20 -timeout 5m \
 		-run 'TestSessionIdenticalResultsUnderFaults|TestTeardown' ./internal/cluster/
+	$(GO) test -race -count=1 -timeout 5m -run 'Rollback|Chaos' ./internal/stencil/
 
 # The checkpoint/resume suites under -race: a master killed mid-farm, the
 # WAL reopened by a fresh session, results bit-identical to an undisturbed
@@ -53,10 +55,12 @@ chaos-campaign:
 	./scripts/chaos-campaign.sh
 
 # 30-second fuzz smokes over the wire-format decoders: the serial slice
-# codecs and the farm engine's task/result frames.
+# codecs, the farm engine's task/result frames and the farmed stencil's task
+# frames.
 fuzz:
 	$(GO) test -fuzz=FuzzSliceDecoders -fuzztime=30s ./internal/serial
 	$(GO) test -fuzz=FuzzMuxFrames -fuzztime=30s ./internal/cluster
+	$(GO) test -fuzz=FuzzFarmOpTask -fuzztime=30s ./internal/stencil
 
 # Fuzz the checkpoint WAL decoder: arbitrary bytes must yield a valid
 # prefix, never a panic or a runaway allocation.

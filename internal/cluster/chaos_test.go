@@ -219,7 +219,7 @@ func TestFarmReassignsLostWorkerTasks(t *testing.T) {
 			t.Fatalf("task %d result = %v, want [%d]", i, out, i*2)
 		}
 	}
-	if !res.PartialFailure() {
+	if len(res.Lost) == 0 {
 		t.Fatalf("lost worker not reported: %+v", res)
 	}
 	found := false

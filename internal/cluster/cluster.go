@@ -79,12 +79,25 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Node bundles one rank's services: its communicator and its thread pool.
+// Node bundles one rank's services: its communicator, its thread pool and
+// its segment store.
 type Node struct {
 	Comm   *mpi.Comm
 	Pool   *sched.Pool
 	Tracer *trace.Tracer
-	cfg    Config
+	// Segs holds what kernels leave resident on this node between tasks, so
+	// that a run's next task for a segment ships only what the node lacks.
+	// Only the goroutine running the node's kernels touches it; nil until the
+	// first kernel stores something, it dies with the session.
+	Segs map[SegKey]any
+	cfg  Config
+}
+
+// SegKey names one resident segment of a distributed value: the kernel that
+// owns it, the run of that kernel, the segment's index in the run's partition.
+type SegKey struct {
+	Kernel   string
+	Run, Seg int
 }
 
 // Phase opens a trace span named phase on this node and returns its

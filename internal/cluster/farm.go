@@ -16,8 +16,10 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -111,8 +113,10 @@ type FarmResult struct {
 	Resumed int
 }
 
-// PartialFailure reports whether any worker was lost during the run.
-func (fr *FarmResult) PartialFailure() bool { return len(fr.Lost) > 0 }
+// ErrPinLost is what a farm call returns, wrapped, when a worker was retired
+// with tasks pinned to it unfinished (FarmOptions.Pin): every other task ran
+// to its end, the stranded ones are listed in FarmResult.Failed.
+var ErrPinLost = errors.New("cluster: pinned worker lost")
 
 // FarmOptions tunes a supervised farm run. The zero value is valid: no
 // cancellation, no checkpointing, default retry and heartbeat policy.
@@ -147,6 +151,11 @@ type FarmOptions struct {
 	// the execution that settled it, and only for a positive duration), on
 	// the master's farm loop. This is AutoPar's recalibration feed.
 	OnTaskTiming func(task int, elapsed time.Duration)
+	// Pin, when non-nil, names for every task the one rank that may run it —
+	// 0 is the master itself — because only that node holds what the task
+	// works on (Node.Segs). Such a task is never reassigned: if its rank
+	// is retired first, the call ends with ErrPinLost.
+	Pin []int
 }
 
 const (
@@ -194,6 +203,10 @@ func (s *Session) farm(name string, tasks [][]byte, opt FarmOptions, distribute 
 	if opt.MaxAttempts <= 0 {
 		opt.MaxAttempts = defaultMaxAttempts
 	}
+	if opt.Pin != nil && (len(opt.Pin) != len(tasks) ||
+		slices.ContainsFunc(opt.Pin, func(p int) bool { return p < 0 || p >= s.node.Nodes() || p > math.MaxInt16 })) {
+		return nil, fmt.Errorf("cluster: farm %q: pins %v for %d tasks on %d nodes", name, opt.Pin, len(tasks), s.node.Nodes())
+	}
 	tr := s.node.Tracer
 	// The ledger is named for this call, not for opt.Job: the name stamps
 	// assignments on the wire, so a straggler's result from an earlier call
@@ -202,7 +215,11 @@ func (s *Session) farm(name string, tasks [][]byte, opt FarmOptions, distribute 
 	s.farmRuns++
 	run := "\x00farm" + strconv.Itoa(s.farmRuns)
 	l := NewLedger(run, name, tasks, opt.MaxAttempts, math.MaxInt, nil)
+	for t, p := range opt.Pin {
+		l.state[t].pin = int16(p)
+	}
 	res := &l.FarmResult // returned as it stands, partial, when the run fails
+	stranded := 0        // tasks given up because their pinned worker was retired
 	if opt.Checkpoint != nil {
 		recs, err := opt.Checkpoint.Load(opt.Job)
 		if err != nil {
@@ -228,6 +245,7 @@ func (s *Session) farm(name string, tasks [][]byte, opt FarmOptions, distribute 
 			for _, a := range ev.Requeued {
 				l.WorkerLost(ev.Worker, a)
 			}
+			stranded += l.Strand(ev.Worker)
 			return nil
 		}
 		if ev.Job == run && ev.Task >= len(tasks) {
@@ -282,7 +300,7 @@ func (s *Session) farm(name string, tasks [][]byte, opt FarmOptions, distribute 
 		for _, w := range mux.Idle() {
 			a, ok := l.Next(w, clk.Now())
 			if !ok {
-				break
+				continue // nothing for this worker; a pinned task may wait for another
 			}
 			if err := mux.Assign(ctx, w, a); err != nil {
 				return res, fmt.Errorf("cluster: farm %q assign: %w", name, err)
@@ -305,7 +323,9 @@ func (s *Session) farm(name string, tasks [][]byte, opt FarmOptions, distribute 
 		// No workers left: the master is its own last resort, under the
 		// same per-task failure policy. With the Mux drained every
 		// unfinished task is queued, so this ends the run or ctx does.
-		if mux.Workers() == 0 {
+		// Tasks pinned to the master are its own at any time.
+		if mux.Workers() == 0 || opt.Pin != nil {
+			ran := mux.Workers() == 0
 			for ctx.Err() == nil {
 				a, ok := l.Next(0, clk.Now())
 				if !ok {
@@ -314,8 +334,11 @@ func (s *Session) farm(name string, tasks [][]byte, opt FarmOptions, distribute 
 				if err := settle(mux.RunLocal(a)); err != nil {
 					return res, err
 				}
+				ran = true
 			}
-			continue
+			if ran {
+				continue
+			}
 		}
 
 		// Idle until a frame arrives, a peer crashes, ctx is cancelled (the
@@ -329,6 +352,9 @@ func (s *Session) farm(name string, tasks [][]byte, opt FarmOptions, distribute 
 		return res, fmt.Errorf("cluster: farm %q: %w", name, err)
 	}
 	sort.Slice(res.Failed, func(i, j int) bool { return res.Failed[i].Task < res.Failed[j].Task })
+	if stranded > 0 {
+		return res, fmt.Errorf("cluster: farm %q: %d tasks stranded: %w", name, stranded, ErrPinLost)
+	}
 	return res, nil
 }
 

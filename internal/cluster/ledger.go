@@ -43,6 +43,7 @@ type taskState struct {
 	attempts   int32
 	lastWorker int32           // rank whose failed attempt requeued the task, -1 for none
 	outcome    checkpoint.Kind // 0 until settled, then KindResult or KindFailed
+	pin        int16           // the one rank that may run the task (FarmOptions.Pin), -1 for any
 }
 
 // Ledger is one job's task table. All per-task state is sized once, at
@@ -83,7 +84,7 @@ func NewLedger(job, kernel string, tasks [][]byte, maxAttempts, retryBudget int,
 	}
 	for i := range tasks {
 		l.queue[i] = i
-		l.state[i].lastWorker = -1
+		l.state[i].lastWorker, l.state[i].pin = -1, -1
 	}
 	return l
 }
@@ -138,11 +139,12 @@ func (l *Ledger) Ready(now time.Time) bool {
 // Next hands worker (0 is the master) the first queued task whose backoff is
 // over, preferring one this worker did not just fail so a flaky task's
 // retry lands elsewhere when it can, and records the attempt as in flight
-// since now. ok is false when nothing is dispatchable.
+// since now. A pinned task is handed to the rank it is pinned to and to no
+// other. ok is false when nothing is dispatchable.
 func (l *Ledger) Next(worker int, now time.Time) (a MuxAssignment, ok bool) {
 	pick := -1
 	for i, t := range l.queue {
-		if !l.released(t, now) {
+		if p := l.state[t].pin; !l.released(t, now) || (p >= 0 && int(p) != worker) {
 			continue
 		}
 		if l.state[t].lastWorker != int32(worker) {
@@ -173,6 +175,19 @@ func (l *Ledger) WorkerLost(worker int, a MuxAssignment) bool {
 	l.queue = slices.Insert(l.queue, 0, a.Task)
 	l.Reassigned++
 	return true
+}
+
+// Strand gives up on every unsettled task pinned to a retired worker and
+// reports how many there were: no other rank holds what such a task runs on,
+// so it settles as failed where it stands — nothing executed, nothing to make
+// durable — and its owner reports ErrPinLost. Without pins it does nothing.
+func (l *Ledger) Strand(worker int) (stranded int) {
+	for t := range l.state {
+		if int(l.state[t].pin) == worker && l.Commit(l.Quarantine(t, ErrPinLost.Error())) {
+			stranded++
+		}
+	}
+	return stranded
 }
 
 // Observe applies one MuxTaskDone event — or a failure its owner declares,

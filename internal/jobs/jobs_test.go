@@ -138,10 +138,7 @@ func TestConcurrentJobsShareOnePool(t *testing.T) {
 			t.Fatalf("%s state = %+v, want done", name, st)
 		}
 		checkJobResults(t, s, name, tasks)
-	}
-	secs := s.TaskSecondsByJob()
-	for name := range jobTasks {
-		if secs[name] < 0 {
+		if st.TaskSeconds < 0 {
 			t.Fatalf("%s negative task-seconds", name)
 		}
 	}

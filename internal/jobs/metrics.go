@@ -142,15 +142,3 @@ func (s *Service) TaskLatencies(name string) ([]time.Duration, error) {
 	}
 	return append([]time.Duration(nil), j.latencies...), nil
 }
-
-// TaskSecondsByJob is a convenience view for tests and gates: job name to
-// accumulated fabric-clock compute time.
-func (s *Service) TaskSecondsByJob() map[string]time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]time.Duration, len(s.jobs))
-	for name, j := range s.jobs {
-		out[name] = j.taskSeconds
-	}
-	return out
-}

@@ -210,12 +210,17 @@ func (s *Slab[T]) ExchangeHalos(c *mpi.Comm) error {
 	return s.finishHalos(c)
 }
 
-// postHalos is the exchange's first half: self-sourced ghosts, then every
-// send. It only reads owned rows.
-func (s *Slab[T]) postHalos(c *mpi.Comm) error {
+// selfHalos fills the ghost slots whose source is one of the slab's own rows.
+func (s *Slab[T]) selfHalos() {
 	for _, lr := range s.plan.local {
 		copy(s.slotRow(s.sw.buf, lr[0]), s.ownRow(lr[1]))
 	}
+}
+
+// postHalos is the exchange's first half: self-sourced ghosts, then every
+// send. It only reads owned rows.
+func (s *Slab[T]) postHalos(c *mpi.Comm) error {
+	s.selfHalos()
 	for j, rows := range s.plan.sendTo {
 		if len(rows) == 0 {
 			continue

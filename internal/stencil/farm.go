@@ -1,40 +1,37 @@
 package stencil
 
 import (
+	"errors"
 	"fmt"
-	"sync"
+	"math"
+	"slices"
+	"sync/atomic"
 
 	"triolet/internal/cluster"
-	"triolet/internal/domain"
 	"triolet/internal/iter"
 	"triolet/internal/serial"
 )
 
 // FarmOp runs the iterated stencil as a sequence of Session.Farm rounds —
-// one farm job per sweep, one task per non-empty slab — trading the
-// collectives' lower overhead for the farm's whole fault-tolerance stack:
-// worker-loss reassignment, per-task retry, and WAL checkpoint/resume. The
-// master keeps the whole grid; each round it cuts row slabs bundled with
-// their strategy-resolved ghost rows (attributed as halo bytes at
-// task-build time — provisioned halo volume, since a task may run on the
-// master without crossing the fabric), farms the sweeps out, and
-// reassembles the next generation. Task results depend only on the task
-// payload, so a resumed or re-executed sweep is bit-identical.
+// one farm job per sweep, one task per slab — trading the collectives' lower
+// overhead for the farm's whole fault-tolerance stack: worker-loss
+// reassignment, per-task retry, and WAL checkpoint/resume. Between the sweeps
+// of an epoch (see Run) a slab stays on the node that swept it, as a Slab in
+// the node's segment store, and tasks carry only the ghost rows its
+// neighbours produced, relayed by the master. The ghost sections are
+// attributed as halo bytes at task-build time (provisioned halo volume: a
+// task may run on the master without crossing the fabric).
 type FarmOp[T any] struct {
 	name  string
 	elem  serial.Codec[T]
 	elems serial.Codec[[]T]
 	fn    Func[T]
-	// wins recycles taskBody's padded windows (*[]T): assembling the codec's
-	// sections is a copy, and a fresh slab-sized buffer per task adds 6 % to
-	// a farmed solve's allocation.
-	wins sync.Pool
+	runs  atomic.Uint32 // Run calls so far; the number stamps a run's frames and names its resident slabs
 }
 
 // NewFarmOp registers the farm stencil kernel "stencil.farm.<name>".
 func NewFarmOp[T any](name string, elem serial.Codec[T], elems serial.Codec[[]T], fn Func[T]) *FarmOp[T] {
 	op := &FarmOp[T]{name: "stencil.farm." + name, elem: elem, elems: elems, fn: fn}
-	op.wins.New = func() any { return new([]T) }
 	cluster.RegisterFarm(op.name, op.taskBody)
 	return op
 }
@@ -49,97 +46,224 @@ func (op *FarmOp[T]) Fn() Func[T] { return op.fn }
 // FarmRunOptions tune a FarmOp run.
 type FarmRunOptions struct {
 	// Slabs is the task count per sweep (default: the cluster's node
-	// count). More slabs than rows degenerates gracefully: empty slabs
-	// produce no task.
+	// count), at most one per row.
 	Slabs int
 	// Farm is passed through to every round's Session.FarmOpts call. A
 	// non-empty Job gets a "@<sweep>" suffix per round, so each sweep
 	// checkpoints under its own WAL job name and a killed run resumes
 	// mid-iteration: finished sweeps replay from their results, the
-	// interrupted sweep re-runs only its unfinished slab tasks.
+	// interrupted sweep re-runs only its unfinished slab tasks. With a
+	// Checkpoint every epoch is one sweep — slab out, slab back — so each
+	// record is a whole generation of its slab.
 	Farm cluster.FarmOptions
 }
 
-// taskBody is the worker-side sweep of one slab: decode rows plus
-// pre-resolved ghosts, sweep their padded window on the node's pool, and
-// return the slab's next generation.
-func (op *FarmOp[T]) taskBody(n *cluster.Node, task []byte) ([]byte, error) {
-	r := serial.NewReader(task)
-	h, w, rowLo := r.Int(), r.Int(), r.Int()
-	var par Params[T]
-	par.Radius = r.Int()
-	par.Boundary = Boundary(r.U8())
-	par.Border = op.elem.Decode(r)
-	rows := op.elems.Decode(r)
-	top := op.elems.Decode(r)
-	bot := op.elems.Decode(r)
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("%s task: %w", op.name, err)
-	}
-	if err := par.check(); err != nil {
-		return nil, err
-	}
-	if w <= 0 || len(rows)%w != 0 || len(top) != par.Radius*w || len(bot) != par.Radius*w {
-		return nil, fmt.Errorf("%s task: %d cells, %d/%d ghosts, width %d radius %d",
-			op.name, len(rows), len(top), len(bot), w, par.Radius)
-	}
-	nRows := len(rows) / w
-	// The slab's padded window, as a Slab holds it: ghosts | rows | ghosts.
-	win := op.wins.Get().(*[]T)
-	defer op.wins.Put(win)
-	*win = append(append(append((*win)[:0], top...), rows...), bot...)
-	s := newSweeper(par, *win, h, w, rowLo, nRows, par.Radius)
-	out := make([]T, len(rows))
-	s.run(n.Pool, op.fn, out, 0, nRows)
-	wtr := serial.NewWriter(len(task))
-	op.elems.Encode(wtr, out)
-	return wtr.Bytes(), nil
+// Task frame flags, in the header byte above the boundary strategy.
+const (
+	farmInline uint8 = 1 << 7 // the frame carries the slab's rows: build the Slab from them
+	farmLast   uint8 = 1 << 6 // answer with the slab's rows and release it
+	farmDrop   uint8 = 1 << 5 // release every slab of the run; nothing to sweep
+	farmFlags        = farmInline | farmLast | farmDrop
+)
+
+// farmHeader opens every task frame — eight u32, one byte of flags and
+// boundary strategy, the border constant: the grid and its partition, the
+// slab the task is for, and the stamp (run, epoch, generation) a resident copy
+// must carry for the task to apply to it.
+type farmHeader struct {
+	h, w, slabs, slab, radius, run, epoch, gen uint32
+	flags                                      uint8
+	boundary                                   Boundary
 }
 
-// encodeTask builds one slab task from the current grid, returning the task
-// and the encoded size of its ghost-row sections (the round's halo volume).
-func (op *FarmOp[T]) encodeTask(g iter.Matrix2[T], par Params[T], rng domain.Range, ghost []T) ([]byte, int) {
-	w := serial.NewWriter(16 + (rng.Len()+2*par.Radius)*g.W*8)
-	w.Int(g.H)
-	w.Int(g.W)
-	w.Int(rng.Lo)
-	w.Int(par.Radius)
-	w.U8(uint8(par.Boundary))
-	op.elem.Encode(w, par.Border)
-	op.elems.Encode(w, g.Data[rng.Lo*g.W:rng.Hi*g.W])
+// farmBudget bounds what a frame can make a node build beyond the frame's own
+// bytes: the partition map, the halo plan, and the ghost rows a slab resolves
+// for itself (border and self-sourced slots do not travel).
+const farmBudget = 1 << 20
+
+// checkFarmShape is the shape a farmed slab must have, on the master before
+// it frames a task and on the node before it believes one.
+func checkFarmShape(h, w, slabs, slab, radius int) error {
+	if w < 1 || slabs < 1 || slabs > h || h > math.MaxUint32 || slab < 0 || slab >= slabs ||
+		radius < 0 || 2*radius+1 > farmBudget/(slabs+w) {
+		return fmt.Errorf("stencil: farm slab %d of %d over %dx%d, radius %d: not a shape a task can carry",
+			slab, slabs, h, w, radius)
+	}
+	return nil
+}
+
+// remoteSlots lists, in slot order, slab's ghost slots whose source row
+// another slab owns, with those source rows, and counts the slots above the
+// slab. Only these travel in a task; the Slab resolves the rest itself.
+func remoteSlots(p Partition, slab, radius int, b Boundary) (slots, srcs []int, top int) {
+	for slot, src := range ghostRows(p, slab, radius, b) {
+		if src >= 0 && !p.Rows[slab].Contains(src) {
+			slots, srcs = append(slots, slot), append(srcs, src)
+			if slot < radius {
+				top++
+			}
+		}
+	}
+	return slots, srcs, top
+}
+
+// edgeRows lists, ascending, the rows of the plan's slab that fill a ghost
+// slot of some other slab: what the slab answers a sweep with.
+func (pl haloPlan) edgeRows() []int {
+	rows := slices.Concat(pl.sendTo...)
+	slices.Sort(rows)
+	return slices.Compact(rows)
+}
+
+// frame encodes one task: the header, the slab's rows if the frame is inline,
+// and two ghost sections — the remote slots above the slab, then those below —
+// whose encoded size it also returns.
+func (op *FarmOp[T]) frame(hd farmHeader, border T, rows, ghost []T, top int) ([]byte, int) {
+	w := serial.NewWriter(64 + 8*(len(rows)+len(ghost)))
+	for _, v := range [...]uint32{hd.h, hd.w, hd.slabs, hd.slab, hd.radius, hd.run, hd.epoch, hd.gen} {
+		w.U32(v)
+	}
+	w.U8(hd.flags | uint8(hd.boundary))
+	op.elem.Encode(w, border)
+	if hd.flags&farmDrop != 0 {
+		return w.Bytes(), 0
+	}
+	if hd.flags&farmInline != 0 {
+		op.elems.Encode(w, rows)
+	}
 	before := w.Len()
-	buildGhost(ghost, g, par, rng.Lo-par.Radius)
-	op.elems.Encode(w, ghost)
-	buildGhost(ghost, g, par, rng.Hi)
-	op.elems.Encode(w, ghost)
+	op.elems.Encode(w, ghost[:top*int(hd.w)])
+	op.elems.Encode(w, ghost[top*int(hd.w):])
 	return w.Bytes(), w.Len() - before
 }
 
-// buildGhost fills ghost (radius×W) with the strategy-resolved contents of
-// the radius global rows starting at loRow: in-grid or wrapped/mirrored
-// rows copy from the grid, border rows fill with the constant, and
-// Normal's never-read rows stay zero.
-func buildGhost[T any](ghost []T, g iter.Matrix2[T], par Params[T], loRow int) {
-	w := g.W
-	for k := 0; k < par.Radius; k++ {
-		row := ghost[k*w : (k+1)*w]
-		if my, ok := mapIndex(loRow+k, g.H, par.Boundary); ok {
-			copy(row, g.Data[my*w:(my+1)*w])
-			continue
-		}
-		var fill T
-		if par.Boundary == Border {
-			fill = par.Border
-		}
-		for i := range row {
-			row[i] = fill
-		}
-	}
+// farmTask is a decoded, validated task frame.
+type farmTask[T any] struct {
+	farmHeader
+	par   Params[T]
+	part  Partition
+	recv  []int // the slab's remote ghost slots, in slot order
+	rows  []T   // the slab's rows (inline frames)
+	ghost []T   // one row per recv slot
 }
+
+// decodeTask parses a task frame, taking nothing in it on trust: the row
+// range and the ghost slot count are derived from NewPartition(h, w, slabs),
+// and a frame whose sections (which the codec will not let outgrow the bytes
+// left) are not exactly those cells is refused before anything is built.
+func (op *FarmOp[T]) decodeTask(task []byte) (t farmTask[T], err error) {
+	r, hd := serial.NewReader(task), &t.farmHeader
+	for _, v := range [...]*uint32{&hd.h, &hd.w, &hd.slabs, &hd.slab, &hd.radius, &hd.run, &hd.epoch, &hd.gen} {
+		*v = r.U32()
+	}
+	b := r.U8()
+	hd.flags, hd.boundary = b&farmFlags, Boundary(b&^farmFlags)
+	t.par = Params[T]{Radius: int(hd.radius), Boundary: hd.boundary, Border: op.elem.Decode(r)}
+	err = errors.Join(r.Err(), t.par.check(), checkFarmShape(int(hd.h), int(hd.w), int(hd.slabs), int(hd.slab), t.par.Radius))
+	if err == nil && hd.flags&farmDrop == 0 {
+		t.part = NewPartition(int(hd.h), int(hd.w), int(hd.slabs))
+		var top int
+		t.recv, _, top = remoteSlots(t.part, int(hd.slab), t.par.Radius, hd.boundary)
+		w, nRows := t.part.W, 0
+		if hd.flags&farmInline != 0 {
+			nRows = t.part.Rows[hd.slab].Len()
+		}
+		if hd.flags&farmInline != 0 {
+			t.rows = op.elems.Decode(r)
+		}
+		above, below := op.elems.Decode(r), op.elems.Decode(r)
+		if len(t.rows) != nRows*w || len(above) != top*w || len(below) != (len(t.recv)-top)*w {
+			err = fmt.Errorf("sections of %d, %d, %d cells for %d rows and %d+%d ghost rows of %d",
+				len(t.rows), len(above), len(below), nRows, top, len(t.recv)-top, w)
+		}
+		t.ghost = append(above, below...)
+	}
+	if err = errors.Join(err, r.Err()); err != nil || r.Remaining() != 0 {
+		return t, fmt.Errorf("%s: malformed task, %d bytes unread: %v", op.name, r.Remaining(), err)
+	}
+	return t, nil
+}
+
+// residentSlab is what a node keeps between the sweeps of an epoch.
+type residentSlab[T any] struct {
+	*Slab[T]
+	edges []int      // the rows every answer carries
+	stamp farmHeader // the next task's header, flags apart
+}
+
+// taskBody is the node side of one slab sweep: build the Slab from an inline
+// frame or find it resident, fill its ghosts, sweep, and answer — the slab's
+// rows if the task is the epoch's last, else this rank and the edge rows. An
+// empty answer means the node does not hold the slab at the task's stamp.
+func (op *FarmOp[T]) taskBody(n *cluster.Node, task []byte) ([]byte, error) {
+	t, err := op.decodeTask(task)
+	if err != nil {
+		return nil, err
+	}
+	key := cluster.SegKey{Kernel: op.name, Run: int(t.run), Seg: int(t.slab)}
+	if t.flags&farmDrop != 0 {
+		for key.Seg = 0; key.Seg < int(t.slabs); key.Seg++ {
+			delete(n.Segs, key)
+		}
+		return []byte{}, nil
+	}
+	stamp := t.farmHeader
+	stamp.flags = 0
+	res, _ := n.Segs[key].(*residentSlab[T])
+	if t.flags&farmInline != 0 {
+		sl, err := NewSlab(t.part, int(t.slab), t.par, op.elems, t.rows)
+		if err != nil {
+			return nil, err
+		}
+		res = &residentSlab[T]{Slab: sl, edges: sl.plan.edgeRows()}
+	} else if res == nil || res.stamp != stamp {
+		return []byte{}, nil
+	}
+	// ExchangeHalos with the master as the relay: one row of t.ghost per slot.
+	res.selfHalos()
+	for k, slot := range t.recv {
+		copy(res.slotRow(res.sw.buf, slot), t.ghost[k*res.Part.W:])
+	}
+	res.Sweep(n.Pool, op.fn)
+	w := serial.NewWriter(len(task))
+	if t.flags&farmLast != 0 {
+		delete(n.Segs, key)
+		op.elems.Encode(w, res.Rows())
+		return w.Bytes(), nil
+	}
+	if n.Segs == nil {
+		n.Segs = make(map[cluster.SegKey]any)
+	}
+	stamp.gen++
+	res.stamp, n.Segs[key] = stamp, res
+	w.Int(n.Rank())
+	res.scratch = res.scratch[:0]
+	for _, y := range res.edges {
+		res.scratch = append(res.scratch, res.ownRow(y)...)
+	}
+	op.elems.Encode(w, res.scratch)
+	return w.Bytes(), nil
+}
+
+// errStale is a node's empty answer, read by the master.
+var errStale = errors.New("stencil: resident slab is not at the task's generation")
 
 // Run executes iters farmed sweeps over g and returns the final grid; g is
 // not modified. Call from the master. Any quarantined slab task fails the
 // run: a stencil generation needs every slab.
+//
+// The run is cut into epochs of K = max(1, slabRows/(2·Radius)) sweeps — by
+// then the ghost rows relayed add up to one slab, so the wire carries at most
+// twice the ghost-only volume and a fault costs at most K sweeps — and of one
+// sweep when the run is checkpointed, so that each record is a whole
+// generation of its slab. An epoch's first sweep sends each slab inline to
+// whichever node asks, and the node answers with its rank and the rows other
+// slabs read as ghosts; the next sweeps are pinned to that rank and carry
+// only ghost rows; the last returns the slab's rows and releases it, and that
+// generation is the base the next epoch starts from. If a worker holding
+// slabs is retired, or a node answers that it does not hold its slab at the
+// generation asked for, the epoch restarts inline from its base generation on
+// whoever is left, at most once per node before the run fails with the cause.
 func (op *FarmOp[T]) Run(s *cluster.Session, g iter.Matrix2[T], par Params[T], iters int, opt FarmRunOptions) (iter.Matrix2[T], error) {
 	var zero iter.Matrix2[T]
 	if err := (Stencil[T]{Params: par, Fn: op.fn}).check(); err != nil {
@@ -151,52 +275,134 @@ func (op *FarmOp[T]) Run(s *cluster.Session, g iter.Matrix2[T], par Params[T], i
 	if g.H == 0 || g.W == 0 {
 		return g.Clone(), nil
 	}
-	slabs := opt.Slabs
-	if slabs <= 0 {
-		slabs = s.Node().Nodes()
+	nodes, w := s.Node().Nodes(), g.W
+	n := opt.Slabs
+	if n <= 0 {
+		n = nodes
 	}
-	part := NewPartition(g.H, g.W, slabs)
-	cur := g.Clone()
-	next := iter.Matrix2[T]{H: g.H, W: g.W, Data: make([]T, len(g.Data))}
-	ghost := make([]T, par.Radius*g.W)
-	tasks := make([][]byte, 0, slabs)
-	slabOf := make([]domain.Range, 0, slabs)
-	for it := 0; it < iters; it++ {
-		tasks, slabOf = tasks[:0], slabOf[:0]
+	n = min(n, g.H) // block partitioning leaves the slabs past the rows empty
+	if err := checkFarmShape(g.H, w, n, 0, par.Radius); err != nil {
+		return zero, err
+	}
+	part := NewPartition(g.H, w, n)
+	// Per slab: the source rows of its remote ghost slots, how many lie above
+	// it, the rows its answers carry, and the rank it is resident on.
+	srcs, tops, edges, pins := make([][]int, n), make([]int, n), make([][]int, n), make([]int, n)
+	for j := range srcs {
+		_, srcs[j], tops[j] = remoteSlots(part, j, par.Radius, par.Boundary)
+		edges[j] = newHaloPlan(part, j, par.Radius, par.Boundary).edgeRows()
+	}
+	k := 1
+	if opt.Farm.Checkpoint == nil {
+		k = max(1, g.H/n/max(1, 2*par.Radius))
+	}
+	hd := farmHeader{h: uint32(g.H), w: uint32(w), slabs: uint32(n), radius: uint32(par.Radius),
+		run: op.runs.Add(1), boundary: par.Boundary}
+	// base is the generation the epoch started from; next collects the rows
+	// answered since: edge rows, then whole slabs from the epoch's last sweep.
+	base, next := g.Clone(), iter.Matrix2[T]{H: g.H, W: w, Data: make([]T, len(g.Data))}
+	tasks, ghost := make([][]byte, n), []T(nil)
+
+	// sweep farms generation it → it+1: inline from base if it is the epoch's
+	// first, else pinned, with ghosts from the edge rows the sweep before left
+	// in next.
+	sweep := func(it int, first, last bool) error {
+		src, fo := next, opt.Farm
+		hd.gen, hd.flags = uint32(it), 0
+		if first {
+			src, hd.flags = base, farmInline
+		} else {
+			fo.Pin = pins
+		}
+		if last {
+			hd.flags |= farmLast
+		}
+		if fo.Job != "" {
+			fo.Job = fmt.Sprintf("%s@%d", fo.Job, it)
+		}
 		halo := 0
-		for _, rng := range part.Rows {
-			if rng.Empty() {
-				continue
+		for j, own := range part.Rows {
+			hd.slab, ghost = uint32(j), ghost[:0]
+			for _, y := range srcs[j] {
+				ghost = append(ghost, src.Data[y*w:(y+1)*w]...)
 			}
-			task, ghostBytes := op.encodeTask(cur, par, rng, ghost)
-			tasks = append(tasks, task)
-			slabOf = append(slabOf, rng)
-			halo += ghostBytes
+			var rows []T
+			if first {
+				rows = base.Data[own.Lo*w : own.Hi*w]
+			}
+			var sections int
+			tasks[j], sections = op.frame(hd, par.Border, rows, ghost, tops[j])
+			halo += sections
 		}
 		s.Fabric().AddHaloBytes(int64(halo))
-		fo := opt.Farm
-		if fo.Job != "" {
-			fo.Job = fmt.Sprintf("%s@%d", opt.Farm.Job, it)
-		}
 		res, err := s.FarmOpts(op.name, tasks, fo)
 		if err != nil {
-			return zero, fmt.Errorf("%s sweep %d: %w", op.name, it, err)
+			return fmt.Errorf("%s sweep %d: %w", op.name, it, err)
 		}
 		if len(res.Failed) > 0 {
 			f := res.Failed[0]
-			return zero, fmt.Errorf("%s sweep %d: %d slab tasks quarantined (task %d after %d attempts: %s)",
+			return fmt.Errorf("%s sweep %d: %d slab tasks quarantined (task %d after %d attempts: %s)",
 				op.name, it, len(res.Failed), f.Task, f.Attempts, f.Err)
 		}
-		for ti, payload := range res.Results {
-			rows, err := serial.Unmarshal(op.elems, payload)
-			rng := slabOf[ti]
-			if err != nil || len(rows) != rng.Len()*g.W {
-				return zero, fmt.Errorf("%s sweep %d: slab %d returned %d cells for %d rows (%v)",
-					op.name, it, ti, len(rows), rng.Len(), err)
+		for j, payload := range res.Results {
+			if len(payload) == 0 {
+				return fmt.Errorf("%s sweep %d: slab %d: %w", op.name, it, j, errStale)
 			}
-			copy(next.Data[rng.Lo*g.W:rng.Hi*g.W], rows)
+			rd, want := serial.NewReader(payload), part.Rows[j].Len()
+			if !last {
+				pins[j], want = rd.Int(), len(edges[j])
+			}
+			rows := op.elems.Decode(rd)
+			if rd.Err() != nil || len(rows) != want*w {
+				return fmt.Errorf("%s sweep %d: slab %d returned %d cells for %d rows (%v)",
+					op.name, it, j, len(rows), want, rd.Err())
+			}
+			if last {
+				copy(next.Data[part.Rows[j].Lo*w:], rows)
+				continue
+			}
+			for i, y := range edges[j] {
+				copy(next.Data[y*w:(y+1)*w], rows[i*w:])
+			}
 		}
-		cur, next = next, cur
+		return nil
 	}
-	return cur, nil
+
+	var fail error
+	dirty := false // an epoch was abandoned with slabs resident
+	for start, rolled := 0, 0; start < iters && fail == nil; {
+		end := min(start+k, iters)
+		hd.epoch++
+		var err error
+		for it := start; it < end && err == nil; it++ {
+			err = sweep(it, it == start, it == end-1)
+		}
+		switch {
+		case err == nil:
+			base, next, start, rolled = next, base, end, 0
+		case (errors.Is(err, cluster.ErrPinLost) || errors.Is(err, errStale)) && rolled < nodes:
+			rolled, dirty = rolled+1, true
+			s.Node().Tracer.Instant(0, "stencil.rollback", int64(start))
+		default:
+			fail, dirty = err, dirty || end-start > 1
+		}
+	}
+	if dirty {
+		// Every node still reachable drops what the run left on it; a lost
+		// node's store went with it.
+		hd.flags = farmDrop
+		drop, _ := op.frame(hd, par.Border, nil, nil, 0)
+		drops, fo := make([][]byte, nodes), opt.Farm
+		fo.Checkpoint, fo.Job, fo.Pin = nil, "", make([]int, nodes)
+		for i := range drops {
+			drops[i], fo.Pin[i] = drop, i
+		}
+		if _, err := s.FarmOpts(op.name, drops, fo); err != nil && !errors.Is(err, cluster.ErrPinLost) && fail == nil {
+			fail = fmt.Errorf("%s release: %w", op.name, err)
+		}
+	}
+	if fail != nil {
+		return zero, fail
+	}
+	return base, nil
 }

@@ -1,0 +1,172 @@
+package stencil
+
+import (
+	"bytes"
+	"slices"
+	"strings"
+	"testing"
+
+	"triolet/internal/cluster"
+	"triolet/internal/iter"
+	"triolet/internal/serial"
+	"triolet/internal/trace"
+)
+
+// farmSeedFrames frames slab 1 of a 12×5 Mirror grid in 3 slabs, radius 2,
+// the three ways a sweep can: inline, by handle, and by handle as the last
+// sweep of an epoch. Slab 1 has four remote ghost slots, two above.
+func farmSeedFrames() (inline, handle, last []byte) {
+	hd := farmHeader{h: 12, w: 5, slabs: 3, slab: 1, radius: 2, run: 7, epoch: 2, gen: 4, boundary: Mirror}
+	rows, ghost := make([]int64, 4*5), make([]int64, 4*5)
+	for i := range rows {
+		rows[i], ghost[i] = int64(i), int64(100+i)
+	}
+	hd.flags = farmInline
+	inline, _ = tableFarm.frame(hd, -5, rows, ghost, 2)
+	hd.flags, hd.gen = 0, 5
+	handle, _ = tableFarm.frame(hd, -5, nil, ghost, 2)
+	hd.flags, hd.gen = farmLast, 6
+	last, _ = tableFarm.frame(hd, -5, nil, ghost, 2)
+	return inline, handle, last
+}
+
+// FuzzFarmOpTask feeds arbitrary bytes to the farmed stencil's task decoder.
+// It may not panic or hang; what it accepts is a shape checkFarmShape allows,
+// carries no more cells than the frame has bytes, and re-encodes to the frame
+// it came from — so every field was read from the frame and checked against
+// the partition, none taken on trust.
+func FuzzFarmOpTask(f *testing.F) {
+	inline, handle, last := farmSeedFrames()
+	for _, s := range [][]byte{inline, handle, last} {
+		f.Add(s)
+		f.Add(append(bytes.Clone(s), 0)) // trailing byte
+		f.Add(s[:len(s)/2])              // torn frame
+	}
+	absurd := bytes.Clone(inline)
+	copy(absurd[8:], []byte{0xff, 0xff, 0xff, 0x7f}) // two billion slabs
+	f.Add(absurd)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		task, err := tableFarm.decodeTask(data)
+		if err != nil {
+			if !strings.Contains(err.Error(), "malformed task") {
+				t.Fatalf("refusal does not say malformed task: %v", err)
+			}
+			return
+		}
+		if err := checkFarmShape(int(task.h), int(task.w), int(task.slabs), int(task.slab), int(task.radius)); err != nil {
+			t.Fatalf("accepted %+v: %v", task.farmHeader, err)
+		}
+		if len(task.rows)+len(task.ghost) > len(data) || len(task.part.Rows) > farmBudget {
+			t.Fatalf("accepted %d+%d cells over %d slabs from %d bytes", len(task.rows), len(task.ghost), len(task.part.Rows), len(data))
+		}
+		top := 0
+		for _, slot := range task.recv {
+			if slot < int(task.radius) {
+				top++
+			}
+		}
+		if again, _ := tableFarm.frame(task.farmHeader, task.par.Border, task.rows, task.ghost, top); !bytes.Equal(again, data) {
+			t.Fatalf("accepted frame re-encodes differently:\n got %x\nfrom %x", again, data)
+		}
+	})
+}
+
+// TestFarmOpTaskRejectsMalformed: the seeds decode; each single corruption of
+// the inline seed that the partition can contradict is refused as a malformed
+// task, not discovered by the kernel; and a handle for a slab the node does
+// not hold is answered empty, not with an error.
+func TestFarmOpTaskRejectsMalformed(t *testing.T) {
+	inline, handle, last := farmSeedFrames()
+	for name, frame := range map[string][]byte{"inline": inline, "handle": handle, "last": last} {
+		task, err := tableFarm.decodeTask(frame)
+		if err != nil || len(task.recv) != 4 || len(task.ghost) != 20 || (name == "inline") != (len(task.rows) == 20) {
+			t.Fatalf("%s seed: %+v, %v", name, task, err)
+		}
+	}
+	u32 := func(field int, v uint32) func([]byte) []byte {
+		return func(b []byte) []byte {
+			b[4*field], b[4*field+1], b[4*field+2], b[4*field+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+			return b
+		}
+	}
+	for name, corrupt := range map[string]func([]byte) []byte{
+		"slab past the partition": u32(3, 3),
+		"more slabs than rows":    u32(2, 13),
+		"no slabs":                u32(2, 0),
+		"zero width":              u32(1, 0),
+		"taller grid":             u32(0, 14), // slab 1 of 14 rows in 3 slabs has five rows
+		"wider rows":              u32(1, 6),
+		"radius past the budget":  u32(4, 1<<19),
+		"radius with more ghosts": u32(4, 3),
+		"unknown boundary":        func(b []byte) []byte { b[32] = farmInline | 9; return b },
+		"inline flag dropped":     func(b []byte) []byte { b[32] = uint8(Mirror); return b },
+		"torn":                    func(b []byte) []byte { return b[:len(b)-3] },
+		"trailing byte":           func(b []byte) []byte { return append(b, 0) },
+		"header only":             func(b []byte) []byte { return b[:41] },
+	} {
+		_, err := tableFarm.decodeTask(corrupt(bytes.Clone(inline)))
+		if err == nil || !strings.Contains(err.Error(), "malformed task") {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	n := &cluster.Node{}
+	if out, err := tableFarm.taskBody(n, handle); err != nil || out == nil || len(out) != 0 || len(n.Segs) != 0 {
+		t.Errorf("handle for a slab not resident: answer %v, %v, %d segments", out, err, len(n.Segs))
+	}
+}
+
+// evictCell is tableCell, until the fourth time it computes cell (0, 0) — the
+// first slab's task of the second epoch's second sweep, below — when it runs
+// evict first.
+var (
+	evictCalls int
+	evict      func()
+	evictFarm  = NewFarmOp("test.evict", serial.I64C(), serial.I64s(), func(nb Neighborhood[int64]) int64 {
+		if nb.Y() == 0 && nb.X() == 0 {
+			if evictCalls++; evictCalls == 4 {
+				evict()
+			}
+		}
+		return tableCell(nb)
+	})
+)
+
+// TestFarmOpRollbackOnStaleSlab takes a resident slab away in the middle of
+// an epoch. The node answers the slab's next task empty, the master rolls
+// back to the epoch's base generation and restarts it inline, and the run
+// ends with the reference grid and an empty store.
+func TestFarmOpRollbackOnStaleSlab(t *testing.T) {
+	g := iter.Matrix2[int64]{H: 8, W: 5, Data: make([]int64, 40)}
+	for i := range g.Data {
+		g.Data[i] = int64(i*i%31 + 1)
+	}
+	par := Params[int64]{Radius: 1, Boundary: Wrap}
+	const iters = 6 // two slabs of four rows: epochs of two sweeps
+	tr := trace.New()
+	var got iter.Matrix2[int64]
+	_, err := cluster.Run(cluster.Config{Nodes: 1, CoresPerNode: 1, Tracer: tr}, func(s *cluster.Session) (err error) {
+		evictCalls = 0
+		evict = func() {
+			key := cluster.SegKey{Kernel: evictFarm.Name(), Run: int(evictFarm.runs.Load()), Seg: 1}
+			if s.Node().Segs[key] == nil {
+				t.Error("slab 1 is not resident in the middle of its epoch")
+			}
+			delete(s.Node().Segs, key)
+		}
+		got, err = evictFarm.Run(s, g, par, iters, FarmRunOptions{Slabs: 2})
+		if n := len(s.Node().Segs); n != 0 {
+			t.Errorf("%d segments resident after the run", n)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Data, tableRef(g, par, iters)) {
+		t.Error("grid differs from the reference")
+	}
+	if n := tr.Count("stencil.rollback"); n != 1 {
+		t.Errorf("%d rollbacks, want 1", n)
+	}
+}
