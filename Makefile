@@ -4,7 +4,7 @@
 GO ?= go
 
 .PHONY: build test race chaos chaos-resume chaos-campaign fuzz fuzz-wal \
-	bench bench-baseline bench-smoke alloc-gate msg-gate msg-baseline \
+	bench bench-baseline bench-smoke iter-bench alloc-gate msg-gate msg-baseline \
 	diffcheck-gate diffcheck-soak autopar-gate lint lint-selftest inline-gate loc vet all
 
 all: vet build test
@@ -80,6 +80,14 @@ bench-baseline:
 # per workload with every output check on, ~10 s. Builds into .bench_build/.
 bench-smoke:
 	bash bench/run.sh -quick
+
+# The six internal/iter benchmarks (pipeline beside its hand-written twin),
+# six samples each with allocations: the per-layer rows a change to the
+# fusion core must hold, read in alternated parent/change rounds. `make
+# bench`'s iter ratios are known to flip with host state; these are the raw
+# ns/op and allocs/op behind them.
+iter-bench:
+	$(GO) test -run '^$$' -bench . -benchmem -count=6 ./internal/iter/
 
 # Steady-state allocation gate: AllocsPerRun proofs over the block
 # engine's fast paths, the core skeletons' merge steps, cutcp's per-atom

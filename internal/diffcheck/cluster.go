@@ -27,11 +27,16 @@ import (
 
 const chunkKernel = "diffcheck.chunk"
 
-// chunkTask is one farm task: a pipeline, a window of its outer domain,
-// and an optional compute delay (used by Resume runs to widen the kill
-// window).
+// resumeTaskDelay is the per-task compute delay of a Resume run, and so
+// the longest delay a well-formed task can carry.
+const resumeTaskDelay = 2 * time.Millisecond
+
+// chunkTask is one farm task: a pipeline, the engine to observe it with, a
+// window of its outer domain, and an optional compute delay (used by Resume
+// runs to widen the kill window).
 type chunkTask struct {
 	p     Pipeline
+	eng   Engine
 	whole bool
 	r     domain.Range
 	delay time.Duration
@@ -39,6 +44,7 @@ type chunkTask struct {
 
 func encodeChunkTask(t chunkTask) []byte {
 	w := serial.NewWriter(64 + 8*len(t.p.Seed))
+	w.U8(uint8(t.eng))
 	w.Bool(t.whole)
 	w.Int(t.r.Lo)
 	w.Int(t.r.Hi)
@@ -56,6 +62,7 @@ func encodeChunkTask(t chunkTask) []byte {
 func decodeChunkTask(b []byte) (chunkTask, error) {
 	r := serial.NewReader(b)
 	var t chunkTask
+	t.eng = Engine(r.U8())
 	t.whole = r.Bool()
 	t.r.Lo = r.Int()
 	t.r.Hi = r.Int()
@@ -73,6 +80,20 @@ func decodeChunkTask(b []byte) (chunkTask, error) {
 	}
 	if err := r.Err(); err != nil {
 		return t, fmt.Errorf("diffcheck: malformed chunk task: %w", err)
+	}
+	// The kernel sleeps t.delay and hands t.r to iter.Split, which panics on
+	// a window outside the domain: nothing here is taken on trust.
+	if t.eng > Block {
+		return t, fmt.Errorf("diffcheck: malformed chunk task: engine %d", t.eng)
+	}
+	if t.delay < 0 || t.delay > resumeTaskDelay {
+		return t, fmt.Errorf("diffcheck: malformed chunk task: delay %v outside [0, %v]", t.delay, resumeTaskDelay)
+	}
+	if !t.whole {
+		it := t.p.Build()
+		if n, _ := it.OuterLen(); !it.CanSplit() || t.r.Lo < 0 || t.r.Hi > n || t.r.Lo > t.r.Hi {
+			return t, fmt.Errorf("diffcheck: malformed chunk task: range %v outside the pipeline's outer domain of %d", t.r, n)
+		}
 	}
 	return t, nil
 }
@@ -117,7 +138,7 @@ func init() {
 		if !t.whole {
 			it = iter.Split(it, t.r)
 		}
-		return encodeObs(observe(it)), nil
+		return encodeObs(observe(it, t.eng)), nil
 	})
 }
 
@@ -155,46 +176,42 @@ func clusterConfig(m Mode, opt Options) cluster.Config {
 }
 
 // parTasks cuts the pipeline into farm task payloads.
-func parTasks(p Pipeline, opt Options, delay time.Duration) [][]byte {
+func parTasks(p Pipeline, eng Engine, opt Options, delay time.Duration) [][]byte {
 	chunks, ok := chunkRanges(p.Build(), opt.chunk())
 	if !ok {
-		return [][]byte{encodeChunkTask(chunkTask{p: p, whole: true, delay: delay})}
+		return [][]byte{encodeChunkTask(chunkTask{p: p, eng: eng, whole: true, delay: delay})}
 	}
 	tasks := make([][]byte, len(chunks))
 	for i, r := range chunks {
-		tasks[i] = encodeChunkTask(chunkTask{p: p, r: r, delay: delay})
+		tasks[i] = encodeChunkTask(chunkTask{p: p, eng: eng, r: r, delay: delay})
 	}
 	return tasks
 }
 
-// mergeParResults decodes per-task observations and merges them in task
-// (== chunk) order.
-func mergeParResults(fr *cluster.FarmResult, m Mode, opt Options) (Obs, error) {
+// decodeParts decodes the per-task observations, in task (== chunk) order.
+func decodeParts(fr *cluster.FarmResult) ([]Obs, error) {
 	if len(fr.Failed) > 0 {
-		return Obs{}, fmt.Errorf("diffcheck: %d tasks quarantined (first: task %d: %s)",
+		return nil, fmt.Errorf("diffcheck: %d tasks quarantined (first: task %d: %s)",
 			len(fr.Failed), fr.Failed[0].Task, fr.Failed[0].Err)
 	}
 	parts := make([]Obs, len(fr.Results))
 	for i, b := range fr.Results {
 		o, err := decodeObs(b)
 		if err != nil {
-			return Obs{}, fmt.Errorf("diffcheck: task %d: %w", i, err)
+			return nil, fmt.Errorf("diffcheck: task %d: %w", i, err)
 		}
 		parts[i] = o
 	}
-	legacy := 0
-	if opt.legacyFSum {
-		legacy = m.nodes()
-	}
-	return mergeObs(parts, legacy), nil
+	return parts, nil
 }
 
-// runPar executes the pipeline on a virtual cluster.
-func runPar(p Pipeline, m Mode, opt Options) (Obs, error) {
+// parParts executes the pipeline on a virtual cluster and returns the
+// per-chunk observations; Run merges them.
+func parParts(p Pipeline, m Mode, opt Options) ([]Obs, error) {
 	if m.Lifecycle == Resume {
-		return runParResume(p, m, opt)
+		return parPartsResume(p, m, opt)
 	}
-	tasks := parTasks(p, opt, 0)
+	tasks := parTasks(p, m.Engine, opt, 0)
 	var fr *cluster.FarmResult
 	_, err := cluster.Run(clusterConfig(m, opt), func(s *cluster.Session) error {
 		var err error
@@ -202,31 +219,31 @@ func runPar(p Pipeline, m Mode, opt Options) (Obs, error) {
 		return err
 	})
 	if err != nil {
-		return Obs{}, fmt.Errorf("diffcheck: %s: %w", m, err)
+		return nil, fmt.Errorf("diffcheck: %s: %w", m, err)
 	}
-	return mergeParResults(fr, m, opt)
+	return decodeParts(fr)
 }
 
-// runParResume executes the job twice: the first session is killed
+// parPartsResume executes the job twice: the first session is killed
 // (context cancel — the in-process stand-in for kill -9) once at least one
 // task record reaches the WAL, and a second session resumes from the
 // reopened WAL. The merged observation must be bit-identical to a fresh
 // run's, which is exactly what the oracle then checks.
-func runParResume(p Pipeline, m Mode, opt Options) (Obs, error) {
+func parPartsResume(p Pipeline, m Mode, opt Options) ([]Obs, error) {
 	dir, err := os.MkdirTemp("", "diffcheck-wal-")
 	if err != nil {
-		return Obs{}, err
+		return nil, err
 	}
 	defer os.RemoveAll(dir)
 	walPath := filepath.Join(dir, "job.wal")
 	wal, err := checkpoint.OpenWAL(walPath)
 	if err != nil {
-		return Obs{}, err
+		return nil, err
 	}
 
 	// A small per-task delay gives the killer a window; resumed results
 	// must be byte-identical regardless of where the kill lands.
-	tasks := parTasks(p, opt, 2*time.Millisecond)
+	tasks := parTasks(p, m.Engine, opt, resumeTaskDelay)
 	const job = "diffcheck"
 	cfg := clusterConfig(m, opt)
 
@@ -258,21 +275,21 @@ func runParResume(p Pipeline, m Mode, opt Options) (Obs, error) {
 	close(stopKiller)
 	<-killerDone
 	if cerr := wal.Close(); cerr != nil {
-		return Obs{}, cerr
+		return nil, cerr
 	}
 	if firstErr == nil {
 		// The job outran the killer (tiny pipelines): its results are a
 		// complete fresh run, still a valid observation for this mode.
-		return mergeParResults(fr, m, opt)
+		return decodeParts(fr)
 	}
 	if !errors.Is(firstErr, context.Canceled) {
-		return Obs{}, fmt.Errorf("diffcheck: %s first life: %w", m, firstErr)
+		return nil, fmt.Errorf("diffcheck: %s first life: %w", m, firstErr)
 	}
 
 	// Second life: a brand-new session resumes from the WAL on disk.
 	wal2, err := checkpoint.OpenWAL(walPath)
 	if err != nil {
-		return Obs{}, fmt.Errorf("diffcheck: reopen WAL: %w", err)
+		return nil, fmt.Errorf("diffcheck: reopen WAL: %w", err)
 	}
 	defer wal2.Close()
 	_, err = cluster.Run(cfg, func(s *cluster.Session) error {
@@ -281,7 +298,7 @@ func runParResume(p Pipeline, m Mode, opt Options) (Obs, error) {
 		return err
 	})
 	if err != nil {
-		return Obs{}, fmt.Errorf("diffcheck: %s second life: %w", m, err)
+		return nil, fmt.Errorf("diffcheck: %s second life: %w", m, err)
 	}
-	return mergeParResults(fr, m, opt)
+	return decodeParts(fr)
 }

@@ -52,13 +52,17 @@ func (p Pipeline) String() string {
 	return fmt.Sprintf("Pipeline{Seed: %d elems, Ops: %v}", len(p.Seed), p.Ops)
 }
 
-// Engine selects the iterator execution engine.
+// Engine selects how a mode observes the pipeline. It is a value the
+// executors pass down to observe (and ship in the Par task), not a switch
+// inside internal/iter: the library has one engine.
 type Engine uint8
 
 const (
-	// PerElement drives pipelines one element at a time.
+	// PerElement observes through iter.ToStep, which touches only At and
+	// Cursor: one element at a time, no block representation consulted.
 	PerElement Engine = iota
-	// Block drives pipelines through the block-at-a-time fast paths.
+	// Block observes through the library's consumers (ToSlice, Count, Sum,
+	// Histogram, Reduce) and so through the block driver.
 	Block
 )
 
@@ -148,11 +152,6 @@ type Options struct {
 	// RefLimit bounds reference-semantics intermediate slices (default
 	// 1<<20 elements).
 	RefLimit int
-	// legacyFSum reintroduces the pre-fix distributed float reduction —
-	// per-node left folds over a node-count-dependent grouping — in Par
-	// modes. It exists so tests can prove the oracle catches exactly the
-	// class of divergence the deterministic reductions fixed.
-	legacyFSum bool
 }
 
 func (o Options) chunk() int {
@@ -190,10 +189,23 @@ type Obs struct {
 	FAbs  float64 // float64 Sum of |v*0.1| — the conditioning scale for FSum
 }
 
-// observe consumes it once per consumer, through whichever engine is
-// active. Folds are in element order, so within one contiguous range the
-// result is engine- and schedule-independent.
-func observe(it iter.Iter[int64]) Obs {
+// observe consumes it through the given engine: once per consumer for
+// Block, all six fields in one left fold over the stepper for PerElement.
+// Folds are in element order, so within one contiguous range the result is
+// engine- and schedule-independent.
+func observe(it iter.Iter[int64], eng Engine) Obs {
+	if eng == PerElement {
+		return iter.FoldStep(iter.ToStep(it), Obs{Hist: make([]int64, HistBins)}, func(o Obs, v int64) Obs {
+			f := float64(v) * 0.1
+			o.Elems = append(o.Elems, v)
+			o.Count++
+			o.Sum += v
+			o.Hist[((v%HistBins)+HistBins)%HistBins]++
+			o.FSum += f
+			o.FAbs += math.Abs(f)
+			return o
+		})
+	}
 	fit := iter.Map(func(v int64) float64 { return float64(v) * 0.1 }, it)
 	bins := iter.Map(func(v int64) int { return int(((v % HistBins) + HistBins) % HistBins) }, it)
 	return Obs{
@@ -208,10 +220,9 @@ func observe(it iter.Iter[int64]) Obs {
 
 // mergeObs combines per-chunk observations, in chunk order. Integer fields
 // merge exactly (concatenation and addition commute with chunking); the
-// float sums combine with the fixed tree — matching core's deterministic
-// reductions — unless legacyNodes > 0 selects the pre-fix node-grouped
-// left fold (test knob).
-func mergeObs(parts []Obs, legacyNodes int) Obs {
+// float sums combine with the fixed tree, matching core's deterministic
+// reductions.
+func mergeObs(parts []Obs) Obs {
 	out := Obs{Hist: make([]int64, HistBins)}
 	fs := make([]float64, len(parts))
 	fa := make([]float64, len(parts))
@@ -225,30 +236,9 @@ func mergeObs(parts []Obs, legacyNodes int) Obs {
 		fs[i], fa[i] = p.FSum, p.FAbs
 	}
 	add := func(a, b float64) float64 { return a + b }
-	if legacyNodes > 0 {
-		out.FSum = legacyFold(fs, legacyNodes)
-		out.FAbs = legacyFold(fa, legacyNodes)
-	} else {
-		out.FSum = core.CombineTree(fs, 0, add)
-		out.FAbs = core.CombineTree(fa, 0, add)
-	}
+	out.FSum = core.CombineTree(fs, 0, add)
+	out.FAbs = core.CombineTree(fa, 0, add)
 	return out
-}
-
-// legacyFold reproduces the reduction shape the deterministic skeletons
-// replaced: chunk partials grouped by the node partition, each group left-
-// folded on its node, the per-node partials left-folded at the master. Its
-// rounding depends on the node count — the bug the oracle exists to catch.
-func legacyFold(vs []float64, nodes int) float64 {
-	total := 0.0
-	for _, r := range domain.BlockPartition(len(vs), nodes) {
-		part := 0.0
-		for _, v := range vs[r.Lo:r.Hi] {
-			part += v //lint:allow floatdet deliberately reproduces the node-count-dependent legacy fold the oracle regression-tests
-		}
-		total += part //lint:allow floatdet deliberately reproduces the node-count-dependent legacy fold the oracle regression-tests
-	}
-	return total
 }
 
 // chunkRanges cuts the pipeline's outer domain into fixed-width chunks at
@@ -262,44 +252,42 @@ func chunkRanges(it iter.Iter[int64], chunk int) ([]domain.Range, bool) {
 	return domain.ChunkPartition(n, chunk), true
 }
 
-// runSeq is the Seq executor: plain consumers on the calling goroutine.
-func runSeq(p Pipeline) Obs {
-	return observe(p.Build())
-}
-
 // runLocalPar is the LocalPar executor: per-chunk observations computed on
 // a work-stealing pool, merged in chunk order. Any pool width or steal
 // schedule produces identical bytes.
-func runLocalPar(p Pipeline, opt Options) Obs {
+func runLocalPar(p Pipeline, eng Engine, opt Options) Obs {
 	it := p.Build()
 	chunks, ok := chunkRanges(it, opt.chunk())
 	if !ok {
-		return mergeObs([]Obs{observe(it)}, 0)
+		return mergeObs([]Obs{observe(it, eng)})
 	}
 	parts := make([]Obs, len(chunks))
 	if len(chunks) > 0 {
 		pool := sched.NewPool(opt.cores())
 		pool.ParallelFor(len(chunks), 1, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				parts[i] = observe(iter.Split(it, chunks[i]))
+				parts[i] = observe(iter.Split(it, chunks[i]), eng)
 			}
 		})
 		pool.Close()
 	}
-	return mergeObs(parts, 0)
+	return mergeObs(parts)
 }
 
 // Run executes the pipeline under one mode and returns its observation.
 func Run(p Pipeline, m Mode, opt Options) (Obs, error) {
-	prev := iter.SetBlockDriver(m.Engine == Block)
-	defer iter.SetBlockDriver(prev)
 	switch m.Exec {
 	case Seq:
-		return runSeq(p), nil
+		// Plain consumers on the calling goroutine.
+		return observe(p.Build(), m.Engine), nil
 	case LocalPar:
-		return runLocalPar(p, opt), nil
+		return runLocalPar(p, m.Engine, opt), nil
 	case Par:
-		return runPar(p, m, opt)
+		parts, err := parParts(p, m, opt)
+		if err != nil {
+			return Obs{}, err
+		}
+		return mergeObs(parts), nil
 	}
 	return Obs{}, fmt.Errorf("diffcheck: unknown exec %d", m.Exec)
 }

@@ -255,3 +255,54 @@ func TestHistogramNestInnerLoopsZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestFilterKernelConsumersAllocsSizeIndependent: Count, ToSlice and Collect
+// over a compacting filter kernel go through the block driver, which
+// allocates per traversal — the kernel, its scratch, one staging buffer —
+// and nothing per block, so the count must not move with the input.
+func TestFilterKernelConsumersAllocsSizeIndependent(t *testing.T) {
+	consumers := map[string]func(it Iter[int64]){
+		"Count":   func(it Iter[int64]) { allocSink = int64(Count(it)) },
+		"ToSlice": func(it Iter[int64]) { allocSink = int64(len(ToSlice(it))) },
+		"Collect": func(it Iter[int64]) { Collect(it)(func(v int64) { allocSink += v }) },
+	}
+	for name, run := range consumers {
+		measure := func(n int) float64 {
+			xs := make([]int64, n)
+			for i := range xs {
+				xs[i] = int64(i % 101)
+			}
+			// A type-changing map on each side of the filter: neither the
+			// pure-filter view nor an in-place kernel, but the compacting
+			// kernel with scratch below it and a mapped view above it.
+			it := Map(func(v int) int64 { return int64(v) },
+				Filter(func(v int) bool { return v%3 == 0 },
+					Map(func(v int64) int { return int(v) * 7 }, FromSlice(xs))))
+			return testing.AllocsPerRun(20, func() { run(it) })
+		}
+		small, large := measure(1<<10), measure(1<<16)
+		if small != large {
+			t.Fatalf("%s over a filter kernel: allocations scale with input: %.1f at 1Ki vs %.1f at 64Ki", name, small, large)
+		}
+		if small > 8 {
+			t.Fatalf("%s over a filter kernel allocates %.1f per traversal, want <= 8 (kernels + scratch + one buffer)", name, small)
+		}
+	}
+}
+
+// TestReduceKernelAllocsSizeIndependent: a generic Reduce over a block
+// kernel stages through one buffer per traversal, none per block.
+func TestReduceKernelAllocsSizeIndependent(t *testing.T) {
+	w := func(a, v int64) int64 { return a*31 + v }
+	measure := func(n int) float64 {
+		it := Map(func(i int) int64 { return int64(i % 89) }, Range(n))
+		return testing.AllocsPerRun(20, func() { allocSink = Reduce(it, int64(0), w) })
+	}
+	small, large := measure(1<<10), measure(1<<16)
+	if small != large {
+		t.Fatalf("Reduce over a kernel: allocations scale with input: %.1f at 1Ki vs %.1f at 64Ki", small, large)
+	}
+	if small > 4 {
+		t.Fatalf("Reduce over a kernel allocates %.1f per traversal, want <= 4 (kernel + scratch + one buffer)", small)
+	}
+}

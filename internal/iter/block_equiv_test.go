@@ -1,57 +1,168 @@
 package iter
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
 	"triolet/internal/domain"
 )
 
-// Driver-equivalence property: every consumer must produce bit-identical
-// results whether it runs through the block engine or the per-element
-// driver. blockDriverEnabled gates every block fast path, so running the
-// same random pipeline under both settings compares the two drivers
-// directly. Float sums are compared with ==, not a tolerance: the block
-// driver is required to preserve the per-element accumulation order, so
-// even floating-point folds must agree to the last bit. This test runs
-// under -race in CI (the race job tests ./internal/...), which also checks
-// that per-traversal kernel generation keeps shared iterators safe.
+// Consumer-equivalence property: every consumer must produce the result of
+// the same consumer re-expressed over ToStep(it). The stepper touches only
+// At and Cursor — it is the per-element semantics by construction — so the
+// comparison pits every block representation (slice view, kernel, map
+// chain, fused reduction, pure filter) against the plain definition without
+// any mode to toggle. Floats are compared bit for bit, not within a
+// tolerance: the block paths are required to preserve the stepper's
+// accumulation order. These tests run under -race in CI (the race job tests
+// ./internal/...), which also checks that per-traversal kernel generation
+// keeps shared iterators safe.
 
-// runConsumers evaluates every gated consumer over it.
-type driverObs struct {
-	slice []int64
-	sum   int64
-	fsum  float64
-	count int
-	hist  []int64
-	whist []float64
-	split int64
-	ok    bool // split observed
+// probe is the order-sensitive instrumentation the consumers are run with.
+type probe[T Number] struct {
+	mix    func(acc, v T) T // non-commutative Reduce worker
+	bin    func(T) int
+	weight func(T) float64
 }
 
-func observeDrivers(it Iter[int64]) driverObs {
-	o := driverObs{
-		slice: ToSlice(it),
-		sum:   Sum(it),
-		count: Count(it),
+var (
+	intProbe = probe[int64]{
+		mix:    func(acc, v int64) int64 { return acc*31 + v },
+		bin:    func(v int64) int { return int(((v % 64) + 64) % 64) },
+		weight: func(v int64) float64 { return float64(v) * 0.1 },
 	}
-	o.fsum = Sum(Map(func(v int64) float64 { return float64(v) * 0.1 }, it))
-	o.hist = Histogram(64, Map(func(v int64) int { return int(((v % 64) + 64) % 64) }, it))
-	o.whist = WeightedHistogram(64, Map(func(v int64) Bin[float64] {
-		return Bin[float64]{I: int(((v % 64) + 64) % 64), W: float64(v) * 0.1}
-	}, it))
-	if it.CanSplit() {
-		n, _ := it.OuterLen()
-		for _, r := range domain.BlockPartition(n, 3) {
-			o.split += Sum(Split(it, r))
-		}
-		o.ok = true
+	floatProbe = probe[float64]{
+		mix:    func(acc, v float64) float64 { return acc*0.999 + v },
+		bin:    func(v float64) int { return int(math.Mod(math.Abs(v), 64)) },
+		weight: func(v float64) float64 { return v * 0.1 },
 	}
+)
+
+// obs is one observation of every consumer family over one iterator.
+type obs[T Number] struct {
+	slice, collect []T
+	sum, reduce    T
+	count          int
+	hist           []int64
+	whist          []float64
+}
+
+// consume observes it through the package's consumers.
+func consume[T Number](it Iter[T], p probe[T]) obs[T] {
+	o := obs[T]{
+		slice:  ToSlice(it),
+		sum:    Sum(it),
+		reduce: Reduce(it, 0, p.mix),
+		count:  Count(it),
+		hist:   Histogram(64, Map(p.bin, it)),
+		whist: WeightedHistogram(64, Map(func(v T) Bin[float64] {
+			return Bin[float64]{I: p.bin(v), W: p.weight(v)}
+		}, it)),
+	}
+	Collect(it).RunInto(&o.collect)
 	return o
 }
 
+// stepRef computes the same observation in one pass over ToStep(it).
+func stepRef[T Number](it Iter[T], p probe[T]) obs[T] {
+	o := obs[T]{hist: make([]int64, 64), whist: make([]float64, 64)}
+	cur := ToStep(it).Gen()
+	for v, ok := cur(); ok; v, ok = cur() {
+		o.slice = append(o.slice, v)
+		o.sum += v
+		o.reduce = p.mix(o.reduce, v)
+		o.count++
+		o.hist[p.bin(v)]++
+		o.whist[p.bin(v)] += p.weight(v)
+	}
+	o.collect = o.slice
+	return o
+}
+
+// sameBits is == for integers and bit equality for floats.
+func sameBits[T Number](a, b T) bool {
+	switch x := any(a).(type) {
+	case float64:
+		return math.Float64bits(x) == math.Float64bits(any(b).(float64))
+	case float32:
+		return math.Float32bits(x) == math.Float32bits(any(b).(float32))
+	}
+	return a == b
+}
+
+func sameSlice[T Number](a, b []T) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !sameBits(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// diff names the first consumer on which got departs from want, or "".
+func (got obs[T]) diff(want obs[T]) string {
+	switch {
+	case !sameSlice(got.slice, want.slice):
+		return fmt.Sprintf("ToSlice: %d elems vs %d", len(got.slice), len(want.slice))
+	case !sameSlice(got.collect, want.collect):
+		return fmt.Sprintf("Collect: %d elems vs %d", len(got.collect), len(want.collect))
+	case !sameBits(got.sum, want.sum):
+		return fmt.Sprintf("Sum: %v vs %v", got.sum, want.sum)
+	case !sameBits(got.reduce, want.reduce):
+		return fmt.Sprintf("Reduce: %v vs %v", got.reduce, want.reduce)
+	case got.count != want.count:
+		return fmt.Sprintf("Count: %d vs %d", got.count, want.count)
+	case !sameSlice(got.hist, want.hist):
+		return "Histogram"
+	case !sameSlice(got.whist, want.whist):
+		return "WeightedHistogram"
+	}
+	return ""
+}
+
+// againstStepper compares every consumer over it — and over every Split of
+// it at the offsets splitOffsets generates — with the stepper reference. A
+// flat iterator additionally checks the two consumers that exist only for
+// indexers: FoldIdx, and FillRange over the whole domain.
+func againstStepper[T Number](it Iter[T], p probe[T]) string {
+	check := func(it Iter[T]) string {
+		want := stepRef(it, p)
+		if d := consume(it, p).diff(want); d != "" {
+			return d
+		}
+		if it.kind == KIdxFlat {
+			if got := FoldIdx(it.idx, 0, p.mix); !sameBits(got, want.reduce) {
+				return fmt.Sprintf("FoldIdx: %v vs %v", got, want.reduce)
+			}
+			dst := make([]T, it.idx.N)
+			FillRange(dst, it, 0)
+			if !sameSlice(dst, want.slice) {
+				return "FillRange"
+			}
+		}
+		return ""
+	}
+	if d := check(it); d != "" {
+		return d
+	}
+	if !it.CanSplit() {
+		return ""
+	}
+	n, _ := it.OuterLen()
+	for _, r := range splitOffsets(n) {
+		if d := check(Split(it, r)); d != "" {
+			return fmt.Sprintf("split %v: %s", r, d)
+		}
+	}
+	return ""
+}
+
 func TestBlockDriverMatchesPerElementDriver(t *testing.T) {
-	defer SetBlockDriver(true)
 	prop := func(seed []int16, ops []PipeOp) bool {
 		if len(ops) > 6 {
 			ops = ops[:6]
@@ -60,57 +171,25 @@ func TestBlockDriverMatchesPerElementDriver(t *testing.T) {
 		for i, v := range seed {
 			xs[i] = int64(v % 100)
 		}
-		it := FromSlice(xs)
-		ref := xs
-		for _, op := range ops {
-			it = ApplyPipeOp(op, it)
-			ref = ApplyPipeOpRef(op, ref)
-			if len(ref) > 50000 {
-				return true // skip exploded concatMap cases
-			}
+		if _, ok := RefPipeline(xs, ops, 50000); !ok {
+			return true // skip exploded concatMap cases
 		}
-
-		blockDriverEnabled = true
-		blocked := observeDrivers(it)
-		blockDriverEnabled = false
-		scalar := observeDrivers(it)
-		blockDriverEnabled = true
-
-		if len(blocked.slice) != len(scalar.slice) {
-			t.Logf("ToSlice length %d (block) vs %d (per-element) for ops %+v",
-				len(blocked.slice), len(scalar.slice), ops)
+		it := BuildPipeline(xs, ops)
+		want := stepRef(it, intProbe)
+		if d := consume(it, intProbe).diff(want); d != "" {
+			t.Logf("consumers depart from the stepper on %s for ops %+v", d, ops)
 			return false
 		}
-		for i := range scalar.slice {
-			if blocked.slice[i] != scalar.slice[i] {
-				t.Logf("ToSlice[%d] = %d (block) vs %d (per-element) for ops %+v",
-					i, blocked.slice[i], scalar.slice[i], ops)
+		if it.CanSplit() {
+			n, _ := it.OuterLen()
+			var split int64
+			for _, r := range domain.BlockPartition(n, 3) {
+				split += Sum(Split(it, r))
+			}
+			if split != want.sum {
+				t.Logf("split sum %d vs %d for ops %+v", split, want.sum, ops)
 				return false
 			}
-		}
-		if blocked.sum != scalar.sum || blocked.count != scalar.count {
-			t.Logf("sum/count %d/%d vs %d/%d for ops %+v",
-				blocked.sum, blocked.count, scalar.sum, scalar.count, ops)
-			return false
-		}
-		if blocked.fsum != scalar.fsum {
-			t.Logf("float sum %v (block) vs %v (per-element): accumulation order diverged for ops %+v",
-				blocked.fsum, scalar.fsum, ops)
-			return false
-		}
-		for b := range scalar.hist {
-			if blocked.hist[b] != scalar.hist[b] {
-				t.Logf("hist[%d] = %d vs %d for ops %+v", b, blocked.hist[b], scalar.hist[b], ops)
-				return false
-			}
-			if blocked.whist[b] != scalar.whist[b] {
-				t.Logf("whist[%d] = %v vs %v for ops %+v", b, blocked.whist[b], scalar.whist[b], ops)
-				return false
-			}
-		}
-		if blocked.ok != scalar.ok || blocked.split != scalar.split {
-			t.Logf("split sum %d vs %d for ops %+v", blocked.split, scalar.split, ops)
-			return false
 		}
 		return true
 	}
@@ -120,54 +199,13 @@ func TestBlockDriverMatchesPerElementDriver(t *testing.T) {
 	}
 }
 
-// observeEqual compares the two drivers over it and reports the first
-// diverging consumer, or "" when they agree on everything.
-func observeEqual(it Iter[int64]) string {
-	SetBlockDriver(true)
-	blocked := observeDrivers(it)
-	SetBlockDriver(false)
-	scalar := observeDrivers(it)
-	SetBlockDriver(true)
-
-	if len(blocked.slice) != len(scalar.slice) {
-		return "ToSlice length"
-	}
-	for i := range scalar.slice {
-		if blocked.slice[i] != scalar.slice[i] {
-			return "ToSlice element"
-		}
-	}
-	if blocked.sum != scalar.sum {
-		return "Sum"
-	}
-	if blocked.count != scalar.count {
-		return "Count"
-	}
-	if blocked.fsum != scalar.fsum {
-		return "float Sum"
-	}
-	for b := range scalar.hist {
-		if blocked.hist[b] != scalar.hist[b] {
-			return "Histogram"
-		}
-		if blocked.whist[b] != scalar.whist[b] {
-			return "WeightedHistogram"
-		}
-	}
-	if blocked.ok != scalar.ok || blocked.split != scalar.split {
-		return "split Sum"
-	}
-	return ""
-}
-
 // Take/Drop/Chain/Scan applied directly over slice-backed producers: Take
 // and Drop of a KIdxFlat re-slice the backing array (SliceIdx), Chain of
 // two backed indexers builds an At-only seam, and Scan always lowers to a
 // stepper — each a distinct fast-path boundary the random generator only
-// rarely places first. Every combination must agree across drivers, at the
-// lengths where the block driver switches on and cuts its final block.
+// rarely places first. Every combination must agree with the stepper, at
+// the lengths where the block driver switches on and cuts its final block.
 func TestBlockDriverSliceBackedTakeDropChainScan(t *testing.T) {
-	defer SetBlockDriver(true)
 	// Kind bytes: 3=Take(A%40), 4=Drop(A%10), 5=Chain const block, 6=Scan.
 	heads := [][]PipeOp{
 		{{Kind: 3, A: 37}},
@@ -196,18 +234,12 @@ func TestBlockDriverSliceBackedTakeDropChainScan(t *testing.T) {
 				xs[i] = int64(i%101 - 17)
 			}
 			it := BuildPipeline(xs, ops)
-			if field := observeEqual(it); field != "" {
-				t.Fatalf("n=%d ops=%+v: drivers diverge on %s", n, ops, field)
+			if d := consume(it, intProbe).diff(stepRef(it, intProbe)); d != "" {
+				t.Fatalf("n=%d ops=%+v: consumers depart from the stepper on %s", n, ops, d)
 			}
 			ref, _ := RefPipeline(xs, ops, 0)
-			got := ToSlice(it)
-			if len(got) != len(ref) {
-				t.Fatalf("n=%d ops=%+v: length %d vs ref %d", n, ops, len(got), len(ref))
-			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("n=%d ops=%+v: element %d: %d vs %d", n, ops, i, got[i], ref[i])
-				}
+			if got := ToSlice(it); !sameSlice(got, ref) {
+				t.Fatalf("n=%d ops=%+v: %d elems vs reference %d", n, ops, len(got), len(ref))
 			}
 		}
 	}
@@ -217,7 +249,6 @@ func TestBlockDriverSliceBackedTakeDropChainScan(t *testing.T) {
 // Take/Drop/Chain/Scan over the slice-backed source, then continue with
 // arbitrary ops — the compositions around the re-slicing fast paths.
 func TestBlockDriverSliceOpsRandomCompositions(t *testing.T) {
-	defer SetBlockDriver(true)
 	prop := func(seed []int16, head PipeOp, ops []PipeOp) bool {
 		head.Kind = 3 + head.Kind%4 // force Take/Drop/Chain/Scan first
 		if len(ops) > 4 {
@@ -231,8 +262,9 @@ func TestBlockDriverSliceOpsRandomCompositions(t *testing.T) {
 		if _, ok := RefPipeline(xs, all, 50000); !ok {
 			return true // skip exploded concatMap cases
 		}
-		if field := observeEqual(BuildPipeline(xs, all)); field != "" {
-			t.Logf("drivers diverge on %s for ops %+v", field, all)
+		it := BuildPipeline(xs, all)
+		if d := consume(it, intProbe).diff(stepRef(it, intProbe)); d != "" {
+			t.Logf("consumers depart from the stepper on %s for ops %+v", d, all)
 			return false
 		}
 		return true
@@ -243,34 +275,92 @@ func TestBlockDriverSliceOpsRandomCompositions(t *testing.T) {
 	}
 }
 
-// The boundary cases quick.Check rarely lands on exactly: lengths around
-// blockMin and around BlockSize multiples, where the block driver switches
-// on and where its final partial block is cut.
-func TestBlockDriverBoundaryLengths(t *testing.T) {
-	defer func() { blockDriverEnabled = true }()
-	lengths := []int{0, 1, blockMin - 1, blockMin, blockMin + 1,
-		BlockSize - 1, BlockSize, BlockSize + 1, 2*BlockSize - 1, 2 * BlockSize, 1000}
-	for _, n := range lengths {
-		xs := make([]int64, n)
+// producers is the table's producer axis: one constructor per block
+// representation (and per way of composing over one), each over n
+// association-sensitive float64 elements so that any fold that leaves the
+// stepper's order shows in the last bits.
+func producers() map[string]func(n int) Iter[float64] {
+	data := func(n int) []float64 {
+		xs := make([]float64, n)
 		for i := range xs {
-			xs[i] = int64(i%97 - 13)
+			xs[i] = float64((i*7919)%1013-500) * 0.1
 		}
-		it := Filter(func(v int64) bool { return v%3 != 0 },
-			Map(func(v int64) int64 { return v*5 + 1 }, FromSlice(xs)))
-
-		blockDriverEnabled = true
-		gotSlice, gotSum, gotCount := ToSlice(it), Sum(it), Count(it)
-		blockDriverEnabled = false
-		wantSlice, wantSum, wantCount := ToSlice(it), Sum(it), Count(it)
-		blockDriverEnabled = true
-
-		if gotSum != wantSum || gotCount != wantCount || len(gotSlice) != len(wantSlice) {
-			t.Fatalf("n=%d: block driver sum/count/len %d/%d/%d vs %d/%d/%d",
-				n, gotSum, gotCount, len(gotSlice), wantSum, wantCount, len(wantSlice))
+		if n > 0 {
+			xs[0] = 1 << 53 // a spike: every later addend rounds
 		}
-		for i := range wantSlice {
-			if gotSlice[i] != wantSlice[i] {
-				t.Fatalf("n=%d: element %d: %d vs %d", n, i, gotSlice[i], wantSlice[i])
+		return xs
+	}
+	ints := func(n int) []int32 {
+		xs := make([]int32, n)
+		for i := range xs {
+			xs[i] = int32((i*131)%257 - 90)
+		}
+		return xs
+	}
+	scale := func(v float64) float64 { return v * 1.1 }
+	shift := func(v float64) float64 { return v + 0.7 }
+	half := func(v float64) float64 { return v * 0.5 }
+	widen := func(v int32) float64 { return float64(v) * 0.3 }
+	tab := func(i int) float64 { return float64(i%97)*0.3 - 11 }
+	mul := func(a, b float64) float64 { return a*b + 0.1 }
+	keep := func(v float64) bool { return int(math.Abs(v)*10)%3 != 0 }
+	keep2 := func(v float64) bool { return v > -20 }
+	return map[string]func(n int) Iter[float64]{
+		"slice":           func(n int) Iter[float64] { return FromSlice(data(n)) },
+		"kernel":          func(n int) Iter[float64] { return Map(tab, Range(n)) },
+		"map-of-kernel":   func(n int) Iter[float64] { return Map(scale, Map(tab, Range(n))) },
+		"chain-1":         func(n int) Iter[float64] { return Map(scale, FromSlice(data(n))) },
+		"chain-2":         func(n int) Iter[float64] { return Map(shift, Map(scale, FromSlice(data(n)))) },
+		"chain-3":         func(n int) Iter[float64] { return Map(half, Map(shift, Map(scale, FromSlice(data(n))))) },
+		"red-map":         func(n int) Iter[float64] { return Map(widen, FromSlice(ints(n))) },
+		"red-map-map":     func(n int) Iter[float64] { return Map(scale, Map(widen, FromSlice(ints(n)))) },
+		"red-zipwith":     func(n int) Iter[float64] { return ZipWith(mul, FromSlice(data(n)), FromSlice(data(n))) },
+		"red-map-zipwith": func(n int) Iter[float64] { return Map(shift, ZipWith(mul, FromSlice(data(n)), FromSlice(data(n)))) },
+		"red-map-zip": func(n int) Iter[float64] {
+			return Map(func(p Pair[float64, int32]) float64 { return p.Fst * float64(p.Snd) },
+				Zip(FromSlice(data(n)), FromSlice(ints(n))))
+		},
+		// A map stage built over an already restricted producer: the fused
+		// builder and the chain must have re-based, not just the kernel.
+		"map-of-sliced-zipwith": func(n int) Iter[float64] {
+			return Map(shift, Drop(3, ZipWith(mul, FromSlice(data(n)), FromSlice(data(n)))))
+		},
+		"map-of-sliced-chain": func(n int) Iter[float64] { return Map(shift, Drop(3, Map(scale, FromSlice(data(n))))) },
+		"zip-staged":          func(n int) Iter[float64] { return ZipWith(mul, Map(scale, FromSlice(data(n))), FromSlice(data(n))) },
+		"pure-filter":         func(n int) Iter[float64] { return Filter(keep, FromSlice(data(n))) },
+		"filter-of-kernel":    func(n int) Iter[float64] { return Filter(keep, Map(tab, Range(n))) },
+		"filter-of-chain":     func(n int) Iter[float64] { return Filter(keep, Map(scale, FromSlice(data(n)))) },
+		"filter-of-filter":    func(n int) Iter[float64] { return Filter(keep2, Filter(keep, FromSlice(data(n)))) },
+		"filter-of-filter-of-kernel": func(n int) Iter[float64] {
+			return Filter(keep2, Filter(keep, Map(tab, Range(n))))
+		},
+		"map-of-filter": func(n int) Iter[float64] { return Map(shift, Filter(keep, FromSlice(data(n)))) },
+		"widen-of-filter": func(n int) Iter[float64] {
+			return Map(widen, Filter(func(v int32) bool { return v%3 != 0 }, FromSlice(ints(n))))
+		},
+		"at-only-idx": func(n int) Iter[float64] { return IdxFlat(Idx[float64]{N: n, At: tab}) },
+		"at-only-fidx": func(n int) Iter[float64] {
+			return IdxFilter(FIdx[float64]{N: n, At: func(i int) (float64, bool) { return tab(i), i%4 != 1 }})
+		},
+	}
+}
+
+// The consumer x producer table: every consumer against the stepper over
+// every block representation, flat and as the inner loops of a nest, at the
+// lengths where the driver switches on (blockMin) and where it cuts its
+// final partial block (around BlockSize multiples), whole and under Split.
+func TestBlockDriverBoundaryLengths(t *testing.T) {
+	lengths := []int{0, 1, blockMin - 1, blockMin, BlockSize - 1, BlockSize + 1, 2*BlockSize + 77}
+	for name, mk := range producers() {
+		for _, n := range lengths {
+			if d := againstStepper(mk(n), floatProbe); d != "" {
+				t.Fatalf("%s n=%d: %s", name, n, d)
+			}
+			// The same producer as a nest's inner loops, between shorter and
+			// empty siblings so one arena serves blocks of several sizes.
+			nest := IdxNest(IdxOf([]Iter[float64]{mk(n), mk(n / 2), mk(0), mk(n)}))
+			if d := againstStepper(nest, floatProbe); d != "" {
+				t.Fatalf("nest of %s n=%d: %s", name, n, d)
 			}
 		}
 	}

@@ -7,10 +7,10 @@ import (
 )
 
 // White-box tests for the block engine: FillRange's three paths, and the
-// invariant that pipeline constructors preserve the block fast path
-// (back/fill) through composition and Split. Losing a fast path is not a
-// correctness bug — the per-element driver gives the same answer — so only
-// these tests and the bench gate would catch the regression.
+// invariant that pipeline constructors preserve the block representations
+// through composition and Split. Losing one is not a correctness bug — the
+// At loop gives the same answer — so only these tests and the bench gate
+// would catch the regression.
 
 func TestBlockSizeIsPowerOfTwo(t *testing.T) {
 	if BlockSize != 256 {
@@ -80,42 +80,42 @@ func TestFastPathPreservation(t *testing.T) {
 		t.Fatal("Split of a slice-backed iterator must stay slice-backed")
 	}
 
-	if r := Range(100); r.idx.fillGen() == nil {
+	if r := Range(100); !r.idx.fast.blocked() {
 		t.Fatal("Range must carry a block kernel")
 	}
 
 	m := Map(func(v int64) int64 { return v + 1 }, src)
-	if m.idx.fillGen() == nil {
+	if !m.idx.fast.blocked() {
 		t.Fatal("Map over a slice-backed iterator must carry a block kernel")
 	}
-	if s := Split(m, domain.Range{Lo: 256, Hi: 1024}); s.idx.fillGen() == nil {
+	if s := Split(m, domain.Range{Lo: 256, Hi: 1024}); !s.idx.fast.blocked() {
 		t.Fatal("Split of a mapped iterator must keep the block kernel")
 	}
-	if mm := Map(func(v int64) int64 { return v * 3 }, m); mm.idx.fillGen() == nil {
+	if mm := Map(func(v int64) int64 { return v * 3 }, m); !mm.idx.fast.blocked() {
 		t.Fatal("Map over a mapped iterator must compose block kernels")
 	}
 
 	f := Filter(func(v int64) bool { return v%2 == 0 }, src)
-	if f.fidx.cfill() == nil {
+	if !f.fidx.fast.blocked() {
 		t.Fatal("Filter over a slice-backed iterator must carry a compacting kernel")
 	}
-	if s := Split(f, domain.Range{Lo: 100, Hi: 2000}); s.fidx.cfill() == nil {
+	if s := Split(f, domain.Range{Lo: 100, Hi: 2000}); !s.fidx.fast.blocked() {
 		t.Fatal("Split of a filtered iterator must keep the compacting kernel")
 	}
-	if mf := Map(func(v int64) int64 { return v - 5 }, f); mf.fidx.cfill() == nil {
+	if mf := Map(func(v int64) int64 { return v - 5 }, f); !mf.fidx.fast.blocked() {
 		t.Fatal("Map over a filtered iterator must compose into the compacting kernel")
 	}
-	if ff := Filter(func(v int64) bool { return v%3 == 0 }, f); ff.fidx.cfill() == nil {
+	if ff := Filter(func(v int64) bool { return v%3 == 0 }, f); !ff.fidx.fast.blocked() {
 		t.Fatal("Filter over a filtered iterator must compose compacting kernels")
 	}
 
-	if z := ZipWith(func(a, b int64) int64 { return a * b }, src, src); z.idx.fillGen() == nil {
+	if z := ZipWith(func(a, b int64) int64 { return a * b }, src, src); !z.idx.fast.blocked() {
 		t.Fatal("ZipWith of slice-backed iterators must carry a block kernel")
 	}
-	if z := Zip(src, src); z.idx.fillGen() == nil {
+	if z := Zip(src, src); !z.idx.fast.blocked() {
 		t.Fatal("Zip of slice-backed iterators must carry a block kernel")
 	}
-	if zm := Map(func(p Pair[int64, int64]) int64 { return p.Fst + p.Snd }, Zip(src, src)); zm.idx.fillGen() == nil {
+	if zm := Map(func(p Pair[int64, int64]) int64 { return p.Fst + p.Snd }, Zip(src, src)); !zm.idx.fast.blocked() {
 		t.Fatal("Map over Zip (the dot-product shape) must compose block kernels")
 	}
 }
@@ -135,15 +135,16 @@ func TestReaderKernelAgainstAt(t *testing.T) {
 	}
 	for name, it := range its {
 		ix := it.idx
-		gen := ix.reader()
-		if gen == nil {
+		if !ix.fast.blocked() {
 			t.Fatalf("%s: no read kernel", name)
 		}
-		kernel := gen()
+		kernel := ix.fast.kernel()
 		buf := make([]int64, BlockSize)
 		for base := 0; base < ix.N; base += BlockSize {
-			n := blockLen(ix.N - base)
-			kernel(buf[:n], base)
+			n := min(BlockSize, ix.N-base)
+			if k := kernel(buf[:n], base); k != n {
+				t.Fatalf("%s: total kernel produced %d of %d at base %d", name, k, n, base)
+			}
 			for i := 0; i < n; i++ {
 				if buf[i] != ix.At(base+i) {
 					t.Fatalf("%s: kernel[%d] = %d, At(%d) = %d", name, base+i, buf[i], base+i, ix.At(base+i))

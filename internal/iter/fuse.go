@@ -13,27 +13,25 @@ package iter
 // hand-written code: one indirect call per user function per element and
 // zero buffer traffic.
 //
-// The kernels are type-erased (idxFast.red, idxFast.mkRed) because generics
+// The kernels are type-erased (fastPath.red, fastPath.mkRed) because generics
 // cannot express "this pipeline will later be mapped to a type I cannot
 // name yet". Each construction site knows its own concrete types, so it
 // recovers the erased function with a dynamic type switch over the closed
 // numeric set below; a pipeline whose types fall outside the set simply
 // lacks the kernel and stays on the staged block path. Folds run
-// left-to-right with the same addition order as the per-element driver, so
-// results remain bit-identical across drivers (the differential pipeline
-// test flips blockDriverEnabled to prove it).
+// left-to-right with the stepper's addition order, so float results are
+// bit-identical to it (the consumer x producer table in
+// block_equiv_test.go compares them).
 //
 // Fused numeric result set: float64, float32, int, int64, int32, uint32,
 // uint64 — the element types the benchmarks and the serial wire format
 // traffic in.
 
-// redOf returns ix's fused reduction kernel, or nil. The type assertion
-// recovers the erased kernel only when its accumulator type matches T.
-func redOf[T any](ix Idx[T]) func(T, int, int) T {
-	if ix.fast == nil || ix.fast.red == nil {
-		return nil
-	}
-	r, _ := ix.fast.red.(func(T, int, int) T)
+// redOf returns the producer's fused reduction kernel, or nil. The type
+// assertion recovers the erased kernel only when its accumulator type
+// matches T.
+func redOf[T any](f *fastPath[T]) func(T, int, int) T {
+	r, _ := f.red.(func(T, int, int) T)
 	return r
 }
 
@@ -67,11 +65,6 @@ func pairRedKernel[A, B any, R Number](g func(Pair[A, B]) R, xa []A, xb []B) fun
 		}
 		return acc
 	}
-}
-
-// rebaseKernel offsets a kernel's index window: SliceIdx re-bases at zero.
-func rebaseKernel[R Number](r func(R, int, int) R, off int) func(R, int, int) R {
-	return func(acc R, lo, hi int) R { return r(acc, lo+off, hi+off) }
 }
 
 // sliceMapRed builds the fused kernel reducing g over a backing array,
@@ -164,27 +157,6 @@ func pairRed[A, B any](g any, xa []A, xb []B) any {
 	return nil
 }
 
-// rebaseRed offsets a type-erased kernel's index window for SliceIdx.
-func rebaseRed(red any, off int) any {
-	switch r := red.(type) {
-	case func(float64, int, int) float64:
-		return rebaseKernel(r, off)
-	case func(float32, int, int) float32:
-		return rebaseKernel(r, off)
-	case func(int, int, int) int:
-		return rebaseKernel(r, off)
-	case func(int64, int, int) int64:
-		return rebaseKernel(r, off)
-	case func(int32, int, int) int32:
-		return rebaseKernel(r, off)
-	case func(uint32, int, int) uint32:
-		return rebaseKernel(r, off)
-	case func(uint64, int, int) uint64:
-		return rebaseKernel(r, off)
-	}
-	return nil
-}
-
 // composeMkRed threads a map stage f through a source's mkRed builder: the
 // fused kernel for g∘f over the source, when g is a func(U) R for a fused
 // numeric R.
@@ -208,15 +180,16 @@ func composeMkRed[T, U any](srcMk func(any) any, f func(T) U, g any) any {
 	return nil
 }
 
-// sourceMkRed returns the mapped-reduction builder of a producer: its own
+// sourceMkRed returns the mapped-reduction builder of a producer and the
+// offset of the producer's element 0 in the builder's index space: its own
 // mkRed when it has one, or a builder over its backing array. Nil when the
 // producer has no fused source.
-func sourceMkRed[T any](fast *idxFast[T]) func(any) any {
+func sourceMkRed[T any](fast *fastPath[T]) (mk func(any) any, off int) {
 	if fast.mkRed != nil {
-		return fast.mkRed
+		return fast.mkRed, fast.redOff
 	}
 	if back := fast.back; back != nil {
-		return func(g any) any { return sliceMapRed(g, back) }
+		return func(g any) any { return sliceMapRed(g, back) }, 0
 	}
-	return nil
+	return nil, 0
 }

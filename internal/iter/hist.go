@@ -39,128 +39,99 @@ func WeightedHistogram[W Number](n int, it Iter[Bin[W]]) []W {
 
 // HistogramInto adds it's counts into an existing bin array, enabling
 // per-thread private histograms that are merged afterwards (the two-level
-// reduction of paper §3.4). Nests recurse and indexers — partial ones
-// without a block kernel included — are driven through At with the bin
-// update inline (sumInner's shape), so an inner loop costs no collector, no
-// closure and one indirect call per element.
+// reduction of paper §3.4). Nests recurse with one staging arena, block
+// producers update bins from the driver's blocks, and indexers with no
+// block path — partial ones included — are driven through At with the bin
+// update inline, so a short inner loop costs no collector, no closure and
+// one indirect call per element.
 func HistogramInto(bins []int64, it Iter[int]) {
+	var arena []int
+	histInto(bins, it, &arena)
+}
+
+func histInto(bins []int64, it Iter[int], arena *[]int) {
 	n := len(bins)
+	each := func(block []int) {
+		for _, b := range block {
+			if b >= 0 && b < n {
+				bins[b]++
+			}
+		}
+	}
 	switch it.kind {
 	case KIdxNest:
 		inner := it.idxN
 		for i := 0; i < inner.N; i++ {
-			HistogramInto(bins, inner.At(i))
+			histInto(bins, inner.At(i), arena)
 		}
-		return
 	case KIdxFlat:
-		ix := it.idx
-		if back := ix.backing(); blockDriverEnabled && back != nil {
-			for _, b := range back {
-				if b >= 0 && b < n {
+		if ix := it.idx; !drive(ix.N, ix.fast, arena, each) {
+			for i := 0; i < ix.N; i++ {
+				if b := ix.At(i); b >= 0 && b < n {
 					bins[b]++
 				}
 			}
-			return
 		}
-		if gen := ix.fillGen(); blockDriverEnabled && gen != nil && ix.N >= blockMin {
-			g := gen()
-			buf := make([]int, blockLen(ix.N))
-			for base := 0; base < ix.N; base += BlockSize {
-				end := base + BlockSize
-				if end > ix.N {
-					end = ix.N
-				}
-				b := buf[:end-base]
-				g(b, base)
-				for _, v := range b {
-					if v >= 0 && v < n {
-						bins[v]++
-					}
-				}
-			}
-			return
-		}
-		for i := 0; i < ix.N; i++ {
-			if b := ix.At(i); b >= 0 && b < n {
-				bins[b]++
-			}
-		}
-		return
 	case KIdxFilter:
-		if fx := it.fidx; fx.fast == nil {
+		if fx := it.fidx; !drive(fx.N, fx.fast, arena, each) {
 			for i := 0; i < fx.N; i++ {
 				if b, ok := fx.At(i); ok && b >= 0 && b < n {
 					bins[b]++
 				}
 			}
-			return
 		}
+	default:
+		collectInto(it, func(b int) {
+			if b >= 0 && b < n {
+				bins[b]++
+			}
+		}, arena)
 	}
-	collectInto(it, func(b int) {
-		if b >= 0 && b < n {
-			bins[b]++
-		}
-	})
 }
 
 // WeightedHistogramInto adds it's weighted updates into an existing array;
 // same traversal as HistogramInto.
 func WeightedHistogramInto[W Number](bins []W, it Iter[Bin[W]]) {
+	var arena []Bin[W]
+	weightedHistInto(bins, it, &arena)
+}
+
+func weightedHistInto[W Number](bins []W, it Iter[Bin[W]], arena *[]Bin[W]) {
 	n := len(bins)
+	each := func(block []Bin[W]) {
+		for _, u := range block {
+			if u.I >= 0 && u.I < n {
+				bins[u.I] += u.W
+			}
+		}
+	}
 	switch it.kind {
 	case KIdxNest:
 		inner := it.idxN
 		for i := 0; i < inner.N; i++ {
-			WeightedHistogramInto(bins, inner.At(i))
+			weightedHistInto(bins, inner.At(i), arena)
 		}
-		return
 	case KIdxFlat:
-		ix := it.idx
-		if back := ix.backing(); blockDriverEnabled && back != nil {
-			for _, u := range back {
-				if u.I >= 0 && u.I < n {
+		if ix := it.idx; !drive(ix.N, ix.fast, arena, each) {
+			for i := 0; i < ix.N; i++ {
+				if u := ix.At(i); u.I >= 0 && u.I < n {
 					bins[u.I] += u.W
 				}
 			}
-			return
 		}
-		if gen := ix.fillGen(); blockDriverEnabled && gen != nil && ix.N >= blockMin {
-			g := gen()
-			buf := make([]Bin[W], blockLen(ix.N))
-			for base := 0; base < ix.N; base += BlockSize {
-				end := base + BlockSize
-				if end > ix.N {
-					end = ix.N
-				}
-				b := buf[:end-base]
-				g(b, base)
-				for _, u := range b {
-					if u.I >= 0 && u.I < n {
-						bins[u.I] += u.W
-					}
-				}
-			}
-			return
-		}
-		for i := 0; i < ix.N; i++ {
-			if u := ix.At(i); u.I >= 0 && u.I < n {
-				bins[u.I] += u.W
-			}
-		}
-		return
 	case KIdxFilter:
-		if fx := it.fidx; fx.fast == nil {
+		if fx := it.fidx; !drive(fx.N, fx.fast, arena, each) {
 			for i := 0; i < fx.N; i++ {
 				if u, ok := fx.At(i); ok && u.I >= 0 && u.I < n {
 					bins[u.I] += u.W
 				}
 			}
-			return
 		}
+	default:
+		collectInto(it, func(u Bin[W]) {
+			if u.I >= 0 && u.I < n {
+				bins[u.I] += u.W
+			}
+		}, arena)
 	}
-	collectInto(it, func(u Bin[W]) {
-		if u.I >= 0 && u.I < n {
-			bins[u.I] += u.W
-		}
-	})
 }

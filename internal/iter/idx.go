@@ -27,7 +27,7 @@ import "fmt"
 // independently, indexers can be split across parallel tasks and zipped.
 //
 // At is always valid. The unexported fast pointer carries the block
-// engine's fast paths (see block.go): a slice view of the elements, a
+// engine's representations (see block.go): a slice view of the elements, a
 // block-kernel generator, or a map chain over a source array. Constructors
 // in this package maintain it so pipelines over slices stay on the fast
 // path through Map/Zip/Slice composition, while At-only indexers — in
@@ -36,14 +36,14 @@ import "fmt"
 type Idx[T any] struct {
 	N    int
 	At   func(i int) T
-	fast *idxFast[T]
+	fast *fastPath[T]
 }
 
 // IdxOf wraps a slice as an indexer without copying. The indexer remembers
 // its backing array, so consumers iterate it with a tight loop instead of
 // per-element At calls.
 func IdxOf[T any](xs []T) Idx[T] {
-	return Idx[T]{N: len(xs), At: func(i int) T { return xs[i] }, fast: &idxFast[T]{back: xs}}
+	return Idx[T]{N: len(xs), At: func(i int) T { return xs[i] }, fast: &fastPath[T]{back: xs}}
 }
 
 // IdxRange is the indexer of the integers [0, n). Ranges shorter than
@@ -55,11 +55,12 @@ func IdxRange(n int) Idx[int] {
 	}
 	out := Idx[int]{N: n, At: func(i int) int { return i }}
 	if n >= blockMin {
-		out.fast = &idxFast[int]{fill: func() fillFn[int] {
-			return func(dst []int, base int) {
+		out.fast = &fastPath[int]{fill: func() kernel[int] {
+			return func(dst []int, base int) int {
 				for i := range dst {
 					dst[i] = base + i
 				}
+				return len(dst)
 			}
 		}}
 	}
@@ -79,11 +80,11 @@ func MapIdx[T, U any](f func(T) U, ix Idx[T]) Idx[U] {
 	// the extra closures would be dead weight on ConcatMap's per-element
 	// inner pipelines.
 	if ix.fast != nil && ix.N >= blockMin {
-		if srcMk := sourceMkRed(ix.fast); srcMk != nil {
+		if srcMk, off := sourceMkRed(ix.fast); srcMk != nil {
 			if out.fast == nil {
-				out.fast = &idxFast[U]{}
+				out.fast = &fastPath[U]{}
 			}
-			out.fast.red = srcMk(any(f))
+			out.fast.red, out.fast.redOff = srcMk(any(f)), off
 			out.fast.mkRed = func(g any) any { return composeMkRed(srcMk, f, g) }
 		}
 	}
@@ -100,11 +101,12 @@ func mapIdxBase[T, U any](f func(T) U, ix Idx[T]) Idx[U] {
 	out := Idx[U]{N: ix.N, At: func(i int) U { return f(at(i)) }}
 	if back := ix.backing(); back != nil {
 		out.At = func(i int) U { return f(back[i]) }
-		fast := &idxFast[U]{fill: func() fillFn[U] {
-			return func(dst []U, base int) {
+		fast := &fastPath[U]{fill: func() kernel[U] {
+			return func(dst []U, base int) int {
 				for i, v := range back[base : base+len(dst)] {
 					dst[i] = f(v)
 				}
+				return len(dst)
 			}
 		}}
 		// When T == U (detected dynamically — the assertions succeed only for
@@ -118,16 +120,15 @@ func mapIdxBase[T, U any](f func(T) U, ix Idx[T]) Idx[U] {
 		out.fast = fast
 		return out
 	}
-	if mapSrc, mapFns := ix.chain(); mapSrc != nil {
+	if chain := ix.fast; chain != nil && chain.mapSrc != nil {
 		if ff, ok := any(f).(func(U) U); ok {
 			// Same element type: extend the chain. ix has type Idx[U] here, so
 			// the remaining assertions cannot fail.
-			src := any(mapSrc).([]U)
-			prev := any(mapFns).([]func(U) U)
+			src, prev := any(chain.mapSrc).([]U), any(chain.mapFns).([]func(U) U)
 			fns := make([]func(U) U, len(prev)+1)
 			copy(fns, prev)
 			fns[len(prev)] = ff
-			out.fast = &idxFast[U]{
+			out.fast = &fastPath[U]{
 				mapSrc: src,
 				mapFns: fns,
 				fill:   mapChainFill(src, fns),
@@ -139,34 +140,8 @@ func mapIdxBase[T, U any](f func(T) U, ix Idx[T]) Idx[U] {
 	// Sub-blockMin sources skip kernel construction entirely: no consumer
 	// drives blocks that short, so the generator closure would be one more
 	// dead allocation on ConcatMap's per-element inner pipelines.
-	if gen := ix.fillGen(); gen != nil && ix.N >= blockMin {
-		// When T == U the map transforms each block in place in the
-		// consumer's buffer, skipping the scratch buffer and its extra pass.
-		if sameGen, ok := any(gen).(func() fillFn[U]); ok {
-			if ff, ok := any(f).(func(U) U); ok {
-				out.fast = &idxFast[U]{fill: func() fillFn[U] {
-					read := sameGen()
-					return func(dst []U, base int) {
-						read(dst, base)
-						for i, v := range dst {
-							dst[i] = ff(v)
-						}
-					}
-				}}
-				return out
-			}
-		}
-		out.fast = &idxFast[U]{fill: func() fillFn[U] {
-			read := gen()
-			var scratch []T
-			return func(dst []U, base int) {
-				s := ensure(&scratch, len(dst))
-				read(s, base)
-				for i, v := range s {
-					dst[i] = f(v)
-				}
-			}
-		}}
+	if src := ix.fast; src.blocked() && ix.N >= blockMin {
+		out.fast = &fastPath[U]{fill: mapKernels(f, src.kernel)}
 	}
 	return out
 }
@@ -180,39 +155,15 @@ func ZipIdx[A, B any](a Idx[A], b Idx[B]) Idx[Pair[A, B]] {
 		N:  min(a.N, b.N),
 		At: func(i int) Pair[A, B] { return Pair[A, B]{Fst: a.At(i), Snd: b.At(i)} },
 	}
-	if xa, xb := a.backing(), b.backing(); xa != nil && xb != nil {
-		out.fast = &idxFast[Pair[A, B]]{fill: func() fillFn[Pair[A, B]] {
-			return func(dst []Pair[A, B], base int) {
-				va := xa[base : base+len(dst)]
-				vb := xb[base : base+len(dst)]
-				for i := range dst {
-					dst[i] = Pair[A, B]{Fst: va[i], Snd: vb[i]}
-				}
-			}
-		}}
-		if out.N >= blockMin {
-			// A map over this zip reduces with pairs built inline from both
-			// backing arrays — the fused dot-product shape.
-			out.fast.mkRed = func(g any) any { return pairRed(g, xa, xb) }
+	out.fast = zipFast(a.fast, b.fast, func(dst []Pair[A, B], va []A, vb []B) {
+		for i := range dst {
+			dst[i] = Pair[A, B]{Fst: va[i], Snd: vb[i]}
 		}
-		return out
-	}
-	ra, rb := a.reader(), b.reader()
-	if ra != nil && rb != nil {
-		out.fast = &idxFast[Pair[A, B]]{fill: func() fillFn[Pair[A, B]] {
-			ga, gb := ra(), rb()
-			var sa []A
-			var sb []B
-			return func(dst []Pair[A, B], base int) {
-				va := ensure(&sa, len(dst))
-				vb := ensure(&sb, len(dst))
-				ga(va, base)
-				gb(vb, base)
-				for i := range dst {
-					dst[i] = Pair[A, B]{Fst: va[i], Snd: vb[i]}
-				}
-			}
-		}}
+	})
+	if xa, xb := a.backing(), b.backing(); xa != nil && xb != nil && out.N >= blockMin {
+		// A map over this zip reduces with pairs built inline from both
+		// backing arrays — the fused dot-product shape.
+		out.fast.mkRed = func(g any) any { return pairRed(g, xa, xb) }
 	}
 	return out
 }
@@ -226,49 +177,56 @@ func ZipWithIdx[A, B, C any](f func(A, B) C, a Idx[A], b Idx[B]) Idx[C] {
 		N:  min(a.N, b.N),
 		At: func(i int) C { return f(a.At(i), b.At(i)) },
 	}
-	if xa, xb := a.backing(), b.backing(); xa != nil && xb != nil {
-		out.fast = &idxFast[C]{fill: func() fillFn[C] {
-			return func(dst []C, base int) {
-				va := xa[base : base+len(dst)]
-				vb := xb[base : base+len(dst)]
-				for i := range dst {
-					dst[i] = f(va[i], vb[i])
-				}
-			}
-		}}
-		if out.N >= blockMin {
-			// Numeric results reduce straight off both backing arrays; a
-			// following map stage composes into the same kernel shape.
-			out.fast.red = zipRed(f, xa, xb)
-			out.fast.mkRed = func(g any) any { return zipMapRed(g, f, xa, xb) }
+	out.fast = zipFast(a.fast, b.fast, func(dst []C, va []A, vb []B) {
+		for i := range dst {
+			dst[i] = f(va[i], vb[i])
 		}
-		return out
-	}
-	ra, rb := a.reader(), b.reader()
-	if ra != nil && rb != nil {
-		out.fast = &idxFast[C]{fill: func() fillFn[C] {
-			ga, gb := ra(), rb()
-			var sa []A
-			var sb []B
-			return func(dst []C, base int) {
-				va := ensure(&sa, len(dst))
-				vb := ensure(&sb, len(dst))
-				ga(va, base)
-				gb(vb, base)
-				for i := range dst {
-					dst[i] = f(va[i], vb[i])
-				}
-			}
-		}}
+	})
+	if xa, xb := a.backing(), b.backing(); xa != nil && xb != nil && out.N >= blockMin {
+		// Numeric results reduce straight off both backing arrays; a
+		// following map stage composes into the same kernel shape.
+		out.fast.red = zipRed(f, xa, xb)
+		out.fast.mkRed = func(g any) any { return zipMapRed(g, f, xa, xb) }
 	}
 	return out
 }
 
+// zipFast is the block representation of two producers zipped: join
+// combines one window of each into dst, once per block. Two slice views
+// hand join their backing windows directly; any other pair of block
+// producers stages both windows through per-traversal scratch first. Nil
+// when either side has no block path.
+func zipFast[A, B, C any](fa *fastPath[A], fb *fastPath[B], join func(dst []C, va []A, vb []B)) *fastPath[C] {
+	if !fa.blocked() || !fb.blocked() {
+		return nil
+	}
+	if xa, xb := fa.back, fb.back; xa != nil && xb != nil {
+		return &fastPath[C]{fill: func() kernel[C] {
+			return func(dst []C, base int) int {
+				join(dst, xa[base:base+len(dst)], xb[base:base+len(dst)])
+				return len(dst)
+			}
+		}}
+	}
+	return &fastPath[C]{fill: func() kernel[C] {
+		ga, gb := fa.kernel(), fb.kernel()
+		var sa []A
+		var sb []B
+		return func(dst []C, base int) int {
+			va, vb := ensure(&sa, len(dst)), ensure(&sb, len(dst))
+			ga(va, base)
+			gb(vb, base)
+			join(dst, va, vb)
+			return len(dst)
+		}
+	}}
+}
+
 // SliceIdx restricts an indexer to the sub-range [lo, hi), re-basing
-// indices at zero. Parallel partitioning hands each task a SliceIdx; both
-// fast paths survive restriction (a slice view of a slice is a slice, and a
-// block kernel re-bases by offsetting), so per-task traversals in a
-// work-stealing loop run the same block kernels as the sequential whole.
+// indices at zero. Parallel partitioning hands each task a SliceIdx; every
+// block representation survives restriction (fastPath.slice), so per-task
+// traversals in a work-stealing loop run the same block kernels as the
+// sequential whole.
 func SliceIdx[T any](ix Idx[T], lo, hi int) Idx[T] {
 	if lo < 0 || hi > ix.N || lo > hi {
 		panic(fmt.Sprintf("iter: SliceIdx[%d,%d) of %d", lo, hi, ix.N))
@@ -276,52 +234,22 @@ func SliceIdx[T any](ix Idx[T], lo, hi int) Idx[T] {
 	if back := ix.backing(); back != nil {
 		return IdxOf(back[lo:hi:hi])
 	}
-	out := Idx[T]{N: hi - lo, At: func(i int) T { return ix.At(lo + i) }}
-	if mapSrc, mapFns := ix.chain(); mapSrc != nil {
-		// Slicing a map chain slices its source; the chain stays single-pass.
-		src := mapSrc[lo:hi:hi]
-		out.fast = &idxFast[T]{
-			mapSrc: src,
-			mapFns: mapFns,
-			fill:   mapChainFill(src, mapFns),
-		}
-		return out
-	}
-	if gen := ix.fillGen(); gen != nil {
-		out.fast = &idxFast[T]{fill: func() fillFn[T] {
-			read := gen()
-			return func(dst []T, base int) { read(dst, base+lo) }
-		}}
-	}
-	// Fused kernels survive restriction by index offset, so per-task
-	// traversals of a parallel split reduce with the same fused loops as
-	// the sequential whole.
-	if ix.fast != nil && (ix.fast.red != nil || ix.fast.mkRed != nil) {
-		if out.fast == nil {
-			out.fast = &idxFast[T]{}
-		}
-		if ix.fast.red != nil {
-			out.fast.red = rebaseRed(ix.fast.red, lo)
-		}
-		if mk := ix.fast.mkRed; mk != nil {
-			out.fast.mkRed = func(g any) any {
-				if r := mk(g); r != nil {
-					return rebaseRed(r, lo)
-				}
-				return nil
-			}
-		}
-	}
-	return out
+	return Idx[T]{N: hi - lo, At: func(i int) T { return ix.At(lo + i) }, fast: ix.fast.slice(lo, hi)}
 }
 
 // FoldIdx reduces the indexer left-to-right with worker w from initial
-// accumulator z. This is the idxToFold conversion of paper §3.3. Slice-
-// backed indexers fold over the backing array; block-capable ones pull
-// BlockSize elements per kernel call into a reused buffer.
+// accumulator z. This is the idxToFold conversion of paper §3.3.
 func FoldIdx[T, A any](ix Idx[T], z A, w func(A, T) A) A {
-	acc := z
-	if mapSrc, mapFns := ix.chain(); blockDriverEnabled && mapSrc != nil {
+	var arena []T
+	return foldIdx(ix, z, w, &arena)
+}
+
+// foldIdx is FoldIdx staging through the caller's arena: a map chain folds
+// in one pass over its source array, block producers through the driver,
+// anything else through At.
+func foldIdx[T, A any](ix Idx[T], acc A, w func(A, T) A, arena *[]T) A {
+	if f := ix.fast; f != nil && f.mapSrc != nil {
+		mapSrc, mapFns := f.mapSrc, f.mapFns
 		switch len(mapFns) {
 		case 1:
 			f0 := mapFns[0]
@@ -343,32 +271,28 @@ func FoldIdx[T, A any](ix Idx[T], z A, w func(A, T) A) A {
 		}
 		return acc
 	}
-	if back := ix.backing(); blockDriverEnabled && back != nil {
-		for _, v := range back {
-			acc = w(acc, v)
-		}
-		return acc
-	}
-	if gen := ix.fillGen(); blockDriverEnabled && gen != nil && ix.N >= blockMin {
-		g := gen()
-		buf := make([]T, blockLen(ix.N))
-		for base := 0; base < ix.N; base += BlockSize {
-			end := base + BlockSize
-			if end > ix.N {
-				end = ix.N
-			}
-			b := buf[:end-base]
-			g(b, base)
-			for _, v := range b {
-				acc = w(acc, v)
-			}
-		}
-		return acc
+	if out, ok := foldBlocks(ix.N, ix.fast, acc, w, arena); ok {
+		return out
 	}
 	for i := 0; i < ix.N; i++ {
 		acc = w(acc, ix.At(i))
 	}
 	return acc
+}
+
+// foldBlocks left-folds a block producer with w; ok is false, and nothing
+// was folded, when the driver found no block path. Each block folds on a
+// local copy of the accumulator, so the captured one is touched once per
+// block, not once per element.
+func foldBlocks[T, A any](n int, f *fastPath[T], z A, w func(A, T) A, arena *[]T) (A, bool) {
+	ok := drive(n, f, arena, func(b []T) {
+		acc := z
+		for _, v := range b {
+			acc = w(acc, v)
+		}
+		z = acc
+	})
+	return z, ok
 }
 
 // IdxToStep converts an indexer to a stepper that yields elements in index

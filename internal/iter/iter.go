@@ -96,30 +96,14 @@ type Iter[T any] struct {
 
 // FIdx is the partial indexer backing KIdxFilter: At reports ok=false when
 // index i's element is rejected. The unexported fast pointer carries the
-// block engine's fast paths (see block.go): a compacting block kernel — one
-// indirect call evaluates a whole block of indices and packs the survivors
-// to the front of a buffer — and the pure-filter slice+predicate view, so
-// filter-heavy consumers avoid the two-valued At call per element.
+// block engine's representations (see block.go): a compacting block kernel
+// — one indirect call evaluates a whole block of indices and packs the
+// survivors to the front of a buffer — or the pure-filter slice+predicate
+// view, so filter-heavy consumers avoid the two-valued At call per element.
 type FIdx[T any] struct {
 	N    int
 	At   func(i int) (T, bool)
-	fast *fidxFast[T]
-}
-
-// cfill returns fx's compacting block-kernel generator, or nil.
-func (fx FIdx[T]) cfill() func() cfillFn[T] {
-	if fx.fast != nil {
-		return fx.fast.fill
-	}
-	return nil
-}
-
-// filterView returns fx's pure-filter representation, or (nil, nil).
-func (fx FIdx[T]) filterView() ([]T, func(T) bool) {
-	if fx.fast != nil {
-		return fx.fast.back, fx.fast.pred
-	}
-	return nil, nil
+	fast *fastPath[T]
 }
 
 // IdxFilter wraps a partial indexer as an iterator.
@@ -233,19 +217,8 @@ func Map[T, U any](f func(T) U, it Iter[T]) Iter[U] {
 			}
 			return f(v), true
 		}}
-		if gen := fx.cfill(); gen != nil {
-			out.fidx.fast = &fidxFast[U]{fill: func() cfillFn[U] {
-				read := gen()
-				var scratch []T
-				return func(dst []U, base, n int) int {
-					s := ensure(&scratch, n)
-					k := read(s, base, n)
-					for i, v := range s[:k] {
-						dst[i] = f(v)
-					}
-					return k
-				}
-			}}
+		if src := fx.fast; src.blocked() {
+			out.fidx.fast = &fastPath[U]{fill: mapKernels(f, src.kernel)}
 		}
 	default:
 		panic("iter: bad kind")
@@ -271,41 +244,7 @@ func Filter[T any](pred func(T) bool, it Iter[T]) Iter[T] {
 			v := ix.At(i)
 			return v, pred(v)
 		}}
-		if back := ix.backing(); back != nil {
-			out.fidx.fast = &fidxFast[T]{
-				back: back,
-				pred: pred,
-				fill: func() cfillFn[T] {
-					return func(dst []T, base, n int) int {
-						k := 0
-						for _, v := range back[base : base+n] {
-							if pred(v) {
-								dst[k] = v
-								k++
-							}
-						}
-						return k
-					}
-				},
-			}
-		} else if gen := ix.fillGen(); gen != nil {
-			out.fidx.fast = &fidxFast[T]{fill: func() cfillFn[T] {
-				read := gen()
-				var scratch []T
-				return func(dst []T, base, n int) int {
-					s := ensure(&scratch, n)
-					read(s, base)
-					k := 0
-					for _, v := range s {
-						if pred(v) {
-							dst[k] = v
-							k++
-						}
-					}
-					return k
-				}
-			}}
-		}
+		out.fidx.fast = filterFast(pred, ix.fast)
 	case KIdxFilter:
 		// Filtering twice composes the rejection tests.
 		fx := it.fidx
@@ -314,30 +253,7 @@ func Filter[T any](pred func(T) bool, it Iter[T]) Iter[T] {
 			v, ok := fx.At(i)
 			return v, ok && pred(v)
 		}}
-		if fx.fast != nil {
-			fast := &fidxFast[T]{}
-			if back, p0 := fx.filterView(); back != nil {
-				fast.back = back
-				fast.pred = func(v T) bool { return p0(v) && pred(v) }
-			}
-			if gen := fx.cfill(); gen != nil {
-				fast.fill = func() cfillFn[T] {
-					read := gen()
-					return func(dst []T, base, n int) int {
-						k := read(dst, base, n)
-						w := 0
-						for _, v := range dst[:k] {
-							if pred(v) {
-								dst[w] = v
-								w++
-							}
-						}
-						return w
-					}
-				}
-			}
-			out.fidx.fast = fast
-		}
+		out.fidx.fast = filterFast(pred, fx.fast)
 	case KStepFlat:
 		out.kind = KStepFlat
 		out.step = FilterStep(pred, it.step)
@@ -445,35 +361,35 @@ func mergeHint(a, b ParHint) ParHint { return max(a, b) }
 // becomes one loop of the resulting loop nest. Slice-backed and
 // block-capable producers feed the worker from tight buffer loops.
 func Collect[T any](it Iter[T]) Collector[T] {
-	return func(w func(T)) { collectInto(it, w) }
+	return func(w func(T)) {
+		var arena []T
+		collectInto(it, w, &arena)
+	}
 }
 
 // collectInto runs Collect's loop nest: one recursive walk, so a nest builds
-// no collector closure per inner iterator.
-func collectInto[T any](it Iter[T], w func(T)) {
+// no collector closure per inner iterator and stages every block-driven
+// inner loop through one arena.
+func collectInto[T any](it Iter[T], w func(T), arena *[]T) {
+	each := func(b []T) {
+		for _, v := range b {
+			w(v)
+		}
+	}
 	switch it.kind {
 	case KIdxFlat:
-		ix := it.idx
-		if back := ix.backing(); blockDriverEnabled && back != nil {
-			for _, v := range back {
-				w(v)
+		if ix := it.idx; !drive(ix.N, ix.fast, arena, each) {
+			for i := 0; i < ix.N; i++ {
+				w(ix.At(i))
 			}
-			return
 		}
-		if gen := ix.fillGen(); blockDriverEnabled && gen != nil && ix.N >= blockMin {
-			g := gen()
-			buf := make([]T, blockLen(ix.N))
-			for base := 0; base < ix.N; base += BlockSize {
-				b := buf[:min(BlockSize, ix.N-base)]
-				g(b, base)
-				for _, v := range b {
+	case KIdxFilter:
+		if fx := it.fidx; !drive(fx.N, fx.fast, arena, each) {
+			for i := 0; i < fx.N; i++ {
+				if v, ok := fx.At(i); ok {
 					w(v)
 				}
 			}
-			return
-		}
-		for i := 0; i < ix.N; i++ {
-			w(ix.At(i))
 		}
 	case KStepFlat:
 		cur := it.step.Gen()
@@ -483,38 +399,12 @@ func collectInto[T any](it Iter[T], w func(T)) {
 	case KIdxNest:
 		inner := it.idxN
 		for i := 0; i < inner.N; i++ {
-			collectInto(inner.At(i), w)
+			collectInto(inner.At(i), w, arena)
 		}
 	case KStepNest:
 		cur := it.stepN.Gen()
 		for sub, ok := cur(); ok; sub, ok = cur() {
-			collectInto(sub, w)
-		}
-	case KIdxFilter:
-		fx := it.fidx
-		if back, pred := fx.filterView(); blockDriverEnabled && back != nil {
-			for _, v := range back {
-				if pred(v) {
-					w(v)
-				}
-			}
-			return
-		}
-		if gen := fx.cfill(); blockDriverEnabled && gen != nil && fx.N >= blockMin {
-			g := gen()
-			buf := make([]T, blockLen(fx.N))
-			for base := 0; base < fx.N; base += BlockSize {
-				n := min(BlockSize, fx.N-base)
-				for _, v := range buf[:g(buf[:n], base, n)] {
-					w(v)
-				}
-			}
-			return
-		}
-		for i := 0; i < fx.N; i++ {
-			if v, ok := fx.At(i); ok {
-				w(v)
-			}
+			collectInto(sub, w, arena)
 		}
 	default:
 		panic("iter: bad kind")
@@ -525,31 +415,36 @@ func collectInto[T any](it Iter[T], w func(T)) {
 // accumulator z, consuming each nesting level as one loop (the generic form
 // of paper Fig. 2's sum).
 func Reduce[T, A any](it Iter[T], z A, w func(A, T) A) A {
+	var arena []T
+	return reduceInto(it, z, w, &arena)
+}
+
+// reduceInto is Reduce's loop nest, the arena threaded through every level.
+func reduceInto[T, A any](it Iter[T], acc A, w func(A, T) A, arena *[]T) A {
 	switch it.kind {
 	case KIdxFlat:
-		return FoldIdx(it.idx, z, w)
-	case KStepFlat:
-		return FoldStep(it.step, z, w)
-	case KIdxNest:
-		return FoldIdx(it.idxN, z, func(acc A, inner Iter[T]) A { return Reduce(inner, acc, w) })
-	case KStepNest:
-		return FoldStep(it.stepN, z, func(acc A, inner Iter[T]) A { return Reduce(inner, acc, w) })
+		return foldIdx(it.idx, acc, w, arena)
 	case KIdxFilter:
 		fx := it.fidx
-		if back, pred := fx.filterView(); blockDriverEnabled && back != nil {
-			acc := z
-			for _, v := range back {
-				if pred(v) {
-					acc = w(acc, v)
-				}
-			}
-			return acc
+		if out, ok := foldBlocks(fx.N, fx.fast, acc, w, arena); ok {
+			return out
 		}
-		// Reductions never stop early, so route through the collector
-		// encoding (ReduceColl): Collect picks the block-compacting driver
-		// when one exists, and the worker never pays the two-valued At call
-		// or the early-exit bool of the fold encoding.
-		return ReduceColl(Collect(it), z, w)
+		for i := 0; i < fx.N; i++ {
+			if v, ok := fx.At(i); ok {
+				acc = w(acc, v)
+			}
+		}
+		return acc
+	case KStepFlat:
+		return FoldStep(it.step, acc, w)
+	case KIdxNest:
+		inner := it.idxN
+		for i := 0; i < inner.N; i++ {
+			acc = reduceInto(inner.At(i), acc, w, arena)
+		}
+		return acc
+	case KStepNest:
+		return FoldStep(it.stepN, acc, func(a A, inner Iter[T]) A { return reduceInto(inner, a, w, arena) })
 	}
 	panic("iter: bad kind")
 }
@@ -570,120 +465,38 @@ type Number interface {
 // slice-backed inner loops keep the fast path.
 func Sum[T Number](it Iter[T]) T {
 	var zero T
-	return sumFrom(zero, it)
+	var arena []T
+	return sumInto(zero, it, &arena)
 }
 
-// sumFrom folds it's elements into acc left-to-right. The block paths thread
-// the caller's accumulator through every block and inner iterator (rather
+// sumInto folds it's elements into acc left-to-right. Every path threads
+// the caller's accumulator through each block and inner iterator (rather
 // than summing each from zero and adding partials), so the addition tree is
-// identical to the per-element driver's and floating-point sums agree
-// bit-for-bit between the two drivers.
-func sumFrom[T Number](acc T, it Iter[T]) T {
-	if blockDriverEnabled {
-		switch it.kind {
-		case KIdxFlat:
-			ix := it.idx
-			if back := ix.backing(); back != nil {
-				return sumSliceFrom(acc, back)
-			}
-			if mapSrc, mapFns := ix.chain(); mapSrc != nil {
-				// Map chain: one pass over the source, one indirect call per
-				// user function per element — the raw-loop shape up to those
-				// calls, with no buffer at all.
-				return sumChain(acc, mapSrc, mapFns)
-			}
-			if r := redOf(ix); r != nil {
-				// Fused reduction kernel (fuse.go): fold straight off the
-				// pipeline's source arrays, no staging buffer at all.
-				return r(acc, 0, ix.N)
-			}
-			if gen := ix.fillGen(); gen != nil && ix.N >= blockMin {
-				g := gen()
-				buf := make([]T, blockLen(ix.N))
-				for base := 0; base < ix.N; base += BlockSize {
-					end := base + BlockSize
-					if end > ix.N {
-						end = ix.N
-					}
-					b := buf[:end-base]
-					g(b, base)
-					acc = sumSliceFrom(acc, b)
-				}
-				return acc
-			}
-		case KIdxFilter:
-			fx := it.fidx
-			if back, pred := fx.filterView(); back != nil {
-				// Pure filter of a slice: test each element where it lies —
-				// no compaction, no staging buffer, same loop as raw code.
-				for _, v := range back {
-					if pred(v) {
-						acc += v
-					}
-				}
-				return acc
-			}
-			if gen := fx.cfill(); gen != nil && fx.N >= blockMin {
-				g := gen()
-				buf := make([]T, blockLen(fx.N))
-				for base := 0; base < fx.N; base += BlockSize {
-					end := base + BlockSize
-					if end > fx.N {
-						end = fx.N
-					}
-					k := g(buf[:end-base], base, end-base)
-					acc = sumSliceFrom(acc, buf[:k])
-				}
-				return acc
-			}
-		case KIdxNest:
-			// The whole nest shares one scratch arena: block-driven inner
-			// pipelines stage through it instead of allocating a buffer per
-			// outer element (the dominant cost of deep concatMap nests).
-			inner := it.idxN
-			var arena []T
-			for i := 0; i < inner.N; i++ {
-				acc = sumInner(acc, inner.At(i), &arena)
-			}
-			return acc
-		}
-	}
-	return Reduce(it, acc, func(a, v T) T { return a + v })
-}
-
-// sumInner is sumFrom for the inner iterators of a nest. It differs in two
-// ways tuned to loops that run once per outer element: staging buffers come
-// from the caller's arena (allocated once per nest, grown to the largest
-// inner block), and the short-iterator fallback is an inline At loop rather
-// than the Reduce/FoldIdx dispatch — the closure those build per call costs
-// more than a handful of elements' worth of work. Fold order matches
-// sumFrom exactly, keeping results bit-identical across drivers.
-func sumInner[T Number](acc T, it Iter[T], arena *[]T) T {
+// the stepper's and floating-point sums agree with it bit-for-bit. A nest
+// shares one arena: block-driven inner pipelines stage through it instead
+// of allocating a buffer per outer element (the dominant cost of deep
+// concatMap nests), and producers with no block path run an inline At loop
+// — the closure a Reduce would build per inner iterator costs more than a
+// handful of elements' worth of work.
+func sumInto[T Number](acc T, it Iter[T], arena *[]T) T {
 	switch it.kind {
 	case KIdxFlat:
 		ix := it.idx
-		if back := ix.backing(); back != nil {
-			return sumSliceFrom(acc, back)
-		}
-		if mapSrc, mapFns := ix.chain(); mapSrc != nil {
-			return sumChain(acc, mapSrc, mapFns)
-		}
-		if r := redOf(ix); r != nil {
-			return r(acc, 0, ix.N)
-		}
-		if gen := ix.fillGen(); gen != nil && ix.N >= blockMin {
-			g := gen()
-			buf := ensure(arena, blockLen(ix.N))
-			for base := 0; base < ix.N; base += BlockSize {
-				end := base + BlockSize
-				if end > ix.N {
-					end = ix.N
-				}
-				b := buf[:end-base]
-				g(b, base)
-				acc = sumSliceFrom(acc, b)
+		if f := ix.fast; f != nil {
+			if f.mapSrc != nil {
+				// Map chain: one pass over the source, one indirect call per
+				// user function per element — the raw-loop shape up to those
+				// calls, with no buffer at all.
+				return sumChain(acc, f.mapSrc, f.mapFns)
 			}
-			return acc
+			if r := redOf(f); r != nil {
+				// Fused reduction kernel (fuse.go): fold straight off the
+				// pipeline's source arrays, no staging buffer at all.
+				return r(acc, f.redOff, f.redOff+ix.N)
+			}
+			if out, ok := sumBlocks(acc, ix.N, f, arena); ok {
+				return out
+			}
 		}
 		at := ix.At
 		for i := 0; i < ix.N; i++ {
@@ -692,41 +505,56 @@ func sumInner[T Number](acc T, it Iter[T], arena *[]T) T {
 		return acc
 	case KIdxFilter:
 		fx := it.fidx
-		if back, pred := fx.filterView(); back != nil {
-			for _, v := range back {
-				if pred(v) {
-					acc += v
+		if f := fx.fast; f != nil {
+			if f.pred != nil {
+				// Pure filter of a slice: test each element where it lies —
+				// no compaction, no staging buffer, same loop as raw code.
+				pred := f.pred
+				for _, v := range f.back {
+					if pred(v) {
+						acc += v
+					}
 				}
+				return acc
 			}
-			return acc
-		}
-		if gen := fx.cfill(); gen != nil && fx.N >= blockMin {
-			g := gen()
-			buf := ensure(arena, blockLen(fx.N))
-			for base := 0; base < fx.N; base += BlockSize {
-				end := base + BlockSize
-				if end > fx.N {
-					end = fx.N
-				}
-				k := g(buf[:end-base], base, end-base)
-				acc = sumSliceFrom(acc, buf[:k])
+			if out, ok := sumBlocks(acc, fx.N, f, arena); ok {
+				return out
 			}
-			return acc
 		}
+		for i := 0; i < fx.N; i++ {
+			if v, ok := fx.At(i); ok {
+				acc += v
+			}
+		}
+		return acc
 	case KIdxNest:
 		inner := it.idxN
 		for i := 0; i < inner.N; i++ {
-			acc = sumInner(acc, inner.At(i), arena)
+			acc = sumInto(acc, inner.At(i), arena)
 		}
 		return acc
 	}
-	return Reduce(it, acc, func(a, v T) T { return a + v })
+	return reduceInto(it, acc, func(a, v T) T { return a + v }, arena)
+}
+
+// sumBlocks folds a block producer into acc; ok is false when the driver
+// found no block path. It is its own function so the accumulator its body
+// captures is not the one sumInto's inline loops keep in a register.
+func sumBlocks[T Number](acc T, n int, f *fastPath[T], arena *[]T) (T, bool) {
+	ok := drive(n, f, arena, func(b []T) { acc = sumSliceFrom(acc, b) })
+	return acc, ok
 }
 
 // Count returns the number of elements the iterator yields. Flat indexers
 // know their count statically; nests sum inner counts so slice-backed inner
 // loops stay cheap; filters count survivors block-wise when they can.
 func Count[T any](it Iter[T]) int {
+	var arena []T
+	return countInto(it, &arena)
+}
+
+// countInto is Count's loop nest, the arena threaded through every level.
+func countInto[T any](it Iter[T], arena *[]T) int {
 	switch it.kind {
 	case KIdxFlat:
 		return it.idx.N
@@ -734,35 +562,24 @@ func Count[T any](it Iter[T]) int {
 		inner := it.idxN
 		total := 0
 		for i := 0; i < inner.N; i++ {
-			total += Count(inner.At(i))
+			total += countInto(inner.At(i), arena)
 		}
 		return total
 	case KIdxFilter:
 		fx := it.fidx
-		if back, pred := fx.filterView(); blockDriverEnabled && back != nil {
-			total := 0
-			for _, v := range back {
-				if pred(v) {
-					total++
-				}
-			}
-			return total
+		blocks := 0
+		if drive(fx.N, fx.fast, arena, func(b []T) { blocks += len(b) }) {
+			return blocks
 		}
-		if gen := fx.cfill(); blockDriverEnabled && gen != nil && fx.N >= blockMin {
-			g := gen()
-			buf := make([]T, blockLen(fx.N))
-			total := 0
-			for base := 0; base < fx.N; base += BlockSize {
-				end := base + BlockSize
-				if end > fx.N {
-					end = fx.N
-				}
-				total += g(buf[:end-base], base, end-base)
+		total := 0
+		for i := 0; i < fx.N; i++ {
+			if _, ok := fx.At(i); ok {
+				total++
 			}
-			return total
 		}
+		return total
 	}
-	return Reduce(it, 0, func(n int, _ T) int { return n + 1 })
+	return reduceInto(it, 0, func(n int, _ T) int { return n + 1 }, arena)
 }
 
 // ToSlice materializes the iterator into a fresh slice. Producers with a
@@ -779,28 +596,12 @@ func ToSlice[T any](it Iter[T]) []T {
 		return out
 	case KIdxFilter:
 		fx := it.fidx
-		out := make([]T, 0, fx.N)
-		if back, pred := fx.filterView(); blockDriverEnabled && back != nil {
-			for _, v := range back {
-				if pred(v) {
-					out = append(out, v)
-				}
-			}
-			return out
+		var arena []T
+		packed := make([]T, 0, fx.N)
+		if drive(fx.N, fx.fast, &arena, func(b []T) { packed = append(packed, b...) }) {
+			return packed
 		}
-		if gen := fx.cfill(); blockDriverEnabled && gen != nil && fx.N >= blockMin {
-			g := gen()
-			buf := make([]T, blockLen(fx.N))
-			for base := 0; base < fx.N; base += BlockSize {
-				end := base + BlockSize
-				if end > fx.N {
-					end = fx.N
-				}
-				k := g(buf[:end-base], base, end-base)
-				out = append(out, buf[:k]...)
-			}
-			return out
-		}
+		out := packed // a local copy: the closure above holds packed by reference
 		for i := 0; i < fx.N; i++ {
 			if v, ok := fx.At(i); ok {
 				out = append(out, v)
@@ -852,23 +653,9 @@ func Split[T any](it Iter[T], r domain.Range) Iter[T] {
 		if r.Lo < 0 || r.Hi > fx.N || r.Lo > r.Hi {
 			panic(fmt.Sprintf("iter: Split [%d,%d) of %d", r.Lo, r.Hi, fx.N))
 		}
-		sub := FIdx[T]{N: r.Len(), At: func(i int) (T, bool) {
+		sub := FIdx[T]{N: r.Len(), fast: fx.fast.slice(r.Lo, r.Hi), At: func(i int) (T, bool) {
 			return fx.At(r.Lo + i)
 		}}
-		if fx.fast != nil {
-			fast := &fidxFast[T]{}
-			if back, pred := fx.filterView(); back != nil {
-				fast.back, fast.pred = back[r.Lo:r.Hi:r.Hi], pred
-			}
-			if gen := fx.cfill(); gen != nil {
-				lo := r.Lo
-				fast.fill = func() cfillFn[T] {
-					read := gen()
-					return func(dst []T, base, n int) int { return read(dst, base+lo, n) }
-				}
-			}
-			sub.fast = fast
-		}
 		out := IdxFilter(sub)
 		out.hint = it.hint
 		return out

@@ -7,7 +7,7 @@ package iter
 // description now feeds three consumers that must agree on its meaning:
 //
 //   - the in-package property tests (random pipelines vs. the slice
-//     reference interpreter, block driver vs. per-element driver);
+//     reference interpreter, every consumer vs. the stepper);
 //   - the cross-mode differential oracle (internal/diffcheck), which ships
 //     PipeOps across the virtual cluster fabric and rebuilds the pipeline
 //     on every node — the ops are three plain bytes precisely so they
@@ -137,16 +137,4 @@ func RefPipeline(seed []int64, ops []PipeOp, limit int) ([]int64, bool) {
 		}
 	}
 	return ref, true
-}
-
-// SetBlockDriver toggles the block-at-a-time execution engine for every
-// consumer in this package and returns the previous setting. It exists for
-// equivalence harnesses (the in-package driver property tests and the
-// cross-package differential oracle) that must run the same pipeline under
-// both drivers; production code never calls it. Not safe to call while a
-// traversal is in flight on another goroutine.
-func SetBlockDriver(on bool) (prev bool) {
-	prev = blockDriverEnabled
-	blockDriverEnabled = on
-	return prev
 }

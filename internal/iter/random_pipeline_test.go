@@ -71,26 +71,22 @@ func TestRandomPipelinesAgainstReference(t *testing.T) {
 		}
 		// The histogram consumers walk nests themselves (no Collect) and
 		// must apply the reference's updates in the reference's order, bit
-		// for bit, under either driver.
+		// for bit.
 		bin := func(v int64) int { return int(((v % 64) + 64) % 64) }
 		wantH, wantW := make([]int64, 64), make([]float64, 64)
 		for _, v := range ref {
 			wantH[bin(v)]++
 			wantW[bin(v)] += float64(v) * 0.1
 		}
-		for _, on := range []bool{true, false} {
-			SetBlockDriver(on)
-			gotH := Histogram(64, Map(bin, it))
-			gotW := WeightedHistogram(64, Map(func(v int64) Bin[float64] {
-				return Bin[float64]{I: bin(v), W: float64(v) * 0.1}
-			}, it))
-			SetBlockDriver(true)
-			for b := range wantH {
-				if gotH[b] != wantH[b] || gotW[b] != wantW[b] {
-					t.Logf("block driver %v: bin %d = %d / %v vs ref %d / %v for ops %+v",
-						on, b, gotH[b], gotW[b], wantH[b], wantW[b], ops)
-					return false
-				}
+		gotH := Histogram(64, Map(bin, it))
+		gotW := WeightedHistogram(64, Map(func(v int64) Bin[float64] {
+			return Bin[float64]{I: bin(v), W: float64(v) * 0.1}
+		}, it))
+		for b := range wantH {
+			if gotH[b] != wantH[b] || gotW[b] != wantW[b] {
+				t.Logf("bin %d = %d / %v vs ref %d / %v for ops %+v",
+					b, gotH[b], gotW[b], wantH[b], wantW[b], ops)
+				return false
 			}
 		}
 		// The pipeline must be repeatable: a second traversal yields the
