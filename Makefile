@@ -55,11 +55,12 @@ chaos-campaign:
 	./scripts/chaos-campaign.sh
 
 # 30-second fuzz smokes over the wire-format decoders: the serial slice
-# codecs, the farm engine's task/result frames and the farmed stencil's task
-# frames.
+# codecs, the farm engine's task/result frames, the reliable layer's frames
+# (any body under a valid CRC) and the farmed stencil's task frames.
 fuzz:
 	$(GO) test -fuzz=FuzzSliceDecoders -fuzztime=30s ./internal/serial
 	$(GO) test -fuzz=FuzzMuxFrames -fuzztime=30s ./internal/cluster
+	$(GO) test -fuzz=FuzzReliableFrames -fuzztime=30s ./internal/mpi
 	$(GO) test -fuzz=FuzzFarmOpTask -fuzztime=30s ./internal/stencil
 
 # Fuzz the checkpoint WAL decoder: arbitrary bytes must yield a valid
@@ -91,12 +92,13 @@ iter-bench:
 
 # Steady-state allocation gate: AllocsPerRun proofs over the block
 # engine's fast paths, the core skeletons' merge steps, cutcp's per-atom
-# generator and the stencil sweep (must run without -race; the detector
-# instruments allocations).
+# generator, the stencil sweep, the mailbox wait and the reliable layer's
+# eager send (must run without -race; the detector instruments allocations).
 alloc-gate:
 	$(GO) test -count=1 -timeout 5m \
 		-run 'ZeroAllocs|Allocs|Arena|Presize' \
-		./internal/iter/ ./internal/core/ ./internal/parboil/cutcp/ ./internal/stencil/
+		./internal/iter/ ./internal/core/ ./internal/parboil/cutcp/ ./internal/stencil/ \
+		./internal/transport/ ./internal/mpi/
 
 # Message-volume regression gate against the checked-in wire baseline.
 msg-gate:

@@ -116,11 +116,28 @@ func TestSessionIdenticalResultsUnderFaults(t *testing.T) {
 //
 // Only the master→worker link drops and ack timeouts dwarf scheduling
 // noise, so the seed replays one drop pattern: exactly one frame dropped and
-// exactly one retry, the worker's. If a protocol change moves the master's
-// frame count the pattern check fails; re-pin the seed then.
+// exactly one retry, the worker's — made by the flush that ends its main,
+// since the send itself returned long ago. If a protocol change moves the
+// master's frame count the pattern check fails; re-pin the seed then.
 func TestTeardownFaultDroppedFinalAck(t *testing.T) {
+	testTeardownFault(t, "chaos.lastack", transport.Link{Src: 0, Dst: 1}, 7)
+}
+
+// The mirror image: the worker's last act is a buffered send, and that data
+// frame is the one the fabric drops. The kernel has returned and nothing on
+// the worker waits for the acknowledgement; it is the receive the worker
+// idles in next — and, had its main returned, RunCtx's flush — that
+// retransmits, so the master's reduce completes instead of hanging. One
+// frame dropped on the worker→master link and one retry, the worker's, says
+// the dropped frame was that one (a dropped ack would have made the master
+// retransmit).
+func TestTeardownFaultDroppedFinalData(t *testing.T) {
+	testTeardownFault(t, "chaos.lastdata", transport.Link{Src: 1, Dst: 0}, 5)
+}
+
+func testTeardownFault(t *testing.T, kernel string, lossy transport.Link, seed int64) {
 	resetRegistry()
-	registerSumKernel("chaos.lastack")
+	registerSumKernel(kernel)
 	tr := trace.New()
 	var sum int
 	stats, err := runGuarded(t, Config{
@@ -133,12 +150,12 @@ func TestTeardownFaultDroppedFinalAck(t *testing.T) {
 			BackoffJitter: -1,
 		},
 		Fault: &transport.FaultConfig{
-			Seed:  7,
-			Links: map[transport.Link]transport.FaultProbs{{Src: 0, Dst: 1}: {Drop: 0.25}},
+			Seed:  seed,
+			Links: map[transport.Link]transport.FaultProbs{lossy: {Drop: 0.25}},
 		},
 	}, func(s *Session) error {
 		var err error
-		sum, err = invokeSum(s, "chaos.lastack")
+		sum, err = invokeSum(s, kernel)
 		return err
 	})
 	retries := [2]int{}
@@ -151,7 +168,7 @@ func TestTeardownFaultDroppedFinalAck(t *testing.T) {
 		t.Fatalf("session: %v (%d dropped, retries by rank %v)", err, stats.Faults.Dropped, retries)
 	}
 	if stats.Faults.Dropped != 1 || retries != [2]int{0, 1} {
-		t.Fatalf("seed no longer drops exactly the final ack: %d dropped, retries by rank %v", stats.Faults.Dropped, retries)
+		t.Fatalf("seed no longer drops exactly that frame: %d dropped, retries by rank %v", stats.Faults.Dropped, retries)
 	}
 	if sum != 1+2 {
 		t.Fatalf("sum = %d", sum)

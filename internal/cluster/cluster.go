@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -207,23 +208,32 @@ func (s *Session) Invoke(name string) error {
 
 // dispatch sends a control string to every worker — the other side of
 // nextKernel. Without the reliable layer it is a broadcast; with it, direct
-// sends that skip ranks already known lost and return the ranks that could
-// not be reached, so one dead rank cannot wedge a subtree of the tree.
+// sends, all in flight at once, then a Flush, and the return of the ranks
+// that did not acknowledge theirs, so one dead rank cannot wedge a subtree
+// of the tree.
 func (s *Session) dispatch(name string) (lost []int, err error) {
+	comm := s.node.Comm
 	if s.node.cfg.Reliable == nil {
-		_, err := mpi.BcastT(s.node.Comm, 0, stringCodec(), name)
+		_, err := mpi.BcastT(comm, 0, stringCodec(), name)
 		return nil, err
 	}
 	for dst := 1; dst < s.node.Nodes(); dst++ {
-		if err := s.node.Comm.Send(dst, ctlTag, []byte(name)); err != nil {
-			if errors.Is(err, mpi.ErrRankLost) || errors.Is(err, transport.ErrCrashed) {
-				lost = append(lost, dst)
-				continue
-			}
+		err := comm.Send(dst, ctlTag, []byte(name))
+		switch {
+		case err == nil:
+		case s.fabric.Crashed(dst) || errors.Is(err, transport.ErrCrashed):
+			lost = append(lost, dst)
+		case errors.Is(err, mpi.ErrRankLost):
+			// A loss of earlier frames, reported late. This one is on the
+			// wire all the same; the flush says what became of it.
+		default:
 			return lost, err
 		}
 	}
-	return lost, nil
+	flushed, err := comm.Flush(comm.Context())
+	lost = append(lost, flushed...)
+	slices.Sort(lost)
+	return slices.Compact(lost), err
 }
 
 // Run launches the virtual cluster, executes master on rank 0 with a
@@ -254,10 +264,12 @@ func RunCtx(ctx context.Context, cfg Config, master func(s *Session) error) (tra
 	defer fabric.Close()
 
 	errs := make([]error, cfg.Nodes)
-	// Teardown linger: a rank that finished cleanly keeps pumping its
-	// reliable endpoint, in a receive nothing satisfies, until the last main
-	// has returned, so a peer whose final ack was dropped is re-acked instead
-	// of retransmitting into silence. Failed and crashed ranks do not linger.
+	// Teardown linger: a rank that finished cleanly flushes its reliable
+	// endpoint — sends are buffered, and its last ones may still be waiting
+	// for a retransmission — and then keeps pumping it, in a receive nothing
+	// satisfies, until the last rank is through, so a peer whose final ack was
+	// dropped is re-acked instead of retransmitting into silence. Failed and
+	// crashed ranks do neither.
 	var running atomic.Int32
 	running.Store(int32(cfg.Nodes))
 	lingerCtx, lastOut := context.WithCancel(ctx)
@@ -296,6 +308,9 @@ func RunCtx(ctx context.Context, cfg Config, master func(s *Session) error) (tra
 				// the experiment, and surviving it is the runtime's job,
 				// so the fabric stays up for everyone else.
 				fabric.Close()
+			}
+			if errs[r] == nil {
+				comm.Flush(ctx) //nolint:errcheck // a peer lost, or a run cancelled, at this point costs nothing any more
 			}
 			if running.Add(-1) == 0 {
 				lastOut()

@@ -342,8 +342,9 @@ func (s *Session) farm(name string, tasks [][]byte, opt FarmOptions, distribute 
 		}
 
 		// Idle until a frame arrives, a peer crashes, ctx is cancelled (the
-		// top of the loop reports it) or the earliest heartbeat expires.
-		if ep.Wait(ctx, gen, mux.NextExpiry()) == transport.WaitClosed {
+		// top of the loop reports it), the earliest heartbeat expires or an
+		// unacknowledged assignment is due again (the next Poll resends it).
+		if s.node.Comm.Idle(ctx, gen, mux.NextExpiry()) == transport.WaitClosed {
 			return res, fmt.Errorf("cluster: farm %q collect: %w", name, transport.ErrClosed)
 		}
 	}

@@ -173,9 +173,11 @@ func (m *Mux) Idle() []int {
 	return idle
 }
 
-// Assign sends one task to live idle worker w. A send that fails because w
-// is lost retires it (queueing a MuxWorkerLost event carrying the
-// assignment back); any other failure is fatal to the session.
+// Assign sends one task to live idle worker w; reliable sends are buffered,
+// so the task is on the wire, not yet acknowledged, when it returns. A send
+// that reports w lost retires it (queueing a MuxWorkerLost event carrying the
+// assignment back), as Poll's sweep does for a worker that stops
+// acknowledging later; any other failure is fatal to the session.
 func (m *Mux) Assign(ctx context.Context, w int, a MuxAssignment) error {
 	if !m.alive[w] {
 		return fmt.Errorf("cluster: mux assign to retired worker %d", w)
@@ -215,7 +217,7 @@ func (m *Mux) tracer() *trace.Tracer { return m.s.node.Tracer }
 // event, if any: queued worker losses first, then a freshly arrived
 // result, then health-sweep retirements. ok is false when nothing
 // happened; a caller with nothing else to do then idles in the master
-// endpoint's Wait (generation read before the Poll) until NextExpiry.
+// communicator's Idle (generation read before the Poll) until NextExpiry.
 func (m *Mux) Poll() (MuxEvent, bool, error) {
 	if ev, ok := m.popEvent(); ok {
 		return ev, true, nil
@@ -247,7 +249,13 @@ func (m *Mux) Poll() (MuxEvent, bool, error) {
 		}
 		return ev, true, nil
 	}
-	// Nothing arrived: sweep for fabric-reported crashes and silence.
+	// Nothing arrived: sweep for workers whose frames the reliable layer gave
+	// up on, fabric-reported crashes and silence.
+	for _, w := range m.s.node.Comm.TakeLost() {
+		if m.alive[w] {
+			m.retire(w)
+		}
+	}
 	now := m.clk.Now()
 	for w := range m.alive {
 		if m.s.fabric.Crashed(w) {

@@ -112,8 +112,9 @@ func (s *Service) Serve(ctx context.Context, sess *cluster.Session) error {
 		}
 		// Idle until a frame arrives, Submit or Stop wakes us, ctx is
 		// cancelled (the top of the loop reports it) or the fabric clock
-		// reaches the next heartbeat expiry, task timeout or backoff release.
-		if !progress && ep.Wait(ctx, gen, s.nextDeadline(now, mux.NextExpiry())) == transport.WaitClosed {
+		// reaches the next heartbeat expiry, task timeout, backoff release or
+		// retransmission of an unacknowledged assignment.
+		if !progress && sess.Node().Comm.Idle(ctx, gen, s.nextDeadline(now, mux.NextExpiry())) == transport.WaitClosed {
 			return transport.ErrClosed
 		}
 	}

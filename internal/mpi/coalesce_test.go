@@ -257,7 +257,7 @@ func TestSharedRawPayloadSurvivesCorruptFaults(t *testing.T) {
 				return
 			}
 		}
-		done <- nil
+		done <- finish(a)
 	}()
 	for i := 0; i < rounds; i++ {
 		m, err := b.Recv(0, 7)

@@ -72,30 +72,48 @@ func TestRecvCtxCancelReliable(t *testing.T) {
 	}
 }
 
-// A reliable send keeps retrying into a silent peer until cancelled: the
-// ack-wait loop must observe the context mid-ladder, not only between
-// attempts.
+// Frames keep being retried into a silent peer until cancelled, and the two
+// calls that can block behind them — a send on a full window, a Flush — must
+// observe the context mid-ladder, not only between retransmissions.
 func TestSendCtxCancelReliableSilentPeer(t *testing.T) {
-	f := transport.New(transport.Config{Ranks: 2})
-	defer f.Close()
-	c := NewReliableComm(f, 0, ReliableConfig{
-		AckTimeout:    time.Millisecond,
-		MaxAckTimeout: 2 * time.Millisecond,
-		Retries:       1 << 20,
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		done <- c.SendCtx(ctx, 1, 7, []byte("into the void"))
-	}()
-	time.Sleep(10 * time.Millisecond) // let a few retries burn
-	start := time.Now()
-	cancel()
-	select {
-	case err := <-done:
-		assertCancelled(t, "reliable SendCtx", start, err)
-	case <-time.After(2 * time.Second):
-		t.Fatal("reliable SendCtx did not unblock on cancel")
+	for name, block := range map[string]func(ctx context.Context, c *Comm) error{
+		"send on a full window": func(ctx context.Context, c *Comm) error {
+			return c.SendCtx(ctx, 1, 7, []byte("one too many"))
+		},
+		"flush": func(ctx context.Context, c *Comm) error {
+			_, err := c.Flush(ctx)
+			return err
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			f := transport.New(transport.Config{Ranks: 2})
+			defer f.Close()
+			c := NewReliableComm(f, 0, ReliableConfig{
+				AckTimeout:    time.Millisecond,
+				MaxAckTimeout: 2 * time.Millisecond,
+				Retries:       1 << 20,
+			})
+			for range sendWindow {
+				if err := c.Send(1, 7, []byte("into the void")); err != nil {
+					t.Fatalf("buffered send: %v", err)
+				}
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() { done <- block(ctx, c) }()
+			time.Sleep(10 * time.Millisecond) // let a few retries burn
+			if c.ReliableStats().Retries == 0 {
+				t.Error("the blocked call is not retransmitting")
+			}
+			start := time.Now()
+			cancel()
+			select {
+			case err := <-done:
+				assertCancelled(t, "reliable "+name, start, err)
+			case <-time.After(2 * time.Second):
+				t.Fatal("did not unblock on cancel")
+			}
+		})
 	}
 }
 

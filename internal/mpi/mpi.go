@@ -14,6 +14,7 @@ package mpi
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"triolet/internal/transport"
 )
@@ -48,8 +49,10 @@ func NewComm(f *transport.Fabric, rank int) *Comm {
 // by the receiver, retried with backoff on timeout, deduplicated, and
 // re-ordered back into per-sender sequence — so the communicator survives
 // a fabric that drops, duplicates, reorders, or corrupts messages (see
-// transport.FaultConfig). A peer that stops acknowledging is declared lost
-// with a RankLostError instead of blocking forever.
+// transport.FaultConfig). Sends are buffered, as in direct mode: they return
+// with the frame on the wire, and the communicator's later calls (any
+// receive, Flush) see it through. A peer that stops acknowledging is
+// declared lost with a RankLostError instead of anything blocking forever.
 func NewReliableComm(f *transport.Fabric, rank int, cfg ReliableConfig) *Comm {
 	c := &Comm{ep: f.Endpoint(rank), f: f}
 	c.rel = newReliable(c, cfg)
@@ -121,6 +124,46 @@ func (c *Comm) tryRecvMsg(src, tag int) (transport.Message, bool, error) {
 	return c.ep.TryRecv(src, tag)
 }
 
+// Flush blocks until every frame this communicator has sent is acknowledged
+// or its peer given up on, and returns TakeLost. Reliable sends are buffered;
+// a rank calls Flush where it must know they arrived: before it reports a
+// dispatch done, before it stops calling into the communicator for good. A
+// no-op in direct mode.
+func (c *Comm) Flush(ctx context.Context) (lost []int, err error) {
+	if c.rel == nil {
+		return nil, nil
+	}
+	err = c.rel.serve(ctx, time.Time{}, func() bool { return c.rel.inflight == 0 })
+	return c.TakeLost(), err
+}
+
+// TakeLost returns the peers the reliable layer has given up on (see
+// RankLostError) whose loss no call has reported yet, and marks them
+// reported. A loop that only ever polls — the farm master — learns of them
+// here.
+func (c *Comm) TakeLost() (lost []int) {
+	if c.rel == nil {
+		return nil
+	}
+	c.rel.mu.Lock()
+	defer c.rel.mu.Unlock()
+	for e := c.rel.takeLoss(transport.AnySource); e != nil; e = c.rel.takeLoss(transport.AnySource) {
+		lost = append(lost, e.Rank)
+	}
+	return lost
+}
+
+// Idle is the endpoint's Wait(ctx, since, deadline) for a loop that idles on
+// the mailbox itself, not in a blocking receive: in reliable mode the wait
+// also ends when a frame is due for retransmission or a beat batch for its
+// flush, which the loop's next TryRecv performs.
+func (c *Comm) Idle(ctx context.Context, since transport.Gen, deadline time.Time) transport.WaitReason {
+	if c.rel == nil {
+		return c.ep.Wait(ctx, since, deadline)
+	}
+	return c.rel.idle(ctx, since, deadline)
+}
+
 // Rank reports this communicator's rank.
 func (c *Comm) Rank() int { return c.ep.Rank() }
 
@@ -132,8 +175,8 @@ func (c *Comm) Send(dst, tag int, payload []byte) error {
 	return c.SendCtx(c.Context(), dst, tag, payload)
 }
 
-// SendCtx is Send under an explicit context: cancellation abandons the
-// delivery (including mid-retry in reliable mode) with ctx.Err().
+// SendCtx is Send under an explicit context: a send blocked on a full
+// reliable window gives up with ctx.Err() when it is cancelled.
 func (c *Comm) SendCtx(ctx context.Context, dst, tag int, payload []byte) error {
 	if tag < 0 || tag > MaxUserTag {
 		return fmt.Errorf("mpi: user tag %d out of range", tag)

@@ -12,8 +12,10 @@ import (
 // the root posts all sends/receives, overlaps them with local compute, and
 // waits at the end. Request is the MPI_Request analog.
 //
-// Isend completes immediately against the buffered fabric; its Request
-// exists for symmetry and for code that waits on mixed request sets.
+// Isend completes immediately against the buffered fabric, in reliable mode
+// too (the frame is in its peer's window; a full window blocks the call like
+// a full MPI buffer would); its Request exists for symmetry and for code that
+// waits on mixed request sets.
 // Irecv runs the matching receive on a goroutine and parks the result in
 // the Request.
 

@@ -21,10 +21,22 @@ import (
 // may have been lost), drops corrupt frames silently so the sender's
 // retransmit fires, and reassembles frames into per-sender sequence order
 // before tag matching — restoring MPI's non-overtaking rule on a fabric
-// that reorders. The sender retransmits on ack timeout with exponential
-// backoff and, when a peer's acknowledgements stop for good (or the fabric
-// reports it crashed), fails fast with a RankLostError instead of blocking
-// forever — the hook the cluster runtime uses to degrade gracefully.
+// that reorders.
+//
+// The sender is eager, like the buffered standard send of the MPI the paper
+// runs on: send ships the frame, records it in its peer's window of
+// unacknowledged frames and returns; it waits only while that window
+// (sendWindow frames) is full. The windows are served by pump — by whatever
+// the communicator's owner does next: a receive, a TryRecv, a Flush. A pump
+// retransmits, with exponential backoff, the frames whose ack deadline has
+// passed, and a loop idling between pumps sleeps no later than the earliest
+// such deadline (idle). A peer that leaves a frame unacknowledged through
+// the whole retry budget, or that the fabric reports crashed, is given up
+// on: its window is emptied and the loss reported once — by the next send to
+// it, a blocking receive it could be stalling, Flush or TakeLost, whichever
+// the owner calls first — so nothing blocks forever and the cluster runtime
+// can degrade gracefully. A rank that must know its frames arrived calls
+// Flush.
 
 // Reserved wire tags, far above both user tags and the collective tag
 // sequence. In reliable mode every frame travels on one of these; the
@@ -71,18 +83,29 @@ func (e *RankLostError) Unwrap() error { return ErrRankLost }
 // ackBackoff multiplies the ack timeout after each retransmission.
 const ackBackoff = 1.6
 
+// sendWindow is how many frames a rank may have unacknowledged at one peer
+// before a send to that peer blocks. A conforming peer therefore never has a
+// frame sendWindow or more ahead of the one its receiver expects, and
+// per-peer state on both sides is a fixed ring.
+const sendWindow = 8
+
+// ackFrameLen is the size of an encodeAck frame: kind, sequence number, CRC.
+const ackFrameLen = 1 + 8 + 4
+
 // ReliableConfig tunes the ack/retry protocol. Zero values select the
 // defaults noted on each field.
 type ReliableConfig struct {
-	// AckTimeout is the first attempt's acknowledgement deadline
-	// (default 5ms); later attempts back off from it. When the fabric
-	// simulates wire delay, the effective deadline is floored at twice the
-	// frame+ack round trip so simulated latency never reads as loss.
+	// AckTimeout is how long a frame waits for its acknowledgement before
+	// its first retransmission (default 5ms); later ones back off from it.
+	// When the fabric simulates wire delay, the effective deadline is
+	// floored at twice the frame+ack round trip so simulated latency never
+	// reads as loss.
 	AckTimeout time.Duration
-	// Retries is the number of retransmissions before a silent peer is
-	// declared lost (default 8).
+	// Retries is the number of retransmissions of one frame before its
+	// silent peer is declared lost (default 8).
 	Retries int
-	// MaxAckTimeout caps the backed-off timeout (default 250ms).
+	// MaxAckTimeout caps the backed-off timeout (default 250ms, and never
+	// below AckTimeout).
 	MaxAckTimeout time.Duration
 	// BackoffJitter spreads each attempt's ack deadline by up to this
 	// fraction of the timeout, drawn from a seeded per-rank stream
@@ -115,8 +138,7 @@ type ReliableConfig struct {
 	// saves.
 	DisableCoalesce bool
 	// Tracer, when non-nil, records retransmissions and dropped frames
-	// as trace events ("net.retry", "net.recover", "net.corrupt-drop",
-	// "net.dup-drop").
+	// as trace events ("net.retry", "net.corrupt-drop", "net.dup-drop").
 	Tracer *trace.Tracer
 }
 
@@ -130,6 +152,7 @@ func (cfg ReliableConfig) withDefaults() ReliableConfig {
 	if cfg.MaxAckTimeout <= 0 {
 		cfg.MaxAckTimeout = 250 * time.Millisecond
 	}
+	cfg.MaxAckTimeout = max(cfg.MaxAckTimeout, cfg.AckTimeout)
 	if cfg.BackoffJitter == 0 {
 		cfg.BackoffJitter = 0.2
 	}
@@ -161,15 +184,28 @@ type ReliableStats struct {
 	BeatsSent int64
 }
 
-// pendFrame is an out-of-order data frame parked until the gap fills.
+// pendFrame is an out-of-order data frame parked until the gap fills (held
+// marks an occupied slot of the reorder ring), or a buffered beat.
 type pendFrame struct {
 	tag     int
 	payload []byte
+	held    bool
+}
+
+// unacked is one slot of a peer's send window: a frame on the wire that its
+// receiver has not acknowledged yet.
+type unacked struct {
+	frame    []byte        // nil: the slot is free
+	retries  int           // retransmissions so far
+	timeout  time.Duration // the ack wait that ends at deadline; the next one backs off from it
+	deadline time.Time     // fabric-clock instant the next retransmission is due
 }
 
 // reliable holds the protocol state of one communicator. State access is
-// mutex-guarded (never across a wait) so helper goroutines (Irecv) stay
-// safe, but the design point is the single owning goroutine of the Comm.
+// mutex-guarded (never across a wait) so helper goroutines (Irecv, the farm
+// worker's beats) stay safe, but the design point is the single owning
+// goroutine of the Comm. Per-peer state is allocated once, with the
+// communicator: a steady-state send allocates its frame and nothing else.
 type reliable struct {
 	c   *Comm
 	cfg ReliableConfig
@@ -182,13 +218,21 @@ type reliable struct {
 	// a run replays identically while ranks desynchronize. Guarded by mu.
 	rng *rand.Rand
 
-	mu      sync.Mutex
-	nextSeq []uint64               // per dst: next sequence number to assign
-	acked   []map[uint64]struct{}  // per dst: acknowledged sends
-	expect  []uint64               // per src: next in-order sequence expected
-	ahead   []map[uint64]pendFrame // per src: frames ahead of the expected seq
-	queue   []transport.Message    // reassembled, tag-matchable deliveries
-	stats   ReliableStats
+	mu sync.Mutex
+	// Send side. Peer dst's window is the sequence numbers [sendBase[dst],
+	// nextSeq[dst]), at most sendWindow of them; seq's slot is
+	// window[dst*sendWindow + seq%sendWindow], free again once acknowledged.
+	nextSeq  []uint64  // per dst: next sequence number to assign
+	sendBase []uint64  // per dst: oldest sequence number not yet acknowledged
+	window   []unacked // per dst: sendWindow slots
+	inflight int       // occupied slots over all peers
+	lost     []int     // per dst: delivery attempts of a loss not yet reported (0: none)
+	// Receive side. A frame from src ahead of expect[src] parks in
+	// ahead[src*sendWindow + seq%sendWindow].
+	expect []uint64            // per src: next in-order sequence expected
+	ahead  []pendFrame         // per src: sendWindow slots
+	queue  []transport.Message // reassembled, tag-matchable deliveries
+	stats  ReliableStats
 
 	// Coalescing state (unused when cfg.DisableCoalesce).
 	coalesce  bool
@@ -200,25 +244,22 @@ type reliable struct {
 func newReliable(c *Comm, cfg ReliableConfig) *reliable {
 	n := c.ep.Ranks()
 	cfg = cfg.withDefaults()
-	r := &reliable{
+	return &reliable{
 		c:         c,
 		cfg:       cfg,
 		clk:       c.f.Clock(),
 		rng:       rand.New(rand.NewSource(cfg.JitterSeed*0x9E3779B9 + int64(c.Rank())*0x85EBCA6B + 1)),
 		nextSeq:   make([]uint64, n),
-		acked:     make([]map[uint64]struct{}, n),
+		sendBase:  make([]uint64, n),
+		window:    make([]unacked, n*sendWindow),
+		lost:      make([]int, n),
 		expect:    make([]uint64, n),
-		ahead:     make([]map[uint64]pendFrame, n),
+		ahead:     make([]pendFrame, n*sendWindow),
 		coalesce:  !cfg.DisableCoalesce,
 		pendAcks:  make([][]uint64, n),
 		beats:     make([][]pendFrame, n),
 		beatSince: make([]time.Time, n),
 	}
-	for i := 0; i < n; i++ {
-		r.acked[i] = map[uint64]struct{}{}
-		r.ahead[i] = map[uint64]pendFrame{}
-	}
-	return r
 }
 
 // encodeData builds a data frame: body ++ crc32(body).
@@ -286,12 +327,13 @@ func decodeCoal(br *serial.Reader) (subs []coalSub, ok bool) {
 	return subs, true
 }
 
-// pump drains every frame the fabric has for this rank without blocking:
-// data frames are verified, acknowledged, deduplicated, and reassembled
-// into per-sender order; ack frames mark pending sends complete. The
-// acknowledgements a pump collects are flushed before it returns — an ack
-// held across application compute would read as loss to the stop-and-wait
-// sender and trigger retransmits of full data frames. Callers must hold
+// pump drains every frame the fabric has for this rank without blocking and
+// then serves the send windows. Data frames are verified, acknowledged,
+// deduplicated, and reassembled into per-sender order; acks free their
+// frame's window slot; unacknowledged frames past their deadline are
+// retransmitted. The acknowledgements a pump collects are flushed before it
+// returns — an ack held across application compute would read as loss to
+// the sender and trigger retransmits of full data frames. Callers must hold
 // r.mu.
 func (r *reliable) pump() error {
 	for _, wireTag := range [2]int{tagRelData, tagRelAck} {
@@ -308,6 +350,9 @@ func (r *reliable) pump() error {
 			}
 		}
 	}
+	if err := r.retransmit(); err != nil {
+		return err
+	}
 	return r.flushPending()
 }
 
@@ -316,29 +361,29 @@ func (r *reliable) handleFrame(m transport.Message) error {
 	body, valid := serial.VerifyCRC(m.Payload)
 	if !valid {
 		// Corrupt in flight: drop without acking; the sender retransmits.
-		return r.dropCorrupt(m)
+		return r.dropCorrupt(len(m.Payload))
 	}
 	br := serial.NewReader(body)
 	switch kind := br.U8(); kind {
 	case kindAck:
 		seq := br.U64()
 		if br.Err() != nil || br.Remaining() != 0 {
-			return r.dropCorrupt(m)
+			return r.dropCorrupt(len(m.Payload))
 		}
-		r.acked[m.Src][seq] = struct{}{}
+		r.acked(m.Src, seq)
 		return nil
 	case kindData:
 		seq := br.U64()
 		tag := br.Int()
 		payload := br.RawBytes()
 		if br.Err() != nil || br.Remaining() != 0 {
-			return r.dropCorrupt(m)
+			return r.dropCorrupt(len(m.Payload))
 		}
 		return r.acceptData(m.Src, seq, tag, payload)
 	case kindCoal:
 		subs, ok := decodeCoal(br)
 		if !ok {
-			return r.dropCorrupt(m)
+			return r.dropCorrupt(len(m.Payload))
 		}
 		for _, s := range subs {
 			switch s.kind {
@@ -348,7 +393,7 @@ func (r *reliable) handleFrame(m transport.Message) error {
 				}
 			case subAck:
 				for _, seq := range s.seqs {
-					r.acked[m.Src][seq] = struct{}{}
+					r.acked(m.Src, seq)
 				}
 			case subBeat:
 				// Beats bypass sequencing and deduplication entirely:
@@ -359,50 +404,48 @@ func (r *reliable) handleFrame(m transport.Message) error {
 		}
 		return nil
 	default:
-		return r.dropCorrupt(m)
+		return r.dropCorrupt(len(m.Payload))
 	}
 }
 
-func (r *reliable) dropCorrupt(m transport.Message) error {
+func (r *reliable) dropCorrupt(bytes int) error {
 	r.stats.CorruptDropped++
-	r.cfg.Tracer.Instant(r.c.Rank(), "net.corrupt-drop", int64(len(m.Payload)))
+	r.cfg.Tracer.Instant(r.c.Rank(), "net.corrupt-drop", int64(bytes))
 	return nil
 }
 
-// acceptData runs the sequencing machinery for one data message. The ack
-// is queued for the end-of-pump batch flush when coalescing, sent
-// immediately otherwise; either way every valid message is acknowledged —
-// a duplicate usually means our first ack was lost.
+// acceptData runs the sequencing machinery for one data message. A frame
+// sendWindow or more ahead of the expected one cannot have come from a
+// conforming peer and is dropped like a corrupt one, unacknowledged. Every
+// other valid message is acknowledged — a duplicate usually means our first
+// ack was lost — with the ack queued for the end-of-pump batch flush when
+// coalescing and sent immediately otherwise.
 func (r *reliable) acceptData(src int, seq uint64, tag int, payload []byte) error {
+	expect := r.expect[src]
+	if seq >= expect+sendWindow {
+		return r.dropCorrupt(len(payload))
+	}
 	if r.coalesce {
 		r.pendAcks[src] = append(r.pendAcks[src], seq)
 	} else {
-		if err := r.c.ep.SendShared(src, tagRelAck, encodeAck(seq)); err != nil {
+		if err := r.ship(src, tagRelAck, encodeAck(seq)); err != nil {
 			return err
 		}
 		r.stats.AcksSent++
 	}
-	switch {
-	case seq == r.expect[src]:
+	ahead := r.ahead[src*sendWindow : (src+1)*sendWindow]
+	switch slot := &ahead[seq%sendWindow]; {
+	case seq == expect:
 		r.enqueue(src, tag, payload)
-		r.expect[src]++
-		for {
-			pf, ok := r.ahead[src][r.expect[src]]
-			if !ok {
-				break
-			}
-			delete(r.ahead[src], r.expect[src])
+		for expect++; ahead[expect%sendWindow].held; expect++ {
+			pf := &ahead[expect%sendWindow]
 			r.enqueue(src, pf.tag, pf.payload)
-			r.expect[src]++
+			*pf = pendFrame{}
 		}
-	case seq > r.expect[src]:
-		if _, dup := r.ahead[src][seq]; dup {
-			r.stats.DupDropped++
-			r.cfg.Tracer.Instant(r.c.Rank(), "net.dup-drop", int64(len(payload)))
-		} else {
-			r.ahead[src][seq] = pendFrame{tag: tag, payload: payload}
-		}
-	default: // seq < expected: already delivered
+		r.expect[src] = expect
+	case seq > expect && !slot.held:
+		*slot = pendFrame{tag: tag, payload: payload, held: true}
+	default: // already delivered, or already parked
 		r.stats.DupDropped++
 		r.cfg.Tracer.Instant(r.c.Rank(), "net.dup-drop", int64(len(payload)))
 	}
@@ -463,7 +506,7 @@ func (r *reliable) flushTo(dst int) error {
 	}
 	r.beats[dst] = beats[:0]
 	r.beatSince[dst] = time.Time{}
-	return r.c.ep.SendShared(dst, tagRelAck, frame)
+	return r.ship(dst, tagRelAck, frame)
 }
 
 // appendAckSub writes one subAck record (omitted when empty).
@@ -499,31 +542,189 @@ func (r *reliable) enqueueLocal(tag int, payload []byte) {
 	r.c.ep.Wake()
 }
 
-// idleUntil is deadline, or sooner if a buffered beat batch comes due for
-// its CoalesceDelay flush first. Callers hold r.mu.
-func (r *reliable) idleUntil(deadline time.Time) time.Time {
+// idle blocks like Endpoint.Wait, but no later than the layer has something to
+// do with nothing arriving: flush a beat batch come due (CoalesceDelay) or
+// retransmit a frame. A retransmission has a peer stalled behind it, so a wait
+// toward one is exact (Endpoint.WaitExact); a beat flush or the caller's own
+// deadline keeps the timer, so a worker idling with a buffered beat does not
+// spin.
+func (r *reliable) idle(ctx context.Context, since transport.Gen, deadline time.Time) transport.WaitReason {
+	r.mu.Lock()
 	for dst, beats := range r.beats {
 		if len(beats) > 0 {
 			deadline = transport.Sooner(deadline, r.beatSince[dst].Add(r.cfg.CoalesceDelay))
 		}
 	}
-	return deadline
-}
-
-// takeAck consumes dst's acknowledgement of seq, if any. Callers hold r.mu.
-func (r *reliable) takeAck(dst int, seq uint64) bool {
-	_, ok := r.acked[dst][seq]
-	if ok {
-		delete(r.acked[dst], seq)
+	var resend time.Time
+	if r.inflight > 0 {
+		for i := range r.window {
+			if r.window[i].frame != nil {
+				resend = transport.Sooner(resend, r.window[i].deadline)
+			}
+		}
 	}
-	return ok
+	r.mu.Unlock()
+	if !resend.IsZero() && transport.Sooner(deadline, resend) == resend {
+		return r.c.ep.WaitExact(ctx, since, resend)
+	}
+	return r.c.ep.Wait(ctx, since, deadline)
 }
 
-// send transmits one message with ack/retry. It blocks until the receiver
-// acknowledges (stop-and-wait; collectives send sequentially anyway) and
-// keeps serving incoming frames while it waits, so two ranks sending to
-// each other cannot deadlock. Between frames it idles in Endpoint.Wait until
-// a frame arrives, ctx is cancelled or the fabric-clock ack deadline passes.
+// serve pumps the endpoint until ready, checked under r.mu before and after
+// each pump, reports true; the pump fails; ctx ends; or the fabric clock
+// passes deadline (zero: none), which returns errRecvTimeout. Between pumps it
+// idles on the mailbox, where an arrival, a local enqueue, a peer's crash or
+// a cancelled ctx ends the wait at once. The generation is read before the
+// pump: a frame landing after it has moved the generation, so idle cannot
+// sleep through that frame.
+func (r *reliable) serve(ctx context.Context, deadline time.Time, ready func() bool) error {
+	for {
+		gen := r.c.ep.Gen()
+		r.mu.Lock()
+		ok := ready()
+		var err error
+		if !ok {
+			if err = r.pump(); err == nil {
+				ok = ready()
+			}
+		}
+		r.mu.Unlock()
+		switch {
+		case ok:
+			return nil
+		case err != nil:
+			return err
+		case ctx.Err() != nil:
+			return ctx.Err()
+		case !deadline.IsZero() && !r.clk.Now().Before(deadline):
+			return errRecvTimeout
+		}
+		r.idle(ctx, gen, deadline)
+	}
+}
+
+var errRecvTimeout = errors.New("mpi: receive timed out")
+
+// ship puts one frame on the wire. The fabric swallows traffic to a crashed
+// rank, but refuses a frame whose receiver dies under it; to this layer both
+// are the same loss, which the window finds out on its own.
+func (r *reliable) ship(dst, wireTag int, frame []byte) error {
+	err := r.c.ep.SendShared(dst, wireTag, frame)
+	if err != nil && r.c.f.Crashed(dst) && !r.c.f.Crashed(r.c.Rank()) {
+		return nil
+	}
+	return err
+}
+
+// slot is the window slot of dst's frame seq. Callers hold r.mu.
+func (r *reliable) slot(dst int, seq uint64) *unacked {
+	return &r.window[dst*sendWindow+int(seq%sendWindow)]
+}
+
+// release frees a window slot. Callers hold r.mu.
+func (r *reliable) release(u *unacked) {
+	*u = unacked{}
+	r.inflight--
+}
+
+// acked frees the window slot of dst's frame seq. An ack of anything outside
+// the window — a duplicate, a late one, one for a frame given up on — has
+// nothing waiting for it and leaves no trace. Callers hold r.mu.
+func (r *reliable) acked(dst int, seq uint64) {
+	if seq < r.sendBase[dst] || seq >= r.nextSeq[dst] {
+		return
+	}
+	if u := r.slot(dst, seq); u.frame != nil {
+		r.release(u)
+	}
+	for r.sendBase[dst] < r.nextSeq[dst] && r.slot(dst, r.sendBase[dst]).frame == nil {
+		r.sendBase[dst]++
+	}
+}
+
+// ackWait is the first ack timeout of an n-byte frame: AckTimeout, floored
+// above the simulated round trip. With a wire delay attached to the fabric the
+// frame and its ack each spend WireDelay on the wire; a fixed 5ms default
+// under a 20ms simulated latency would time out every first attempt. High
+// latency must read as latency, not as loss.
+func (r *reliable) ackWait(n int) time.Duration {
+	rtt := r.c.f.WireDelay(n) + r.c.f.WireDelay(ackFrameLen)
+	return max(r.cfg.AckTimeout, 2*rtt)
+}
+
+// retransmit serves the send windows: every frame whose ack deadline has
+// passed goes out again, its timeout backed off (up to MaxAckTimeout, or the
+// wire-delay floor where that is higher) and jittered afresh. Only that frame:
+// later ones its receiver holds were acknowledged selectively. A peer the
+// fabric reports crashed, or a frame of whose has used up the retry budget,
+// is given up on. Callers hold r.mu.
+func (r *reliable) retransmit() error {
+	if r.inflight == 0 {
+		return nil
+	}
+	now := r.clk.Now()
+	for dst := range r.nextSeq {
+		if r.sendBase[dst] < r.nextSeq[dst] && r.c.f.Crashed(dst) {
+			r.giveUp(dst, r.slot(dst, r.sendBase[dst]).retries+1)
+		}
+		for seq := r.sendBase[dst]; seq < r.nextSeq[dst]; seq++ {
+			u := r.slot(dst, seq)
+			if u.frame == nil || now.Before(u.deadline) {
+				continue
+			}
+			if u.retries == r.cfg.Retries {
+				r.giveUp(dst, u.retries+1)
+				break
+			}
+			u.retries++
+			r.stats.Retries++
+			r.cfg.Tracer.Instant(r.c.Rank(), "net.retry", int64(len(u.frame)))
+			u.timeout = min(time.Duration(float64(u.timeout)*ackBackoff),
+				max(r.cfg.MaxAckTimeout, r.ackWait(len(u.frame))))
+			u.deadline = now.Add(r.jitter(u.timeout))
+			if err := r.ship(dst, tagRelData, u.frame); err != nil {
+				return err
+			}
+			r.stats.FramesSent++
+		}
+	}
+	return nil
+}
+
+// giveUp declares dst lost after attempts deliveries of one frame: its window
+// is abandoned (a peer that was only slow will never see past that gap in its
+// stream) and the loss waits in r.lost for the call that reports it. Callers
+// hold r.mu.
+func (r *reliable) giveUp(dst, attempts int) {
+	for seq := r.sendBase[dst]; seq < r.nextSeq[dst]; seq++ {
+		if u := r.slot(dst, seq); u.frame != nil {
+			r.release(u)
+		}
+	}
+	r.sendBase[dst] = r.nextSeq[dst]
+	r.lost[dst] = attempts
+}
+
+// takeLoss returns, and marks reported, one unreported loss among the peers
+// src names (AnySource: all of them); nil when there is none. Callers hold
+// r.mu.
+func (r *reliable) takeLoss(src int) *RankLostError {
+	for dst, attempts := range r.lost {
+		if attempts != 0 && (src == dst || src == transport.AnySource) {
+			r.lost[dst] = 0
+			return &RankLostError{Rank: dst, Attempts: attempts}
+		}
+	}
+	return nil
+}
+
+// send transmits one message and returns with it on the wire and in dst's
+// window: the buffered semantics of direct mode. It blocks only while that
+// window is full, serving incoming frames meanwhile, so two ranks that fill
+// their windows at each other both drain. A RankLostError says dst is crashed
+// (nothing is sent) or that frames sent to it earlier were given up on; this
+// message is then carried like any other, with a retry budget of its own, so
+// a peer written off while it was only paused still hears what it is told.
 //
 // shared marks a payload the caller has relinquished (see Comm.SendShared):
 // local delivery then skips its defensive copy. Wire frames are always
@@ -531,8 +732,7 @@ func (r *reliable) takeAck(dst int, seq uint64) bool {
 // layer, is never mutated after encoding, and retransmits resend the same
 // bytes, so the fabric's defensive copy would buy nothing.
 func (r *reliable) send(ctx context.Context, dst, tag int, payload []byte, shared bool) error {
-	rank := r.c.Rank()
-	if dst == rank {
+	if dst == r.c.Rank() {
 		// Local delivery: no wire, no frames.
 		cp := payload
 		if !shared {
@@ -541,108 +741,48 @@ func (r *reliable) send(ctx context.Context, dst, tag int, payload []byte, share
 		r.enqueueLocal(tag, cp)
 		return nil
 	}
-	r.mu.Lock()
-	seq := r.nextSeq[dst]
-	r.nextSeq[dst]++
-	frame := r.buildDataFrame(dst, seq, tag, payload)
-	r.mu.Unlock()
-	timeout := r.cfg.AckTimeout
-	maxTimeout := r.cfg.MaxAckTimeout
-	// Floor the ack deadline above the simulated round trip. With a wire
-	// delay attached to the fabric, the frame and its ack each spend
-	// WireDelay on the wire; a fixed 5ms default under, say, a 20ms
-	// simulated latency would time out every first attempt and retransmit
-	// the whole stream spuriously. High latency must read as latency, not
-	// as loss.
-	if rtt := r.c.f.WireDelay(len(frame)) + r.c.f.WireDelay(len(encodeAck(seq))); rtt > 0 {
-		if floor := 2 * rtt; timeout < floor {
-			timeout = floor
-		}
-		if maxTimeout < timeout {
-			maxTimeout = timeout
-		}
-	}
-	var endRecover func()
-	finish := func(err error) error {
-		if endRecover != nil {
-			endRecover()
-		}
+	if err := ctx.Err(); err != nil {
 		return err
 	}
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return finish(err)
-		}
-		if attempt > r.cfg.Retries {
-			return finish(&RankLostError{Rank: dst, Attempts: attempt})
-		}
-		if r.c.f.Crashed(dst) {
-			return finish(&RankLostError{Rank: dst, Attempts: attempt})
-		}
-		if attempt > 0 {
-			r.mu.Lock()
-			r.stats.Retries++
-			r.mu.Unlock()
-			r.cfg.Tracer.Instant(rank, "net.retry", int64(len(payload)))
-			if endRecover == nil {
-				endRecover = r.cfg.Tracer.Begin(rank, "net.recover")
-			}
-		}
-		if err := r.c.ep.SendShared(dst, tagRelData, frame); err != nil {
-			return finish(err)
+	if r.c.f.Crashed(dst) {
+		return &RankLostError{Rank: dst}
+	}
+	r.mu.Lock()
+	for r.nextSeq[dst]-r.sendBase[dst] == sendWindow {
+		r.mu.Unlock()
+		if err := r.serve(ctx, time.Time{}, func() bool { return r.nextSeq[dst]-r.sendBase[dst] < sendWindow }); err != nil {
+			return err
 		}
 		r.mu.Lock()
-		r.stats.FramesSent++
-		r.mu.Unlock()
-		deadline := r.clk.Now().Add(r.jitter(timeout))
-		for {
-			// Read before the pump: a frame landing after the pump has
-			// moved the generation, so the Wait below cannot sleep through it.
-			gen := r.c.ep.Gen()
-			r.mu.Lock()
-			acked := r.takeAck(dst, seq)
-			var err error
-			if !acked {
-				if err = r.pump(); err == nil {
-					acked = r.takeAck(dst, seq)
-				}
-			}
-			wakeAt := r.idleUntil(deadline)
-			r.mu.Unlock()
-			if acked {
-				return finish(nil)
-			}
-			if err != nil {
-				return finish(err)
-			}
-			if cerr := ctx.Err(); cerr != nil {
-				return finish(cerr)
-			}
-			if !r.clk.Now().Before(deadline) {
-				break
-			}
-			r.c.ep.Wait(ctx, gen, wakeAt)
-		}
-		timeout = time.Duration(float64(timeout) * ackBackoff)
-		if timeout > maxTimeout {
-			timeout = maxTimeout
-		}
 	}
+	defer r.mu.Unlock()
+	seq := r.nextSeq[dst]
+	r.nextSeq[dst]++
+	u := r.slot(dst, seq)
+	u.frame = r.buildDataFrame(dst, seq, tag, payload)
+	u.timeout = r.ackWait(len(u.frame))
+	u.deadline = r.clk.Now().Add(r.jitter(u.timeout))
+	r.inflight++
+	r.stats.FramesSent++
+	if err := r.ship(dst, tagRelData, u.frame); err != nil {
+		return err
+	}
+	if e := r.takeLoss(dst); e != nil {
+		return e
+	}
+	return nil
 }
 
-// jitter stretches one attempt's ack timeout by a seeded random fraction in
+// jitter stretches one ack timeout by a seeded random fraction in
 // [0, BackoffJitter). Strictly additive: the result is never below d, so the
-// round-trip floor computed by send holds for every attempt. The draw is the
-// only randomness in the protocol and comes from the per-rank seeded stream,
-// keeping runs replayable.
+// round-trip floor of ackWait holds for every attempt. The draw is the only
+// randomness in the protocol and comes from the per-rank seeded stream,
+// keeping runs replayable. Callers hold r.mu.
 func (r *reliable) jitter(d time.Duration) time.Duration {
 	if r.cfg.BackoffJitter <= 0 {
 		return d
 	}
-	r.mu.Lock()
-	u := r.rng.Float64()
-	r.mu.Unlock()
-	return d + time.Duration(float64(d)*r.cfg.BackoffJitter*u)
+	return d + time.Duration(float64(d)*r.cfg.BackoffJitter*r.rng.Float64())
 }
 
 // buildDataFrame encodes one data message, piggybacking dst's pending acks
@@ -722,45 +862,35 @@ func (r *reliable) match(src, tag int) (transport.Message, bool) {
 	return transport.Message{}, false
 }
 
-// recv blocks until a reassembled delivery matches (src, tag). A crashed
-// specific source fails fast with RankLostError; RecvTimeout (if set)
-// bounds the overall wait on the fabric clock. It idles like send, so an
-// arrival, a local enqueue, a peer crash or a cancelled ctx ends the wait.
-func (r *reliable) recv(ctx context.Context, src, tag int) (transport.Message, error) {
+// recv blocks until a reassembled delivery matches (src, tag). It fails with
+// RankLostError when the fabric reports a specific source crashed, or when a
+// peer it could be waiting on (src; any with AnySource) was given up on —
+// once per loss: a later receive waits again, as a worker must whose master
+// was only slow. RecvTimeout (if set) bounds the wait on the fabric clock.
+func (r *reliable) recv(ctx context.Context, src, tag int) (m transport.Message, err error) {
 	var deadline time.Time
 	if r.cfg.RecvTimeout > 0 {
 		deadline = r.clk.Now().Add(r.cfg.RecvTimeout)
 	}
-	for {
-		gen := r.c.ep.Gen() // before the pump; see send
-		r.mu.Lock()
-		m, ok := r.match(src, tag)
-		var err error
-		if !ok {
-			if err = r.pump(); err == nil {
-				m, ok = r.match(src, tag)
-			}
-		}
-		wakeAt := r.idleUntil(deadline)
-		r.mu.Unlock()
-		if ok {
-			return m, nil
-		}
-		if err != nil {
-			return transport.Message{}, err
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return transport.Message{}, cerr
+	var lost *RankLostError
+	err = r.serve(ctx, deadline, func() (ok bool) {
+		if m, ok = r.match(src, tag); ok {
+			return true
 		}
 		if src != transport.AnySource && src != r.c.Rank() && r.c.f.Crashed(src) {
-			return transport.Message{}, &RankLostError{Rank: src}
+			lost = &RankLostError{Rank: src}
+		} else {
+			lost = r.takeLoss(src)
 		}
-		if !deadline.IsZero() && !r.clk.Now().Before(deadline) {
-			return transport.Message{}, fmt.Errorf("mpi: recv(src=%d, tag=%d) timed out after %v: %w",
-				src, tag, r.cfg.RecvTimeout, ErrRankLost)
-		}
-		r.c.ep.Wait(ctx, gen, wakeAt)
+		return lost != nil
+	})
+	switch {
+	case err == errRecvTimeout:
+		err = fmt.Errorf("mpi: recv(src=%d, tag=%d) timed out after %v: %w", src, tag, r.cfg.RecvTimeout, ErrRankLost)
+	case lost != nil:
+		err = lost
 	}
+	return m, err
 }
 
 // tryRecv is the non-blocking receive: one pump, one match.

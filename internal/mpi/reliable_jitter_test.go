@@ -122,13 +122,11 @@ func TestBackoffJitterChaosConvergence(t *testing.T) {
 				return
 			}
 		}
-		// Stop-and-wait tail: the ack for the final data frame may be lost
-		// in flight, and re-acks only flow while this side still pumps the
-		// protocol. Keep servicing duplicates until the sender confirms
-		// every exchange completed — a receiver that goes silent the instant
-		// its last Recv returns strands the peer's retransmits (real farm
-		// workers are long-lived, so only a test tail can go quiet like
-		// that).
+		// The tail: the last echo is buffered, not delivered, and it is
+		// retransmitted — like a duplicate from the peer is re-acked — only
+		// while this side still pumps the protocol. Keep pumping until the
+		// sender confirms every exchange completed (real farm workers are
+		// long-lived, so only a test tail can go quiet like that).
 		for {
 			select {
 			case <-done:

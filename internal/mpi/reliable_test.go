@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -35,6 +36,29 @@ func fastReliable() ReliableConfig {
 	}
 }
 
+// finish ends a sending rank of these tests. Reliable sends are buffered, so
+// before a rank stops calling into its communicator it sees its frames
+// acknowledged — or their peer given up on, which is an error here.
+func finish(c *Comm) error {
+	lost, err := c.Flush(context.Background())
+	if err == nil && len(lost) > 0 {
+		err = fmt.Errorf("rank %d gave up on %v", c.Rank(), lost)
+	}
+	return err
+}
+
+// attend keeps c acknowledging until done closes: what a rank that has
+// received all it wants owes a peer whose last acks may have been dropped
+// (cluster.RunCtx's teardown linger, and the same receive nothing satisfies).
+func attend(c *Comm, done <-chan struct{}) {
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-done
+		cancel()
+	}()
+	c.RecvCtx(ctx, c.Rank(), MaxUserTag) //nolint:errcheck // ends by cancellation
+}
+
 func TestReliableDeliveryOverLossyFabric(t *testing.T) {
 	f := lossyFabric(2, 123)
 	defer f.Close()
@@ -42,15 +66,17 @@ func TestReliableDeliveryOverLossyFabric(t *testing.T) {
 	recver := NewReliableComm(f, 1, fastReliable())
 
 	const n = 100
-	var wg sync.WaitGroup
-	wg.Add(1)
+	sent := make(chan struct{})
 	go func() {
-		defer wg.Done()
+		defer close(sent)
 		for i := 0; i < n; i++ {
 			if err := sender.Send(1, 7, []byte(fmt.Sprintf("msg-%d", i))); err != nil {
 				t.Errorf("send %d: %v", i, err)
 				return
 			}
+		}
+		if err := finish(sender); err != nil {
+			t.Error(err)
 		}
 	}()
 	for i := 0; i < n; i++ {
@@ -62,7 +88,7 @@ func TestReliableDeliveryOverLossyFabric(t *testing.T) {
 			t.Fatalf("recv %d = %q, want %q (order broken)", i, m.Payload, want)
 		}
 	}
-	wg.Wait()
+	attend(recver, sent)
 
 	// The fabric misbehaved and the protocol papered over it: retries
 	// happened, and every one of the n messages still landed exactly once
@@ -87,12 +113,25 @@ func TestReliableCollectivesUnderFaults(t *testing.T) {
 
 	results := make([]string, ranks)
 	errs := make([]error, ranks)
-	var wg sync.WaitGroup
+	var wg, mains sync.WaitGroup
+	mains.Add(ranks)
+	lastOut := make(chan struct{})
+	go func() {
+		mains.Wait()
+		close(lastOut)
+	}()
 	for r := 0; r < ranks; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			c := NewReliableComm(f, r, fastReliable())
+			defer func() {
+				if errs[r] == nil {
+					errs[r] = finish(c)
+				}
+				mains.Done()
+				attend(c, lastOut)
+			}()
 			// Bcast a payload down, gather rank signatures back up, then
 			// reduce a sum — every collective shape over a lossy wire.
 			got, err := c.Bcast(0, []byte("seed-payload"))
@@ -164,17 +203,21 @@ func TestReliableSendRankLostOnCrash(t *testing.T) {
 
 func TestReliableSendRankLostOnSilence(t *testing.T) {
 	// Rank 1 exists but never services its communicator: no acks ever come
-	// back, so the sender must exhaust its retries and declare the rank
-	// lost (this is the no-failure-detector path — pure timeout).
+	// back, so the frame must exhaust its retries and the rank be declared
+	// lost (this is the no-failure-detector path — pure timeout). The send
+	// is buffered; Flush is where the sender waits and learns.
 	f := transport.New(transport.Config{Ranks: 2})
 	defer f.Close()
 	c := NewReliableComm(f, 0, ReliableConfig{
 		AckTimeout: time.Millisecond,
 		Retries:    3,
 	})
-	err := c.Send(1, 3, []byte("anyone home?"))
-	if !errors.Is(err, ErrRankLost) {
-		t.Fatalf("send to silent rank err = %v, want ErrRankLost", err)
+	if err := c.Send(1, 3, []byte("anyone home?")); err != nil {
+		t.Fatalf("buffered send: %v", err)
+	}
+	lost, err := c.Flush(context.Background())
+	if err != nil || len(lost) != 1 || lost[0] != 1 {
+		t.Fatalf("flush toward a silent rank = %v, %v, want [1]", lost, err)
 	}
 	if st := c.ReliableStats(); st.Retries != 3 {
 		t.Fatalf("retries = %d, want 3", st.Retries)
@@ -188,6 +231,23 @@ func TestReliableRecvRankLostOnCrash(t *testing.T) {
 	f.CrashRank(1)
 	if _, err := c.Recv(1, 5); !errors.Is(err, ErrRankLost) {
 		t.Fatalf("recv from crashed rank err = %v, want ErrRankLost", err)
+	}
+}
+
+// A peer that dies with its last message still in our mailbox: the fabric
+// refuses the acknowledgement (there is no injector here to swallow it), and
+// that refusal is the peer's loss, not a failure of this rank — the message
+// is delivered.
+func TestReliableAckToDeadPeerIsNotAnError(t *testing.T) {
+	f := transport.New(transport.Config{Ranks: 2})
+	defer f.Close()
+	a, b := NewReliableComm(f, 0, fastReliable()), NewReliableComm(f, 1, fastReliable())
+	if err := b.Send(0, 4, []byte("last words")); err != nil {
+		t.Fatal(err)
+	}
+	f.CrashRank(1)
+	if m, ok, err := a.TryRecv(1, 4); err != nil || !ok || string(m.Payload) != "last words" {
+		t.Fatalf("recv = %q, %v, %v", m.Payload, ok, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"runtime"
 	"slices"
 	"time"
 )
@@ -127,6 +128,21 @@ func (e *Endpoint) Wake() {
 // on entry win in that order. A wait on a context the mailbox has seen
 // before allocates nothing.
 func (e *Endpoint) Wait(ctx context.Context, since Gen, deadline time.Time) WaitReason {
+	return e.wait(ctx, since, deadline, false)
+}
+
+// WaitExact is Wait for a deadline that must be met at the precision hold
+// gives a modelled wire delay: it sleeps what the host timer can resolve and
+// yield-spins the last holdSlack, so a deadline 500 µs away ends the wait
+// after 500 µs, not after a 1.1 ms tick. The spin costs a CPU for up to
+// holdSlack; it is for deadlines something is stalled behind (a
+// retransmission), not for housekeeping ones. Under an injected clock, which
+// no spin can hurry, it is Wait.
+func (e *Endpoint) WaitExact(ctx context.Context, since Gen, deadline time.Time) WaitReason {
+	return e.wait(ctx, since, deadline, e.f.cfg.Clock == nil)
+}
+
+func (e *Endpoint) wait(ctx context.Context, since Gen, deadline time.Time, spin bool) WaitReason {
 	mb := e.f.boxes[e.rank]
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
@@ -147,6 +163,15 @@ func (e *Endpoint) Wait(ctx context.Context, since Gen, deadline time.Time) Wait
 			left := deadline.Sub(now)
 			if left <= 0 {
 				return WaitDeadline
+			}
+			if spin {
+				if left <= holdSlack {
+					mb.mu.Unlock()
+					runtime.Gosched()
+					mb.mu.Lock()
+					continue
+				}
+				left -= holdSlack
 			}
 			if e.f.cfg.Clock != nil {
 				left = recheckCeiling
