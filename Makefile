@@ -92,13 +92,14 @@ iter-bench:
 
 # Steady-state allocation gate: AllocsPerRun proofs over the block
 # engine's fast paths, the core skeletons' merge steps, cutcp's per-atom
-# generator, the stencil sweep, the mailbox wait and the reliable layer's
-# eager send (must run without -race; the detector instruments allocations).
+# generator, the stencil sweep, the mailbox wait, the reliable layer's eager
+# send and coalesced-frame decode, and the farm engine's idle-slot list (must
+# run without -race; the detector instruments allocations).
 alloc-gate:
 	$(GO) test -count=1 -timeout 5m \
 		-run 'ZeroAllocs|Allocs|Arena|Presize' \
 		./internal/iter/ ./internal/core/ ./internal/parboil/cutcp/ ./internal/stencil/ \
-		./internal/transport/ ./internal/mpi/
+		./internal/transport/ ./internal/mpi/ ./internal/cluster/
 
 # Message-volume regression gate against the checked-in wire baseline.
 msg-gate:

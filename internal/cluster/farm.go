@@ -1,10 +1,10 @@
 // Task farm: the fault-tolerant counterpart of the collective skeletons.
 // Collective kernels (scatter → compute → reduce) need every rank alive
 // for the whole call; the farm instead streams independent tasks to
-// workers one at a time, so when a worker is lost mid-run (ack timeouts, a
-// fabric-reported crash, or a silent heartbeat) the master requeues that
-// worker's in-flight task, keeps going with the survivors, and — if every
-// worker dies — runs the remainder itself.
+// workers, a couple at a time each, so when a worker is lost mid-run (ack
+// timeouts, a fabric-reported crash, or a silent heartbeat) the master
+// requeues that worker's in-flight tasks, keeps going with the survivors,
+// and — if every worker dies — runs the remainder itself.
 //
 // The mechanism — dispatch, the worker loop, result collection, liveness,
 // the master fallback — is the Mux (farmmux.go); the per-task failure
@@ -105,8 +105,9 @@ type FarmResult struct {
 	Reassigned int
 	// Retried counts task re-executions caused by per-task failures.
 	Retried int
-	// MasterRan counts tasks the master executed itself because no
-	// worker remained alive.
+	// MasterRan counts tasks the master executed itself: those pinned to
+	// rank 0 (FarmOptions.Pin), and every task it ran because no worker
+	// remained alive.
 	MasterRan int
 	// Resumed counts tasks restored from the checkpoint store instead of
 	// executed (results and previously quarantined failures both).
@@ -140,7 +141,7 @@ type FarmOptions struct {
 	// Checkpoint is set.
 	Job string
 	// HeartbeatTimeout retires a worker whose beats (and results) stop
-	// arriving for this long, requeueing its in-flight task — the
+	// arriving for this long, requeueing its in-flight tasks — the
 	// failure detector for silent workers the fabric does not report as
 	// crashed. 0 means the default 500ms; negative disables heartbeat
 	// retirement (crash detection still applies).
@@ -153,8 +154,9 @@ type FarmOptions struct {
 	OnTaskTiming func(task int, elapsed time.Duration)
 	// Pin, when non-nil, names for every task the one rank that may run it —
 	// 0 is the master itself — because only that node holds what the task
-	// works on (Node.Segs). Such a task is never reassigned: if its rank
-	// is retired first, the call ends with ErrPinLost.
+	// works on (Node.Segs) or because the caller places its work there. A
+	// pinned task is never reassigned: if its rank is retired first, the call
+	// ends with ErrPinLost. The master runs its own one per farm-loop turn.
 	Pin []int
 }
 
@@ -164,9 +166,9 @@ const (
 )
 
 // Farm runs the named farm kernel over tasks with default supervision and
-// returns every result. Tasks are streamed to workers one at a time
+// returns every result. Tasks are streamed to workers as they free a slot
 // (self-balancing, like the paper's Eden two-level parMap but
-// demand-driven); a lost worker's in-flight task is reassigned to a
+// demand-driven); a lost worker's in-flight tasks are reassigned to a
 // survivor. Farm succeeds as long as the master survives — with zero live
 // workers it computes the remaining tasks locally — and FarmResult records
 // how degraded the run was.
@@ -182,10 +184,11 @@ func (s *Session) FarmOpts(name string, tasks [][]byte, opt FarmOptions) (*FarmR
 
 // farm is the single-job client of the Mux: one Ledger (ledger.go) holds the
 // failure ladder, and this loop replays the job's checkpoint into it, keeps
-// every idle worker fed from it, settles one Mux event per turn through it —
-// a checkpointed outcome is appended to the store before it is committed —
-// and idles on the master's mailbox in between. With distribute false the
-// Mux is opened with no worker dispatched, so every task takes the
+// every free worker slot fed from it, settles one Mux event per turn through
+// it — a checkpointed outcome is appended to the store before it is
+// committed — or, on a turn with none, runs one of the master's own tasks,
+// and idles on the master's mailbox when there is neither. With distribute
+// false the Mux is opened with no worker dispatched, so every task takes the
 // master-fallback path (FarmAuto's master-local plans).
 func (s *Session) farm(name string, tasks [][]byte, opt FarmOptions, distribute bool) (*FarmResult, error) {
 	if _, ok := lookupFarm(name); !ok {
@@ -242,7 +245,7 @@ func (s *Session) farm(name string, tasks [][]byte, opt FarmOptions, distribute 
 	settle := func(ev MuxEvent) error {
 		if ev.Kind == MuxWorkerLost {
 			res.Lost = append(res.Lost, ev.Worker)
-			for _, a := range ev.Requeued {
+			for _, a := range slices.Backward(ev.Requeued) { // each goes to the head: oldest ends first
 				l.WorkerLost(ev.Worker, a)
 			}
 			stranded += l.Strand(ev.Worker)
@@ -295,8 +298,8 @@ func (s *Session) farm(name string, tasks [][]byte, opt FarmOptions, distribute 
 		// the generation, so the wait at the bottom cannot sleep through it.
 		gen := ep.Gen()
 
-		// Keep every idle live worker fed. A send to a worker that died
-		// retires it inside Assign; the task returns as a MuxWorkerLost event.
+		// Keep every free worker slot filled. A send to a worker that died
+		// retires it inside Assign; its tasks return as a MuxWorkerLost event.
 		for _, w := range mux.Idle() {
 			a, ok := l.Next(w, clk.Now())
 			if !ok {
@@ -320,23 +323,16 @@ func (s *Session) farm(name string, tasks [][]byte, opt FarmOptions, distribute 
 			continue
 		}
 
-		// No workers left: the master is its own last resort, under the
-		// same per-task failure policy. With the Mux drained every
-		// unfinished task is queued, so this ends the run or ctx does.
-		// Tasks pinned to the master are its own at any time.
+		// Nothing arrived: the master runs one task itself, then goes back to
+		// feeding and polling, so a worker that finished meanwhile waits at
+		// most one task time for its next. Its tasks are those pinned to it,
+		// and every task once no worker is left — the last resort, under the
+		// same per-task failure policy.
 		if mux.Workers() == 0 || opt.Pin != nil {
-			ran := mux.Workers() == 0
-			for ctx.Err() == nil {
-				a, ok := l.Next(0, clk.Now())
-				if !ok {
-					break
-				}
+			if a, ok := l.Next(0, clk.Now()); ok {
 				if err := settle(mux.RunLocal(a)); err != nil {
 					return res, err
 				}
-				ran = true
-			}
-			if ran {
 				continue
 			}
 		}

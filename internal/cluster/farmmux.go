@@ -1,9 +1,9 @@
 // The farm engine: the one task-distribution mechanism in this package.
 // OpenMux parks every worker in one long-lived task loop whose frames name
-// their kernel and owning job per task; the master assigns tasks to idle
-// workers, polls for results and worker losses, and can run a task itself
-// when no worker is left. The Mux is pure mechanism — dispatch, result
-// collection, liveness — and makes no scheduling decisions. Its two
+// their kernel and owning job per task; the master fills the workers' slots
+// (muxDepth each), polls for results and worker losses, and runs a task on
+// the master itself when asked. The Mux is pure mechanism — dispatch,
+// result collection, liveness — and makes no scheduling decisions. Its two
 // clients bring the policy, each with one Ledger (ledger.go) per job for
 // the retry/quarantine/checkpoint rules: Session.FarmOpts (farm.go) runs
 // one task list, and the job service (internal/jobs) interleaves tasks
@@ -11,10 +11,11 @@
 // round-robin.
 //
 // Fault handling: a worker that crashes, stops acknowledging, or goes
-// heartbeat-silent is retired, and its in-flight assignment comes back to
-// the caller as a MuxWorkerLost event for requeueing. Late results from a
-// retired-but-alive worker are delivered as ordinary MuxTaskDone events —
-// deduplication is the caller's job.
+// heartbeat-silent is retired, and its in-flight assignments come back to
+// the caller, oldest first, as a MuxWorkerLost event for requeueing. Only a
+// worker's frames (beats, results) prove it alive, not work assigned to it.
+// Late results from a retired-but-alive worker are delivered as ordinary
+// MuxTaskDone events — deduplication is the caller's job.
 package cluster
 
 import (
@@ -44,6 +45,10 @@ const (
 // unregistrable by applications (NUL prefix).
 const muxKernelName = "\x00jobs.mux"
 
+// muxDepth is how many assignments a worker holds: the one it runs and the
+// next, waiting in its mailbox, so dispatch hides behind kernel time.
+const muxDepth = 2
+
 // defaultFarmHeartbeat is the worker beat interval when Config.FarmHeartbeat
 // is unset.
 const defaultFarmHeartbeat = time.Millisecond
@@ -69,7 +74,7 @@ const (
 	// MuxTaskDone reports one finished task execution (success or error).
 	MuxTaskDone MuxEventKind = 1
 	// MuxWorkerLost reports a retired worker; Requeued carries its
-	// in-flight assignment (if it had one) for the caller to reschedule.
+	// in-flight assignments, oldest first, for the caller to reschedule.
 	MuxWorkerLost MuxEventKind = 2
 )
 
@@ -86,8 +91,11 @@ type MuxEvent struct {
 	// Elapsed is the kernel's compute time on the executing node, measured
 	// on the fabric clock — the raw material for per-job task-seconds.
 	Elapsed time.Duration
-	// Requeued is the lost worker's in-flight assignment (MuxWorkerLost).
+	// Requeued is the lost worker's in-flight assignments (MuxWorkerLost).
 	Requeued []MuxAssignment
+	// Next is, on a worker's MuxTaskDone, the assignment it held behind the
+	// one reporting, which starts running now (Job "": none).
+	Next MuxAssignment
 }
 
 // MuxOptions tunes a Mux.
@@ -104,8 +112,9 @@ type Mux struct {
 	clk       transport.Clock
 	hbTimeout time.Duration
 	alive     map[int]bool
-	busy      map[int]MuxAssignment
-	lastSeen  map[int]time.Time
+	busy      map[int][]MuxAssignment // per worker: in flight, oldest first, at most muxDepth
+	lastSeen  map[int]time.Time       // per worker: when a frame from it last arrived
+	idle      []int                   // Idle's result, reused
 	events    []MuxEvent
 	closed    bool
 	// parked are the ranks that received the worker-loop dispatch, retired
@@ -132,7 +141,7 @@ func (s *Session) openMux(opt MuxOptions, dispatch bool) (*Mux, error) {
 		clk:       s.fabric.Clock(),
 		hbTimeout: hb,
 		alive:     make(map[int]bool),
-		busy:      make(map[int]MuxAssignment),
+		busy:      make(map[int][]MuxAssignment),
 		lastSeen:  make(map[int]time.Time),
 	}
 	if !dispatch {
@@ -158,54 +167,58 @@ func (s *Session) openMux(opt MuxOptions, dispatch bool) (*Mux, error) {
 // Workers reports the number of live (non-retired) workers.
 func (m *Mux) Workers() int { return len(m.alive) }
 
-// Idle returns the live workers with no assignment in flight, in ascending
-// rank order (deterministic for a given state, which keeps campaign runs
-// replayable).
+// Idle lists the live workers' free slots, one entry each: every worker
+// holding nothing, then every one with room for one more, each pass in rank
+// order (a round spreads tasks before it doubles up, and replays exactly).
+// The slice is the Mux's own, valid until the next call.
 func (m *Mux) Idle() []int {
-	var idle []int
-	for w := 1; w < m.s.node.Nodes(); w++ {
-		if m.alive[w] {
-			if _, b := m.busy[w]; !b {
-				idle = append(idle, w)
+	m.idle = m.idle[:0]
+	for held := range muxDepth {
+		for w := 1; w < m.s.node.Nodes(); w++ {
+			if m.alive[w] && len(m.busy[w]) <= held {
+				m.idle = append(m.idle, w)
 			}
 		}
 	}
-	return idle
+	return m.idle
 }
 
-// Assign sends one task to live idle worker w; reliable sends are buffered,
-// so the task is on the wire, not yet acknowledged, when it returns. A send
-// that reports w lost retires it (queueing a MuxWorkerLost event carrying the
-// assignment back), as Poll's sweep does for a worker that stops
-// acknowledging later; any other failure is fatal to the session.
+// Assign sends one task to a free slot of live worker w (see Idle); reliable
+// sends are buffered, so the task is on the wire, not yet acknowledged, when
+// it returns. A send that reports w lost retires it (queueing a
+// MuxWorkerLost event carrying its assignments back), as Poll's sweep does
+// for a worker that stops acknowledging later; any other failure is fatal to
+// the session. Idle may list w's other slot after the one whose send retired
+// it: until that event is polled, a task for w joins its Requeued instead.
 func (m *Mux) Assign(ctx context.Context, w int, a MuxAssignment) error {
 	if !m.alive[w] {
+		for i := range m.events {
+			if ev := &m.events[i]; ev.Kind == MuxWorkerLost && ev.Worker == w {
+				ev.Requeued = append(ev.Requeued, a)
+				return nil
+			}
+		}
 		return fmt.Errorf("cluster: mux assign to retired worker %d", w)
 	}
-	if _, b := m.busy[w]; b {
-		return fmt.Errorf("cluster: mux assign to busy worker %d", w)
+	if len(m.busy[w]) >= muxDepth {
+		return fmt.Errorf("cluster: mux assign to full worker %d", w)
 	}
-	frame := encodeMuxTask(false, a)
-	if err := m.s.node.Comm.SendCtx(ctx, w, muxTaskTag, frame); err != nil {
-		if errors.Is(err, mpi.ErrRankLost) || errors.Is(err, transport.ErrCrashed) {
-			m.busy[w] = a // retire() moves it into the event's Requeued
-			m.retire(w)
-			return nil
-		}
+	err := m.s.node.Comm.SendCtx(ctx, w, muxTaskTag, encodeMuxTask(false, a))
+	lost := err != nil && (errors.Is(err, mpi.ErrRankLost) || errors.Is(err, transport.ErrCrashed))
+	if err != nil && !lost {
 		return err
 	}
-	m.busy[w] = a
-	m.lastSeen[w] = m.clk.Now()
+	m.busy[w] = append(m.busy[w], a)
+	if lost {
+		m.retire(w) // moves a into the event's Requeued
+	}
 	return nil
 }
 
 // retire removes w from the pool and queues its MuxWorkerLost event.
 func (m *Mux) retire(w int) {
-	ev := MuxEvent{Kind: MuxWorkerLost, Worker: w}
-	if a, ok := m.busy[w]; ok {
-		ev.Requeued = append(ev.Requeued, a)
-		delete(m.busy, w)
-	}
+	ev := MuxEvent{Kind: MuxWorkerLost, Worker: w, Requeued: m.busy[w]}
+	delete(m.busy, w)
 	delete(m.alive, w)
 	m.events = append(m.events, ev)
 	m.tracer().Instant(0, "farm.retire", int64(w))
@@ -244,8 +257,13 @@ func (m *Mux) Poll() (MuxEvent, bool, error) {
 		if derr != nil {
 			return MuxEvent{}, false, fmt.Errorf("cluster: mux: %w", derr)
 		}
-		if a, inFlight := m.busy[rm.Src]; inFlight && a.Job == ev.Job && a.Task == ev.Task {
-			delete(m.busy, rm.Src)
+		q := m.busy[rm.Src]
+		if i := slices.IndexFunc(q, func(a MuxAssignment) bool { return a.Job == ev.Job && a.Task == ev.Task }); i >= 0 {
+			q = slices.Delete(q, i, i+1)
+			m.busy[rm.Src] = q
+			if i == 0 && len(q) > 0 {
+				ev.Next = q[0] // a worker runs its assignments in order
+			}
 		}
 		return ev, true, nil
 	}
@@ -295,9 +313,16 @@ func (m *Mux) popEvent() (MuxEvent, bool) {
 	return ev, true
 }
 
-// RunLocal executes one assignment on the master itself — the no-workers
-// fallback — and returns its MuxTaskDone event without touching the wire.
-func (m *Mux) RunLocal(a MuxAssignment) MuxEvent { return execute(m.s.node, a) }
+// RunLocal executes one assignment on the master itself — a task pinned to
+// rank 0, or the no-workers fallback — and returns its MuxTaskDone event
+// without touching the wire, acknowledging the results live workers send
+// meanwhile (mpi.Comm.Serving).
+func (m *Mux) RunLocal(a MuxAssignment) MuxEvent {
+	if len(m.alive) > 0 {
+		defer m.s.node.Comm.Serving()()
+	}
+	return execute(m.s.node, a)
+}
 
 // execute runs assignment a on node n and returns its MuxTaskDone event:
 // the kernel looked up by name, a panic contained as a task error, the
@@ -404,8 +429,10 @@ func decodeMuxResult(src int, payload []byte) (MuxEvent, error) {
 // execute, reply with timing, repeat until the stop frame. A helper
 // goroutine sends liveness beats to the master every Config.FarmHeartbeat —
 // also while the kernel is computing — so the master's health sweep can
-// tell a long task from a dead worker.
+// tell a long task from a dead worker; another acknowledges the task the
+// master prefetches while the kernel computes (mpi.Comm.Serving).
 func muxWorkerMain(n *Node) error {
+	defer n.Comm.Serving()()
 	interval := n.cfg.FarmHeartbeat
 	if interval <= 0 {
 		interval = defaultFarmHeartbeat

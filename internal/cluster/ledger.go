@@ -34,7 +34,7 @@ const (
 
 // attempt is one dispatched execution that has not reported back.
 type attempt struct {
-	worker, task int
+	worker, task int32
 	start        time.Time // fabric clock
 }
 
@@ -46,9 +46,9 @@ type taskState struct {
 	pin        int16           // the one rank that may run the task (FarmOptions.Pin), -1 for any
 }
 
-// Ledger is one job's task table. All per-task state is sized once, at
-// NewLedger; backoff release times are allocated when the first retry
-// needs one.
+// Ledger is one job's task table. All per-task state, the in-flight table
+// included, is sized once, at NewLedger; backoff release times are
+// allocated when the first retry needs one.
 type Ledger struct {
 	// FarmResult is the job's outcome so far, in the shape Session.FarmOpts
 	// returns it. The ledger keeps Results, Failed (in settle order),
@@ -79,8 +79,9 @@ func NewLedger(job, kernel string, tasks [][]byte, maxAttempts, retryBudget int,
 		FarmResult: FarmResult{Results: make([][]byte, len(tasks))},
 		job:        job, kernel: kernel, tasks: tasks,
 		maxAttempts: maxAttempts, retryBudget: retryBudget, backoff: backoff,
-		state: make([]taskState, len(tasks)),
-		queue: make([]int, len(tasks)),
+		state:    make([]taskState, len(tasks)),
+		queue:    make([]int, len(tasks)),
+		inflight: make([]attempt, 0, len(tasks)),
 	}
 	for i := range tasks {
 		l.queue[i] = i
@@ -160,7 +161,7 @@ func (l *Ledger) Next(worker int, now time.Time) (a MuxAssignment, ok bool) {
 	}
 	t := l.queue[pick]
 	l.queue = slices.Delete(l.queue, pick, pick+1)
-	l.inflight = append(l.inflight, attempt{worker: worker, task: t, start: now})
+	l.inflight = append(l.inflight, attempt{worker: int32(worker), task: int32(t), start: now})
 	return MuxAssignment{Job: l.job, Kernel: l.kernel, Task: t, Payload: l.tasks[t]}, true
 }
 
@@ -246,10 +247,21 @@ func (l *Ledger) Quarantine(task int, msg string) checkpoint.Record {
 func (l *Ledger) Expired(now time.Time, timeout time.Duration) (worker, task int, ok bool) {
 	for _, a := range l.inflight {
 		if !now.Before(a.start.Add(timeout)) {
-			return a.worker, a.task, true
+			return int(a.worker), int(a.task), true
 		}
 	}
 	return 0, 0, false
+}
+
+// Started restarts, at now, the clock of worker's attempt of task — a Mux
+// event's Next — so a task timeout does not count the time the attempt
+// waited in the worker's mailbox behind another, of any job.
+func (l *Ledger) Started(worker, task int, now time.Time) {
+	for i, a := range l.inflight {
+		if int(a.worker) == worker && int(a.task) == task {
+			l.inflight[i].start = now
+		}
+	}
 }
 
 // Deadline is the earliest instant after now at which the ledger changes
@@ -272,7 +284,7 @@ func (l *Ledger) Deadline(now time.Time, timeout time.Duration) (at time.Time) {
 // retire drops worker's in-flight attempt of task, if it has one.
 func (l *Ledger) retire(worker, task int) bool {
 	for i, a := range l.inflight {
-		if a.worker == worker && a.task == task {
+		if int(a.worker) == worker && int(a.task) == task {
 			l.inflight = slices.Delete(l.inflight, i, i+1)
 			return true
 		}

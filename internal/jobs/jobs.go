@@ -133,9 +133,10 @@ type Spec struct {
 	// failures quarantine immediately and the job completes degraded.
 	RetryBudget int
 	// TaskTimeout bounds one attempt's time in flight, measured on the
-	// fabric clock (0 disables). A timed-out attempt is rescheduled
-	// elsewhere and the slow rank's health score is penalized; the late
-	// result, if it ever arrives, is deduplicated.
+	// fabric clock (0 disables) from its dispatch or, when it was queued
+	// behind another on its worker, from that one's report. A timed-out
+	// attempt is rescheduled elsewhere and the slow rank's health score is
+	// penalized; the late result, if it ever arrives, is deduplicated.
 	TaskTimeout time.Duration
 	// ByteBudget caps the job's accounted fabric bytes — task payloads
 	// dispatched plus result bytes returned (0 = unlimited). A submission

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -55,6 +57,12 @@ func init() {
 		if len(task) > 0 && task[0] == 0xEE && slowFirstRuns.Add(1) == 1 {
 			time.Sleep(50 * time.Millisecond)
 		}
+		return echoTransform(task), nil
+	})
+	// jobs.sleep: runs for payload[0] × 10ms of wall time (the fabric clock
+	// of a session without an injected one), then echoes.
+	cluster.RegisterFarm("jobs.sleep", func(n *cluster.Node, task []byte) ([]byte, error) {
+		time.Sleep(time.Duration(task[0]) * 10 * time.Millisecond)
 		return echoTransform(task), nil
 	})
 }
@@ -205,6 +213,76 @@ func TestTaskTimeoutReassigns(t *testing.T) {
 		t.Fatalf("stalled job state = %+v", st)
 	}
 	checkJobResults(t, s, "stall", tasks)
+}
+
+// A worker holds two assignments at once, the second waiting in its mailbox,
+// and a task timeout counts only the time an attempt could run: two jobs'
+// 400ms tasks interleaved on one worker under a 600ms timeout never time out,
+// though each second task is done 800ms after its dispatch. The timeout is
+// 1.5× a task, so the master may handle a result up to 200ms late without a
+// false timeout. A task that genuinely hangs past the timeout still times out.
+func TestTaskTimeoutExcludesQueueing(t *testing.T) {
+	const timeout = 600 * time.Millisecond
+	s := newTestService(t, Config{})
+	steady := [][]byte{{40, 1}, {40, 2}}
+	for _, name := range []string{"steady-a", "steady-b"} {
+		if err := s.Submit(Spec{Name: name, Kernel: "jobs.sleep", Tasks: steady, TaskTimeout: timeout}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serveUntilStopped(t, cluster.Config{Nodes: 2, CoresPerNode: 1}, s)
+	for _, name := range []string{"steady-a", "steady-b"} {
+		if st, _ := s.Job(name); st.State != "done" || st.RetriesUsed != 0 {
+			t.Errorf("%s: %+v, want done without a retry", name, st)
+		}
+		checkJobResults(t, s, name, steady)
+	}
+
+	// Alone: a 1s task under the same timeout.
+	s = newTestService(t, Config{})
+	if err := s.Submit(Spec{Name: "hung", Kernel: "jobs.sleep", Tasks: [][]byte{{100, 4}}, MaxTaskAttempts: 1, TaskTimeout: timeout}); err != nil {
+		t.Fatal(err)
+	}
+	serveUntilStopped(t, cluster.Config{Nodes: 2, CoresPerNode: 1}, s)
+	_, quarantined, err := s.Result("hung")
+	if st, _ := s.Job("hung"); err != nil || st.State != "degraded" || !strings.Contains(quarantined[0], "timed out") {
+		t.Fatalf("hung task: %+v, quarantined %v, err %v; want it timed out", st, quarantined, err)
+	}
+}
+
+// A worker that crashed holding nothing is planned twice in one dispatch
+// round, once per free slot. The first send retires it and the second joins
+// that retirement: the round does not fail, and both tasks go back to the
+// job's queue with no attempt left in flight on the dead worker.
+func TestDispatchToWorkerCrashedEmpty(t *testing.T) {
+	s := newTestService(t, Config{})
+	tasks := makeTasks(3, 9)
+	if err := s.Submit(Spec{Name: "orphan", Kernel: "jobs.echo", Tasks: tasks}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := cluster.Config{Nodes: 2, CoresPerNode: 1, Reliable: &mpi.ReliableConfig{AckTimeout: time.Second}}
+	_, err := cluster.Run(cfg, func(sess *cluster.Session) error {
+		mux, err := sess.OpenMux(cluster.MuxOptions{HeartbeatTimeout: -1})
+		if err != nil {
+			return err
+		}
+		defer mux.Close()
+		sess.Fabric().CrashRank(1)
+		if n, err := s.dispatch(context.Background(), mux, time.Time{}); n != 2 || err != nil {
+			return fmt.Errorf("dispatched %d, %v; want both slots planned without an error", n, err)
+		}
+		ev, ok, err := mux.Poll()
+		if err != nil || !ok || ev.Kind != cluster.MuxWorkerLost || len(ev.Requeued) != 2 {
+			return fmt.Errorf("event %+v, %v, %v; want worker 1 lost with two tasks", ev, ok, err)
+		}
+		return s.handleEvent(ev, time.Time{})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := s.Job("orphan"); st.Pending != 3 || st.Inflight != 0 {
+		t.Fatalf("job after the loss: %+v, want 3 pending and none in flight", st)
+	}
 }
 
 // Single-node session: no workers at all, the master-fallback path runs

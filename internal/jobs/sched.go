@@ -150,24 +150,20 @@ func (s *Service) drainingLocked(w int) bool {
 	return s.health[w] >= s.cfg.DrainScore
 }
 
-// usableWorkers filters the Mux's idle list down to non-draining ranks.
-// When every idle worker is draining, the least-unhealthy one is kept: a
-// fully drained pool must still make progress (degraded, not deadlocked).
+// usableWorkers filters the Mux's idle slots to non-draining ranks, in place.
+// When every idle worker is draining, one slot of the least-unhealthy one is
+// kept: a fully drained pool must still make progress (degraded, not stuck).
 func (s *Service) usableWorkers(idle []int) []int {
-	var ok []int
+	ok, best := idle[:0], -1
 	for _, w := range idle {
 		if !s.drainingLocked(w) {
 			ok = append(ok, w)
-		}
-	}
-	if len(ok) > 0 || len(idle) == 0 {
-		return ok
-	}
-	best := idle[0]
-	for _, w := range idle[1:] {
-		if s.health[w] < s.health[best] {
+		} else if best < 0 || s.health[w] < s.health[best] {
 			best = w
 		}
 	}
-	return []int{best}
+	if len(ok) == 0 && best >= 0 {
+		ok = append(ok, best)
+	}
+	return ok
 }

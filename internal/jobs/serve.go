@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"triolet/internal/checkpoint"
@@ -101,7 +102,7 @@ func (s *Service) Serve(ctx context.Context, sess *cluster.Session) error {
 		s.workers = mux.Workers()
 		s.draining = s.draining[:0]
 		for _, w := range mux.Idle() {
-			if s.drainingLocked(w) {
+			if s.drainingLocked(w) && !slices.Contains(s.draining, w) {
 				s.draining = append(s.draining, w)
 			}
 		}
@@ -244,7 +245,7 @@ func (s *Service) handleEvent(ev cluster.MuxEvent, now time.Time) error {
 	switch ev.Kind {
 	case cluster.MuxWorkerLost:
 		s.mu.Lock()
-		for _, a := range ev.Requeued {
+		for _, a := range slices.Backward(ev.Requeued) { // each goes to its queue's head: oldest ends first
 			if j, ok := s.jobs[a.Job]; ok && !j.state.Terminal() {
 				j.ledger.WorkerLost(ev.Worker, a)
 			}
@@ -263,6 +264,10 @@ func (s *Service) handleEvent(ev cluster.MuxEvent, now time.Time) error {
 // tenant accounting for whatever was not a duplicate.
 func (s *Service) handleTaskDone(ev cluster.MuxEvent, now time.Time) error {
 	s.mu.Lock()
+	if nj, ok := s.jobs[ev.Next.Job]; ok && !nj.state.Terminal() {
+		// The worker's next assignment, of whatever job, starts running now.
+		nj.ledger.Started(ev.Worker, ev.Next.Task, now)
+	}
 	j, known := s.jobs[ev.Job]
 	if !known {
 		// A stray frame for a job this service does not know (e.g. a

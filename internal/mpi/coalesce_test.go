@@ -145,12 +145,10 @@ func TestAckBatchingWireFormat(t *testing.T) {
 	if kind := br.U8(); kind != kindCoal {
 		t.Fatalf("ack frame kind 0x%02X, want kindCoal", kind)
 	}
-	subs, ok := decodeCoal(br)
-	if !ok || len(subs) != 1 || subs[0].kind != subAck {
-		t.Fatalf("coalesced frame decode: ok=%v subs=%+v, want one subAck", ok, subs)
-	}
-	if len(subs[0].seqs) != 2 || subs[0].seqs[0] != 0 || subs[0].seqs[1] != 1 {
-		t.Fatalf("batched ack seqs %v, want [0 1]", subs[0].seqs)
+	sub, n := br.U8(), br.U32()
+	if seqs := [2]uint64{br.U64(), br.U64()}; sub != subAck || n != 2 || seqs != [2]uint64{0, 1} || br.Err() != nil || br.Remaining() != 0 {
+		t.Fatalf("coalesced frame: sub-record 0x%02X of %d acks %v, %d bytes left (%v); want one subAck of [0 1]",
+			sub, n, seqs, br.Remaining(), br.Err())
 	}
 	if _, ok, _ := raw.TryRecv(1, tagRelAck); ok {
 		t.Fatal("second ack frame on the wire; both acks should share one")

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -282,49 +283,46 @@ func encodeAck(seq uint64) []byte {
 	return w.Bytes()
 }
 
-// coalSub is one parsed sub-record of a coalesced frame.
-type coalSub struct {
-	kind    uint8
-	seq     uint64 // subData
-	seqs    []uint64
-	tag     int
-	payload []byte
-}
-
-// decodeCoal parses the sub-records of a kindCoal body (after the leading
-// kind byte). ok is false for any structural violation; the CRC has
-// already validated the bytes, so a violation means a broken encoder, but
-// the protocol still treats it as corruption rather than decoding garbage.
-func decodeCoal(br *serial.Reader) (subs []coalSub, ok bool) {
+// walkCoal reads the sub-records of a kindCoal body (after the leading kind
+// byte) from src and, when apply is set, acts on each. ok is false at the
+// first structural violation: the CRC has already validated the bytes, so a
+// violation means a broken encoder, but the protocol still treats it as
+// corruption rather than decoding garbage. handleFrame walks a container
+// twice — whole without apply, then applying — so a malformed one is dropped
+// before any of it counts. Only the payloads delivered are allocated.
+func (r *reliable) walkCoal(src int, body []byte, apply bool) (ok bool, err error) {
+	br := serial.NewReader(body)
 	for br.Err() == nil && br.Remaining() > 0 {
-		switch kind := br.U8(); kind {
+		switch br.U8() {
 		case subData:
-			seq := br.U64()
-			tag := br.Int()
-			payload := br.RawBytes()
-			subs = append(subs, coalSub{kind: subData, seq: seq, tag: tag, payload: payload})
+			seq, tag, payload := br.U64(), br.Int(), br.View()
+			if apply {
+				if err := r.acceptData(src, seq, tag, bytes.Clone(payload)); err != nil {
+					return false, err
+				}
+			}
 		case subAck:
 			n := br.U32()
 			if int(n) > br.Remaining()/8 {
-				return nil, false
+				return false, nil
 			}
-			seqs := make([]uint64, n)
-			for i := range seqs {
-				seqs[i] = br.U64()
+			for range n {
+				if seq := br.U64(); apply {
+					r.acked(src, seq)
+				}
 			}
-			subs = append(subs, coalSub{kind: subAck, seqs: seqs})
 		case subBeat:
-			tag := br.Int()
-			payload := br.RawBytes()
-			subs = append(subs, coalSub{kind: subBeat, tag: tag, payload: payload})
+			// Beats bypass sequencing and deduplication entirely: deliver
+			// as-is. They may be lost, duplicated, or overtake data — the
+			// contract of SendBeat.
+			if tag, payload := br.Int(), br.View(); apply {
+				r.enqueue(src, tag, bytes.Clone(payload))
+			}
 		default:
-			return nil, false
+			return false, nil
 		}
 	}
-	if br.Err() != nil {
-		return nil, false
-	}
-	return subs, true
+	return br.Err() == nil, nil
 }
 
 // pump drains every frame the fabric has for this rank without blocking and
@@ -381,28 +379,11 @@ func (r *reliable) handleFrame(m transport.Message) error {
 		}
 		return r.acceptData(m.Src, seq, tag, payload)
 	case kindCoal:
-		subs, ok := decodeCoal(br)
-		if !ok {
+		if ok, _ := r.walkCoal(m.Src, body[1:], false); !ok {
 			return r.dropCorrupt(len(m.Payload))
 		}
-		for _, s := range subs {
-			switch s.kind {
-			case subData:
-				if err := r.acceptData(m.Src, s.seq, s.tag, s.payload); err != nil {
-					return err
-				}
-			case subAck:
-				for _, seq := range s.seqs {
-					r.acked(m.Src, seq)
-				}
-			case subBeat:
-				// Beats bypass sequencing and deduplication entirely:
-				// deliver as-is. They may be lost, duplicated, or overtake
-				// data — the contract of SendBeat.
-				r.enqueue(m.Src, s.tag, s.payload)
-			}
-		}
-		return nil
+		_, err := r.walkCoal(m.Src, body[1:], true)
+		return err
 	default:
 		return r.dropCorrupt(len(m.Payload))
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"triolet/internal/serial"
 	"triolet/internal/transport"
 )
 
@@ -123,5 +124,31 @@ func TestEagerSendAllocs(t *testing.T) {
 	frame := testing.AllocsPerRun(200, func() { encodeData(seq, 3, payload) })
 	if send != frame || c.rel.inflight != 0 {
 		t.Fatalf("a send allocates %v times, its frame %v (%d in flight)", send, frame, c.rel.inflight)
+	}
+}
+
+// A coalesced ack+beat container is applied without allocating: it is walked
+// in place twice, validated whole and then applied, and a beat with no
+// payload delivers no bytes.
+func TestCoalescedFrameAllocs(t *testing.T) {
+	f := transport.New(transport.Config{Ranks: 2})
+	defer f.Close()
+	r := NewReliableComm(f, 0, ReliableConfig{}).rel
+	w := serial.NewWriter(64)
+	w.U8(kindCoal)
+	appendAckSub(w, []uint64{0, 1})
+	appendBeatSub(w, pendFrame{tag: 5})
+	w.FinishCRC()
+	m := transport.Message{Src: 1, Tag: tagRelAck, Payload: w.Bytes()}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := testing.AllocsPerRun(200, func() {
+		if err := r.handleFrame(m); err != nil || len(r.queue) != 1 || r.queue[0].Tag != 5 {
+			t.Fatalf("beat not delivered: %v, queue %+v", err, r.queue)
+		}
+		r.queue = r.queue[:0]
+	})
+	if n != 0 || r.stats.CorruptDropped != 0 {
+		t.Fatalf("a coalesced ack+beat frame allocates %v times (%d dropped as corrupt)", n, r.stats.CorruptDropped)
 	}
 }

@@ -226,6 +226,10 @@ func (r *Reader) RawBytes() []byte {
 	return out
 }
 
+// View reads a length-prefixed byte slice like RawBytes, without the copy:
+// the result aliases the message.
+func (r *Reader) View() []byte { return r.take(r.Int()) }
+
 // F64Slice reads a length-prefixed []float64.
 func (r *Reader) F64Slice() []float64 {
 	n := r.Int()

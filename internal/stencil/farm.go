@@ -256,14 +256,16 @@ var errStale = errors.New("stencil: resident slab is not at the task's generatio
 // then the ghost rows relayed add up to one slab, so the wire carries at most
 // twice the ghost-only volume and a fault costs at most K sweeps — and of one
 // sweep when the run is checkpointed, so that each record is a whole
-// generation of its slab. An epoch's first sweep sends each slab inline to
-// whichever node asks, and the node answers with its rank and the rows other
+// generation of its slab. An epoch's first sweep sends slab j inline to rank
+// j·nodes/n — the master is one of those ranks and sweeps its share between
+// serving the workers — and the node answers with its rank and the rows other
 // slabs read as ghosts; the next sweeps are pinned to that rank and carry
 // only ghost rows; the last returns the slab's rows and releases it, and that
 // generation is the base the next epoch starts from. If a worker holding
 // slabs is retired, or a node answers that it does not hold its slab at the
 // generation asked for, the epoch restarts inline from its base generation on
-// whoever is left, at most once per node before the run fails with the cause.
+// whoever is left and asks — unplaced from then on — at most once per node
+// before the run fails with the cause.
 func (op *FarmOp[T]) Run(s *cluster.Session, g iter.Matrix2[T], par Params[T], iters int, opt FarmRunOptions) (iter.Matrix2[T], error) {
 	var zero iter.Matrix2[T]
 	if err := (Stencil[T]{Params: par, Fn: op.fn}).check(); err != nil {
@@ -286,11 +288,13 @@ func (op *FarmOp[T]) Run(s *cluster.Session, g iter.Matrix2[T], par Params[T], i
 	}
 	part := NewPartition(g.H, w, n)
 	// Per slab: the source rows of its remote ghost slots, how many lie above
-	// it, the rows its answers carry, and the rank it is resident on.
-	srcs, tops, edges, pins := make([][]int, n), make([]int, n), make([][]int, n), make([]int, n)
+	// it, the rows its answers carry, the rank it is resident on, and the rank
+	// an epoch's first sweep places it on (home is nil after a rollback).
+	srcs, tops, edges, pins, home := make([][]int, n), make([]int, n), make([][]int, n), make([]int, n), make([]int, n)
 	for j := range srcs {
 		_, srcs[j], tops[j] = remoteSlots(part, j, par.Radius, par.Boundary)
 		edges[j] = newHaloPlan(part, j, par.Radius, par.Boundary).edgeRows()
+		home[j] = j * nodes / n
 	}
 	k := 1
 	if opt.Farm.Checkpoint == nil {
@@ -303,16 +307,14 @@ func (op *FarmOp[T]) Run(s *cluster.Session, g iter.Matrix2[T], par Params[T], i
 	base, next := g.Clone(), iter.Matrix2[T]{H: g.H, W: w, Data: make([]T, len(g.Data))}
 	tasks, ghost := make([][]byte, n), []T(nil)
 
-	// sweep farms generation it → it+1: inline from base if it is the epoch's
-	// first, else pinned, with ghosts from the edge rows the sweep before left
-	// in next.
+	// sweep farms generation it → it+1: inline from base and placed on home
+	// if it is the epoch's first, else pinned where the slabs are, with ghosts
+	// from the edge rows the sweep before left in next.
 	sweep := func(it int, first, last bool) error {
 		src, fo := next, opt.Farm
-		hd.gen, hd.flags = uint32(it), 0
+		hd.gen, hd.flags, fo.Pin = uint32(it), 0, pins
 		if first {
-			src, hd.flags = base, farmInline
-		} else {
-			fo.Pin = pins
+			src, hd.flags, fo.Pin = base, farmInline, home
 		}
 		if last {
 			hd.flags |= farmLast
@@ -381,7 +383,7 @@ func (op *FarmOp[T]) Run(s *cluster.Session, g iter.Matrix2[T], par Params[T], i
 		case err == nil:
 			base, next, start, rolled = next, base, end, 0
 		case (errors.Is(err, cluster.ErrPinLost) || errors.Is(err, errStale)) && rolled < nodes:
-			rolled, dirty = rolled+1, true
+			rolled, dirty, home = rolled+1, true, nil
 			s.Node().Tracer.Instant(0, "stencil.rollback", int64(start))
 		default:
 			fail, dirty = err, dirty || end-start > 1

@@ -2,12 +2,15 @@ package stencil
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"triolet/internal/cluster"
 	"triolet/internal/iter"
+	"triolet/internal/mpi"
 	"triolet/internal/serial"
 	"triolet/internal/trace"
 )
@@ -168,5 +171,75 @@ func TestFarmOpRollbackOnStaleSlab(t *testing.T) {
 	}
 	if n := tr.Count("stencil.rollback"); n != 1 {
 		t.Errorf("%d rollbacks, want 1", n)
+	}
+}
+
+// placeFarm is tableFarm under a kernel that records, per generation, which
+// rank swept each slab, and on rank placeSlow takes 300ms of wall time per
+// slab of the first sweep.
+var (
+	placeRan  [][]int // placeRan[gen][slab] is the rank that swept it, -1 for none
+	placeSlow = -1
+	placeFarm = func() *FarmOp[int64] {
+		op := &FarmOp[int64]{name: "stencil.farm.test.place", elem: serial.I64C(), elems: serial.I64s(), fn: tableCell}
+		cluster.RegisterFarm(op.name, func(n *cluster.Node, task []byte) ([]byte, error) {
+			if t, err := op.decodeTask(task); err == nil && t.flags&farmDrop == 0 {
+				placeRan[t.gen][t.slab] = n.Rank()
+				if n.Rank() == placeSlow && t.gen == 0 {
+					time.Sleep(300 * time.Millisecond)
+				}
+			}
+			return op.taskBody(n, task)
+		})
+		return op
+	}()
+)
+
+// TestFarmOpMasterSweepsItsShare: on 2 nodes × 8 slabs the master is a node
+// too. Every sweep, not only an epoch's first, runs slabs 0–3 on rank 0 and
+// 4–7 on rank 1 — four tasks per sweep on the master — directly and over the
+// reliable layer, and the grid is the reference's to the bit. The last two
+// rows make one node's first-sweep slabs take about eight times the reliable
+// layer's whole retry budget while the other node has a frame waiting for its
+// ack: the worker's results while the master sweeps, the worker's prefetched
+// task while it does. A node computing still acknowledges its peers, so
+// nobody is written off: no retirement, no rollback.
+func TestFarmOpMasterSweepsItsShare(t *testing.T) {
+	g := iter.Matrix2[int64]{H: 32, W: 8, Data: make([]int64, 256)}
+	for i := range g.Data {
+		g.Data[i] = int64(i*i%97 + 1)
+	}
+	par := Params[int64]{Radius: 1, Boundary: Wrap}
+	const iters = 6 // 4-row slabs: epochs of two sweeps
+	tight := &mpi.ReliableConfig{AckTimeout: 10 * time.Millisecond, Retries: 2, MaxAckTimeout: 10 * time.Millisecond}
+	for _, tc := range []struct {
+		rel  *mpi.ReliableConfig
+		slow int
+	}{{nil, -1}, {&mpi.ReliableConfig{AckTimeout: time.Second}, -1}, {tight, 0}, {tight, 1}} {
+		placeRan, placeSlow = make([][]int, iters), tc.slow
+		for gen := range placeRan {
+			placeRan[gen] = slices.Repeat([]int{-1}, 8)
+		}
+		tr := trace.New()
+		var got iter.Matrix2[int64]
+		_, err := cluster.Run(cluster.Config{Nodes: 2, CoresPerNode: 1, Reliable: tc.rel, Tracer: tr}, func(s *cluster.Session) (err error) {
+			got, err = placeFarm.Run(s, g, par, iters, FarmRunOptions{Slabs: 8})
+			return err
+		})
+		name := fmt.Sprintf("reliable %v, rank %d slow", tc.rel != nil, tc.slow)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !slices.Equal(got.Data, tableRef(g, par, iters)) {
+			t.Errorf("%s: grid differs from the reference", name)
+		}
+		if r, b := tr.Count("farm.retire"), tr.Count("stencil.rollback"); r+b != 0 {
+			t.Errorf("%s: %d retirements, %d rollbacks", name, r, b)
+		}
+		for gen, ranks := range placeRan {
+			if want := []int{0, 0, 0, 0, 1, 1, 1, 1}; !slices.Equal(ranks, want) {
+				t.Errorf("%s: sweep %d ran slabs on ranks %v, want %v", name, gen, ranks, want)
+			}
+		}
 	}
 }

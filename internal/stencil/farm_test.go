@@ -116,14 +116,15 @@ func TestFarmOpRollbackOnWorkerLoss(t *testing.T) {
 }
 
 // TestFarmOpWireContract pins the farmed stencil's wire shape on a small Wrap
-// grid. Under a checkpoint every epoch is one sweep — slab out, slab back —
-// and the constants are those of the commit before slabs became resident (PR
-// 21), when every sweep shipped that way: a checkpointed run must never move
-// them. Without one the epochs are 4 sweeps (2 nodes: 8-row slabs) and 2
-// sweeps (4 nodes) long, and inside an epoch only the two ghost rows go out
-// and the two edge rows come back per slab: the same messages and the same
-// provisioned halo, fewer bytes (at 2 nodes each slab's five round trips cost
-// 3437 bytes instead of 5·1225). Beats are off: the wall clock paces them.
+// grid. An epoch's first sweep places slab j on rank j·nodes/n, so the
+// master's own slabs — half of them at 2 nodes, a quarter at 4 — never cross
+// the wire. Under a checkpoint every epoch is one sweep, slab out and slab
+// back, as every sweep was before slabs became resident: a checkpointed run
+// must never rise above these constants. Without one the epochs are 4 sweeps
+// (2 nodes: 8-row slabs) and 2 sweeps (4 nodes) long, and inside an epoch
+// only the two ghost rows go out and the two edge rows come back per slab:
+// the same messages and the same provisioned halo, fewer bytes. Beats are
+// off: the wall clock paces them.
 func TestFarmOpWireContract(t *testing.T) {
 	type wireShape struct{ msgs, bytes, halo int64 }
 	par := stencil.Params[int64]{Radius: 1, Boundary: stencil.Wrap}
@@ -135,10 +136,10 @@ func TestFarmOpWireContract(t *testing.T) {
 		checkpointed bool
 		wire         wireShape
 	}{
-		{2, true, wireShape{31, 13537, 1440}},
-		{4, true, wireShape{73, 17101, 2880}},
-		{2, false, wireShape{31, 8161, 1440}},
-		{4, false, wireShape{73, 14029, 2880}},
+		{2, true, wireShape{21, 6902, 1440}},
+		{4, true, wireShape{63, 13026, 2880}},
+		{2, false, wireShape{21, 4214, 1440}},
+		{4, false, wireShape{63, 10722, 2880}},
 	} {
 		fo := cluster.FarmOptions{HeartbeatTimeout: -1}
 		if tc.checkpointed {
