@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -202,7 +203,15 @@ func TestCrashedWorkerFailsCollectiveGracefully(t *testing.T) {
 func TestFarmReassignsLostWorkerTasks(t *testing.T) {
 	resetRegistry()
 	resetFarmRegistry()
+	// Ranks 1 and 3 hold their first two tasks until rank 2 has died, so rank
+	// 2 is fed the other eight. Each of its results is a send of its own, and
+	// it dies at its sixth send: mid-farm by construction, however its acks
+	// batch.
+	var fabric atomic.Pointer[transport.Fabric]
 	RegisterFarm("chaos.double", func(n *Node, task []byte) ([]byte, error) {
+		for n.Rank() != 2 && !n.IsRoot() && !fabric.Load().Crashed(2) {
+			time.Sleep(100 * time.Microsecond)
+		}
 		return []byte{task[0] * 2}, nil
 	})
 
@@ -220,6 +229,7 @@ func TestFarmReassignsLostWorkerTasks(t *testing.T) {
 		Fault:    cfg,
 		Reliable: fastRetry(),
 	}, func(s *Session) error {
+		fabric.Store(s.Fabric())
 		in := make([][]byte, tasks)
 		for i := range in {
 			in[i] = []byte{byte(i)}

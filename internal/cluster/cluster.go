@@ -190,27 +190,33 @@ const ctlTag = mpi.MaxUserTag
 // collective sequence or the session deadlocks — same contract as MPI.
 //
 // In reliable mode a worker that was already lost makes Invoke fail with a
-// RankLostError-derived error: collective kernels need full membership.
-// Use Farm for work that should survive losing ranks.
+// RankLostError-derived error: collective kernels need full membership, so
+// Invoke — and only Invoke — waits for every dispatch to be acknowledged
+// (mpi.Comm.Flush). Use Farm for work that should survive losing ranks.
 func (s *Session) Invoke(name string) error {
 	if _, ok := lookupWorker(name); !ok {
 		return fmt.Errorf("cluster: kernel %q not registered", name)
 	}
 	lost, err := s.dispatch(name)
+	if err == nil {
+		var flushed []int
+		flushed, err = s.node.Comm.Flush(s.node.Comm.Context())
+		lost = append(lost, flushed...)
+	}
 	if err != nil {
 		return fmt.Errorf("cluster: invoke %q: %w", name, err)
 	}
 	if len(lost) > 0 {
-		return fmt.Errorf("cluster: invoke %q: workers %v: %w", name, lost, mpi.ErrRankLost)
+		slices.Sort(lost)
+		return fmt.Errorf("cluster: invoke %q: workers %v: %w", name, slices.Compact(lost), mpi.ErrRankLost)
 	}
 	return nil
 }
 
 // dispatch sends a control string to every worker — the other side of
-// nextKernel. Without the reliable layer it is a broadcast; with it, direct
-// sends, all in flight at once, then a Flush, and the return of the ranks
-// that did not acknowledge theirs, so one dead rank cannot wedge a subtree
-// of the tree.
+// nextKernel — not waiting for acknowledgements, and returns the workers the
+// fabric reports crashed. Without the reliable layer it is a broadcast; with
+// it, direct sends, so one dead rank cannot wedge a subtree of the tree.
 func (s *Session) dispatch(name string) (lost []int, err error) {
 	comm := s.node.Comm
 	if s.node.cfg.Reliable == nil {
@@ -225,15 +231,12 @@ func (s *Session) dispatch(name string) (lost []int, err error) {
 			lost = append(lost, dst)
 		case errors.Is(err, mpi.ErrRankLost):
 			// A loss of earlier frames, reported late. This one is on the
-			// wire all the same; the flush says what became of it.
+			// wire all the same.
 		default:
 			return lost, err
 		}
 	}
-	flushed, err := comm.Flush(comm.Context())
-	lost = append(lost, flushed...)
-	slices.Sort(lost)
-	return slices.Compact(lost), err
+	return lost, nil
 }
 
 // Run launches the virtual cluster, executes master on rank 0 with a

@@ -98,8 +98,8 @@ type FarmResult struct {
 	// Failed lists quarantined tasks in task order: tasks whose kernel
 	// failed or panicked on every one of their MaxAttempts executions.
 	Failed []TaskFailure
-	// Lost lists worker ranks that died, stopped acknowledging, or went
-	// heartbeat-silent and were retired.
+	// Lost lists, in rank order, the worker ranks that died, stopped
+	// acknowledging, or went heartbeat-silent and were retired.
 	Lost []int
 	// Reassigned counts tasks that were requeued off a lost worker.
 	Reassigned int
@@ -349,6 +349,7 @@ func (s *Session) farm(name string, tasks [][]byte, opt FarmOptions, distribute 
 		return res, fmt.Errorf("cluster: farm %q: %w", name, err)
 	}
 	sort.Slice(res.Failed, func(i, j int) bool { return res.Failed[i].Task < res.Failed[j].Task })
+	slices.Sort(res.Lost) // workers crashing together are found in whatever order they died
 	if stranded > 0 {
 		return res, fmt.Errorf("cluster: farm %q: %d tasks stranded: %w", name, stranded, ErrPinLost)
 	}

@@ -117,14 +117,15 @@ type Mux struct {
 	idle      []int                   // Idle's result, reused
 	events    []MuxEvent
 	closed    bool
-	// parked are the ranks that received the worker-loop dispatch, retired
+	// parked are the ranks that may have entered the worker loop, retired
 	// ones included: each is owed a stop frame at Close.
 	parked []int
 }
 
 // OpenMux dispatches the multiplexed worker loop to every worker node and
-// returns the master's handle. Workers already lost at dispatch are
-// reported through the first Poll calls as MuxWorkerLost events.
+// returns the master's handle, not waiting for acknowledgements. Workers the
+// fabric reports crashed at dispatch come out of the first Poll calls as
+// MuxWorkerLost events; every other one is parked, and Poll retires it later.
 func (s *Session) OpenMux(opt MuxOptions) (*Mux, error) {
 	return s.openMux(opt, true)
 }
@@ -275,12 +276,12 @@ func (m *Mux) Poll() (MuxEvent, bool, error) {
 		}
 	}
 	now := m.clk.Now()
-	for w := range m.alive {
-		if m.s.fabric.Crashed(w) {
+	for _, w := range m.parked { // in rank order: a run's retirements replay exactly
+		switch {
+		case !m.alive[w]:
+		case m.s.fabric.Crashed(w):
 			m.retire(w)
-			continue
-		}
-		if m.hbTimeout > 0 && !now.Before(m.lastSeen[w].Add(m.hbTimeout)) {
+		case m.hbTimeout > 0 && !now.Before(m.lastSeen[w].Add(m.hbTimeout)):
 			m.tracer().Instant(0, "farm.heartbeat-miss", int64(w))
 			m.retire(w)
 		}

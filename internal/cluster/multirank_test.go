@@ -130,6 +130,46 @@ func TestFarmPausedRankRetiredAndLateRepliesIgnored(t *testing.T) {
 	}
 }
 
+// A worker whose inbox freezes at the farm's dispatch acknowledges it later
+// than the master's retry budget allows, but it still enters the task loop
+// once the pause lifts. The dispatch must therefore not write it off: it is
+// retired, if at all, by the farm's own loss detection, and it is sent the
+// stop frame at the end, so the farm completes and the run returns instead of
+// hanging with that worker parked in the task loop.
+func TestFarmSlowDispatchAckDoesNotHangRun(t *testing.T) {
+	resetRegistry()
+	resetFarmRegistry()
+	RegisterFarm("multirank.inc", func(n *Node, task []byte) ([]byte, error) {
+		return []byte{task[0] + 1}, nil
+	})
+	const tasks = 8
+	var res *FarmResult
+	_, err := runGuarded(t, Config{
+		Nodes: 3, CoresPerNode: 1,
+		Fault: &transport.FaultConfig{
+			Pauses: []transport.Pause{{Rank: 1, AfterDeliveries: 0, Duration: 30 * time.Millisecond}},
+		},
+		// Given up on after ≈ 5 ms of silence: well inside the pause.
+		Reliable: &mpi.ReliableConfig{AckTimeout: time.Millisecond, Retries: 2},
+	}, func(s *Session) error {
+		in := make([][]byte, tasks)
+		for i := range in {
+			in[i] = []byte{byte(i)}
+		}
+		var err error
+		res, err = s.Farm("multirank.inc", in)
+		return err
+	})
+	if err != nil {
+		t.Fatalf("session: %v", err)
+	}
+	for i, out := range res.Results {
+		if len(out) != 1 || out[0] != byte(i+1) {
+			t.Fatalf("task %d result = %v, want [%d]", i, out, byte(i+1))
+		}
+	}
+}
+
 // muxDrive drains one job map through a Mux: dispatch to idle workers,
 // requeue lost workers' assignments, collect results. Returns the results
 // by job and the set of retired workers.

@@ -113,25 +113,27 @@ func TestBeatPiggybackOnData(t *testing.T) {
 	}
 }
 
-// TestAckBatchingWireFormat: two data frames drained by one pump produce a
-// single coalesced acknowledgement frame carrying both seqs — white-box
-// check of the kindCoal/subAck wire layout via a raw endpoint peer.
+// TestAckBatchingWireFormat: two data frames drained by one pump — one in
+// order, one past a gap — owe one cumulative ack, which shares a coalesced
+// frame with the beat buffered for the same peer. White-box check of the
+// kindCoal/subAck wire layout via a raw endpoint peer.
 func TestAckBatchingWireFormat(t *testing.T) {
 	f := transport.New(transport.Config{Ranks: 2})
 	defer f.Close()
 	raw := f.Endpoint(0) // rank 0 speaks raw frames, no reliable layer
 	b := NewReliableComm(f, 1, ReliableConfig{})
 
+	if err := b.SendBeat(0, 7, nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := raw.Send(1, tagRelData, encodeData(0, 9, []byte("x"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := raw.Send(1, tagRelData, encodeData(1, 9, []byte("y"))); err != nil {
+	if err := raw.Send(1, tagRelData, encodeData(2, 9, []byte("z"))); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		if _, ok, err := b.TryRecv(0, 9); err != nil || !ok {
-			t.Fatalf("data %d not delivered: ok=%v err=%v", i, ok, err)
-		}
+	if _, ok, err := b.TryRecv(0, 9); err != nil || !ok {
+		t.Fatalf("data not delivered: ok=%v err=%v", ok, err)
 	}
 	m, ok, err := raw.TryRecv(1, tagRelAck)
 	if err != nil || !ok {
@@ -145,18 +147,22 @@ func TestAckBatchingWireFormat(t *testing.T) {
 	if kind := br.U8(); kind != kindCoal {
 		t.Fatalf("ack frame kind 0x%02X, want kindCoal", kind)
 	}
-	sub, n := br.U8(), br.U32()
-	if seqs := [2]uint64{br.U64(), br.U64()}; sub != subAck || n != 2 || seqs != [2]uint64{0, 1} || br.Err() != nil || br.Remaining() != 0 {
-		t.Fatalf("coalesced frame: sub-record 0x%02X of %d acks %v, %d bytes left (%v); want one subAck of [0 1]",
-			sub, n, seqs, br.Remaining(), br.Err())
+	sub, expect, held := br.U8(), br.U64(), br.U8()
+	if sub != subAck || expect != 1 || held != 1<<1 {
+		t.Fatalf("first sub-record 0x%02X: expect %d, map %08b; want subAck, expect 1, map naming seq 2", sub, expect, held)
+	}
+	if sub, tag, payload := br.U8(), br.Int(), br.RawBytes(); sub != subBeat || tag != 7 || len(payload) != 0 || br.Err() != nil || br.Remaining() != 0 {
+		t.Fatalf("second sub-record 0x%02X tag %d (%d bytes), %d bytes left (%v); want the beat and nothing more",
+			sub, tag, len(payload), br.Remaining(), br.Err())
 	}
 	if _, ok, _ := raw.TryRecv(1, tagRelAck); ok {
-		t.Fatal("second ack frame on the wire; both acks should share one")
+		t.Fatal("second ack frame on the wire; both frames should share one ack")
 	}
 }
 
-// TestSingleAckKeepsLegacyFrame: one data frame still gets the compact
-// legacy kindAck frame — a coalesced container would be strictly larger.
+// TestSingleAckKeepsLegacyFrame: an owed ack with no beat to share a frame
+// with takes the compact kindAck frame — a coalesced container would be
+// strictly larger.
 func TestSingleAckKeepsLegacyFrame(t *testing.T) {
 	f := transport.New(transport.Config{Ranks: 2})
 	defer f.Close()
@@ -173,8 +179,8 @@ func TestSingleAckKeepsLegacyFrame(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("no ack frame: ok=%v err=%v", ok, err)
 	}
-	if !bytes.Equal(m.Payload, encodeAck(0)) {
-		t.Fatalf("single ack frame %x, want legacy %x", m.Payload, encodeAck(0))
+	if want := encodeAck(1, 0); !bytes.Equal(m.Payload, want) || len(want) != ackFrameLen {
+		t.Fatalf("single ack frame %x, want compact %x of %d bytes", m.Payload, want, ackFrameLen)
 	}
 	if st := b.ReliableStats(); st.CoalescedFrames != 0 {
 		t.Fatalf("CoalescedFrames=%d for a single ack, want 0", st.CoalescedFrames)

@@ -17,12 +17,13 @@ import (
 // Acknowledged-delivery mode. The paper's runtime sits on MPI and trusts
 // the fabric completely (§3.4); this layer removes that trust. Every
 // point-to-point message is wrapped in a frame carrying a per-(src,dst)
-// sequence number and a CRC-32 over the whole frame. The receiver
-// acknowledges every valid frame (including duplicates, whose first ack
-// may have been lost), drops corrupt frames silently so the sender's
-// retransmit fires, and reassembles frames into per-sender sequence order
-// before tag matching — restoring MPI's non-overtaking rule on a fabric
-// that reorders.
+// sequence number and a CRC-32 over the whole frame. The receiver drops
+// corrupt frames silently, reassembles the rest into per-sender sequence
+// order before tag matching — restoring MPI's non-overtaking rule on a
+// fabric that reorders — and answers every valid one (duplicates too) with a
+// cumulative ack: "all below expect arrived, and expect+k for each bit k of
+// this map". A lost ack is covered by the next; an ack naming a frame past a
+// hole makes the sender resend the hole at once (fast retransmit).
 //
 // The sender is eager, like the buffered standard send of the MPI the paper
 // runs on: send ships the frame, records it in its peer's window of
@@ -30,14 +31,14 @@ import (
 // (sendWindow frames) is full. The windows are served by pump — by whatever
 // the communicator's owner does next: a receive, a TryRecv, a Flush. A pump
 // retransmits, with exponential backoff, the frames whose ack deadline has
-// passed, and a loop idling between pumps sleeps no later than the earliest
-// such deadline (idle). A peer that leaves a frame unacknowledged through
-// the whole retry budget, or that the fabric reports crashed, is given up
-// on: its window is emptied and the loss reported once — by the next send to
-// it, a blocking receive it could be stalling, Flush or TakeLost, whichever
-// the owner calls first — so nothing blocks forever and the cluster runtime
-// can degrade gracefully. A rank that must know its frames arrived calls
-// Flush.
+// passed — a lost tail has no later frame to reveal it — and a loop idling
+// between pumps sleeps no later than the earliest such deadline (idle). A
+// peer that leaves a frame unacknowledged through the whole retry budget, or
+// that the fabric reports crashed, is given up on: its window is emptied and
+// the loss reported once — by the next send to it, a blocking receive it
+// could be stalling, Flush or TakeLost, whichever the owner calls first — so
+// nothing blocks forever and the cluster runtime can degrade gracefully. A
+// rank that must know its frames arrived calls Flush.
 
 // Reserved wire tags, far above both user tags and the collective tag
 // sequence. In reliable mode every frame travels on one of these; the
@@ -60,7 +61,7 @@ const (
 // Sub-record kinds inside a kindCoal frame.
 const (
 	subData uint8 = 0x01 // one sequenced data message: seq, tag, payload
-	subAck  uint8 = 0x02 // a batch of acknowledgements: count, then seqs
+	subAck  uint8 = 0x02 // one cumulative acknowledgement: expect, gap map
 	subBeat uint8 = 0x03 // one fire-and-forget beat: tag, payload
 )
 
@@ -90,14 +91,18 @@ const ackBackoff = 1.6
 // per-peer state on both sides is a fixed ring.
 const sendWindow = 8
 
-// ackFrameLen is the size of an encodeAck frame: kind, sequence number, CRC.
-const ackFrameLen = 1 + 8 + 4
+const _ uint8 = 1 << (sendWindow - 1) // an ack's map is one byte: bit k names expect+k
+
+// ackFrameLen is the size of an encodeAck frame: kind, expect, map, CRC.
+const ackFrameLen = 1 + 8 + 1 + 4
 
 // ReliableConfig tunes the ack/retry protocol. Zero values select the
 // defaults noted on each field.
 type ReliableConfig struct {
 	// AckTimeout is how long a frame waits for its acknowledgement before
-	// its first retransmission (default 5ms); later ones back off from it.
+	// its first timed retransmission (default 5ms); later ones back off from
+	// it. A frame that an ack for a later one shows lost is resent at once,
+	// so the timeout is paid only for a lost tail frame, or a lost resend.
 	// When the fabric simulates wire delay, the effective deadline is
 	// floored at twice the frame+ack round trip so simulated latency never
 	// reads as loss.
@@ -128,18 +133,19 @@ type ReliableConfig struct {
 	// CoalesceDelay bounds how long a buffered beat may wait for a fuller
 	// frame before a deadline flush, measured on the fabric clock
 	// (default 1ms). Acknowledgements are not subject to it: they always
-	// flush at the end of the pump cycle that produced them.
+	// flush at the end of the pump cycle that owed them.
 	CoalesceDelay time.Duration
 	// CoalesceLimit is the number of beats buffered per peer that forces
 	// an immediate flush (default 8).
 	CoalesceLimit int
 	// DisableCoalesce reverts to the one-frame-per-message wire shape:
-	// every ack is its own frame and beats become ordinary acknowledged
-	// sends. Used by the message-volume gate to measure what coalescing
-	// saves.
+	// every data frame is answered by its own ack frame and beats become
+	// ordinary acknowledged sends. Used by the message-volume gate to
+	// measure what coalescing saves.
 	DisableCoalesce bool
 	// Tracer, when non-nil, records retransmissions and dropped frames
-	// as trace events ("net.retry", "net.corrupt-drop", "net.dup-drop").
+	// as trace events ("net.retry", "net.fast-retry", "net.corrupt-drop",
+	// "net.dup-drop").
 	Tracer *trace.Tracer
 }
 
@@ -172,8 +178,8 @@ func (cfg ReliableConfig) withDefaults() ReliableConfig {
 // ReliableStats counts protocol activity on one communicator.
 type ReliableStats struct {
 	FramesSent     int64
-	Retries        int64
-	AcksSent       int64 // logical acknowledgements (batched acks count each seq)
+	Retries        int64 // retransmissions, timed and fast
+	AcksSent       int64 // cumulative acknowledgements, framed or carried in a container
 	Delivered      int64
 	DupDropped     int64
 	CorruptDropped int64
@@ -197,7 +203,8 @@ type pendFrame struct {
 // receiver has not acknowledged yet.
 type unacked struct {
 	frame    []byte        // nil: the slot is free
-	retries  int           // retransmissions so far
+	retries  int           // timed retransmissions so far
+	fast     bool          // resent once already because an ack showed it lost
 	timeout  time.Duration // the ack wait that ends at deadline; the next one backs off from it
 	deadline time.Time     // fabric-clock instant the next retransmission is due
 }
@@ -232,12 +239,12 @@ type reliable struct {
 	// ahead[src*sendWindow + seq%sendWindow].
 	expect []uint64            // per src: next in-order sequence expected
 	ahead  []pendFrame         // per src: sendWindow slots
+	owed   []bool              // per src: a data frame arrived since the last ack
 	queue  []transport.Message // reassembled, tag-matchable deliveries
 	stats  ReliableStats
 
 	// Coalescing state (unused when cfg.DisableCoalesce).
 	coalesce  bool
-	pendAcks  [][]uint64    // per dst: acks collected during the current pump
 	beats     [][]pendFrame // per dst: buffered fire-and-forget beats
 	beatSince []time.Time   // per dst: fabric-clock time the oldest beat was buffered
 }
@@ -256,8 +263,8 @@ func newReliable(c *Comm, cfg ReliableConfig) *reliable {
 		lost:      make([]int, n),
 		expect:    make([]uint64, n),
 		ahead:     make([]pendFrame, n*sendWindow),
+		owed:      make([]bool, n),
 		coalesce:  !cfg.DisableCoalesce,
-		pendAcks:  make([][]uint64, n),
 		beats:     make([][]pendFrame, n),
 		beatSince: make([]time.Time, n),
 	}
@@ -270,15 +277,6 @@ func encodeData(seq uint64, tag int, payload []byte) []byte {
 	w.U64(seq)
 	w.Int(tag)
 	w.RawBytes(payload)
-	w.FinishCRC()
-	return w.Bytes()
-}
-
-// encodeAck builds an acknowledgement frame.
-func encodeAck(seq uint64) []byte {
-	w := serial.NewWriter(16)
-	w.U8(kindAck)
-	w.U64(seq)
 	w.FinishCRC()
 	return w.Bytes()
 }
@@ -302,13 +300,9 @@ func (r *reliable) walkCoal(src int, body []byte, apply bool) (ok bool, err erro
 				}
 			}
 		case subAck:
-			n := br.U32()
-			if int(n) > br.Remaining()/8 {
-				return false, nil
-			}
-			for range n {
-				if seq := br.U64(); apply {
-					r.acked(src, seq)
+			if expect, held := br.U64(), br.U8(); apply {
+				if err := r.acked(src, expect, held); err != nil {
+					return false, err
 				}
 			}
 		case subBeat:
@@ -364,12 +358,11 @@ func (r *reliable) handleFrame(m transport.Message) error {
 	br := serial.NewReader(body)
 	switch kind := br.U8(); kind {
 	case kindAck:
-		seq := br.U64()
+		expect, held := br.U64(), br.U8()
 		if br.Err() != nil || br.Remaining() != 0 {
 			return r.dropCorrupt(len(m.Payload))
 		}
-		r.acked(m.Src, seq)
-		return nil
+		return r.acked(m.Src, expect, held)
 	case kindData:
 		seq := br.U64()
 		tag := br.Int()
@@ -398,21 +391,13 @@ func (r *reliable) dropCorrupt(bytes int) error {
 // acceptData runs the sequencing machinery for one data message. A frame
 // sendWindow or more ahead of the expected one cannot have come from a
 // conforming peer and is dropped like a corrupt one, unacknowledged. Every
-// other valid message is acknowledged — a duplicate usually means our first
-// ack was lost — with the ack queued for the end-of-pump batch flush when
-// coalescing and sent immediately otherwise.
+// other valid message makes an ack owed to src — a duplicate usually means
+// our last ack was lost — which the end-of-pump flush sends when coalescing,
+// and which is sent at once otherwise.
 func (r *reliable) acceptData(src int, seq uint64, tag int, payload []byte) error {
 	expect := r.expect[src]
 	if seq >= expect+sendWindow {
 		return r.dropCorrupt(len(payload))
-	}
-	if r.coalesce {
-		r.pendAcks[src] = append(r.pendAcks[src], seq)
-	} else {
-		if err := r.ship(src, tagRelAck, encodeAck(seq)); err != nil {
-			return err
-		}
-		r.stats.AcksSent++
 	}
 	ahead := r.ahead[src*sendWindow : (src+1)*sendWindow]
 	switch slot := &ahead[seq%sendWindow]; {
@@ -430,24 +415,42 @@ func (r *reliable) acceptData(src int, seq uint64, tag int, payload []byte) erro
 		r.stats.DupDropped++
 		r.cfg.Tracer.Instant(r.c.Rank(), "net.dup-drop", int64(len(payload)))
 	}
+	r.owed[src] = true
+	if !r.coalesce {
+		return r.flushTo(src)
+	}
 	return nil
 }
 
-// flushPending emits, per peer, the acks collected during the current pump
-// cycle and any beat batch that is full or past its fabric-clock deadline.
-// A single ack with no beats keeps the compact legacy frame; anything more
-// shares one coalesced frame. Callers hold r.mu.
+// ack writes the acknowledgement owed to src as its stream stands — the next
+// in-order sequence number, and a map whose bit k says expect+k is parked —
+// and settles the debt. Callers hold r.mu.
+func (r *reliable) ack(w *serial.Writer, src int) {
+	expect, held := r.expect[src], uint8(0)
+	for k := uint64(1); k < sendWindow; k++ {
+		if r.ahead[src*sendWindow+int((expect+k)%sendWindow)].held {
+			held |= 1 << k
+		}
+	}
+	w.U64(expect)
+	w.U8(held)
+	r.owed[src] = false
+	r.stats.AcksSent++
+}
+
+// flushPending emits, per peer, any ack owed and any beat batch that is full
+// or past its fabric-clock deadline. Callers hold r.mu.
 func (r *reliable) flushPending() error {
 	if !r.coalesce {
 		return nil
 	}
 	var now time.Time
-	for dst := range r.pendAcks {
-		acks, beats := r.pendAcks[dst], r.beats[dst]
-		if len(acks) == 0 && len(beats) == 0 {
+	for dst, owed := range r.owed {
+		beats := r.beats[dst]
+		if !owed && len(beats) == 0 {
 			continue
 		}
-		if len(acks) == 0 && len(beats) < r.cfg.CoalesceLimit {
+		if !owed && len(beats) < r.cfg.CoalesceLimit {
 			if now.IsZero() {
 				now = r.clk.Now()
 			}
@@ -462,44 +465,38 @@ func (r *reliable) flushPending() error {
 	return nil
 }
 
-// flushTo ships dst's pending acks and beats now. Callers hold r.mu.
+// flushTo ships dst's owed ack and buffered beats now: an ack alone in the
+// compact kindAck frame, anything more in one coalesced frame. Callers hold
+// r.mu.
 func (r *reliable) flushTo(dst int) error {
-	acks, beats := r.pendAcks[dst], r.beats[dst]
-	var frame []byte
-	if len(acks) == 1 && len(beats) == 0 {
-		frame = encodeAck(acks[0])
+	w := serial.NewWriter(ackFrameLen + 24*len(r.beats[dst]))
+	if len(r.beats[dst]) == 0 {
+		w.U8(kindAck)
+		r.ack(w, dst)
 	} else {
-		w := serial.NewWriter(16 + 8*len(acks) + 24*len(beats))
 		w.U8(kindCoal)
-		appendAckSub(w, acks)
-		for _, b := range beats {
-			appendBeatSub(w, b)
-		}
-		w.FinishCRC()
-		frame = w.Bytes()
+		r.appendPending(w, dst)
 		r.stats.CoalescedFrames++
 	}
-	r.stats.AcksSent += int64(len(acks))
-	r.stats.BeatsSent += int64(len(beats))
-	r.pendAcks[dst] = acks[:0]
-	for i := range beats {
-		beats[i] = pendFrame{}
-	}
-	r.beats[dst] = beats[:0]
-	r.beatSince[dst] = time.Time{}
-	return r.ship(dst, tagRelAck, frame)
+	w.FinishCRC()
+	return r.ship(dst, tagRelAck, w.Bytes())
 }
 
-// appendAckSub writes one subAck record (omitted when empty).
-func appendAckSub(w *serial.Writer, acks []uint64) {
-	if len(acks) == 0 {
-		return
+// appendPending writes dst's owed ack and buffered beats into a coalesced
+// frame, counts them and clears them. Callers hold r.mu.
+func (r *reliable) appendPending(w *serial.Writer, dst int) {
+	if r.owed[dst] {
+		w.U8(subAck)
+		r.ack(w, dst)
 	}
-	w.U8(subAck)
-	w.U32(uint32(len(acks)))
-	for _, seq := range acks {
-		w.U64(seq)
+	beats := r.beats[dst]
+	for i, b := range beats {
+		appendBeatSub(w, b)
+		beats[i] = pendFrame{}
 	}
+	r.stats.BeatsSent += int64(len(beats))
+	r.beats[dst] = beats[:0]
+	r.beatSince[dst] = time.Time{}
 }
 
 // appendBeatSub writes one subBeat record.
@@ -602,25 +599,45 @@ func (r *reliable) slot(dst int, seq uint64) *unacked {
 	return &r.window[dst*sendWindow+int(seq%sendWindow)]
 }
 
-// release frees a window slot. Callers hold r.mu.
-func (r *reliable) release(u *unacked) {
-	*u = unacked{}
-	r.inflight--
+// release frees the window slot of dst's frame seq if it is in use. Callers
+// hold r.mu.
+func (r *reliable) release(dst int, seq uint64) {
+	if u := r.slot(dst, seq); u.frame != nil {
+		*u = unacked{}
+		r.inflight--
+	}
 }
 
-// acked frees the window slot of dst's frame seq. An ack of anything outside
-// the window — a duplicate, a late one, one for a frame given up on — has
-// nothing waiting for it and leaves no trace. Callers hold r.mu.
-func (r *reliable) acked(dst int, seq uint64) {
-	if seq < r.sendBase[dst] || seq >= r.nextSeq[dst] {
-		return
+// acked applies a cumulative acknowledgement from dst: every frame below
+// expect has arrived, and so has expect+k for each bit k of held, so their
+// slots are freed. A frame below the highest one named that has not arrived
+// was lost — the fabric is FIFO between two ranks — and is resent at once,
+// its deadline re-armed: fast retransmit, once per frame and outside the
+// retry budget, which only the deadline spends. An ack older than one
+// already applied (expect below sendBase; also every ack of frames given up
+// on) or past what was sent has nothing to say and leaves no trace. Callers
+// hold r.mu.
+func (r *reliable) acked(dst int, expect uint64, held uint8) error {
+	next := r.nextSeq[dst]
+	if expect < r.sendBase[dst] || expect > next {
+		return nil
 	}
-	if u := r.slot(dst, seq); u.frame != nil {
-		r.release(u)
+	for seq := r.sendBase[dst]; seq < expect; seq++ {
+		r.release(dst, seq)
 	}
-	for r.sendBase[dst] < r.nextSeq[dst] && r.slot(dst, r.sendBase[dst]).frame == nil {
-		r.sendBase[dst]++
+	r.sendBase[dst] = expect
+	held &^= 1 // bit 0 would name expect itself, which the receiver lacks
+	for seq := expect; seq < next && held>>(seq-expect) != 0; seq++ {
+		if u := r.slot(dst, seq); held&(1<<(seq-expect)) != 0 {
+			r.release(dst, seq)
+		} else if u.frame != nil && !u.fast {
+			u.fast = true
+			if err := r.resend(dst, u, r.clk.Now(), "net.fast-retry"); err != nil {
+				return err
+			}
+		}
 	}
+	return nil
 }
 
 // ackWait is the first ack timeout of an n-byte frame: AckTimeout, floored
@@ -636,7 +653,7 @@ func (r *reliable) ackWait(n int) time.Duration {
 // retransmit serves the send windows: every frame whose ack deadline has
 // passed goes out again, its timeout backed off (up to MaxAckTimeout, or the
 // wire-delay floor where that is higher) and jittered afresh. Only that frame:
-// later ones its receiver holds were acknowledged selectively. A peer the
+// later ones its receiver holds were released by the ack's map. A peer the
 // fabric reports crashed, or a frame of whose has used up the retry budget,
 // is given up on. Callers hold r.mu.
 func (r *reliable) retransmit() error {
@@ -658,17 +675,26 @@ func (r *reliable) retransmit() error {
 				break
 			}
 			u.retries++
-			r.stats.Retries++
-			r.cfg.Tracer.Instant(r.c.Rank(), "net.retry", int64(len(u.frame)))
 			u.timeout = min(time.Duration(float64(u.timeout)*ackBackoff),
 				max(r.cfg.MaxAckTimeout, r.ackWait(len(u.frame))))
-			u.deadline = now.Add(r.jitter(u.timeout))
-			if err := r.ship(dst, tagRelData, u.frame); err != nil {
+			if err := r.resend(dst, u, now, "net.retry"); err != nil {
 				return err
 			}
-			r.stats.FramesSent++
 		}
 	}
+	return nil
+}
+
+// resend puts u's frame on the wire again, recording event, and re-arms its
+// deadline one timeout from now. Callers hold r.mu.
+func (r *reliable) resend(dst int, u *unacked, now time.Time, event string) error {
+	r.stats.Retries++
+	r.cfg.Tracer.Instant(r.c.Rank(), event, int64(len(u.frame)))
+	u.deadline = now.Add(r.jitter(u.timeout))
+	if err := r.ship(dst, tagRelData, u.frame); err != nil {
+		return err
+	}
+	r.stats.FramesSent++
 	return nil
 }
 
@@ -678,9 +704,7 @@ func (r *reliable) retransmit() error {
 // hold r.mu.
 func (r *reliable) giveUp(dst, attempts int) {
 	for seq := r.sendBase[dst]; seq < r.nextSeq[dst]; seq++ {
-		if u := r.slot(dst, seq); u.frame != nil {
-			r.release(u)
-		}
+		r.release(dst, seq)
 	}
 	r.sendBase[dst] = r.nextSeq[dst]
 	r.lost[dst] = attempts
@@ -766,36 +790,24 @@ func (r *reliable) jitter(d time.Duration) time.Duration {
 	return d + time.Duration(float64(d)*r.cfg.BackoffJitter*r.rng.Float64())
 }
 
-// buildDataFrame encodes one data message, piggybacking dst's pending acks
-// and beats into a coalesced frame when there are any — they ride for free
-// on a frame that is going to that peer anyway. A retransmit resends the
-// piggybacked records too; acks are idempotent and beats tolerate
-// duplication by contract. Callers hold r.mu.
+// buildDataFrame encodes one data message, piggybacking dst's owed ack and
+// buffered beats into a coalesced frame when there are any — they ride for
+// free on a frame that is going to that peer anyway. A retransmit resends the
+// piggybacked records too; an old cumulative ack says nothing new and beats
+// tolerate duplication by contract. Callers hold r.mu.
 func (r *reliable) buildDataFrame(dst int, seq uint64, tag int, payload []byte) []byte {
-	acks, beats := r.pendAcks[dst], r.beats[dst]
-	if !r.coalesce || (len(acks) == 0 && len(beats) == 0) {
+	if !r.owed[dst] && len(r.beats[dst]) == 0 {
 		return encodeData(seq, tag, payload)
 	}
-	w := serial.NewWriter(len(payload) + 48 + 8*len(acks) + 24*len(beats))
+	w := serial.NewWriter(len(payload) + 48 + 24*len(r.beats[dst]))
 	w.U8(kindCoal)
 	w.U8(subData)
 	w.U64(seq)
 	w.Int(tag)
 	w.RawBytes(payload)
-	appendAckSub(w, acks)
-	for _, b := range beats {
-		appendBeatSub(w, b)
-	}
+	r.appendPending(w, dst)
 	w.FinishCRC()
 	r.stats.CoalescedFrames++
-	r.stats.AcksSent += int64(len(acks))
-	r.stats.BeatsSent += int64(len(beats))
-	r.pendAcks[dst] = acks[:0]
-	for i := range beats {
-		beats[i] = pendFrame{}
-	}
-	r.beats[dst] = beats[:0]
-	r.beatSince[dst] = time.Time{}
 	return w.Bytes()
 }
 

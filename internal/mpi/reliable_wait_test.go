@@ -116,10 +116,13 @@ func TestEagerSendAllocs(t *testing.T) {
 		if _, ok, err := f.TryRecv(1, 0, tagRelData); err != nil || !ok {
 			t.Fatalf("frame not on the wire: %v", err)
 		}
-		c.rel.mu.Lock()
-		c.rel.acked(1, seq)
-		c.rel.mu.Unlock()
 		seq++
+		c.rel.mu.Lock()
+		err := c.rel.acked(1, seq, 0)
+		c.rel.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
 	})
 	frame := testing.AllocsPerRun(200, func() { encodeData(seq, 3, payload) })
 	if send != frame || c.rel.inflight != 0 {
@@ -136,7 +139,7 @@ func TestCoalescedFrameAllocs(t *testing.T) {
 	r := NewReliableComm(f, 0, ReliableConfig{}).rel
 	w := serial.NewWriter(64)
 	w.U8(kindCoal)
-	appendAckSub(w, []uint64{0, 1})
+	appendAckSub(w, 0, 1<<1)
 	appendBeatSub(w, pendFrame{tag: 5})
 	w.FinishCRC()
 	m := transport.Message{Src: 1, Tag: tagRelAck, Payload: w.Bytes()}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"triolet/internal/serial"
+	"triolet/internal/trace"
 	"triolet/internal/transport"
 )
 
@@ -57,9 +58,9 @@ func wantNext(t *testing.T, c *Comm, src int, want string) {
 	}
 }
 
-// A dropped ack delays nothing: the sender's next send goes out at once, the
-// receiver delivers it at once, and the only cost is one retransmission of
-// the frame whose ack was lost, whenever its deadline comes round.
+// A dropped ack costs nothing: the sender's next send goes out at once, the
+// receiver delivers it at once, and that frame's cumulative ack releases the
+// one whose own ack was lost — no retransmission, then or at its deadline.
 func TestWindowDroppedAckCostsNothing(t *testing.T) {
 	p := newPair(t, ReliableConfig{AckTimeout: time.Millisecond, Retries: 3})
 	if err := p.a.Send(1, 1, []byte("m0")); err != nil {
@@ -71,27 +72,29 @@ func TestWindowDroppedAckCostsNothing(t *testing.T) {
 		t.Fatalf("send behind a lost ack: %v", err)
 	}
 	wantNext(t, p.b, 0, "m1")
-	pump(t, p.a) // m1's ack
-	if st := p.a.ReliableStats(); st.Retries != 0 || p.a.rel.inflight != 1 {
-		t.Fatalf("before the deadline: %+v, %d in flight, want no retries and m0 alone", st, p.a.rel.inflight)
+	pump(t, p.a) // m1's ack covers m0
+	if st := p.a.ReliableStats(); st.Retries != 0 || p.a.rel.inflight != 0 {
+		t.Fatalf("after m1's ack: %+v, %d in flight, want no retries and an empty window", st, p.a.rel.inflight)
 	}
 	p.clk.Advance(time.Millisecond)
-	pump(t, p.a) // m0 again
-	pump(t, p.b) // dropped as a duplicate, acknowledged again
 	pump(t, p.a)
-	if st := p.a.ReliableStats(); st.Retries != 1 || p.a.rel.inflight != 0 {
-		t.Fatalf("after the deadline: %+v, %d in flight, want one retry and an empty window", st, p.a.rel.inflight)
+	pump(t, p.b)
+	if st := p.a.ReliableStats(); st.Retries != 0 {
+		t.Fatalf("after m0's deadline: %+v, want no retries", st)
 	}
-	if st := p.b.ReliableStats(); st.Delivered != 2 || st.DupDropped != 1 {
-		t.Fatalf("receiver: %+v, want 2 delivered and the retransmission dropped", st)
+	if st := p.b.ReliableStats(); st.Delivered != 2 || st.DupDropped != 0 {
+		t.Fatalf("receiver: %+v, want 2 delivered and no duplicate", st)
 	}
 }
 
 // Frame k dropped with the rest of the window in flight behind it: nothing is
-// delivered past the gap, every later frame is acknowledged as it parks, and
-// one retransmission — of k alone — releases them all in order.
+// delivered past the gap, and the one ack that maps every later frame
+// releases them and shows k lost, so k alone is resent at once — on a frozen
+// clock — and the whole window delivers in order. k's deadline, re-armed by
+// that resend, then finds it acknowledged: no second retransmission.
 func TestWindowDroppedFrameRetransmitsItAlone(t *testing.T) {
-	p := newPair(t, ReliableConfig{AckTimeout: time.Millisecond, Retries: 3})
+	tr := trace.New()
+	p := newPair(t, ReliableConfig{AckTimeout: time.Millisecond, Retries: 3, Tracer: tr})
 	for i := range sendWindow {
 		if err := p.a.Send(1, 1, []byte(fmt.Sprint("m", i))); err != nil {
 			t.Fatal(err)
@@ -104,17 +107,152 @@ func TestWindowDroppedFrameRetransmitsItAlone(t *testing.T) {
 		t.Fatal("delivery past a gap")
 	}
 	pump(t, p.a)
-	if got := p.a.rel.inflight; got != 1 {
-		t.Fatalf("%d frames unacknowledged with one dropped", got)
+	if got := p.a.rel.inflight; got != 1 || tr.Count("net.fast-retry") != 1 {
+		t.Fatalf("%d frames unacknowledged, %d resent at once; want the dropped one, resent", got, tr.Count("net.fast-retry"))
 	}
-	p.clk.Advance(time.Millisecond)
-	pump(t, p.a)
 	for i := range sendWindow {
 		wantNext(t, p.b, 0, fmt.Sprint("m", i))
 	}
 	pump(t, p.a)
-	if st := p.a.ReliableStats(); st.Retries != 1 || st.FramesSent != sendWindow+1 || p.a.rel.inflight != 0 {
-		t.Fatalf("sender: %+v, %d in flight, want exactly one retransmission", st, p.a.rel.inflight)
+	p.clk.Advance(time.Hour)
+	pump(t, p.a)
+	if st := p.a.ReliableStats(); st.Retries != 1 || st.FramesSent != sendWindow+1 || p.a.rel.inflight != 0 || tr.Count("net.retry") != 0 {
+		t.Fatalf("sender: %+v, %d in flight, %d timed retries; want exactly one retransmission, the fast one",
+			st, p.a.rel.inflight, tr.Count("net.retry"))
+	}
+}
+
+// A fast retransmission is made once per frame and spends no retry budget.
+// The resent hole is dropped again: a later ack showing the same hole does
+// not resend it, the deadline the resend re-armed does, and a frame allowed
+// one timed retransmission is still not given up on.
+func TestWindowFastRetransmitOncePerFrame(t *testing.T) {
+	tr := trace.New()
+	p := newPair(t, ReliableConfig{AckTimeout: time.Millisecond, Retries: 1, Tracer: tr})
+	send := func(i int) {
+		t.Helper()
+		if err := p.a.Send(1, 1, []byte(fmt.Sprint("m", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range 3 {
+		send(i)
+		if i == 0 {
+			p.drop(t, 1, tagRelData)
+		}
+	}
+	pump(t, p.b) // parks m1, m2; the ack maps them
+	pump(t, p.a) // m0 resent at once
+	p.drop(t, 1, tagRelData)
+	send(3)
+	pump(t, p.b) // parks m3; the ack still shows m0 missing
+	pump(t, p.a)
+	if n := tr.Count("net.fast-retry"); n != 1 || p.a.rel.inflight != 1 {
+		t.Fatalf("%d fast retransmissions, %d in flight; want m0 resent once and alone unacknowledged", n, p.a.rel.inflight)
+	}
+	p.clk.Advance(time.Millisecond)
+	pump(t, p.a) // the deadline: m0 again, timed
+	for i := range 4 {
+		wantNext(t, p.b, 0, fmt.Sprint("m", i))
+	}
+	pump(t, p.a)
+	if st := p.a.ReliableStats(); st.Retries != 2 || tr.Count("net.retry") != 1 || p.a.rel.inflight != 0 {
+		t.Fatalf("sender: %+v, %d timed; want one fast and one timed retransmission, then an empty window", st, tr.Count("net.retry"))
+	}
+	if lost := p.a.TakeLost(); lost != nil {
+		t.Fatalf("lost %v: the fast retransmission spent the retry budget", lost)
+	}
+}
+
+// Acks that say nothing new leave nothing behind: ones older than an ack
+// already applied (expect below the window's base) and ones naming frames
+// never sent (expect past the next sequence number) release no slot and
+// resend nothing, whatever their maps claim.
+func TestWindowStaleAndFutureAcksIgnored(t *testing.T) {
+	p := newPair(t, ReliableConfig{AckTimeout: time.Millisecond, Retries: 3})
+	for i := range 3 {
+		if err := p.a.Send(1, 1, []byte(fmt.Sprint("m", i))); err != nil {
+			t.Fatal(err)
+		}
+		wantNext(t, p.b, 0, fmt.Sprint("m", i))
+	}
+	pump(t, p.a)
+	if err := p.a.Send(1, 1, []byte("m3")); err != nil {
+		t.Fatal(err)
+	}
+	p.drop(t, 1, tagRelData) // m3 in flight, unacknowledged
+	size := stateSize(p.a.rel)
+	for _, ack := range [][]byte{
+		encodeAck(1, 0xFE),  // stale; a map past a hole
+		encodeAck(2, 1<<1),  // stale; its map names m3
+		encodeAck(5, 0),     // past nextSeq
+		encodeAck(9, 0xFE),  // past nextSeq, a full map
+		encodeAck(1<<63, 0), // far past
+	} {
+		if err := p.f.SendShared(1, 0, tagRelAck, ack); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pump(t, p.a)
+	r := p.a.rel
+	if st := p.a.ReliableStats(); st.Retries != 0 || r.inflight != 1 || r.sendBase[1] != 3 || stateSize(r) != size {
+		t.Fatalf("%+v, %d in flight from %d, state %d → %d words; want m3 alone in flight and nothing resent",
+			st, r.inflight, r.sendBase[1], size, stateSize(r))
+	}
+}
+
+// Under the fabric's Reorder fault a frame overtaken by a later one looks
+// lost to the ack that maps the later one, and is resent at once — once at
+// most, though a reordered stream repeats that ack and reorders acks too. The
+// clock is frozen, so every retransmission is a fast one; payloads of
+// distinct lengths tell the trace which frame each one resent.
+func TestWindowReorderFastRetransmitsOncePerFrame(t *testing.T) {
+	tr := trace.New()
+	f := transport.New(transport.Config{Ranks: 2, Clock: newFakeClock(), Fault: &transport.FaultConfig{
+		Seed:          5,
+		Default:       transport.FaultProbs{Reorder: 0.2},
+		MaxExtraDelay: 300 * time.Microsecond,
+	}})
+	defer f.Close()
+	cfg := ReliableConfig{AckTimeout: time.Millisecond, Retries: 3, Tracer: tr}
+	a, b := NewReliableComm(f, 0, cfg), NewReliableComm(f, 1, cfg)
+	const n = 200
+	errc := make(chan error, 1)
+	go func() {
+		for i := range n {
+			if err := a.Send(1, 1, make([]byte, i)); err != nil {
+				errc <- err
+				return
+			}
+		}
+		errc <- finish(a)
+	}()
+	for i := range n {
+		if m, err := b.Recv(0, 1); err != nil || len(m.Payload) != i {
+			t.Fatalf("delivery %d: %d bytes, %v", i, len(m.Payload), err)
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := <-errc; err != nil {
+			t.Error(err)
+		}
+	}()
+	attend(b, done)
+	fast := tr.InstantValues("net.fast-retry")
+	if len(fast) == 0 || f.Stats().Faults.Reordered == 0 {
+		t.Fatalf("%d reordered, %d fast retransmissions: the seed no longer overtakes a frame", f.Stats().Faults.Reordered, len(fast))
+	}
+	seen := map[int64]bool{}
+	for _, size := range fast {
+		if seen[size] {
+			t.Fatalf("the %d-byte frame was fast-retransmitted twice (%v)", size, fast)
+		}
+		seen[size] = true
+	}
+	if st := a.ReliableStats(); st.Retries != int64(len(fast)) {
+		t.Fatalf("%+v: %d retransmissions on a frozen clock were not fast ones", st, st.Retries-int64(len(fast)))
 	}
 }
 
@@ -284,7 +422,7 @@ func TestDuplicateAcksLeaveNoState(t *testing.T) {
 	wantNext(t, p.b, 0, "x")
 	pump(t, p.a)
 	for i := range 10000 {
-		if err := p.f.SendShared(1, 0, tagRelAck, encodeAck(uint64(i%3))); err != nil {
+		if err := p.f.SendShared(1, 0, tagRelAck, encodeAck(uint64(i%3), uint8(i))); err != nil {
 			t.Fatal(err)
 		}
 		if i%100 == 99 {
@@ -296,12 +434,30 @@ func TestDuplicateAcksLeaveNoState(t *testing.T) {
 	}
 }
 
+// encodeAck spells out a compact cumulative ack frame: kind, expect, gap map,
+// CRC.
+func encodeAck(expect uint64, held uint8) []byte {
+	w := serial.NewWriter(ackFrameLen)
+	w.U8(kindAck)
+	w.U64(expect)
+	w.U8(held)
+	w.FinishCRC()
+	return w.Bytes()
+}
+
+// appendAckSub spells out the same ack as a coalesced frame's sub-record.
+func appendAckSub(w *serial.Writer, expect uint64, held uint8) {
+	w.U8(subAck)
+	w.U64(expect)
+	w.U8(held)
+}
+
 // stateSize counts what the layer holds per peer: ring slots in use or not,
 // and the capacity of every buffer that grows by appending.
 func stateSize(r *reliable) (n int) {
-	n = len(r.window) + len(r.ahead) + cap(r.queue)
-	for dst := range r.pendAcks {
-		n += cap(r.pendAcks[dst]) + cap(r.beats[dst])
+	n = len(r.window) + len(r.ahead) + len(r.owed) + cap(r.queue)
+	for dst := range r.beats {
+		n += cap(r.beats[dst])
 	}
 	return n
 }
@@ -342,7 +498,7 @@ func FuzzReliableFrames(f *testing.F) {
 		build(w)
 		f.Add(w.Bytes())
 	}
-	seed(func(w *serial.Writer) { w.U8(kindAck); w.U64(0) })
+	seed(func(w *serial.Writer) { w.U8(kindAck); w.U64(0); w.U8(0) })
 	seed(func(w *serial.Writer) { w.U8(kindData); w.U64(3); w.Int(1); w.RawBytes([]byte("parked")) })
 	seed(func(w *serial.Writer) {
 		w.U8(kindCoal)
@@ -350,10 +506,10 @@ func FuzzReliableFrames(f *testing.F) {
 		w.U64(0)
 		w.Int(1)
 		w.RawBytes([]byte("first"))
-		appendAckSub(w, []uint64{0, 1, 1 << 60})
+		appendAckSub(w, 1<<60, 0xFF)
 		appendBeatSub(w, pendFrame{tag: 2})
 	})
-	seed(func(w *serial.Writer) { w.U8(kindCoal); w.U8(subAck); w.U32(1 << 31) })
+	seed(func(w *serial.Writer) { w.U8(kindCoal); w.U8(subAck); w.U64(0) })
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fab := transport.New(transport.Config{Ranks: 2})
 		defer fab.Close()
@@ -384,7 +540,10 @@ func FuzzReliableFrames(f *testing.F) {
 		// A delivery, a parked frame and a pending ack each come from a
 		// sub-record of 13 bytes or more, at most two from one, in each of
 		// the three passes.
-		records := len(r.queue) + held + len(r.pendAcks[1])
+		records := len(r.queue) + held
+		if r.owed[1] {
+			records++
+		}
 		if held >= sendWindow || bytes > 3*len(body) || records > len(body) {
 			t.Fatalf("%d-byte body left %d parked, %d records, %d payload bytes", len(body), held, records, bytes)
 		}
