@@ -56,12 +56,14 @@ chaos-campaign:
 
 # 30-second fuzz smokes over the wire-format decoders: the serial slice
 # codecs, the farm engine's task/result frames, the reliable layer's frames
-# (any body under a valid CRC) and the farmed stencil's task frames.
+# (any record list under a valid CRC), the farmed stencil's task frames and
+# the job service's specs (HTTP body, registry records).
 fuzz:
 	$(GO) test -fuzz=FuzzSliceDecoders -fuzztime=30s ./internal/serial
 	$(GO) test -fuzz=FuzzMuxFrames -fuzztime=30s ./internal/cluster
 	$(GO) test -fuzz=FuzzReliableFrames -fuzztime=30s ./internal/mpi
 	$(GO) test -fuzz=FuzzFarmOpTask -fuzztime=30s ./internal/stencil
+	$(GO) test -fuzz=FuzzJobSpec -fuzztime=30s ./internal/jobs
 
 # Fuzz the checkpoint WAL decoder: arbitrary bytes must yield a valid
 # prefix, never a panic or a runaway allocation.

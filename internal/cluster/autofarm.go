@@ -1,4 +1,4 @@
-// AutoPar's cluster entry points. The perfmodel planner decides HOW a
+// AutoPar's cluster entry point. The perfmodel planner decides HOW a
 // farm job should run (distribute or stay master-local, how many nodes);
 // this file executes that decision and meters it, recording
 // predicted-vs-observed trace instants so every auto-mapped run leaves an
@@ -28,7 +28,7 @@ type FarmPlan struct {
 	// master (the kernel's own parallel loops still use the local pool).
 	Distribute bool
 	// Nodes is the virtual cluster size the plan wants; AutoFarm sizes
-	// the cluster with it, FarmAuto only sanity-checks it.
+	// the cluster with it.
 	Nodes int
 	// Label qualifies the trace instants (the workload name).
 	Label string
@@ -38,38 +38,18 @@ type FarmPlan struct {
 	PredictedBytes   int64
 }
 
-// FarmAuto runs one farm job the way the plan says, inside an existing
-// session, and records predicted/observed instants on the master's
-// tracer. The observed wall time is measured on the fabric clock and
-// the observed bytes from the fabric's meter, so both follow an injected
-// test clock/fabric.
-func (s *Session) FarmAuto(name string, tasks [][]byte, plan FarmPlan, opt FarmOptions) (*FarmResult, error) {
-	tr := s.node.Tracer
-	tr.Instant(0, "plan.predicted", int64(plan.PredictedSeconds*1e6))
-	tr.Instant(0, "plan.predicted-bytes", plan.PredictedBytes)
-	clk := s.fabric.Clock()
-	before := s.fabric.Stats().Bytes
-	start := clk.Now()
-
-	// A master-local plan is the same farm with no worker dispatched: tasks
-	// run on the master one at a time (node-local parallelism belongs to the
-	// kernel's own pool loops, and the pool runs one region at a time).
-	fr, err := s.farm(name, tasks, opt, plan.Distribute)
-
-	tr.Instant(0, "plan.observed", clk.Now().Sub(start).Microseconds())
-	tr.Instant(0, "plan.observed-bytes", s.fabric.Stats().Bytes-before)
-	return fr, err
-}
-
-// AutoFarm provisions a virtual cluster sized by the plan, runs one farm
-// job on it under FarmAuto's metering, and tears the cluster down. It is
-// the one-call entry point for a planned job when no session exists yet;
-// inside an existing session use Session.FarmAuto.
+// AutoFarm provisions a virtual cluster sized by the plan, runs one farm job
+// on it, and tears the cluster down: the one entry point for a planned job. A
+// master-local plan gets a one-node cluster, where the tasks run on the master
+// one at a time (node-local parallelism belongs to the kernel's own pool
+// loops, and the pool runs one region at a time). The plan instants go to the
+// master's tracer; the observed wall time is measured on the fabric clock and
+// the observed bytes from the fabric's meter, so both follow an injected test
+// clock/fabric.
 func AutoFarm(cfg Config, plan FarmPlan, name string, tasks [][]byte, opt FarmOptions) (*FarmResult, transport.Stats, error) {
+	cfg.Nodes = 1
 	if plan.Distribute && plan.Nodes > 1 {
 		cfg.Nodes = plan.Nodes
-	} else {
-		cfg.Nodes = 1
 	}
 	ctx := opt.Context
 	if ctx == nil {
@@ -77,8 +57,14 @@ func AutoFarm(cfg Config, plan FarmPlan, name string, tasks [][]byte, opt FarmOp
 	}
 	var fr *FarmResult
 	stats, err := RunCtx(ctx, cfg, func(s *Session) error {
+		tr, clk := s.node.Tracer, s.fabric.Clock()
+		tr.Instant(0, "plan.predicted", int64(plan.PredictedSeconds*1e6))
+		tr.Instant(0, "plan.predicted-bytes", plan.PredictedBytes)
+		before, start := s.fabric.Stats().Bytes, clk.Now()
 		var ferr error
-		fr, ferr = s.FarmAuto(name, tasks, plan, opt)
+		fr, ferr = s.FarmOpts(name, tasks, opt)
+		tr.Instant(0, "plan.observed", clk.Now().Sub(start).Microseconds())
+		tr.Instant(0, "plan.observed-bytes", s.fabric.Stats().Bytes-before)
 		return ferr
 	})
 	if err != nil && fr == nil && !errors.Is(err, context.Canceled) {

@@ -21,8 +21,8 @@ func autoTasks(n int) [][]byte {
 // A master-local plan runs every task on the master and still leaves the
 // full predicted/observed instant quartet on the tracer.
 func TestFarmAutoLocalRecordsPlanInstants(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
+	workerKernels.reset()
+	farmKernels.reset()
 	RegisterFarm("auto.double", func(n *Node, task []byte) ([]byte, error) {
 		out := make([]byte, len(task))
 		for i, b := range task {
@@ -65,8 +65,8 @@ func TestFarmAutoLocalRecordsPlanInstants(t *testing.T) {
 // A distributing plan sizes the cluster from the plan, produces the same
 // bytes as the local path, and observes real fabric traffic.
 func TestFarmAutoDistributedMatchesLocal(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
+	workerKernels.reset()
+	farmKernels.reset()
 	RegisterFarm("auto.xform", func(n *Node, task []byte) ([]byte, error) {
 		out := append([]byte{0xAB}, task...)
 		return out, nil
@@ -101,8 +101,8 @@ func TestFarmAutoDistributedMatchesLocal(t *testing.T) {
 // distributed path delivers timings on the result frames with valid
 // indices, positive durations, and no duplicates.
 func TestFarmAutoTaskTimings(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
+	workerKernels.reset()
+	farmKernels.reset()
 	RegisterFarm("auto.timed", func(n *Node, task []byte) ([]byte, error) {
 		time.Sleep(200 * time.Microsecond)
 		return task, nil
@@ -147,8 +147,8 @@ func TestFarmAutoTaskTimings(t *testing.T) {
 // A master-local plan resumes from a checkpoint store exactly like the
 // distributed farm: stored tasks are returned bit-identically and never re-executed.
 func TestFarmLocalCheckpointResume(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
+	workerKernels.reset()
+	farmKernels.reset()
 	executed := make(map[byte]bool)
 	var mu sync.Mutex
 	RegisterFarm("auto.ckpt", func(n *Node, task []byte) ([]byte, error) {

@@ -81,7 +81,7 @@ func invokeSum(s *Session, name string) (int, error) {
 }
 
 func TestSessionIdenticalResultsUnderFaults(t *testing.T) {
-	resetRegistry()
+	workerKernels.reset()
 	registerSumKernel("chaos.sum")
 
 	run := func(fault *transport.FaultConfig, rel *mpi.ReliableConfig) int {
@@ -137,7 +137,7 @@ func TestTeardownFaultDroppedFinalData(t *testing.T) {
 }
 
 func testTeardownFault(t *testing.T, kernel string, lossy transport.Link, seed int64) {
-	resetRegistry()
+	workerKernels.reset()
 	registerSumKernel(kernel)
 	tr := trace.New()
 	var sum int
@@ -177,7 +177,7 @@ func testTeardownFault(t *testing.T, kernel string, lossy transport.Link, seed i
 }
 
 func TestCrashedWorkerFailsCollectiveGracefully(t *testing.T) {
-	resetRegistry()
+	workerKernels.reset()
 	registerSumKernel("chaos.crashsum")
 
 	// Rank 3 dies on its very first send (the ack of the dispatch message),
@@ -201,8 +201,8 @@ func TestCrashedWorkerFailsCollectiveGracefully(t *testing.T) {
 }
 
 func TestFarmReassignsLostWorkerTasks(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
+	workerKernels.reset()
+	farmKernels.reset()
 	// Ranks 1 and 3 hold their first two tasks until rank 2 has died, so rank
 	// 2 is fed the other eight. Each of its results is a send of its own, and
 	// it dies at its sixth send: mid-farm by construction, however its acks
@@ -261,8 +261,8 @@ func TestFarmReassignsLostWorkerTasks(t *testing.T) {
 }
 
 func TestFarmTypedUnderLossyFabric(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
+	workerKernels.reset()
+	farmKernels.reset()
 	RegisterFarm("chaos.scale", func(n *Node, task []byte) ([]byte, error) {
 		v, err := serial.Unmarshal(serial.IntC(), task)
 		if err != nil {
@@ -272,7 +272,10 @@ func TestFarmTypedUnderLossyFabric(t *testing.T) {
 	})
 
 	in := []int{3, 1, 4, 1, 5, 9, 2, 6}
-	var out []int
+	tasks := make([][]byte, len(in))
+	for i, v := range in {
+		tasks[i] = serial.Marshal(serial.IntC(), v)
+	}
 	var res *FarmResult
 	_, err := runGuarded(t, Config{
 		Nodes: 3, CoresPerNode: 1,
@@ -280,15 +283,15 @@ func TestFarmTypedUnderLossyFabric(t *testing.T) {
 		Reliable: fastRetry(),
 	}, func(s *Session) error {
 		var err error
-		out, res, err = FarmT(s, "chaos.scale", serial.IntC(), serial.IntC(), in)
+		res, err = s.Farm("chaos.scale", tasks)
 		return err
 	})
 	if err != nil {
 		t.Fatalf("session: %v", err)
 	}
 	for i, v := range in {
-		if out[i] != v*10 {
-			t.Fatalf("out[%d] = %d, want %d (res=%+v)", i, out[i], v*10, res)
+		if out, err := serial.Unmarshal(serial.IntC(), res.Results[i]); err != nil || out != v*10 {
+			t.Fatalf("out[%d] = %d (%v), want %d (res=%+v)", i, out, err, v*10, res)
 		}
 	}
 }
@@ -297,8 +300,8 @@ func TestFarmTypedUnderLossyFabric(t *testing.T) {
 // retries it MaxAttempts times and then quarantines it in Failed, while
 // every other task still completes.
 func TestFarmErrorQuarantinesPoisonTask(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
+	workerKernels.reset()
+	farmKernels.reset()
 	RegisterFarm("chaos.failing", func(n *Node, task []byte) ([]byte, error) {
 		if task[0] == 2 {
 			return nil, fmt.Errorf("task %d refused", task[0])

@@ -31,8 +31,8 @@ func (c *fakeClock) advance(d time.Duration) { c.off.Add(int64(d)) }
 // deadlines off the fabric clock this test would hang for the full
 // wall-clock timeout.
 func TestFarmHeartbeatRetirementFollowsFabricClock(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
+	workerKernels.reset()
+	farmKernels.reset()
 	RegisterFarm("sup.fabric-clock", func(n *Node, task []byte) ([]byte, error) {
 		if !n.IsRoot() {
 			// Silent far beyond the (real-time) jump window, far below

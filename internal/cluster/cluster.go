@@ -123,39 +123,47 @@ func (n *Node) IsRoot() bool { return n.Comm.Rank() == 0 }
 // communicator (scatter/bcast/reduce collectives rooted at 0).
 type Worker func(n *Node) error
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Worker{}
-)
+// kernels is a process-wide table of named kernel bodies. Kernels are
+// registered once at init time, like Triolet's compiled closure table;
+// registering a name twice panics, even with an identical body, to surface
+// accidental name collisions early.
+type kernels[K any] struct {
+	what string
+	mu   sync.RWMutex
+	m    map[string]K
+}
 
-// RegisterWorker installs the worker-side body for a named kernel. It
-// panics on duplicate registration with a different function — kernels are
-// registered once at init time, like Triolet's compiled closure table.
-// Re-registration of the same name is an error even with an identical body,
-// to surface accidental name collisions early.
-func RegisterWorker(name string, w Worker) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("cluster: duplicate kernel %q", name))
+func (t *kernels[K]) register(name string, k K) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, dup := t.m[name]; dup {
+		panic(fmt.Sprintf("cluster: duplicate %s %q", t.what, name))
 	}
-	registry[name] = w
+	if t.m == nil {
+		t.m = map[string]K{}
+	}
+	t.m[name] = k
 }
 
-// lookupWorker finds a registered kernel body.
-func lookupWorker(name string) (Worker, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	w, ok := registry[name]
-	return w, ok
+func (t *kernels[K]) lookup(name string) (K, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	k, ok := t.m[name]
+	return k, ok
 }
 
-// resetRegistry clears the kernel table (tests only).
-func resetRegistry() {
-	regMu.Lock()
-	defer regMu.Unlock()
-	registry = map[string]Worker{}
+// reset empties the table (tests only).
+func (t *kernels[K]) reset() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.m = nil
 }
+
+var workerKernels = kernels[Worker]{what: "kernel"}
+
+// RegisterWorker installs the worker-side body for a named kernel; see
+// kernels for the registration rules.
+func RegisterWorker(name string, w Worker) { workerKernels.register(name, w) }
 
 // Session is the master's handle for invoking distributed kernels. It
 // exists only on rank 0.
@@ -163,7 +171,7 @@ type Session struct {
 	node   *Node
 	fabric *transport.Fabric
 	// farmRuns counts this session's farm calls; each stamps its frames
-	// with its number (see Session.farm).
+	// with its number (see Session.FarmOpts).
 	farmRuns int
 }
 
@@ -194,7 +202,7 @@ const ctlTag = mpi.MaxUserTag
 // Invoke — and only Invoke — waits for every dispatch to be acknowledged
 // (mpi.Comm.Flush). Use Farm for work that should survive losing ranks.
 func (s *Session) Invoke(name string) error {
-	if _, ok := lookupWorker(name); !ok {
+	if _, ok := workerKernels.lookup(name); !ok {
 		return fmt.Errorf("cluster: kernel %q not registered", name)
 	}
 	lost, err := s.dispatch(name)
@@ -362,7 +370,7 @@ func workerMain(n *Node) error {
 		if name == shutdownName {
 			return nil
 		}
-		w, ok := lookupWorker(name)
+		w, ok := workerKernels.lookup(name)
 		if name == muxKernelName {
 			w, ok = muxWorkerMain, true
 		}

@@ -27,7 +27,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestMasterOnlySession(t *testing.T) {
-	resetRegistry()
+	workerKernels.reset()
 	ran := false
 	_, err := Run(Config{Nodes: 3, CoresPerNode: 2}, func(s *Session) error {
 		ran = true
@@ -49,7 +49,7 @@ func TestMasterOnlySession(t *testing.T) {
 }
 
 func TestInvokeRunsKernelOnAllWorkers(t *testing.T) {
-	resetRegistry()
+	workerKernels.reset()
 	// Kernel: every node contributes rank+1; master reduces.
 	RegisterWorker("test.sum", func(n *Node) error {
 		_, _, err := mpi.ReduceT(n.Comm, serial.IntC(), n.Rank()+1, func(a, b int) int { return a + b })
@@ -76,7 +76,7 @@ func TestInvokeRunsKernelOnAllWorkers(t *testing.T) {
 }
 
 func TestInvokeUnknownKernel(t *testing.T) {
-	resetRegistry()
+	workerKernels.reset()
 	_, err := Run(Config{Nodes: 2, CoresPerNode: 1}, func(s *Session) error {
 		return s.Invoke("no.such.kernel")
 	})
@@ -86,7 +86,7 @@ func TestInvokeUnknownKernel(t *testing.T) {
 }
 
 func TestRepeatedInvocations(t *testing.T) {
-	resetRegistry()
+	workerKernels.reset()
 	RegisterWorker("test.echo", func(n *Node) error {
 		v, err := mpi.BcastT(n.Comm, 0, serial.IntC(), 0)
 		if err != nil {
@@ -119,7 +119,7 @@ func TestRepeatedInvocations(t *testing.T) {
 }
 
 func TestMasterErrorShutsDownWorkers(t *testing.T) {
-	resetRegistry()
+	workerKernels.reset()
 	sentinel := errors.New("master failed")
 	_, err := Run(Config{Nodes: 4, CoresPerNode: 1}, func(s *Session) error {
 		return sentinel
@@ -130,7 +130,7 @@ func TestMasterErrorShutsDownWorkers(t *testing.T) {
 }
 
 func TestMasterPanicIsReported(t *testing.T) {
-	resetRegistry()
+	workerKernels.reset()
 	_, err := Run(Config{Nodes: 2, CoresPerNode: 1}, func(s *Session) error {
 		panic("master exploded")
 	})
@@ -140,7 +140,7 @@ func TestMasterPanicIsReported(t *testing.T) {
 }
 
 func TestWorkerKernelErrorPropagates(t *testing.T) {
-	resetRegistry()
+	workerKernels.reset()
 	RegisterWorker("test.fail", func(n *Node) error {
 		if n.Rank() == 1 {
 			return errors.New("worker kernel failure")
@@ -166,7 +166,7 @@ func TestWorkerKernelErrorPropagates(t *testing.T) {
 }
 
 func TestWorkerPanicAbortsJob(t *testing.T) {
-	resetRegistry()
+	workerKernels.reset()
 	RegisterWorker("test.panic", func(n *Node) error {
 		if n.Rank() == 2 {
 			panic("worker kernel exploded")
@@ -189,7 +189,7 @@ func TestWorkerPanicAbortsJob(t *testing.T) {
 }
 
 func TestDuplicateRegistrationPanics(t *testing.T) {
-	resetRegistry()
+	workerKernels.reset()
 	RegisterWorker("dup", func(*Node) error { return nil })
 	defer func() {
 		if recover() == nil {
@@ -200,7 +200,7 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 }
 
 func TestNodePoolUsable(t *testing.T) {
-	resetRegistry()
+	workerKernels.reset()
 	RegisterWorker("test.pool", func(n *Node) error {
 		// Each node sums [0,100) on its thread pool, then reduces to root.
 		v := poolSum(n, 100)
@@ -244,7 +244,7 @@ func poolSum(n *Node, count int) int {
 }
 
 func TestRunWithWireDelay(t *testing.T) {
-	resetRegistry()
+	workerKernels.reset()
 	RegisterWorker("test.delayed", func(n *Node) error {
 		_, _, err := mpi.ReduceT(n.Comm, serial.IntC(), n.Rank(), func(a, b int) int { return a + b })
 		return err
@@ -278,7 +278,7 @@ func TestRunWithWireDelay(t *testing.T) {
 }
 
 func TestStatsReturned(t *testing.T) {
-	resetRegistry()
+	workerKernels.reset()
 	stats, err := Run(Config{Nodes: 2, CoresPerNode: 1}, func(s *Session) error {
 		return nil
 	})

@@ -22,11 +22,9 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"triolet/internal/checkpoint"
-	"triolet/internal/serial"
 	"triolet/internal/transport"
 )
 
@@ -34,36 +32,12 @@ import (
 // whichever node the task lands on (a worker, or the master as fallback).
 type FarmFn func(n *Node, task []byte) ([]byte, error)
 
-var (
-	farmMu       sync.RWMutex
-	farmRegistry = map[string]FarmFn{}
-)
+var farmKernels = kernels[FarmFn]{what: "farm kernel"}
 
-// RegisterFarm installs a named farm kernel. Like RegisterWorker it is
-// called once at init time and panics on duplicates. The same body is
-// used worker-side (task loop) and master-side (fallback execution).
-func RegisterFarm(name string, fn FarmFn) {
-	farmMu.Lock()
-	defer farmMu.Unlock()
-	if _, dup := farmRegistry[name]; dup {
-		panic(fmt.Sprintf("cluster: duplicate farm kernel %q", name))
-	}
-	farmRegistry[name] = fn
-}
-
-func lookupFarm(name string) (FarmFn, bool) {
-	farmMu.RLock()
-	defer farmMu.RUnlock()
-	fn, ok := farmRegistry[name]
-	return fn, ok
-}
-
-// resetFarmRegistry clears the farm kernel table (tests only).
-func resetFarmRegistry() {
-	farmMu.Lock()
-	defer farmMu.Unlock()
-	farmRegistry = map[string]FarmFn{}
-}
+// RegisterFarm installs a named farm kernel, under RegisterWorker's rules.
+// The same body is used worker-side (task loop) and master-side (fallback
+// execution).
+func RegisterFarm(name string, fn FarmFn) { farmKernels.register(name, fn) }
 
 // runFarmTask invokes the kernel with panic containment: a panicking
 // FarmFn yields a per-task error carrying the panic value, not a dead
@@ -178,20 +152,15 @@ func (s *Session) Farm(name string, tasks [][]byte) (*FarmResult, error) {
 
 // FarmOpts is Farm under explicit supervision options: cancellation,
 // checkpoint/resume, and per-task failure policy. See FarmOptions.
-func (s *Session) FarmOpts(name string, tasks [][]byte, opt FarmOptions) (*FarmResult, error) {
-	return s.farm(name, tasks, opt, true)
-}
-
-// farm is the single-job client of the Mux: one Ledger (ledger.go) holds the
+//
+// It is the single-job client of the Mux: one Ledger (ledger.go) holds the
 // failure ladder, and this loop replays the job's checkpoint into it, keeps
 // every free worker slot fed from it, settles one Mux event per turn through
 // it — a checkpointed outcome is appended to the store before it is
 // committed — or, on a turn with none, runs one of the master's own tasks,
-// and idles on the master's mailbox when there is neither. With distribute
-// false the Mux is opened with no worker dispatched, so every task takes the
-// master-fallback path (FarmAuto's master-local plans).
-func (s *Session) farm(name string, tasks [][]byte, opt FarmOptions, distribute bool) (*FarmResult, error) {
-	if _, ok := lookupFarm(name); !ok {
+// and idles on the master's mailbox when there is neither.
+func (s *Session) FarmOpts(name string, tasks [][]byte, opt FarmOptions) (*FarmResult, error) {
+	if _, ok := farmKernels.lookup(name); !ok {
 		return nil, fmt.Errorf("cluster: farm kernel %q not registered", name)
 	}
 	if opt.Checkpoint != nil && opt.Job == "" {
@@ -235,7 +204,7 @@ func (s *Session) farm(name string, tasks [][]byte, opt FarmOptions, distribute 
 			tr.Instant(0, "farm.resume", int64(res.Resumed))
 		}
 	}
-	mux, err := s.openMux(MuxOptions{HeartbeatTimeout: opt.HeartbeatTimeout}, distribute)
+	mux, err := s.OpenMux(MuxOptions{HeartbeatTimeout: opt.HeartbeatTimeout})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: farm %q: %w", name, err)
 	}
@@ -354,34 +323,4 @@ func (s *Session) farm(name string, tasks [][]byte, opt FarmOptions, distribute 
 		return res, fmt.Errorf("cluster: farm %q: %d tasks stranded: %w", name, stranded, ErrPinLost)
 	}
 	return res, nil
-}
-
-// FarmT is the typed farm wrapper: codecs on both ends, same supervision
-// semantics. Quarantined tasks decode to R's zero value; consult
-// FarmResult.Failed before trusting those entries.
-func FarmT[T, R any](s *Session, name string, tc serial.Codec[T], rc serial.Codec[R], tasks []T) ([]R, *FarmResult, error) {
-	raw := make([][]byte, len(tasks))
-	for i, t := range tasks {
-		raw[i] = serial.Marshal(tc, t)
-	}
-	fr, err := s.Farm(name, raw)
-	if err != nil {
-		return nil, fr, err
-	}
-	failed := make(map[int]bool, len(fr.Failed))
-	for _, f := range fr.Failed {
-		failed[f.Task] = true
-	}
-	out := make([]R, len(fr.Results))
-	for i, b := range fr.Results {
-		if failed[i] {
-			continue
-		}
-		v, err := serial.Unmarshal(rc, b)
-		if err != nil {
-			return nil, fr, fmt.Errorf("cluster: farm %q decode task %d: %w", name, i, err)
-		}
-		out[i] = v
-	}
-	return out, fr, nil
 }

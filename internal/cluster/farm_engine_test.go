@@ -13,9 +13,9 @@ import (
 )
 
 // One engine, every way in: the same task list — four clean tasks, one
-// that always errors, one that always panics — through Farm on one node,
-// a master-local FarmAuto plan on three nodes, Farm on three nodes, and
-// Farm with every worker crashed right after the dispatch handshake. The
+// that always errors, one that always panics — through Farm on one node
+// (where a master-local plan runs too), Farm on three nodes, and Farm with
+// every worker crashed right after the dispatch handshake. The
 // per-task outcome and the failure accounting must not depend on the path;
 // only who ran the tasks (MasterRan, Lost) may.
 func TestFarmOneEngineEveryPath(t *testing.T) {
@@ -33,20 +33,14 @@ func TestFarmOneEngineEveryPath(t *testing.T) {
 		return []byte{task[0] * 2, task[1] + 1}, nil
 	}
 	opt := FarmOptions{MaxAttempts: 2}
-	farm := func(s *Session) (*FarmResult, error) { return s.FarmOpts("engine.mixed", tasks, opt) }
-	local := func(s *Session) (*FarmResult, error) {
-		return s.FarmAuto("engine.mixed", tasks, FarmPlan{Distribute: false, Nodes: 3}, opt)
-	}
 	rows := []struct {
 		name      string
 		cfg       Config
-		run       func(*Session) (*FarmResult, error)
 		masterRan int
 		lost      []int
 	}{
-		{"farm-1node", Config{Nodes: 1}, farm, 4, nil},
-		{"auto-local-3nodes", Config{Nodes: 3}, local, 4, nil},
-		{"farm-3nodes", Config{Nodes: 3}, farm, 0, nil},
+		{"farm-1node", Config{Nodes: 1}, 4, nil},
+		{"farm-3nodes", Config{Nodes: 3}, 0, nil},
 		{"farm-3nodes-all-crashed", Config{
 			Nodes:    3,
 			Reliable: fastRetry(),
@@ -55,19 +49,19 @@ func TestFarmOneEngineEveryPath(t *testing.T) {
 			Fault: &transport.FaultConfig{Seed: 4, Crashes: []transport.Crash{
 				{Rank: 1, AfterSends: 1}, {Rank: 2, AfterSends: 1},
 			}},
-		}, farm, 4, []int{1, 2}},
+		}, 4, []int{1, 2}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			resetRegistry()
-			resetFarmRegistry()
+			workerKernels.reset()
+			farmKernels.reset()
 			RegisterFarm("engine.mixed", kernel)
 			tr := trace.New()
 			row.cfg.CoresPerNode = 1
 			row.cfg.Tracer = tr
 			var fr *FarmResult
 			if _, err := runGuarded(t, row.cfg, func(s *Session) (err error) {
-				fr, err = row.run(s)
+				fr, err = s.FarmOpts("engine.mixed", tasks, opt)
 				return err
 			}); err != nil {
 				t.Fatalf("session: %v", err)
@@ -115,8 +109,8 @@ func TestFarmOneEngineEveryPath(t *testing.T) {
 // task 0. The result frame names the call it belongs to, so call 2 drops it
 // and waits for its own task 0.
 func TestFarmDropsStragglerResultFromEarlierCall(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
+	workerKernels.reset()
+	farmKernels.reset()
 	RegisterFarm("engine.straggler", func(n *Node, task []byte) ([]byte, error) {
 		if !n.IsRoot() && task[0] == 'o' {
 			time.Sleep(150 * time.Millisecond) // far beyond call 1's heartbeat timeout

@@ -127,12 +127,6 @@ type Mux struct {
 // fabric reports crashed at dispatch come out of the first Poll calls as
 // MuxWorkerLost events; every other one is parked, and Poll retires it later.
 func (s *Session) OpenMux(opt MuxOptions) (*Mux, error) {
-	return s.openMux(opt, true)
-}
-
-// openMux is OpenMux; with dispatch false no worker is parked, so the
-// handle has no live workers and only RunLocal executes anything.
-func (s *Session) openMux(opt MuxOptions, dispatch bool) (*Mux, error) {
 	hb := opt.HeartbeatTimeout
 	if hb == 0 {
 		hb = defaultHeartbeatTimeout
@@ -144,9 +138,6 @@ func (s *Session) openMux(opt MuxOptions, dispatch bool) (*Mux, error) {
 		alive:     make(map[int]bool),
 		busy:      make(map[int][]MuxAssignment),
 		lastSeen:  make(map[int]time.Time),
-	}
-	if !dispatch {
-		return m, nil
 	}
 	lost, err := s.dispatch(muxKernelName)
 	if err != nil {
@@ -330,7 +321,7 @@ func (m *Mux) RunLocal(a MuxAssignment) MuxEvent {
 // compute time measured on the fabric clock.
 func execute(n *Node, a MuxAssignment) MuxEvent {
 	ev := MuxEvent{Kind: MuxTaskDone, Worker: n.Rank(), Job: a.Job, Task: a.Task}
-	fn, ok := lookupFarm(a.Kernel)
+	fn, ok := farmKernels.lookup(a.Kernel)
 	if !ok {
 		ev.Err = fmt.Sprintf("cluster: node %d: unknown farm kernel %q", n.Rank(), a.Kernel)
 		return ev

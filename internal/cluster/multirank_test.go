@@ -19,8 +19,8 @@ import (
 // few sends apart, far less than one heartbeat round). The farm must retire
 // both, reassign both workers' tasks, and still deliver every result.
 func TestFarmSurvivesTwoRanksDyingInSameBeatWindow(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
+	workerKernels.reset()
+	farmKernels.reset()
 	RegisterFarm("multirank.triple", func(n *Node, task []byte) ([]byte, error) {
 		time.Sleep(time.Millisecond) // keep tasks in flight when the deaths land
 		return []byte{task[0] * 3}, nil
@@ -71,8 +71,8 @@ func TestFarmSurvivesTwoRanksDyingInSameBeatWindow(t *testing.T) {
 // zombie worker executes and replies, and those late acks and late results
 // must be ignored without a panic or a duplicate result.
 func TestFarmPausedRankRetiredAndLateRepliesIgnored(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
+	workerKernels.reset()
+	farmKernels.reset()
 	RegisterFarm("multirank.slowinc", func(n *Node, task []byte) ([]byte, error) {
 		time.Sleep(3 * time.Millisecond) // stretch the farm past the pause
 		return []byte{task[0] + 1}, nil
@@ -137,8 +137,8 @@ func TestFarmPausedRankRetiredAndLateRepliesIgnored(t *testing.T) {
 // stop frame at the end, so the farm completes and the run returns instead of
 // hanging with that worker parked in the task loop.
 func TestFarmSlowDispatchAckDoesNotHangRun(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
+	workerKernels.reset()
+	farmKernels.reset()
 	RegisterFarm("multirank.inc", func(n *Node, task []byte) ([]byte, error) {
 		return []byte{task[0] + 1}, nil
 	})
@@ -245,8 +245,8 @@ func muxDrive(t *testing.T, s *Session, m *Mux, queues map[string][]MuxAssignmen
 // The Mux interleaves tasks from two jobs onto one worker pool and routes
 // every result back to its owning job.
 func TestMuxInterleavesTwoJobsOnOnePool(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
+	workerKernels.reset()
+	farmKernels.reset()
 	RegisterFarm("mux.double", func(n *Node, task []byte) ([]byte, error) {
 		return []byte{task[0] * 2}, nil
 	})
@@ -286,8 +286,8 @@ func TestMuxInterleavesTwoJobsOnOnePool(t *testing.T) {
 // A worker dying mid-Mux surfaces as MuxWorkerLost carrying its in-flight
 // assignment, and the job still finishes on the survivors.
 func TestMuxWorkerLostRequeuesInFlightAssignment(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
+	workerKernels.reset()
+	farmKernels.reset()
 	RegisterFarm("mux.slowsq", func(n *Node, task []byte) ([]byte, error) {
 		time.Sleep(2 * time.Millisecond)
 		return []byte{task[0] * task[0]}, nil

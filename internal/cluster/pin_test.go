@@ -76,8 +76,8 @@ func TestLedgerPins(t *testing.T) {
 // that names no node is refused; and when a pinned worker is dead the call
 // finishes the other tasks and reports ErrPinLost.
 func TestFarmPinnedTasks(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
+	workerKernels.reset()
+	farmKernels.reset()
 	RegisterFarm("pin.rank", func(n *Node, task []byte) ([]byte, error) { return []byte{byte(n.Rank())}, nil })
 	pins := []int{0, 1, 2, 1, 0, 2}
 	for _, dead := range []int{0, 2} {

@@ -21,15 +21,20 @@ func heldTasks(m *Mux, w int) (tasks []int) {
 }
 
 // TestMuxPrefetch drives the Mux against a worker that answers its tasks two
-// at a time, the second first: a worker holds two tasks and no third; a
+// at a time, the second first — a kernel started by Invoke that takes the
+// Mux's dispatch and then stands in for the task loop: a worker holds two
+// tasks and no third; a
 // result frees the slot of the task it answers, wherever that sits in the
 // worker's queue; retiring the worker hands both held tasks back oldest first;
 // and their results, arriving after the retirement, settle nothing.
 func TestMuxPrefetch(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
+	workerKernels.reset()
+	farmKernels.reset()
 	RegisterFarm("mux.echo", func(n *Node, task []byte) ([]byte, error) { return task, nil })
 	RegisterWorker("mux.reverse", func(n *Node) error {
+		if name, err := nextKernel(n); err != nil || name != muxKernelName {
+			return fmt.Errorf("dispatch %q (%v), want the Mux's", name, err)
+		}
 		for {
 			var held []MuxAssignment
 			for len(held) < 2 {
@@ -54,11 +59,10 @@ func TestMuxPrefetch(t *testing.T) {
 		if err := s.Invoke("mux.reverse"); err != nil {
 			return err
 		}
-		m, err := s.openMux(MuxOptions{HeartbeatTimeout: -1}, false)
+		m, err := s.OpenMux(MuxOptions{HeartbeatTimeout: -1})
 		if err != nil {
 			return err
 		}
-		m.alive[1], m.parked = true, []int{1}
 		ctx, now := context.Background(), time.Time{}
 		l := NewLedger("job", "mux.echo", autoTasks(4), 3, math.MaxInt, nil)
 		poll := func() MuxEvent {
@@ -148,8 +152,8 @@ func TestMuxPrefetch(t *testing.T) {
 // retirement's event instead of failing the caller, so both tasks come back
 // and the ledger holds no attempt for the dead worker.
 func TestMuxCrashedEmptyWorker(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
+	workerKernels.reset()
+	farmKernels.reset()
 	RegisterFarm("mux.echo", func(n *Node, task []byte) ([]byte, error) { return task, nil })
 	cfg := Config{Nodes: 2, CoresPerNode: 1, Reliable: &mpi.ReliableConfig{AckTimeout: time.Second}}
 	_, err := runGuarded(t, cfg, func(s *Session) error {
@@ -163,7 +167,7 @@ func TestMuxCrashedEmptyWorker(t *testing.T) {
 		if got := m.Idle(); !slices.Equal(got, []int{1, 1}) {
 			return fmt.Errorf("empty worker offers slots %v, want [1 1]", got)
 		}
-		for _, w := range m.Idle() { // Session.farm's feed: one Next per slot
+		for _, w := range m.Idle() { // FarmOpts' feed: one Next per slot
 			a, _ := l.Next(w, now)
 			if err := m.Assign(ctx, w, a); err != nil {
 				return err
@@ -193,11 +197,10 @@ func TestMuxCrashedEmptyWorker(t *testing.T) {
 // first, then those with room for one more — into a slice the Mux reuses.
 func TestMuxIdleAllocs(t *testing.T) {
 	_, err := runGuarded(t, Config{Nodes: 4, CoresPerNode: 1}, func(s *Session) error {
-		m, err := s.openMux(MuxOptions{}, false)
+		m, err := s.OpenMux(MuxOptions{})
 		if err != nil {
 			return err
 		}
-		m.alive[1], m.alive[2], m.alive[3] = true, true, true
 		m.busy[2], m.busy[3] = make([]MuxAssignment, 1), make([]MuxAssignment, 2)
 		if got := m.Idle(); !slices.Equal(got, []int{1, 1, 2}) {
 			t.Errorf("slots %v, want [1 1 2]", got)
@@ -205,7 +208,7 @@ func TestMuxIdleAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { m.Idle() }); n != 0 {
 			t.Errorf("Idle allocates %v times", n)
 		}
-		return nil
+		return m.Close()
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -49,8 +49,8 @@ func resumeTasks(n int) [][]byte {
 }
 
 func TestFarmResumeFromWALAfterMasterKilledUnderChaos(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
+	workerKernels.reset()
+	farmKernels.reset()
 	registerResumeWork()
 	const nTasks = 40
 	tasks := resumeTasks(nTasks)

@@ -23,8 +23,8 @@ import (
 // A panicking kernel is a per-task failure, not a dead rank: the panic is
 // recovered on the worker, retried, and quarantined like any other error.
 func TestFarmPanicQuarantined(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
+	workerKernels.reset()
+	farmKernels.reset()
 	RegisterFarm("sup.panics", func(n *Node, task []byte) ([]byte, error) {
 		if task[0] == 1 {
 			panic("kernel bug")
@@ -51,8 +51,8 @@ func TestFarmPanicQuarantined(t *testing.T) {
 
 // A task that fails transiently succeeds on retry and is not quarantined.
 func TestFarmTransientFailureRetried(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
+	workerKernels.reset()
+	farmKernels.reset()
 	var failures atomic.Int32
 	RegisterFarm("sup.flaky", func(n *Node, task []byte) ([]byte, error) {
 		if task[0] == 1 && failures.Add(1) <= 2 {
@@ -84,8 +84,8 @@ func TestFarmTransientFailureRetried(t *testing.T) {
 // A worker that goes silent — no beats, no results — is retired by the
 // heartbeat monitor and its task finishes elsewhere.
 func TestFarmHeartbeatRetiresSilentWorker(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
+	workerKernels.reset()
+	farmKernels.reset()
 	RegisterFarm("sup.slow", func(n *Node, task []byte) ([]byte, error) {
 		if !n.IsRoot() {
 			time.Sleep(200 * time.Millisecond) // far beyond the heartbeat timeout
@@ -129,8 +129,8 @@ func TestFarmHeartbeatRetiresSilentWorker(t *testing.T) {
 // Heartbeats keep a slow-but-alive worker employed: with beats flowing, a
 // kernel that outlives the heartbeat timeout must NOT be retired.
 func TestFarmHeartbeatKeepsSlowWorkerAlive(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
+	workerKernels.reset()
+	farmKernels.reset()
 	RegisterFarm("sup.slow-alive", func(n *Node, task []byte) ([]byte, error) {
 		time.Sleep(60 * time.Millisecond)
 		return task, nil
@@ -163,8 +163,8 @@ func TestFarmHeartbeatKeepsSlowWorkerAlive(t *testing.T) {
 
 // Resume: tasks already in the checkpoint store are restored, not re-run.
 func TestFarmResumeSkipsCheckpointedTasks(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
+	workerKernels.reset()
+	farmKernels.reset()
 	var execs atomic.Int32
 	RegisterFarm("sup.ckpt", func(n *Node, task []byte) ([]byte, error) {
 		execs.Add(1)
@@ -232,8 +232,8 @@ func TestFarmResumeSkipsCheckpointedTasks(t *testing.T) {
 
 // Checkpointing requires a job name.
 func TestFarmCheckpointRequiresJobName(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
+	workerKernels.reset()
+	farmKernels.reset()
 	RegisterFarm("sup.noname", func(n *Node, task []byte) ([]byte, error) { return task, nil })
 	_, err := runGuarded(t, Config{Nodes: 1, CoresPerNode: 1}, func(s *Session) error {
 		_, err := s.FarmOpts("sup.noname", [][]byte{{1}}, FarmOptions{Checkpoint: checkpoint.NewMem()})
@@ -252,8 +252,8 @@ func TestFarmCheckpointRequiresJobName(t *testing.T) {
 // and RunCtx returns — all well under a second for a farm that would
 // otherwise run much longer.
 func TestFarmCancellationUnwindsSession(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
+	workerKernels.reset()
+	farmKernels.reset()
 	RegisterFarm("sup.endless", func(n *Node, task []byte) ([]byte, error) {
 		time.Sleep(10 * time.Millisecond)
 		return task, nil
@@ -290,10 +290,10 @@ func TestFarmCancellationUnwindsSession(t *testing.T) {
 	}
 }
 
-// FarmT skips decoding quarantined tasks: their slots hold R's zero value.
+// A quarantined task's result slot holds nothing; every other one decodes.
 func TestFarmTZeroValueForQuarantined(t *testing.T) {
-	resetRegistry()
-	resetFarmRegistry()
+	workerKernels.reset()
+	farmKernels.reset()
 	var intCodec serial.Codec[int] = serial.Funcs[int]{
 		Enc: func(w *serial.Writer, v int) { w.Int(v) },
 		Dec: func(r *serial.Reader) int { return r.Int() },
@@ -309,15 +309,18 @@ func TestFarmTZeroValueForQuarantined(t *testing.T) {
 		return serial.Marshal(intCodec, v*10), nil
 	})
 	_, err := runGuarded(t, Config{Nodes: 3, CoresPerNode: 1}, func(s *Session) error {
-		out, fr, err := FarmT(s, "sup.typed", intCodec, intCodec, []int{1, 2, 3})
+		tasks := [][]byte{serial.Marshal(intCodec, 1), serial.Marshal(intCodec, 2), serial.Marshal(intCodec, 3)}
+		fr, err := s.Farm("sup.typed", tasks)
 		if err != nil {
 			return err
 		}
-		if len(fr.Failed) != 1 || fr.Failed[0].Task != 1 {
-			return fmt.Errorf("Failed = %+v", fr.Failed)
+		if len(fr.Failed) != 1 || fr.Failed[0].Task != 1 || fr.Results[1] != nil {
+			return fmt.Errorf("Failed = %+v, Results[1] = %x", fr.Failed, fr.Results[1])
 		}
-		if out[0] != 10 || out[1] != 0 || out[2] != 30 {
-			return fmt.Errorf("out = %v, want [10 0 30]", out)
+		for i, want := range map[int]int{0: 10, 2: 30} {
+			if v, err := serial.Unmarshal(intCodec, fr.Results[i]); err != nil || v != want {
+				return fmt.Errorf("Results[%d] = %d (%v), want %d", i, v, err, want)
+			}
 		}
 		return nil
 	})

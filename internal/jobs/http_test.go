@@ -92,6 +92,26 @@ func TestHTTPQuotaPrecheck(t *testing.T) {
 	}
 }
 
+// TestHTTPCountsBeyondRegistryRange: the registry stores weight,
+// max_task_attempts and retry_budget as U32, so a larger value would come
+// back from a restart as another one (2^32 as 0: a job never scheduled, or
+// one whose every failure quarantines). Submission refuses it; the largest
+// value that survives is admitted.
+func TestHTTPCountsBeyondRegistryRange(t *testing.T) {
+	s := newTestService(t, Config{})
+	h := s.Handler()
+	for _, field := range []string{"weight", "max_task_attempts", "retry_budget"} {
+		body := strings.Replace(specBody(field, 4, 0), "{", fmt.Sprintf(`{%q:4294967296,`, field), 1)
+		if rec := postJobs(t, h, body); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), field) {
+			t.Fatalf("%s 2^32: status %d (%s), want 400", field, rec.Code, rec.Body.String())
+		}
+	}
+	body := strings.Replace(specBody("max", 4, 0), "{", `{"weight":4294967295,`, 1)
+	if rec := postJobs(t, h, body); rec.Code != http.StatusCreated {
+		t.Fatalf("weight 2^32-1: status %d (%s), want 201", rec.Code, rec.Body.String())
+	}
+}
+
 // TestDecodedLen: the padding arithmetic matches the real decoder for every
 // small payload size, so the pre-check can never reject a spec the decode
 // would have accepted (or vice versa).

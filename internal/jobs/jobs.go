@@ -18,6 +18,7 @@ package jobs
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -160,9 +161,17 @@ func (sp Spec) withDefaults() Spec {
 	return sp
 }
 
+// validate checks a defaulted spec. The registry stores the three counts as
+// U32, so a count beyond that range would come back from a restart as
+// another value.
 func (sp Spec) validate() error {
 	if sp.Name == "" {
 		return errors.New("jobs: spec needs a name")
+	}
+	for _, n := range []int{sp.Weight, sp.MaxTaskAttempts, sp.RetryBudget} {
+		if n < 1 || int64(n) > math.MaxUint32 {
+			return fmt.Errorf("jobs: spec %q: weight, max_task_attempts and retry_budget must lie in [1, 2^32)", sp.Name)
+		}
 	}
 	if sp.Kernel == "" {
 		return fmt.Errorf("jobs: spec %q needs a kernel", sp.Name)
@@ -416,10 +425,10 @@ func (s *Service) recover() error {
 // queued for the scheduler. Past the high-water mark it fails fast with an
 // AdmissionError; it never blocks on a busy cluster.
 func (s *Service) Submit(sp Spec) error {
+	sp = sp.withDefaults()
 	if err := sp.validate(); err != nil {
 		return err
 	}
-	sp = sp.withDefaults()
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()

@@ -25,8 +25,7 @@ type JobStatus struct {
 	// TaskSeconds is the job's accumulated kernel compute time across all
 	// workers, measured on the fabric clock (the fair-share currency).
 	TaskSeconds float64 `json:"task_seconds"`
-	// BytesIn/BytesOut are task payload and result bytes moved for this
-	// job (fabric-level wire totals are in Snapshot.Fabric).
+	// BytesIn/BytesOut are task payload and result bytes moved for this job.
 	BytesIn  int64 `json:"bytes_in"`
 	BytesOut int64 `json:"bytes_out"`
 	// ByteBudget is the job's declared fabric byte quota (0 = unlimited).

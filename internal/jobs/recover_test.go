@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"bytes"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -66,5 +67,19 @@ func TestRecoverIgnoresUnplaceableTaskRecords(t *testing.T) {
 				t.Fatalf("results = %q", results)
 			}
 		})
+	}
+}
+
+// A spec record must validate like the spec admitted: one with weight 0 —
+// what a weight of 2^32 used to read back as — would never be scheduled, and
+// Stop would wait on it forever. NewService reports it as a registry error.
+func TestRecoverRejectsInvalidSpecRecord(t *testing.T) {
+	store := checkpoint.NewMem()
+	sp := Spec{Name: "j", Kernel: "jobs.counted", Tasks: [][]byte{{0xA0}}, MaxTaskAttempts: 3, RetryBudget: 2}
+	if err := store.Append(checkpoint.Record{Job: "j", Kind: checkpoint.KindJobSpec, Payload: encodeSpec(sp)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewService(Config{Store: store}); err == nil || !strings.Contains(err.Error(), "weight") {
+		t.Fatalf("NewService over a weight-0 spec record: %v, want a registry error", err)
 	}
 }

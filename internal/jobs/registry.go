@@ -58,7 +58,8 @@ func encodeSpec(sp Spec) []byte {
 	return w.Bytes()
 }
 
-// decodeSpec parses an admission record payload back into a Spec.
+// decodeSpec parses an admission record payload back into a Spec, which
+// must validate like the one admitted.
 func decodeSpec(name string, payload []byte) (Spec, error) {
 	r := serial.NewReader(payload)
 	v := r.U8()
@@ -86,7 +87,7 @@ func decodeSpec(name string, payload []byte) (Spec, error) {
 	if r.Err() != nil || r.Remaining() != 0 {
 		return Spec{}, fmt.Errorf("malformed spec record")
 	}
-	return sp, nil
+	return sp, sp.validate()
 }
 
 // doneSummary is a terminal job's completion record.

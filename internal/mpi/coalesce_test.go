@@ -10,8 +10,8 @@ import (
 )
 
 // TestBeatBatchingByCount: beats buffer until CoalesceLimit, then the whole
-// batch ships as one coalesced frame — CoalesceLimit beats cost one wire
-// message instead of CoalesceLimit framed sends plus acks.
+// batch ships as one frame — CoalesceLimit beats cost one wire message
+// instead of CoalesceLimit framed sends plus acks.
 func TestBeatBatchingByCount(t *testing.T) {
 	f := transport.New(transport.Config{Ranks: 2})
 	defer f.Close()
@@ -25,7 +25,7 @@ func TestBeatBatchingByCount(t *testing.T) {
 		}
 	}
 	if got := f.Stats().Messages - before; got != 1 {
-		t.Fatalf("4 beats crossed the wire in %d messages, want 1 coalesced frame", got)
+		t.Fatalf("4 beats crossed the wire in %d messages, want 1 frame", got)
 	}
 	for i := 0; i < 4; i++ {
 		m, ok, err := b.TryRecv(0, 7)
@@ -42,14 +42,14 @@ func TestBeatBatchingByCount(t *testing.T) {
 	}
 }
 
-// TestBeatDeadlineFlush: a partial batch waits, then a pump after the
+// TestBeatDeadlineFlush: a partial batch waits, then a pump at the
 // fabric-clock deadline flushes it — beats are delayed at most
-// CoalesceDelay, driven entirely by the injectable clock.
+// coalesceDelay, driven entirely by the injectable clock.
 func TestBeatDeadlineFlush(t *testing.T) {
 	clk := newFakeClock()
 	f := transport.New(transport.Config{Ranks: 2, Clock: clk})
 	defer f.Close()
-	a := NewReliableComm(f, 0, ReliableConfig{CoalesceDelay: 10 * time.Millisecond})
+	a := NewReliableComm(f, 0, ReliableConfig{})
 	b := NewReliableComm(f, 1, ReliableConfig{})
 
 	if err := a.SendBeat(1, 7, nil); err != nil {
@@ -58,10 +58,14 @@ func TestBeatDeadlineFlush(t *testing.T) {
 	if err := a.SendBeat(1, 7, nil); err != nil {
 		t.Fatal(err)
 	}
+	clk.Advance(coalesceDelay - time.Nanosecond)
+	if _, _, err := a.TryRecv(1, 9); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok, _ := b.TryRecv(0, 7); ok {
 		t.Fatal("partial beat batch flushed before its deadline")
 	}
-	clk.Advance(11 * time.Millisecond)
+	clk.Advance(time.Nanosecond)
 	// Any pump on the sender notices the expired deadline; TryRecv pumps.
 	if _, _, err := a.TryRecv(1, 9); err != nil {
 		t.Fatal(err)
@@ -114,9 +118,9 @@ func TestBeatPiggybackOnData(t *testing.T) {
 }
 
 // TestAckBatchingWireFormat: two data frames drained by one pump — one in
-// order, one past a gap — owe one cumulative ack, which shares a coalesced
-// frame with the beat buffered for the same peer. White-box check of the
-// kindCoal/subAck wire layout via a raw endpoint peer.
+// order, one past a gap — owe one cumulative ack, which shares a frame with
+// the beat buffered for the same peer. White-box check of the record layout
+// via a raw endpoint peer.
 func TestAckBatchingWireFormat(t *testing.T) {
 	f := transport.New(transport.Config{Ranks: 2})
 	defer f.Close()
@@ -126,10 +130,10 @@ func TestAckBatchingWireFormat(t *testing.T) {
 	if err := b.SendBeat(0, 7, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := raw.Send(1, tagRelData, encodeData(0, 9, []byte("x"))); err != nil {
+	if err := raw.Send(1, tagRelData, dataFrame(0, 9, []byte("x"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := raw.Send(1, tagRelData, encodeData(2, 9, []byte("z"))); err != nil {
+	if err := raw.Send(1, tagRelData, dataFrame(2, 9, []byte("z"))); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, err := b.TryRecv(0, 9); err != nil || !ok {
@@ -144,15 +148,12 @@ func TestAckBatchingWireFormat(t *testing.T) {
 		t.Fatal("ack frame CRC invalid")
 	}
 	br := serial.NewReader(body)
-	if kind := br.U8(); kind != kindCoal {
-		t.Fatalf("ack frame kind 0x%02X, want kindCoal", kind)
-	}
 	sub, expect, held := br.U8(), br.U64(), br.U8()
 	if sub != subAck || expect != 1 || held != 1<<1 {
-		t.Fatalf("first sub-record 0x%02X: expect %d, map %08b; want subAck, expect 1, map naming seq 2", sub, expect, held)
+		t.Fatalf("first record 0x%02X: expect %d, map %08b; want subAck, expect 1, map naming seq 2", sub, expect, held)
 	}
 	if sub, tag, payload := br.U8(), br.Int(), br.RawBytes(); sub != subBeat || tag != 7 || len(payload) != 0 || br.Err() != nil || br.Remaining() != 0 {
-		t.Fatalf("second sub-record 0x%02X tag %d (%d bytes), %d bytes left (%v); want the beat and nothing more",
+		t.Fatalf("second record 0x%02X tag %d (%d bytes), %d bytes left (%v); want the beat and nothing more",
 			sub, tag, len(payload), br.Remaining(), br.Err())
 	}
 	if _, ok, _ := raw.TryRecv(1, tagRelAck); ok {
@@ -161,15 +162,15 @@ func TestAckBatchingWireFormat(t *testing.T) {
 }
 
 // TestSingleAckKeepsLegacyFrame: an owed ack with no beat to share a frame
-// with takes the compact kindAck frame — a coalesced container would be
-// strictly larger.
+// with is a frame of that one record, as long as the compact ack frame the
+// wire had before frames became record lists.
 func TestSingleAckKeepsLegacyFrame(t *testing.T) {
 	f := transport.New(transport.Config{Ranks: 2})
 	defer f.Close()
 	raw := f.Endpoint(0)
 	b := NewReliableComm(f, 1, ReliableConfig{})
 
-	if err := raw.Send(1, tagRelData, encodeData(0, 9, []byte("x"))); err != nil {
+	if err := raw.Send(1, tagRelData, dataFrame(0, 9, []byte("x"))); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, err := b.TryRecv(0, 9); err != nil || !ok {
@@ -180,16 +181,16 @@ func TestSingleAckKeepsLegacyFrame(t *testing.T) {
 		t.Fatalf("no ack frame: ok=%v err=%v", ok, err)
 	}
 	if want := encodeAck(1, 0); !bytes.Equal(m.Payload, want) || len(want) != ackFrameLen {
-		t.Fatalf("single ack frame %x, want compact %x of %d bytes", m.Payload, want, ackFrameLen)
+		t.Fatalf("single ack frame %x, want %x of %d bytes", m.Payload, want, ackFrameLen)
 	}
 	if st := b.ReliableStats(); st.CoalescedFrames != 0 {
 		t.Fatalf("CoalescedFrames=%d for a single ack, want 0", st.CoalescedFrames)
 	}
 }
 
-// TestDisableCoalesceLegacyShape: with coalescing off every ack is its own
-// legacy frame, beats become acknowledged sends, and no coalesced frame is
-// ever emitted — the wire shape the message-volume gate compares against.
+// TestDisableCoalesceLegacyShape: with coalescing off every ack is a frame
+// of its own, beats become acknowledged sends, and no frame carries more than
+// one record — the flush policy the message-volume gate compares against.
 func TestDisableCoalesceLegacyShape(t *testing.T) {
 	f := transport.New(transport.Config{Ranks: 2})
 	defer f.Close()
@@ -226,6 +227,72 @@ func TestDisableCoalesceLegacyShape(t *testing.T) {
 	if sa.CoalescedFrames != 0 || sb.CoalescedFrames != 0 {
 		t.Fatalf("CoalescedFrames nonzero with coalescing disabled: %d/%d",
 			sa.CoalescedFrames, sb.CoalescedFrames)
+	}
+}
+
+// TestEmittedFrameLengths: every frame the layer emits is a list of records
+// under one CRC, and its receiver walks it back into the same deliveries. A
+// data-only and an ack-only frame keep the length they had when data and ack
+// frames had kinds of their own — the record kind byte takes the place of the
+// frame kind byte — and a frame of several records, or of beats, is one byte
+// shorter than the container it replaces, which led with a kind byte too.
+func TestEmittedFrameLengths(t *testing.T) {
+	payload, beat := []byte("payload"), []byte("beat")
+	const crc = 4
+	data := 1 + 8 + 8 + 8 + len(payload) // kind, seq, tag, length, payload
+	ack := 1 + 8 + 1                     // kind, expect, map
+	beats := 2 * (1 + 8 + 8 + len(beat)) // two of kind, tag, length, payload
+	for _, c := range []struct {
+		name        string
+		owed, send  bool
+		beats       int
+		wireTag     int
+		legacy, cut int // the length before records, and by how much it fell
+	}{
+		{"data-only", false, true, 0, tagRelData, data + crc, 0},
+		{"ack-only", true, false, 0, tagRelAck, ack + crc, 0},
+		{"data+ack+beats", true, true, 2, tagRelData, 1 + data + ack + beats + crc, 1},
+		{"beats-only", false, false, 2, tagRelAck, 1 + beats + crc, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := transport.New(transport.Config{Ranks: 2})
+			defer f.Close()
+			a := NewReliableComm(f, 0, ReliableConfig{})
+			for range c.beats {
+				if err := a.SendBeat(1, 7, beat); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a.rel.owed[1] = c.owed
+			var err error
+			if c.send {
+				err = a.Send(1, 9, payload)
+			} else {
+				a.rel.mu.Lock()
+				err = a.rel.flushTo(1)
+				a.rel.mu.Unlock()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, ok, err := f.TryRecv(1, 0, c.wireTag)
+			if err != nil || !ok || len(m.Payload) != c.legacy-c.cut {
+				t.Fatalf("frame of %d bytes (ok=%v, %v), want %d", len(m.Payload), ok, err, c.legacy-c.cut)
+			}
+			if coalesced := a.ReliableStats().CoalescedFrames; coalesced != int64(c.cut) {
+				t.Fatalf("CoalescedFrames=%d, want %d", coalesced, c.cut)
+			}
+			deliveries := c.beats
+			if c.send {
+				deliveries++
+			}
+			b := NewReliableComm(f, 1, ReliableConfig{}).rel
+			b.mu.Lock()
+			defer b.mu.Unlock()
+			if err := b.handleFrame(m); err != nil || len(b.queue) != deliveries || b.stats.CorruptDropped != 0 {
+				t.Fatalf("receiver: %v, queue %+v, %d dropped; want %d deliveries", err, b.queue, b.stats.CorruptDropped, deliveries)
+			}
+		})
 	}
 }
 

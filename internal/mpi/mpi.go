@@ -82,30 +82,22 @@ func (c *Comm) Context() context.Context {
 
 // send is the internal point-to-point send every operation (user sends and
 // collectives) routes through; it applies the ack/retry protocol when
-// reliable mode is on.
-func (c *Comm) send(ctx context.Context, dst, tag int, payload []byte) error {
+// reliable mode is on. shared marks a payload the caller has relinquished:
+// the fabric skips its defensive copy (see transport.Fabric.SendShared) and
+// reliable local delivery skips its own. The caller must not mutate a shared
+// payload after the call; in direct mode the receiver aliases it and must
+// treat it as read-only.
+func (c *Comm) send(ctx context.Context, dst, tag int, payload []byte, shared bool) error {
 	if c.rel != nil {
-		return c.rel.send(ctx, dst, tag, payload, false)
+		return c.rel.send(ctx, dst, tag, payload, shared)
 	}
 	if err := ctx.Err(); err != nil {
 		return err
+	}
+	if shared {
+		return c.ep.SendShared(dst, tag, payload)
 	}
 	return c.ep.Send(dst, tag, payload)
-}
-
-// sendShared is send for a payload the caller has relinquished: the fabric
-// skips its defensive copy (see transport.Fabric.SendShared) and reliable
-// local delivery skips its own. The caller must not mutate payload after
-// the call; in direct mode the receiver aliases it and must treat it as
-// read-only.
-func (c *Comm) sendShared(ctx context.Context, dst, tag int, payload []byte) error {
-	if c.rel != nil {
-		return c.rel.send(ctx, dst, tag, payload, true)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return c.ep.SendShared(dst, tag, payload)
 }
 
 // recvMsg is the matching internal receive.
@@ -133,7 +125,7 @@ func (c *Comm) Flush(ctx context.Context) (lost []int, err error) {
 	if c.rel == nil {
 		return nil, nil
 	}
-	err = c.rel.serve(ctx, time.Time{}, func() bool { return c.rel.inflight == 0 })
+	err = c.rel.serve(ctx, func() bool { return c.rel.inflight == 0 })
 	return c.TakeLost(), err
 }
 
@@ -177,7 +169,7 @@ func (c *Comm) Serving() (stop func()) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		c.rel.serve(ctx, time.Time{}, func() bool { return false })
+		c.rel.serve(ctx, func() bool { return false })
 	}()
 	return func() { cancel(); <-done }
 }
@@ -202,7 +194,7 @@ func (c *Comm) SendCtx(ctx context.Context, dst, tag int, payload []byte) error 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return c.send(ctx, dst, tag, payload)
+	return c.send(ctx, dst, tag, payload, false)
 }
 
 // SendHalo is Send with halo attribution: the payload bytes are additionally
@@ -225,13 +217,13 @@ func (c *Comm) SendShared(dst, tag int, payload []byte) error {
 	if tag < 0 || tag > MaxUserTag {
 		return fmt.Errorf("mpi: user tag %d out of range", tag)
 	}
-	return c.sendShared(c.Context(), dst, tag, payload)
+	return c.send(c.Context(), dst, tag, payload, true)
 }
 
 // SendBeat delivers a fire-and-forget signal to dst. In reliable mode
 // beats skip the ack/retry machinery and batch into coalesced frames,
 // flushed when the batch fills (CoalesceLimit), when its fabric-clock
-// deadline expires (CoalesceDelay), or by piggybacking on the next data
+// deadline of 1ms expires, or by piggybacking on the next data
 // frame to the same peer — so a 1ms heartbeat no longer costs a framed
 // send plus an ack per beat. The price is every delivery guarantee: beats
 // may be lost, duplicated, delayed, or overtake sequenced data. Use them
@@ -299,7 +291,7 @@ func (c *Comm) treeGatherSignal(ctx context.Context, tag int) error {
 	rank, size := c.Rank(), c.Size()
 	for dist := 1; dist < size; dist <<= 1 {
 		if rank&dist != 0 {
-			return c.send(ctx, rank-dist, tag, nil)
+			return c.send(ctx, rank-dist, tag, nil, false)
 		}
 		peer := rank + dist
 		if peer < size {
@@ -336,13 +328,7 @@ func (c *Comm) treeBcast(ctx context.Context, tag int, data []byte, shared bool)
 	}
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if peer := rank + mask; peer < size {
-			var err error
-			if shared {
-				err = c.sendShared(ctx, peer, tag, data)
-			} else {
-				err = c.send(ctx, peer, tag, data)
-			}
-			if err != nil {
+			if err := c.send(ctx, peer, tag, data, shared); err != nil {
 				return nil, err
 			}
 		}
@@ -366,13 +352,7 @@ func (c *Comm) bcastPayload(root int, data []byte, shared bool) ([]byte, error) 
 		// Rotate so the tree is rooted at 0 logically: root forwards to 0
 		// first. Simple and rare; the benchmarks root at 0.
 		if c.Rank() == root {
-			var err error
-			if shared {
-				err = c.sendShared(ctx, 0, tag, data)
-			} else {
-				err = c.send(ctx, 0, tag, data)
-			}
-			if err != nil {
+			if err := c.send(ctx, 0, tag, data, shared); err != nil {
 				return nil, err
 			}
 		}
@@ -409,13 +389,7 @@ func (c *Comm) scatterPayload(root int, parts [][]byte, shared bool) ([]byte, er
 			if dst == root {
 				continue
 			}
-			var err error
-			if shared {
-				err = c.sendShared(ctx, dst, tag, p)
-			} else {
-				err = c.send(ctx, dst, tag, p)
-			}
-			if err != nil {
+			if err := c.send(ctx, dst, tag, p, shared); err != nil {
 				return nil, err
 			}
 		}
@@ -440,10 +414,7 @@ func (c *Comm) gatherPayload(root int, mine []byte, shared bool) ([][]byte, erro
 	ctx := c.Context()
 	tag := c.nextTag()
 	if c.Rank() != root {
-		if shared {
-			return nil, c.sendShared(ctx, root, tag, mine)
-		}
-		return nil, c.send(ctx, root, tag, mine)
+		return nil, c.send(ctx, root, tag, mine, shared)
 	}
 	out := make([][]byte, c.Size())
 	out[root] = mine
@@ -474,16 +445,7 @@ func (c *Comm) reducePayload(mine []byte, combine func(a, b []byte) ([]byte, err
 	acc := mine
 	for dist := 1; dist < size; dist <<= 1 {
 		if rank&dist != 0 {
-			var err error
-			if shared {
-				err = c.sendShared(ctx, rank-dist, tag, acc)
-			} else {
-				err = c.send(ctx, rank-dist, tag, acc)
-			}
-			if err != nil {
-				return nil, false, err
-			}
-			return nil, false, nil
+			return nil, false, c.send(ctx, rank-dist, tag, acc, shared)
 		}
 		peer := rank + dist
 		if peer < size {

@@ -15,15 +15,18 @@ import (
 )
 
 // Acknowledged-delivery mode. The paper's runtime sits on MPI and trusts
-// the fabric completely (§3.4); this layer removes that trust. Every
-// point-to-point message is wrapped in a frame carrying a per-(src,dst)
-// sequence number and a CRC-32 over the whole frame. The receiver drops
-// corrupt frames silently, reassembles the rest into per-sender sequence
-// order before tag matching — restoring MPI's non-overtaking rule on a
-// fabric that reorders — and answers every valid one (duplicates too) with a
-// cumulative ack: "all below expect arrived, and expect+k for each bit k of
-// this map". A lost ack is covered by the next; an ack naming a frame past a
-// hole makes the sender resend the hole at once (fast retransmit).
+// the fabric completely (§3.4); this layer removes that trust. Every frame is
+// a list of records under one CRC-32: a data record (per-(src,dst) sequence
+// number, tag, payload), an ack record, a beat record (tag, payload). A data
+// frame leads with its one data record, and the ack owed to and the beats
+// buffered for its receiver ride behind it; a frame with no data carries an
+// ack, beats, or both. The receiver drops corrupt frames silently,
+// reassembles data into per-sender sequence order before tag matching —
+// restoring MPI's non-overtaking rule on a fabric that reorders — and answers
+// every valid data record (duplicates too) with a cumulative ack: "all below
+// expect arrived, and expect+k for each bit k of this map". A lost ack is
+// covered by the next; an ack naming a frame past a hole makes the sender
+// resend the hole at once (fast retransmit).
 //
 // The sender is eager, like the buffered standard send of the MPI the paper
 // runs on: send ships the frame, records it in its peer's window of
@@ -48,17 +51,7 @@ const (
 	tagRelAck  = tagRelData + 1
 )
 
-// Frame kinds.
-const (
-	kindData uint8 = 0xD1
-	kindAck  uint8 = 0xA2
-	// kindCoal is a coalesced container frame: a sequence of sub-records
-	// (data, ack batches, beats) sharing one CRC, so small protocol
-	// messages stop paying a full frame each on the wire.
-	kindCoal uint8 = 0xC0
-)
-
-// Sub-record kinds inside a kindCoal frame.
+// Record kinds; a record's kind byte is all the framing a frame has.
 const (
 	subData uint8 = 0x01 // one sequenced data message: seq, tag, payload
 	subAck  uint8 = 0x02 // one cumulative acknowledgement: expect, gap map
@@ -93,8 +86,13 @@ const sendWindow = 8
 
 const _ uint8 = 1 << (sendWindow - 1) // an ack's map is one byte: bit k names expect+k
 
-// ackFrameLen is the size of an encodeAck frame: kind, expect, map, CRC.
+// ackFrameLen is the size of an ack-only frame: kind, expect, map, CRC.
 const ackFrameLen = 1 + 8 + 1 + 4
+
+// coalesceDelay bounds how long a buffered beat waits for a fuller frame
+// before a deadline flush, on the fabric clock. Acknowledgements do not wait:
+// they flush at the end of the pump cycle that owed them.
+const coalesceDelay = time.Millisecond
 
 // ReliableConfig tunes the ack/retry protocol. Zero values select the
 // defaults noted on each field.
@@ -126,21 +124,12 @@ type ReliableConfig struct {
 	// JitterSeed seeds the jitter stream; the rank is mixed in, so ranks
 	// sharing a config (the SPMD default) still draw divergent jitter.
 	JitterSeed int64
-	// RecvTimeout bounds a blocking receive; 0 waits forever. Receives
-	// from a specific rank fail fast regardless when the fabric reports
-	// that rank crashed.
-	RecvTimeout time.Duration
-	// CoalesceDelay bounds how long a buffered beat may wait for a fuller
-	// frame before a deadline flush, measured on the fabric clock
-	// (default 1ms). Acknowledgements are not subject to it: they always
-	// flush at the end of the pump cycle that owed them.
-	CoalesceDelay time.Duration
 	// CoalesceLimit is the number of beats buffered per peer that forces
 	// an immediate flush (default 8).
 	CoalesceLimit int
-	// DisableCoalesce reverts to the one-frame-per-message wire shape:
-	// every data frame is answered by its own ack frame and beats become
-	// ordinary acknowledged sends. Used by the message-volume gate to
+	// DisableCoalesce is a flush policy: every data frame is answered by an
+	// ack-only frame of its own, nothing rides on a data frame, and beats
+	// become ordinary acknowledged sends. Used by the message-volume gate to
 	// measure what coalescing saves.
 	DisableCoalesce bool
 	// Tracer, when non-nil, records retransmissions and dropped frames
@@ -166,9 +155,6 @@ func (cfg ReliableConfig) withDefaults() ReliableConfig {
 	if cfg.BackoffJitter < 0 {
 		cfg.BackoffJitter = 0
 	}
-	if cfg.CoalesceDelay <= 0 {
-		cfg.CoalesceDelay = time.Millisecond
-	}
 	if cfg.CoalesceLimit <= 0 {
 		cfg.CoalesceLimit = 8
 	}
@@ -183,12 +169,11 @@ type ReliableStats struct {
 	Delivered      int64
 	DupDropped     int64
 	CorruptDropped int64
-	// CoalescedFrames counts physical kindCoal frames emitted; the acks
-	// and beats they carried are in AcksSent and BeatsSent.
+	// CoalescedFrames counts frames emitted with more than one record, or
+	// with a beat; the acks and beats they carried are in AcksSent and
+	// BeatsSent.
 	CoalescedFrames int64
-	// BeatsSent counts fire-and-forget beats shipped (in coalesced frames
-	// or piggybacked on data frames).
-	BeatsSent int64
+	BeatsSent       int64 // fire-and-forget beats shipped
 }
 
 // pendFrame is an out-of-order data frame parked until the gap fills (held
@@ -218,7 +203,7 @@ type reliable struct {
 	c   *Comm
 	cfg ReliableConfig
 	// clk is the fabric's time source. Every protocol deadline — ack
-	// timeouts, receive timeouts — is computed and checked against it, so
+	// timeouts, beat flushes — is computed and checked against it, so
 	// timeout behavior follows simulated fabric time and tests can pin it
 	// with an injected clock. Never call time.Now here.
 	clk transport.Clock
@@ -243,8 +228,7 @@ type reliable struct {
 	queue  []transport.Message // reassembled, tag-matchable deliveries
 	stats  ReliableStats
 
-	// Coalescing state (unused when cfg.DisableCoalesce).
-	coalesce  bool
+	// Beats buffered for a fuller frame (none when cfg.DisableCoalesce).
 	beats     [][]pendFrame // per dst: buffered fire-and-forget beats
 	beatSince []time.Time   // per dst: fabric-clock time the oldest beat was buffered
 }
@@ -264,31 +248,21 @@ func newReliable(c *Comm, cfg ReliableConfig) *reliable {
 		expect:    make([]uint64, n),
 		ahead:     make([]pendFrame, n*sendWindow),
 		owed:      make([]bool, n),
-		coalesce:  !cfg.DisableCoalesce,
 		beats:     make([][]pendFrame, n),
 		beatSince: make([]time.Time, n),
 	}
 }
 
-// encodeData builds a data frame: body ++ crc32(body).
-func encodeData(seq uint64, tag int, payload []byte) []byte {
-	w := serial.NewWriter(len(payload) + 32)
-	w.U8(kindData)
-	w.U64(seq)
-	w.Int(tag)
-	w.RawBytes(payload)
-	w.FinishCRC()
-	return w.Bytes()
-}
+var errMalformed = errors.New("mpi: malformed frame")
 
-// walkCoal reads the sub-records of a kindCoal body (after the leading kind
-// byte) from src and, when apply is set, acts on each. ok is false at the
-// first structural violation: the CRC has already validated the bytes, so a
+// walk reads the records of a frame body from src and, when apply is set,
+// acts on each. It fails with errMalformed on an empty body or at the first
+// structural violation: the CRC has already validated the bytes, so a
 // violation means a broken encoder, but the protocol still treats it as
-// corruption rather than decoding garbage. handleFrame walks a container
-// twice — whole without apply, then applying — so a malformed one is dropped
-// before any of it counts. Only the payloads delivered are allocated.
-func (r *reliable) walkCoal(src int, body []byte, apply bool) (ok bool, err error) {
+// corruption rather than decoding garbage. handleFrame walks a frame twice —
+// whole without apply, then applying — so a malformed one is dropped before
+// any of it counts. Only the payloads delivered are allocated.
+func (r *reliable) walk(src int, body []byte, apply bool) error {
 	br := serial.NewReader(body)
 	for br.Err() == nil && br.Remaining() > 0 {
 		switch br.U8() {
@@ -296,13 +270,13 @@ func (r *reliable) walkCoal(src int, body []byte, apply bool) (ok bool, err erro
 			seq, tag, payload := br.U64(), br.Int(), br.View()
 			if apply {
 				if err := r.acceptData(src, seq, tag, bytes.Clone(payload)); err != nil {
-					return false, err
+					return err
 				}
 			}
 		case subAck:
 			if expect, held := br.U64(), br.U8(); apply {
 				if err := r.acked(src, expect, held); err != nil {
-					return false, err
+					return err
 				}
 			}
 		case subBeat:
@@ -313,10 +287,13 @@ func (r *reliable) walkCoal(src int, body []byte, apply bool) (ok bool, err erro
 				r.enqueue(src, tag, bytes.Clone(payload))
 			}
 		default:
-			return false, nil
+			return errMalformed
 		}
 	}
-	return br.Err() == nil, nil
+	if br.Err() != nil || len(body) == 0 {
+		return errMalformed
+	}
+	return nil
 }
 
 // pump drains every frame the fabric has for this rank without blocking and
@@ -348,38 +325,14 @@ func (r *reliable) pump() error {
 	return r.flushPending()
 }
 
-// handleFrame processes one incoming wire frame of any kind.
+// handleFrame processes one incoming wire frame. A corrupt or malformed one
+// is dropped without an ack; the sender retransmits.
 func (r *reliable) handleFrame(m transport.Message) error {
 	body, valid := serial.VerifyCRC(m.Payload)
-	if !valid {
-		// Corrupt in flight: drop without acking; the sender retransmits.
+	if !valid || r.walk(m.Src, body, false) != nil {
 		return r.dropCorrupt(len(m.Payload))
 	}
-	br := serial.NewReader(body)
-	switch kind := br.U8(); kind {
-	case kindAck:
-		expect, held := br.U64(), br.U8()
-		if br.Err() != nil || br.Remaining() != 0 {
-			return r.dropCorrupt(len(m.Payload))
-		}
-		return r.acked(m.Src, expect, held)
-	case kindData:
-		seq := br.U64()
-		tag := br.Int()
-		payload := br.RawBytes()
-		if br.Err() != nil || br.Remaining() != 0 {
-			return r.dropCorrupt(len(m.Payload))
-		}
-		return r.acceptData(m.Src, seq, tag, payload)
-	case kindCoal:
-		if ok, _ := r.walkCoal(m.Src, body[1:], false); !ok {
-			return r.dropCorrupt(len(m.Payload))
-		}
-		_, err := r.walkCoal(m.Src, body[1:], true)
-		return err
-	default:
-		return r.dropCorrupt(len(m.Payload))
-	}
+	return r.walk(m.Src, body, true)
 }
 
 func (r *reliable) dropCorrupt(bytes int) error {
@@ -416,7 +369,7 @@ func (r *reliable) acceptData(src int, seq uint64, tag int, payload []byte) erro
 		r.cfg.Tracer.Instant(r.c.Rank(), "net.dup-drop", int64(len(payload)))
 	}
 	r.owed[src] = true
-	if !r.coalesce {
+	if r.cfg.DisableCoalesce {
 		return r.flushTo(src)
 	}
 	return nil
@@ -441,9 +394,6 @@ func (r *reliable) ack(w *serial.Writer, src int) {
 // flushPending emits, per peer, any ack owed and any beat batch that is full
 // or past its fabric-clock deadline. Callers hold r.mu.
 func (r *reliable) flushPending() error {
-	if !r.coalesce {
-		return nil
-	}
 	var now time.Time
 	for dst, owed := range r.owed {
 		beats := r.beats[dst]
@@ -454,7 +404,7 @@ func (r *reliable) flushPending() error {
 			if now.IsZero() {
 				now = r.clk.Now()
 			}
-			if now.Sub(r.beatSince[dst]) < r.cfg.CoalesceDelay {
+			if now.Sub(r.beatSince[dst]) < coalesceDelay {
 				continue // beats alone wait for a fuller frame
 			}
 		}
@@ -465,38 +415,36 @@ func (r *reliable) flushPending() error {
 	return nil
 }
 
-// flushTo ships dst's owed ack and buffered beats now: an ack alone in the
-// compact kindAck frame, anything more in one coalesced frame. Callers hold
-// r.mu.
+// flushTo ships dst's owed ack and buffered beats now, in one frame. Callers
+// hold r.mu.
 func (r *reliable) flushTo(dst int) error {
 	w := serial.NewWriter(ackFrameLen + 24*len(r.beats[dst]))
-	if len(r.beats[dst]) == 0 {
-		w.U8(kindAck)
-		r.ack(w, dst)
-	} else {
-		w.U8(kindCoal)
-		r.appendPending(w, dst)
-		r.stats.CoalescedFrames++
-	}
-	w.FinishCRC()
-	return r.ship(dst, tagRelAck, w.Bytes())
+	return r.ship(dst, tagRelAck, r.appendPending(w, dst, 0))
 }
 
-// appendPending writes dst's owed ack and buffered beats into a coalesced
-// frame, counts them and clears them. Callers hold r.mu.
-func (r *reliable) appendPending(w *serial.Writer, dst int) {
+// appendPending completes a frame to dst of which w holds the first records
+// (a data record, or none): it appends dst's owed ack and buffered beats,
+// counts and clears them, and seals the frame with its CRC. Callers hold
+// r.mu.
+func (r *reliable) appendPending(w *serial.Writer, dst, records int) []byte {
 	if r.owed[dst] {
 		w.U8(subAck)
 		r.ack(w, dst)
+		records++
 	}
 	beats := r.beats[dst]
 	for i, b := range beats {
 		appendBeatSub(w, b)
 		beats[i] = pendFrame{}
 	}
+	if records > 1 || len(beats) > 0 {
+		r.stats.CoalescedFrames++
+	}
 	r.stats.BeatsSent += int64(len(beats))
 	r.beats[dst] = beats[:0]
 	r.beatSince[dst] = time.Time{}
+	w.FinishCRC()
+	return w.Bytes()
 }
 
 // appendBeatSub writes one subBeat record.
@@ -521,7 +469,7 @@ func (r *reliable) enqueueLocal(tag int, payload []byte) {
 }
 
 // idle blocks like Endpoint.Wait, but no later than the layer has something to
-// do with nothing arriving: flush a beat batch come due (CoalesceDelay) or
+// do with nothing arriving: flush a beat batch come due (coalesceDelay) or
 // retransmit a frame. A retransmission has a peer stalled behind it, so a wait
 // toward one is exact (Endpoint.WaitExact); a beat flush or the caller's own
 // deadline keeps the timer, so a worker idling with a buffered beat does not
@@ -530,7 +478,7 @@ func (r *reliable) idle(ctx context.Context, since transport.Gen, deadline time.
 	r.mu.Lock()
 	for dst, beats := range r.beats {
 		if len(beats) > 0 {
-			deadline = transport.Sooner(deadline, r.beatSince[dst].Add(r.cfg.CoalesceDelay))
+			deadline = transport.Sooner(deadline, r.beatSince[dst].Add(coalesceDelay))
 		}
 	}
 	var resend time.Time
@@ -549,13 +497,12 @@ func (r *reliable) idle(ctx context.Context, since transport.Gen, deadline time.
 }
 
 // serve pumps the endpoint until ready, checked under r.mu before and after
-// each pump, reports true; the pump fails; ctx ends; or the fabric clock
-// passes deadline (zero: none), which returns errRecvTimeout. Between pumps it
+// each pump, reports true; the pump fails; or ctx ends. Between pumps it
 // idles on the mailbox, where an arrival, a local enqueue, a peer's crash or
 // a cancelled ctx ends the wait at once. The generation is read before the
 // pump: a frame landing after it has moved the generation, so idle cannot
 // sleep through that frame.
-func (r *reliable) serve(ctx context.Context, deadline time.Time, ready func() bool) error {
+func (r *reliable) serve(ctx context.Context, ready func() bool) error {
 	for {
 		gen := r.c.ep.Gen()
 		r.mu.Lock()
@@ -574,14 +521,10 @@ func (r *reliable) serve(ctx context.Context, deadline time.Time, ready func() b
 			return err
 		case ctx.Err() != nil:
 			return ctx.Err()
-		case !deadline.IsZero() && !r.clk.Now().Before(deadline):
-			return errRecvTimeout
 		}
-		r.idle(ctx, gen, deadline)
+		r.idle(ctx, gen, time.Time{})
 	}
 }
-
-var errRecvTimeout = errors.New("mpi: receive timed out")
 
 // ship puts one frame on the wire. The fabric swallows traffic to a crashed
 // rank, but refuses a frame whose receiver dies under it; to this layer both
@@ -755,7 +698,7 @@ func (r *reliable) send(ctx context.Context, dst, tag int, payload []byte, share
 	r.mu.Lock()
 	for r.nextSeq[dst]-r.sendBase[dst] == sendWindow {
 		r.mu.Unlock()
-		if err := r.serve(ctx, time.Time{}, func() bool { return r.nextSeq[dst]-r.sendBase[dst] < sendWindow }); err != nil {
+		if err := r.serve(ctx, func() bool { return r.nextSeq[dst]-r.sendBase[dst] < sendWindow }); err != nil {
 			return err
 		}
 		r.mu.Lock()
@@ -790,43 +733,35 @@ func (r *reliable) jitter(d time.Duration) time.Duration {
 	return d + time.Duration(float64(d)*r.cfg.BackoffJitter*r.rng.Float64())
 }
 
-// buildDataFrame encodes one data message, piggybacking dst's owed ack and
-// buffered beats into a coalesced frame when there are any — they ride for
-// free on a frame that is going to that peer anyway. A retransmit resends the
-// piggybacked records too; an old cumulative ack says nothing new and beats
-// tolerate duplication by contract. Callers hold r.mu.
+// buildDataFrame encodes one data message, followed by dst's owed ack and
+// buffered beats when there are any — they ride for free on a frame that is
+// going to that peer anyway. A retransmit resends them too; an old cumulative
+// ack says nothing new and beats tolerate duplication by contract. Callers
+// hold r.mu.
 func (r *reliable) buildDataFrame(dst int, seq uint64, tag int, payload []byte) []byte {
-	if !r.owed[dst] && len(r.beats[dst]) == 0 {
-		return encodeData(seq, tag, payload)
-	}
-	w := serial.NewWriter(len(payload) + 48 + 24*len(r.beats[dst]))
-	w.U8(kindCoal)
+	w := serial.NewWriter(len(payload) + 32 + 24*len(r.beats[dst]))
 	w.U8(subData)
 	w.U64(seq)
 	w.Int(tag)
 	w.RawBytes(payload)
-	r.appendPending(w, dst)
-	w.FinishCRC()
-	r.stats.CoalescedFrames++
-	return w.Bytes()
+	return r.appendPending(w, dst, 1)
 }
 
 // sendBeat queues one fire-and-forget beat for dst. Beats are unsequenced
 // and unacknowledged: they may be lost, duplicated (a retransmitted data
-// frame re-carries its piggybacked beats), delayed up to CoalesceDelay, or
+// frame re-carries its piggybacked beats), delayed up to coalesceDelay, or
 // overtake sequenced data — suitable only for idempotent liveness signals
 // like the farm's heartbeats. A full batch (CoalesceLimit) or an expired
-// fabric-clock deadline (CoalesceDelay) flushes the buffer; a data frame
+// fabric-clock deadline (coalesceDelay) flushes the buffer; a data frame
 // to the same peer carries pending beats for free. With coalescing
-// disabled a beat degrades to an ordinary acknowledged send — the legacy
-// wire shape.
+// disabled a beat is an ordinary acknowledged send.
 func (r *reliable) sendBeat(dst, tag int, payload []byte) error {
 	rank := r.c.Rank()
 	if dst == rank {
 		r.enqueueLocal(tag, append([]byte(nil), payload...))
 		return nil
 	}
-	if !r.coalesce {
+	if r.cfg.DisableCoalesce {
 		return r.send(context.Background(), dst, tag, payload, false)
 	}
 	cp := append([]byte(nil), payload...)
@@ -838,7 +773,7 @@ func (r *reliable) sendBeat(dst, tag int, payload []byte) error {
 	}
 	r.beats[dst] = append(r.beats[dst], pendFrame{tag: tag, payload: cp})
 	if len(r.beats[dst]) >= r.cfg.CoalesceLimit ||
-		r.clk.Now().Sub(r.beatSince[dst]) >= r.cfg.CoalesceDelay {
+		r.clk.Now().Sub(r.beatSince[dst]) >= coalesceDelay {
 		return r.flushTo(dst)
 	}
 	return nil
@@ -859,14 +794,10 @@ func (r *reliable) match(src, tag int) (transport.Message, bool) {
 // RankLostError when the fabric reports a specific source crashed, or when a
 // peer it could be waiting on (src; any with AnySource) was given up on —
 // once per loss: a later receive waits again, as a worker must whose master
-// was only slow. RecvTimeout (if set) bounds the wait on the fabric clock.
+// was only slow. ctx bounds the wait.
 func (r *reliable) recv(ctx context.Context, src, tag int) (m transport.Message, err error) {
-	var deadline time.Time
-	if r.cfg.RecvTimeout > 0 {
-		deadline = r.clk.Now().Add(r.cfg.RecvTimeout)
-	}
 	var lost *RankLostError
-	err = r.serve(ctx, deadline, func() (ok bool) {
+	err = r.serve(ctx, func() (ok bool) {
 		if m, ok = r.match(src, tag); ok {
 			return true
 		}
@@ -877,10 +808,7 @@ func (r *reliable) recv(ctx context.Context, src, tag int) (m transport.Message,
 		}
 		return lost != nil
 	})
-	switch {
-	case err == errRecvTimeout:
-		err = fmt.Errorf("mpi: recv(src=%d, tag=%d) timed out after %v: %w", src, tag, r.cfg.RecvTimeout, ErrRankLost)
-	case lost != nil:
+	if lost != nil {
 		err = lost
 	}
 	return m, err

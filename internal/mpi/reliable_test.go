@@ -251,17 +251,6 @@ func TestReliableAckToDeadPeerIsNotAnError(t *testing.T) {
 	}
 }
 
-func TestReliableRecvTimeout(t *testing.T) {
-	f := transport.New(transport.Config{Ranks: 2})
-	defer f.Close()
-	cfg := fastReliable()
-	cfg.RecvTimeout = 10 * time.Millisecond
-	c := NewReliableComm(f, 0, cfg)
-	if _, err := c.Recv(transport.AnySource, 5); !errors.Is(err, ErrRankLost) {
-		t.Fatalf("recv timeout err = %v, want ErrRankLost-derived", err)
-	}
-}
-
 func TestReliableSelfSend(t *testing.T) {
 	f := transport.New(transport.Config{Ranks: 1})
 	defer f.Close()

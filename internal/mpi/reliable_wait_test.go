@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -62,8 +63,8 @@ func TestReliablePingPongOnFrozenClockWakesOnArrivalOnly(t *testing.T) {
 
 // A self-addressed send never touches the mailbox, so it must wake a
 // receive already idling there. On a one-rank fabric nothing can arrive, so
-// an Irecv that completes well inside RecvTimeout was ended by that wake,
-// not by a deadline.
+// an Irecv that completes well inside its context deadline was ended by that
+// wake, not by the deadline.
 func TestReliableSelfSendWakesBlockedIrecv(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -75,7 +76,10 @@ func TestReliableSelfSendWakesBlockedIrecv(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			f := transport.New(transport.Config{Ranks: 1})
 			defer f.Close()
-			comm := NewReliableComm(f, 0, ReliableConfig{RecvTimeout: 500 * time.Millisecond})
+			comm := NewReliableComm(f, 0, ReliableConfig{})
+			ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+			defer cancel()
+			comm.SetContext(ctx)
 			req := comm.Irecv(0, 5)
 			time.Sleep(5 * time.Millisecond) // let the helper block
 			if req.Test() {
@@ -124,21 +128,20 @@ func TestEagerSendAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	frame := testing.AllocsPerRun(200, func() { encodeData(seq, 3, payload) })
+	frame := testing.AllocsPerRun(200, func() { dataFrame(seq, 3, payload) })
 	if send != frame || c.rel.inflight != 0 {
 		t.Fatalf("a send allocates %v times, its frame %v (%d in flight)", send, frame, c.rel.inflight)
 	}
 }
 
-// A coalesced ack+beat container is applied without allocating: it is walked
-// in place twice, validated whole and then applied, and a beat with no
-// payload delivers no bytes.
+// An ack+beat frame is applied without allocating: it is walked in place
+// twice, validated whole and then applied, and a beat with no payload
+// delivers no bytes.
 func TestCoalescedFrameAllocs(t *testing.T) {
 	f := transport.New(transport.Config{Ranks: 2})
 	defer f.Close()
 	r := NewReliableComm(f, 0, ReliableConfig{}).rel
 	w := serial.NewWriter(64)
-	w.U8(kindCoal)
 	appendAckSub(w, 0, 1<<1)
 	appendBeatSub(w, pendFrame{tag: 5})
 	w.FinishCRC()
@@ -152,6 +155,6 @@ func TestCoalescedFrameAllocs(t *testing.T) {
 		r.queue = r.queue[:0]
 	})
 	if n != 0 || r.stats.CorruptDropped != 0 {
-		t.Fatalf("a coalesced ack+beat frame allocates %v times (%d dropped as corrupt)", n, r.stats.CorruptDropped)
+		t.Fatalf("an ack+beat frame allocates %v times (%d dropped as corrupt)", n, r.stats.CorruptDropped)
 	}
 }

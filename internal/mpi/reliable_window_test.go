@@ -434,22 +434,30 @@ func TestDuplicateAcksLeaveNoState(t *testing.T) {
 	}
 }
 
-// encodeAck spells out a compact cumulative ack frame: kind, expect, gap map,
-// CRC.
+// encodeAck spells out an ack-only frame: one ack record and the CRC.
 func encodeAck(expect uint64, held uint8) []byte {
 	w := serial.NewWriter(ackFrameLen)
-	w.U8(kindAck)
-	w.U64(expect)
-	w.U8(held)
+	appendAckSub(w, expect, held)
 	w.FinishCRC()
 	return w.Bytes()
 }
 
-// appendAckSub spells out the same ack as a coalesced frame's sub-record.
+// appendAckSub spells out one ack record: kind, expect, gap map.
 func appendAckSub(w *serial.Writer, expect uint64, held uint8) {
 	w.U8(subAck)
 	w.U64(expect)
 	w.U8(held)
+}
+
+// dataFrame spells out a data-only frame: one data record and the CRC.
+func dataFrame(seq uint64, tag int, payload []byte) []byte {
+	w := serial.NewWriter(len(payload) + 32)
+	w.U8(subData)
+	w.U64(seq)
+	w.Int(tag)
+	w.RawBytes(payload)
+	w.FinishCRC()
+	return w.Bytes()
 }
 
 // stateSize counts what the layer holds per peer: ring slots in use or not,
@@ -467,7 +475,7 @@ func stateSize(r *reliable) (n int) {
 func TestFrameBeyondWindowDropped(t *testing.T) {
 	p := newPair(t, ReliableConfig{})
 	for _, seq := range []uint64{sendWindow, sendWindow + 1, 1 << 40} {
-		if err := p.f.SendShared(0, 1, tagRelData, encodeData(seq, 1, []byte("rogue"))); err != nil {
+		if err := p.f.SendShared(0, 1, tagRelData, dataFrame(seq, 1, []byte("rogue"))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -479,7 +487,7 @@ func TestFrameBeyondWindowDropped(t *testing.T) {
 	// The last conforming sequence number still parks, and is delivered in
 	// its turn.
 	for seq := uint64(sendWindow - 1); seq < sendWindow; seq-- {
-		if err := p.f.SendShared(0, 1, tagRelData, encodeData(seq, 1, []byte{byte(seq)})); err != nil {
+		if err := p.f.SendShared(0, 1, tagRelData, dataFrame(seq, 1, []byte{byte(seq)})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -488,8 +496,8 @@ func TestFrameBeyondWindowDropped(t *testing.T) {
 	}
 }
 
-// FuzzReliableFrames feeds handleFrame arbitrary bodies of every frame kind
-// under a valid CRC — the part of the wire a checksum does not defend. No
+// FuzzReliableFrames feeds handleFrame arbitrary record lists under a valid
+// CRC — the part of the wire a checksum does not defend. No
 // input may panic, hang, allocate beyond its own length or grow per-peer
 // state past the window.
 func FuzzReliableFrames(f *testing.F) {
@@ -498,10 +506,9 @@ func FuzzReliableFrames(f *testing.F) {
 		build(w)
 		f.Add(w.Bytes())
 	}
-	seed(func(w *serial.Writer) { w.U8(kindAck); w.U64(0); w.U8(0) })
-	seed(func(w *serial.Writer) { w.U8(kindData); w.U64(3); w.Int(1); w.RawBytes([]byte("parked")) })
+	seed(func(w *serial.Writer) { appendAckSub(w, 0, 0) })
+	seed(func(w *serial.Writer) { w.U8(subData); w.U64(3); w.Int(1); w.RawBytes([]byte("parked")) })
 	seed(func(w *serial.Writer) {
-		w.U8(kindCoal)
 		w.U8(subData)
 		w.U64(0)
 		w.Int(1)
@@ -509,7 +516,8 @@ func FuzzReliableFrames(f *testing.F) {
 		appendAckSub(w, 1<<60, 0xFF)
 		appendBeatSub(w, pendFrame{tag: 2})
 	})
-	seed(func(w *serial.Writer) { w.U8(kindCoal); w.U8(subAck); w.U64(0) })
+	seed(func(w *serial.Writer) { appendBeatSub(w, pendFrame{tag: 2, payload: []byte("beat")}) })
+	seed(func(w *serial.Writer) { w.U8(subAck); w.U64(0) })
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fab := transport.New(transport.Config{Ranks: 2})
 		defer fab.Close()
