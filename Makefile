@@ -54,16 +54,19 @@ chaos-resume:
 chaos-campaign:
 	./scripts/chaos-campaign.sh
 
-# 30-second fuzz smokes over the wire-format decoders: the serial slice
-# codecs, the farm engine's task/result frames, the reliable layer's frames
-# (any record list under a valid CRC), the farmed stencil's task frames and
-# the job service's specs (HTTP body, registry records).
+# 30-second fuzz smokes over the decoders at a trust boundary: the serial
+# slice codecs, the farm engine's task/result frames, the reliable layer's
+# frames (any record list under a valid CRC), the farmed stencil's task
+# frames, the job service's specs (HTTP body, registry records), the AutoPar
+# calibration snapshot and the differential oracle's chunk tasks.
 fuzz:
 	$(GO) test -fuzz=FuzzSliceDecoders -fuzztime=30s ./internal/serial
 	$(GO) test -fuzz=FuzzMuxFrames -fuzztime=30s ./internal/cluster
 	$(GO) test -fuzz=FuzzReliableFrames -fuzztime=30s ./internal/mpi
 	$(GO) test -fuzz=FuzzFarmOpTask -fuzztime=30s ./internal/stencil
 	$(GO) test -fuzz=FuzzJobSpec -fuzztime=30s ./internal/jobs
+	$(GO) test -fuzz=FuzzOnlineSnapshot -fuzztime=30s ./internal/perfmodel
+	$(GO) test -fuzz=FuzzDecodeChunkTask -fuzztime=30s ./internal/diffcheck
 
 # Fuzz the checkpoint WAL decoder: arbitrary bytes must yield a valid
 # prefix, never a panic or a runaway allocation.
@@ -95,13 +98,15 @@ iter-bench:
 # Steady-state allocation gate: AllocsPerRun proofs over the block
 # engine's fast paths, the core skeletons' merge steps, cutcp's per-atom
 # generator, the stencil sweep, the mailbox wait, the reliable layer's eager
-# send and coalesced-frame decode, and the farm engine's idle-slot list (must
-# run without -race; the detector instruments allocations).
+# send and coalesced-frame decode, the farm engine's idle-slot list, the
+# serial decode into a caller's slice, and the exact-size farm frames and a
+# farmed-stencil solve's byte budget (must run without -race; the detector
+# instruments allocations).
 alloc-gate:
 	$(GO) test -count=1 -timeout 5m \
 		-run 'ZeroAllocs|Allocs|Arena|Presize' \
 		./internal/iter/ ./internal/core/ ./internal/parboil/cutcp/ ./internal/stencil/ \
-		./internal/transport/ ./internal/mpi/ ./internal/cluster/
+		./internal/transport/ ./internal/mpi/ ./internal/cluster/ ./internal/serial/
 
 # Message-volume regression gate against the checked-in wire baseline.
 msg-gate:

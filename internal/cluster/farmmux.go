@@ -355,9 +355,9 @@ func (m *Mux) Close() error {
 	return nil
 }
 
-// encodeMuxTask frames one assignment (stop=true carries no task).
+// encodeMuxTask frames one assignment (stop=true carries no task), sized exactly.
 func encodeMuxTask(stop bool, a MuxAssignment) []byte {
-	w := serial.NewWriter(len(a.Payload) + len(a.Job) + len(a.Kernel) + 32)
+	w := serial.NewWriter(33 + len(a.Job) + len(a.Kernel) + len(a.Payload))
 	w.Bool(stop)
 	w.String(a.Job)
 	w.String(a.Kernel)
@@ -367,11 +367,12 @@ func encodeMuxTask(stop bool, a MuxAssignment) []byte {
 }
 
 // decodeMuxTask parses a task frame, as strictly as decodeMuxResult: a
-// short read, trailing bytes or a negative task index is an error.
+// short read, trailing bytes or a negative task index is an error. The payload
+// is a view of the frame, which its receiver owns.
 func decodeMuxTask(payload []byte) (stop bool, a MuxAssignment, err error) {
 	r := serial.NewReader(payload)
 	stop = r.Bool()
-	a = MuxAssignment{Job: r.String(), Kernel: r.String(), Task: r.Int(), Payload: r.RawBytes()}
+	a = MuxAssignment{Job: r.String(), Kernel: r.String(), Task: r.Int(), Payload: r.View()}
 	if r.Err() != nil {
 		return false, MuxAssignment{}, r.Err()
 	}
@@ -383,9 +384,10 @@ func decodeMuxTask(payload []byte) (stop bool, a MuxAssignment, err error) {
 
 // encodeMuxResult frames one MuxTaskDone event, carrying the kernel's
 // fabric-clock compute time for task timing and per-job accounting. The
-// sender is not framed: the receiver knows who it heard from.
+// sender is not framed: the receiver knows who it heard from. The frame is
+// sized exactly: an event carries a result or an error, not both.
 func encodeMuxResult(ev MuxEvent) []byte {
-	w := serial.NewWriter(len(ev.Result) + len(ev.Err) + len(ev.Job) + 40)
+	w := serial.NewWriter(33 + len(ev.Job) + len(ev.Result) + len(ev.Err))
 	w.String(ev.Job)
 	w.Int(ev.Task)
 	w.U64(uint64(ev.Elapsed))
@@ -398,7 +400,7 @@ func encodeMuxResult(ev MuxEvent) []byte {
 	return w.Bytes()
 }
 
-// decodeMuxResult parses a result frame into its MuxTaskDone event.
+// decodeMuxResult parses a result frame into its MuxTaskDone event (Result views it).
 func decodeMuxResult(src int, payload []byte) (MuxEvent, error) {
 	r := serial.NewReader(payload)
 	ev := MuxEvent{Kind: MuxTaskDone, Worker: src}
@@ -407,7 +409,7 @@ func decodeMuxResult(src int, payload []byte) (MuxEvent, error) {
 	ev.Elapsed = time.Duration(r.U64())
 	ev.OK = r.Bool()
 	if ev.OK {
-		ev.Result = r.RawBytes()
+		ev.Result = r.View()
 	} else {
 		ev.Err = r.String()
 	}

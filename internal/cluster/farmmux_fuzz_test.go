@@ -71,3 +71,41 @@ func FuzzMuxFrames(f *testing.F) {
 func sameAssignment(a, b MuxAssignment) bool {
 	return a.Job == b.Job && a.Kernel == b.Kernel && a.Task == b.Task && bytes.Equal(a.Payload, b.Payload)
 }
+
+// TestMuxFrameAllocs: each encoder allocates one buffer, of exactly the
+// frame's size, and a decoder allocates only its strings — the task payload
+// and the result are views of the frame, which its receiver owns.
+func TestMuxFrameAllocs(t *testing.T) {
+	a := MuxAssignment{Job: "\x00farm7", Kernel: "fuzz.kernel", Task: 3, Payload: bytes.Repeat([]byte{7}, 4096)}
+	done := MuxEvent{Job: a.Job, Task: 3, OK: true, Result: bytes.Repeat([]byte{9}, 4096), Elapsed: time.Millisecond}
+	failed := MuxEvent{Job: a.Job, Task: 3, Err: "kernel refused"}
+	var task, result, failure []byte
+	for name, encode := range map[string]func(){
+		"task":    func() { task = encodeMuxTask(false, a) },
+		"result":  func() { result = encodeMuxResult(done) },
+		"failure": func() { failure = encodeMuxResult(failed) },
+	} {
+		if n := testing.AllocsPerRun(20, encode); n != 1 {
+			t.Errorf("%s frame: %v allocations, want 1", name, n)
+		}
+	}
+	for name, f := range map[string][]byte{"task": task, "result": result, "failure": failure} {
+		if cap(f) != len(f) {
+			t.Errorf("%s frame: %d bytes in a buffer of %d", name, len(f), cap(f))
+		}
+	}
+	var got MuxAssignment
+	if n := testing.AllocsPerRun(20, func() { _, got, _ = decodeMuxTask(task) }); n != 2 {
+		t.Errorf("task decode: %v allocations, want 2 (job and kernel)", n)
+	}
+	if !sameAssignment(got, a) || &got.Payload[0] != &task[len(task)-len(a.Payload)] {
+		t.Error("decoded task payload is not a view of the frame")
+	}
+	var ev MuxEvent
+	if n := testing.AllocsPerRun(20, func() { ev, _ = decodeMuxResult(1, result) }); n != 1 {
+		t.Errorf("result decode: %v allocations, want 1 (job)", n)
+	}
+	if !bytes.Equal(ev.Result, done.Result) || &ev.Result[0] != &result[len(result)-len(done.Result)] {
+		t.Error("decoded result is not a view of the frame")
+	}
+}

@@ -63,10 +63,12 @@ func decodeChunkTask(b []byte) (chunkTask, error) {
 	r := serial.NewReader(b)
 	var t chunkTask
 	t.eng = Engine(r.U8())
-	t.whole = r.Bool()
+	whole := r.U8()
+	t.whole = whole == 1
 	t.r.Lo = r.Int()
 	t.r.Hi = r.Int()
-	t.delay = time.Duration(r.Int()) * time.Millisecond
+	ms := r.Int()
+	t.delay = time.Duration(ms) * time.Millisecond
 	t.p.Seed = r.I64Slice()
 	n := r.Int()
 	if r.Err() == nil && (n < 0 || n > r.Remaining()/3) {
@@ -78,16 +80,17 @@ func decodeChunkTask(b []byte) (chunkTask, error) {
 			t.p.Ops[i] = iter.PipeOp{Kind: r.U8(), A: r.U8(), B: r.U8()}
 		}
 	}
-	if err := r.Err(); err != nil {
-		return t, fmt.Errorf("diffcheck: malformed chunk task: %w", err)
+	if err := r.Err(); err != nil || r.Remaining() != 0 {
+		return t, fmt.Errorf("diffcheck: malformed chunk task: %d bytes unread (%v)", r.Remaining(), err)
 	}
 	// The kernel sleeps t.delay and hands t.r to iter.Split, which panics on
-	// a window outside the domain: nothing here is taken on trust.
-	if t.eng > Block {
-		return t, fmt.Errorf("diffcheck: malformed chunk task: engine %d", t.eng)
+	// a window outside the domain: nothing here is taken on trust, and what
+	// is accepted re-encodes to the bytes it came from.
+	if t.eng > Block || whole > 1 {
+		return t, fmt.Errorf("diffcheck: malformed chunk task: engine %d, whole %d", t.eng, whole)
 	}
-	if t.delay < 0 || t.delay > resumeTaskDelay {
-		return t, fmt.Errorf("diffcheck: malformed chunk task: delay %v outside [0, %v]", t.delay, resumeTaskDelay)
+	if ms < 0 || ms > int(resumeTaskDelay/time.Millisecond) {
+		return t, fmt.Errorf("diffcheck: malformed chunk task: delay %dms outside [0, %v]", ms, resumeTaskDelay)
 	}
 	if !t.whole {
 		it := t.p.Build()

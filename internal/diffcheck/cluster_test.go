@@ -1,6 +1,7 @@
 package diffcheck
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -53,4 +54,34 @@ func TestDecodeChunkTaskRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: decodeChunkTask returned %v, want a malformed chunk task error", name, err)
 		}
 	}
+}
+
+// FuzzDecodeChunkTask feeds arbitrary bytes to the chunk-task decoder. It may
+// not panic; a task it accepts re-encodes to the bytes it came from, and its
+// window lies inside its pipeline's outer domain — iter.Split takes it.
+func FuzzDecodeChunkTask(f *testing.F) {
+	windowed := chunkTask{p: Pipeline{Seed: rampSeed(100), Ops: []iter.PipeOp{{Kind: 1, A: 1}}},
+		eng: Block, r: domain.Range{Lo: 10, Hi: 100}, delay: resumeTaskDelay}
+	whole := chunkTask{p: Pipeline{Seed: rampSeed(5), Ops: []iter.PipeOp{{Kind: 6}, {Kind: 2}}}, whole: true}
+	for _, s := range [][]byte{encodeChunkTask(windowed), encodeChunkTask(whole)} {
+		f.Add(s)
+		f.Add(append(bytes.Clone(s), 0)) // trailing byte
+		f.Add(s[:len(s)/2])              // torn task
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		task, err := decodeChunkTask(data)
+		if err != nil {
+			return
+		}
+		if again := encodeChunkTask(task); !bytes.Equal(again, data) {
+			t.Fatalf("accepted task re-encodes differently:\n got %x\nfrom %x", again, data)
+		}
+		if !task.whole {
+			it := task.p.Build()
+			if n, _ := it.OuterLen(); task.r.Lo < 0 || task.r.Hi > n || task.r.Lo > task.r.Hi {
+				t.Fatalf("accepted window %v of an outer domain of %d", task.r, n)
+			}
+			iter.Split(it, task.r)
+		}
+	})
 }

@@ -3,8 +3,10 @@ package perfmodel
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -252,6 +254,15 @@ func LoadOnline(path string, base Calibration, decay float64) (*Online, error) {
 	for c := range s.Unit {
 		if s.Unit[c] < 0 || s.Samples[c] < 0 || (s.Samples[c] > 0 && s.Unit[c] <= 0) {
 			return fresh, fmt.Errorf("perfmodel: snapshot %s class %d has invalid state", path, c)
+		}
+	}
+	// Every cost must be finite and not negative, those the planner reads
+	// above zero: CalibratePlanning leaves only the others at zero.
+	b := s.Base
+	read := []float64{b.MRIQUnit[Triolet], b.SGEMMMac[Triolet], b.TPACFPair[Triolet], b.CUTCPCell[Triolet], b.SerPerByte, b.AllocPerByte, b.AddF32}
+	for i, v := range slices.Concat(read, b.MRIQUnit[:], b.SGEMMMac[:], b.TPACFPair[:], b.CUTCPCell[:], []float64{b.SGEMMTransposeElem}) {
+		if math.IsInf(v, 0) || !(v > 0 || v == 0 && i >= len(read)) {
+			return fresh, fmt.Errorf("perfmodel: snapshot %s prices a calibration cost at %g", path, v)
 		}
 	}
 	o := NewOnline(s.Base, s.Decay)

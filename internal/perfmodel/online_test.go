@@ -1,6 +1,7 @@
 package perfmodel
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"os"
@@ -198,4 +199,85 @@ func TestObserveBiasCompounds(t *testing.T) {
 	if got := o.Bias("w"); got != 3.0 {
 		t.Fatalf("residual-1 run moved bias to %g", got)
 	}
+}
+
+// A snapshot whose base calibration prices serialization below zero is
+// corrupt like any other: it would make the planner favour the widest farm.
+func TestLoadOnlineRefusesNegativeCost(t *testing.T) {
+	cal := planTestCal()
+	cal.SerPerByte = -1
+	path := filepath.Join(t.TempDir(), SnapshotName)
+	if err := NewOnline(cal, DefaultDecay).Save(path); err != nil {
+		t.Fatal(err)
+	}
+	o, err := LoadOnline(path, planTestCal(), DefaultDecay)
+	if err == nil || o.Base() != planTestCal() {
+		t.Fatalf("loaded base %+v, error %v: want the fresh calibration and an error", o.Base(), err)
+	}
+}
+
+// FuzzOnlineSnapshot feeds arbitrary bytes to LoadOnline, the trust boundary
+// a calibration file crosses. It may not panic; a clean load has every cost
+// the planner reads finite and above zero, plans no breakdown below zero, and
+// re-saves to a snapshot that reloads identically.
+func FuzzOnlineSnapshot(f *testing.F) {
+	for _, serPerByte := range []float64{1e-9, -1} {
+		cal := planTestCal()
+		cal.SerPerByte = serPerByte
+		o := NewOnline(cal, DefaultDecay)
+		o.Observe(CostSGEMM, 0, 1e6, time.Millisecond)
+		o.Commit()
+		o.ObserveBias("sgemm", 0.010, 0.012)
+		path := filepath.Join(f.TempDir(), SnapshotName)
+		if err := o.Save(path); err != nil {
+			f.Fatal(err)
+		}
+		seed, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
+	f.Add([]byte(`{"version": 1}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, SnapshotName)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		o, err := LoadOnline(path, planTestCal(), DefaultDecay)
+		if err != nil {
+			return
+		}
+		b := o.Base()
+		costs := []float64{b.MRIQUnit[Triolet], b.SGEMMMac[Triolet], b.TPACFPair[Triolet], b.CUTCPCell[Triolet],
+			b.SerPerByte, b.AllocPerByte, b.AddF32}
+		for c := range numCostClasses {
+			costs = append(costs, o.UnitCost(c, 1), o.Bias(c.String()))
+		}
+		for _, v := range costs {
+			if !(v > 0) || math.IsInf(v, 0) {
+				t.Fatalf("clean load carries cost %g: %+v", v, b)
+			}
+		}
+		pl := NewPlannerOnline(o, VirtualMachine(), 2)
+		for c := range numCostClasses {
+			for _, red := range []ReduceShape{ReduceGather, ReduceScalar, ReduceGrid} {
+				w := Workload{Name: c.String(), Elems: 4096, BytesPerElem: 64, BytesPerResult: 8, UnitsPerElem: 1e3,
+					Class: c, UnitCost: 1e-9, Reduce: red, ReduceBytes: 1 << 16, Pointerless: red == ReduceGather}
+				if p := pl.Plan(w).Predicted; !(p.Compute >= 0 && p.Comm >= 0 && p.Serial >= 0) {
+					t.Fatalf("%v %v plans %+v", c, red, p)
+				}
+			}
+		}
+		again := filepath.Join(dir, "again.json")
+		if err := o.Save(again); err != nil {
+			t.Fatal(err)
+		}
+		o2, err := LoadOnline(again, Calibration{}, DefaultDecay)
+		if err != nil || o2.base != o.base || o2.decay != o.decay || o2.unit != o.unit || o2.samples != o.samples ||
+			!maps.Equal(o2.bias, o.bias) || !maps.Equal(o2.biasN, o.biasN) {
+			t.Fatalf("re-saved snapshot reloads differently (%v)", err)
+		}
+	})
 }

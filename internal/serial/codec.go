@@ -1,6 +1,10 @@
 package serial
 
-import "triolet/internal/array"
+import (
+	"unsafe"
+
+	"triolet/internal/array"
+)
 
 // Codec serializes values of one type. Codecs compose: structured codecs
 // are built from primitive ones the way Triolet derives serialization from
@@ -36,28 +40,46 @@ func Unmarshal[T any](c Codec[T], b []byte) (T, error) {
 	return v, r.Err()
 }
 
+// DecodeInto decodes a slice that c encoded straight into dst, which the
+// slice must fill exactly: a block codec (F64s, F32s, I64s) copies the words
+// in place, any other codec decodes and copies. A slice of another length
+// fails r and leaves dst unspecified.
+func DecodeInto[T any](c Codec[[]T], r *Reader, dst []T) {
+	if b, ok := c.(interface{ decodeInto(*Reader, []T) }); ok {
+		b.decodeInto(r, dst)
+		return
+	}
+	if v := c.Decode(r); r.Err() == nil && len(v) != len(dst) {
+		r.fail()
+	} else {
+		copy(dst, v)
+	}
+}
+
+// blockCodec is the codec of fixed-width numbers whose wire layout is their
+// little-endian memory layout: a length, then the words.
+type blockCodec[E RawElem] struct{ Funcs[[]E] }
+
+func (c blockCodec[E]) decodeInto(r *Reader, dst []E) {
+	var zero E
+	if _, b := r.block(int(unsafe.Sizeof(zero)), len(dst)); b != nil {
+		rawInto(dst, b)
+	}
+}
+
 // F64s is the codec for []float64 (block encoded).
 func F64s() Codec[[]float64] {
-	return Funcs[[]float64]{
-		Enc: func(w *Writer, v []float64) { w.F64Slice(v) },
-		Dec: func(r *Reader) []float64 { return r.F64Slice() },
-	}
+	return blockCodec[float64]{Funcs[[]float64]{Enc: (*Writer).F64Slice, Dec: (*Reader).F64Slice}}
 }
 
 // F32s is the codec for []float32 (block encoded).
 func F32s() Codec[[]float32] {
-	return Funcs[[]float32]{
-		Enc: func(w *Writer, v []float32) { w.F32Slice(v) },
-		Dec: func(r *Reader) []float32 { return r.F32Slice() },
-	}
+	return blockCodec[float32]{Funcs[[]float32]{Enc: (*Writer).F32Slice, Dec: (*Reader).F32Slice}}
 }
 
 // I64s is the codec for []int64 (block encoded).
 func I64s() Codec[[]int64] {
-	return Funcs[[]int64]{
-		Enc: func(w *Writer, v []int64) { w.I64Slice(v) },
-		Dec: func(r *Reader) []int64 { return r.I64Slice() },
-	}
+	return blockCodec[int64]{Funcs[[]int64]{Enc: (*Writer).I64Slice, Dec: (*Reader).I64Slice}}
 }
 
 // Ints is the codec for []int.

@@ -1,6 +1,7 @@
 package serial
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -120,5 +121,28 @@ func TestComposedCodecRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecodeIntoAllocs: a block codec decodes into the caller's slice with no
+// allocation, any other codec by way of Decode, and both refuse a slice of
+// another length than the one encoded.
+func TestDecodeIntoAllocs(t *testing.T) {
+	xs := []int64{1, -2, 1 << 40}
+	block, generic := I64s(), SliceOf(I64C())
+	enc, dst, r := Marshal(block, xs), make([]int64, 3), new(Reader)
+	if n := testing.AllocsPerRun(20, func() { *r = Reader{buf: enc}; DecodeInto(block, r, dst) }); n != 0 {
+		t.Errorf("block decode into allocates %v times", n)
+	}
+	if r.Err() != nil || !slices.Equal(dst, xs) {
+		t.Errorf("block decode into: %v, %v", dst, r.Err())
+	}
+	for _, c := range []Codec[[]int64]{block, generic} {
+		for _, n := range []int{2, 3, 4} {
+			got, r := make([]int64, n), NewReader(Marshal(c, xs))
+			if DecodeInto(c, r, got); (r.Err() == nil) != (n == 3) || n == 3 && !slices.Equal(got, xs) {
+				t.Errorf("%T into %d cells: %v, %v", c, n, got, r.Err())
+			}
+		}
 	}
 }

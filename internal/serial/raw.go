@@ -75,7 +75,7 @@ func RawView[E RawElem](b []byte) ([]E, error) {
 	if hostLittleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(b)))%uintptr(unsafe.Alignof(zero)) == 0 {
 		return unsafe.Slice((*E)(unsafe.Pointer(unsafe.SliceData(b))), n), nil
 	}
-	return rawCopyOut[E](b, size, n), nil
+	return rawCopyOut[E](b, n), nil
 }
 
 // RawCopy decodes a Raw payload into freshly allocated elements the caller
@@ -90,7 +90,7 @@ func RawCopy[E RawElem](b []byte) ([]E, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	return rawCopyOut[E](b, size, n), nil
+	return rawCopyOut[E](b, n), nil
 }
 
 // RawAliases reports whether RawView[E] of b would alias b rather than
@@ -115,19 +115,27 @@ func rawSwap[E RawElem](xs []E, size int) []byte {
 	return out
 }
 
-// rawCopyOut decodes n little-endian elements of the given size out of b
-// into fresh storage, honoring host byte order.
-func rawCopyOut[E RawElem](b []byte, size, n int) []E {
+// rawCopyOut decodes the n little-endian elements of b into fresh storage,
+// honoring host byte order.
+func rawCopyOut[E RawElem](b []byte, n int) []E {
 	out := make([]E, n)
-	dst := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(out))), n*size)
+	rawInto(out, b)
+	return out
+}
+
+// rawInto decodes the little-endian elements of b into out, which holds
+// exactly len(b) bytes of them: one block copy on a little-endian host.
+func rawInto[E RawElem](out []E, b []byte) {
+	dst := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(out))), len(b))
 	if hostLittleEndian {
 		copy(dst, b)
-		return out
+		return
 	}
+	var zero E
+	size := int(unsafe.Sizeof(zero))
 	for i := 0; i < len(b); i += size {
 		for j := 0; j < size; j++ {
 			dst[i+j] = b[i+size-1-j]
 		}
 	}
-	return out
 }

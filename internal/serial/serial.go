@@ -1,11 +1,10 @@
 // Package serial is the serialization runtime of the virtual cluster — the
 // analog of Triolet's compiler-generated serialization (paper §3.4). Every
 // value crossing a node boundary is flattened to bytes and rebuilt on the
-// receiving side; pointer-free numeric arrays are encoded with tight
-// fixed-width loops (the paper block-copies them to minimize serialization
-// time). Codecs for structured types are composed from primitive
-// read/write operations, mirroring how Triolet derives serializers from
-// algebraic data type definitions.
+// receiving side; pointer-free numeric arrays are block-copied, as the paper
+// does to minimize serialization time. Codecs for structured types are
+// composed from primitive read/write operations, mirroring how Triolet
+// derives serializers from algebraic data type definitions.
 package serial
 
 import (
@@ -77,35 +76,20 @@ func (w *Writer) RawBytes(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
-// F64Slice appends a length-prefixed []float64 with a fixed-width encoding
-// loop (the pointer-free-array fast path).
-func (w *Writer) F64Slice(xs []float64) {
-	w.Int(len(xs))
-	w.buf = growBy(w.buf, 8*len(xs))
-	off := len(w.buf) - 8*len(xs)
-	for i, v := range xs {
-		binary.LittleEndian.PutUint64(w.buf[off+8*i:], math.Float64bits(v))
-	}
-}
+// F64Slice appends a length-prefixed []float64 as one block copy (the
+// pointer-free-array fast path).
+func (w *Writer) F64Slice(xs []float64) { w.block(len(xs), Raw(xs)) }
 
 // F32Slice appends a length-prefixed []float32.
-func (w *Writer) F32Slice(xs []float32) {
-	w.Int(len(xs))
-	w.buf = growBy(w.buf, 4*len(xs))
-	off := len(w.buf) - 4*len(xs)
-	for i, v := range xs {
-		binary.LittleEndian.PutUint32(w.buf[off+4*i:], math.Float32bits(v))
-	}
-}
+func (w *Writer) F32Slice(xs []float32) { w.block(len(xs), Raw(xs)) }
 
 // I64Slice appends a length-prefixed []int64.
-func (w *Writer) I64Slice(xs []int64) {
-	w.Int(len(xs))
-	w.buf = growBy(w.buf, 8*len(xs))
-	off := len(w.buf) - 8*len(xs)
-	for i, v := range xs {
-		binary.LittleEndian.PutUint64(w.buf[off+8*i:], uint64(v))
-	}
+func (w *Writer) I64Slice(xs []int64) { w.block(len(xs), Raw(xs)) }
+
+// block appends the count n of a block of words, then the words' bytes.
+func (w *Writer) block(n int, b []byte) {
+	w.Int(n)
+	w.buf = append(w.buf, b...)
 }
 
 // IntSlice appends a length-prefixed []int (64-bit each).
@@ -230,76 +214,49 @@ func (r *Reader) RawBytes() []byte {
 // the result aliases the message.
 func (r *Reader) View() []byte { return r.take(r.Int()) }
 
+// block reads the length prefix of a block of size-byte words, then the
+// block: any count the bytes left can hold when want < 0, else exactly want.
+// The count is checked before multiplying: size*n can overflow for an
+// adversarial length header. A refused block reads as (0, nil).
+func (r *Reader) block(size, want int) (int, []byte) {
+	n := r.Int()
+	if r.err != nil || n < 0 || n > r.Remaining()/size || want >= 0 && n != want {
+		r.fail()
+		return 0, nil
+	}
+	return n, r.take(size * n)
+}
+
 // F64Slice reads a length-prefixed []float64.
 func (r *Reader) F64Slice() []float64 {
-	n := r.Int()
-	if r.err != nil || n < 0 || n > r.Remaining()/8 {
-		// Checked before multiplying: 8*n can overflow for an
-		// adversarial length header.
-		r.fail()
-		return nil
-	}
-	b := r.take(8 * n)
+	n, b := r.block(8, -1)
 	if b == nil {
 		return nil
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
+	return rawCopyOut[float64](b, n)
 }
 
 // F32Slice reads a length-prefixed []float32.
 func (r *Reader) F32Slice() []float32 {
-	n := r.Int()
-	if r.err != nil || n < 0 || n > r.Remaining()/4 {
-		// Checked before multiplying: 4*n can overflow for an
-		// adversarial length header.
-		r.fail()
-		return nil
-	}
-	b := r.take(4 * n)
+	n, b := r.block(4, -1)
 	if b == nil {
 		return nil
 	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
+	return rawCopyOut[float32](b, n)
 }
 
 // I64Slice reads a length-prefixed []int64.
 func (r *Reader) I64Slice() []int64 {
-	n := r.Int()
-	if r.err != nil || n < 0 || n > r.Remaining()/8 {
-		// Checked before multiplying: 8*n can overflow for an
-		// adversarial length header.
-		r.fail()
-		return nil
-	}
-	b := r.take(8 * n)
+	n, b := r.block(8, -1)
 	if b == nil {
 		return nil
 	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
+	return rawCopyOut[int64](b, n)
 }
 
 // IntSlice reads a length-prefixed []int.
 func (r *Reader) IntSlice() []int {
-	n := r.Int()
-	if r.err != nil || n < 0 || n > r.Remaining()/8 {
-		// Checked before multiplying: 8*n can overflow for an
-		// adversarial length header.
-		r.fail()
-		return nil
-	}
-	b := r.take(8 * n)
+	n, b := r.block(8, -1)
 	if b == nil {
 		return nil
 	}

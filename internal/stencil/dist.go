@@ -2,6 +2,7 @@ package stencil
 
 import (
 	"fmt"
+	"slices"
 
 	"triolet/internal/cluster"
 	"triolet/internal/core"
@@ -141,30 +142,43 @@ type Slab[T any] struct {
 // len must be Part.Rows[rank].Len()×W). elems is the wire codec for halo
 // and gather payloads.
 func NewSlab[T any](part Partition, rank int, par Params[T], elems serial.Codec[[]T], rows []T) (*Slab[T], error) {
+	s, err := newSlab(part, rank, par, elems, nil)
+	if err == nil && len(rows) != len(s.Rows()) {
+		return nil, fmt.Errorf("stencil: slab %d got %d cells for %d rows of width %d", rank, len(rows), s.sw.nRows, part.W)
+	} else if err == nil {
+		copy(s.Rows(), rows)
+	}
+	return s, err
+}
+
+// newSlab is NewSlab with the owned rows left for the caller to fill, in
+// spare's double buffer when it has the size (its cells are all rewritten
+// before they are read: owned rows by the caller, ghosts by every exchange).
+func newSlab[T any](part Partition, rank int, par Params[T], elems serial.Codec[[]T], spare *Slab[T]) (*Slab[T], error) {
 	if err := par.check(); err != nil {
 		return nil, err
 	}
 	if rank < 0 || rank >= len(part.Rows) {
 		return nil, fmt.Errorf("stencil: slab rank %d of %d", rank, len(part.Rows))
 	}
-	own := part.Rows[rank]
-	if len(rows) != own.Len()*part.W {
-		return nil, fmt.Errorf("stencil: slab %d got %d cells for %d rows of width %d",
-			rank, len(rows), own.Len(), part.W)
+	own, pad := part.Rows[rank], par.Radius
+	var front, back, scratch []T
+	if n := (own.Len() + 2*pad) * part.W; spare != nil && len(spare.back) == n {
+		front, back, scratch = spare.sw.buf, spare.back, spare.scratch[:0]
+	} else {
+		front, back = make([]T, n), make([]T, n)
 	}
-	pad := par.Radius
-	front := make([]T, (own.Len()+2*pad)*part.W)
-	copy(front[pad*part.W:], rows)
 	s := &Slab[T]{
-		Part:  part,
-		Rank:  rank,
-		elems: elems,
-		sw:    newSweeper(par, front, part.H, part.W, own.Lo, own.Len(), pad),
-		back:  make([]T, len(front)),
-		plan:  newHaloPlan(part, rank, par.Radius, par.Boundary),
+		Part:    part,
+		Rank:    rank,
+		elems:   elems,
+		sw:      newSweeper(par, front, part.H, part.W, own.Lo, own.Len(), pad),
+		back:    back,
+		plan:    newHaloPlan(part, rank, par.Radius, par.Boundary),
+		scratch: scratch,
 	}
 	// Border-constant slots never change: fill once, in both generations.
-	// (Under Normal a sourceless slot is never read and stays zero.)
+	// (Under Normal a sourceless slot is never read.)
 	if par.Boundary == Border {
 		for _, slot := range s.plan.borderSlots {
 			for _, buf := range [][]T{front, s.back} {
@@ -237,11 +251,10 @@ func (s *Slab[T]) postHalos(c *mpi.Comm) error {
 	return nil
 }
 
-// finishHalos is the second half: every receive, written straight into the
-// front buffer's ghost rows — no owned row, so rows whose window reaches no
-// ghost can be swept between the halves.
+// finishHalos is the second half: every receive, written into the front
+// buffer's ghost rows — no owned row, so rows whose window reaches no ghost
+// can be swept between the halves.
 func (s *Slab[T]) finishHalos(c *mpi.Comm) error {
-	w := s.Part.W
 	for i, slots := range s.plan.recvFrom {
 		if len(slots) == 0 {
 			continue
@@ -250,16 +263,23 @@ func (s *Slab[T]) finishHalos(c *mpi.Comm) error {
 		if err != nil {
 			return fmt.Errorf("stencil: halo recv %d←%d: %w", s.Rank, i, err)
 		}
-		got, err := serial.Unmarshal(s.elems, m.Payload)
-		if err != nil || len(got) != len(slots)*w {
-			return fmt.Errorf("stencil: halo payload %d←%d: %d cells for %d slots (%v)",
-				s.Rank, i, len(got), len(slots), err)
+		r, n := serial.NewReader(m.Payload), len(slots)*s.Part.W
+		s.scratch = slices.Grow(s.scratch[:0], n)[:n]
+		if serial.DecodeInto(s.elems, r, s.scratch); r.Err() != nil || r.Remaining() != 0 {
+			return fmt.Errorf("stencil: halo payload %d←%d of %d bytes is not %d slots (%v)",
+				s.Rank, i, len(m.Payload), len(slots), r.Err())
 		}
-		for k, slot := range slots {
-			copy(s.slotRow(s.sw.buf, slot), got[k*w:(k+1)*w])
-		}
+		s.fillSlots(slots, s.scratch)
 	}
 	return nil
+}
+
+// fillSlots copies cells, one row per slot in slot order, into the front
+// buffer's ghost slots.
+func (s *Slab[T]) fillSlots(slots []int, cells []T) {
+	for k, slot := range slots {
+		copy(s.slotRow(s.sw.buf, slot), cells[k*s.Part.W:])
+	}
 }
 
 // Sweep advances the slab one generation on the node's pool: back's owned

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"triolet/internal/cluster"
@@ -27,6 +28,7 @@ type FarmOp[T any] struct {
 	elems serial.Codec[[]T]
 	fn    Func[T]
 	runs  atomic.Uint32 // Run calls so far; the number stamps a run's frames and names its resident slabs
+	spare sync.Pool     // *Slab[T]s no node holds any more, whose buffers the next inline frames reuse
 }
 
 // NewFarmOp registers the farm stencil kernel "stencil.farm.<name>".
@@ -117,9 +119,17 @@ func (pl haloPlan) edgeRows() []int {
 
 // frame encodes one task: the header, the slab's rows if the frame is inline,
 // and two ghost sections — the remote slots above the slab, then those below —
-// whose encoded size it also returns.
+// whose encoded size it also returns — in a buffer of the frame's size for the
+// 8-byte cells of I64s and F64s: 33 header bytes, the border, the sections.
 func (op *FarmOp[T]) frame(hd farmHeader, border T, rows, ghost []T, top int) ([]byte, int) {
-	w := serial.NewWriter(64 + 8*(len(rows)+len(ghost)))
+	size := 41 + 8*(len(rows)+len(ghost))
+	if hd.flags&farmDrop == 0 {
+		size += 16
+	}
+	if hd.flags&farmInline != 0 {
+		size += 8
+	}
+	w := serial.NewWriter(size)
 	for _, v := range [...]uint32{hd.h, hd.w, hd.slabs, hd.slab, hd.radius, hd.run, hd.epoch, hd.gen} {
 		w.U32(v)
 	}
@@ -137,20 +147,21 @@ func (op *FarmOp[T]) frame(hd farmHeader, border T, rows, ghost []T, top int) ([
 	return w.Bytes(), w.Len() - before
 }
 
-// farmTask is a decoded, validated task frame.
+// farmTask is a task frame whose header is decoded and validated; r is left
+// at the sections, for sections to decode where they land.
 type farmTask[T any] struct {
 	farmHeader
-	par   Params[T]
-	part  Partition
-	recv  []int // the slab's remote ghost slots, in slot order
-	rows  []T   // the slab's rows (inline frames)
-	ghost []T   // one row per recv slot
+	par  Params[T]
+	part Partition
+	recv []int // the slab's remote ghost slots, in slot order
+	top  int   // how many of them lie above the slab
+	r    *serial.Reader
 }
 
-// decodeTask parses a task frame, taking nothing in it on trust: the row
-// range and the ghost slot count are derived from NewPartition(h, w, slabs),
-// and a frame whose sections (which the codec will not let outgrow the bytes
-// left) are not exactly those cells is refused before anything is built.
+// decodeTask parses a task frame's header, taking nothing in it on trust: the
+// row range and the ghost slot count are derived from NewPartition(h, w,
+// slabs), and a frame with fewer bytes left than those cells (each costs at
+// least one) is refused before anything is built for it.
 func (op *FarmOp[T]) decodeTask(task []byte) (t farmTask[T], err error) {
 	r, hd := serial.NewReader(task), &t.farmHeader
 	for _, v := range [...]*uint32{&hd.h, &hd.w, &hd.slabs, &hd.slab, &hd.radius, &hd.run, &hd.epoch, &hd.gen} {
@@ -159,29 +170,37 @@ func (op *FarmOp[T]) decodeTask(task []byte) (t farmTask[T], err error) {
 	b := r.U8()
 	hd.flags, hd.boundary = b&farmFlags, Boundary(b&^farmFlags)
 	t.par = Params[T]{Radius: int(hd.radius), Boundary: hd.boundary, Border: op.elem.Decode(r)}
+	t.r = r
 	err = errors.Join(r.Err(), t.par.check(), checkFarmShape(int(hd.h), int(hd.w), int(hd.slabs), int(hd.slab), t.par.Radius))
 	if err == nil && hd.flags&farmDrop == 0 {
 		t.part = NewPartition(int(hd.h), int(hd.w), int(hd.slabs))
-		var top int
-		t.recv, _, top = remoteSlots(t.part, int(hd.slab), t.par.Radius, hd.boundary)
-		w, nRows := t.part.W, 0
+		t.recv, _, t.top = remoteSlots(t.part, int(hd.slab), t.par.Radius, hd.boundary)
+		cells := len(t.recv) * t.part.W
 		if hd.flags&farmInline != 0 {
-			nRows = t.part.Rows[hd.slab].Len()
+			cells += t.part.Rows[hd.slab].Len() * t.part.W
 		}
-		if hd.flags&farmInline != 0 {
-			t.rows = op.elems.Decode(r)
+		if cells > r.Remaining() {
+			err = fmt.Errorf("%d cells", cells)
 		}
-		above, below := op.elems.Decode(r), op.elems.Decode(r)
-		if len(t.rows) != nRows*w || len(above) != top*w || len(below) != (len(t.recv)-top)*w {
-			err = fmt.Errorf("sections of %d, %d, %d cells for %d rows and %d+%d ghost rows of %d",
-				len(t.rows), len(above), len(below), nRows, top, len(t.recv)-top, w)
-		}
-		t.ghost = append(above, below...)
 	}
-	if err = errors.Join(err, r.Err()); err != nil || r.Remaining() != 0 {
+	if err != nil || hd.flags&farmDrop != 0 && r.Remaining() != 0 {
 		return t, fmt.Errorf("%s: malformed task, %d bytes unread: %v", op.name, r.Remaining(), err)
 	}
 	return t, nil
+}
+
+// sections decodes a task's sections in place: the slab's rows into rows if
+// the frame is inline, then the remote ghost rows into ghost, one per slot.
+func (op *FarmOp[T]) sections(t farmTask[T], rows, ghost []T) error {
+	if t.flags&farmInline != 0 {
+		serial.DecodeInto(op.elems, t.r, rows)
+	}
+	serial.DecodeInto(op.elems, t.r, ghost[:t.top*t.part.W])
+	serial.DecodeInto(op.elems, t.r, ghost[t.top*t.part.W:])
+	if t.r.Err() != nil || t.r.Remaining() != 0 {
+		return fmt.Errorf("%s: malformed task sections, %d bytes unread: %v", op.name, t.r.Remaining(), t.r.Err())
+	}
+	return nil
 }
 
 // residentSlab is what a node keeps between the sweeps of an epoch.
@@ -191,10 +210,20 @@ type residentSlab[T any] struct {
 	stamp farmHeader // the next task's header, flags apart
 }
 
-// taskBody is the node side of one slab sweep: build the Slab from an inline
-// frame or find it resident, fill its ghosts, sweep, and answer — the slab's
-// rows if the task is the epoch's last, else this rank and the edge rows. An
-// empty answer means the node does not hold the slab at the task's stamp.
+// evict drops key's slab from the node's store, keeping its double buffer for
+// the next inline frame: spare holds no node's state, only memory.
+func (op *FarmOp[T]) evict(n *cluster.Node, key cluster.SegKey) {
+	if res, ok := n.Segs[key].(*residentSlab[T]); ok {
+		delete(n.Segs, key)
+		op.spare.Put(res.Slab)
+	}
+}
+
+// taskBody is the node side of one slab sweep: build the Slab in place from an
+// inline frame or find it resident, fill its ghosts, sweep, and answer — the
+// slab's rows if the task is the epoch's last, else this rank and the edge
+// rows, sized like a frame. An empty answer means the node does not hold the
+// slab at the task's stamp.
 func (op *FarmOp[T]) taskBody(n *cluster.Node, task []byte) ([]byte, error) {
 	t, err := op.decodeTask(task)
 	if err != nil {
@@ -203,7 +232,7 @@ func (op *FarmOp[T]) taskBody(n *cluster.Node, task []byte) ([]byte, error) {
 	key := cluster.SegKey{Kernel: op.name, Run: int(t.run), Seg: int(t.slab)}
 	if t.flags&farmDrop != 0 {
 		for key.Seg = 0; key.Seg < int(t.slabs); key.Seg++ {
-			delete(n.Segs, key)
+			op.evict(n, key)
 		}
 		return []byte{}, nil
 	}
@@ -211,7 +240,9 @@ func (op *FarmOp[T]) taskBody(n *cluster.Node, task []byte) ([]byte, error) {
 	stamp.flags = 0
 	res, _ := n.Segs[key].(*residentSlab[T])
 	if t.flags&farmInline != 0 {
-		sl, err := NewSlab(t.part, int(t.slab), t.par, op.elems, t.rows)
+		op.evict(n, key)
+		spare, _ := op.spare.Get().(*Slab[T])
+		sl, err := newSlab(t.part, int(t.slab), t.par, op.elems, spare)
 		if err != nil {
 			return nil, err
 		}
@@ -219,28 +250,32 @@ func (op *FarmOp[T]) taskBody(n *cluster.Node, task []byte) ([]byte, error) {
 	} else if res == nil || res.stamp != stamp {
 		return []byte{}, nil
 	}
-	// ExchangeHalos with the master as the relay: one row of t.ghost per slot.
+	// ExchangeHalos with the master as the relay: the frame's ghost rows.
+	res.scratch = slices.Grow(res.scratch[:0], len(t.recv)*res.Part.W)[:len(t.recv)*res.Part.W]
+	if err := op.sections(t, res.Rows(), res.scratch); err != nil {
+		return nil, err
+	}
 	res.selfHalos()
-	for k, slot := range t.recv {
-		copy(res.slotRow(res.sw.buf, slot), t.ghost[k*res.Part.W:])
-	}
+	res.fillSlots(t.recv, res.scratch)
 	res.Sweep(n.Pool, op.fn)
-	w := serial.NewWriter(len(task))
-	if t.flags&farmLast != 0 {
-		delete(n.Segs, key)
-		op.elems.Encode(w, res.Rows())
-		return w.Bytes(), nil
-	}
+	stamp.gen++
+	res.stamp = stamp
 	if n.Segs == nil {
 		n.Segs = make(map[cluster.SegKey]any)
 	}
-	stamp.gen++
-	res.stamp, n.Segs[key] = stamp, res
-	w.Int(n.Rank())
+	n.Segs[key] = res
+	if t.flags&farmLast != 0 {
+		w := serial.NewWriter(8 + 8*len(res.Rows()))
+		op.elems.Encode(w, res.Rows())
+		op.evict(n, key)
+		return w.Bytes(), nil
+	}
 	res.scratch = res.scratch[:0]
 	for _, y := range res.edges {
 		res.scratch = append(res.scratch, res.ownRow(y)...)
 	}
+	w := serial.NewWriter(16 + 8*len(res.scratch))
+	w.Int(n.Rank())
 	op.elems.Encode(w, res.scratch)
 	return w.Bytes(), nil
 }
@@ -305,7 +340,7 @@ func (op *FarmOp[T]) Run(s *cluster.Session, g iter.Matrix2[T], par Params[T], i
 	// base is the generation the epoch started from; next collects the rows
 	// answered since: edge rows, then whole slabs from the epoch's last sweep.
 	base, next := g.Clone(), iter.Matrix2[T]{H: g.H, W: w, Data: make([]T, len(g.Data))}
-	tasks, ghost := make([][]byte, n), []T(nil)
+	tasks, scratch := make([][]byte, n), []T(nil)
 
 	// sweep farms generation it → it+1: inline from base and placed on home
 	// if it is the epoch's first, else pinned where the slabs are, with ghosts
@@ -324,16 +359,16 @@ func (op *FarmOp[T]) Run(s *cluster.Session, g iter.Matrix2[T], par Params[T], i
 		}
 		halo := 0
 		for j, own := range part.Rows {
-			hd.slab, ghost = uint32(j), ghost[:0]
+			hd.slab, scratch = uint32(j), scratch[:0]
 			for _, y := range srcs[j] {
-				ghost = append(ghost, src.Data[y*w:(y+1)*w]...)
+				scratch = append(scratch, src.Data[y*w:(y+1)*w]...)
 			}
 			var rows []T
 			if first {
 				rows = base.Data[own.Lo*w : own.Hi*w]
 			}
 			var sections int
-			tasks[j], sections = op.frame(hd, par.Border, rows, ghost, tops[j])
+			tasks[j], sections = op.frame(hd, par.Border, rows, scratch, tops[j])
 			halo += sections
 		}
 		s.Fabric().AddHaloBytes(int64(halo))
@@ -350,17 +385,18 @@ func (op *FarmOp[T]) Run(s *cluster.Session, g iter.Matrix2[T], par Params[T], i
 			if len(payload) == 0 {
 				return fmt.Errorf("%s sweep %d: slab %d: %w", op.name, it, j, errStale)
 			}
-			rd, want := serial.NewReader(payload), part.Rows[j].Len()
+			// A last answer lands in next; edge rows go by way of scratch.
+			rd, rows := serial.NewReader(payload), next.Data[part.Rows[j].Lo*w:part.Rows[j].Hi*w]
 			if !last {
-				pins[j], want = rd.Int(), len(edges[j])
+				pins[j] = rd.Int()
+				scratch = slices.Grow(scratch[:0], len(edges[j])*w)[:len(edges[j])*w]
+				rows = scratch
 			}
-			rows := op.elems.Decode(rd)
-			if rd.Err() != nil || len(rows) != want*w {
-				return fmt.Errorf("%s sweep %d: slab %d returned %d cells for %d rows (%v)",
-					op.name, it, j, len(rows), want, rd.Err())
+			if serial.DecodeInto(op.elems, rd, rows); rd.Err() != nil || rd.Remaining() != 0 {
+				return fmt.Errorf("%s sweep %d: slab %d answered %d bytes, not %d cells (%v)",
+					op.name, it, j, len(payload), len(rows), rd.Err())
 			}
 			if last {
-				copy(next.Data[part.Rows[j].Lo*w:], rows)
 				continue
 			}
 			for i, y := range edges[j] {

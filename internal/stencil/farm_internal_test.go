@@ -33,6 +33,19 @@ func farmSeedFrames() (inline, handle, last []byte) {
 	return inline, handle, last
 }
 
+// decodeAll decodes a whole task frame the way a node does — the header, then
+// the sections into buffers of their size — for a test to look at.
+func decodeAll(frame []byte) (t farmTask[int64], rows, ghost []int64, err error) {
+	if t, err = tableFarm.decodeTask(frame); err != nil || t.flags&farmDrop != 0 {
+		return t, nil, nil, err
+	}
+	if t.flags&farmInline != 0 {
+		rows = make([]int64, t.part.Rows[t.slab].Len()*t.part.W)
+	}
+	ghost = make([]int64, len(t.recv)*t.part.W)
+	return t, rows, ghost, tableFarm.sections(t, rows, ghost)
+}
+
 // FuzzFarmOpTask feeds arbitrary bytes to the farmed stencil's task decoder.
 // It may not panic or hang; what it accepts is a shape checkFarmShape allows,
 // carries no more cells than the frame has bytes, and re-encodes to the frame
@@ -50,7 +63,7 @@ func FuzzFarmOpTask(f *testing.F) {
 	f.Add(absurd)
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		task, err := tableFarm.decodeTask(data)
+		task, rows, ghost, err := decodeAll(data)
 		if err != nil {
 			if !strings.Contains(err.Error(), "malformed task") {
 				t.Fatalf("refusal does not say malformed task: %v", err)
@@ -60,16 +73,10 @@ func FuzzFarmOpTask(f *testing.F) {
 		if err := checkFarmShape(int(task.h), int(task.w), int(task.slabs), int(task.slab), int(task.radius)); err != nil {
 			t.Fatalf("accepted %+v: %v", task.farmHeader, err)
 		}
-		if len(task.rows)+len(task.ghost) > len(data) || len(task.part.Rows) > farmBudget {
-			t.Fatalf("accepted %d+%d cells over %d slabs from %d bytes", len(task.rows), len(task.ghost), len(task.part.Rows), len(data))
+		if len(rows)+len(ghost) > len(data) || len(task.part.Rows) > farmBudget {
+			t.Fatalf("accepted %d+%d cells over %d slabs from %d bytes", len(rows), len(ghost), len(task.part.Rows), len(data))
 		}
-		top := 0
-		for _, slot := range task.recv {
-			if slot < int(task.radius) {
-				top++
-			}
-		}
-		if again, _ := tableFarm.frame(task.farmHeader, task.par.Border, task.rows, task.ghost, top); !bytes.Equal(again, data) {
+		if again, _ := tableFarm.frame(task.farmHeader, task.par.Border, rows, ghost, task.top); !bytes.Equal(again, data) {
 			t.Fatalf("accepted frame re-encodes differently:\n got %x\nfrom %x", again, data)
 		}
 	})
@@ -82,8 +89,8 @@ func FuzzFarmOpTask(f *testing.F) {
 func TestFarmOpTaskRejectsMalformed(t *testing.T) {
 	inline, handle, last := farmSeedFrames()
 	for name, frame := range map[string][]byte{"inline": inline, "handle": handle, "last": last} {
-		task, err := tableFarm.decodeTask(frame)
-		if err != nil || len(task.recv) != 4 || len(task.ghost) != 20 || (name == "inline") != (len(task.rows) == 20) {
+		task, rows, ghost, err := decodeAll(frame)
+		if err != nil || len(task.recv) != 4 || len(ghost) != 20 || (name == "inline") != (len(rows) == 20) {
 			t.Fatalf("%s seed: %+v, %v", name, task, err)
 		}
 	}
@@ -108,7 +115,7 @@ func TestFarmOpTaskRejectsMalformed(t *testing.T) {
 		"trailing byte":           func(b []byte) []byte { return append(b, 0) },
 		"header only":             func(b []byte) []byte { return b[:41] },
 	} {
-		_, err := tableFarm.decodeTask(corrupt(bytes.Clone(inline)))
+		_, _, _, err := decodeAll(corrupt(bytes.Clone(inline)))
 		if err == nil || !strings.Contains(err.Error(), "malformed task") {
 			t.Errorf("%s: %v", name, err)
 		}

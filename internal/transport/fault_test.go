@@ -87,6 +87,31 @@ func TestFaultDuplicate(t *testing.T) {
 	}
 }
 
+// TestFaultDuplicateHeldIsItsOwnCopy: a duplicate that a reorder fault holds
+// back is its own copy as well, so every delivery belongs to its receiver: a
+// receiver that mutates one leaves the other — and the sender's buffer —
+// intact, whichever of the two lands first.
+func TestFaultDuplicateHeldIsItsOwnCopy(t *testing.T) {
+	f := New(Config{Ranks: 2, Fault: &FaultConfig{
+		Seed:          7,
+		Default:       FaultProbs{Duplicate: 1, Reorder: 1},
+		MaxExtraDelay: time.Millisecond,
+	}})
+	defer f.Close()
+	sent := []byte("xy")
+	if err := f.Send(0, 1, 5, sent); err != nil {
+		t.Fatal(err)
+	}
+	msgs := drain(t, f, 1, 50*time.Millisecond)
+	if len(msgs) != 2 || f.Stats().Faults.Reordered != 1 {
+		t.Fatalf("got %d deliveries, stats %+v; want 2 held", len(msgs), f.Stats().Faults)
+	}
+	msgs[0].Payload[0], msgs[1].Payload[1] = '0', '1'
+	if string(msgs[0].Payload) != "0y" || string(msgs[1].Payload) != "x1" || string(sent) != "xy" {
+		t.Fatalf("deliveries %q and %q, sent %q: one buffer behind two", msgs[0].Payload, msgs[1].Payload, sent)
+	}
+}
+
 func TestFaultCorrupt(t *testing.T) {
 	f := New(Config{Ranks: 2, Fault: &FaultConfig{
 		Seed:    1,
