@@ -58,7 +58,8 @@ chaos-campaign:
 # slice codecs, the farm engine's task/result frames, the reliable layer's
 # frames (any record list under a valid CRC), the farmed stencil's task
 # frames, the job service's specs (HTTP body, registry records), the AutoPar
-# calibration snapshot and the differential oracle's chunk tasks.
+# calibration snapshot and the differential oracle's chunk tasks — plus
+# the stream nest against its per-element reference.
 fuzz:
 	$(GO) test -fuzz=FuzzSliceDecoders -fuzztime=30s ./internal/serial
 	$(GO) test -fuzz=FuzzMuxFrames -fuzztime=30s ./internal/cluster
@@ -67,6 +68,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzJobSpec -fuzztime=30s ./internal/jobs
 	$(GO) test -fuzz=FuzzOnlineSnapshot -fuzztime=30s ./internal/perfmodel
 	$(GO) test -fuzz=FuzzDecodeChunkTask -fuzztime=30s ./internal/diffcheck
+	$(GO) test -fuzz=FuzzStreamNest -fuzztime=30s ./internal/iter
 
 # Fuzz the checkpoint WAL decoder: arbitrary bytes must yield a valid
 # prefix, never a panic or a runaway allocation.
@@ -96,12 +98,12 @@ iter-bench:
 	$(GO) test -run '^$$' -bench . -benchmem -count=6 ./internal/iter/
 
 # Steady-state allocation gate: AllocsPerRun proofs over the block
-# engine's fast paths, the core skeletons' merge steps, cutcp's per-atom
-# generator, the stencil sweep, the mailbox wait, the reliable layer's eager
-# send and coalesced-frame decode, the farm engine's idle-slot list, the
-# serial decode into a caller's slice, and the exact-size farm frames and a
-# farmed-stencil solve's byte budget (must run without -race; the detector
-# instruments allocations).
+# engine's fast paths and stream nests, the core skeletons' merge steps,
+# cutcp's pipeline (O(1) in atoms), the stencil sweep, the mailbox wait,
+# the reliable layer's eager send and coalesced-frame decode, the farm
+# engine's idle-slot list, the serial decode into a caller's slice, and the
+# exact-size farm frames and a farmed-stencil solve's byte budget (must run
+# without -race; the detector instruments allocations).
 alloc-gate:
 	$(GO) test -count=1 -timeout 5m \
 		-run 'ZeroAllocs|Allocs|Arena|Presize' \

@@ -73,23 +73,6 @@ func (t Tolerance) MaxRelDiffF32(a, b []float32) float64 {
 	return worst
 }
 
-// WithinF32Slice reports whether two float32 slices agree elementwise
-// under the tolerance.
-func (t Tolerance) WithinF32Slice(a, b []float32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	if t.Abs > 0 {
-		for i := range a {
-			if math.Abs(float64(a[i])-float64(b[i])) > t.Abs {
-				return false
-			}
-		}
-		return true
-	}
-	return t.MaxRelDiffF32(a, b) <= t.RelDiff
-}
-
 // Mismatch is one detected cross-mode divergence.
 type Mismatch struct {
 	Pipeline Pipeline

@@ -256,6 +256,26 @@ func TestHistogramNestInnerLoopsZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestStreamNestZeroAllocsPerOuter: a stream nest's inner loops are block
+// kernel calls over the outer element, so a weighted histogram over it
+// allocates its staging arena and nothing else — at one outer element or
+// thousands, with inner extents from 0 to past a block.
+func TestStreamNestZeroAllocsPerOuter(t *testing.T) {
+	wbins := make([]float64, 16)
+	for _, outer := range []int{1, 64, 4096} {
+		nest := StreamNest(IdxRange(outer), func(i int) int { return i % 300 },
+			func(i int, dst []Bin[float64], base int) int {
+				for j := range dst {
+					dst[j] = Bin[float64]{I: (i + base + j) % 16, W: 0.5}
+				}
+				return len(dst)
+			})
+		if n := testing.AllocsPerRun(20, func() { WeightedHistogramInto(wbins, nest) }); n != 1 {
+			t.Fatalf("WeightedHistogramInto over a stream nest of %d outer elements allocated %.1f per run, want 1 (the arena)", outer, n)
+		}
+	}
+}
+
 // TestFilterKernelConsumersAllocsSizeIndependent: Count, ToSlice and Collect
 // over a compacting filter kernel go through the block driver, which
 // allocates per traversal — the kernel, its scratch, one staging buffer —

@@ -90,7 +90,8 @@ type fastPath[T any] struct {
 	// later; construction sites recover them with dynamic type switches.
 	// Both index the source arrays, not this producer: redOff is where this
 	// producer's element 0 sits in them, so restriction moves an offset
-	// instead of wrapping the kernel.
+	// instead of wrapping the kernel. On a stream nest's indexer red is the
+	// streamFill and redOff the outer offset (StreamNest).
 	red    any
 	mkRed  func(f any) any
 	redOff int
@@ -248,6 +249,65 @@ func drive[T any](n int, f *fastPath[T], arena *[]T, body func([]T)) bool {
 	for base := 0; base < n; base += BlockSize {
 		b := buf[:min(BlockSize, n-base)]
 		body(b[:k(b, base)])
+	}
+	return true
+}
+
+// StreamNest is the nest whose inner loop over outer element a is an
+// indexed stream (Kovach et al.): ext(a) indices, evaluated by the block
+// kernel kern(a, dst, base). It is a plain KIdxNest whose At(i) calls kern
+// on one-element windows — all ToStep and the oracle see — while consumers
+// run the stream through driveNest, building nothing per outer element.
+func StreamNest[A, T any](outer Idx[A], ext func(A) int, kern func(a A, dst []T, base int) int) Iter[T] {
+	at := outer.At
+	fill := streamFill[T](func(dst []T, i, base, hi int) (int, int, int) {
+		k := 0
+		for ; i < hi; i, base = i+1, 0 {
+			a := at(i)
+			for n := ext(a); base < n; {
+				m := min(n-base, len(dst))
+				if m > len(dst)-k {
+					return k, i, base
+				}
+				k += kern(a, dst[k:k+m], base)
+				base += m
+			}
+		}
+		return k, i, base
+	})
+	return IdxNest(Idx[Iter[T]]{N: outer.N, fast: &fastPath[Iter[T]]{red: fill}, At: func(i int) Iter[T] {
+		a := at(i)
+		return IdxFilter(FIdx[T]{N: ext(a), At: func(j int) (T, bool) {
+			var one [1]T
+			ok := kern(a, one[:], j) == 1
+			return one[0], ok
+		}})
+	}})
+}
+
+// streamFill is a stream nest as the driver sees it, held in fastPath.red
+// with the outer offset in redOff, so Split re-bases it and Iter keeps its
+// size. From inner index base of outer element i, up to outer index hi, it
+// packs whole windows of up to len(dst) indices into dst while the next one
+// surely fits, and reports the count and where it stopped.
+type streamFill[T any] func(dst []T, i, base, hi int) (k, next, nextBase int)
+
+// driveNest is drive for a stream nest, or false having called nothing. It
+// calls body itself, so body stays on the consumer's stack.
+func driveNest[T any](ix Idx[Iter[T]], arena *[]T, body func([]T)) bool {
+	f := ix.fast
+	if f == nil {
+		return false
+	}
+	fill, ok := f.red.(streamFill[T])
+	if !ok {
+		return false
+	}
+	buf := ensure(arena, BlockSize)
+	for i, base, hi := f.redOff, 0, f.redOff+ix.N; i < hi; {
+		var k int
+		k, i, base = fill(buf, i, base, hi)
+		body(buf[:k])
 	}
 	return true
 }

@@ -342,6 +342,22 @@ func producers() map[string]func(n int) Iter[float64] {
 		"at-only-fidx": func(n int) Iter[float64] {
 			return IdxFilter(FIdx[float64]{N: n, At: func(i int) (float64, bool) { return tab(i), i%4 != 1 }})
 		},
+		// n outer elements whose inner extents cycle through the driver's
+		// boundary lengths; every third outer element's kernel rejects.
+		"stream-nest": func(n int) Iter[float64] {
+			exts := []int{0, 1, blockMin - 1, blockMin, BlockSize - 1, BlockSize, BlockSize + 1}
+			return StreamNest(IdxRange(n), func(i int) int { return exts[i%len(exts)] },
+				func(i int, dst []float64, base int) int {
+					k := 0
+					for j := base; j < base+len(dst); j++ {
+						if i%3 != 2 || j%4 == 1 {
+							dst[k] = tab(i*31 + j)
+							k++
+						}
+					}
+					return k
+				})
+		},
 	}
 }
 

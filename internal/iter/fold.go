@@ -66,18 +66,6 @@ func ReduceFold[T, A any](fo Fold[T], z A, w func(A, T) A) A {
 	return acc
 }
 
-// ReduceColl reduces a collector with worker w from initial accumulator z —
-// the no-early-exit variant of ReduceFold. Reductions that never stop early
-// (Sum, Count, Mean, histogram merges) have no use for the bool the fold
-// encoding threads through every yield; routing them through the collector
-// encoding drops that return value, and the branch on it, from the hot
-// per-element path.
-func ReduceColl[T, A any](c Collector[T], z A, w func(A, T) A) A {
-	acc := z
-	c(func(v T) { acc = w(acc, v) })
-	return acc
-}
-
 // Collector is the collector encoding (paper §3.1 "Collectors"): an
 // imperative fold whose worker updates its output through side effects.
 // Triolet uses collectors in sequential code for histogramming and for

@@ -60,9 +60,10 @@ func histInto(bins []int64, it Iter[int], arena *[]int) {
 	}
 	switch it.kind {
 	case KIdxNest:
-		inner := it.idxN
-		for i := 0; i < inner.N; i++ {
-			histInto(bins, inner.At(i), arena)
+		if inner := it.idxN; !driveNest(inner, arena, each) {
+			for i := 0; i < inner.N; i++ {
+				histInto(bins, inner.At(i), arena)
+			}
 		}
 	case KIdxFlat:
 		if ix := it.idx; !drive(ix.N, ix.fast, arena, each) {
@@ -107,9 +108,10 @@ func weightedHistInto[W Number](bins []W, it Iter[Bin[W]], arena *[]Bin[W]) {
 	}
 	switch it.kind {
 	case KIdxNest:
-		inner := it.idxN
-		for i := 0; i < inner.N; i++ {
-			weightedHistInto(bins, inner.At(i), arena)
+		if inner := it.idxN; !driveNest(inner, arena, each) {
+			for i := 0; i < inner.N; i++ {
+				weightedHistInto(bins, inner.At(i), arena)
+			}
 		}
 	case KIdxFlat:
 		if ix := it.idx; !drive(ix.N, ix.fast, arena, each) {

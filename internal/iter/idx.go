@@ -282,17 +282,24 @@ func foldIdx[T, A any](ix Idx[T], acc A, w func(A, T) A, arena *[]T) A {
 
 // foldBlocks left-folds a block producer with w; ok is false, and nothing
 // was folded, when the driver found no block path. Each block folds on a
-// local copy of the accumulator, so the captured one is touched once per
-// block, not once per element.
+// copy of the accumulator (foldSlice), so the captured one is touched once
+// per block, not once per element.
 func foldBlocks[T, A any](n int, f *fastPath[T], z A, w func(A, T) A, arena *[]T) (A, bool) {
-	ok := drive(n, f, arena, func(b []T) {
-		acc := z
-		for _, v := range b {
-			acc = w(acc, v)
-		}
-		z = acc
-	})
+	ok := drive(n, f, arena, func(b []T) { z = foldSlice(z, b, w) })
 	return z, ok
+}
+
+// foldNest is foldBlocks over a stream nest.
+func foldNest[T, A any](ix Idx[Iter[T]], z A, w func(A, T) A, arena *[]T) (A, bool) {
+	ok := driveNest(ix, arena, func(b []T) { z = foldSlice(z, b, w) })
+	return z, ok
+}
+
+func foldSlice[T, A any](acc A, b []T, w func(A, T) A) A {
+	for _, v := range b {
+		acc = w(acc, v)
+	}
+	return acc
 }
 
 // IdxToStep converts an indexer to a stepper that yields elements in index

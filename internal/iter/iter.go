@@ -397,9 +397,10 @@ func collectInto[T any](it Iter[T], w func(T), arena *[]T) {
 			w(v)
 		}
 	case KIdxNest:
-		inner := it.idxN
-		for i := 0; i < inner.N; i++ {
-			collectInto(inner.At(i), w, arena)
+		if inner := it.idxN; !driveNest(inner, arena, each) {
+			for i := 0; i < inner.N; i++ {
+				collectInto(inner.At(i), w, arena)
+			}
 		}
 	case KStepNest:
 		cur := it.stepN.Gen()
@@ -439,6 +440,9 @@ func reduceInto[T, A any](it Iter[T], acc A, w func(A, T) A, arena *[]T) A {
 		return FoldStep(it.step, acc, w)
 	case KIdxNest:
 		inner := it.idxN
+		if out, ok := foldNest(inner, acc, w, arena); ok {
+			return out
+		}
 		for i := 0; i < inner.N; i++ {
 			acc = reduceInto(inner.At(i), acc, w, arena)
 		}
@@ -529,6 +533,9 @@ func sumInto[T Number](acc T, it Iter[T], arena *[]T) T {
 		return acc
 	case KIdxNest:
 		inner := it.idxN
+		if out, ok := sumNest(acc, inner, arena); ok {
+			return out
+		}
 		for i := 0; i < inner.N; i++ {
 			acc = sumInto(acc, inner.At(i), arena)
 		}
@@ -542,6 +549,12 @@ func sumInto[T Number](acc T, it Iter[T], arena *[]T) T {
 // captures is not the one sumInto's inline loops keep in a register.
 func sumBlocks[T Number](acc T, n int, f *fastPath[T], arena *[]T) (T, bool) {
 	ok := drive(n, f, arena, func(b []T) { acc = sumSliceFrom(acc, b) })
+	return acc, ok
+}
+
+// sumNest is sumBlocks over a stream nest.
+func sumNest[T Number](acc T, ix Idx[Iter[T]], arena *[]T) (T, bool) {
+	ok := driveNest(ix, arena, func(b []T) { acc = sumSliceFrom(acc, b) })
 	return acc, ok
 }
 
@@ -561,6 +574,9 @@ func countInto[T any](it Iter[T], arena *[]T) int {
 	case KIdxNest:
 		inner := it.idxN
 		total := 0
+		if driveNest(inner, arena, func(b []T) { total += len(b) }) {
+			return total
+		}
 		for i := 0; i < inner.N; i++ {
 			total += countInto(inner.At(i), arena)
 		}

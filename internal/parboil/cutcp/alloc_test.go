@@ -11,21 +11,19 @@ import (
 	"triolet/internal/domain"
 )
 
-// TestSeqTrioletAllocsPerAtomNotPerRow: gridPts is one partial indexer per
-// atom, so the pipeline allocates O(atoms) — the grid plus a closure per
-// atom — however many rows a box has. Doubling the cutoff takes a box from
-// 25 rows to 81.
-func TestSeqTrioletAllocsPerAtomNotPerRow(t *testing.T) {
-	const atoms = 64
-	allocs := func(cutoff float32) float64 {
-		in := Gen(atoms, domain.Dim3{D: 16, H: 16, W: 16}, 0.5, cutoff, 31)
+// TestSeqTrioletAllocsConstantInAtoms: gridPts is the block kernel of one
+// stream nest, so the pipeline allocates the grid, the nest and one staging
+// arena — the same count at 64 atoms as at 256, not a closure per atom.
+func TestSeqTrioletAllocsConstantInAtoms(t *testing.T) {
+	allocs := func(atoms int) float64 {
+		in := Gen(atoms, domain.Dim3{D: 16, H: 16, W: 16}, 0.5, 2.0, 31)
 		return testing.AllocsPerRun(10, func() { SeqTriolet(in) })
 	}
-	narrow, wide := allocs(1.0), allocs(2.0)
-	if wide > narrow {
-		t.Fatalf("SeqTriolet allocated %.0f at cutoff 2.0 (81 rows/atom) vs %.0f at 1.0 (25 rows/atom): allocations grow with rows", wide, narrow)
+	few, many := allocs(64), allocs(256)
+	if many != few {
+		t.Fatalf("SeqTriolet allocated %.0f at 256 atoms vs %.0f at 64: allocations grow with atoms", many, few)
 	}
-	if narrow > 2*atoms+16 {
-		t.Fatalf("SeqTriolet allocated %.0f for %d atoms, want O(atoms)", narrow, atoms)
+	if few > 16 {
+		t.Fatalf("SeqTriolet allocated %.0f for 64 atoms, want O(1)", few)
 	}
 }

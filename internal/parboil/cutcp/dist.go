@@ -61,36 +61,53 @@ func geoCodec() serial.Codec[Geometry] {
 
 // ---- Triolet ----
 
-// gridPts is the paper's "gridPts a" generator: the weighted histogram
-// updates one atom induces on the grid planes zClip, as bins of a grid that
-// starts at plane zClip.Lo (the whole grid for Triolet, one slab for
-// TrioletSlab). The atom's clipped bounding box is a bounded nest, so it is
-// one partial indexer, not a ConcatMap over rows: At un-linearises k to
-// (z, y, x) in Accumulate's z-y-x order and Contribution's own ok is the
-// rejection bit. That is one closure per atom, where ConcatMap's closure
-// form costs Go one allocation per outer element — here, per row of every
-// box (DESIGN.md §8). An empty box (atom outside the grid or the slab) has
-// N = 0. The aggregate is irregular: atoms near the grid boundary
-// contribute fewer updates.
-func gridPts(g Geometry, a Atom, zClip domain.Range) iter.Iter[iter.Bin[float32]] {
-	zr, yr, xr := AtomBox(g, a)
-	zr = zr.Intersect(zClip)
-	// 32-bit operands: a box is far below 2^32 cells, and At divides twice
-	// per cell.
-	ny, nx := uint32(yr.Len()), uint32(xr.Len())
-	return iter.IdxFilter(iter.FIdx[iter.Bin[float32]]{N: zr.Len() * yr.Len() * xr.Len(), At: func(k int) (iter.Bin[float32], bool) {
-		row := uint32(k) / nx
-		z, y, x := zr.Lo+int(row/ny), yr.Lo+int(row%ny), xr.Lo+int(uint32(k)%nx)
-		v, ok := Contribution(g, a, domain.Ix3{Z: z, Y: y, X: x})
-		return iter.Bin[float32]{I: ((z-zClip.Lo)*g.Dim.H+y)*g.Dim.W + x, W: v}, ok
-	}})
+// atomBox is an atom and its cutoff box clipped to the planes zClip: the
+// outer element of the cutcp nest, so the box is computed once per atom.
+type atomBox struct {
+	a          Atom
+	zr, yr, xr domain.Range
 }
 
-// atomUpdates is the cutcp pipeline [f a r | a <- atoms, r <- gridPts a].
+func clipBox(g Geometry, a Atom, zClip domain.Range) atomBox {
+	zr, yr, xr := AtomBox(g, a)
+	return atomBox{a: a, zr: zr.Intersect(zClip), yr: yr, xr: xr}
+}
+
+// cells is the box's extent: 0 for an atom outside the grid or the slab.
+func (b atomBox) cells() int { return b.zr.Len() * b.yr.Len() * b.xr.Len() }
+
+// gridPts is the paper's "gridPts a" as a block kernel: it packs into dst
+// the updates of cells [base, base+len(dst)) of b's box, in Accumulate's
+// z-y-x order, to a grid that starts at plane zLo (the whole grid, or one
+// slab). Contribution's ok is the rejection bit. base is un-linearised
+// once; the walk keeps running (z, y, x) counters and a row base.
+func gridPts(g Geometry, zLo int, b atomBox, dst []iter.Bin[float32], base int) int {
+	nx, ny := b.xr.Len(), b.yr.Len()
+	z, y, x := b.zr.Lo+base/nx/ny, b.yr.Lo+base/nx%ny, b.xr.Lo+base%nx
+	k := 0
+	for left := len(dst); left > 0; x, y = b.xr.Lo, y+1 {
+		if y == b.yr.Hi {
+			y, z = b.yr.Lo, z+1
+		}
+		row, end := ((z-zLo)*g.Dim.H+y)*g.Dim.W, min(b.xr.Hi, x+left)
+		left -= end - x
+		for ; x < end; x++ {
+			if v, ok := Contribution(g, b.a, domain.Ix3{Z: z, Y: y, X: x}); ok {
+				dst[k] = iter.Bin[float32]{I: row + x, W: v}
+				k++
+			}
+		}
+	}
+	return k
+}
+
+// atomUpdates is the cutcp pipeline [f a r | a <- atoms, r <- gridPts a],
+// a stream nest: no atom costs a closure (DESIGN.md §8).
 func atomUpdates(g Geometry, atoms []Atom, zClip domain.Range) iter.Iter[iter.Bin[float32]] {
-	return iter.ConcatMap(func(a Atom) iter.Iter[iter.Bin[float32]] {
-		return gridPts(g, a, zClip)
-	}, iter.FromSlice(atoms))
+	boxes := iter.Idx[atomBox]{N: len(atoms), At: func(i int) atomBox { return clipBox(g, atoms[i], zClip) }}
+	return iter.StreamNest(boxes, atomBox.cells, func(b atomBox, dst []iter.Bin[float32], base int) int {
+		return gridPts(g, zClip.Lo, b, dst, base)
+	})
 }
 
 // SeqTriolet runs the cutcp floating-point histogram as a single-threaded

@@ -13,7 +13,7 @@ import (
 
 // nestUpdates records the (bin, weight) updates Accumulate's loop nest
 // makes for one atom on the planes zClip, bins rebased to zClip.Lo — the
-// reference the partial indexer must reproduce in order.
+// reference the generator must reproduce in order.
 func nestUpdates(g Geometry, a Atom, zClip domain.Range) []iter.Bin[float32] {
 	var out []iter.Bin[float32]
 	zr, yr, xr := AtomBox(g, a)
@@ -75,13 +75,17 @@ func TestGridPtsYieldsAccumulateUpdatesInOrder(t *testing.T) {
 		}
 		for _, clip := range clips {
 			want := nestUpdates(g, a, clip)
-			got := iter.ToSlice(gridPts(g, a, clip))
-			if len(got) != len(want) {
-				t.Fatalf("atom %+v clip %v: %d updates, nest makes %d", a, clip, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].I != want[i].I || math.Float32bits(got[i].W) != math.Float32bits(want[i].W) {
-					t.Fatalf("atom %+v clip %v: update %d = %+v, nest makes %+v", a, clip, i, got[i], want[i])
+			// The block kernel through the driver, and its one-cell windows
+			// through the per-element reference.
+			nest := atomUpdates(g, []Atom{a}, clip)
+			for _, got := range [][]iter.Bin[float32]{iter.ToSlice(nest), iter.ToSlice(iter.StepFlat(iter.ToStep(nest)))} {
+				if len(got) != len(want) {
+					t.Fatalf("atom %+v clip %v: %d updates, nest makes %d", a, clip, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].I != want[i].I || math.Float32bits(got[i].W) != math.Float32bits(want[i].W) {
+						t.Fatalf("atom %+v clip %v: update %d = %+v, nest makes %+v", a, clip, i, got[i], want[i])
+					}
 				}
 			}
 		}
@@ -129,13 +133,13 @@ func TestOutOfGridAtomsContributeNothing(t *testing.T) {
 		if zr.Len() < 0 || yr.Len() < 0 || xr.Len() < 0 {
 			t.Fatalf("atom %+v: negative box %v %v %v", a, zr, yr, xr)
 		}
-		if n, _ := gridPts(g, a, domain.Range{Hi: g.Dim.D}).OuterLen(); n != 0 {
+		if n := clipBox(g, a, domain.Range{Hi: g.Dim.D}).cells(); n != 0 {
 			t.Fatalf("atom %+v: generator extent %d for box %v %v %v, want 0", a, n, zr, yr, xr)
 		}
 	}
 	for _, a := range boundary {
 		whole := domain.Range{Hi: g.Dim.D}
-		if got, want := iter.Count(gridPts(g, a, whole)), len(nestUpdates(g, a, whole)); got != want || want > 1 {
+		if got, want := iter.Count(atomUpdates(g, []Atom{a}, whole)), len(nestUpdates(g, a, whole)); got != want || want > 1 {
 			t.Fatalf("atom %+v a cutoff outside: %d updates, nest makes %d", a, got, want)
 		}
 	}

@@ -96,25 +96,28 @@ func correlation(pool *sched.Pool, bins int, binb []float32, pairs iter.Iter[ite
 // selfScores and crossScores are the post-fusion forms of
 // correlation∘(self|cross)Pairs: score inlined into the pair generators so
 // the intermediate pair values disappear — the simplification Triolet's
-// optimizer performs on Fig. 6's code (tpacf_test.go checks the fused and
-// literal forms agree bin-for-bin). The hot paths use these.
+// optimizer performs on Fig. 6's code, here as stream nests (tpacf_test.go
+// checks the fused and literal forms agree bin-for-bin). The hot paths use
+// them.
 func selfScores(binb []float32, set []Point) iter.Iter[int] {
-	return iter.ConcatMap(func(i int) iter.Iter[int] {
-		u := set[i]
-		rest := set[i+1:]
-		return iter.IdxFlat(iter.Idx[int]{N: len(rest), At: func(j int) int {
-			return Score(binb, u, rest[j])
-		}})
-	}, iter.Range(len(set)))
+	return iter.StreamNest(iter.IdxRange(len(set)), func(i int) int { return len(set) - i - 1 },
+		func(i int, dst []int, base int) int {
+			u := set[i]
+			for j, v := range set[i+1+base : i+1+base+len(dst)] {
+				dst[j] = Score(binb, u, v)
+			}
+			return len(dst)
+		})
 }
 
 func crossScores(binb []float32, obs, set []Point) iter.Iter[int] {
-	return iter.ConcatMap(func(i int) iter.Iter[int] {
-		u := obs[i]
-		return iter.IdxFlat(iter.Idx[int]{N: len(set), At: func(j int) int {
-			return Score(binb, u, set[j])
-		}})
-	}, iter.Range(len(obs)))
+	return iter.StreamNest(iter.IdxOf(obs), func(Point) int { return len(set) },
+		func(u Point, dst []int, base int) int {
+			for j, v := range set[base : base+len(dst)] {
+				dst[j] = Score(binb, u, v)
+			}
+			return len(dst)
+		})
 }
 
 // SeqTriolet runs the full tpacf computation as single-threaded Triolet
