@@ -116,6 +116,7 @@ type Mux struct {
 	lastSeen  map[int]time.Time       // per worker: when a frame from it last arrived
 	idle      []int                   // Idle's result, reused
 	events    []MuxEvent
+	head      serial.Writer // the task header Assign and Close send, rewritten per frame
 	closed    bool
 	// parked are the ranks that may have entered the worker loop, retired
 	// ones included: each is owed a stop frame at Close.
@@ -195,7 +196,7 @@ func (m *Mux) Assign(ctx context.Context, w int, a MuxAssignment) error {
 	if len(m.busy[w]) >= muxDepth {
 		return fmt.Errorf("cluster: mux assign to full worker %d", w)
 	}
-	err := m.s.node.Comm.SendCtx(ctx, w, muxTaskTag, encodeMuxTask(false, a))
+	err := m.s.node.Comm.SendHead(ctx, w, muxTaskTag, muxTaskHead(&m.head, false, a), a.Payload)
 	lost := err != nil && (errors.Is(err, mpi.ErrRankLost) || errors.Is(err, transport.ErrCrashed))
 	if err != nil && !lost {
 		return err
@@ -346,8 +347,9 @@ func (m *Mux) Close() error {
 		return nil
 	}
 	m.closed = true
+	stop := muxTaskHead(&m.head, true, MuxAssignment{})
 	for _, w := range m.parked {
-		if err := m.s.node.Comm.Send(w, muxTaskTag, encodeMuxTask(true, MuxAssignment{})); err != nil &&
+		if err := m.s.node.Comm.SendHead(m.s.node.Comm.Context(), w, muxTaskTag, stop, nil); err != nil &&
 			!errors.Is(err, mpi.ErrRankLost) && !errors.Is(err, transport.ErrCrashed) {
 			return fmt.Errorf("cluster: mux stop: %w", err)
 		}
@@ -355,14 +357,17 @@ func (m *Mux) Close() error {
 	return nil
 }
 
-// encodeMuxTask frames one assignment (stop=true carries no task), sized exactly.
-func encodeMuxTask(stop bool, a MuxAssignment) []byte {
-	w := serial.NewWriter(33 + len(a.Job) + len(a.Kernel) + len(a.Payload))
+// muxTaskHead rewrites w with the header of a's task frame (stop=true: the
+// stop frame, which carries no task) and returns it. The frame is the header,
+// then a.Payload: the two travel apart (mpi.Comm.SendHead), so the payload is
+// never copied to put a header in front of it.
+func muxTaskHead(w *serial.Writer, stop bool, a MuxAssignment) []byte {
+	w.Reset()
 	w.Bool(stop)
 	w.String(a.Job)
 	w.String(a.Kernel)
 	w.Int(a.Task)
-	w.RawBytes(a.Payload)
+	w.Int(len(a.Payload))
 	return w.Bytes()
 }
 
@@ -382,18 +387,19 @@ func decodeMuxTask(payload []byte) (stop bool, a MuxAssignment, err error) {
 	return stop, a, nil
 }
 
-// encodeMuxResult frames one MuxTaskDone event, carrying the kernel's
-// fabric-clock compute time for task timing and per-job accounting. The
+// muxResultHead rewrites w with the header of one MuxTaskDone event's result
+// frame and returns it. The header carries the kernel's fabric-clock compute
+// time for task timing and per-job accounting, and a failure's error; the
 // sender is not framed: the receiver knows who it heard from. The frame is
-// sized exactly: an event carries a result or an error, not both.
-func encodeMuxResult(ev MuxEvent) []byte {
-	w := serial.NewWriter(33 + len(ev.Job) + len(ev.Result) + len(ev.Err))
+// the header, then ev.Result if the task succeeded, sent apart like a task's.
+func muxResultHead(w *serial.Writer, ev MuxEvent) []byte {
+	w.Reset()
 	w.String(ev.Job)
 	w.Int(ev.Task)
 	w.U64(uint64(ev.Elapsed))
 	w.Bool(ev.OK)
 	if ev.OK {
-		w.RawBytes(ev.Result)
+		w.Int(len(ev.Result))
 	} else {
 		w.String(ev.Err)
 	}
@@ -457,6 +463,7 @@ func muxWorkerMain(n *Node) error {
 		close(stop)
 		wg.Wait()
 	}()
+	var head serial.Writer // the result header, rewritten per task
 	for {
 		m, err := n.Comm.Recv(0, muxTaskTag)
 		if err != nil {
@@ -477,7 +484,8 @@ func muxWorkerMain(n *Node) error {
 		if stopFrame {
 			return nil
 		}
-		if err := n.Comm.Send(0, muxResultTag, encodeMuxResult(execute(n, a))); err != nil {
+		ev := execute(n, a) // a failed task's event carries no Result
+		if err := n.Comm.SendHead(n.Comm.Context(), 0, muxResultTag, muxResultHead(&head, ev), ev.Result); err != nil {
 			if errors.Is(err, mpi.ErrRankLost) {
 				return nil // retired mid-reply: quiet exit
 			}

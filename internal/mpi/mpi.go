@@ -14,6 +14,7 @@ package mpi
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"triolet/internal/transport"
@@ -82,17 +83,23 @@ func (c *Comm) Context() context.Context {
 
 // send is the internal point-to-point send every operation (user sends and
 // collectives) routes through; it applies the ack/retry protocol when
-// reliable mode is on. shared marks a payload the caller has relinquished:
-// the fabric skips its defensive copy (see transport.Fabric.SendShared) and
-// reliable local delivery skips its own. The caller must not mutate a shared
-// payload after the call; in direct mode the receiver aliases it and must
-// treat it as read-only.
-func (c *Comm) send(ctx context.Context, dst, tag int, payload []byte, shared bool) error {
+// reliable mode is on. The message is head followed by payload, where head is
+// a header the caller sends apart from the payload it precedes (SendHead), nil
+// for none. shared marks a payload the caller has relinquished: the fabric
+// skips its defensive copy (see transport.Fabric.SendShared) and reliable
+// local delivery skips its own. The caller must not mutate a shared payload
+// after the call; in direct mode the receiver aliases it and must treat it as
+// read-only.
+func (c *Comm) send(ctx context.Context, dst, tag int, head, payload []byte, shared bool) error {
 	if c.rel != nil {
-		return c.rel.send(ctx, dst, tag, payload, shared)
+		return c.rel.send(ctx, dst, tag, head, payload, shared)
 	}
 	if err := ctx.Err(); err != nil {
 		return err
+	}
+	if len(head) > 0 {
+		// The message, built once, takes the place of the fabric's copy.
+		payload, shared = slices.Concat(head, payload), true
 	}
 	if shared {
 		return c.ep.SendShared(dst, tag, payload)
@@ -188,13 +195,23 @@ func (c *Comm) Send(dst, tag int, payload []byte) error {
 // SendCtx is Send under an explicit context: a send blocked on a full
 // reliable window gives up with ctx.Err() when it is cancelled.
 func (c *Comm) SendCtx(ctx context.Context, dst, tag int, payload []byte) error {
+	return c.SendHead(ctx, dst, tag, nil, payload)
+}
+
+// SendHead is SendCtx of head followed by payload — the receiver gets one
+// message, their concatenation — without building it: in reliable mode both
+// are written straight into the frame the layer builds anyway, and direct
+// mode builds the message once, in place of the fabric's defensive copy. A
+// protocol header in front of a payload (the farm's task and result frames)
+// so costs no copy of the payload. Both buffers stay the caller's.
+func (c *Comm) SendHead(ctx context.Context, dst, tag int, head, payload []byte) error {
 	if tag < 0 || tag > MaxUserTag {
 		return fmt.Errorf("mpi: user tag %d out of range", tag)
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return c.send(ctx, dst, tag, payload, false)
+	return c.send(ctx, dst, tag, head, payload, false)
 }
 
 // SendHalo is Send with halo attribution: the payload bytes are additionally
@@ -217,7 +234,7 @@ func (c *Comm) SendShared(dst, tag int, payload []byte) error {
 	if tag < 0 || tag > MaxUserTag {
 		return fmt.Errorf("mpi: user tag %d out of range", tag)
 	}
-	return c.send(c.Context(), dst, tag, payload, true)
+	return c.send(c.Context(), dst, tag, nil, payload, true)
 }
 
 // SendBeat delivers a fire-and-forget signal to dst. In reliable mode
@@ -291,7 +308,7 @@ func (c *Comm) treeGatherSignal(ctx context.Context, tag int) error {
 	rank, size := c.Rank(), c.Size()
 	for dist := 1; dist < size; dist <<= 1 {
 		if rank&dist != 0 {
-			return c.send(ctx, rank-dist, tag, nil, false)
+			return c.send(ctx, rank-dist, tag, nil, nil, false)
 		}
 		peer := rank + dist
 		if peer < size {
@@ -328,7 +345,7 @@ func (c *Comm) treeBcast(ctx context.Context, tag int, data []byte, shared bool)
 	}
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if peer := rank + mask; peer < size {
-			if err := c.send(ctx, peer, tag, data, shared); err != nil {
+			if err := c.send(ctx, peer, tag, nil, data, shared); err != nil {
 				return nil, err
 			}
 		}
@@ -352,7 +369,7 @@ func (c *Comm) bcastPayload(root int, data []byte, shared bool) ([]byte, error) 
 		// Rotate so the tree is rooted at 0 logically: root forwards to 0
 		// first. Simple and rare; the benchmarks root at 0.
 		if c.Rank() == root {
-			if err := c.send(ctx, 0, tag, data, shared); err != nil {
+			if err := c.send(ctx, 0, tag, nil, data, shared); err != nil {
 				return nil, err
 			}
 		}
@@ -389,7 +406,7 @@ func (c *Comm) scatterPayload(root int, parts [][]byte, shared bool) ([]byte, er
 			if dst == root {
 				continue
 			}
-			if err := c.send(ctx, dst, tag, p, shared); err != nil {
+			if err := c.send(ctx, dst, tag, nil, p, shared); err != nil {
 				return nil, err
 			}
 		}
@@ -414,7 +431,7 @@ func (c *Comm) gatherPayload(root int, mine []byte, shared bool) ([][]byte, erro
 	ctx := c.Context()
 	tag := c.nextTag()
 	if c.Rank() != root {
-		return nil, c.send(ctx, root, tag, mine, shared)
+		return nil, c.send(ctx, root, tag, nil, mine, shared)
 	}
 	out := make([][]byte, c.Size())
 	out[root] = mine
@@ -445,7 +462,7 @@ func (c *Comm) reducePayload(mine []byte, combine func(a, b []byte) ([]byte, err
 	acc := mine
 	for dist := 1; dist < size; dist <<= 1 {
 		if rank&dist != 0 {
-			return nil, false, c.send(ctx, rank-dist, tag, acc, shared)
+			return nil, false, c.send(ctx, rank-dist, tag, nil, acc, shared)
 		}
 		peer := rank + dist
 		if peer < size {

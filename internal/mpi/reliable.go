@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -86,8 +87,11 @@ const sendWindow = 8
 
 const _ uint8 = 1 << (sendWindow - 1) // an ack's map is one byte: bit k names expect+k
 
-// ackFrameLen is the size of an ack-only frame: kind, expect, map, CRC.
-const ackFrameLen = 1 + 8 + 1 + 4
+// ackRecordLen is the size of an ack record: kind, expect, map.
+const ackRecordLen = 1 + 8 + 1
+
+// ackFrameLen is the size of an ack-only frame: the record and the CRC.
+const ackFrameLen = ackRecordLen + 4
 
 // coalesceDelay bounds how long a buffered beat waits for a fuller frame
 // before a deadline flush, on the fabric clock. Acknowledgements do not wait:
@@ -418,8 +422,22 @@ func (r *reliable) flushPending() error {
 // flushTo ships dst's owed ack and buffered beats now, in one frame. Callers
 // hold r.mu.
 func (r *reliable) flushTo(dst int) error {
-	w := serial.NewWriter(ackFrameLen + 24*len(r.beats[dst]))
+	w := serial.NewWriter(r.pendingLen(dst))
 	return r.ship(dst, tagRelAck, r.appendPending(w, dst, 0))
+}
+
+// pendingLen is how many bytes appendPending adds to a frame to dst — the
+// owed ack, the buffered beats and the CRC — so that every frame is built in
+// a buffer of exactly its size. Callers hold r.mu.
+func (r *reliable) pendingLen(dst int) int {
+	n := 4
+	if r.owed[dst] {
+		n += ackRecordLen
+	}
+	for _, b := range r.beats[dst] {
+		n += 1 + 8 + 8 + len(b.payload)
+	}
+	return n
 }
 
 // appendPending completes a frame to dst of which w holds the first records
@@ -674,19 +692,20 @@ func (r *reliable) takeLoss(src int) *RankLostError {
 // message is then carried like any other, with a retry budget of its own, so
 // a peer written off while it was only paused still hears what it is told.
 //
-// shared marks a payload the caller has relinquished (see Comm.SendShared):
-// local delivery then skips its defensive copy. Wire frames are always
+// The message is head followed by payload (see Comm.SendHead): the data frame
+// is built from both, so neither is copied but into it. shared marks a payload
+// the caller has relinquished (see Comm.SendShared): local delivery of a
+// headless message then skips its defensive copy. Wire frames are always
 // shipped with transport.SendShared — the frame buffer belongs to this
 // layer, is never mutated after encoding, and retransmits resend the same
 // bytes, so the fabric's defensive copy would buy nothing.
-func (r *reliable) send(ctx context.Context, dst, tag int, payload []byte, shared bool) error {
+func (r *reliable) send(ctx context.Context, dst, tag int, head, payload []byte, shared bool) error {
 	if dst == r.c.Rank() {
 		// Local delivery: no wire, no frames.
-		cp := payload
-		if !shared {
-			cp = append([]byte(nil), payload...)
+		if !shared || len(head) > 0 {
+			payload = slices.Concat(head, payload)
 		}
-		r.enqueueLocal(tag, cp)
+		r.enqueueLocal(tag, payload)
 		return nil
 	}
 	if err := ctx.Err(); err != nil {
@@ -707,7 +726,7 @@ func (r *reliable) send(ctx context.Context, dst, tag int, payload []byte, share
 	seq := r.nextSeq[dst]
 	r.nextSeq[dst]++
 	u := r.slot(dst, seq)
-	u.frame = r.buildDataFrame(dst, seq, tag, payload)
+	u.frame = r.buildDataFrame(dst, seq, tag, head, payload)
 	u.timeout = r.ackWait(len(u.frame))
 	u.deadline = r.clk.Now().Add(r.jitter(u.timeout))
 	r.inflight++
@@ -733,17 +752,19 @@ func (r *reliable) jitter(d time.Duration) time.Duration {
 	return d + time.Duration(float64(d)*r.cfg.BackoffJitter*r.rng.Float64())
 }
 
-// buildDataFrame encodes one data message, followed by dst's owed ack and
-// buffered beats when there are any — they ride for free on a frame that is
-// going to that peer anyway. A retransmit resends them too; an old cumulative
-// ack says nothing new and beats tolerate duplication by contract. Callers
-// hold r.mu.
-func (r *reliable) buildDataFrame(dst int, seq uint64, tag int, payload []byte) []byte {
-	w := serial.NewWriter(len(payload) + 32 + 24*len(r.beats[dst]))
+// buildDataFrame encodes one data message — head then payload, one
+// length-prefixed body — followed by dst's owed ack and buffered beats when
+// there are any: they ride for free on a frame that is going to that peer
+// anyway. A retransmit resends them too; an old cumulative ack says nothing
+// new and beats tolerate duplication by contract. Callers hold r.mu.
+func (r *reliable) buildDataFrame(dst int, seq uint64, tag int, head, payload []byte) []byte {
+	w := serial.NewWriter(1 + 8 + 8 + 8 + len(head) + len(payload) + r.pendingLen(dst))
 	w.U8(subData)
 	w.U64(seq)
 	w.Int(tag)
-	w.RawBytes(payload)
+	w.Int(len(head) + len(payload))
+	w.Append(head)
+	w.Append(payload)
 	return r.appendPending(w, dst, 1)
 }
 
@@ -762,7 +783,7 @@ func (r *reliable) sendBeat(dst, tag int, payload []byte) error {
 		return nil
 	}
 	if r.cfg.DisableCoalesce {
-		return r.send(context.Background(), dst, tag, payload, false)
+		return r.send(context.Background(), dst, tag, nil, payload, false)
 	}
 	cp := append([]byte(nil), payload...)
 	r.mu.Lock()

@@ -1,7 +1,9 @@
 package mpi
 
 import (
+	"bytes"
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -131,6 +133,66 @@ func TestEagerSendAllocs(t *testing.T) {
 	frame := testing.AllocsPerRun(200, func() { dataFrame(seq, 3, payload) })
 	if send != frame || c.rel.inflight != 0 {
 		t.Fatalf("a send allocates %v times, its frame %v (%d in flight)", send, frame, c.rel.inflight)
+	}
+}
+
+// SendHead is SendCtx of head‖payload without building it: the same bytes
+// arrive on the same tag in direct mode, in reliable mode and sent to oneself,
+// and in reliable mode the frame — the data, an owed ack, a buffered beat, the
+// CRC — is the one buffer the send allocates, at exactly its size.
+func TestSendHeadAllocs(t *testing.T) {
+	ctx := context.Background()
+	head, payload := []byte("head"), bytes.Repeat([]byte{7}, 64)
+	want := slices.Concat(head, payload)
+	for _, reliable := range []bool{false, true} {
+		f := transport.New(transport.Config{Ranks: 2})
+		defer f.Close()
+		a, b := NewComm(f, 0), NewComm(f, 1)
+		if reliable {
+			a, b = NewReliableComm(f, 0, ReliableConfig{}), NewReliableComm(f, 1, ReliableConfig{})
+		}
+		for _, to := range []*Comm{b, a} {
+			if err := a.SendHead(ctx, to.Rank(), 3, head, payload); err != nil {
+				t.Fatal(err)
+			}
+			if m, err := to.RecvCtx(ctx, 0, 3); err != nil || !bytes.Equal(m.Payload, want) {
+				t.Fatalf("reliable %v, rank 0 to %d: %q (%v), want %q", reliable, to.Rank(), m.Payload, err, want)
+			}
+		}
+	}
+
+	f := transport.New(transport.Config{Ranks: 2})
+	defer f.Close()
+	c := NewReliableComm(f, 0, ReliableConfig{AckTimeout: time.Second})
+	if err := c.SendBeat(1, 5, []byte("beat")); err != nil {
+		t.Fatal(err)
+	}
+	var seq uint64
+	n := testing.AllocsPerRun(200, func() {
+		c.rel.mu.Lock()
+		c.rel.owed[1] = true
+		c.rel.mu.Unlock()
+		if err := c.SendHead(ctx, 1, 3, head, payload); err != nil {
+			t.Fatal(err)
+		}
+		size := 1 + 8 + 8 + 8 + len(want) + ackRecordLen + 4
+		if seq == 0 {
+			size += 1 + 8 + 8 + len("beat") // the beat rides the first frame
+		}
+		m, ok, err := f.TryRecv(1, 0, tagRelData)
+		if err != nil || !ok || len(m.Payload) != size || cap(m.Payload) != size {
+			t.Fatalf("frame %d: %d bytes in a buffer of %d (%v), want %d", seq, len(m.Payload), cap(m.Payload), err, size)
+		}
+		seq++
+		c.rel.mu.Lock()
+		err = c.rel.acked(1, seq, 0)
+		c.rel.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 1 {
+		t.Fatalf("a SendHead allocates %v times, want 1: its frame", n)
 	}
 }
 

@@ -27,6 +27,15 @@ func NewWriter(capacity int) *Writer {
 	return &Writer{buf: make([]byte, 0, capacity)}
 }
 
+// Grow makes room for n more bytes, reallocating to exactly that size when
+// the buffer is short: a writer reused across messages grows once, to the
+// largest of them.
+func (w *Writer) Grow(n int) {
+	if cap(w.buf)-len(w.buf) < n {
+		w.buf = append(make([]byte, 0, len(w.buf)+n), w.buf...)
+	}
+}
+
 // Bytes returns the encoded message. The slice aliases the writer's buffer;
 // the caller must not keep writing through the Writer afterwards.
 func (w *Writer) Bytes() []byte { return w.buf }
@@ -73,8 +82,12 @@ func (w *Writer) String(s string) {
 // RawBytes appends a length-prefixed byte slice.
 func (w *Writer) RawBytes(b []byte) {
 	w.Int(len(b))
-	w.buf = append(w.buf, b...)
+	w.Append(b)
 }
+
+// Append appends b as it is, with no length prefix: the body of a byte slice
+// whose prefix was written already, or whose bytes follow in several parts.
+func (w *Writer) Append(b []byte) { w.buf = append(w.buf, b...) }
 
 // F64Slice appends a length-prefixed []float64 as one block copy (the
 // pointer-free-array fast path).
@@ -89,7 +102,7 @@ func (w *Writer) I64Slice(xs []int64) { w.block(len(xs), Raw(xs)) }
 // block appends the count n of a block of words, then the words' bytes.
 func (w *Writer) block(n int, b []byte) {
 	w.Int(n)
-	w.buf = append(w.buf, b...)
+	w.Append(b)
 }
 
 // IntSlice appends a length-prefixed []int (64-bit each).

@@ -117,11 +117,13 @@ func (pl haloPlan) edgeRows() []int {
 	return slices.Compact(rows)
 }
 
-// frame encodes one task: the header, the slab's rows if the frame is inline,
-// and two ghost sections — the remote slots above the slab, then those below —
-// whose encoded size it also returns — in a buffer of the frame's size for the
-// 8-byte cells of I64s and F64s: 33 header bytes, the border, the sections.
-func (op *FarmOp[T]) frame(hd farmHeader, border T, rows, ghost []T, top int) ([]byte, int) {
+// frame encodes one task into w, which it rewrites: the header, the slab's
+// rows if the frame is inline, and two ghost sections — the remote slots above
+// the slab, then those below — whose encoded size it also returns. A short w
+// grows to exactly the frame's size for the 8-byte cells of I64s and F64s: 33
+// header bytes, the border, the sections. A writer kept for one slab across
+// the sweeps of a run so grows once, at its first inline frame.
+func (op *FarmOp[T]) frame(w *serial.Writer, hd farmHeader, border T, rows, ghost []T, top int) ([]byte, int) {
 	size := 41 + 8*(len(rows)+len(ghost))
 	if hd.flags&farmDrop == 0 {
 		size += 16
@@ -129,7 +131,8 @@ func (op *FarmOp[T]) frame(hd farmHeader, border T, rows, ghost []T, top int) ([
 	if hd.flags&farmInline != 0 {
 		size += 8
 	}
-	w := serial.NewWriter(size)
+	w.Reset()
+	w.Grow(size)
 	for _, v := range [...]uint32{hd.h, hd.w, hd.slabs, hd.slab, hd.radius, hd.run, hd.epoch, hd.gen} {
 		w.U32(v)
 	}
@@ -340,7 +343,11 @@ func (op *FarmOp[T]) Run(s *cluster.Session, g iter.Matrix2[T], par Params[T], i
 	// base is the generation the epoch started from; next collects the rows
 	// answered since: edge rows, then whole slabs from the epoch's last sweep.
 	base, next := g.Clone(), iter.Matrix2[T]{H: g.H, W: w, Data: make([]T, len(g.Data))}
-	tasks, scratch := make([][]byte, n), []T(nil)
+	// Slab j's task is rewritten in frames[j] every sweep. A frame is its
+	// sweep's only until FarmOpts returns — a reliable send frames a copy, the
+	// fabric copies a direct one, and a task the master runs decodes its
+	// sections out of it — so one buffer a slab serves the whole run.
+	tasks, frames, scratch := make([][]byte, n), make([]serial.Writer, n), []T(nil)
 
 	// sweep farms generation it → it+1: inline from base and placed on home
 	// if it is the epoch's first, else pinned where the slabs are, with ghosts
@@ -368,7 +375,7 @@ func (op *FarmOp[T]) Run(s *cluster.Session, g iter.Matrix2[T], par Params[T], i
 				rows = base.Data[own.Lo*w : own.Hi*w]
 			}
 			var sections int
-			tasks[j], sections = op.frame(hd, par.Border, rows, scratch, tops[j])
+			tasks[j], sections = op.frame(&frames[j], hd, par.Border, rows, scratch, tops[j])
 			halo += sections
 		}
 		s.Fabric().AddHaloBytes(int64(halo))
@@ -429,7 +436,7 @@ func (op *FarmOp[T]) Run(s *cluster.Session, g iter.Matrix2[T], par Params[T], i
 		// Every node still reachable drops what the run left on it; a lost
 		// node's store went with it.
 		hd.flags = farmDrop
-		drop, _ := op.frame(hd, par.Border, nil, nil, 0)
+		drop, _ := op.frame(&frames[0], hd, par.Border, nil, nil, 0)
 		drops, fo := make([][]byte, nodes), opt.Farm
 		fo.Checkpoint, fo.Job, fo.Pin = nil, "", make([]int, nodes)
 		for i := range drops {

@@ -25,11 +25,11 @@ func farmSeedFrames() (inline, handle, last []byte) {
 		rows[i], ghost[i] = int64(i), int64(100+i)
 	}
 	hd.flags = farmInline
-	inline, _ = tableFarm.frame(hd, -5, rows, ghost, 2)
+	inline, _ = tableFarm.frame(new(serial.Writer), hd, -5, rows, ghost, 2)
 	hd.flags, hd.gen = 0, 5
-	handle, _ = tableFarm.frame(hd, -5, nil, ghost, 2)
+	handle, _ = tableFarm.frame(new(serial.Writer), hd, -5, nil, ghost, 2)
 	hd.flags, hd.gen = farmLast, 6
-	last, _ = tableFarm.frame(hd, -5, nil, ghost, 2)
+	last, _ = tableFarm.frame(new(serial.Writer), hd, -5, nil, ghost, 2)
 	return inline, handle, last
 }
 
@@ -76,7 +76,7 @@ func FuzzFarmOpTask(f *testing.F) {
 		if len(rows)+len(ghost) > len(data) || len(task.part.Rows) > farmBudget {
 			t.Fatalf("accepted %d+%d cells over %d slabs from %d bytes", len(rows), len(ghost), len(task.part.Rows), len(data))
 		}
-		if again, _ := tableFarm.frame(task.farmHeader, task.par.Border, rows, ghost, task.top); !bytes.Equal(again, data) {
+		if again, _ := tableFarm.frame(new(serial.Writer), task.farmHeader, task.par.Border, rows, ghost, task.top); !bytes.Equal(again, data) {
 			t.Fatalf("accepted frame re-encodes differently:\n got %x\nfrom %x", again, data)
 		}
 	})
