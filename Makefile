@@ -4,7 +4,7 @@
 GO ?= go
 
 .PHONY: build test race chaos chaos-resume chaos-campaign fuzz fuzz-wal \
-	bench bench-baseline bench-smoke iter-bench alloc-gate msg-gate msg-baseline \
+	bench bench-baseline bench-smoke iter-bench alloc-gate \
 	diffcheck-gate diffcheck-soak autopar-gate lint lint-selftest inline-gate loc vet all
 
 all: vet build test
@@ -45,14 +45,14 @@ chaos-resume:
 		./internal/transport/ ./internal/mpi/ ./internal/stencil/ \
 		./internal/jobs/ ./internal/diffcheck/
 
-# The multi-tenant job-service acceptance gate (-race test + the
-# triolet-bench -campaign command): concurrent jobs with one poison-heavy
-# tenant on a 2%-fault fabric, mid-flight master kills resumed
-# bit-identically from the WAL with no task re-executed, bounded-wait
-# fairness, and fast typed admission rejection. Size with CAMPAIGN_JOBS /
-# CAMPAIGN_TASKS / CAMPAIGN_KILLS (the nightly runs it full-size).
+# The multi-tenant job-service acceptance gate (TestChaosCampaignGate)
+# under -race: concurrent jobs with one poison-heavy tenant on a 2%-fault
+# fabric, mid-flight master kills resumed bit-identically from the WAL with
+# no task re-executed, bounded-wait fairness, and fast typed admission
+# rejection. Size with CAMPAIGN_JOBS / CAMPAIGN_TASKS / CAMPAIGN_KILLS (the
+# nightly runs it full-size, without -race).
 chaos-campaign:
-	./scripts/chaos-campaign.sh
+	$(GO) test -race -count=1 -timeout 10m -run ChaosCampaign ./internal/jobs/
 
 # 30-second fuzz smokes over the decoders at a trust boundary: the serial
 # slice codecs, the farm engine's task/result frames, the reliable layer's
@@ -109,14 +109,6 @@ alloc-gate:
 		-run 'ZeroAllocs|Allocs|Arena|Presize' \
 		./internal/iter/ ./internal/core/ ./internal/parboil/cutcp/ ./internal/stencil/ \
 		./internal/transport/ ./internal/mpi/ ./internal/cluster/ ./internal/serial/
-
-# Message-volume regression gate against the checked-in wire baseline.
-msg-gate:
-	$(GO) run ./cmd/triolet-bench -msg-gate -msg-baseline MSG_BASELINE.json
-
-# Re-measure and overwrite the wire baseline, then commit MSG_BASELINE.json.
-msg-baseline:
-	$(GO) run ./cmd/triolet-bench -msg-gate -write-msg-baseline MSG_BASELINE.json
 
 # The cross-mode differential oracle's fast subset (ci.yml runs this on
 # every push): all four mode axes, seconds of wall time.

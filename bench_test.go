@@ -595,8 +595,9 @@ func BenchmarkFusedReductions(b *testing.B) {
 // bursts of worker heartbeats punctuated by small result sends — with the
 // reliable layer's coalescing on and off. Coalescing batches the beats
 // into one CRC-framed container (and drops their acks entirely), roughly
-// halving bytes and cutting messages ~6x; the msg-gate asserts the byte
-// reduction, this bench tracks the time cost per batch.
+// halving bytes and cutting messages ~6x; internal/mpi's
+// TestCoalescingSavesFarmFrameBytes asserts the byte reduction, this bench
+// tracks the time cost per batch.
 func BenchmarkFarmFrameCoalescing(b *testing.B) {
 	run := func(b *testing.B, disable bool) {
 		f := transport.New(transport.Config{Ranks: 2})

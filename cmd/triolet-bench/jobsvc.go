@@ -15,44 +15,9 @@ import (
 	"triolet/internal/jobs"
 )
 
-// The job-service modes: -campaign runs the multi-tenant chaos campaign
-// (the acceptance gate as a command), -serve exposes a live service over
-// HTTP on a virtual cluster, optionally WAL-backed so a restart resumes
-// every submitted job.
-
-// runCampaign executes one campaign and prints the report. Any gate
-// failure (starved job, non-identical resume, re-executed task, missing
-// admission rejection) exits nonzero with the reason.
-func runCampaign(jobsN, tasks, kills, nodes int, seed int64, walDir string) int {
-	cleanup := func() {}
-	if walDir == "" {
-		dir, err := os.MkdirTemp("", "triolet-campaign-*")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		walDir = dir
-		cleanup = func() { os.RemoveAll(dir) }
-	}
-	defer cleanup()
-
-	rep, err := jobs.RunCampaign(jobs.CampaignConfig{
-		Jobs: jobsN, TasksPerJob: tasks, Kills: kills, Nodes: nodes,
-		Seed: seed, WALDir: walDir,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "campaign FAILED: %v\n", err)
-		if rep != nil {
-			fmt.Fprint(os.Stderr, rep)
-		}
-		return 1
-	}
-	fmt.Print(rep)
-	return 0
-}
+// The job-service mode: -serve exposes a live service over HTTP on a
+// virtual cluster, optionally WAL-backed so a restart resumes every
+// submitted job.
 
 // runServe hosts the job service: HTTP API on addr, jobs executed on a
 // virtual cluster of the given size. With -wal the registry is durable —

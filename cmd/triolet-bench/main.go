@@ -43,24 +43,16 @@ func main() {
 	netLatUS := flag.Int("netlat", 0, "with -sweep: simulated per-message wire latency in microseconds")
 	netMBs := flag.Float64("netbw", 0, "with -sweep: simulated wire bandwidth in MB/s")
 	farmDemo := flag.Bool("farm-demo", false, "demo the supervised farm lifecycle: checkpoint to a WAL, kill the master mid-job, resume, quarantine a poison task")
-	campaign := flag.Bool("campaign", false, "run the multi-tenant chaos campaign: concurrent jobs on a 2%-fault fabric, mid-flight master kills with bit-identical WAL resume, fairness and admission gates")
-	campaignJobs := flag.Int("campaign-jobs", 8, "with -campaign: concurrent jobs (job 1 is poison-heavy)")
-	campaignTasks := flag.Int("campaign-tasks", 12, "with -campaign: tasks per job")
-	campaignKills := flag.Int("campaign-kills", 2, "with -campaign: mid-flight master kills before the final drain")
-	campaignSeed := flag.Int64("campaign-seed", 0, "with -campaign: fault/jitter/backoff seed (0 = the default seed)")
 	serve := flag.Bool("serve", false, "host the multi-tenant job service over HTTP on a virtual cluster")
 	addr := flag.String("addr", "localhost:8080", "with -serve: HTTP listen address")
-	walPath := flag.String("wal", "", "with -serve: registry WAL path (durable jobs; restart resumes); with -campaign: WAL directory")
+	walPath := flag.String("wal", "", "with -serve: registry WAL path (durable jobs; restart resumes)")
 	benchGate := flag.Bool("bench-gate", false, "run the fused-pipeline regression benchmarks")
-	jsonOut := flag.Bool("json", false, "with -bench-gate: emit results as JSON")
-	baseline := flag.String("baseline", "", "with -bench-gate: compare ratios against this baseline file and fail on >10% regression")
+	jsonOut := flag.Bool("json", false, "with -bench-gate or -autopar-sweep: emit results as JSON")
+	baseline := flag.String("baseline", "", "with -bench-gate: compare ratios against this baseline file and fail when one exceeds max(1.10 x baseline, 1.4)")
 	writeBaseline := flag.String("write-baseline", "", "with -bench-gate: write the measured ratios to this file")
 	autoParSweep := flag.Bool("autopar-sweep", false, "run the AutoPar acceptance sweep: planner-mapped runs vs best hand-tuned 1-8 node configs, with online recalibration")
 	autoParBound := flag.Float64("autopar-bound", 1.10, "with -autopar-sweep: fail if any auto-mapped run exceeds bound x best hand-tuned time")
 	autoParCalib := flag.String("autopar-calib", "", "with -autopar-sweep: calibration snapshot path to load/update (default: no persistence)")
-	msgGate := flag.Bool("msg-gate", false, "measure bytes/messages on the wire for fixed workloads")
-	msgBaseline := flag.String("msg-baseline", "", "with -msg-gate: compare against this baseline file and fail on >10% growth")
-	writeMsgBaseline := flag.String("write-msg-baseline", "", "with -msg-gate: write the measured wire footprint to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (any mode; pprof evidence for perf PRs)")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
@@ -82,20 +74,12 @@ func main() {
 		finish(runBenchGate(*jsonOut, *baseline, *writeBaseline))
 	}
 
-	if *msgGate {
-		finish(runMsgGate(*jsonOut, *msgBaseline, *writeMsgBaseline))
-	}
-
 	if *autoParSweep {
 		finish(runAutoParSweep(*jsonOut, *autoParBound, *autoParCalib, *cores))
 	}
 
 	if *farmDemo {
 		finish(runFarmDemo(*nodes))
-	}
-
-	if *campaign {
-		finish(runCampaign(*campaignJobs, *campaignTasks, *campaignKills, *nodes, *campaignSeed, *walPath))
 	}
 
 	if *serve {

@@ -1,179 +1,20 @@
 package jobs
 
 import (
-	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"math"
-	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
-	"triolet/internal/checkpoint"
 	"triolet/internal/cluster"
-	"triolet/internal/mpi"
-	"triolet/internal/transport"
 )
-
-// The chaos campaign is the service's acceptance gate as a runnable
-// artifact: concurrent jobs (one poison-heavy) on a faulty fabric, the
-// master killed mid-flight and restarted over the same WAL, results
-// required bit-identical with no task re-executed; then a fairness round
-// proving a small job's wait stays bounded next to much larger tenants,
-// and an admission probe proving the high-water mark rejects fast with the
-// typed error. CI runs a small deterministic instance on every push
-// (scripts/chaos-campaign.sh); the nightly workflow runs it full-size.
-
-// CampaignConfig sizes one campaign run. The zero value is not runnable:
-// use Defaults (or fill WALDir yourself) — every other field has a default.
-type CampaignConfig struct {
-	// Jobs is the number of concurrent jobs in the chaos phase (default 8,
-	// minimum 2). Job index 1 is poison-heavy.
-	Jobs int
-	// TasksPerJob is each job's task count (default 12).
-	TasksPerJob int
-	// PoisonTasks is how many of the poison job's tasks always fail
-	// (default 4, capped at TasksPerJob).
-	PoisonTasks int
-	// Nodes is the virtual cluster size (default 4: one master plus three
-	// workers).
-	Nodes int
-	// Kills is how many times the master is killed mid-flight before the
-	// final life drains the service (default 2).
-	Kills int
-	// Seed feeds the fault injector, the retransmit jitter, and the
-	// scheduler's backoff stream (default 20260808). The same seed replays
-	// the same campaign.
-	Seed int64
-	// FaultRate is the per-delivery drop/duplicate/corrupt probability on
-	// every link (default 0.02 — the acceptance gate's 2% fabric).
-	FaultRate float64
-	// WaitFactor bounds the fairness phase: the small job must finish
-	// within WaitFactor × its solo runtime (floored at 50ms wall clock to
-	// absorb scheduler noise; default 10).
-	WaitFactor float64
-	// LatencyFactor bounds the fairness phase's latency distribution: the
-	// small tenant's p50 and p99 per-task settle latencies must stay
-	// within LatencyFactor × the combined heavy tenants' (default 1.0 —
-	// sharing with 10× tenants must not give the small job a worse
-	// distribution than the tenants themselves see).
-	LatencyFactor float64
-	// WALDir is the directory for the campaign's registry WAL (required).
-	WALDir string
-	// Logf, when set, receives progress lines (e.g. fmt.Printf or
-	// t.Logf); nil runs silently.
-	Logf func(format string, args ...any)
-}
-
-func (cfg CampaignConfig) withDefaults() CampaignConfig {
-	if cfg.Jobs < 2 {
-		if cfg.Jobs == 0 {
-			cfg.Jobs = 8
-		} else {
-			cfg.Jobs = 2
-		}
-	}
-	if cfg.TasksPerJob <= 0 {
-		cfg.TasksPerJob = 12
-	}
-	if cfg.PoisonTasks <= 0 {
-		cfg.PoisonTasks = 4
-	}
-	if cfg.PoisonTasks > cfg.TasksPerJob {
-		cfg.PoisonTasks = cfg.TasksPerJob
-	}
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = 4
-	}
-	if cfg.Kills <= 0 {
-		cfg.Kills = 2
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 20260808
-	}
-	if cfg.FaultRate <= 0 {
-		cfg.FaultRate = 0.02
-	}
-	if cfg.WaitFactor <= 0 {
-		cfg.WaitFactor = 10
-	}
-	if cfg.LatencyFactor <= 0 {
-		cfg.LatencyFactor = 1.0
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
-	return cfg
-}
-
-// CampaignReport is the campaign's outcome. RunCampaign returns it
-// alongside a nil error only when every gate held.
-type CampaignReport struct {
-	Jobs  int // concurrent jobs in the chaos phase
-	Tasks int // total tasks across them
-	Kills int // master kills that landed mid-flight
-
-	// RecoveredSettled counts task records already durable at the first
-	// resume — the progress the kill could not destroy.
-	RecoveredSettled int
-	// Records/WantRecords pin the no-re-execution proof: the final
-	// registry must hold exactly one spec per job, one record per task,
-	// and one summary per job.
-	Records     int
-	WantRecords int
-
-	DegradedJobs int // must be exactly 1 (the poison job)
-	Quarantined  int // must be exactly PoisonTasks
-
-	// AdmissionDepth/Limit echo the typed rejection the overflow probe hit.
-	AdmissionDepth int
-	AdmissionLimit int
-
-	// Fairness phase wall-clock times: the small job alone, the same small
-	// job next to two 10×-larger tenants, and the larger tenants' drain.
-	SoloMS  float64
-	SmallMS float64
-	HeavyMS float64
-	// WaitBoundMS is the starvation bound SmallMS was held to.
-	WaitBoundMS float64
-
-	// Per-task settle latency percentiles from the concurrent run: the
-	// small tenant against the combined heavy tenants, each task measured
-	// from its job's first dispatch to its settle. The distribution gate
-	// requires SmallP50 ≤ LatencyFactor×HeavyP50 and likewise at p99.
-	SmallP50MS float64
-	SmallP99MS float64
-	HeavyP50MS float64
-	HeavyP99MS float64
-	// LatencyFactor echoes the ratio bound the percentiles were held to.
-	LatencyFactor float64
-}
-
-// String renders the report as the campaign summary table.
-func (r *CampaignReport) String() string {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "chaos campaign: %d jobs x %d tasks, %d mid-flight master kills\n",
-		r.Jobs, r.Tasks/r.Jobs, r.Kills)
-	fmt.Fprintf(&b, "  resume:    %d task records survived the first kill; registry %d/%d records (no re-execution)\n",
-		r.RecoveredSettled, r.Records, r.WantRecords)
-	fmt.Fprintf(&b, "  degrade:   %d job degraded, %d tasks quarantined with partial results\n",
-		r.DegradedJobs, r.Quarantined)
-	fmt.Fprintf(&b, "  admission: overflow rejected fast at depth %d/limit %d\n",
-		r.AdmissionDepth, r.AdmissionLimit)
-	fmt.Fprintf(&b, "  fairness:  small job %.1fms next to 10x tenants (solo %.1fms, bound %.1fms, tenants %.1fms)\n",
-		r.SmallMS, r.SoloMS, r.WaitBoundMS, r.HeavyMS)
-	fmt.Fprintf(&b, "  latency:   small p50/p99 %.1f/%.1fms vs heavy %.1f/%.1fms (factor %.2f)\n",
-		r.SmallP50MS, r.SmallP99MS, r.HeavyP50MS, r.HeavyP99MS, r.LatencyFactor)
-	return b.String()
-}
 
 // Campaign kernel: payloads are routed by their first byte. Poison-marked
 // tasks always fail; sleep-marked tasks cost real wall time (the fairness
 // phase's unit of work); everything is transformed deterministically so
-// results are comparable bit-for-bit across kills and resumes.
+// results are comparable bit-for-bit across kills and resumes. The chaos
+// campaign that drives it is the service's acceptance gate,
+// TestChaosCampaignGate.
 const (
 	campaignPoisonMark = 0xFF
 	campaignSleepMark  = 0xEE
@@ -183,7 +24,7 @@ const (
 var campaignKernelOnce sync.Once
 
 // RegisterCampaignKernel installs the campaign's farm kernel
-// ("jobs.campaign"). Idempotent; RunCampaign and triolet-bench -serve call
+// ("jobs.campaign"). Idempotent; the campaign and triolet-bench -serve call
 // it so the kernel is available to submissions.
 func RegisterCampaignKernel() {
 	campaignKernelOnce.Do(func() {
@@ -211,397 +52,4 @@ func campaignTransform(task []byte) []byte {
 	}
 	binary.LittleEndian.PutUint64(out[len(task):], acc)
 	return out
-}
-
-// RunCampaign runs the full campaign and verifies every gate. A non-nil
-// error means a gate failed (or the environment did); the report carries
-// whatever was measured up to that point.
-func RunCampaign(cfg CampaignConfig) (*CampaignReport, error) {
-	cfg = cfg.withDefaults()
-	if cfg.WALDir == "" {
-		return nil, errors.New("jobs: campaign needs a WAL directory")
-	}
-	RegisterCampaignKernel()
-	rep := &CampaignReport{Jobs: cfg.Jobs, Tasks: cfg.Jobs * cfg.TasksPerJob}
-	if err := runChaosPhase(cfg, rep); err != nil {
-		return rep, err
-	}
-	if err := runFairnessPhase(cfg, rep); err != nil {
-		return rep, err
-	}
-	return rep, nil
-}
-
-// campaignSpecs builds the chaos phase's job set: Jobs jobs of TasksPerJob
-// tasks each with cycling weights, job index 1 poison-heavy.
-func campaignSpecs(cfg CampaignConfig) []Spec {
-	specs := make([]Spec, cfg.Jobs)
-	for i := range specs {
-		tasks := make([][]byte, cfg.TasksPerJob)
-		for j := range tasks {
-			// First byte stays below the kernel's marker range.
-			tasks[j] = []byte{byte(i) & 0x7F, byte(j), byte(i*7 + j*13), byte(cfg.Seed)}
-		}
-		sp := Spec{
-			Name:   fmt.Sprintf("campaign-%02d", i),
-			Kernel: "jobs.campaign",
-			Tasks:  tasks,
-			Weight: 1 + i%3,
-		}
-		if i == 1 {
-			// The poison-heavy tenant: its first PoisonTasks tasks always
-			// fail. Two attempts each keeps the degradation ladder short.
-			for j := 0; j < cfg.PoisonTasks; j++ {
-				sp.Tasks[j] = append([]byte{campaignPoisonMark}, sp.Tasks[j]...)
-			}
-			sp.MaxTaskAttempts = 2
-		}
-		specs[i] = sp
-	}
-	return specs
-}
-
-// campaignClusterConfig is the chaos phase's fabric: cfg.FaultRate
-// drop/duplicate/corrupt on every link, a fast ack ladder with seeded
-// retransmit jitter so retries desynchronize but replay.
-func campaignClusterConfig(cfg CampaignConfig, life int) cluster.Config {
-	return cluster.Config{
-		Nodes: cfg.Nodes, CoresPerNode: 1,
-		Fault: &transport.FaultConfig{
-			Seed:    cfg.Seed + int64(life),
-			Default: transport.FaultProbs{Drop: cfg.FaultRate, Duplicate: cfg.FaultRate, Corrupt: cfg.FaultRate},
-		},
-		Reliable: &mpi.ReliableConfig{
-			AckTimeout:    500 * time.Microsecond,
-			Retries:       100,
-			MaxAckTimeout: 50 * time.Millisecond,
-			JitterSeed:    cfg.Seed,
-		},
-	}
-}
-
-func allTerminal(s *Service) bool {
-	for _, st := range s.Jobs() {
-		if st.State != Done.String() && st.State != Degraded.String() {
-			return false
-		}
-	}
-	return true
-}
-
-// runChaosPhase is the resume gate: submit, probe admission overflow, kill
-// the master Kills times mid-flight, drain, verify bit-identical results
-// and the exact registry record count.
-func runChaosPhase(cfg CampaignConfig, rep *CampaignReport) error {
-	walPath := filepath.Join(cfg.WALDir, "campaign.wal")
-	wal, err := checkpoint.OpenWAL(walPath)
-	if err != nil {
-		return err
-	}
-	defer func() { wal.Close() }()
-
-	svc, err := NewService(Config{Store: wal, Seed: cfg.Seed, MaxQueued: cfg.Jobs})
-	if err != nil {
-		return err
-	}
-	specs := campaignSpecs(cfg)
-	for _, sp := range specs {
-		if err := svc.Submit(sp); err != nil {
-			return fmt.Errorf("campaign submit %s: %w", sp.Name, err)
-		}
-	}
-
-	// Admission probe: the service sits exactly at its high-water mark, so
-	// one more submission must reject fast with the typed error.
-	overflow := Spec{Name: "campaign-overflow", Kernel: "jobs.campaign", Tasks: [][]byte{{1}}}
-	var adm *AdmissionError
-	if err := svc.Submit(overflow); !errors.As(err, &adm) || !errors.Is(err, ErrQueueFull) {
-		return fmt.Errorf("campaign: overflow submit returned %v, want AdmissionError", err)
-	}
-	rep.AdmissionDepth, rep.AdmissionLimit = adm.Depth, adm.Limit
-	cfg.Logf("admission: overflow rejected at depth %d/limit %d", adm.Depth, adm.Limit)
-
-	specRecords := wal.Records()
-	// Each kill lands after roughly a Kills+1'th of the remaining work
-	// checkpoints, so every life makes real progress and real losses.
-	killDelta := cfg.Jobs * cfg.TasksPerJob / (cfg.Kills + 2)
-	if killDelta < 4 {
-		killDelta = 4
-	}
-
-	for life := 0; life < cfg.Kills; life++ {
-		if allTerminal(svc) {
-			break
-		}
-		threshold := wal.Records() + killDelta
-		ctx, cancel := context.WithCancel(context.Background())
-		watcherDone := make(chan struct{})
-		go func(w *checkpoint.WAL, s *Service) {
-			defer close(watcherDone)
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				default:
-				}
-				if w.Records() >= threshold || allTerminal(s) {
-					cancel()
-					return
-				}
-				time.Sleep(300 * time.Microsecond)
-			}
-		}(wal, svc)
-		// The life ends in a simulated master crash: the context cancel
-		// unwinds the session without flushing anything. Whatever error the
-		// session reports is part of the crash.
-		_, _ = cluster.RunCtx(ctx, campaignClusterConfig(cfg, life), func(sess *cluster.Session) error {
-			return svc.Serve(ctx, sess)
-		})
-		cancel()
-		<-watcherDone
-		if !allTerminal(svc) {
-			rep.Kills++
-		}
-		wal.Close()
-
-		// Restart: a fresh service over the reopened WAL is the whole
-		// recovery story — no other state survives the kill.
-		wal, err = checkpoint.OpenWAL(walPath)
-		if err != nil {
-			return fmt.Errorf("campaign: reopen WAL after kill %d: %w", life+1, err)
-		}
-		svc, err = NewService(Config{Store: wal, Seed: cfg.Seed + int64(life) + 1, MaxQueued: cfg.Jobs})
-		if err != nil {
-			return fmt.Errorf("campaign: recover after kill %d: %w", life+1, err)
-		}
-		if life == 0 {
-			for _, st := range svc.Jobs() {
-				rep.RecoveredSettled += st.Completed + st.Failed
-			}
-			if rep.RecoveredSettled == 0 {
-				return errors.New("campaign: first kill left no durable progress in the WAL")
-			}
-			cfg.Logf("kill 1: %d settled task records recovered", rep.RecoveredSettled)
-		}
-	}
-	if rep.Kills == 0 {
-		return errors.New("campaign: no kill landed mid-flight; raise TasksPerJob")
-	}
-
-	// Final life: drain to terminal on the same faulty fabric.
-	svc.Stop()
-	if _, err := cluster.Run(campaignClusterConfig(cfg, cfg.Kills), func(sess *cluster.Session) error {
-		return svc.Serve(context.Background(), sess)
-	}); err != nil {
-		return fmt.Errorf("campaign: final life: %w", err)
-	}
-	cfg.Logf("final life drained %d jobs after %d kills", cfg.Jobs, rep.Kills)
-
-	// Verification: bit-identical results against the golden transform,
-	// the poison tenant degraded with exactly its poison set quarantined,
-	// and a registry that proves no task settled twice.
-	for i, sp := range specs {
-		st, ok := svc.Job(sp.Name)
-		if !ok {
-			return fmt.Errorf("campaign: job %s lost across restarts", sp.Name)
-		}
-		results, quarantined, rerr := svc.Result(sp.Name)
-		if rerr != nil {
-			return fmt.Errorf("campaign: result %s: %w", sp.Name, rerr)
-		}
-		if i == 1 {
-			if st.State != Degraded.String() {
-				return fmt.Errorf("campaign: poison job state %s, want degraded", st.State)
-			}
-			rep.DegradedJobs++
-			rep.Quarantined = len(quarantined)
-			if len(quarantined) != cfg.PoisonTasks {
-				return fmt.Errorf("campaign: poison job quarantined %d tasks, want %d", len(quarantined), cfg.PoisonTasks)
-			}
-			for j := 0; j < cfg.PoisonTasks; j++ {
-				if _, q := quarantined[j]; !q {
-					return fmt.Errorf("campaign: poison task %d not quarantined", j)
-				}
-			}
-		} else if st.State != Done.String() {
-			return fmt.Errorf("campaign: job %s state %s, want done", sp.Name, st.State)
-		}
-		for j, task := range sp.Tasks {
-			if _, q := quarantined[j]; q {
-				continue
-			}
-			if want := campaignTransform(task); !bytes.Equal(results[j], want) {
-				return fmt.Errorf("campaign: %s task %d = %x, want %x (resume not bit-identical)",
-					sp.Name, j, results[j], want)
-			}
-		}
-	}
-	rep.Records = wal.Records()
-	rep.WantRecords = specRecords + cfg.Jobs*cfg.TasksPerJob + cfg.Jobs
-	if rep.Records != rep.WantRecords {
-		return fmt.Errorf("campaign: registry has %d records, want %d (specs %d + tasks %d + summaries %d): a task re-executed or was lost",
-			rep.Records, rep.WantRecords, specRecords, cfg.Jobs*cfg.TasksPerJob, cfg.Jobs)
-	}
-	return nil
-}
-
-// runFairnessPhase is the starvation gate: a small job's wall-clock
-// completion next to two 10×-larger tenants submitted ahead of it must
-// stay within WaitFactor × its solo runtime, and well inside the tenants'
-// drain time. No faults here — fairness is measured without crash noise.
-func runFairnessPhase(cfg CampaignConfig, rep *CampaignReport) error {
-	const (
-		smallTasks = 6
-		waitFloor  = 50 * time.Millisecond
-	)
-	heavyTasks := 10 * smallTasks
-	sleepTask := func(i, salt int) []byte {
-		return []byte{campaignSleepMark, byte(i), byte(salt)}
-	}
-	makeSpec := func(name string, n, salt int) Spec {
-		tasks := make([][]byte, n)
-		for i := range tasks {
-			tasks[i] = sleepTask(i, salt)
-		}
-		return Spec{Name: name, Kernel: "jobs.campaign", Tasks: tasks}
-	}
-	clusterCfg := cluster.Config{Nodes: cfg.Nodes, CoresPerNode: 1}
-	drain := func(s *Service) (time.Duration, error) {
-		s.Stop()
-		start := time.Now()
-		_, err := cluster.Run(clusterCfg, func(sess *cluster.Session) error {
-			return s.Serve(context.Background(), sess)
-		})
-		return time.Since(start), err
-	}
-
-	// Solo baseline.
-	solo, err := NewService(Config{Seed: cfg.Seed})
-	if err != nil {
-		return err
-	}
-	if err := solo.Submit(makeSpec("fair-small", smallTasks, 1)); err != nil {
-		return err
-	}
-	soloDur, err := drain(solo)
-	if err != nil {
-		return fmt.Errorf("campaign: fairness solo run: %w", err)
-	}
-	rep.SoloMS = float64(soloDur.Microseconds()) / 1e3
-
-	// Concurrent: the heavy tenants are admitted first, so a FIFO
-	// scheduler would drain all their tasks before the small job's.
-	conc, err := NewService(Config{Seed: cfg.Seed + 1})
-	if err != nil {
-		return err
-	}
-	if err := conc.Submit(makeSpec("fair-heavy-a", heavyTasks, 2)); err != nil {
-		return err
-	}
-	if err := conc.Submit(makeSpec("fair-heavy-b", heavyTasks, 3)); err != nil {
-		return err
-	}
-	if err := conc.Submit(makeSpec("fair-small", smallTasks, 4)); err != nil {
-		return err
-	}
-	smallCh, err := conc.Wait("fair-small")
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	smallDone := make(chan time.Duration, 1)
-	go func() {
-		<-smallCh
-		smallDone <- time.Since(start)
-	}()
-	heavyDur, err := drain(conc)
-	if err != nil {
-		return fmt.Errorf("campaign: fairness concurrent run: %w", err)
-	}
-	smallDur := <-smallDone
-	rep.SmallMS = float64(smallDur.Microseconds()) / 1e3
-	rep.HeavyMS = float64(heavyDur.Microseconds()) / 1e3
-
-	bound := soloDur
-	if bound < waitFloor {
-		bound = waitFloor
-	}
-	bound = time.Duration(cfg.WaitFactor * float64(bound))
-	rep.WaitBoundMS = float64(bound.Microseconds()) / 1e3
-	cfg.Logf("fairness: small %.1fms, solo %.1fms, bound %.1fms, tenants %.1fms",
-		rep.SmallMS, rep.SoloMS, rep.WaitBoundMS, rep.HeavyMS)
-	if smallDur > bound {
-		return fmt.Errorf("campaign: small job starved: %.1fms next to large tenants, bound %.1fms (solo %.1fms)",
-			rep.SmallMS, rep.WaitBoundMS, rep.SoloMS)
-	}
-	// The interleaving proof: the small job must clear far before the
-	// tenants admitted ahead of it drain — a FIFO would hold it to ~100%.
-	if smallDur > heavyDur*4/5 {
-		return fmt.Errorf("campaign: small job not interleaved: finished at %.1fms of the tenants' %.1fms drain",
-			rep.SmallMS, rep.HeavyMS)
-	}
-	return checkLatencyDistribution(cfg, rep, conc, smallTasks, heavyTasks)
-}
-
-// checkLatencyDistribution is the fairness phase's distribution gate: the
-// small tenant's per-task settle latencies (p50 and p99, measured from its
-// first dispatch) must stay within LatencyFactor × the combined heavy
-// tenants'. The wall-clock check above bounds the small job's total wait;
-// this one catches a scheduler that hits the total but serves the small
-// tenant's tasks in a tail-heavy burst.
-func checkLatencyDistribution(cfg CampaignConfig, rep *CampaignReport, conc *Service, smallTasks, heavyTasks int) error {
-	small, err := conc.TaskLatencies("fair-small")
-	if err != nil {
-		return fmt.Errorf("campaign: latency gate: %w", err)
-	}
-	heavyA, err := conc.TaskLatencies("fair-heavy-a")
-	if err != nil {
-		return fmt.Errorf("campaign: latency gate: %w", err)
-	}
-	heavyB, err := conc.TaskLatencies("fair-heavy-b")
-	if err != nil {
-		return fmt.Errorf("campaign: latency gate: %w", err)
-	}
-	heavy := append(heavyA, heavyB...)
-	if len(small) != smallTasks || len(heavy) != 2*heavyTasks {
-		return fmt.Errorf("campaign: latency gate: %d small / %d heavy samples, want %d / %d",
-			len(small), len(heavy), smallTasks, 2*heavyTasks)
-	}
-	smallP50, smallP99 := latencyPercentile(small, 50), latencyPercentile(small, 99)
-	heavyP50, heavyP99 := latencyPercentile(heavy, 50), latencyPercentile(heavy, 99)
-	rep.SmallP50MS = float64(smallP50.Microseconds()) / 1e3
-	rep.SmallP99MS = float64(smallP99.Microseconds()) / 1e3
-	rep.HeavyP50MS = float64(heavyP50.Microseconds()) / 1e3
-	rep.HeavyP99MS = float64(heavyP99.Microseconds()) / 1e3
-	rep.LatencyFactor = cfg.LatencyFactor
-	cfg.Logf("latency: small p50/p99 %.1f/%.1fms vs heavy %.1f/%.1fms (factor %.2f)",
-		rep.SmallP50MS, rep.SmallP99MS, rep.HeavyP50MS, rep.HeavyP99MS, cfg.LatencyFactor)
-	if float64(smallP50) > cfg.LatencyFactor*float64(heavyP50) {
-		return fmt.Errorf("campaign: small tenant p50 %.1fms exceeds %.2fx heavy p50 %.1fms",
-			rep.SmallP50MS, cfg.LatencyFactor, rep.HeavyP50MS)
-	}
-	if float64(smallP99) > cfg.LatencyFactor*float64(heavyP99) {
-		return fmt.Errorf("campaign: small tenant p99 %.1fms exceeds %.2fx heavy p99 %.1fms",
-			rep.SmallP99MS, cfg.LatencyFactor, rep.HeavyP99MS)
-	}
-	return nil
-}
-
-// latencyPercentile is the nearest-rank percentile of d (p in (0,100]).
-// With few samples high percentiles resolve to the maximum, which is the
-// conservative direction for a gate.
-func latencyPercentile(d []time.Duration, p float64) time.Duration {
-	if len(d) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), d...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(math.Ceil(p/100*float64(len(s)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
 }

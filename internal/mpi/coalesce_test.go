@@ -190,7 +190,8 @@ func TestSingleAckKeepsLegacyFrame(t *testing.T) {
 
 // TestDisableCoalesceLegacyShape: with coalescing off every ack is a frame
 // of its own, beats become acknowledged sends, and no frame carries more than
-// one record — the flush policy the message-volume gate compares against.
+// one record — the flush policy TestCoalescingSavesFarmFrameBytes compares
+// against.
 func TestDisableCoalesceLegacyShape(t *testing.T) {
 	f := transport.New(transport.Config{Ranks: 2})
 	defer f.Close()
@@ -227,6 +228,77 @@ func TestDisableCoalesceLegacyShape(t *testing.T) {
 	if sa.CoalescedFrames != 0 || sb.CoalescedFrames != 0 {
 		t.Fatalf("CoalescedFrames nonzero with coalescing disabled: %d/%d",
 			sa.CoalescedFrames, sb.CoalescedFrames)
+	}
+}
+
+// farmFrames drives a farm's control-plane traffic on a 2-rank fabric: 25
+// batches, each of 8 worker heartbeats followed by a small task result.
+// Count-based beat flushes keep every beat batch the same; how many frames
+// one ack covers still depends on scheduling, so the totals vary by a few.
+func farmFrames(t *testing.T, disable bool) transport.Stats {
+	t.Helper()
+	f := transport.New(transport.Config{Ranks: 2})
+	defer f.Close()
+	cfg := ReliableConfig{AckTimeout: time.Second, CoalesceLimit: 8, DisableCoalesce: disable}
+	worker := NewReliableComm(f, 0, cfg)
+	master := NewReliableComm(f, 1, cfg)
+
+	const (
+		batches       = 25
+		beatsPerBatch = 8
+		beatTag       = 7
+		taskTag       = 9
+	)
+	result := make([]byte, 24) // a farm result frame: task id + small payload
+	errc := make(chan error, 1)
+	go func() {
+		for range batches {
+			for range beatsPerBatch {
+				if err := worker.SendBeat(1, beatTag, nil); err != nil {
+					errc <- err
+					return
+				}
+			}
+			if err := worker.Send(1, taskTag, result); err != nil {
+				errc <- err
+				return
+			}
+		}
+		errc <- nil
+	}()
+	for range batches {
+		if _, err := master.Recv(0, taskTag); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			_, ok, err := master.TryRecv(0, beatTag)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+		}
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	return f.Stats()
+}
+
+// TestCoalescingSavesFarmFrameBytes: on a farm's control plane — bursts of
+// heartbeats punctuated by small results — coalescing must save at least a
+// quarter of the bytes the one-frame-per-message policy (DisableCoalesce)
+// puts on the wire. A bound, not a count: the coalesced run's frame count
+// varies with scheduling.
+func TestCoalescingSavesFarmFrameBytes(t *testing.T) {
+	coalesced, legacy := farmFrames(t, false), farmFrames(t, true)
+	saved := 1 - float64(coalesced.Bytes)/float64(legacy.Bytes)
+	t.Logf("coalesced %d bytes / %d messages, legacy %d bytes / %d messages: %.1f%% of bytes saved",
+		coalesced.Bytes, coalesced.Messages, legacy.Bytes, legacy.Messages, 100*saved)
+	if saved < 0.25 {
+		t.Fatalf("coalescing saves %.1f%% of legacy bytes (%d -> %d), want >= 25%%",
+			100*saved, legacy.Bytes, coalesced.Bytes)
 	}
 }
 

@@ -216,7 +216,7 @@ func (c *Comm) SendHead(ctx context.Context, dst, tag int, head, payload []byte)
 
 // SendHalo is Send with halo attribution: the payload bytes are additionally
 // counted in the fabric's Stats.HaloBytes, so ghost-row and boundary-
-// replication traffic is separable from task traffic in the msg-gate.
+// replication traffic is separable from task traffic in the wire pins.
 // Attribution is once per logical payload; reliable-mode retries do not
 // inflate it.
 func (c *Comm) SendHalo(dst, tag int, payload []byte) error {

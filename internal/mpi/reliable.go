@@ -133,8 +133,8 @@ type ReliableConfig struct {
 	CoalesceLimit int
 	// DisableCoalesce is a flush policy: every data frame is answered by an
 	// ack-only frame of its own, nothing rides on a data frame, and beats
-	// become ordinary acknowledged sends. Used by the message-volume gate to
-	// measure what coalescing saves.
+	// become ordinary acknowledged sends. TestCoalescingSavesFarmFrameBytes
+	// runs with it to measure what coalescing saves.
 	DisableCoalesce bool
 	// Tracer, when non-nil, records retransmissions and dropped frames
 	// as trace events ("net.retry", "net.fast-retry", "net.corrupt-drop",

@@ -88,8 +88,8 @@ func TrioletSlab(s *cluster.Session, in *Input) ([]float32, error) {
 	// Route each atom to every slab its cutoff box intersects. Atoms near a
 	// slab boundary land in multiple slabs: those duplicate copies are the
 	// decomposition's ghost data, and their wire size is attributed as halo
-	// traffic so the msg-gate can see the replication cost instead of it
-	// hiding inside ordinary task bytes.
+	// traffic so the wire pins (TestSlabHaloAttribution) see the replication
+	// cost instead of it hiding inside ordinary task bytes.
 	routed := make([][]Atom, nodes)
 	var dupBytes int64
 	for _, a := range in.Atoms {

@@ -103,17 +103,33 @@ func TestAtomSlabBinsCoverWholeGrid(t *testing.T) {
 
 // TestSlabHaloAttribution: the duplicate atom copies the router sends to
 // both neighbours are accounted as halo bytes — exactly (copies-1) × wire
-// size per atom, and zero on a single node (nothing is duplicated).
+// size per atom, and zero on a single node (nothing is duplicated). Each
+// run's messages and bytes are pinned exactly too, so a codec or
+// collective that grows by one byte shows here.
 func TestSlabHaloAttribution(t *testing.T) {
-	in := smallInput(200, 47)
-	for _, nodes := range []int{1, 4, 8} {
-		cfg := cluster.Config{Nodes: nodes, CoresPerNode: 1}
+	small, large := smallInput(200, 47), smallInput(160, 131)
+	for _, row := range []struct {
+		in           *Input
+		nodes, cores int
+		msgs, bytes  int64
+	}{
+		{small, 1, 1, 0, 0},
+		{small, 4, 1, 15, 10825},
+		{small, 8, 1, 35, 18613},
+		{large, 4, 2, 15, 9241},
+	} {
+		in, nodes := row.in, row.nodes
+		cfg := cluster.Config{Nodes: nodes, CoresPerNode: row.cores}
 		stats, err := cluster.Run(cfg, func(s *cluster.Session) error {
 			_, err := TrioletSlab(s, in)
 			return err
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if stats.Messages != row.msgs || stats.Bytes != row.bytes {
+			t.Errorf("nodes=%d cores=%d: wire %d messages / %d bytes, want %d/%d",
+				nodes, row.cores, stats.Messages, stats.Bytes, row.msgs, row.bytes)
 		}
 		slabs := domain.BlockPartition(in.Geo.Dim.D, nodes)
 		var want int64

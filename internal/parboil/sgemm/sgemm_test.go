@@ -155,9 +155,10 @@ func TestRefMatchesSeq(t *testing.T) {
 
 func TestBlockDecompositionSlicesInput(t *testing.T) {
 	// Each node must receive less than the full A and Bᵀ: total scattered
-	// bytes stay well below nodes × (|A|+|B|).
-	in := Gen(96, 64, 96, 33)
-	cfg := cluster.Config{Nodes: 4, CoresPerNode: 1}
+	// bytes stay well below nodes × (|A|+|B|). The wire shape is pinned
+	// exactly, so a codec or collective that grows by one byte shows here.
+	in := Gen(96, 96, 96, 103)
+	cfg := cluster.Config{Nodes: 4, CoresPerNode: 2}
 	stats, err := cluster.Run(cfg, func(s *cluster.Session) error {
 		_, err := Triolet(s, in)
 		return err
@@ -169,5 +170,8 @@ func TestBlockDecompositionSlicesInput(t *testing.T) {
 	naive := fullBoth * int64(cfg.Nodes-1) // whole input to every worker
 	if stats.Bytes >= naive {
 		t.Fatalf("moved %d bytes ≥ naive %d: 2-D slicing not effective", stats.Bytes, naive)
+	}
+	if stats.Messages != 15 || stats.Bytes != 138582 || stats.HaloBytes != 0 {
+		t.Fatalf("wire %d messages / %d bytes / %d halo, want 15/138582/0", stats.Messages, stats.Bytes, stats.HaloBytes)
 	}
 }

@@ -114,24 +114,35 @@ func checkResult(t *testing.T, name string, got, want Result) {
 	}
 }
 
+// TestTrioletMatchesSeq also pins each run's wire shape (messages, bytes,
+// halo bytes) exactly, so a codec or collective that grows by one byte
+// shows here.
 func TestTrioletMatchesSeq(t *testing.T) {
-	in := Gen(45, 7, 14, 13)
-	want := Seq(in)
-	for _, cfg := range []cluster.Config{
-		{Nodes: 1, CoresPerNode: 2},
-		{Nodes: 3, CoresPerNode: 2},
-		{Nodes: 7, CoresPerNode: 1},
+	type wireShape struct{ msgs, bytes, halo int64 }
+	small, large := Gen(45, 7, 14, 13), Gen(100, 12, 16, 107)
+	for _, row := range []struct {
+		in           *Input
+		nodes, cores int
+		wire         wireShape
+	}{
+		{small, 1, 2, wireShape{0, 0, 0}},
+		{small, 3, 2, wireShape{10, 3996, 0}},
+		{small, 7, 1, wireShape{30, 8700, 0}},
+		{large, 4, 2, wireShape{15, 15678, 0}},
 	} {
 		var got Result
-		_, err := cluster.Run(cfg, func(s *cluster.Session) error {
-			r, err := Triolet(s, in)
+		stats, err := cluster.Run(cluster.Config{Nodes: row.nodes, CoresPerNode: row.cores}, func(s *cluster.Session) error {
+			r, err := Triolet(s, row.in)
 			got = r
 			return err
 		})
 		if err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
+			t.Fatalf("%d nodes × %d cores: %v", row.nodes, row.cores, err)
 		}
-		checkResult(t, "triolet", got, want)
+		checkResult(t, "triolet", got, Seq(row.in))
+		if w := (wireShape{stats.Messages, stats.Bytes, stats.HaloBytes}); w != row.wire {
+			t.Errorf("%d nodes × %d cores: wire %+v, want %+v", row.nodes, row.cores, w, row.wire)
+		}
 	}
 }
 

@@ -256,7 +256,8 @@ func TestFarmOpChaosResume(t *testing.T) {
 // rows do not): an empty grid and more nodes than rows give the local
 // answer, the wire shape at 1, 2 and 4 nodes is the constant recorded when
 // Op still hand-rolled its collectives, and every rank brackets its
-// scatter, bcast, kernel and gather.
+// scatter, bcast, kernel and gather. The heat row pins a float grid's wire
+// shape exactly: 48×40 under Mirror, 6 sweeps on 4 nodes × 2 cores.
 func TestOpSkeletonContract(t *testing.T) {
 	par := stencil.Params[int64]{Radius: 1, Boundary: stencil.Wrap}
 	const iters = 2
@@ -278,20 +279,34 @@ func TestOpSkeletonContract(t *testing.T) {
 	}
 
 	type wireShape struct{ msgs, bytes, halo int64 }
-	wire := map[int]wireShape{1: {0, 0, 0}, 2: {9, 1669, 544}, 4: {31, 2991, 1152}}
 	g := fillI64(16, 8, 11)
-	for _, nodes := range []int{1, 2, 4} {
+	sum := func(s *cluster.Session) error {
+		_, err := opSum1.Run(s, g, par, iters)
+		return err
+	}
+	heat := fillF64(48, 40, 211)
+	heatPar := stencil.Params[float64]{Radius: 1, Boundary: stencil.Mirror}
+	for _, row := range []struct {
+		name         string
+		nodes, cores int
+		run          func(*cluster.Session) error
+		wire         wireShape
+	}{
+		{"sum", 1, 1, sum, wireShape{0, 0, 0}},
+		{"sum", 2, 1, sum, wireShape{9, 1669, 544}},
+		{"sum", 4, 1, sum, wireShape{31, 2991, 1152}},
+		{"heat", 4, 2, func(s *cluster.Session) error {
+			_, err := opHeat.Run(s, heat, heatPar, 6)
+			return err
+		}, wireShape{51, 35145, 11808}},
+	} {
 		tr := trace.New()
-		stats, err := cluster.Run(cluster.Config{Nodes: nodes, CoresPerNode: 1, Tracer: tr},
-			func(s *cluster.Session) error {
-				_, err := opSum1.Run(s, g, par, iters)
-				return err
-			})
+		stats, err := cluster.Run(cluster.Config{Nodes: row.nodes, CoresPerNode: row.cores, Tracer: tr}, row.run)
 		if err != nil {
-			t.Fatalf("%d nodes: %v", nodes, err)
+			t.Fatalf("%s on %d nodes: %v", row.name, row.nodes, err)
 		}
-		if got := (wireShape{stats.Messages, stats.Bytes, stats.HaloBytes}); got != wire[nodes] {
-			t.Errorf("%d nodes: wire %+v, want %+v", nodes, got, wire[nodes])
+		if got := (wireShape{stats.Messages, stats.Bytes, stats.HaloBytes}); got != row.wire {
+			t.Errorf("%s on %d nodes: wire %+v, want %+v", row.name, row.nodes, got, row.wire)
 		}
 		seen := map[int]map[string]bool{}
 		for _, sp := range tr.Spans() {
@@ -300,10 +315,10 @@ func TestOpSkeletonContract(t *testing.T) {
 			}
 			seen[sp.Rank][sp.Phase] = true
 		}
-		for r := range nodes {
+		for r := range row.nodes {
 			for _, phase := range []string{"scatter", "bcast", "kernel", "gather"} {
 				if !seen[r][phase] {
-					t.Errorf("%d nodes: rank %d has no %q span", nodes, r, phase)
+					t.Errorf("%s on %d nodes: rank %d has no %q span", row.name, row.nodes, r, phase)
 				}
 			}
 		}
