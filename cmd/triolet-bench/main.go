@@ -5,9 +5,6 @@
 //	triolet-bench              # everything: Figs 1, 3, 4, 5, 7, 8 + summary
 //	triolet-bench -fig 5       # one figure
 //	triolet-bench -summary     # headline claims only
-//	triolet-bench -verify      # run the real implementations on the
-//	                           # virtual cluster and check correctness
-//	triolet-bench -verify -nodes 8 -cores 2 -scale 2
 //
 // Scaling figures come from the calibrated performance model (see
 // internal/perfmodel and DESIGN.md): kernel unit costs and serialization
@@ -32,13 +29,11 @@ import (
 func main() {
 	fig := flag.Int("fig", 0, "print one figure (1, 3, 4, 5, 7, 8); 0 = all")
 	summary := flag.Bool("summary", false, "print only the headline-claims summary")
-	verify := flag.Bool("verify", false, "run real implementations on the virtual cluster and verify results")
 	sweep := flag.Bool("sweep", false, "run a real-execution scaling sweep over virtual node counts")
 	format := flag.String("format", "table", "output format for figures: table or csv")
 	breakdown := flag.Bool("breakdown", false, "with -fig 4/5/7/8: also print compute/comm/serial time components")
-	nodes := flag.Int("nodes", 4, "virtual nodes for -verify")
-	cores := flag.Int("cores", 2, "cores per virtual node for -verify/-sweep")
-	scale := flag.Int("scale", 1, "input scale multiplier for -verify")
+	nodes := flag.Int("nodes", 4, "virtual nodes for -farm-demo/-serve")
+	cores := flag.Int("cores", 2, "cores per virtual node for -sweep/-autopar-sweep")
 	out := flag.String("out", "", "directory to also write figure files into (fig1.txt, fig3.csv, fig4.csv, ...)")
 	netLatUS := flag.Int("netlat", 0, "with -sweep: simulated per-message wire latency in microseconds")
 	netMBs := flag.Float64("netbw", 0, "with -sweep: simulated wire bandwidth in MB/s")
@@ -84,17 +79,6 @@ func main() {
 
 	if *serve {
 		finish(runServe(*nodes, *addr, *walPath))
-	}
-
-	if *verify {
-		results := harness.VerifyAll(harness.VerifyConfig{Nodes: *nodes, Cores: *cores, Scale: *scale})
-		fmt.Print(harness.VerifyTable(results))
-		for _, r := range results {
-			if !r.OK {
-				finish(1)
-			}
-		}
-		return
 	}
 
 	if *sweep {

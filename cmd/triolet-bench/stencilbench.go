@@ -10,9 +10,9 @@ import (
 
 // Stencil benchmark workloads: a 5-point heat-diffusion kernel (float64,
 // collective-backed Op) and Conway's Game of Life (int64 cells, farm-backed
-// FarmOp). Both serve three consumers: the bench gate (fused sweep vs
-// hand-written loop twin), the msg gate (halo traffic footprint), and the
-// golden tests (committed checksums of final grids).
+// FarmOp). Both serve two consumers: the bench gate (fused sweep vs
+// hand-written loop twin) and the golden tests (committed checksums of
+// final grids).
 
 var (
 	benchHeat = stencil.NewOp("bench.heat", serial.F64C(), serial.F64s(), heatCell)

@@ -40,11 +40,6 @@ func (d Dim2) Contains(ix Ix2) bool {
 	return ix.Y >= 0 && ix.Y < d.H && ix.X >= 0 && ix.X < d.W
 }
 
-// Intersect returns the overlapping prefix rectangle of two Dim2 domains.
-func (d Dim2) Intersect(e Dim2) Dim2 {
-	return Dim2{H: min(d.H, e.H), W: min(d.W, e.W)}
-}
-
 func (d Dim2) String() string { return fmt.Sprintf("Dim2(%dx%d)", d.H, d.W) }
 
 // Rect is a rectangular sub-block of a Dim2 domain: rows Rows and columns

@@ -49,13 +49,6 @@ func TestDim2LinearRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDim2Intersect(t *testing.T) {
-	got := NewDim2(3, 9).Intersect(NewDim2(5, 4))
-	if got != (Dim2{3, 4}) {
-		t.Fatalf("Intersect = %v", got)
-	}
-}
-
 func TestRectBasics(t *testing.T) {
 	r := Rect{Rows: Range{1, 3}, Cols: Range{2, 6}}
 	if r.Size() != 8 {

@@ -1,26 +1,19 @@
 // Package harness regenerates the paper's tables and figures as text: the
-// Figure 1 feature matrix, the Figure 3 sequential-time bars, the scaling
-// series of Figures 4, 5, 7 and 8, and the abstract's headline claims. It
-// also runs the real (virtual-cluster) implementations at laptop scale to
-// verify cross-implementation agreement and report measured traffic —
-// the evidence EXPERIMENTS.md records.
+// Figure 1 feature matrix, the Figure 2 dispatch table, the Figure 3
+// sequential-time bars, the scaling series of Figures 4, 5, 7 and 8, and the
+// abstract's headline claims. Two runs execute real code on the virtual
+// cluster: Sweep times the ports' Triolet entry points across node counts,
+// and the AutoPar sweep checks planner-mapped farms against hand-tuned ones.
+// Each port's own tests check its Triolet, Eden and Ref twins against the
+// sequential kernel and pin the Triolet and Eden wire traffic.
 package harness
 
 import (
 	"fmt"
 	"strings"
 	"text/tabwriter"
-	"time"
 
-	"triolet/internal/cluster"
-	"triolet/internal/domain"
-	"triolet/internal/eden"
 	"triolet/internal/iter"
-	"triolet/internal/parboil"
-	"triolet/internal/parboil/cutcp"
-	"triolet/internal/parboil/mriq"
-	"triolet/internal/parboil/sgemm"
-	"triolet/internal/parboil/tpacf"
 	"triolet/internal/perfmodel"
 )
 
@@ -136,259 +129,4 @@ func SummaryTable(mo *perfmodel.Model) string {
 	w.Flush()
 	sb.WriteString("paper: Triolet at 23-100% of C+MPI+OpenMP; 9.6-99x over sequential C\n")
 	return sb.String()
-}
-
-// VerifyResult is one benchmark's real-execution check at laptop scale.
-type VerifyResult struct {
-	Bench        string
-	OK           bool
-	Detail       string
-	TrioletBytes int64
-	EdenBytes    int64
-	Elapsed      time.Duration
-}
-
-// VerifyConfig controls the real-execution verification scale.
-type VerifyConfig struct {
-	Nodes, Cores int
-	Scale        int // 1 = default laptop scale; larger multiplies input sizes
-}
-
-// DefaultVerifyConfig runs 4 virtual nodes of 2 cores at small scale.
-func DefaultVerifyConfig() VerifyConfig { return VerifyConfig{Nodes: 4, Cores: 2, Scale: 1} }
-
-// VerifyAll runs every benchmark's Triolet, Eden, and reference
-// implementations on the virtual cluster and checks them against the
-// sequential kernels.
-func VerifyAll(cfg VerifyConfig) []VerifyResult {
-	if cfg.Nodes <= 0 || cfg.Cores <= 0 {
-		cfg = DefaultVerifyConfig()
-	}
-	if cfg.Scale <= 0 {
-		cfg.Scale = 1
-	}
-	return []VerifyResult{
-		verifyMRIQ(cfg),
-		verifySGEMM(cfg),
-		verifyTPACF(cfg),
-		verifyCUTCP(cfg),
-	}
-}
-
-// VerifyTable renders verification results.
-func VerifyTable(results []VerifyResult) string {
-	var sb strings.Builder
-	sb.WriteString("Real-execution verification on the virtual cluster\n")
-	w := tabwriter.NewWriter(&sb, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "benchmark\tstatus\ttriolet bytes\teden bytes\telapsed\tdetail")
-	for _, r := range results {
-		status := "ok"
-		if !r.OK {
-			status = "FAIL"
-		}
-		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%s\t%s\n",
-			r.Bench, status, r.TrioletBytes, r.EdenBytes, r.Elapsed.Round(time.Millisecond), r.Detail)
-	}
-	w.Flush()
-	return sb.String()
-}
-
-func verifyMRIQ(cfg VerifyConfig) VerifyResult {
-	start := time.Now()
-	res := VerifyResult{Bench: "mri-q"}
-	in := mriq.Gen(2000*cfg.Scale, 256, 101)
-	want := mriq.Seq(in)
-	wr, wi := mriq.SplitQ(want)
-
-	var tq []mriq.QPoint
-	tStats, err := cluster.Run(cluster.Config{Nodes: cfg.Nodes, CoresPerNode: cfg.Cores},
-		func(s *cluster.Session) error {
-			q, err := mriq.Triolet(s, in)
-			tq = q
-			return err
-		})
-	if err != nil {
-		res.Detail = "triolet: " + err.Error()
-		res.Elapsed = time.Since(start)
-		return res
-	}
-	res.TrioletBytes = tStats.Bytes
-
-	var eq []mriq.QPoint
-	eStats, err := eden.Run(eden.Config{Processes: cfg.Nodes * cfg.Cores, ProcsPerNode: cfg.Cores},
-		func(m *eden.Master) error {
-			q, err := mriq.Eden(m, in)
-			eq = q
-			return err
-		})
-	if err != nil {
-		res.Detail = "eden: " + err.Error()
-		res.Elapsed = time.Since(start)
-		return res
-	}
-	res.EdenBytes = eStats.Bytes
-
-	rq, err := mriq.Ref(cluster.Config{Nodes: cfg.Nodes, CoresPerNode: cfg.Cores}, in)
-	if err != nil {
-		res.Detail = "ref: " + err.Error()
-		res.Elapsed = time.Since(start)
-		return res
-	}
-	worst := 0.0
-	for _, got := range [][]mriq.QPoint{tq, eq, rq} {
-		gr, gi := mriq.SplitQ(got)
-		worst = max(worst, parboil.MaxAbsDiff(gr, wr), parboil.MaxAbsDiff(gi, wi))
-	}
-	res.OK = worst == 0
-	res.Detail = fmt.Sprintf("max |diff| vs sequential C: %g", worst)
-	res.Elapsed = time.Since(start)
-	return res
-}
-
-func verifySGEMM(cfg VerifyConfig) VerifyResult {
-	start := time.Now()
-	res := VerifyResult{Bench: "sgemm"}
-	n := 96 * cfg.Scale
-	in := sgemm.Gen(n, n, n, 103)
-	want := sgemm.Seq(in)
-
-	var tc, ec [](float32)
-	tStats, err := cluster.Run(cluster.Config{Nodes: cfg.Nodes, CoresPerNode: cfg.Cores},
-		func(s *cluster.Session) error {
-			m, err := sgemm.Triolet(s, in)
-			tc = m.Data
-			return err
-		})
-	if err != nil {
-		res.Detail = "triolet: " + err.Error()
-		res.Elapsed = time.Since(start)
-		return res
-	}
-	res.TrioletBytes = tStats.Bytes
-
-	eStats, err := eden.Run(eden.Config{Processes: cfg.Nodes * cfg.Cores, ProcsPerNode: cfg.Cores},
-		func(m *eden.Master) error {
-			c, err := sgemm.Eden(m, in)
-			ec = c.Data
-			return err
-		})
-	if err != nil {
-		res.Detail = "eden: " + err.Error()
-		res.Elapsed = time.Since(start)
-		return res
-	}
-	res.EdenBytes = eStats.Bytes
-
-	rc, err := sgemm.Ref(cluster.Config{Nodes: cfg.Nodes, CoresPerNode: cfg.Cores}, in)
-	if err != nil {
-		res.Detail = "ref: " + err.Error()
-		res.Elapsed = time.Since(start)
-		return res
-	}
-	worst := max(parboil.MaxAbsDiff(tc, want.Data),
-		parboil.MaxAbsDiff(ec, want.Data),
-		parboil.MaxAbsDiff(rc.Data, want.Data))
-	res.OK = worst == 0
-	res.Detail = fmt.Sprintf("max |diff| vs sequential C: %g", worst)
-	res.Elapsed = time.Since(start)
-	return res
-}
-
-func verifyTPACF(cfg VerifyConfig) VerifyResult {
-	start := time.Now()
-	res := VerifyResult{Bench: "tpacf"}
-	in := tpacf.Gen(100*cfg.Scale, 12, 16, 107)
-	want := tpacf.Seq(in)
-
-	var tr, er tpacf.Result
-	tStats, err := cluster.Run(cluster.Config{Nodes: cfg.Nodes, CoresPerNode: cfg.Cores},
-		func(s *cluster.Session) error {
-			r, err := tpacf.Triolet(s, in)
-			tr = r
-			return err
-		})
-	if err != nil {
-		res.Detail = "triolet: " + err.Error()
-		res.Elapsed = time.Since(start)
-		return res
-	}
-	res.TrioletBytes = tStats.Bytes
-
-	eStats, err := eden.Run(eden.Config{Processes: cfg.Nodes * cfg.Cores, ProcsPerNode: cfg.Cores},
-		func(m *eden.Master) error {
-			r, err := tpacf.Eden(m, in)
-			er = r
-			return err
-		})
-	if err != nil {
-		res.Detail = "eden: " + err.Error()
-		res.Elapsed = time.Since(start)
-		return res
-	}
-	res.EdenBytes = eStats.Bytes
-
-	rr, err := tpacf.Ref(cluster.Config{Nodes: cfg.Nodes, CoresPerNode: cfg.Cores}, in)
-	if err != nil {
-		res.Detail = "ref: " + err.Error()
-		res.Elapsed = time.Since(start)
-		return res
-	}
-	ok := true
-	for _, got := range []tpacf.Result{tr, er, rr} {
-		ok = ok && parboil.EqualInt64(got.DD, want.DD) &&
-			parboil.EqualInt64(got.DRS, want.DRS) &&
-			parboil.EqualInt64(got.RRS, want.RRS)
-	}
-	res.OK = ok
-	res.Detail = "integer histograms compared exactly"
-	res.Elapsed = time.Since(start)
-	return res
-}
-
-func verifyCUTCP(cfg VerifyConfig) VerifyResult {
-	start := time.Now()
-	res := VerifyResult{Bench: "cutcp"}
-	in := cutcp.Gen(300*cfg.Scale, domain.Dim3{D: 16, H: 16, W: 16}, 0.5, 2.0, 109)
-	want := cutcp.Seq(in)
-
-	var tg, eg []float32
-	tStats, err := cluster.Run(cluster.Config{Nodes: cfg.Nodes, CoresPerNode: cfg.Cores},
-		func(s *cluster.Session) error {
-			g, err := cutcp.Triolet(s, in)
-			tg = g
-			return err
-		})
-	if err != nil {
-		res.Detail = "triolet: " + err.Error()
-		res.Elapsed = time.Since(start)
-		return res
-	}
-	res.TrioletBytes = tStats.Bytes
-
-	eStats, err := eden.Run(eden.Config{Processes: cfg.Nodes * cfg.Cores, ProcsPerNode: cfg.Cores},
-		func(m *eden.Master) error {
-			g, err := cutcp.Eden(m, in)
-			eg = g
-			return err
-		})
-	if err != nil {
-		res.Detail = "eden: " + err.Error()
-		res.Elapsed = time.Since(start)
-		return res
-	}
-	res.EdenBytes = eStats.Bytes
-
-	rg, err := cutcp.Ref(cluster.Config{Nodes: cfg.Nodes, CoresPerNode: cfg.Cores}, in)
-	if err != nil {
-		res.Detail = "ref: " + err.Error()
-		res.Elapsed = time.Since(start)
-		return res
-	}
-	worst := max(parboil.MaxRelDiff(tg, want, 1e-3),
-		parboil.MaxRelDiff(eg, want, 1e-3),
-		parboil.MaxRelDiff(rg, want, 1e-3))
-	res.OK = worst < 5e-3
-	res.Detail = fmt.Sprintf("max rel diff vs sequential C: %g (float32 summation order)", worst)
-	res.Elapsed = time.Since(start)
-	return res
 }

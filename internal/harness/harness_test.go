@@ -96,31 +96,6 @@ func TestSummaryTable(t *testing.T) {
 	}
 }
 
-func TestVerifyAllPasses(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-execution verification in -short mode")
-	}
-	results := VerifyAll(VerifyConfig{Nodes: 3, Cores: 2, Scale: 1})
-	if len(results) != 4 {
-		t.Fatalf("got %d results", len(results))
-	}
-	for _, r := range results {
-		if !r.OK {
-			t.Errorf("%s failed: %s", r.Bench, r.Detail)
-		}
-		if r.TrioletBytes <= 0 || r.EdenBytes <= 0 {
-			t.Errorf("%s: traffic not recorded: %+v", r.Bench, r)
-		}
-		// (Byte-volume comparisons between Eden and Triolet are scale-
-		// dependent; the dedicated tests in internal/parboil/mriq cover
-		// the replication claim at a scale where it holds.)
-	}
-	table := VerifyTable(results)
-	if !strings.Contains(table, "mri-q") || !strings.Contains(table, "ok") {
-		t.Errorf("verify table malformed:\n%s", table)
-	}
-}
-
 func TestBreakdownTable(t *testing.T) {
 	m := getModel()
 	s := BreakdownTable(m, perfmodel.BenchCUTCP, perfmodel.Triolet)
@@ -176,12 +151,5 @@ func TestSweepSmall(t *testing.T) {
 	table := SweepTable(points)
 	if !strings.Contains(table, "fabric bytes") {
 		t.Errorf("sweep table malformed:\n%s", table)
-	}
-}
-
-func TestVerifyDefaultsApplied(t *testing.T) {
-	cfg := DefaultVerifyConfig()
-	if cfg.Nodes != 4 || cfg.Cores != 2 || cfg.Scale != 1 {
-		t.Fatalf("defaults = %+v", cfg)
 	}
 }

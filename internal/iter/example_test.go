@@ -52,21 +52,6 @@ func ExampleScan() {
 	// Output: [1 3 6 10]
 }
 
-// GroupReduce is reduce-by-key over any iterator shape.
-func ExampleGroupReduce() {
-	sums := iter.GroupReduce(iter.Range(6),
-		func(x int) string {
-			if x%2 == 0 {
-				return "even"
-			}
-			return "odd"
-		},
-		func() int { return 0 },
-		func(a, v int) int { return a + v })
-	fmt.Println(sums["even"], sums["odd"])
-	// Output: 6 9
-}
-
 // The paper's two-line matrix-multiply structure: outerproduct of row
 // iterators, one dot product per output element.
 func ExampleOuterProduct() {

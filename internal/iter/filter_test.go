@@ -77,11 +77,11 @@ func TestFilteredConcatMapSkipsRejected(t *testing.T) {
 }
 
 func TestFilteredEarlyTermination(t *testing.T) {
-	// Any over a filtered iterator stops at the first surviving hit.
+	// Take over a filtered iterator stops at its last surviving element.
 	tested := 0
 	it := Filter(func(x int) bool { tested++; return x%7 == 0 }, Range(1000))
-	if !Any(func(x int) bool { return x == 14 }, it) {
-		t.Fatal("Any missed 14")
+	if got := ToSlice(Take(3, it)); !eqSlices(got, []int{0, 7, 14}) {
+		t.Fatalf("Take(3) = %v", got)
 	}
 	if tested > 15 {
 		t.Fatalf("predicate ran %d times, want ≤ 15", tested)

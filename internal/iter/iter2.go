@@ -61,18 +61,6 @@ func Map2[T, U any](f func(T) U, it Iter2[T]) Iter2[U] {
 	return out
 }
 
-// ZipWith2 combines corresponding elements of two 2-D iterators over the
-// intersection of their domains.
-func ZipWith2[A, B, C any](f func(A, B) C, a Iter2[A], b Iter2[B]) Iter2[C] {
-	atA, atB := a.idx.At, b.idx.At
-	out := Idx2Flat(Idx2[C]{
-		Dom: a.idx.Dom.Intersect(b.idx.Dom),
-		At:  func(y, x int) C { return f(atA(y, x), atB(y, x)) },
-	})
-	out.hint = mergeHint(a.hint, b.hint)
-	return out
-}
-
 // SliceRect restricts a 2-D iterator to the rectangle r, re-basing indices
 // at (0,0). Block-decomposed parallel loops hand each task a SliceRect.
 func SliceRect[T any](it Iter2[T], r domain.Rect) Iter2[T] {
@@ -85,18 +73,6 @@ func SliceRect[T any](it Iter2[T], r domain.Rect) Iter2[T] {
 		Dom: domain.Dim2{H: r.Rows.Len(), W: r.Cols.Len()},
 		At:  func(y, x int) T { return at(r.Rows.Lo+y, r.Cols.Lo+x) },
 	})
-	out.hint = it.hint
-	return out
-}
-
-// Linearize flattens a 2-D iterator to a 1-D iterator in row-major order,
-// so 1-D consumers (Sum, Reduce, Collect) apply.
-func Linearize[T any](it Iter2[T]) Iter[T] {
-	d := it.idx.Dom
-	at := it.idx.At
-	out := IdxFlat(Idx[T]{N: d.Size(), At: func(i int) T {
-		return at(i/d.W, i%d.W)
-	}})
 	out.hint = it.hint
 	return out
 }
@@ -128,19 +104,6 @@ func OuterProduct[A, B any](a Iter[A], b Iter[B]) Iter2[Pair[A, B]] {
 	})
 	out.hint = mergeHint(a.hint, b.hint)
 	return out
-}
-
-// Reduce2 folds all elements in row-major order.
-func Reduce2[T, A any](it Iter2[T], z A, w func(A, T) A) A {
-	d := it.idx.Dom
-	at := it.idx.At
-	acc := z
-	for y := 0; y < d.H; y++ {
-		for x := 0; x < d.W; x++ {
-			acc = w(acc, at(y, x))
-		}
-	}
-	return acc
 }
 
 // BuildInto evaluates the rectangle r of the iterator into the matching

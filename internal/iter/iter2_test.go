@@ -49,25 +49,6 @@ func TestTranspositionViaGather(t *testing.T) {
 	}
 }
 
-func TestMap2ZipWith2(t *testing.T) {
-	a := FromMatrix2(seqMatrix2(2, 2))
-	doubled := Map2(func(x int) int { return 2 * x }, a)
-	summed := ZipWith2(func(x, y int) int { return x + y }, a, doubled)
-	got := Build(summed)
-	if !eqSlices(got.Data, []int{0, 3, 6, 9}) {
-		t.Fatalf("ZipWith2 = %v", got.Data)
-	}
-}
-
-func TestZipWith2Intersection(t *testing.T) {
-	a := FromMatrix2(seqMatrix2(2, 5))
-	b := FromMatrix2(seqMatrix2(4, 3))
-	z := ZipWith2(func(x, y int) int { return x + y }, a, b)
-	if z.Dom() != (domain.Dim2{H: 2, W: 3}) {
-		t.Fatalf("intersection dom = %v", z.Dom())
-	}
-}
-
 func TestSliceRect(t *testing.T) {
 	m := seqMatrix2(4, 4)
 	sub := SliceRect(FromMatrix2(m), domain.Rect{
@@ -93,16 +74,6 @@ func TestSliceRectOutsidePanics(t *testing.T) {
 		Rows: domain.Range{Lo: 0, Hi: 3},
 		Cols: domain.Range{Lo: 0, Hi: 2},
 	})
-}
-
-func TestLinearize(t *testing.T) {
-	m := seqMatrix2(3, 2)
-	if got := Sum(Linearize(FromMatrix2(m))); got != 15 {
-		t.Fatalf("Linearize sum = %d", got)
-	}
-	if got := ToSlice(Linearize(FromMatrix2(m))); !eqSlices(got, m.Data) {
-		t.Fatalf("Linearize order = %v", got)
-	}
 }
 
 func TestRowsOf(t *testing.T) {
@@ -145,14 +116,6 @@ func TestOuterProductRequiresFlat(t *testing.T) {
 	OuterProduct(Filter(func(int) bool { return true }, Range(3)), Range(3))
 }
 
-func TestReduce2(t *testing.T) {
-	m := seqMatrix2(2, 3)
-	got := Reduce2(FromMatrix2(m), 0, func(a, v int) int { return a + v })
-	if got != 15 {
-		t.Fatalf("Reduce2 = %d", got)
-	}
-}
-
 func TestBuildIntoRects(t *testing.T) {
 	// Building rectangle-by-rectangle must equal building whole.
 	prop := func(h0, w0, py0, px0 uint8) bool {
@@ -181,8 +144,5 @@ func TestPar2Hints(t *testing.T) {
 	}
 	if Map2(func(x int) int { return x }, Par2(it)).Hint() != ClusterPar {
 		t.Fatal("Map2 dropped hint")
-	}
-	if Linearize(Par2(it)).Hint() != ClusterPar {
-		t.Fatal("Linearize dropped hint")
 	}
 }

@@ -19,38 +19,6 @@ func irregular(xs []int) Iter[int] {
 	}, FromSlice(xs))
 }
 
-func TestEnumerateFlat(t *testing.T) {
-	it := Enumerate(FromSlice([]string{"a", "b", "c"}))
-	if it.Kind() != KIdxFlat {
-		t.Fatalf("kind = %v", it.Kind())
-	}
-	got := ToSlice(it)
-	if got[2].Fst != 2 || got[2].Snd != "c" {
-		t.Fatalf("Enumerate = %v", got)
-	}
-	// Hint survives.
-	if Enumerate(Par(FromSlice([]int{1}))).Hint() != ClusterPar {
-		t.Fatal("Enumerate dropped hint")
-	}
-}
-
-func TestEnumerateIrregular(t *testing.T) {
-	it := Enumerate(irregular([]int{2, 3, 4, 5}))
-	if it.Kind() != KStepFlat {
-		t.Fatalf("kind = %v", it.Kind())
-	}
-	got := ToSlice(it)
-	want := []Pair[int, int]{{0, 3}, {1, 5}}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("Enumerate = %v", got)
-	}
-	// Restartable: consuming twice yields the same numbering.
-	again := ToSlice(it)
-	if len(again) != 2 || again[1] != want[1] {
-		t.Fatalf("second traversal = %v", again)
-	}
-}
-
 func TestTakeDrop(t *testing.T) {
 	it := Range(10)
 	if got := ToSlice(Take(3, it)); !eqSlices(got, []int{0, 1, 2}) {
@@ -82,7 +50,6 @@ func TestTakeDropNegativePanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { Take(-1, Range(3)) },
 		func() { Drop(-1, Range(3)) },
-		func() { Chunks(0, Range(3)) },
 	} {
 		func() {
 			defer func() {
@@ -134,109 +101,6 @@ func TestScan(t *testing.T) {
 	}
 }
 
-func TestAnyAllFindShortCircuit(t *testing.T) {
-	calls := 0
-	it := Map(func(x int) int { calls++; return x }, Range(100))
-	if !Any(func(x int) bool { return x == 3 }, it) {
-		t.Fatal("Any missed")
-	}
-	if calls != 4 {
-		t.Fatalf("Any evaluated %d elements, want 4", calls)
-	}
-	calls = 0
-	if All(func(x int) bool { return x < 2 }, it) {
-		t.Fatal("All wrong")
-	}
-	if calls != 3 { // 0, 1 pass; 2 fails
-		t.Fatalf("All evaluated %d elements, want 3", calls)
-	}
-	v, ok := Find(func(x int) bool { return x > 50 }, it)
-	if !ok || v != 51 {
-		t.Fatalf("Find = %d,%v", v, ok)
-	}
-	if _, ok := Find(func(int) bool { return false }, it); ok {
-		t.Fatal("Find found nothing")
-	}
-}
-
-func TestAnyOverNests(t *testing.T) {
-	// Early termination must propagate out of inner loops.
-	evaluated := 0
-	it := ConcatMap(func(x int) Iter[int] {
-		return Map(func(j int) int { evaluated++; return x*10 + j }, Range(3))
-	}, Range(5))
-	if !Any(func(v int) bool { return v == 11 }, it) {
-		t.Fatal("Any missed in nest")
-	}
-	if evaluated > 6 {
-		t.Fatalf("Any evaluated %d nested elements", evaluated)
-	}
-}
-
-func TestMaxByMinBy(t *testing.T) {
-	xs := []string{"ccc", "a", "bb", "dddd", "ee"}
-	it := FromSlice(xs)
-	v, ok := MaxBy(func(s string) int { return len(s) }, it)
-	if !ok || v != "dddd" {
-		t.Fatalf("MaxBy = %q,%v", v, ok)
-	}
-	v, ok = MinBy(func(s string) int { return len(s) }, it)
-	if !ok || v != "a" {
-		t.Fatalf("MinBy = %q,%v", v, ok)
-	}
-	if _, ok := MaxBy(func(int) int { return 0 }, Empty[int]()); ok {
-		t.Fatal("MaxBy of empty reported ok")
-	}
-	// Ties keep the earliest.
-	v, _ = MaxBy(func(s string) int { return len(s) }, FromSlice([]string{"xx", "yy"}))
-	if v != "xx" {
-		t.Fatalf("tie = %q", v)
-	}
-}
-
-func TestGroupReduce(t *testing.T) {
-	it := Range(10)
-	got := GroupReduce(it,
-		func(x int) int { return x % 3 },
-		func() int { return 0 },
-		func(a, v int) int { return a + v })
-	if got[0] != 0+3+6+9 || got[1] != 1+4+7 || got[2] != 2+5+8 {
-		t.Fatalf("GroupReduce = %v", got)
-	}
-	// Works over irregular input too.
-	got = GroupReduce(irregular([]int{1, 2, 3, 4, 5}),
-		func(x int) int { return x % 2 },
-		func() int { return 0 },
-		func(a, v int) int { return a + v })
-	if got[1] != 9 || len(got) != 1 {
-		t.Fatalf("irregular GroupReduce = %v", got)
-	}
-}
-
-func TestChunks(t *testing.T) {
-	it := Chunks(4, Range(10))
-	if n, ok := it.OuterLen(); !ok || n != 3 {
-		t.Fatalf("chunk count = %d,%v", n, ok)
-	}
-	var lens []int
-	Collect(Map(func(c Iter[int]) int { return Count(c) }, it)).RunInto(&lens)
-	if !eqSlices(lens, []int{4, 4, 2}) {
-		t.Fatalf("chunk lens = %v", lens)
-	}
-	if got := Sum(Flatten(it)); got != 45 {
-		t.Fatalf("flatten sum = %d", got)
-	}
-}
-
-func TestChunksRequiresFlat(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Chunks(2, irregular([]int{1}))
-}
-
 func TestMean(t *testing.T) {
 	m, n := Mean(FromSlice([]float64{1, 2, 3, 4}))
 	if m != 2.5 || n != 4 {
@@ -279,26 +143,6 @@ func TestScanLastEqualsReduce(t *testing.T) {
 			return len(scanned) == 0
 		}
 		return scanned[len(scanned)-1] == folded
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: GroupReduce totals equal the plain Reduce total.
-func TestGroupReduceMassConservation(t *testing.T) {
-	prop := func(xs []int16) bool {
-		it := FromSlice(xs)
-		groups := GroupReduce(it,
-			func(x int16) int16 { return x % 7 },
-			func() int64 { return 0 },
-			func(a int64, v int16) int64 { return a + int64(v) })
-		var fromGroups int64
-		for _, v := range groups {
-			fromGroups += v
-		}
-		total := Reduce(it, int64(0), func(a int64, v int16) int64 { return a + int64(v) })
-		return fromGroups == total
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)

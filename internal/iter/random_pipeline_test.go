@@ -108,46 +108,6 @@ func TestRandomPipelinesAgainstReference(t *testing.T) {
 	}
 }
 
-// The same generative check through the fold path (Any-driven early
-// termination must never change which elements exist).
-func TestRandomPipelinesFindAgreesWithReference(t *testing.T) {
-	prop := func(seed []int16, ops []PipeOp, probe int16) bool {
-		if len(ops) > 5 {
-			ops = ops[:5]
-		}
-		xs := make([]int64, len(seed))
-		for i, v := range seed {
-			xs[i] = int64(v % 50)
-		}
-		it := FromSlice(xs)
-		ref := xs
-		for _, op := range ops {
-			it = ApplyPipeOp(op, it)
-			ref = ApplyPipeOpRef(op, ref)
-			if len(ref) > 20000 {
-				return true
-			}
-		}
-		target := int64(probe % 50)
-		wantIdx := -1
-		for i, v := range ref {
-			if v == target {
-				wantIdx = i
-				break
-			}
-		}
-		got, ok := Find(func(v int64) bool { return v == target }, it)
-		if ok != (wantIdx >= 0) {
-			return false
-		}
-		return !ok || got == target
-	}
-	cfg := &quick.Config{MaxCount: 200}
-	if err := quick.Check(prop, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // BuildPipeline/RefPipeline must agree with op-by-op application (they are
 // the forms diffcheck and the fuzz targets consume).
 func TestPipelineHelpersAgreeWithStepwiseApplication(t *testing.T) {

@@ -86,43 +86,63 @@ func checkAgainstSeq(t *testing.T, name string, got []QPoint, in *Input) {
 	}
 }
 
+// TestTrioletMatchesSeq also pins each run's wire shape (messages, bytes,
+// halo bytes) exactly, so a codec or collective that grows by one byte
+// shows here.
 func TestTrioletMatchesSeq(t *testing.T) {
-	in := Gen(333, 64, 11)
-	for _, cfg := range []cluster.Config{
-		{Nodes: 1, CoresPerNode: 2},
-		{Nodes: 3, CoresPerNode: 2},
-		{Nodes: 8, CoresPerNode: 1},
+	type wireShape struct{ msgs, bytes, halo int64 }
+	small, large := Gen(333, 64, 11), Gen(2000, 256, 101)
+	for _, row := range []struct {
+		in           *Input
+		nodes, cores int
+		wire         wireShape
+	}{
+		{small, 1, 2, wireShape{0, 0, 0}},
+		{small, 3, 2, wireShape{10, 6690, 0}},
+		{small, 8, 1, wireShape{35, 13695, 0}},
+		{large, 4, 2, wireShape{15, 42591, 0}},
 	} {
 		var got []QPoint
-		_, err := cluster.Run(cfg, func(s *cluster.Session) error {
-			q, err := Triolet(s, in)
+		stats, err := cluster.Run(cluster.Config{Nodes: row.nodes, CoresPerNode: row.cores}, func(s *cluster.Session) error {
+			q, err := Triolet(s, row.in)
 			got = q
 			return err
 		})
 		if err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
+			t.Fatalf("%d nodes × %d cores: %v", row.nodes, row.cores, err)
 		}
-		checkAgainstSeq(t, "triolet", got, in)
+		checkAgainstSeq(t, "triolet", got, row.in)
+		if w := (wireShape{stats.Messages, stats.Bytes, stats.HaloBytes}); w != row.wire {
+			t.Errorf("%d nodes × %d cores: wire %+v, want %+v", row.nodes, row.cores, w, row.wire)
+		}
 	}
 }
 
+// TestEdenMatchesSeq also pins each run's fabric bytes exactly.
 func TestEdenMatchesSeq(t *testing.T) {
 	in := Gen(2500, 48, 13) // > 2 chunks of 1024
-	for _, cfg := range []eden.Config{
-		{Processes: 1},
-		{Processes: 4, ProcsPerNode: 2},
-		{Processes: 6, ProcsPerNode: 3},
+	for _, row := range []struct {
+		cfg   eden.Config
+		bytes int64
+	}{
+		{eden.Config{Processes: 1}, 0},
+		{eden.Config{Processes: 4, ProcsPerNode: 2}, 31303},
+		{eden.Config{Processes: 6, ProcsPerNode: 3}, 31303},
+		{eden.Config{Processes: 8, ProcsPerNode: 2}, 31423},
 	} {
 		var got []QPoint
-		_, err := eden.Run(cfg, func(m *eden.Master) error {
+		stats, err := eden.Run(row.cfg, func(m *eden.Master) error {
 			q, err := Eden(m, in)
 			got = q
 			return err
 		})
 		if err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
+			t.Fatalf("%+v: %v", row.cfg, err)
 		}
 		checkAgainstSeq(t, "eden", got, in)
+		if stats.Bytes != row.bytes {
+			t.Errorf("%+v: %d bytes, want %d", row.cfg, stats.Bytes, row.bytes)
+		}
 	}
 }
 

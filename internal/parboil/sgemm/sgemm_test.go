@@ -106,22 +106,30 @@ func TestTrioletMatchesSeq(t *testing.T) {
 	}
 }
 
+// TestEdenMatchesSeq also pins each run's fabric bytes exactly.
 func TestEdenMatchesSeq(t *testing.T) {
 	in := Gen(33, 20, 29, 23)
-	for _, cfg := range []eden.Config{
-		{Processes: 1},
-		{Processes: 4, ProcsPerNode: 2},
+	for _, row := range []struct {
+		cfg   eden.Config
+		bytes int64
+	}{
+		{eden.Config{Processes: 1}, 0},
+		{eden.Config{Processes: 4, ProcsPerNode: 2}, 13940},
+		{eden.Config{Processes: 8, ProcsPerNode: 2}, 23758},
 	} {
 		var got array.Matrix[float32]
-		_, err := eden.Run(cfg, func(m *eden.Master) error {
+		stats, err := eden.Run(row.cfg, func(m *eden.Master) error {
 			c, err := Eden(m, in)
 			got = c
 			return err
 		})
 		if err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
+			t.Fatalf("%+v: %v", row.cfg, err)
 		}
 		checkMatch(t, "eden", got, in)
+		if stats.Bytes != row.bytes {
+			t.Errorf("%+v: %d bytes, want %d", row.cfg, stats.Bytes, row.bytes)
+		}
 	}
 }
 

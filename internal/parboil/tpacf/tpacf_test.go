@@ -146,23 +146,31 @@ func TestTrioletMatchesSeq(t *testing.T) {
 	}
 }
 
+// TestEdenMatchesSeq also pins each run's fabric bytes exactly.
 func TestEdenMatchesSeq(t *testing.T) {
 	in := Gen(40, 6, 14, 17)
 	want := Seq(in)
-	for _, cfg := range []eden.Config{
-		{Processes: 1},
-		{Processes: 4, ProcsPerNode: 2},
+	for _, row := range []struct {
+		cfg   eden.Config
+		bytes int64
+	}{
+		{eden.Config{Processes: 1}, 0},
+		{eden.Config{Processes: 4, ProcsPerNode: 2}, 6608},
+		{eden.Config{Processes: 8, ProcsPerNode: 2}, 8048},
 	} {
 		var got Result
-		_, err := eden.Run(cfg, func(m *eden.Master) error {
+		stats, err := eden.Run(row.cfg, func(m *eden.Master) error {
 			r, err := Eden(m, in)
 			got = r
 			return err
 		})
 		if err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
+			t.Fatalf("%+v: %v", row.cfg, err)
 		}
 		checkResult(t, "eden", got, want)
+		if stats.Bytes != row.bytes {
+			t.Errorf("%+v: %d bytes, want %d", row.cfg, stats.Bytes, row.bytes)
+		}
 	}
 }
 

@@ -18,19 +18,3 @@ func ExampleMarshal() {
 	fmt.Println(err, out[1].Fst, out[1].Snd)
 	// Output: <nil> 2 [1.5 2.5]
 }
-
-// Object graphs serialize transitively: shared substructure crosses the
-// wire once and is rebuilt as sharing, exactly as the paper's runtime
-// serializes heap objects (§3.4).
-func ExampleEncodeGraph() {
-	shared := &serial.Node{Payload: []byte("shared")}
-	root := &serial.Node{Refs: []*serial.Node{
-		{Payload: []byte("left"), Refs: []*serial.Node{shared}},
-		{Payload: []byte("right"), Refs: []*serial.Node{shared}},
-	}}
-	w := serial.NewWriter(0)
-	serial.EncodeGraph(w, root)
-	got, _ := serial.DecodeGraph(serial.NewReader(w.Bytes()))
-	fmt.Println(serial.GraphSize(got), got.Refs[0].Refs[0] == got.Refs[1].Refs[0])
-	// Output: 4 true
-}

@@ -73,22 +73,3 @@ func FuzzMatrixCodec(f *testing.F) {
 		}
 	})
 }
-
-func FuzzGraphDecoder(f *testing.F) {
-	a := &Node{Payload: []byte("a")}
-	b := &Node{Payload: []byte("b"), Refs: []*Node{a}}
-	a.Refs = []*Node{b}
-	w := NewWriter(0)
-	EncodeGraph(w, a)
-	f.Add(w.Bytes())
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		root, err := DecodeGraph(NewReader(data))
-		if err == nil && root != nil {
-			// A decoded graph must be re-encodable: the walker must not
-			// chase dangling references.
-			w := NewWriter(0)
-			EncodeGraph(w, root)
-		}
-	})
-}
