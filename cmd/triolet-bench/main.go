@@ -41,10 +41,7 @@ func main() {
 	serve := flag.Bool("serve", false, "host the multi-tenant job service over HTTP on a virtual cluster")
 	addr := flag.String("addr", "localhost:8080", "with -serve: HTTP listen address")
 	walPath := flag.String("wal", "", "with -serve: registry WAL path (durable jobs; restart resumes)")
-	benchGate := flag.Bool("bench-gate", false, "run the fused-pipeline regression benchmarks")
-	jsonOut := flag.Bool("json", false, "with -bench-gate or -autopar-sweep: emit results as JSON")
-	baseline := flag.String("baseline", "", "with -bench-gate: compare ratios against this baseline file and fail when one exceeds max(1.10 x baseline, 1.4)")
-	writeBaseline := flag.String("write-baseline", "", "with -bench-gate: write the measured ratios to this file")
+	jsonOut := flag.Bool("json", false, "with -autopar-sweep: emit results as JSON")
 	autoParSweep := flag.Bool("autopar-sweep", false, "run the AutoPar acceptance sweep: planner-mapped runs vs best hand-tuned 1-8 node configs, with online recalibration")
 	autoParBound := flag.Float64("autopar-bound", 1.10, "with -autopar-sweep: fail if any auto-mapped run exceeds bound x best hand-tuned time")
 	autoParCalib := flag.String("autopar-calib", "", "with -autopar-sweep: calibration snapshot path to load/update (default: no persistence)")
@@ -64,10 +61,6 @@ func main() {
 		os.Exit(code)
 	}
 	defer stopProfiles()
-
-	if *benchGate {
-		finish(runBenchGate(*jsonOut, *baseline, *writeBaseline))
-	}
 
 	if *autoParSweep {
 		finish(runAutoParSweep(*jsonOut, *autoParBound, *autoParCalib, *cores))

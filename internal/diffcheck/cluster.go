@@ -169,11 +169,13 @@ func fastRetry() *mpi.ReliableConfig {
 	}
 }
 
-func clusterConfig(m Mode, opt Options) cluster.Config {
-	cfg := cluster.Config{Nodes: m.nodes(), CoresPerNode: opt.cores()}
-	if m.Fabric == Lossy {
+// fabricConfig is a virtual cluster of nodes over the given fabric: a
+// lossy one injects lossyProfile's faults and rides the given retry ladder.
+func fabricConfig(nodes int, fabric Fabric, opt Options, ladder *mpi.ReliableConfig) cluster.Config {
+	cfg := cluster.Config{Nodes: nodes, CoresPerNode: opt.cores()}
+	if fabric == Lossy {
 		cfg.Fault = lossyProfile(997)
-		cfg.Reliable = fastRetry()
+		cfg.Reliable = ladder
 	}
 	return cfg
 }
@@ -211,97 +213,87 @@ func decodeParts(fr *cluster.FarmResult) ([]Obs, error) {
 // parParts executes the pipeline on a virtual cluster and returns the
 // per-chunk observations; Run merges them.
 func parParts(p Pipeline, m Mode, opt Options) ([]Obs, error) {
+	// A Resume run's small per-task delay gives the killer a window; resumed
+	// results must be byte-identical regardless of where the kill lands.
+	var delay time.Duration
 	if m.Lifecycle == Resume {
-		return parPartsResume(p, m, opt)
+		delay = resumeTaskDelay
 	}
-	tasks := parTasks(p, m.Engine, opt, 0)
+	tasks := parTasks(p, m.Engine, opt, delay)
 	var fr *cluster.FarmResult
-	_, err := cluster.Run(clusterConfig(m, opt), func(s *cluster.Session) error {
+	farm := func(s *cluster.Session, fo cluster.FarmOptions) error {
 		var err error
-		fr, err = s.Farm(chunkKernel, tasks)
+		fr, err = s.FarmOpts(chunkKernel, tasks, fo)
 		return err
-	})
-	if err != nil {
+	}
+	if err := runLifecycle(fabricConfig(m.nodes(), m.Fabric, opt, fastRetry()), m.Lifecycle, 1, farm); err != nil {
 		return nil, fmt.Errorf("diffcheck: %s: %w", m, err)
 	}
 	return decodeParts(fr)
 }
 
-// parPartsResume executes the job twice: the first session is killed
-// (context cancel — the in-process stand-in for kill -9) once at least one
-// task record reaches the WAL, and a second session resumes from the
-// reopened WAL. The merged observation must be bit-identical to a fresh
-// run's, which is exactly what the oracle then checks.
-func parPartsResume(p Pipeline, m Mode, opt Options) ([]Obs, error) {
+// runLifecycle runs one farm job in a session of cfg: once for a Fresh
+// lifecycle, and for Resume in two lives over a WAL in a temp dir. The
+// first life is killed (context cancel — the in-process stand-in for kill
+// -9) once the WAL holds kill records, and a brand-new session resumes from
+// the reopened WAL. job runs the work with the farm options it must pass
+// to every farm call. If the job outruns the killer (tiny jobs), its
+// complete fresh run stands as the observation; either way the oracle
+// demands the result be bit-identical to a fresh run's.
+func runLifecycle(cfg cluster.Config, lc Lifecycle, kill int, job func(*cluster.Session, cluster.FarmOptions) error) error {
+	if lc != Resume {
+		_, err := cluster.Run(cfg, func(s *cluster.Session) error { return job(s, cluster.FarmOptions{}) })
+		return err
+	}
 	dir, err := os.MkdirTemp("", "diffcheck-wal-")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer os.RemoveAll(dir)
 	walPath := filepath.Join(dir, "job.wal")
 	wal, err := checkpoint.OpenWAL(walPath)
 	if err != nil {
-		return nil, err
+		return err
 	}
-
-	// A small per-task delay gives the killer a window; resumed results
-	// must be byte-identical regardless of where the kill lands.
-	tasks := parTasks(p, m.Engine, opt, resumeTaskDelay)
-	const job = "diffcheck"
-	cfg := clusterConfig(m, opt)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	stopKiller := make(chan struct{})
 	killerDone := make(chan struct{})
 	go func() {
 		defer close(killerDone)
-		for {
-			select {
-			case <-stopKiller:
-				return
-			default:
-			}
-			if wal.Records() >= 1 {
+		for ctx.Err() == nil {
+			if wal.Records() >= kill {
 				cancel()
 				return
 			}
 			time.Sleep(200 * time.Microsecond)
 		}
 	}()
-	var fr *cluster.FarmResult
 	_, firstErr := cluster.RunCtx(ctx, cfg, func(s *cluster.Session) error {
-		var err error
-		fr, err = s.FarmOpts(chunkKernel, tasks, cluster.FarmOptions{Checkpoint: wal, Job: job})
-		return err
+		return job(s, cluster.FarmOptions{Checkpoint: wal, Job: "diffcheck"})
 	})
-	close(stopKiller)
+	cancel()
 	<-killerDone
-	if cerr := wal.Close(); cerr != nil {
-		return nil, cerr
+	if err := wal.Close(); err != nil {
+		return err
 	}
 	if firstErr == nil {
-		// The job outran the killer (tiny pipelines): its results are a
-		// complete fresh run, still a valid observation for this mode.
-		return decodeParts(fr)
+		return nil
 	}
 	if !errors.Is(firstErr, context.Canceled) {
-		return nil, fmt.Errorf("diffcheck: %s first life: %w", m, firstErr)
+		return fmt.Errorf("first life: %w", firstErr)
 	}
 
-	// Second life: a brand-new session resumes from the WAL on disk.
 	wal2, err := checkpoint.OpenWAL(walPath)
 	if err != nil {
-		return nil, fmt.Errorf("diffcheck: reopen WAL: %w", err)
+		return fmt.Errorf("reopen WAL: %w", err)
 	}
 	defer wal2.Close()
 	_, err = cluster.Run(cfg, func(s *cluster.Session) error {
-		var err error
-		fr, err = s.FarmOpts(chunkKernel, tasks, cluster.FarmOptions{Checkpoint: wal2, Job: job})
-		return err
+		return job(s, cluster.FarmOptions{Checkpoint: wal2, Job: "diffcheck"})
 	})
 	if err != nil {
-		return nil, fmt.Errorf("diffcheck: %s second life: %w", m, err)
+		return fmt.Errorf("second life: %w", err)
 	}
-	return decodeParts(fr)
+	return nil
 }

@@ -26,9 +26,14 @@ var (
 	// the sum of absolute values (see Within's scale parameter), so
 	// catastrophic cancellation does not produce false alarms.
 	TolFloatSum = Tolerance{RelDiff: 1e-9, Floor: 1e-9}
-	// TolCutcpGrid bounds cutcp's float32 potential grid across execution
-	// modes (relative, floored for near-zero grid points).
-	TolCutcpGrid = Tolerance{RelDiff: 1e-4, Floor: 1e-3}
+	// TolCutcpGrid bounds one point of cutcp's float32 potential grid
+	// across execution modes, conditioning-scaled like TolFloatSum: a point
+	// is the float32 sum of the k contributions of the atoms within the
+	// cutoff, and any two summation orders of those terms differ by at most
+	// 2·(k−1)·u·Σ|term|, u = 2⁻²⁴ the float32 unit roundoff. Callers pass
+	// k·Σ|term|, computed from the input, as Within's scale, so one bound
+	// holds for every input size and schedule.
+	TolCutcpGrid = Tolerance{RelDiff: 0x1p-23}
 	// TolCutcpPoint bounds a single cutcp potential value.
 	TolCutcpPoint = Tolerance{Abs: 1e-6}
 	// TolMriq bounds mri-q's reconstructed Q values.
@@ -53,24 +58,6 @@ func (t Tolerance) Within(a, b, scale float64) bool {
 	den = math.Max(den, scale)
 	den = math.Max(den, t.Floor)
 	return d <= t.RelDiff*den
-}
-
-// MaxRelDiffF32 is the worst relative difference between two float32
-// slices under the tolerance's Floor — the quantity the parboil grid
-// checks bound by RelDiff.
-func (t Tolerance) MaxRelDiffF32(a, b []float32) float64 {
-	if len(a) != len(b) {
-		return math.Inf(1)
-	}
-	worst := 0.0
-	for i := range a {
-		av, bv := float64(a[i]), float64(b[i])
-		den := math.Max(math.Max(math.Abs(av), math.Abs(bv)), t.Floor)
-		if d := math.Abs(av-bv) / den; d > worst {
-			worst = d
-		}
-	}
-	return worst
 }
 
 // Mismatch is one detected cross-mode divergence.

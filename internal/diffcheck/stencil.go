@@ -1,14 +1,9 @@
 package diffcheck
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
-	"triolet/internal/checkpoint"
 	"triolet/internal/cluster"
 	"triolet/internal/iter"
 	"triolet/internal/mpi"
@@ -126,16 +121,16 @@ func RunStencil[T comparable](op *stencil.FarmOp[T], g iter.Matrix2[T], par sten
 		defer pool.Close()
 		return stencil.Stencil[T]{Params: par, Fn: fn}.Iterate(pool, g, iters).Data, nil
 	case Par:
-		if m.Lifecycle == Resume {
-			return runStencilResume(op, g, par, iters, m, opt)
-		}
 		var out iter.Matrix2[T]
-		_, err := cluster.Run(stencilClusterConfig(m, opt), func(s *cluster.Session) error {
+		sweep := func(s *cluster.Session, fo cluster.FarmOptions) error {
 			var err error
-			out, err = op.Run(s, g, par, iters, stencil.FarmRunOptions{})
+			out, err = op.Run(s, g, par, iters, stencil.FarmRunOptions{Farm: fo})
 			return err
-		})
-		if err != nil {
+		}
+		// A Resume run dies once the WAL holds two slab records: mid-sweep,
+		// since each sweep is its own WAL job. Completed sweeps replay from
+		// their records; the interrupted one re-runs only unfinished slabs.
+		if err := runLifecycle(fabricConfig(m.nodes(), m.Fabric, opt, stencilRetry()), m.Lifecycle, 2, sweep); err != nil {
 			return nil, fmt.Errorf("diffcheck: %s: %w", m, err)
 		}
 		return out.Data, nil
@@ -143,98 +138,17 @@ func RunStencil[T comparable](op *stencil.FarmOp[T], g iter.Matrix2[T], par sten
 	return nil, fmt.Errorf("diffcheck: unknown exec %d", m.Exec)
 }
 
-func stencilClusterConfig(m StencilMode, opt Options) cluster.Config {
-	cfg := cluster.Config{Nodes: m.nodes(), CoresPerNode: opt.cores()}
-	if m.Fabric == Lossy {
-		cfg.Fault = lossyProfile(997)
-		// A tighter retry ladder than fastRetry: the iterated stencil runs
-		// several farm rounds back-to-back, so a single send that rides the
-		// ladder to exhaustion (peer declared dead, task requeued — exactly
-		// the chaos being exercised) should cost a fraction of a second,
-		// not the multi-second worst case of the pipeline oracle's ladder.
-		cfg.Reliable = &mpi.ReliableConfig{
-			AckTimeout:    500 * time.Microsecond,
-			Retries:       60,
-			MaxAckTimeout: 10 * time.Millisecond,
-		}
+// stencilRetry is a tighter retry ladder than fastRetry: the iterated
+// stencil runs several farm rounds back-to-back, so a single send that
+// rides the ladder to exhaustion (peer declared dead, task requeued —
+// exactly the chaos being exercised) should cost a fraction of a second,
+// not the multi-second worst case of the pipeline oracle's ladder.
+func stencilRetry() *mpi.ReliableConfig {
+	return &mpi.ReliableConfig{
+		AckTimeout:    500 * time.Microsecond,
+		Retries:       60,
+		MaxAckTimeout: 10 * time.Millisecond,
 	}
-	return cfg
-}
-
-// runStencilResume is the stencil oracle's kill-and-resume cell, mirroring
-// runParResume: the first session dies by context cancel once the WAL holds
-// a few slab records (mid-iteration — each sweep is its own WAL job), and a
-// second session resumes from the reopened WAL. Completed sweeps replay
-// from their records; the interrupted sweep re-runs only unfinished slabs.
-func runStencilResume[T comparable](op *stencil.FarmOp[T], g iter.Matrix2[T], par stencil.Params[T],
-	iters int, m StencilMode, opt Options) ([]T, error) {
-	dir, err := os.MkdirTemp("", "diffcheck-stencil-wal-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	walPath := filepath.Join(dir, "stencil.wal")
-	wal, err := checkpoint.OpenWAL(walPath)
-	if err != nil {
-		return nil, err
-	}
-	const job = "diffcheck-stencil"
-	cfg := stencilClusterConfig(m, opt)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	stopKiller := make(chan struct{})
-	killerDone := make(chan struct{})
-	go func() {
-		defer close(killerDone)
-		for {
-			select {
-			case <-stopKiller:
-				return
-			default:
-			}
-			if wal.Records() >= 2 {
-				cancel()
-				return
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-	var out iter.Matrix2[T]
-	_, firstErr := cluster.RunCtx(ctx, cfg, func(s *cluster.Session) error {
-		var err error
-		out, err = op.Run(s, g, par, iters,
-			stencil.FarmRunOptions{Farm: cluster.FarmOptions{Checkpoint: wal, Job: job}})
-		return err
-	})
-	close(stopKiller)
-	<-killerDone
-	if cerr := wal.Close(); cerr != nil {
-		return nil, cerr
-	}
-	if firstErr == nil {
-		// The job outran the killer: a complete fresh run is still a valid
-		// observation for this mode.
-		return out.Data, nil
-	}
-	if !errors.Is(firstErr, context.Canceled) {
-		return nil, fmt.Errorf("diffcheck: %s first life: %w", m, firstErr)
-	}
-	wal2, err := checkpoint.OpenWAL(walPath)
-	if err != nil {
-		return nil, fmt.Errorf("diffcheck: reopen stencil WAL: %w", err)
-	}
-	defer wal2.Close()
-	_, err = cluster.Run(cfg, func(s *cluster.Session) error {
-		var err error
-		out, err = op.Run(s, g, par, iters,
-			stencil.FarmRunOptions{Farm: cluster.FarmOptions{Checkpoint: wal2, Job: job}})
-		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("diffcheck: %s second life: %w", m, err)
-	}
-	return out.Data, nil
 }
 
 // StencilMismatch reports the first diverging cell between two modes.

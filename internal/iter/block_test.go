@@ -9,7 +9,7 @@ import (
 // White-box tests for the block engine: FillRange's three paths, and the
 // invariant that pipeline constructors preserve the block representations
 // through composition and Split. Losing one is not a correctness bug — the
-// At loop gives the same answer — so only these tests and the bench gate
+// At loop gives the same answer — so only these tests and TestFastPathPins
 // would catch the regression.
 
 func TestBlockSizeIsPowerOfTwo(t *testing.T) {

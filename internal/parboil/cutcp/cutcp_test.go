@@ -104,23 +104,34 @@ func TestSeqSingleAtomMass(t *testing.T) {
 	}
 }
 
-// checkGrid compares against Seq with a tolerance for float32 summation
-// order (parallel schedules add contributions in different orders).
+// checkGrid compares against Seq under the FP contract: parallel schedules
+// add each point's contributions in different orders.
 func checkGrid(t *testing.T, name string, got []float32, in *Input) {
 	t.Helper()
-	checkGridWithin(t, name, got, in, diffcheck.TolCutcpGrid.RelDiff)
+	checkGrids(t, name, got, Seq(in), in)
 }
 
-// checkGridWithin is checkGrid with its own bound on the relative
-// difference (still floored at TolCutcpGrid's denominator).
-func checkGridWithin(t *testing.T, name string, got []float32, in *Input, rel float64) {
+// checkGrids requires every point of two grids of in to agree within
+// diffcheck.TolCutcpGrid, scaled by the point's conditioning: the number of
+// atoms within the cutoff times the sum of their contributions' magnitudes.
+func checkGrids(t *testing.T, name string, got, want []float32, in *Input) {
 	t.Helper()
-	want := Seq(in)
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d points, want %d", name, len(got), len(want))
 	}
-	if d := diffcheck.TolCutcpGrid.MaxRelDiffF32(got, want); d > rel {
-		t.Fatalf("%s: max rel diff %v", name, d)
+	terms := make([]int, len(want))
+	scale := make([]float64, len(want))
+	for _, a := range in.Atoms {
+		for _, u := range nestUpdates(in.Geo, a, domain.Range{Hi: in.Geo.Dim.D}) {
+			terms[u.I]++
+			scale[u.I] += math.Abs(float64(u.W))
+		}
+	}
+	for i := range want {
+		if s := float64(terms[i]) * scale[i]; !diffcheck.TolCutcpGrid.Within(float64(got[i]), float64(want[i]), s) {
+			t.Fatalf("%s: point %d: %v vs %v, beyond %g at scale %g",
+				name, i, got[i], want[i], diffcheck.TolCutcpGrid.RelDiff, s)
+		}
 	}
 }
 
@@ -131,20 +142,15 @@ func TestTrioletMatchesSeq(t *testing.T) {
 	type wireShape struct{ msgs, bytes, halo int64 }
 	small := smallInput(120, 7)
 	large := Gen(300, domain.Dim3{D: 16, H: 16, W: 16}, 0.5, 2.0, 109)
-	// The large grid sums more atoms into each point, and its float32
-	// reorder error under a threaded schedule reads 0.8e-4 to 2.4e-4:
-	// past TolCutcpGrid's 1e-4 in about one run in four. Its row keeps a
-	// 5e-3 bound.
 	for _, row := range []struct {
 		in           *Input
 		nodes, cores int
-		rel          float64
 		wire         wireShape
 	}{
-		{small, 1, 2, diffcheck.TolCutcpGrid.RelDiff, wireShape{0, 0, 0}},
-		{small, 3, 2, diffcheck.TolCutcpGrid.RelDiff, wireShape{10, 12012, 0}},
-		{small, 8, 1, diffcheck.TolCutcpGrid.RelDiff, wireShape{35, 39242, 0}},
-		{large, 4, 2, 5e-3, wireShape{15, 53010, 0}},
+		{small, 1, 2, wireShape{0, 0, 0}},
+		{small, 3, 2, wireShape{10, 12012, 0}},
+		{small, 8, 1, wireShape{35, 39242, 0}},
+		{large, 4, 2, wireShape{15, 53010, 0}},
 	} {
 		var got []float32
 		stats, err := cluster.Run(cluster.Config{Nodes: row.nodes, CoresPerNode: row.cores}, func(s *cluster.Session) error {
@@ -155,7 +161,7 @@ func TestTrioletMatchesSeq(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d nodes × %d cores: %v", row.nodes, row.cores, err)
 		}
-		checkGridWithin(t, "triolet", got, row.in, row.rel)
+		checkGrid(t, "triolet", got, row.in)
 		if w := (wireShape{stats.Messages, stats.Bytes, stats.HaloBytes}); w != row.wire {
 			t.Errorf("%d nodes × %d cores: wire %+v, want %+v", row.nodes, row.cores, w, row.wire)
 		}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"triolet/internal/cluster"
-	"triolet/internal/diffcheck"
 	"triolet/internal/domain"
 	"triolet/internal/iter"
 	"triolet/internal/parboil"
@@ -203,11 +202,6 @@ func TestSlabMatchesReplicated(t *testing.T) {
 		return got
 	}
 	replicated, slab := run(Triolet), run(TrioletSlab)
-	if len(slab) != len(replicated) {
-		t.Fatalf("slab has %d points, replicated %d", len(slab), len(replicated))
-	}
-	if d := diffcheck.TolCutcpGrid.MaxRelDiffF32(slab, replicated); d > diffcheck.TolCutcpGrid.RelDiff {
-		t.Fatalf("slab vs replicated: max rel diff %v", d)
-	}
+	checkGrids(t, "slab vs replicated", slab, replicated, in)
 	checkGrid(t, "triolet", replicated, in)
 }

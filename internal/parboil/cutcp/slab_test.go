@@ -1,10 +1,10 @@
 package cutcp
 
 import (
+	"fmt"
 	"testing"
 
 	"triolet/internal/cluster"
-	"triolet/internal/diffcheck"
 	"triolet/internal/domain"
 	"triolet/internal/parboil"
 )
@@ -26,12 +26,7 @@ func TestSlabMatchesSeq(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%+v: %d points, want %d", cfg, len(got), len(want))
-		}
-		if d := diffcheck.TolCutcpGrid.MaxRelDiffF32(got, want); d > diffcheck.TolCutcpGrid.RelDiff {
-			t.Fatalf("%+v: max rel diff %v", cfg, d)
-		}
+		checkGrids(t, fmt.Sprintf("%+v", cfg), got, want, in)
 	}
 }
 

@@ -25,9 +25,9 @@ import (
 //     absorbs everything the analytic model misses for that workload
 //     (constant overheads, cache effects, fabric scheduling).
 //
-// The state round-trips through a JSON snapshot (SnapshotName, kept next
-// to BENCH_BASELINE.json); a missing or corrupt snapshot falls back to the
-// static calibration.
+// The state round-trips through a JSON snapshot (SnapshotName, kept at
+// the repo root); a missing or corrupt snapshot falls back to the static
+// calibration.
 type Online struct {
 	mu      sync.Mutex
 	base    Calibration
@@ -44,8 +44,7 @@ type Online struct {
 // noisy task cannot dominate.
 const DefaultDecay = 0.25
 
-// SnapshotName is the conventional snapshot filename, a sibling of
-// BENCH_BASELINE.json at the repo root.
+// SnapshotName is the conventional snapshot filename, at the repo root.
 const SnapshotName = "AUTOPAR_CALIB.json"
 
 type onlineSample struct {
