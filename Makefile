@@ -91,10 +91,12 @@ iter-bench:
 # Steady-state allocation gate: AllocsPerRun proofs over the block
 # engine's fast paths and stream nests, the core skeletons' merge steps,
 # cutcp's pipeline (O(1) in atoms), the stencil sweep, the mailbox wait,
-# the reliable layer's eager send and coalesced-frame decode, the farm
-# engine's idle-slot list, the serial decode into a caller's slice, and the
-# exact-size farm frames and a farmed-stencil solve's byte budget (must run
-# without -race; the detector instruments allocations).
+# the reliable layer's eager send and coalesced-frame decode, a duplicate
+# data frame acked with no copy of its payload, Serving's standing helper
+# switched on and off, the farm engine's idle-slot list, the serial decode
+# into a caller's slice, and the exact-size farm frames and a farmed-stencil
+# solve's byte budget (must run without -race; the detector instruments
+# allocations).
 alloc-gate:
 	$(GO) test -count=1 -timeout 5m \
 		-run 'ZeroAllocs|Allocs|Arena|Presize' \

@@ -265,6 +265,9 @@ func RunCtx(ctx context.Context, cfg Config, master func(s *Session) error) (tra
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// Communicators, and the helpers living with them (mpi.Comm.Serving), end with the run.
+	ctx, endRun := context.WithCancel(ctx)
+	defer endRun()
 	fabric := transport.New(transport.Config{
 		Ranks:           cfg.Nodes,
 		MaxMessageBytes: cfg.MaxMessageBytes,

@@ -126,11 +126,11 @@ type FarmOptions struct {
 	// the execution that settled it, and only for a positive duration), on
 	// the master's farm loop. This is AutoPar's recalibration feed.
 	OnTaskTiming func(task int, elapsed time.Duration)
-	// Pin, when non-nil, names for every task the one rank that may run it —
-	// 0 is the master itself — because only that node holds what the task
-	// works on (Node.Segs) or because the caller places its work there. A
-	// pinned task is never reassigned: if its rank is retired first, the call
-	// ends with ErrPinLost. The master runs its own one per farm-loop turn.
+	// Pin, when non-nil, names for every task the one rank that may run it (0:
+	// the master) because only that node holds what it works on (Node.Segs) or
+	// the caller places it there. A pinned task is never reassigned: if its rank
+	// is retired first, the call ends with ErrPinLost. Workers get theirs when
+	// the call starts (pinDepth at a time), the master one per farm-loop turn.
 	Pin []int
 }
 
@@ -207,6 +207,9 @@ func (s *Session) FarmOpts(name string, tasks [][]byte, opt FarmOptions) (*FarmR
 	mux, err := s.OpenMux(MuxOptions{HeartbeatTimeout: opt.HeartbeatTimeout})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: farm %q: %w", name, err)
+	}
+	if opt.Pin != nil {
+		mux.depth = pinDepth // the first turn ships every worker its share
 	}
 
 	clk := s.fabric.Clock()

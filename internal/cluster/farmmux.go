@@ -1,14 +1,14 @@
 // The farm engine: the one task-distribution mechanism in this package.
 // OpenMux parks every worker in one long-lived task loop whose frames name
 // their kernel and owning job per task; the master fills the workers' slots
-// (muxDepth each), polls for results and worker losses, and runs a task on
-// the master itself when asked. The Mux is pure mechanism — dispatch,
-// result collection, liveness — and makes no scheduling decisions. Its two
-// clients bring the policy, each with one Ledger (ledger.go) per job for
-// the retry/quarantine/checkpoint rules: Session.FarmOpts (farm.go) runs
-// one task list, and the job service (internal/jobs) interleaves tasks
-// from many concurrent jobs onto the shared pool by weighted deficit
-// round-robin.
+// (muxDepth each, pinDepth in a pinned farm), polls for results and worker
+// losses, and runs a task on the master itself when asked. The Mux is pure
+// mechanism — dispatch, result collection, liveness — and makes no
+// scheduling decisions. Its two clients bring the policy, each with one
+// Ledger (ledger.go) per job for the retry/quarantine/checkpoint rules:
+// Session.FarmOpts (farm.go) runs one task list, and the job service
+// (internal/jobs) interleaves tasks from many concurrent jobs onto the shared
+// pool by weighted deficit round-robin.
 //
 // Fault handling: a worker that crashes, stops acknowledging, or goes
 // heartbeat-silent is retired, and its in-flight assignments come back to
@@ -48,6 +48,11 @@ const muxKernelName = "\x00jobs.mux"
 // muxDepth is how many assignments a worker holds: the one it runs and the
 // next, waiting in its mailbox, so dispatch hides behind kernel time.
 const muxDepth = 2
+
+// pinDepth is how many a worker holds in a pinned farm (FarmOptions.Pin), whose
+// tasks can run nowhere else: six, beside an unacknowledged dispatch and stop
+// frame, fill the reliable window of eight frames per peer without a wait.
+const pinDepth = 6
 
 // defaultFarmHeartbeat is the worker beat interval when Config.FarmHeartbeat
 // is unset.
@@ -111,8 +116,9 @@ type Mux struct {
 	s         *Session
 	clk       transport.Clock
 	hbTimeout time.Duration
+	depth     int // assignments a worker may hold: muxDepth, or pinDepth for a pinned farm
 	alive     map[int]bool
-	busy      map[int][]MuxAssignment // per worker: in flight, oldest first, at most muxDepth
+	busy      map[int][]MuxAssignment // per worker: in flight, oldest first, at most depth
 	lastSeen  map[int]time.Time       // per worker: when a frame from it last arrived
 	idle      []int                   // Idle's result, reused
 	events    []MuxEvent
@@ -136,6 +142,7 @@ func (s *Session) OpenMux(opt MuxOptions) (*Mux, error) {
 		s:         s,
 		clk:       s.fabric.Clock(),
 		hbTimeout: hb,
+		depth:     muxDepth,
 		alive:     make(map[int]bool),
 		busy:      make(map[int][]MuxAssignment),
 		lastSeen:  make(map[int]time.Time),
@@ -166,7 +173,7 @@ func (m *Mux) Workers() int { return len(m.alive) }
 // The slice is the Mux's own, valid until the next call.
 func (m *Mux) Idle() []int {
 	m.idle = m.idle[:0]
-	for held := range muxDepth {
+	for held := range m.depth {
 		for w := 1; w < m.s.node.Nodes(); w++ {
 			if m.alive[w] && len(m.busy[w]) <= held {
 				m.idle = append(m.idle, w)
@@ -193,7 +200,7 @@ func (m *Mux) Assign(ctx context.Context, w int, a MuxAssignment) error {
 		}
 		return fmt.Errorf("cluster: mux assign to retired worker %d", w)
 	}
-	if len(m.busy[w]) >= muxDepth {
+	if len(m.busy[w]) >= m.depth {
 		return fmt.Errorf("cluster: mux assign to full worker %d", w)
 	}
 	err := m.s.node.Comm.SendHead(ctx, w, muxTaskTag, muxTaskHead(&m.head, false, a), a.Payload)

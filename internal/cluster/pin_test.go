@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"triolet/internal/checkpoint"
+	"triolet/internal/mpi"
 	"triolet/internal/transport"
 )
 
@@ -113,5 +114,44 @@ func TestFarmPinnedTasks(t *testing.T) {
 		if res.MasterRan != 2 || (dead > 0) != (len(res.Failed) == 2 && slices.Equal(res.Lost, []int{dead})) {
 			t.Errorf("dead %d: MasterRan %d, Failed %+v, Lost %v", dead, res.MasterRan, res.Failed, res.Lost)
 		}
+	}
+}
+
+// TestFarmShipsPinnedShare: a pinned task can run nowhere but on its rank, so
+// a pinned farm call sends each worker its whole share on its first turn. By
+// the time the master starts the first of its own two tasks, the frames it has
+// sent are the dispatch and all six of worker 1's tasks, not the two a
+// worker's unpinned prefetch allows. The fabric is lossless and beats are
+// off, so nothing else is sent.
+func TestFarmShipsPinnedShare(t *testing.T) {
+	workerKernels.reset()
+	farmKernels.reset()
+	var base, sentAtFirst int64 = 0, -1 // written by the master's goroutine only
+	RegisterFarm("pin.sent", func(n *Node, task []byte) ([]byte, error) {
+		if n.Rank() == 0 && sentAtFirst < 0 {
+			sentAtFirst = n.Comm.ReliableStats().FramesSent - base
+		}
+		return []byte{byte(n.Rank())}, nil
+	})
+	pins := []int{0, 1, 1, 1, 0, 1, 1, 1}
+	cfg := Config{Nodes: 2, CoresPerNode: 1, FarmHeartbeat: time.Hour, Reliable: &mpi.ReliableConfig{AckTimeout: time.Second}}
+	_, err := runGuarded(t, cfg, func(s *Session) error {
+		base = s.node.Comm.ReliableStats().FramesSent
+		res, err := s.FarmOpts("pin.sent", autoTasks(len(pins)), FarmOptions{Pin: pins, HeartbeatTimeout: -1})
+		if err != nil {
+			return err
+		}
+		for task, out := range res.Results {
+			if len(out) != 1 || int(out[0]) != pins[task] {
+				t.Errorf("task %d pinned to %d ran on %v", task, pins[task], out)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sentAtFirst != 1+6 {
+		t.Fatalf("%d frames sent when the master's first task started, want the dispatch and 6 tasks", sentAtFirst)
 	}
 }

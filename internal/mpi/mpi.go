@@ -163,22 +163,15 @@ func (c *Comm) Idle(ctx context.Context, since transport.Gen, deadline time.Time
 	return c.rel.idle(ctx, since, deadline)
 }
 
-// Serving starts a helper goroutine that keeps the reliable layer answering
-// peers while the owner computes — what arrives is acknowledged and queued,
-// what is due retransmitted; losses wait for the owner's next call — and
-// returns the call that stops it. A peer whose frame waits on this rank's ack
-// then does not take a long computation for a dead rank. Direct mode: no-op.
+// Serving switches on the communicator's standing helper, which keeps the
+// reliable layer answering peers while the owner computes (acknowledging,
+// queueing, retransmitting; losses wait for the owner), so a peer does not take
+// a long computation for a dead rank, and returns its off switch. Direct: no-op.
 func (c *Comm) Serving() (stop func()) {
 	if c.rel == nil {
 		return func() {}
 	}
-	ctx, cancel := context.WithCancel(c.Context())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		c.rel.serve(ctx, func() bool { return false })
-	}()
-	return func() { cancel(); <-done }
+	return c.rel.serving()
 }
 
 // Rank reports this communicator's rank.

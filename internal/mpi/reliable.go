@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"triolet/internal/serial"
@@ -199,9 +200,9 @@ type unacked struct {
 }
 
 // reliable holds the protocol state of one communicator. State access is
-// mutex-guarded (never across a wait) so helper goroutines (Irecv, the farm
-// worker's beats) stay safe, but the design point is the single owning
-// goroutine of the Comm. Per-peer state is allocated once, with the
+// mutex-guarded (never across a wait) so helper goroutines (Irecv, Serving's,
+// the farm worker's beats) stay safe, but the design point is the single
+// owning goroutine of the Comm. Per-peer state is allocated once, with the
 // communicator: a steady-state send allocates its frame and nothing else.
 type reliable struct {
 	c   *Comm
@@ -235,6 +236,10 @@ type reliable struct {
 	// Beats buffered for a fuller frame (none when cfg.DisableCoalesce).
 	beats     [][]pendFrame // per dst: buffered fire-and-forget beats
 	beatSince []time.Time   // per dst: fabric-clock time the oldest beat was buffered
+
+	helping atomic.Bool   // the standing helper (Comm.Serving) pumps while set
+	resume  chan struct{} // a token wakes the parked helper
+	unserve func()        // stopServing, bound once
 }
 
 func newReliable(c *Comm, cfg ReliableConfig) *reliable {
@@ -265,7 +270,7 @@ var errMalformed = errors.New("mpi: malformed frame")
 // violation means a broken encoder, but the protocol still treats it as
 // corruption rather than decoding garbage. handleFrame walks a frame twice —
 // whole without apply, then applying — so a malformed one is dropped before
-// any of it counts. Only the payloads delivered are allocated.
+// any of it counts. Only the payloads delivered or parked are allocated.
 func (r *reliable) walk(src int, body []byte, apply bool) error {
 	br := serial.NewReader(body)
 	for br.Err() == nil && br.Remaining() > 0 {
@@ -273,7 +278,7 @@ func (r *reliable) walk(src int, body []byte, apply bool) error {
 		case subData:
 			seq, tag, payload := br.U64(), br.Int(), br.View()
 			if apply {
-				if err := r.acceptData(src, seq, tag, bytes.Clone(payload)); err != nil {
+				if err := r.acceptData(src, seq, tag, payload); err != nil {
 					return err
 				}
 			}
@@ -350,7 +355,7 @@ func (r *reliable) dropCorrupt(bytes int) error {
 // conforming peer and is dropped like a corrupt one, unacknowledged. Every
 // other valid message makes an ack owed to src — a duplicate usually means
 // our last ack was lost — which the end-of-pump flush sends when coalescing,
-// and which is sent at once otherwise.
+// and which is sent at once otherwise. Only a kept payload is copied.
 func (r *reliable) acceptData(src int, seq uint64, tag int, payload []byte) error {
 	expect := r.expect[src]
 	if seq >= expect+sendWindow {
@@ -359,7 +364,7 @@ func (r *reliable) acceptData(src int, seq uint64, tag int, payload []byte) erro
 	ahead := r.ahead[src*sendWindow : (src+1)*sendWindow]
 	switch slot := &ahead[seq%sendWindow]; {
 	case seq == expect:
-		r.enqueue(src, tag, payload)
+		r.enqueue(src, tag, bytes.Clone(payload))
 		for expect++; ahead[expect%sendWindow].held; expect++ {
 			pf := &ahead[expect%sendWindow]
 			r.enqueue(src, pf.tag, pf.payload)
@@ -367,7 +372,7 @@ func (r *reliable) acceptData(src int, seq uint64, tag int, payload []byte) erro
 		}
 		r.expect[src] = expect
 	case seq > expect && !slot.held:
-		*slot = pendFrame{tag: tag, payload: payload, held: true}
+		*slot = pendFrame{tag: tag, payload: bytes.Clone(payload), held: true}
 	default: // already delivered, or already parked
 		r.stats.DupDropped++
 		r.cfg.Tracer.Instant(r.c.Rank(), "net.dup-drop", int64(len(payload)))
@@ -543,6 +548,35 @@ func (r *reliable) serve(ctx context.Context, ready func() bool) error {
 		r.idle(ctx, gen, time.Time{})
 	}
 }
+
+// serving switches the standing helper on and returns its off switch. Only the
+// first call starts a goroutine, the helper: it serves while helping is set,
+// parks on resume while not, and ends with ctx. Nothing joins it.
+func (r *reliable) serving() func() {
+	r.helping.Store(true)
+	if r.resume == nil {
+		r.resume = make(chan struct{}, 1)
+		r.unserve = r.stopServing
+		go func(ctx context.Context) {
+			for {
+				select {
+				case <-r.resume:
+					r.serve(ctx, func() bool { return !r.helping.Load() })
+				case <-ctx.Done():
+					return
+				}
+			}
+		}(r.c.Context())
+	}
+	select {
+	case r.resume <- struct{}{}:
+	default: // a token is waiting already
+	}
+	return r.unserve
+}
+
+// stopServing switches the helper off without a join; Wake ends its idle.
+func (r *reliable) stopServing() { r.helping.Store(false); r.c.ep.Wake() }
 
 // ship puts one frame on the wire. The fabric swallows traffic to a crashed
 // rank, but refuses a frame whose receiver dies under it; to this layer both

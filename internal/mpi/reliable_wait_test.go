@@ -220,3 +220,73 @@ func TestCoalescedFrameAllocs(t *testing.T) {
 		t.Fatalf("an ack+beat frame allocates %v times (%d dropped as corrupt)", n, r.stats.CorruptDropped)
 	}
 }
+
+// A duplicate data frame is acknowledged without a copy of its payload: the
+// first delivery copies the payload out of the frame, a repeat only owes its
+// sender the ack, and the pump's flush pays for that ack's frame alone.
+func TestDuplicateFrameAllocs(t *testing.T) {
+	f := transport.New(transport.Config{Ranks: 2})
+	defer f.Close()
+	r := NewReliableComm(f, 0, ReliableConfig{}).rel
+	payload := make([]byte, 4096)
+	frames := make([]transport.Message, 201) // AllocsPerRun's warm-up, then its 200 runs
+	for seq := range frames {
+		frames[seq] = transport.Message{Src: 1, Tag: tagRelData, Payload: dataFrame(uint64(seq), 3, payload)}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	next := 0
+	fresh := testing.AllocsPerRun(200, func() {
+		if err := r.handleFrame(frames[next]); err != nil || len(r.queue) != 1 {
+			t.Fatalf("frame %d not delivered: %v", next, err)
+		}
+		r.queue, next = r.queue[:0], next+1
+	})
+	dup := testing.AllocsPerRun(200, func() {
+		if err := r.handleFrame(frames[0]); err != nil || !r.owed[1] {
+			t.Fatalf("duplicate not owed an ack: %v", err)
+		}
+	})
+	acked := testing.AllocsPerRun(200, func() {
+		if err := r.handleFrame(frames[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.flushPending(); err != nil || r.owed[1] {
+			t.Fatalf("ack not flushed: %v", err)
+		}
+		if _, ok, _ := f.TryRecv(1, 0, tagRelAck); !ok {
+			t.Fatal("no ack frame on the wire")
+		}
+	})
+	if fresh != 1 || dup != 0 || acked != 1 || len(r.queue) != 0 || r.stats.DupDropped != 402 {
+		t.Fatalf("a delivery allocates %v times, a duplicate %v, a duplicate and its ack %v (%d queued, %d dropped); want 1, 0, 1",
+			fresh, dup, acked, len(r.queue), r.stats.DupDropped)
+	}
+}
+
+// Serving switches the communicator's standing helper on and its stop
+// switches it off: once the first call has started the helper, neither call
+// allocates — no goroutine, context or channel per call — and the helper, while
+// on, acknowledges and queues what a peer sends with the owner idle.
+func TestServingAllocs(t *testing.T) {
+	f := transport.New(transport.Config{Ranks: 2})
+	defer f.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	c, peer := NewReliableComm(f, 0, ReliableConfig{}), NewReliableComm(f, 1, ReliableConfig{AckTimeout: time.Hour})
+	c.SetContext(ctx)
+	stop := c.Serving()
+	if err := peer.Send(0, 3, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := peer.Flush(ctx); err != nil {
+		t.Fatalf("the helper did not acknowledge: %v", err)
+	}
+	stop()
+	if m, ok, err := c.TryRecv(1, 3); !ok || err != nil || string(m.Payload) != "x" {
+		t.Fatalf("the helper did not queue the delivery: %q, %v, %v", m.Payload, ok, err)
+	}
+	if n := testing.AllocsPerRun(200, func() { c.Serving()() }); n != 0 {
+		t.Fatalf("Serving and its stop allocate %v times", n)
+	}
+}

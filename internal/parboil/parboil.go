@@ -40,7 +40,7 @@ func MaxAbsDiff(a, b []float32) float64 {
 // |a-b| / max(|a|, |b|, floor) between two equal-length slices; floor
 // guards tiny denominators. Tests should not pair this with an ad-hoc
 // epsilon: tolerance/floor pairs live in internal/diffcheck's shared
-// tolerance table (e.g. diffcheck.TolCutcpGrid.MaxRelDiffF32).
+// tolerance table (e.g. diffcheck.TolFloatSum's RelDiff and Floor).
 func MaxRelDiff(a, b []float32, floor float64) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("parboil: MaxRelDiff length mismatch %d vs %d", len(a), len(b)))

@@ -153,6 +153,46 @@ func TestFarmOpMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestFarmOpPinnedPastWindow farms 24 slabs over 2 nodes, so every sweep pins
+// 12 slab tasks to the worker: more than the reliable layer's window of 8
+// unacknowledged frames per peer, and more than a pinned farm ships ahead. The
+// rest must follow as the worker answers, on a lossless fabric and on one that
+// drops, duplicates and corrupts 2% of frames, and the grid is the local
+// sweep's to the bit.
+func TestFarmOpPinnedPastWindow(t *testing.T) {
+	par := stencil.Params[int64]{Radius: 1, Boundary: stencil.Wrap}
+	g := fillLife(48, 8, 36)
+	const iters = 6
+	want := refIterate(g, par, lifeKernel, iters)
+	for _, lossy := range []bool{false, true} {
+		cfg := cluster.Config{Nodes: 2, CoresPerNode: 1, Reliable: &mpi.ReliableConfig{AckTimeout: time.Second}}
+		if lossy {
+			cfg.Fault = &transport.FaultConfig{Seed: 36, Default: transport.FaultProbs{Drop: 0.02, Duplicate: 0.02, Corrupt: 0.02}}
+			cfg.Reliable = &mpi.ReliableConfig{AckTimeout: 500 * time.Microsecond, Retries: 100, MaxAckTimeout: 50 * time.Millisecond}
+		}
+		var got iter.Matrix2[int64]
+		done := make(chan error, 1)
+		go func() {
+			_, err := cluster.Run(cfg, func(s *cluster.Session) (err error) {
+				got, err = farmLife.Run(s, g, par, iters, stencil.FarmRunOptions{Slabs: 24})
+				return err
+			})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("lossy=%v: %v", lossy, err)
+			}
+		case <-time.After(60 * time.Second):
+			t.Fatalf("lossy=%v: run hung", lossy)
+		}
+		if !slices.Equal(got.Data, want) {
+			t.Errorf("lossy=%v: grid differs from the local sweep", lossy)
+		}
+	}
+}
+
 // TestFarmOpChaosResume is the acceptance scenario: iterated Game of Life
 // farmed over a lossy fabric (2% drop/duplicate/corrupt per link), the
 // master killed mid-run once the WAL holds a few slab records, then a fresh
