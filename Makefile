@@ -17,6 +17,7 @@ vet:
 
 test:
 	$(GO) test ./...
+	cd bench && $(GO) test ./...
 
 race:
 	$(GO) test -race -count=1 ./internal/...

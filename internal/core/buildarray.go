@@ -5,7 +5,6 @@ import (
 
 	"triolet/internal/array"
 	"triolet/internal/cluster"
-	"triolet/internal/domain"
 	"triolet/internal/serial"
 )
 
@@ -33,16 +32,15 @@ func NewBuildArray[S, A any, E any](
 // Run executes the skeleton from the master and returns the assembled
 // array of src.Tasks() elements.
 func (op *BuildArrayOp[S, A, E]) Run(s *cluster.Session, src DistSource[S], aux A) ([]E, error) {
-	ranges := domain.BlockPartition(src.Tasks(), s.Node().Nodes())
-	sections, err := op.run(s, func() []S { return sliceRanges(src, ranges) }, aux)
+	sections, part, err := op.runSource(s, src, aux)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]E, 0, src.Tasks())
 	for i, sec := range sections {
-		if len(sec) != ranges[i].Len() {
+		if len(sec) != part[i].Len() {
 			return nil, fmt.Errorf("core: %s node %d returned %d elements for %d tasks",
-				op.name, i, len(sec), ranges[i].Len())
+				op.name, i, len(sec), part[i].Len())
 		}
 		out = append(out, sec...)
 	}

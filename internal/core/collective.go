@@ -26,6 +26,9 @@ type collective[S, A, P any] struct {
 	pCodec  serial.Codec[P]
 	kernel  func(n *cluster.Node, slice S, aux A) (P, error)
 	combine func(P, P) P // nil: gather
+	// align snaps runSource's node boundaries to multiples of itself (0
+	// and 1 leave the plain block cut); NewDetSum sets DetChunk.
+	align int
 }
 
 // newCollective registers the engine's worker side under name — the
@@ -39,7 +42,8 @@ func newCollective[S, A, P any](
 	kernel func(n *cluster.Node, slice S, aux A) (P, error),
 	combine func(P, P) P,
 ) *collective[S, A, P] {
-	c := &collective[S, A, P]{name, sCodec, aCodec, pCodec, kernel, combine}
+	c := &collective[S, A, P]{name: name, sCodec: sCodec, aCodec: aCodec, pCodec: pCodec,
+		kernel: kernel, combine: combine}
 	cluster.RegisterWorker(name, func(n *cluster.Node) error {
 		var aux A
 		_, err := c.body(n, nil, aux)
@@ -62,10 +66,10 @@ func (c *collective[S, A, P]) run(s *cluster.Session, cut func() []S, aux A) ([]
 
 // body is the skeleton every rank executes; master and workers differ only
 // in what they feed the root-sided collectives (cut and aux are nil and
-// zero off the root). cut runs inside the scatter span: extracting slices
-// is part of what distributing the input costs. The partials come back
-// indexed by rank at the root — a single combined value under a reduce —
-// and nil elsewhere.
+// zero off the root). cut runs inside the scatter span: computing the
+// partition and extracting slices is part of what distributing the input
+// costs. The partials come back indexed by rank at the root — a single
+// combined value under a reduce — and nil elsewhere.
 func (c *collective[S, A, P]) body(n *cluster.Node, cut func() []S, aux A) ([]P, error) {
 	end := n.Phase("scatter")
 	var parts []S
@@ -110,12 +114,19 @@ func (c *collective[S, A, P]) body(n *cluster.Node, cut func() []S, aux A) ([]P,
 	return []P{total}, nil
 }
 
-// sliceRanges extracts src's slice for each range, in order: the parts of a
-// one-dimensional skeleton's scatter.
-func sliceRanges[S any](src DistSource[S], ranges []domain.Range) []S {
-	parts := make([]S, len(ranges))
-	for i, r := range ranges {
-		parts[i] = src.Slice(r)
-	}
-	return parts
+// runSource is run for a one-dimensional skeleton, with the one cut every
+// such skeleton makes: src's tasks are block-partitioned over the nodes
+// (boundaries snapped to multiples of align), each node is sent its
+// block's slice, and the partition comes back beside the partials.
+func (c *collective[S, A, P]) runSource(s *cluster.Session, src DistSource[S], aux A) ([]P, domain.Partition, error) {
+	var part domain.Partition
+	out, err := c.run(s, func() []S {
+		part = domain.AlignedPartition(src.Tasks(), s.Node().Nodes(), max(c.align, 1))
+		parts := make([]S, len(part))
+		for i, r := range part {
+			parts[i] = src.Slice(r)
+		}
+		return parts
+	}, aux)
+	return out, part, err
 }

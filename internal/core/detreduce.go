@@ -239,11 +239,10 @@ func NewDetSum[S any](
 		}
 		return out, nil
 	}
+	op := NewMapReduce(name, detSliceCodec(sCodec), serial.Unit(), chunkSumsCodec(), kernel, mergeChunkSums)
 	// Node boundaries must not cut through chunks: partition whole chunks.
-	return &DetSumOp[S]{newMapReduce(name, detSliceCodec(sCodec), serial.Unit(), chunkSumsCodec(),
-		kernel, mergeChunkSums, func(n, p int) []domain.Range {
-			return domain.AlignedPartition(n, p, DetChunk)
-		})}
+	op.align = DetChunk
+	return &DetSumOp[S]{op}
 }
 
 // Name reports the kernel's registered name.

@@ -34,9 +34,7 @@ func NewFlatMap[S, A any, E any](
 
 // Run executes the skeleton and returns the concatenated output.
 func (op *FlatMapOp[S, A, E]) Run(s *cluster.Session, src DistSource[S], aux A) ([]E, error) {
-	sections, err := op.run(s, func() []S {
-		return sliceRanges(src, domain.BlockPartition(src.Tasks(), s.Node().Nodes()))
-	}, aux)
+	sections, _, err := op.runSource(s, src, aux)
 	if err != nil {
 		return nil, err
 	}

@@ -20,10 +20,6 @@ import (
 // result.
 type MapReduceOp[S, A, R any] struct {
 	*collective[S, A, R]
-	// partition cuts the task range into one range per node. The
-	// deterministic reduction skeletons use a chunk-aligned partition so
-	// fixed-offset chunks never straddle two nodes.
-	partition func(tasks, nodes int) []domain.Range
 }
 
 // NewMapReduce registers a distributed map-reduce kernel under name and
@@ -38,23 +34,7 @@ func NewMapReduce[S, A, R any](
 	kernel func(n *cluster.Node, slice S, aux A) (R, error),
 	combine func(R, R) R,
 ) *MapReduceOp[S, A, R] {
-	return newMapReduce(name, sCodec, aCodec, rCodec, kernel, combine, domain.BlockPartition)
-}
-
-// newMapReduce is NewMapReduce with the node partition chosen by the caller.
-func newMapReduce[S, A, R any](
-	name string,
-	sCodec serial.Codec[S],
-	aCodec serial.Codec[A],
-	rCodec serial.Codec[R],
-	kernel func(n *cluster.Node, slice S, aux A) (R, error),
-	combine func(R, R) R,
-	partition func(tasks, nodes int) []domain.Range,
-) *MapReduceOp[S, A, R] {
-	return &MapReduceOp[S, A, R]{
-		collective: newCollective(name, sCodec, aCodec, rCodec, kernel, combine),
-		partition:  partition,
-	}
+	return &MapReduceOp[S, A, R]{newCollective(name, sCodec, aCodec, rCodec, kernel, combine)}
 }
 
 // Run executes the skeleton from the master: partitions src's tasks across
@@ -62,9 +42,7 @@ func newMapReduce[S, A, R any](
 // share inline, and returns the tree-reduced result.
 func (op *MapReduceOp[S, A, R]) Run(s *cluster.Session, src DistSource[S], aux A) (R, error) {
 	var zero R
-	totals, err := op.run(s, func() []S {
-		return sliceRanges(src, op.partition(src.Tasks(), s.Node().Nodes()))
-	}, aux)
+	totals, _, err := op.runSource(s, src, aux)
 	if err != nil {
 		return zero, err
 	}

@@ -1,6 +1,9 @@
 package domain
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Ix2 identifies one point of a Dim2 domain (the paper's Index Dim2 =
 // (Int, Int)). Row-major: Y is the slow (row) coordinate.
@@ -103,6 +106,13 @@ func (d Dim2) GridShape(p int) (int, int) {
 		return large, small
 	}
 	return small, large
+}
+
+// PowerGrid is GridPartition over GridShape(g), g the least power of two
+// ≥ p: rounding up keeps the grid non-degenerate for odd or prime p. p
+// must be positive.
+func (d Dim2) PowerGrid(p int) []Rect {
+	return d.GridPartition(d.GridShape(1 << bits.Len(uint(p-1))))
 }
 
 // Ix3 identifies one point of a Dim3 domain.

@@ -1,6 +1,7 @@
 package domain
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -132,6 +133,24 @@ func TestGridShape(t *testing.T) {
 		}
 		if py != c.py || px != c.px {
 			t.Errorf("GridShape(%v, %d) = (%d,%d), want (%d,%d)", c.d, c.p, py, px, c.py, c.px)
+		}
+	}
+}
+
+// PowerGrid rounds p up to the next power of two before GridShape, so
+// odd and prime counts still get a two-axis grid.
+func TestPowerGrid(t *testing.T) {
+	rows := []struct{ lo, hi, g int }{
+		{1, 1, 1}, {2, 2, 2}, {3, 4, 4}, {5, 8, 8}, {9, 16, 16}, {17, 32, 32}, {33, 33, 64},
+	}
+	for _, d := range []Dim2{NewDim2(384, 384), NewDim2(1000, 10), NewDim2(5, 70)} {
+		for _, r := range rows {
+			for p := r.lo; p <= r.hi; p++ {
+				got, want := d.PowerGrid(p), d.GridPartition(d.GridShape(r.g))
+				if !slices.Equal(got, want) {
+					t.Fatalf("%v.PowerGrid(%d) = %v, want the %d-cell grid %v", d, p, got, r.g, want)
+				}
+			}
 		}
 	}
 }

@@ -82,19 +82,43 @@ func (r Range) String() string { return fmt.Sprintf("[%d,%d)", r.Lo, r.Hi) }
 // Whole returns the range covering the entire domain.
 func (d Seq) Whole() Range { return Range{Lo: 0, Hi: d.N} }
 
+// Partition is a partition map: contiguous blocks of [0, n) in index
+// order, block i owned by node, slab or task i. Every distributed cut —
+// a skeleton's node slices, a stencil's row slabs, a farm's task ranges —
+// is one.
+type Partition []Range
+
+// Owner reports the block containing index i, or -1 when i lies outside
+// the partition. An empty block owns nothing.
+func (p Partition) Owner(i int) int {
+	// Binary search for the first block ending past i.
+	lo, hi := 0, len(p)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); p[m].Hi > i {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	if lo == len(p) || !p[lo].Contains(i) {
+		return -1
+	}
+	return lo
+}
+
 // BlockPartition splits [0, n) into p contiguous blocks whose sizes differ
 // by at most one. Every index belongs to exactly one block, and blocks are
 // returned in index order. p must be positive; n may be zero, in which case
 // all blocks are empty. This is the distribution the paper's par skeleton
 // applies across nodes, and again across cores within a node.
-func BlockPartition(n, p int) []Range {
+func BlockPartition(n, p int) Partition {
 	if p <= 0 {
 		panic(fmt.Sprintf("domain: BlockPartition with p=%d", p))
 	}
 	if n < 0 {
 		panic(fmt.Sprintf("domain: BlockPartition with n=%d", n))
 	}
-	out := make([]Range, p)
+	out := make(Partition, p)
 	q, r := n/p, n%p
 	lo := 0
 	for i := range p {
@@ -108,24 +132,6 @@ func BlockPartition(n, p int) []Range {
 	return out
 }
 
-// Block returns the i-th of p blocks of [0, n), equal to BlockPartition(n,p)[i]
-// without allocating the full slice.
-func Block(n, p, i int) Range {
-	if p <= 0 || i < 0 || i >= p {
-		panic(fmt.Sprintf("domain: Block(n=%d, p=%d, i=%d)", n, p, i))
-	}
-	q, r := n/p, n%p
-	var lo, hi int
-	if i < r {
-		lo = i * (q + 1)
-		hi = lo + q + 1
-	} else {
-		lo = r*(q+1) + (i-r)*q
-		hi = lo + q
-	}
-	return Range{Lo: lo, Hi: hi}
-}
-
 // AlignedPartition splits [0, n) into p contiguous blocks like
 // BlockPartition, but with every interior boundary snapped down to a
 // multiple of align (the final block always ends at n). Snapping keeps a
@@ -135,7 +141,7 @@ func Block(n, p, i int) Range {
 // whichever node owns a chunk and combine them in a shape that depends
 // only on n — never on the node count. When n < p*align, trailing blocks
 // are empty. align must be positive.
-func AlignedPartition(n, p, align int) []Range {
+func AlignedPartition(n, p, align int) Partition {
 	if align <= 0 {
 		panic(fmt.Sprintf("domain: AlignedPartition with align=%d", align))
 	}
@@ -153,64 +159,17 @@ func AlignedPartition(n, p, align int) []Range {
 	return out
 }
 
-// WeightedPartition splits [0, len(weights)) into p contiguous ranges of
-// approximately equal total weight: the cut after index i is placed where
-// the cumulative weight first reaches the block's ideal share. Static
-// distribution of loops with predictable per-index cost variation —
-// triangular pair loops, boundary-clipped stencils — uses this instead of
-// BlockPartition; the paper credits Triolet's tpacf edge to "a more even
-// distribution of computation time across nodes" (§4.4). All weights must
-// be non-negative.
-func WeightedPartition(weights []float64, p int) []Range {
-	if p <= 0 {
-		panic(fmt.Sprintf("domain: WeightedPartition with p=%d", p))
-	}
-	total := 0.0
-	for i, w := range weights {
-		if w < 0 {
-			panic(fmt.Sprintf("domain: negative weight %v at %d", w, i))
-		}
-		total += w
-	}
-	out := make([]Range, 0, p)
-	lo := 0
-	cum := 0.0
-	for b := 0; b < p-1; b++ {
-		target := total * float64(b+1) / float64(p)
-		hi := lo
-		for hi < len(weights) && cum < target {
-			cum += weights[hi]
-			hi++
-		}
-		out = append(out, Range{Lo: lo, Hi: hi})
-		lo = hi
-	}
-	out = append(out, Range{Lo: lo, Hi: len(weights)})
-	return out
-}
-
-// TriangularPartition splits the outer loop of a triangular pair loop
-// (index i pairs with all j > i, so index i costs n-1-i units) into p
-// contiguous ranges of approximately equal pair counts.
-func TriangularPartition(n, p int) []Range {
-	weights := make([]float64, n)
-	for i := range weights {
-		weights[i] = float64(n - 1 - i)
-	}
-	return WeightedPartition(weights, p)
-}
-
 // ChunkPartition splits [0, n) into contiguous chunks of at most chunk
 // indices each. The final chunk may be shorter. chunk must be positive.
 // Grain-size control in the work-stealing scheduler uses this.
-func ChunkPartition(n, chunk int) []Range {
+func ChunkPartition(n, chunk int) Partition {
 	if chunk <= 0 {
 		panic(fmt.Sprintf("domain: ChunkPartition with chunk=%d", chunk))
 	}
 	if n == 0 {
 		return nil
 	}
-	out := make([]Range, 0, (n+chunk-1)/chunk)
+	out := make(Partition, 0, (n+chunk-1)/chunk)
 	for lo := 0; lo < n; lo += chunk {
 		out = append(out, Range{Lo: lo, Hi: min(lo+chunk, n)})
 	}

@@ -111,24 +111,6 @@ func TestBlockPartitionProperties(t *testing.T) {
 	}
 }
 
-// Property: Block(n,p,i) agrees with BlockPartition(n,p)[i].
-func TestBlockAgreesWithPartition(t *testing.T) {
-	prop := func(n0, p0 uint16) bool {
-		n := int(n0 % 1000)
-		p := int(p0%32) + 1
-		blocks := BlockPartition(n, p)
-		for i := range p {
-			if Block(n, p, i) != blocks[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBlockPartitionEdge(t *testing.T) {
 	// n == 0: all blocks empty.
 	for _, b := range BlockPartition(0, 4) {
@@ -156,8 +138,6 @@ func TestBlockPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { BlockPartition(4, 0) },
 		func() { BlockPartition(-1, 2) },
-		func() { Block(4, 2, 2) },
-		func() { Block(4, 2, -1) },
 		func() { ChunkPartition(4, 0) },
 	} {
 		func() {
@@ -201,5 +181,42 @@ func TestChunkPartitionProperties(t *testing.T) {
 func TestChunkPartitionZero(t *testing.T) {
 	if got := ChunkPartition(0, 8); got != nil {
 		t.Fatalf("ChunkPartition(0,8) = %v, want nil", got)
+	}
+}
+
+// Property: over every partition constructor, Owner maps each i in [0, n)
+// to the one block that contains it — so never to an empty block, even
+// when n < p leaves trailing blocks empty — and maps i < 0 or i >= n to -1.
+func TestPartitionOwner(t *testing.T) {
+	prop := func(n0, p0, a0 uint16) bool {
+		n := int(n0 % 300)
+		p := int(p0%40) + 1
+		align := int(a0%20) + 1
+		for _, part := range []Partition{
+			BlockPartition(n, p),
+			AlignedPartition(n, p, align),
+			ChunkPartition(n, align),
+		} {
+			for i := range n {
+				k := part.Owner(i)
+				if k < 0 || !part[k].Contains(i) {
+					return false
+				}
+				for j, r := range part {
+					if j != k && r.Contains(i) {
+						return false
+					}
+				}
+			}
+			for _, i := range []int{-1 - n, -1, n, n + 1, n + p} {
+				if part.Owner(i) != -1 {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
 	}
 }

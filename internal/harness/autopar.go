@@ -138,7 +138,7 @@ type autoBench struct {
 	w      perfmodel.Workload
 	// verify recomposes shard results (ranges[i] produced results[i]) and
 	// compares against the sequential reference.
-	verify func(ranges [][2]int, results [][]byte) (detail string, ok bool)
+	verify func(ranges domain.Partition, results [][]byte) (detail string, ok bool)
 }
 
 // autoBenches builds the four sweep benchmarks over the standard sweep
@@ -165,12 +165,12 @@ func autoBenches(d *autoParData) []autoBench {
 				Class:        perfmodel.CostSGEMM,
 				Reduce:       perfmodel.ReduceGather, Pointerless: true,
 			},
-			verify: func(ranges [][2]int, results [][]byte) (string, bool) {
+			verify: func(ranges domain.Partition, results [][]byte) (string, bool) {
 				want := sgemm.Seq(sg)
 				got := array.NewMatrix[float32](sg.A.H, sg.B.W)
 				for t, rg := range ranges {
 					r := serial.NewReader(results[t])
-					for i := rg[0]; i < rg[1]; i++ {
+					for i := rg.Lo; i < rg.Hi; i++ {
 						row := got.Row(i)
 						for j := range row {
 							row[j] = r.F32()
@@ -193,14 +193,14 @@ func autoBenches(d *autoParData) []autoBench {
 				Class:        perfmodel.CostMRIQ,
 				Reduce:       perfmodel.ReduceGather, Pointerless: true,
 			},
-			verify: func(ranges [][2]int, results [][]byte) (string, bool) {
+			verify: func(ranges domain.Partition, results [][]byte) (string, bool) {
 				want := mriq.Seq(mr)
 				wr, wi := mriq.SplitQ(want)
 				gr := make([]float32, len(wr))
 				gi := make([]float32, len(wi))
 				for t, rg := range ranges {
 					r := serial.NewReader(results[t])
-					for v := rg[0]; v < rg[1]; v++ {
+					for v := rg.Lo; v < rg.Hi; v++ {
 						gr[v] = r.F32()
 						gi[v] = r.F32()
 					}
@@ -222,7 +222,7 @@ func autoBenches(d *autoParData) []autoBench {
 				Class:  perfmodel.CostTPACF,
 				Reduce: perfmodel.ReduceScalar, ReduceBytes: 16 * tp.Bins(),
 			},
-			verify: func(ranges [][2]int, results [][]byte) (string, bool) {
+			verify: func(ranges domain.Partition, results [][]byte) (string, bool) {
 				want := tpacf.Seq(tp)
 				got := tpacf.Result{
 					DD:  make([]int64, tp.Bins()),
@@ -255,7 +255,7 @@ func autoBenches(d *autoParData) []autoBench {
 				Reduce:       perfmodel.ReduceGrid, ReduceBytes: cu.Geo.Points() * 4,
 				Pointerless: true,
 			},
-			verify: func(ranges [][2]int, results [][]byte) (string, bool) {
+			verify: func(ranges domain.Partition, results [][]byte) (string, bool) {
 				want := cutcp.Seq(cu)
 				grid := make([]float32, cu.Geo.Points())
 				for t := range ranges {
@@ -303,31 +303,20 @@ func autoTaskCount(p perfmodel.Plan, cores int) int {
 	return n
 }
 
-func autoTaskRanges(elems, n int) [][2]int {
-	if n < 1 {
-		n = 1
-	}
-	if n > elems {
-		n = elems
-	}
-	out := make([][2]int, 0, n)
-	for i := 0; i < n; i++ {
-		lo, hi := i*elems/n, (i+1)*elems/n
-		if lo < hi {
-			out = append(out, [2]int{lo, hi})
-		}
-	}
-	return out
+// autoTaskRanges cuts a bench's elems into n task ranges (at most one per
+// element, at least one).
+func autoTaskRanges(elems, n int) domain.Partition {
+	return domain.BlockPartition(elems, max(1, min(n, elems)))
 }
 
 // autoRun executes one bench once under a farm plan: wall time, fabric
 // bytes, shard results, and the ranges that produced them.
 func autoRun(b autoBench, plan cluster.FarmPlan, cores, nTasks int,
-	onTiming func(int, time.Duration)) (time.Duration, int64, [][]byte, [][2]int, error) {
+	onTiming func(int, time.Duration)) (time.Duration, int64, [][]byte, domain.Partition, error) {
 	ranges := autoTaskRanges(b.w.Elems, nTasks)
 	tasks := make([][]byte, len(ranges))
 	for i, rg := range ranges {
-		tasks[i] = encodeAutoRange(rg[0], rg[1])
+		tasks[i] = encodeAutoRange(rg.Lo, rg.Hi)
 	}
 	start := time.Now()
 	fr, stats, err := cluster.AutoFarm(cluster.Config{CoresPerNode: cores}, plan,
@@ -349,13 +338,13 @@ func autoRun(b autoBench, plan cluster.FarmPlan, cores, nTasks int,
 // calibrator keeps best-observed costs — an EWMA fed mean-of-reps would
 // learn scheduler noise the best-of wall times it must predict never pay.
 func autoRunBest(b autoBench, plan cluster.FarmPlan, cores, nTasks, reps int,
-	onTiming func(int, time.Duration)) (time.Duration, int64, [][]byte, [][2]int, error) {
+	onTiming func(int, time.Duration)) (time.Duration, int64, [][]byte, domain.Partition, error) {
 	var (
 		bestT       time.Duration
 		bestTimings map[int]time.Duration
 		bytes       int64
 		results     [][]byte
-		ranges      [][2]int
+		ranges      domain.Partition
 		err         error
 	)
 	for i := 0; i < reps; i++ {
@@ -480,12 +469,12 @@ func AutoSweep(cores int, calibPath string) (*AutoSweepResult, error) {
 // timingFeed routes farm heartbeat timings into the recalibrator: each
 // task's kernel seconds over its units become one EWMA sample for the
 // workload's cost class.
-func timingFeed(online *perfmodel.Online, b autoBench, ranges [][2]int) func(int, time.Duration) {
+func timingFeed(online *perfmodel.Online, b autoBench, ranges domain.Partition) func(int, time.Duration) {
 	return func(task int, d time.Duration) {
 		if task < 0 || task >= len(ranges) {
 			return
 		}
-		units := float64(ranges[task][1]-ranges[task][0]) * b.w.UnitsPerElem
+		units := float64(ranges[task].Len()) * b.w.UnitsPerElem
 		online.Observe(b.w.Class, task, units, d)
 	}
 }

@@ -92,10 +92,10 @@ func TestAutoTaskRanges(t *testing.T) {
 		ranges := autoTaskRanges(elems, n)
 		next := 0
 		for _, rg := range ranges {
-			if rg[0] != next || rg[1] <= rg[0] {
+			if rg.Lo != next || rg.Hi <= rg.Lo {
 				t.Fatalf("ranges(%d,%d): bad range %v after %d", elems, n, rg, next)
 			}
-			next = rg[1]
+			next = rg.Hi
 		}
 		if next != elems {
 			t.Fatalf("ranges(%d,%d) cover %d elems", elems, n, next)

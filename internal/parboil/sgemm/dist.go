@@ -148,8 +148,7 @@ func init() {
 func Eden(m *eden.Master, in *Input) (array.Matrix[float32], error) {
 	bt := TransposeLocal(nil, in.B) // sequential: no shared memory in Eden
 	dom := domain.NewDim2(in.A.H, in.B.W)
-	py, px := dom.GridShape(nearestSquareGrid(m.Processes()))
-	rects := dom.GridPartition(py, px)
+	rects := dom.PowerGrid(m.Processes())
 	tasks := make([]blockSlice, len(rects))
 	for i, r := range rects {
 		tasks[i] = blockSlice{
@@ -167,16 +166,6 @@ func Eden(m *eden.Master, in *Input) (array.Matrix[float32], error) {
 		out.CopyRect(rects[i], b)
 	}
 	return out, nil
-}
-
-// nearestSquareGrid rounds p up to a power of two so the grid shape is
-// non-degenerate even for odd process counts.
-func nearestSquareGrid(p int) int {
-	g := 1
-	for g < p {
-		g <<= 1
-	}
-	return g
 }
 
 // ---- C+MPI+OpenMP reference ----

@@ -253,21 +253,10 @@ func (p *Pool) ParallelForRect(dom domain.Dim2, body func(worker int, r domain.R
 		return
 	}
 	// Over-decompose modestly (4 rects per worker) so stealing can balance.
-	py, px := dom.GridShape(nearestGrid(4 * p.workers))
-	rects := dom.GridPartition(py, px)
+	rects := dom.PowerGrid(4 * p.workers)
 	p.ParallelFor(len(rects), 1, func(worker, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			body(worker, rects[i])
 		}
 	})
-}
-
-// nearestGrid rounds p up to a value with a reasonable factorization (a
-// power of two), so GridShape yields non-degenerate grids.
-func nearestGrid(p int) int {
-	g := 1
-	for g < p {
-		g <<= 1
-	}
-	return g
 }

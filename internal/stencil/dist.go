@@ -26,25 +26,12 @@ const haloTag = mpi.MaxUserTag - 16
 // slabs are empty and their ranks sit the exchange out.
 type Partition struct {
 	H, W int
-	Rows []domain.Range // one half-open row range per rank, in rank order
+	Rows domain.Partition // one half-open row range per rank, in rank order
 }
 
 // NewPartition block-partitions the h rows of an h×w grid over ranks.
 func NewPartition(h, w, ranks int) Partition {
 	return Partition{H: h, W: w, Rows: domain.BlockPartition(h, ranks)}
-}
-
-// Ranks reports the partition's rank count.
-func (p Partition) Ranks() int { return len(p.Rows) }
-
-// OwnerOf reports the rank owning global row y, or -1 if y is out of grid.
-func (p Partition) OwnerOf(y int) int {
-	for r, rng := range p.Rows {
-		if rng.Contains(y) {
-			return r
-		}
-	}
-	return -1
 }
 
 // ghostRows lists, in slot order, the global source row filling each ghost
@@ -116,7 +103,8 @@ func newHaloPlan(p Partition, rank, radius int, b Boundary) haloPlan {
 		case own.Contains(src):
 			pl.local = append(pl.local, [2]int{slot, src})
 		default:
-			pl.recvFrom[p.OwnerOf(src)] = append(pl.recvFrom[p.OwnerOf(src)], slot)
+			o := p.Rows.Owner(src)
+			pl.recvFrom[o] = append(pl.recvFrom[o], slot)
 		}
 	}
 	return pl
