@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: build test race chaos chaos-resume chaos-campaign fuzz fuzz-wal \
 	bench-smoke iter-bench alloc-gate \
-	diffcheck-gate diffcheck-soak autopar-gate lint lint-selftest inline-gate loc vet all
+	diffcheck-gate diffcheck-soak autopar-gate lint lint-selftest inline-gate loc layout vet all
 
 all: vet build test
 
@@ -91,13 +91,13 @@ iter-bench:
 
 # Steady-state allocation gate: AllocsPerRun proofs over the block
 # engine's fast paths and stream nests, the core skeletons' merge steps,
-# cutcp's pipeline (O(1) in atoms), the stencil sweep, the mailbox wait,
-# the reliable layer's eager send and coalesced-frame decode, a duplicate
-# data frame acked with no copy of its payload, Serving's standing helper
-# switched on and off, the farm engine's idle-slot list, the serial decode
-# into a caller's slice, and the exact-size farm frames and a farmed-stencil
-# solve's byte budget (must run without -race; the detector instruments
-# allocations).
+# cutcp's pipeline (O(1) in atoms), the stencil sweep, the mailbox wait, a
+# direct receive under a cancellable context, the reliable layer's eager
+# send and coalesced-frame decode, a duplicate data frame acked with no copy
+# of its payload, Serving's standing helper switched on and off, the farm
+# engine's idle-slot list, the serial decode into a caller's slice, and the
+# exact-size farm frames and a farmed-stencil solve's byte budget (must run
+# without -race; the detector instruments allocations).
 alloc-gate:
 	$(GO) test -count=1 -timeout 5m \
 		-run 'ZeroAllocs|Allocs|Arena|Presize' \
@@ -146,3 +146,10 @@ inline-gate:
 # each package's delta against that ref).
 loc:
 	./scripts/loc.sh
+
+# Code layout of bench's perfbench against BASE (default HEAD): symbols on
+# one side only, address deltas by region with their mod-64 class, and the
+# sentinel kernels' deltas. Gates nothing; `make layout BASE=<git-ref>`.
+BASE ?= HEAD
+layout:
+	./scripts/layout.sh -base $(BASE)

@@ -155,7 +155,8 @@ func (c *Comm) TakeLost() (lost []int) {
 // Idle is the endpoint's Wait(ctx, since, deadline) for a loop that idles on
 // the mailbox itself, not in a blocking receive: in reliable mode the wait
 // also ends when a frame is due for retransmission or a beat batch for its
-// flush, which the loop's next TryRecv performs.
+// flush, which the loop's next TryRecv performs. Those deadlines share the
+// mailbox timer with the caller's, so the loop sleeps toward them.
 func (c *Comm) Idle(ctx context.Context, since transport.Gen, deadline time.Time) transport.WaitReason {
 	if c.rel == nil {
 		return c.ep.Wait(ctx, since, deadline)

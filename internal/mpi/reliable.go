@@ -106,9 +106,11 @@ type ReliableConfig struct {
 	// its first timed retransmission (default 5ms); later ones back off from
 	// it. A frame that an ack for a later one shows lost is resent at once,
 	// so the timeout is paid only for a lost tail frame, or a lost resend.
-	// When the fabric simulates wire delay, the effective deadline is
-	// floored at twice the frame+ack round trip so simulated latency never
-	// reads as loss.
+	// A rank idles toward the deadline on its mailbox timer, which fires at
+	// the host timer's tick (~1.1 ms, bench/README.md "Host"): a timeout
+	// below a tick rounds up to one. When the fabric simulates wire delay,
+	// the effective deadline is floored at twice the frame+ack round trip so
+	// simulated latency never reads as loss.
 	AckTimeout time.Duration
 	// Retries is the number of retransmissions of one frame before its
 	// silent peer is declared lost (default 8).
@@ -493,10 +495,9 @@ func (r *reliable) enqueueLocal(tag int, payload []byte) {
 
 // idle blocks like Endpoint.Wait, but no later than the layer has something to
 // do with nothing arriving: flush a beat batch come due (coalesceDelay) or
-// retransmit a frame. A retransmission has a peer stalled behind it, so a wait
-// toward one is exact (Endpoint.WaitExact); a beat flush or the caller's own
-// deadline keeps the timer, so a worker idling with a buffered beat does not
-// spin.
+// retransmit a frame. Both join the caller's deadline in one Wait on the
+// mailbox timer, so a retransmission due within a host tick waits for the
+// tick: the idle rank sleeps, leaving the CPU to the ranks that compute.
 func (r *reliable) idle(ctx context.Context, since transport.Gen, deadline time.Time) transport.WaitReason {
 	r.mu.Lock()
 	for dst, beats := range r.beats {
@@ -513,10 +514,7 @@ func (r *reliable) idle(ctx context.Context, since transport.Gen, deadline time.
 		}
 	}
 	r.mu.Unlock()
-	if !resend.IsZero() && transport.Sooner(deadline, resend) == resend {
-		return r.c.ep.WaitExact(ctx, since, resend)
-	}
-	return r.c.ep.Wait(ctx, since, deadline)
+	return r.c.ep.Wait(ctx, since, transport.Sooner(deadline, resend))
 }
 
 // serve pumps the endpoint until ready, checked under r.mu before and after

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"slices"
+	"syscall"
 	"testing"
 	"time"
 
@@ -103,6 +104,51 @@ func TestReliableSelfSendWakesBlockedIrecv(t *testing.T) {
 			}
 		})
 	}
+}
+
+// An owner loop idling toward a retransmission sleeps on the mailbox timer;
+// it does not spin. A frame to a peer that never pumps is due again every
+// 500 µs, a deadline the host timer serves at its ~1.1 ms tick: 50 ms of
+// TryRecv + Idle must leave the CPU mostly idle, and still retransmit, at
+// the timer's pace rather than in a storm.
+func TestReliableIdleTowardRetransmitSleeps(t *testing.T) {
+	f := transport.New(transport.Config{Ranks: 2})
+	defer f.Close()
+	const rto = 500 * time.Microsecond
+	c := NewReliableComm(f, 0, ReliableConfig{AckTimeout: rto, MaxAckTimeout: rto, BackoffJitter: -1, Retries: 1 << 20})
+	if err := c.Send(1, 3, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	const span = 50 * time.Millisecond
+	ctx := context.Background()
+	cpu0 := processCPU(t)
+	start := time.Now()
+	for time.Since(start) < span {
+		gen := c.ep.Gen()
+		if _, _, err := c.TryRecv(1, 3); err != nil {
+			t.Fatal(err)
+		}
+		c.Idle(ctx, gen, start.Add(span))
+	}
+	wall, cpu := time.Since(start), processCPU(t)-cpu0
+	retries := c.ReliableStats().Retries
+	t.Logf("%v of CPU in %v, %d retransmissions", cpu, wall, retries)
+	if frac := cpu.Seconds() / wall.Seconds(); frac >= 0.5 {
+		t.Errorf("the idle loop used %.2f of a CPU, want < 0.5: it spins toward the retransmission", frac)
+	}
+	if retries < 10 || retries > 100 {
+		t.Errorf("%d retransmissions in %v, want 10..100", retries, span)
+	}
+}
+
+// processCPU is the user plus system time this process has used.
+func processCPU(t *testing.T) time.Duration {
+	t.Helper()
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		t.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // A steady-state eager send allocates its frame and nothing else: the window

@@ -53,6 +53,7 @@ const holdSlack = 1100 * time.Microsecond * 9 / 8
 // into elapsed time. It sleeps what the host timer can resolve and yield-spins
 // the last holdSlack, so a 50 µs hold costs 50 µs, not a tick; it times itself
 // on the system clock, so an injected Clock sizes a hold but cannot stall one.
+// It is the fabric's one spin: Wait serves every deadline with a timer.
 func hold(d time.Duration) {
 	start := time.Now()
 	time.Sleep(d - holdSlack) // returns at once when that is not positive

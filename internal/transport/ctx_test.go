@@ -39,6 +39,49 @@ func TestRecvCtxUnblocksOnCancel(t *testing.T) {
 	}
 }
 
+// A receive under a cancellable context registers that context with the
+// mailbox once, as Wait does, not once per call: a matched receive
+// allocates nothing, and neither does one that blocks until an arrival.
+func TestRecvCtxZeroAllocs(t *testing.T) {
+	f := New(Config{Ranks: 2})
+	defer f.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	payload := []byte{1}
+
+	if n := testing.AllocsPerRun(200, func() {
+		f.SendShared(1, 0, 7, payload)
+		if _, err := f.RecvCtx(ctx, 0, 1, 7); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("matched RecvCtx allocates %v per call, want 0", n)
+	}
+
+	kick := make(chan struct{})
+	stop := make(chan struct{})
+	go func() {
+		for {
+			select {
+			case <-kick:
+				time.Sleep(200 * time.Microsecond) // let the receiver block
+				f.SendShared(1, 0, 7, payload)
+			case <-stop:
+				return
+			}
+		}
+	}()
+	defer close(stop)
+	if n := testing.AllocsPerRun(50, func() {
+		kick <- struct{}{}
+		if _, err := f.RecvCtx(ctx, 0, 1, 7); err != nil {
+			t.Error(err)
+		}
+	}); n != 0 {
+		t.Errorf("RecvCtx woken by an arrival allocates %v per call, want 0", n)
+	}
+}
+
 func TestRecvCtxDeadline(t *testing.T) {
 	f := New(Config{Ranks: 2})
 	defer f.Close()

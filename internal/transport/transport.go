@@ -86,6 +86,18 @@ type mailbox struct {
 	armedAt  time.Time   // fabric-clock instant the timer is set for; zero once fired
 }
 
+// take removes and returns the earliest queued message matching (src, tag).
+// Callers hold mu.
+func (mb *mailbox) take(src, tag int) (Message, bool) {
+	for i, m := range mb.queue {
+		if (src == AnySource || m.Src == src) && (tag == AnyTag || m.Tag == tag) {
+			mb.queue = append(mb.queue[:i], mb.queue[i+1:]...)
+			return m, true
+		}
+	}
+	return Message{}, false
+}
+
 // closeErr reports why a closed mailbox rejects operations. Callers hold mu.
 func (mb *mailbox) closeErr() error {
 	if mb.crashed {
@@ -273,24 +285,11 @@ func (f *Fabric) RecvCtx(ctx context.Context, dst, src, tag int) (Message, error
 		ctx = context.Background()
 	}
 	mb := f.boxes[dst]
-	if ctx.Done() != nil {
-		// Wake the cond wait when the context fires; without this the
-		// cancellation would only be noticed at the next delivery.
-		stop := context.AfterFunc(ctx, func() {
-			mb.mu.Lock()
-			mb.cond.Broadcast()
-			mb.mu.Unlock()
-		})
-		defer stop()
-	}
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for {
-		for i, m := range mb.queue {
-			if (src == AnySource || m.Src == src) && (tag == AnyTag || m.Tag == tag) {
-				mb.queue = append(mb.queue[:i], mb.queue[i+1:]...)
-				return m, nil
-			}
+		if m, ok := mb.take(src, tag); ok {
+			return m, nil
 		}
 		if mb.closed {
 			return Message{}, mb.closeErr()
@@ -298,6 +297,7 @@ func (f *Fabric) RecvCtx(ctx context.Context, dst, src, tag int) (Message, error
 		if err := ctx.Err(); err != nil {
 			return Message{}, err
 		}
+		mb.watch(ctx) // cancellation wakes the cond wait, as it does Wait's
 		mb.cond.Wait()
 	}
 }
@@ -311,11 +311,8 @@ func (f *Fabric) TryRecv(dst, src, tag int) (Message, bool, error) {
 	mb := f.boxes[dst]
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	for i, m := range mb.queue {
-		if (src == AnySource || m.Src == src) && (tag == AnyTag || m.Tag == tag) {
-			mb.queue = append(mb.queue[:i], mb.queue[i+1:]...)
-			return m, true, nil
-		}
+	if m, ok := mb.take(src, tag); ok {
+		return m, true, nil
 	}
 	if mb.closed {
 		return Message{}, false, mb.closeErr()

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -243,48 +242,6 @@ func TestWaitZeroAllocs(t *testing.T) {
 		ep.TryRecv(1, 7)
 	}); n != 0 {
 		t.Errorf("Wait woken by arrival allocates %v per call, want 0", n)
-	}
-}
-
-// WaitExact meets a deadline nearer than the host timer resolves: the median
-// of nine 300 µs waits lands within the deadline and twice it, where the
-// timer alone takes its 1.1 ms tick; a deadline beyond holdSlack sleeps first
-// and still lands within a tenth. An arrival ends it like any Wait.
-func TestWaitExactMeetsNearDeadlines(t *testing.T) {
-	f := New(Config{Ranks: 2})
-	defer f.Close()
-	ep := f.Endpoint(0)
-	ctx := context.Background()
-	for _, c := range []struct{ d, slack time.Duration }{
-		{300 * time.Microsecond, 300 * time.Microsecond},
-		{5 * time.Millisecond, 500 * time.Microsecond},
-	} {
-		best := time.Duration(1 << 62)
-		for attempt := 0; attempt < 3 && best > c.d+c.slack; attempt++ {
-			var took []time.Duration
-			for range 9 {
-				start := time.Now()
-				if why := ep.WaitExact(ctx, ep.Gen(), start.Add(c.d)); why != WaitDeadline {
-					t.Fatalf("WaitExact = %v, want WaitDeadline", why)
-				}
-				took = append(took, time.Since(start))
-			}
-			slices.Sort(took)
-			if took[0] < c.d {
-				t.Fatalf("a %v wait returned after %v", c.d, took[0])
-			}
-			best = min(best, took[len(took)/2])
-		}
-		if best > c.d+c.slack {
-			t.Errorf("median %v wait took %v, want within %v", c.d, best, c.slack)
-		}
-	}
-	gen := ep.Gen()
-	if err := f.Send(1, 0, 7, nil); err != nil {
-		t.Fatal(err)
-	}
-	if why := ep.WaitExact(ctx, gen, time.Now().Add(time.Hour)); why != WaitArrival {
-		t.Fatalf("WaitExact after an arrival = %v, want WaitArrival", why)
 	}
 }
 
