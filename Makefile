@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: build test race chaos chaos-resume chaos-campaign fuzz fuzz-wal \
 	bench-smoke iter-bench alloc-gate \
-	diffcheck-gate diffcheck-soak autopar-gate lint lint-selftest inline-gate loc layout vet all
+	diffcheck-gate diffcheck-soak autopar-gate lint lint-selftest inline-gate loc layout reach vet all
 
 all: vet build test
 
@@ -153,3 +153,8 @@ loc:
 BASE ?= HEAD
 layout:
 	./scripts/layout.sh -base $(BASE)
+
+# Exported internal/ functions and methods that no main (cmd/*, examples/*,
+# bench's perfbench) links. Gates nothing.
+reach:
+	./scripts/reach.sh

@@ -2,8 +2,8 @@
 // distributed paths: a plain `s += x` (or `s = s + x`) loop whose partial
 // order depends on how work was split across nodes produces results that
 // differ by node count — exactly the bug class the diffcheck oracle
-// flushed out of the farm reduction (PR 6) and that
-// core.DetSum/ChunkPartials/CombineTree exist to prevent. The scope is
+// flushed out of the farm reduction and that fixed core.DetChunk chunks
+// combined by core.CombineTree exist to prevent. The scope is
 // the code that runs under varying decompositions: internal/cluster,
 // internal/diffcheck, and each parboil benchmark's dist*.go.
 //
@@ -35,7 +35,7 @@ const ScopeFilePrefix = "triolet/internal/parboil/"
 var Analyzer = &analysis.Analyzer{
 	Name: "floatdet",
 	Doc: "float accumulation loops in distributed paths that bypass the " +
-		"deterministic reductions (core.DetSum/ChunkPartials/CombineTree)",
+		"deterministic reductions (core.DetChunk chunks combined by core.CombineTree)",
 	Run: run,
 }
 
@@ -92,7 +92,7 @@ func checkFile(pass *analysis.Pass, f *ast.File) {
 				pass.Reportf(lhs.Pos(),
 					"%s float accumulation in a distributed path: partial order follows the "+
 						"decomposition, so results vary by node count — fold through "+
-						"core.DetSum/ChunkPartials/CombineTree instead", opName(n.Tok))
+						"fixed core.DetChunk chunks combined by core.CombineTree instead", opName(n.Tok))
 			}
 		}
 		switch n.Tok {

@@ -7,7 +7,7 @@
 // A function literal is a kernel when it is (a) registered through
 // cluster.RegisterFarm, (b) converted to cluster.FarmFn, or (c) passed to
 // any exported entrypoint of the iter or core skeleton packages (Map,
-// Filter, Reduce, ZipWith, ChunkPartials, NewMapReduce, …). Inside a
+// Filter, Reduce, ZipWith, SumLocal, NewMapReduce, …). Inside a
 // kernel the pass flags the four impurity classes that break cross-mode
 // determinism:
 //

@@ -26,9 +26,6 @@ type collective[S, A, P any] struct {
 	pCodec  serial.Codec[P]
 	kernel  func(n *cluster.Node, slice S, aux A) (P, error)
 	combine func(P, P) P // nil: gather
-	// align snaps runSource's node boundaries to multiples of itself (0
-	// and 1 leave the plain block cut); NewDetSum sets DetChunk.
-	align int
 }
 
 // newCollective registers the engine's worker side under name — the
@@ -115,13 +112,13 @@ func (c *collective[S, A, P]) body(n *cluster.Node, cut func() []S, aux A) ([]P,
 }
 
 // runSource is run for a one-dimensional skeleton, with the one cut every
-// such skeleton makes: src's tasks are block-partitioned over the nodes
-// (boundaries snapped to multiples of align), each node is sent its
-// block's slice, and the partition comes back beside the partials.
+// such skeleton makes: src's tasks are block-partitioned over the nodes,
+// each node is sent its block's slice, and the partition comes back beside
+// the partials.
 func (c *collective[S, A, P]) runSource(s *cluster.Session, src DistSource[S], aux A) ([]P, domain.Partition, error) {
 	var part domain.Partition
 	out, err := c.run(s, func() []S {
-		part = domain.AlignedPartition(src.Tasks(), s.Node().Nodes(), max(c.align, 1))
+		part = domain.BlockPartition(src.Tasks(), s.Node().Nodes())
 		parts := make([]S, len(part))
 		for i, r := range part {
 			parts[i] = src.Slice(r)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -11,7 +10,12 @@ import (
 	"triolet/internal/serial"
 )
 
-// Deterministic-reduction tests: the reduction tree must be a function of
+// Deterministic-reduction tests: DetChunk and CombineTree, the pieces of a
+// float reduction whose tree depends on the domain alone (the cross-mode
+// oracle's chunked executors in internal/diffcheck). The rank-partitioned
+// float sum demonstrably is not such a reduction — that divergence is the
+// oracle's negative control.
+
 // the domain alone, so floating-point sums are bit-identical across pool
 // widths, steal schedules, node counts, and the localpar/par axis. The
 // legacy rank-partitioned float sum demonstrably is not — that divergence
@@ -66,62 +70,6 @@ func adversarialFloats(n int) []float64 {
 	return xs
 }
 
-func TestChunkPartialsScheduleIndependent(t *testing.T) {
-	xs := adversarialFloats(10007)
-	it := iter.LocalPar(iter.Map(func(v float64) float64 { return v * 1.0000000001 },
-		iter.FromSlice(xs)))
-	add := func(a, v float64) float64 { return a + v }
-
-	want := ChunkPartials(nil, it, 0.0, add) // sequential reference
-	for _, workers := range []int{1, 2, 3, 4} {
-		pool := sched.NewPool(workers)
-		for rep := 0; rep < 3; rep++ { // several steal schedules
-			got := ChunkPartials(pool, it, 0.0, add)
-			if len(got) != len(want) {
-				t.Fatalf("workers=%d: %d partials, want %d", workers, len(got), len(want))
-			}
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("workers=%d rep=%d: partial %d = %x, want %x",
-						workers, rep, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-				}
-			}
-		}
-		pool.Close()
-	}
-}
-
-func TestSumLocalDetBitIdenticalAcrossPools(t *testing.T) {
-	xs := adversarialFloats(4099)
-	it := iter.LocalPar(iter.FromSlice(xs))
-	want := SumLocalDet[float64](nil, it)
-	for _, workers := range []int{1, 2, 4, 7} {
-		pool := sched.NewPool(workers)
-		for rep := 0; rep < 3; rep++ {
-			got := SumLocalDet(pool, it)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("workers=%d: %x, want %x", workers,
-					math.Float64bits(got), math.Float64bits(want))
-			}
-		}
-		pool.Close()
-	}
-	// Value sanity on exactly-representable data.
-	ints := make([]float64, 100)
-	for i := range ints {
-		ints[i] = float64(i + 1)
-	}
-	if got := SumLocalDet[float64](nil, iter.FromSlice(ints)); got != 5050 {
-		t.Fatalf("SumLocalDet(1..100) = %v, want 5050", got)
-	}
-}
-
-// detFsum: deterministic distributed sum over a plain float vector.
-var detFsum = NewDetSum("core.test.detfsum", serial.F64s(),
-	func(n *cluster.Node, slice []float64, base int) iter.Iter[float64] {
-		return iter.LocalPar(iter.FromSlice(slice))
-	})
-
 // legacyFsum: the pre-fix shape — per-rank left-fold partials combined up
 // the rank reduction tree. Its rounding depends on the node count.
 var legacyFsum = NewMapReduce("core.test.legacyfsum",
@@ -130,53 +78,6 @@ var legacyFsum = NewMapReduce("core.test.legacyfsum",
 		return iter.Sum(iter.FromSlice(slice)), nil
 	},
 	func(a, b float64) float64 { return a + b })
-
-// The acceptance property of the FP-determinism fix: bit-identical float
-// sums across 1, 2, 4, and 8 virtual nodes, any core count, and the
-// localpar path.
-func TestDetSumBitIdenticalAcrossClusterShapes(t *testing.T) {
-	for _, n := range []int{0, 3, 515, 10007} {
-		xs := make([]float64, n)
-		if n > 0 {
-			copy(xs, adversarialFloats(n))
-		}
-		var bits []uint64
-		var labels []string
-		for _, cfg := range []cluster.Config{
-			{Nodes: 1, CoresPerNode: 1},
-			{Nodes: 2, CoresPerNode: 2},
-			{Nodes: 4, CoresPerNode: 1},
-			{Nodes: 8, CoresPerNode: 2},
-		} {
-			var got float64
-			var local float64
-			_, err := cluster.Run(cfg, func(s *cluster.Session) error {
-				var err error
-				got, err = detFsum.Run(s, SliceSource(xs))
-				if err != nil {
-					return err
-				}
-				local, err = detFsum.RunLocal(s, SliceSource(xs))
-				return err
-			})
-			if err != nil {
-				t.Fatalf("n=%d %+v: %v", n, cfg, err)
-			}
-			if math.Float64bits(got) != math.Float64bits(local) {
-				t.Fatalf("n=%d %+v: Run %x != RunLocal %x", n, cfg,
-					math.Float64bits(got), math.Float64bits(local))
-			}
-			bits = append(bits, math.Float64bits(got))
-			labels = append(labels, fmt.Sprintf("%d nodes x %d cores", cfg.Nodes, cfg.CoresPerNode))
-		}
-		for i := 1; i < len(bits); i++ {
-			if bits[i] != bits[0] {
-				t.Fatalf("n=%d: float sum diverged: %s = %x, %s = %x",
-					n, labels[0], bits[0], labels[i], bits[i])
-			}
-		}
-	}
-}
 
 // Documents the bug the deterministic skeleton fixes: the rank-partitioned
 // sum provably changes rounding with the node count on association-

@@ -15,17 +15,6 @@ import (
 	"triolet/internal/sched"
 )
 
-// effGrain resolves a caller grain against the iterator's planner hint:
-// an explicit grain wins, grain <= 0 defers to iter.WithGrain's value
-// (AutoPar's hook), and zero-for-both falls through to sched.DefaultGrain
-// inside ParallelFor.
-func effGrain[T any](grain int, it iter.Iter[T]) int {
-	if grain > 0 {
-		return grain
-	}
-	return it.Grain()
-}
-
 // SumLocal adds the elements of it. With a parallelism hint and a
 // splittable outer loop it runs on the pool, one fused sequential reduction
 // per stolen range; otherwise it reduces sequentially.
@@ -44,17 +33,10 @@ func ReduceLocal[T, A any](pool *sched.Pool, it iter.Iter[T], grain int, id A, w
 	if it.Hint() == iter.Sequential || !splittable || pool == nil {
 		return iter.Reduce(it, id, w)
 	}
-	return sched.ParallelReduce(pool, n, effGrain(grain, it), id,
+	return sched.ParallelReduce(pool, n, grain, id,
 		func(lo, hi int) A {
 			return iter.Reduce(iter.Split(it, domain.Range{Lo: lo, Hi: hi}), id, w)
 		}, combine)
-}
-
-// CountLocal counts it's elements with the same dispatch as SumLocal.
-func CountLocal[T any](pool *sched.Pool, it iter.Iter[T], grain int) int {
-	return ReduceLocal(pool, it, grain, 0,
-		func(acc int, _ T) int { return acc + 1 },
-		func(a, b int) int { return a + b })
 }
 
 // HistogramLocal bins it's elements into [0, bins). Parallel execution
@@ -69,7 +51,7 @@ func HistogramLocal(pool *sched.Pool, bins int, it iter.Iter[int], grain int) []
 	for i := range private {
 		private[i] = make([]int64, bins)
 	}
-	pool.ParallelFor(n, effGrain(grain, it), func(worker, lo, hi int) {
+	pool.ParallelFor(n, grain, func(worker, lo, hi int) {
 		iter.HistogramInto(private[worker], iter.Split(it, domain.Range{Lo: lo, Hi: hi}))
 	})
 	// Merge each worker's bins in one block add (array.AddInto — a
@@ -94,7 +76,7 @@ func WeightedHistogramLocal[W iter.Number](pool *sched.Pool, bins int, it iter.I
 	for i := range private {
 		private[i] = make([]W, bins)
 	}
-	pool.ParallelFor(n, effGrain(grain, it), func(worker, lo, hi int) {
+	pool.ParallelFor(n, grain, func(worker, lo, hi int) {
 		iter.WeightedHistogramInto(private[worker], iter.Split(it, domain.Range{Lo: lo, Hi: hi}))
 	})
 	// Same block merge as HistogramLocal; for float bins the unchanged
@@ -122,7 +104,7 @@ func BuildSliceLocal[T any](pool *sched.Pool, it iter.Iter[T], grain int) []T {
 		return iter.ToSlice(it)
 	}
 	out := make([]T, n)
-	pool.ParallelFor(n, effGrain(grain, it), func(_, lo, hi int) {
+	pool.ParallelFor(n, grain, func(_, lo, hi int) {
 		iter.FillRange(out[lo:hi], it, lo)
 	})
 	return out

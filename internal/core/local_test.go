@@ -79,15 +79,6 @@ func TestReduceLocalNonTrivialAccumulator(t *testing.T) {
 	}
 }
 
-func TestCountLocal(t *testing.T) {
-	pool := sched.NewPool(2)
-	defer pool.Close()
-	it := iter.LocalPar(iter.Filter(func(x int) bool { return x%5 == 0 }, iter.Range(1000)))
-	if got := CountLocal(pool, it, 16); got != 200 {
-		t.Fatalf("CountLocal = %d", got)
-	}
-}
-
 func TestHistogramLocalMatchesSequential(t *testing.T) {
 	pool := sched.NewPool(4)
 	defer pool.Close()

@@ -74,9 +74,6 @@ func (r Range) Intersect(s Range) Range {
 	return Range{Lo: lo, Hi: hi}
 }
 
-// Shift translates the range by delta.
-func (r Range) Shift(delta int) Range { return Range{Lo: r.Lo + delta, Hi: r.Hi + delta} }
-
 func (r Range) String() string { return fmt.Sprintf("[%d,%d)", r.Lo, r.Hi) }
 
 // Whole returns the range covering the entire domain.
@@ -128,33 +125,6 @@ func BlockPartition(n, p int) Partition {
 		}
 		out[i] = Range{Lo: lo, Hi: lo + size}
 		lo += size
-	}
-	return out
-}
-
-// AlignedPartition splits [0, n) into p contiguous blocks like
-// BlockPartition, but with every interior boundary snapped down to a
-// multiple of align (the final block always ends at n). Snapping keeps a
-// fixed align-sized chunking of the domain intact across different p: no
-// chunk [k*align, (k+1)*align) ever straddles two blocks, which is what
-// lets the deterministic reduction skeletons compute per-chunk partials on
-// whichever node owns a chunk and combine them in a shape that depends
-// only on n — never on the node count. When n < p*align, trailing blocks
-// are empty. align must be positive.
-func AlignedPartition(n, p, align int) Partition {
-	if align <= 0 {
-		panic(fmt.Sprintf("domain: AlignedPartition with align=%d", align))
-	}
-	if n < 0 {
-		panic(fmt.Sprintf("domain: AlignedPartition with n=%d", n))
-	}
-	// Partition whole chunks (count ±1 per block), then scale back to
-	// indices, clamping the ragged final chunk to n.
-	chunks := (n + align - 1) / align
-	out := BlockPartition(chunks, p)
-	for i := range out {
-		out[i].Lo = min(out[i].Lo*align, n)
-		out[i].Hi = min(out[i].Hi*align, n)
 	}
 	return out
 }

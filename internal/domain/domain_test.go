@@ -54,9 +54,6 @@ func TestRangeBasics(t *testing.T) {
 	if !r.Contains(2) || !r.Contains(4) || r.Contains(5) || r.Contains(1) {
 		t.Fatal("Contains wrong at boundaries")
 	}
-	if got := r.Shift(10); got != (Range{12, 15}) {
-		t.Fatalf("Shift = %v", got)
-	}
 }
 
 func TestRangeInvertedPanics(t *testing.T) {
@@ -194,7 +191,6 @@ func TestPartitionOwner(t *testing.T) {
 		align := int(a0%20) + 1
 		for _, part := range []Partition{
 			BlockPartition(n, p),
-			AlignedPartition(n, p, align),
 			ChunkPartition(n, align),
 		} {
 			for i := range n {

@@ -91,7 +91,6 @@ type Iter[T any] struct {
 	stepN Step[Iter[T]] // KStepNest
 	fidx  FIdx[T]       // KIdxFilter
 	hint  ParHint
-	grain int // planner-chosen parallel grain; 0 = consumer default (grain.go)
 }
 
 // FIdx is the partial indexer backing KIdxFilter: At reports ok=false when
@@ -197,7 +196,7 @@ func ToStep[T any](it Iter[T]) Step[T] {
 // input structure, so regular input stays parallelizable and nested input
 // stays a loop nest.
 func Map[T, U any](f func(T) U, it Iter[T]) Iter[U] {
-	out := Iter[U]{kind: it.kind, hint: it.hint, grain: it.grain}
+	out := Iter[U]{kind: it.kind, hint: it.hint}
 	switch it.kind {
 	case KIdxFlat:
 		out.idx = MapIdx(f, it.idx)
@@ -233,7 +232,7 @@ func Map[T, U any](f func(T) U, it Iter[T]) Iter[U] {
 // tasks, which is the key to fusing sum-of-filter without a counting pass
 // (paper §3.2).
 func Filter[T any](pred func(T) bool, it Iter[T]) Iter[T] {
-	out := Iter[T]{hint: it.hint, grain: it.grain}
+	out := Iter[T]{hint: it.hint}
 	switch it.kind {
 	case KIdxFlat:
 		// Paper Fig. 2 builds IdxNest(mapIdx(StepFlat . filterStep pred .
@@ -274,7 +273,7 @@ func Filter[T any](pred func(T) bool, it Iter[T]) Iter[T] {
 // Over a flat indexer it adds one level of nesting, preserving outer-loop
 // parallelism instead of falling back to slow stepper nesting.
 func ConcatMap[T, U any](f func(T) Iter[U], it Iter[T]) Iter[U] {
-	out := Iter[U]{hint: it.hint, grain: it.grain}
+	out := Iter[U]{hint: it.hint}
 	switch it.kind {
 	case KIdxFlat:
 		out.kind = KIdxNest
@@ -309,48 +308,45 @@ func ConcatMap[T, U any](f func(T) Iter[U], it Iter[T]) Iter[U] {
 // other combination is zipped sequentially through steppers.
 func Zip[A, B any](a Iter[A], b Iter[B]) Iter[Pair[A, B]] {
 	hint := mergeHint(a.hint, b.hint)
-	grain := mergeGrain(a.grain, b.grain)
 	if a.kind == KIdxFlat && b.kind == KIdxFlat {
 		out := IdxFlat(ZipIdx(a.idx, b.idx))
-		out.hint, out.grain = hint, grain
+		out.hint = hint
 		return out
 	}
 	out := StepFlat(ZipStep(ToStep(a), ToStep(b)))
-	out.hint, out.grain = hint, grain
+	out.hint = hint
 	return out
 }
 
 // ZipWith combines corresponding elements with f.
 func ZipWith[A, B, C any](f func(A, B) C, a Iter[A], b Iter[B]) Iter[C] {
 	hint := mergeHint(a.hint, b.hint)
-	grain := mergeGrain(a.grain, b.grain)
 	if a.kind == KIdxFlat && b.kind == KIdxFlat {
 		out := IdxFlat(ZipWithIdx(f, a.idx, b.idx))
-		out.hint, out.grain = hint, grain
+		out.hint = hint
 		return out
 	}
 	out := Map(func(p Pair[A, B]) C { return f(p.Fst, p.Snd) }, Zip(a, b))
-	out.hint, out.grain = hint, grain
+	out.hint = hint
 	return out
 }
 
 // Zip3 triples corresponding elements of three iterators.
 func Zip3[A, B, C any](a Iter[A], b Iter[B], c Iter[C]) Iter[Triple[A, B, C]] {
 	hint := mergeHint(mergeHint(a.hint, b.hint), c.hint)
-	grain := mergeGrain(mergeGrain(a.grain, b.grain), c.grain)
 	if a.kind == KIdxFlat && b.kind == KIdxFlat && c.kind == KIdxFlat {
 		n := min(a.idx.N, b.idx.N, c.idx.N)
 		ia, ib, ic := a.idx, b.idx, c.idx
 		out := IdxFlat(Idx[Triple[A, B, C]]{N: n, At: func(i int) Triple[A, B, C] {
 			return Triple[A, B, C]{Fst: ia.At(i), Snd: ib.At(i), Trd: ic.At(i)}
 		}})
-		out.hint, out.grain = hint, grain
+		out.hint = hint
 		return out
 	}
 	out := Map(func(p Pair[Pair[A, B], C]) Triple[A, B, C] {
 		return Triple[A, B, C]{Fst: p.Fst.Fst, Snd: p.Fst.Snd, Trd: p.Snd}
 	}, Zip(Zip(a, b), c))
-	out.hint, out.grain = hint, grain
+	out.hint = hint
 	return out
 }
 

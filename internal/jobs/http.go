@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"time"
@@ -66,6 +67,15 @@ func decodedLen(enc string) (int64, error) {
 }
 
 func (sj specJSON) toSpec() (Spec, error) {
+	// A millisecond count past MaxInt64 nanoseconds would wrap the
+	// Duration (to a tiny or negative timeout), and a negative count or
+	// budget would silently mean "none".
+	if sj.TaskTimeoutMS < 0 || time.Duration(sj.TaskTimeoutMS) > math.MaxInt64/time.Millisecond {
+		return Spec{}, fmt.Errorf("task_timeout_ms %d outside [0, %d]", sj.TaskTimeoutMS, math.MaxInt64/time.Millisecond)
+	}
+	if sj.ByteBudget < 0 {
+		return Spec{}, fmt.Errorf("byte_budget %d is negative", sj.ByteBudget)
+	}
 	sp := Spec{
 		Name:            sj.Name,
 		Kernel:          sj.Kernel,

@@ -95,20 +95,33 @@ func TestHTTPQuotaPrecheck(t *testing.T) {
 // TestHTTPCountsBeyondRegistryRange: the registry stores weight,
 // max_task_attempts and retry_budget as U32, so a larger value would come
 // back from a restart as another one (2^32 as 0: a job never scheduled, or
-// one whose every failure quarantines). Submission refuses it; the largest
-// value that survives is admitted.
+// one whose every failure quarantines). A task_timeout_ms whose nanoseconds
+// pass MaxInt64 would wrap (18446744073710 to a 448µs timeout that fails
+// every attempt, 9223372036855 to a negative one that disables it), and a
+// negative timeout or byte_budget would silently mean "none". Submission
+// refuses each; the largest value that survives is admitted.
 func TestHTTPCountsBeyondRegistryRange(t *testing.T) {
 	s := newTestService(t, Config{})
 	h := s.Handler()
-	for _, field := range []string{"weight", "max_task_attempts", "retry_budget"} {
-		body := strings.Replace(specBody(field, 4, 0), "{", fmt.Sprintf(`{%q:4294967296,`, field), 1)
-		if rec := postJobs(t, h, body); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), field) {
-			t.Fatalf("%s 2^32: status %d (%s), want 400", field, rec.Code, rec.Body.String())
+	for i, c := range []struct {
+		field, value string
+		want         int
+	}{
+		{"weight", "4294967296", http.StatusBadRequest},
+		{"max_task_attempts", "4294967296", http.StatusBadRequest},
+		{"retry_budget", "4294967296", http.StatusBadRequest},
+		{"task_timeout_ms", "18446744073710", http.StatusBadRequest},
+		{"task_timeout_ms", "9223372036855", http.StatusBadRequest},
+		{"task_timeout_ms", "-1", http.StatusBadRequest},
+		{"byte_budget", "-1", http.StatusBadRequest},
+		{"weight", "4294967295", http.StatusCreated},
+		{"task_timeout_ms", "9223372036854", http.StatusCreated},
+	} {
+		body := strings.Replace(specBody(fmt.Sprintf("j%d", i), 4, 0), "{", fmt.Sprintf(`{%q:%s,`, c.field, c.value), 1)
+		rec := postJobs(t, h, body)
+		if rec.Code != c.want || (c.want == http.StatusBadRequest && !strings.Contains(rec.Body.String(), c.field)) {
+			t.Fatalf("%s %s: status %d (%s), want %d", c.field, c.value, rec.Code, rec.Body.String(), c.want)
 		}
-	}
-	body := strings.Replace(specBody("max", 4, 0), "{", `{"weight":4294967295,`, 1)
-	if rec := postJobs(t, h, body); rec.Code != http.StatusCreated {
-		t.Fatalf("weight 2^32-1: status %d (%s), want 201", rec.Code, rec.Body.String())
 	}
 }
 

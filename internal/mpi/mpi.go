@@ -60,10 +60,6 @@ func NewReliableComm(f *transport.Fabric, rank int, cfg ReliableConfig) *Comm {
 	return c
 }
 
-// ReliableEnabled reports whether this communicator runs in
-// acknowledged-delivery mode.
-func (c *Comm) ReliableEnabled() bool { return c.rel != nil }
-
 // SetContext attaches a base context to the communicator: every blocking
 // operation (point-to-point and the sends/receives inside collectives)
 // observes its cancellation and returns ctx.Err() promptly instead of

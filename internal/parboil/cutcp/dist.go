@@ -114,7 +114,8 @@ func atomUpdates(g Geometry, atoms []Atom, zClip domain.Range) iter.Iter[iter.Bi
 // Triolet iterator pipeline — the "Triolet" bar of paper Fig. 3.
 func SeqTriolet(in *Input) []float32 {
 	g := in.Geo
-	return iter.WeightedHistogram(g.Points(), atomUpdates(g, in.Atoms, domain.Range{Hi: g.Dim.D}))
+	it := atomUpdates(g, in.Atoms, domain.Range{Hi: g.Dim.D})
+	return iter.WeightedHistogram(g.Points(), it)
 }
 
 // SeqEden runs the Eden-style sequential kernel: imperative loops over

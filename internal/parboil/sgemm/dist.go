@@ -40,12 +40,13 @@ func blockCodec() serial.Codec[blockSlice] {
 // blockMul computes one output block with the paper's two-line Triolet
 // program: outerproduct of row iterators, dot product per element,
 // materialized with the (optionally threaded) block builder.
-func blockMul(pool *sched.Pool, s blockSlice) array.Matrix[float32] {
+func blockMul(pool *sched.Pool, s *blockSlice) array.Matrix[float32] {
 	zipped := iter.OuterProduct(iter.MatrixRows(s.ARows), iter.MatrixRows(s.BTRows))
+	alpha := s.Alpha
 	prods := iter.Map2(func(p iter.Pair[[]float32, []float32]) float32 {
 		// dot(u, v): the fused sequential inner loop over two contiguous
 		// row views.
-		return RowDot(s.Alpha, p.Fst, p.Snd)
+		return RowDot(alpha, p.Fst, p.Snd)
 	}, zipped)
 	return core.Build2Local(pool, iter.LocalPar2(prods))
 }
@@ -68,7 +69,7 @@ func blockMulImperative(s blockSlice) array.Matrix[float32] {
 // "Triolet" bar of paper Fig. 3.
 func SeqTriolet(in *Input) array.Matrix[float32] {
 	bt := TransposeLocal(nil, in.B)
-	return blockMul(nil, blockSlice{ARows: in.A, BTRows: bt, Alpha: in.Alpha})
+	return blockMul(nil, &blockSlice{ARows: in.A, BTRows: bt, Alpha: in.Alpha})
 }
 
 // SeqEden runs the Eden-style sequential kernel: unboxed arrays with
@@ -87,7 +88,7 @@ var trioletOp = core.NewBuild2D(
 	serial.Unit(),
 	serial.MatrixF32(),
 	func(n *cluster.Node, s blockSlice, _ struct{}) (array.Matrix[float32], error) {
-		return blockMul(n.Pool, s), nil
+		return blockMul(n.Pool, &s), nil
 	},
 )
 
