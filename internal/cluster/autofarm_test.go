@@ -8,7 +8,20 @@ import (
 
 	"triolet/internal/checkpoint"
 	"triolet/internal/trace"
+	"triolet/internal/transport"
 )
+
+// farmOn runs one farm call on a fresh cluster of cfg's shape, one core a node.
+func farmOn(cfg Config, name string, tasks [][]byte, opt FarmOptions) (*FarmResult, transport.Stats, error) {
+	cfg.CoresPerNode = 1
+	var fr *FarmResult
+	stats, err := Run(cfg, func(s *Session) error {
+		var err error
+		fr, err = s.FarmOpts(name, tasks, opt)
+		return err
+	})
+	return fr, stats, err
+}
 
 func autoTasks(n int) [][]byte {
 	tasks := make([][]byte, n)
@@ -18,52 +31,8 @@ func autoTasks(n int) [][]byte {
 	return tasks
 }
 
-// A master-local plan runs every task on the master and still leaves the
-// full predicted/observed instant quartet on the tracer.
-func TestFarmAutoLocalRecordsPlanInstants(t *testing.T) {
-	workerKernels.reset()
-	farmKernels.reset()
-	RegisterFarm("auto.double", func(n *Node, task []byte) ([]byte, error) {
-		out := make([]byte, len(task))
-		for i, b := range task {
-			out[i] = b * 2
-		}
-		return out, nil
-	})
-	tr := trace.New()
-	tasks := autoTasks(6)
-	plan := FarmPlan{Distribute: false, Nodes: 1, Label: "auto-local",
-		PredictedSeconds: 0.0025, PredictedBytes: 123}
-
-	fr, _, err := AutoFarm(Config{CoresPerNode: 1, Tracer: tr}, plan, "auto.double", tasks, FarmOptions{})
-	if err != nil {
-		t.Fatalf("AutoFarm: %v", err)
-	}
-	if fr.MasterRan != len(tasks) {
-		t.Fatalf("MasterRan = %d, want %d (local plan)", fr.MasterRan, len(tasks))
-	}
-	for i, task := range tasks {
-		want := []byte{task[0] * 2, task[1] * 2}
-		if !bytes.Equal(fr.Results[i], want) {
-			t.Fatalf("result %d = %v, want %v", i, fr.Results[i], want)
-		}
-	}
-	if got := tr.InstantValues("plan.predicted"); len(got) != 1 || got[0] != 2500 {
-		t.Fatalf("plan.predicted = %v, want [2500] µs", got)
-	}
-	if got := tr.InstantValues("plan.predicted-bytes"); len(got) != 1 || got[0] != 123 {
-		t.Fatalf("plan.predicted-bytes = %v, want [123]", got)
-	}
-	if got := tr.InstantValues("plan.observed"); len(got) != 1 || got[0] < 0 {
-		t.Fatalf("plan.observed = %v, want one non-negative instant", got)
-	}
-	if got := tr.InstantValues("plan.observed-bytes"); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("plan.observed-bytes = %v, want [0] for a local run", got)
-	}
-}
-
-// A distributing plan sizes the cluster from the plan, produces the same
-// bytes as the local path, and observes real fabric traffic.
+// A four-node farm produces the same bytes as a master-only one, and
+// moves real fabric traffic.
 func TestFarmAutoDistributedMatchesLocal(t *testing.T) {
 	workerKernels.reset()
 	farmKernels.reset()
@@ -73,15 +42,13 @@ func TestFarmAutoDistributedMatchesLocal(t *testing.T) {
 	})
 	tasks := autoTasks(12)
 
-	local, _, err := AutoFarm(Config{CoresPerNode: 1}, FarmPlan{Distribute: false}, "auto.xform", tasks, FarmOptions{})
+	local, _, err := farmOn(Config{Nodes: 1}, "auto.xform", tasks, FarmOptions{})
 	if err != nil {
-		t.Fatalf("local AutoFarm: %v", err)
+		t.Fatalf("local farm: %v", err)
 	}
-	tr := trace.New()
-	dist, stats, err := AutoFarm(Config{CoresPerNode: 1, Tracer: tr},
-		FarmPlan{Distribute: true, Nodes: 4, Label: "auto-dist"}, "auto.xform", tasks, FarmOptions{})
+	dist, stats, err := farmOn(Config{Nodes: 4}, "auto.xform", tasks, FarmOptions{})
 	if err != nil {
-		t.Fatalf("distributed AutoFarm: %v", err)
+		t.Fatalf("distributed farm: %v", err)
 	}
 	for i := range tasks {
 		if !bytes.Equal(local.Results[i], dist.Results[i]) {
@@ -91,60 +58,46 @@ func TestFarmAutoDistributedMatchesLocal(t *testing.T) {
 	if stats.Bytes == 0 {
 		t.Fatal("distributed run moved no fabric bytes")
 	}
-	obs := tr.InstantValues("plan.observed-bytes")
-	if len(obs) != 1 || obs[0] <= 0 {
-		t.Fatalf("plan.observed-bytes = %v, want one positive instant", obs)
-	}
 }
 
-// The local path reports every task's kernel time exactly once; the
-// distributed path delivers timings on the result frames with valid
-// indices, positive durations, and no duplicates.
+// Every executed task reports its kernel time, on the master alone and with
+// workers (carried on the result frame); a checkpoint-resumed task reports 0.
 func TestFarmAutoTaskTimings(t *testing.T) {
 	workerKernels.reset()
 	farmKernels.reset()
+	const sleep = 200 * time.Microsecond
 	RegisterFarm("auto.timed", func(n *Node, task []byte) ([]byte, error) {
-		time.Sleep(200 * time.Microsecond)
+		time.Sleep(sleep)
 		return task, nil
 	})
 	tasks := autoTasks(8)
 
-	collect := func(plan FarmPlan) map[int]time.Duration {
-		var mu sync.Mutex
-		seen := make(map[int]time.Duration)
-		opt := FarmOptions{OnTaskTiming: func(task int, d time.Duration) {
-			mu.Lock()
-			defer mu.Unlock()
-			if _, dup := seen[task]; dup {
-				t.Errorf("task %d timed twice", task)
+	for _, nodes := range []int{1, 3} {
+		store := checkpoint.NewMem()
+		if err := store.Append(checkpoint.Record{
+			Job: "timed", Task: 0, Kind: checkpoint.KindResult, Payload: tasks[0],
+		}); err != nil {
+			t.Fatal(err)
+		}
+		fr, _, err := farmOn(Config{Nodes: nodes}, "auto.timed", tasks, FarmOptions{Checkpoint: store, Job: "timed"})
+		if err != nil {
+			t.Fatalf("%d nodes: %v", nodes, err)
+		}
+		if len(fr.Elapsed) != len(tasks) {
+			t.Fatalf("%d nodes: %d timings for %d tasks", nodes, len(fr.Elapsed), len(tasks))
+		}
+		if fr.Elapsed[0] != 0 {
+			t.Fatalf("%d nodes: resumed task timed %v, want 0", nodes, fr.Elapsed[0])
+		}
+		for task, d := range fr.Elapsed[1:] {
+			if d < sleep {
+				t.Fatalf("%d nodes: task %d timed %v, want >= %v", nodes, task+1, d, sleep)
 			}
-			seen[task] = d
-		}}
-		if _, _, err := AutoFarm(Config{CoresPerNode: 1}, plan, "auto.timed", tasks, opt); err != nil {
-			t.Fatalf("AutoFarm: %v", err)
-		}
-		return seen
-	}
-
-	local := collect(FarmPlan{Distribute: false})
-	if len(local) != len(tasks) {
-		t.Fatalf("local path timed %d/%d tasks", len(local), len(tasks))
-	}
-	dist := collect(FarmPlan{Distribute: true, Nodes: 3})
-	if len(dist) == 0 {
-		t.Fatal("distributed path delivered no timing beats")
-	}
-	for task, d := range dist {
-		if task < 0 || task >= len(tasks) {
-			t.Fatalf("timing for out-of-range task %d", task)
-		}
-		if d <= 0 {
-			t.Fatalf("task %d has non-positive duration %v", task, d)
 		}
 	}
 }
 
-// A master-local plan resumes from a checkpoint store exactly like the
+// A master-only farm resumes from a checkpoint store exactly like the
 // distributed farm: stored tasks are returned bit-identically and never re-executed.
 func TestFarmLocalCheckpointResume(t *testing.T) {
 	workerKernels.reset()
@@ -166,10 +119,9 @@ func TestFarmLocalCheckpointResume(t *testing.T) {
 	tasks := [][]byte{{10}, {11}, {12}}
 	tr := trace.New()
 
-	fr, _, err := AutoFarm(Config{CoresPerNode: 1, Tracer: tr}, FarmPlan{Distribute: false},
-		"auto.ckpt", tasks, FarmOptions{Checkpoint: store, Job: "auto-j"})
+	fr, _, err := farmOn(Config{Nodes: 1, Tracer: tr}, "auto.ckpt", tasks, FarmOptions{Checkpoint: store, Job: "auto-j"})
 	if err != nil {
-		t.Fatalf("AutoFarm: %v", err)
+		t.Fatalf("farm: %v", err)
 	}
 	if fr.Resumed != 1 {
 		t.Fatalf("Resumed = %d, want 1", fr.Resumed)
@@ -187,10 +139,9 @@ func TestFarmLocalCheckpointResume(t *testing.T) {
 		t.Fatalf("farm.resume instants = %v, want [1]", got)
 	}
 	// All three tasks are now durable: a fresh run resumes everything.
-	fr2, _, err := AutoFarm(Config{CoresPerNode: 1}, FarmPlan{Distribute: false},
-		"auto.ckpt", tasks, FarmOptions{Checkpoint: store, Job: "auto-j"})
+	fr2, _, err := farmOn(Config{Nodes: 1}, "auto.ckpt", tasks, FarmOptions{Checkpoint: store, Job: "auto-j"})
 	if err != nil {
-		t.Fatalf("second AutoFarm: %v", err)
+		t.Fatalf("second farm: %v", err)
 	}
 	if fr2.Resumed != len(tasks) {
 		t.Fatalf("second run Resumed = %d, want %d", fr2.Resumed, len(tasks))

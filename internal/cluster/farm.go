@@ -15,7 +15,6 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -86,6 +85,11 @@ type FarmResult struct {
 	// Resumed counts tasks restored from the checkpoint store instead of
 	// executed (results and previously quarantined failures both).
 	Resumed int
+	// Elapsed holds, per task, the kernel time of the execution that settled
+	// it, measured on the executing node's fabric clock and carried back on
+	// the result frame; 0 for a task resumed or quarantined. It is nil when
+	// the call ran no task to a result.
+	Elapsed []time.Duration
 }
 
 // ErrPinLost is what a farm call returns, wrapped, when a worker was retired
@@ -94,14 +98,8 @@ type FarmResult struct {
 var ErrPinLost = errors.New("cluster: pinned worker lost")
 
 // FarmOptions tunes a supervised farm run. The zero value is valid: no
-// cancellation, no checkpointing, default retry and heartbeat policy.
+// checkpointing, default retry and heartbeat policy.
 type FarmOptions struct {
-	// Context cancels the run: Farm returns ctx.Err() promptly, leaving
-	// partial results in FarmResult. A cancelled farm abandons its
-	// workers mid-protocol, so the master should treat the session as
-	// over (returning the error from the master function tears the
-	// fabric down and unwinds every rank).
-	Context context.Context
 	// MaxAttempts is the number of times one task may execute before it
 	// is quarantined in FarmResult.Failed (default 3).
 	MaxAttempts int
@@ -120,12 +118,6 @@ type FarmOptions struct {
 	// crashed. 0 means the default 500ms; negative disables heartbeat
 	// retirement (crash detection still applies).
 	HeartbeatTimeout time.Duration
-	// OnTaskTiming, when non-nil, receives each successful task's kernel
-	// time, measured on the executing node's fabric clock and carried
-	// back on the result frame. It is called at most once per task (for
-	// the execution that settled it, and only for a positive duration), on
-	// the master's farm loop. This is AutoPar's recalibration feed.
-	OnTaskTiming func(task int, elapsed time.Duration)
 	// Pin, when non-nil, names for every task the one rank that may run it (0:
 	// the master) because only that node holds what it works on (Node.Segs) or
 	// the caller places it there. A pinned task is never reassigned: if its rank
@@ -150,8 +142,10 @@ func (s *Session) Farm(name string, tasks [][]byte) (*FarmResult, error) {
 	return s.FarmOpts(name, tasks, FarmOptions{})
 }
 
-// FarmOpts is Farm under explicit supervision options: cancellation,
-// checkpoint/resume, and per-task failure policy. See FarmOptions.
+// FarmOpts is Farm under explicit supervision options: checkpoint/resume
+// and per-task failure policy. See FarmOptions. Cancelling the session's
+// context (RunCtx) ends the call with ctx.Err() and partial results; its
+// workers are abandoned mid-protocol, so the session is over.
 //
 // It is the single-job client of the Mux: one Ledger (ledger.go) holds the
 // failure ladder, and this loop replays the job's checkpoint into it, keeps
@@ -166,12 +160,7 @@ func (s *Session) FarmOpts(name string, tasks [][]byte, opt FarmOptions) (*FarmR
 	if opt.Checkpoint != nil && opt.Job == "" {
 		return nil, fmt.Errorf("cluster: farm %q: checkpointing requires a job name", name)
 	}
-	ctx := opt.Context
-	if ctx == nil {
-		// Inherit the session context (RunCtx), so cancelling the run
-		// unwinds an optionless Farm too.
-		ctx = s.node.Comm.Context()
-	}
+	ctx := s.node.Comm.Context()
 	if opt.MaxAttempts <= 0 {
 		opt.MaxAttempts = defaultMaxAttempts
 	}
@@ -253,11 +242,10 @@ func (s *Session) FarmOpts(name string, tasks [][]byte, opt FarmOptions) (*FarmR
 		if ev.Worker == 0 {
 			res.MasterRan++
 		}
-		// Only the execution that settles a task is reported, so the observer
-		// sees each task at most once.
-		if opt.OnTaskTiming != nil && ev.Elapsed > 0 {
-			opt.OnTaskTiming(ev.Task, ev.Elapsed)
+		if res.Elapsed == nil {
+			res.Elapsed = make([]time.Duration, len(tasks))
 		}
+		res.Elapsed[ev.Task] = ev.Elapsed
 		return nil
 	}
 

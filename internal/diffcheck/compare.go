@@ -150,7 +150,7 @@ func CheckModes(p Pipeline, modes []Mode, opt Options) (*Mismatch, error) {
 		obs[i] = o
 	}
 	// Ground truth: the reference mode must reproduce the slice semantics.
-	if ref, ok := p.Ref(opt.refLimit()); ok {
+	if ref, ok := p.Ref(refLimit); ok {
 		if len(ref) != len(obs[0].Elems) {
 			return &Mismatch{Pipeline: p, A: modes[0], B: modes[0], Field: "Ref",
 				Detail: fmt.Sprintf("%d elems vs reference %d", len(obs[0].Elems), len(ref))}, nil

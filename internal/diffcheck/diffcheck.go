@@ -149,9 +149,6 @@ type Options struct {
 	// Cores is the pool width for LocalPar and the per-node core count for
 	// Par (default 4).
 	Cores int
-	// RefLimit bounds reference-semantics intermediate slices (default
-	// 1<<20 elements).
-	RefLimit int
 }
 
 func (o Options) chunk() int {
@@ -168,12 +165,8 @@ func (o Options) cores() int {
 	return o.Cores
 }
 
-func (o Options) refLimit() int {
-	if o.RefLimit <= 0 {
-		return 1 << 20
-	}
-	return o.RefLimit
-}
+// refLimit bounds reference-semantics intermediate slices, in elements.
+const refLimit = 1 << 20
 
 // HistBins is the histogram width every mode computes.
 const HistBins = 64

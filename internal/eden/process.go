@@ -22,9 +22,6 @@ type Config struct {
 	// MaxMessageBytes caps fabric payloads, reproducing Eden's bounded
 	// message buffer (0 = unlimited).
 	MaxMessageBytes int
-	// NetDelay, when non-nil, makes the fabric hold each message for
-	// latency + size/bandwidth (see transport.DelayConfig).
-	NetDelay *transport.DelayConfig
 }
 
 func (c Config) validate() error {
@@ -180,7 +177,6 @@ func Run(cfg Config, master func(m *Master) error) (transport.Stats, error) {
 	fabric := transport.New(transport.Config{
 		Ranks:           cfg.Processes,
 		MaxMessageBytes: cfg.MaxMessageBytes,
-		Delay:           cfg.NetDelay,
 	})
 	defer fabric.Close()
 

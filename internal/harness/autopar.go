@@ -273,17 +273,14 @@ func autoBenches(d *autoParData) []autoBench {
 	}
 }
 
-// FarmPlanOf projects a perfmodel plan onto the cluster runtime's
-// dependency-free FarmPlan — the harness hook that routes planned
-// consumers through cluster.AutoFarm.
-func FarmPlanOf(p perfmodel.Plan) cluster.FarmPlan {
-	return cluster.FarmPlan{
-		Distribute:       p.Mode == perfmodel.ExecFarm && p.Nodes > 1,
-		Nodes:            p.Nodes,
-		Label:            p.Workload.Name,
-		PredictedSeconds: p.Predicted.Total(),
-		PredictedBytes:   p.PredictedBytes,
+// planNodes is the cluster size a plan runs on: its node count when it farms
+// across nodes, else one node, where the master runs every task itself (the
+// kernel's own pool loops give it node-local parallelism).
+func planNodes(p perfmodel.Plan) int {
+	if p.Mode == perfmodel.ExecFarm && p.Nodes > 1 {
+		return p.Nodes
 	}
+	return 1
 }
 
 // autoTaskCount sizes the farm decomposition from a plan: the planner's
@@ -309,18 +306,22 @@ func autoTaskRanges(elems, n int) domain.Partition {
 	return domain.BlockPartition(elems, max(1, min(n, elems)))
 }
 
-// autoRun executes one bench once under a farm plan: wall time, fabric
-// bytes, shard results, and the ranges that produced them.
-func autoRun(b autoBench, plan cluster.FarmPlan, cores, nTasks int,
-	onTiming func(int, time.Duration)) (time.Duration, int64, [][]byte, domain.Partition, error) {
+// autoRun executes one bench once as a farm on a fresh nodes-node cluster:
+// wall time (cluster setup included), fabric bytes, the farm's result, and
+// the ranges its tasks cover.
+func autoRun(b autoBench, nodes, cores, nTasks int) (time.Duration, int64, *cluster.FarmResult, domain.Partition, error) {
 	ranges := autoTaskRanges(b.w.Elems, nTasks)
 	tasks := make([][]byte, len(ranges))
 	for i, rg := range ranges {
 		tasks[i] = encodeAutoRange(rg.Lo, rg.Hi)
 	}
+	var fr *cluster.FarmResult
 	start := time.Now()
-	fr, stats, err := cluster.AutoFarm(cluster.Config{CoresPerNode: cores}, plan,
-		b.kernel, tasks, cluster.FarmOptions{OnTaskTiming: onTiming})
+	stats, err := cluster.Run(cluster.Config{Nodes: nodes, CoresPerNode: cores}, func(s *cluster.Session) error {
+		var err error
+		fr, err = s.FarmOpts(b.kernel, tasks, cluster.FarmOptions{})
+		return err
+	})
 	elapsed := time.Since(start)
 	if err != nil {
 		return elapsed, stats.Bytes, nil, nil, err
@@ -328,51 +329,32 @@ func autoRun(b autoBench, plan cluster.FarmPlan, cores, nTasks int,
 	if len(fr.Failed) > 0 {
 		return elapsed, stats.Bytes, nil, nil, fmt.Errorf("%d tasks quarantined", len(fr.Failed))
 	}
-	return elapsed, stats.Bytes, fr.Results, ranges, nil
+	return elapsed, stats.Bytes, fr, ranges, nil
 }
 
-// autoRunBest is autoRun with best-of-n wall time (results from the last
-// repetition): virtual-cluster startup jitter is the dominant noise at
-// sweep scale, and the minimum is the stable statistic. Task timings are
-// forwarded only from the fastest repetition, for the same reason the
+// autoRunBest is autoRun with best-of-n wall time, returning the fastest
+// repetition's measurements: virtual-cluster startup jitter is the dominant
+// noise at sweep scale, and the minimum is the stable statistic. Its task
+// timings are the ones the recalibrator learns, for the same reason the
 // calibrator keeps best-observed costs — an EWMA fed mean-of-reps would
 // learn scheduler noise the best-of wall times it must predict never pay.
-func autoRunBest(b autoBench, plan cluster.FarmPlan, cores, nTasks, reps int,
-	onTiming func(int, time.Duration)) (time.Duration, int64, [][]byte, domain.Partition, error) {
+func autoRunBest(b autoBench, nodes, cores, nTasks, reps int) (time.Duration, int64, *cluster.FarmResult, domain.Partition, error) {
 	var (
-		bestT       time.Duration
-		bestTimings map[int]time.Duration
-		bytes       int64
-		results     [][]byte
-		ranges      domain.Partition
-		err         error
+		bestT  time.Duration
+		bytes  int64
+		best   *cluster.FarmResult
+		ranges domain.Partition
 	)
 	for i := 0; i < reps; i++ {
-		var t time.Duration
-		var mu sync.Mutex
-		timings := make(map[int]time.Duration)
-		collect := func(task int, d time.Duration) {
-			mu.Lock()
-			timings[task] = d
-			mu.Unlock()
-		}
-		if onTiming == nil {
-			collect = nil
-		}
-		t, bytes, results, ranges, err = autoRun(b, plan, cores, nTasks, collect)
+		t, by, fr, rg, err := autoRun(b, nodes, cores, nTasks)
 		if err != nil {
-			return t, bytes, nil, nil, err
+			return t, by, nil, nil, err
 		}
-		if bestT == 0 || t < bestT {
-			bestT, bestTimings = t, timings
-		}
-	}
-	if onTiming != nil {
-		for task, d := range bestTimings {
-			onTiming(task, d)
+		if best == nil || t < bestT {
+			bestT, bytes, best, ranges = t, by, fr, rg
 		}
 	}
-	return bestT, bytes, results, ranges, err
+	return bestT, bytes, best, ranges, nil
 }
 
 // AutoPoint is one benchmark's autopar measurement: two auto-mapped runs
@@ -466,16 +448,12 @@ func AutoSweep(cores int, calibPath string) (*AutoSweepResult, error) {
 	return res, nil
 }
 
-// timingFeed routes farm heartbeat timings into the recalibrator: each
-// task's kernel seconds over its units become one EWMA sample for the
+// timingFeed routes a farm's per-task kernel times into the recalibrator:
+// each task's kernel seconds over its units become one EWMA sample for the
 // workload's cost class.
-func timingFeed(online *perfmodel.Online, b autoBench, ranges domain.Partition) func(int, time.Duration) {
-	return func(task int, d time.Duration) {
-		if task < 0 || task >= len(ranges) {
-			return
-		}
-		units := float64(ranges[task].Len()) * b.w.UnitsPerElem
-		online.Observe(b.w.Class, task, units, d)
+func timingFeed(online *perfmodel.Online, b autoBench, ranges domain.Partition, fr *cluster.FarmResult) {
+	for task, d := range fr.Elapsed {
+		online.Observe(b.w.Class, task, float64(ranges[task].Len())*b.w.UnitsPerElem, d)
 	}
 }
 
@@ -496,17 +474,16 @@ func runAutoBench(pl *perfmodel.Planner, b autoBench, cores int) AutoPoint {
 
 	// Hand-tuned ladder: the same farm executor forced to each node count.
 	for _, nodes := range handNodeCounts {
-		plan := cluster.FarmPlan{Distribute: nodes > 1, Nodes: nodes, Label: b.name + "-hand"}
 		nTasks := 4 * cores
 		if nodes > 1 {
 			nTasks = 4 * (nodes - 1)
 		}
-		el, _, results, ranges, err := autoRunBest(b, plan, cores, nTasks, handReps, nil)
+		el, _, fr, ranges, err := autoRunBest(b, nodes, cores, nTasks, handReps)
 		if err != nil {
 			pt.Verify = fmt.Sprintf("hand@%d: %v", nodes, err)
 			return pt
 		}
-		if detail, ok := b.verify(ranges, results); !ok {
+		if detail, ok := b.verify(ranges, fr.Results); !ok {
 			pt.Verify = fmt.Sprintf("hand@%d: %s", nodes, detail)
 			return pt
 		}
@@ -520,15 +497,15 @@ func runAutoBench(pl *perfmodel.Planner, b autoBench, cores int) AutoPoint {
 	// per-task timings and the run-level bias back into the recalibrator.
 	autoOnce := func(runTag string) (perfmodel.Plan, time.Duration, int64, error) {
 		plan := pl.Plan(b.w)
-		ranges := autoTaskRanges(b.w.Elems, autoTaskCount(plan, cores))
-		el, bytes, results, gotRanges, err := autoRunBest(b, FarmPlanOf(plan), cores,
-			autoTaskCount(plan, cores), autoReps, timingFeed(online, b, ranges))
+		el, bytes, fr, ranges, err := autoRunBest(b, planNodes(plan), cores,
+			autoTaskCount(plan, cores), autoReps)
 		if err != nil {
 			return plan, el, bytes, fmt.Errorf("%s: %w", runTag, err)
 		}
-		if detail, ok := b.verify(gotRanges, results); !ok {
+		if detail, ok := b.verify(ranges, fr.Results); !ok {
 			return plan, el, bytes, fmt.Errorf("%s: %s", runTag, detail)
 		}
+		timingFeed(online, b, ranges, fr)
 		online.Commit()
 		// Bias against a re-prediction under the freshly committed unit
 		// costs, not the stale pre-run plan: the EWMA already absorbed what

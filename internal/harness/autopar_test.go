@@ -71,22 +71,6 @@ func TestAutoSweepVerifiesAndPersists(t *testing.T) {
 	}
 }
 
-// FarmPlanOf only distributes genuine multi-node farm plans and carries
-// the prediction through for the trace instants.
-func TestFarmPlanOfProjection(t *testing.T) {
-	seq := perfmodel.Plan{Mode: perfmodel.ExecSeq, Nodes: 1,
-		Workload: perfmodel.Workload{Name: "w"}}
-	if fp := FarmPlanOf(seq); fp.Distribute {
-		t.Fatalf("seq plan projected to a distributed farm: %+v", fp)
-	}
-	farm := perfmodel.Plan{Mode: perfmodel.ExecFarm, Nodes: 4, PredictedBytes: 99,
-		Workload: perfmodel.Workload{Name: "w"}}
-	fp := FarmPlanOf(farm)
-	if !fp.Distribute || fp.Nodes != 4 || fp.PredictedBytes != 99 || fp.Label != "w" {
-		t.Fatalf("farm plan projection lost fields: %+v", fp)
-	}
-}
-
 func TestAutoTaskRanges(t *testing.T) {
 	cover := func(elems, n int) {
 		ranges := autoTaskRanges(elems, n)

@@ -273,6 +273,10 @@ type job struct {
 	firstRun  time.Time
 	latencies []time.Duration
 	done      chan struct{}
+	// tombstone is the registry summary of a compacted job, rebuilt from
+	// that record alone (see recover): its spec holds no tasks and its
+	// ledger is empty, so the status surface reports the summary's counts.
+	tombstone *doneSummary
 }
 
 // markRunningLocked flips Queued→Running and stamps the latency epoch.
@@ -394,10 +398,11 @@ func (s *Service) recover() error {
 				// A compacted registry: the terminal job's spec and results
 				// were reclaimed and only the summary survives. Rebuild a
 				// tombstone — the name stays reserved and the status surface
-				// keeps reporting the outcome, but Result() is empty.
-				// The ledger is empty; only the task count is restored.
+				// keeps reporting the outcome, but Result() is empty. Its
+				// counts stay numbers: the record is not trusted to size
+				// an allocation.
 				j = newJob(Spec{Name: rec.Job}, nil)
-				j.spec.Tasks = make([][]byte, sum.completed+sum.failed)
+				j.tombstone = &sum
 				j.recorded = true
 				s.jobs[rec.Job] = j
 				s.order = append(s.order, rec.Job)

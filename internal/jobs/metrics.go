@@ -68,6 +68,9 @@ func (s *Service) statusLocked(j *job, totalWeight int) JobStatus {
 		BytesOut:    j.bytesOut,
 		ByteBudget:  j.spec.ByteBudget,
 	}
+	if t := j.tombstone; t != nil {
+		st.Tasks, st.Completed, st.Failed = t.completed+t.failed, t.completed, t.failed
+	}
 	if totalWeight > 0 && !j.state.Terminal() {
 		st.Share = float64(j.spec.Weight) / float64(totalWeight)
 	}

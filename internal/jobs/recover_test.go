@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -81,5 +82,37 @@ func TestRecoverRejectsInvalidSpecRecord(t *testing.T) {
 	}
 	if _, err := NewService(Config{Store: store}); err == nil || !strings.Contains(err.Error(), "weight") {
 		t.Fatalf("NewService over a weight-0 spec record: %v, want a registry error", err)
+	}
+}
+
+// A compacted job's summary record sizes no allocation: one claiming 2^20
+// completed and 2^20 failed tasks recovers as a tombstone that reports those
+// counts and holds no per-task entries. Rebuilding a 2^21-entry task list
+// from it allocated 48 MB on recovery and as much again per Result, and
+// reported the degraded job as 0 completed, 0 failed.
+func TestRecoverTombstoneKeepsCountsNotTasks(t *testing.T) {
+	const n = 1 << 20
+	store := checkpoint.NewMem()
+	if err := store.Append(checkpoint.Record{Job: "big", Kind: checkpoint.KindJobDone,
+		Payload: encodeDone(doneSummary{state: Degraded, completed: n, failed: n})}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := NewService(Config{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, ok := s.Job("big")
+	results, failed, rerr := s.Result("big")
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
+		t.Fatalf("recovering one summary record allocated %d bytes", alloc)
+	}
+	if !ok || st.State != "degraded" || st.Tasks != 2*n || st.Completed != n || st.Failed != n {
+		t.Fatalf("tombstone status = %+v, ok=%v", st, ok)
+	}
+	if rerr != nil || len(results) != 0 || len(failed) != 0 {
+		t.Fatalf("tombstone Result: %d results, %d failures, %v", len(results), len(failed), rerr)
 	}
 }

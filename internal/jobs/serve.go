@@ -269,10 +269,12 @@ func (s *Service) handleTaskDone(ev cluster.MuxEvent, now time.Time) error {
 		nj.ledger.Started(ev.Worker, ev.Next.Task, now)
 	}
 	j, known := s.jobs[ev.Job]
-	if !known {
+	if !known || j.state.Terminal() {
 		// A stray frame for a job this service does not know (e.g. a
-		// submission rolled back after a failed registry append). Drop it:
-		// one late result must not kill the Serve loop for every tenant.
+		// submission rolled back after a failed registry append), or a late
+		// one for a finished job (a compacted one holds no tasks to check
+		// it against). Drop it: one late result must not kill the Serve
+		// loop for every tenant.
 		s.mu.Unlock()
 		return nil
 	}
@@ -280,11 +282,7 @@ func (s *Service) handleTaskDone(ev cluster.MuxEvent, now time.Time) error {
 		s.mu.Unlock()
 		return fmt.Errorf("jobs: result for %q task %d out of range", ev.Job, ev.Task)
 	}
-	verdict := cluster.VerdictDuplicate
-	var rec checkpoint.Record
-	if !j.state.Terminal() {
-		verdict, rec = j.ledger.Observe(ev, now)
-	}
+	verdict, rec := j.ledger.Observe(ev, now)
 	if verdict == cluster.VerdictDuplicate {
 		s.mu.Unlock()
 		return nil

@@ -17,10 +17,10 @@ import (
 // are tracked:
 //
 //   - Per-CostClass EWMA over observed seconds-per-unit, fed by the farm's
-//     per-task timing beats. Samples are buffered by Observe and folded by
-//     Commit in (class, task) order, so the resulting cost is a pure
-//     function of the sample SET — concurrent heartbeat arrival order
-//     cannot change it (pinned by a -race test).
+//     per-task kernel times (cluster.FarmResult.Elapsed). Samples are
+//     buffered by Observe and folded by Commit in (class, task) order, so
+//     the resulting cost is a pure function of the sample SET — the order
+//     they were observed in cannot change it (pinned by a -race test).
 //   - Per-workload bias: an EWMA of observed/predicted wall time, which
 //     absorbs everything the analytic model misses for that workload
 //     (constant overheads, cache effects, fabric scheduling).
@@ -107,9 +107,8 @@ func (o *Online) Bias(name string) float64 {
 }
 
 // Observe buffers one task timing. task is the task's index within its
-// job; it orders concurrent samples deterministically at Commit. Safe for
-// concurrent use — the farm's heartbeat drain calls this as timing beats
-// arrive.
+// job; it orders samples deterministically at Commit. Safe for concurrent
+// use.
 func (o *Online) Observe(c CostClass, task int, units float64, elapsed time.Duration) {
 	if c < 0 || c >= numCostClasses || units <= 0 || elapsed <= 0 {
 		return

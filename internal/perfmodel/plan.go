@@ -222,10 +222,8 @@ const poolSpawnCost = 20e-6
 type Planner struct {
 	online *Online
 	mach   Machine
-	// MaxNodes caps the farm search (default 8); Cores is the per-node
-	// pool width the plan will run with.
-	MaxNodes int
-	Cores    int
+	// Cores is the per-node pool width the plan will run with.
+	Cores int
 	// PhysCores, when set, caps the modeled parallel speedup at the
 	// physical parallelism actually available to the in-process virtual
 	// cluster. Zero trusts the paper-semantics model where every virtual
@@ -247,7 +245,7 @@ func NewPlannerOnline(o *Online, mach Machine, cores int) *Planner {
 	if cores <= 0 {
 		cores = 1
 	}
-	return &Planner{online: o, mach: mach, MaxNodes: maxPlanNodes, Cores: cores}
+	return &Planner{online: o, mach: mach, Cores: cores}
 }
 
 // Online exposes the planner's recalibrator for Observe/Commit feedback.
@@ -277,7 +275,7 @@ func grainFor(n, workers int) int {
 	return g
 }
 
-// Plan evaluates seq, pool, and farm@2..MaxNodes under the current
+// Plan evaluates seq, pool, and farm@2..maxPlanNodes under the current
 // (possibly recalibrated) unit costs and returns the minimum-predicted
 // configuration.
 func (pl *Planner) Plan(w Workload) Plan {
@@ -322,11 +320,7 @@ func (pl *Planner) Plan(w Workload) Plan {
 		}
 	}
 
-	maxNodes := pl.MaxNodes
-	if maxNodes > maxPlanNodes {
-		maxNodes = maxPlanNodes
-	}
-	for n := 2; n <= maxNodes; n++ {
+	for n := 2; n <= maxPlanNodes; n++ {
 		p := pl.farmPlan(w, n, cores, work, serial, serCost, bias)
 		if p.Predicted.Total() < best.Predicted.Total() {
 			best = p

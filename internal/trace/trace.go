@@ -159,10 +159,10 @@ func (t *Tracer) Count(phase string) int {
 }
 
 // InstantValues returns each instant event's Bytes value for phase, in
-// record order. Instants double as metric samples (AutoPar records
-// "plan.predicted"/"plan.observed" wall-µs and byte volumes this way), and
-// per-sample access — not just the Count/PhaseBytes aggregates — is what
-// lets a test compare an individual prediction against its observation.
+// record order. Instants double as metric samples (the reliable layer's
+// "net.fast-retry", the farm's "farm.resume" count), and per-sample
+// access — not just the Count/PhaseBytes aggregates — is what lets a test
+// check an individual sample.
 func (t *Tracer) InstantValues(phase string) []int64 {
 	if t == nil {
 		return nil

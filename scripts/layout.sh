@@ -9,7 +9,12 @@
 #     the same amount, with its mod-64 class, its size and its first and
 #     last package;
 #   - the deltas of the sentinel functions whose speed reads the layout
-#     (sgemm.Seq, sgemm.blockMul, main.heatCell, main.lifeCell).
+#     (sgemm.Seq, sgemm.blockMul, main.heatCell, main.lifeCell, and
+#     cutcp-node's two kernels: cutcp.Accumulate, inside the Ref twin, and
+#     cutcp.gridPts on the solve side);
+#   - one closing line: the sentinels off the base's (normally the
+#     parent's) 64-byte class, or "all sentinels on the parent's 64-byte
+#     class".
 # A change to an early package (transport, mpi, cluster) moves everything
 # linked after it; keep that shift a multiple of 64 bytes, or sgemm-wire's
 # vs_ref moves with no sgemm code changed. Gates nothing.
@@ -44,7 +49,7 @@ syms() {
 syms "$tmp/perfbench.base" >"$tmp/base.syms"
 syms "$tmp/perfbench.work" >"$tmp/work.syms"
 
-awk -v sentinels='triolet/internal/parboil/sgemm.Seq triolet/internal/parboil/sgemm.blockMul main.heatCell main.lifeCell' '
+awk -v sentinels='triolet/internal/parboil/sgemm.Seq triolet/internal/parboil/sgemm.blockMul main.heatCell main.lifeCell triolet/internal/parboil/cutcp.Accumulate triolet/internal/parboil/cutcp.gridPts' '
 function name(line) { return substr(line, index(line, " ") + 1) }
 # addr: the hex address that starts a line (no strtonum: mawk has none).
 function addr(line,   h, v, i) {
@@ -97,8 +102,12 @@ END {
     print ""
     ns = split(sentinels, s, " ")
     for (i = 1; i <= ns; i++) {
-        if (!(s[i] in old) || !(s[i] in seen)) { printf "%-40s missing\n", s[i]; continue }
+        if (!(s[i] in old) || !(s[i] in seen)) { printf "%-40s missing\n", s[i]; off = off " " s[i]; continue }
         d = at[s[i]] - old[s[i]]
         printf "%-40s %+7d  mod64 %2d\n", s[i], d, mod64(d)
+        if (mod64(d) != 0) off = off " " s[i]
     }
+    print ""
+    if (off == "") print "all sentinels on the parent'"'"'s 64-byte class"
+    else print "off the parent'"'"'s 64-byte class:" off
 }' "$tmp/base.syms" "$tmp/work.syms"
