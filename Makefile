@@ -56,13 +56,15 @@ chaos-campaign:
 	$(GO) test -race -count=1 -timeout 10m -run ChaosCampaign ./internal/jobs/
 
 # 30-second fuzz smokes over the decoders at a trust boundary: the serial
-# slice codecs, the farm engine's task/result frames, the reliable layer's
+# slice, record and matrix codecs, the farm engine's task/result frames, the reliable layer's
 # frames (any record list under a valid CRC), the farmed stencil's task
 # frames, the job service's specs (HTTP body, registry records), the AutoPar
 # calibration snapshot and the differential oracle's chunk tasks — plus
 # the stream nest against its per-element reference.
 fuzz:
 	$(GO) test -fuzz=FuzzSliceDecoders -fuzztime=30s ./internal/serial
+	$(GO) test -fuzz=FuzzRecordCodec -fuzztime=30s ./internal/serial
+	$(GO) test -fuzz=FuzzMatrixCodec -fuzztime=30s ./internal/serial
 	$(GO) test -fuzz=FuzzMuxFrames -fuzztime=30s ./internal/cluster
 	$(GO) test -fuzz=FuzzReliableFrames -fuzztime=30s ./internal/mpi
 	$(GO) test -fuzz=FuzzFarmOpTask -fuzztime=30s ./internal/stencil

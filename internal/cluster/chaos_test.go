@@ -66,7 +66,7 @@ func runGuarded(t *testing.T, cfg Config, master func(*Session) error) (transpor
 // sumKernel computes sum(rank+1) over all nodes with a collective reduce.
 func registerSumKernel(name string) {
 	RegisterWorker(name, func(n *Node) error {
-		_, _, err := mpi.ReduceT(n.Comm, serial.IntC(), n.Rank()+1, func(a, b int) int { return a + b })
+		_, _, err := mpi.ReduceT(n.Comm, intC, n.Rank()+1, func(a, b int) int { return a + b })
 		return err
 	})
 }
@@ -75,7 +75,7 @@ func invokeSum(s *Session, name string) (int, error) {
 	if err := s.Invoke(name); err != nil {
 		return 0, err
 	}
-	sum, _, err := mpi.ReduceT(s.Node().Comm, serial.IntC(), s.Node().Rank()+1,
+	sum, _, err := mpi.ReduceT(s.Node().Comm, intC, s.Node().Rank()+1,
 		func(a, b int) int { return a + b })
 	return sum, err
 }
@@ -264,17 +264,17 @@ func TestFarmTypedUnderLossyFabric(t *testing.T) {
 	workerKernels.reset()
 	farmKernels.reset()
 	RegisterFarm("chaos.scale", func(n *Node, task []byte) ([]byte, error) {
-		v, err := serial.Unmarshal(serial.IntC(), task)
+		v, err := serial.Unmarshal(intC, task)
 		if err != nil {
 			return nil, err
 		}
-		return serial.Marshal(serial.IntC(), v*10), nil
+		return serial.Marshal(intC, v*10), nil
 	})
 
 	in := []int{3, 1, 4, 1, 5, 9, 2, 6}
 	tasks := make([][]byte, len(in))
 	for i, v := range in {
-		tasks[i] = serial.Marshal(serial.IntC(), v)
+		tasks[i] = serial.Marshal(intC, v)
 	}
 	var res *FarmResult
 	_, err := runGuarded(t, Config{
@@ -290,7 +290,7 @@ func TestFarmTypedUnderLossyFabric(t *testing.T) {
 		t.Fatalf("session: %v", err)
 	}
 	for i, v := range in {
-		if out, err := serial.Unmarshal(serial.IntC(), res.Results[i]); err != nil || out != v*10 {
+		if out, err := serial.Unmarshal(intC, res.Results[i]); err != nil || out != v*10 {
 			t.Fatalf("out[%d] = %d (%v), want %d (res=%+v)", i, out, err, v*10, res)
 		}
 	}

@@ -11,6 +11,9 @@ import (
 	"triolet/internal/transport"
 )
 
+// intC is the codec of the single ints the tests exchange.
+var intC serial.Codec[int] = serial.Funcs[int]{Enc: (*serial.Writer).Int, Dec: (*serial.Reader).Int}
+
 // The tests register kernels per test via a reset registry; production code
 // registers at init and never resets.
 
@@ -52,7 +55,7 @@ func TestInvokeRunsKernelOnAllWorkers(t *testing.T) {
 	workerKernels.reset()
 	// Kernel: every node contributes rank+1; master reduces.
 	RegisterWorker("test.sum", func(n *Node) error {
-		_, _, err := mpi.ReduceT(n.Comm, serial.IntC(), n.Rank()+1, func(a, b int) int { return a + b })
+		_, _, err := mpi.ReduceT(n.Comm, intC, n.Rank()+1, func(a, b int) int { return a + b })
 		return err
 	})
 	var got int
@@ -60,7 +63,7 @@ func TestInvokeRunsKernelOnAllWorkers(t *testing.T) {
 		if err := s.Invoke("test.sum"); err != nil {
 			return err
 		}
-		v, ok, err := mpi.ReduceT(s.Node().Comm, serial.IntC(), 1, func(a, b int) int { return a + b })
+		v, ok, err := mpi.ReduceT(s.Node().Comm, intC, 1, func(a, b int) int { return a + b })
 		if err != nil || !ok {
 			return err
 		}
@@ -88,11 +91,11 @@ func TestInvokeUnknownKernel(t *testing.T) {
 func TestRepeatedInvocations(t *testing.T) {
 	workerKernels.reset()
 	RegisterWorker("test.echo", func(n *Node) error {
-		v, err := mpi.BcastT(n.Comm, 0, serial.IntC(), 0)
+		v, err := mpi.BcastT(n.Comm, 0, intC, 0)
 		if err != nil {
 			return err
 		}
-		_, _, err = mpi.ReduceT(n.Comm, serial.IntC(), v*n.Rank(), func(a, b int) int { return a + b })
+		_, _, err = mpi.ReduceT(n.Comm, intC, v*n.Rank(), func(a, b int) int { return a + b })
 		return err
 	})
 	_, err := Run(Config{Nodes: 3, CoresPerNode: 1}, func(s *Session) error {
@@ -100,10 +103,10 @@ func TestRepeatedInvocations(t *testing.T) {
 			if err := s.Invoke("test.echo"); err != nil {
 				return err
 			}
-			if _, err := mpi.BcastT(s.Node().Comm, 0, serial.IntC(), round); err != nil {
+			if _, err := mpi.BcastT(s.Node().Comm, 0, intC, round); err != nil {
 				return err
 			}
-			v, _, err := mpi.ReduceT(s.Node().Comm, serial.IntC(), 0, func(a, b int) int { return a + b })
+			v, _, err := mpi.ReduceT(s.Node().Comm, intC, 0, func(a, b int) int { return a + b })
 			if err != nil {
 				return err
 			}
@@ -146,7 +149,7 @@ func TestWorkerKernelErrorPropagates(t *testing.T) {
 			return errors.New("worker kernel failure")
 		}
 		// Other workers and master still complete their collective.
-		_, _, err := mpi.ReduceT(n.Comm, serial.IntC(), 0, func(a, b int) int { return a + b })
+		_, _, err := mpi.ReduceT(n.Comm, intC, 0, func(a, b int) int { return a + b })
 		return err
 	})
 	_, err := Run(Config{Nodes: 3, CoresPerNode: 1}, func(s *Session) error {
@@ -157,7 +160,7 @@ func TestWorkerKernelErrorPropagates(t *testing.T) {
 		// sending its contribution, so this blocks until the abort
 		// machinery closes the fabric; the resulting error is joined with
 		// rank 1's real failure.
-		_, _, err := mpi.ReduceT(s.Node().Comm, serial.IntC(), 0, func(a, b int) int { return a + b })
+		_, _, err := mpi.ReduceT(s.Node().Comm, intC, 0, func(a, b int) int { return a + b })
 		return err
 	})
 	if err == nil || !strings.Contains(err.Error(), "worker kernel failure") {
@@ -173,14 +176,14 @@ func TestWorkerPanicAbortsJob(t *testing.T) {
 		}
 		// Peers block on a collective that rank 2 will never join; the
 		// abort machinery must unblock them.
-		_, _, err := mpi.ReduceT(n.Comm, serial.IntC(), 1, func(a, b int) int { return a + b })
+		_, _, err := mpi.ReduceT(n.Comm, intC, 1, func(a, b int) int { return a + b })
 		return err
 	})
 	_, err := Run(Config{Nodes: 4, CoresPerNode: 1}, func(s *Session) error {
 		if err := s.Invoke("test.panic"); err != nil {
 			return err
 		}
-		_, _, err := mpi.ReduceT(s.Node().Comm, serial.IntC(), 1, func(a, b int) int { return a + b })
+		_, _, err := mpi.ReduceT(s.Node().Comm, intC, 1, func(a, b int) int { return a + b })
 		return err
 	})
 	if err == nil || !strings.Contains(err.Error(), "worker kernel exploded") {
@@ -204,7 +207,7 @@ func TestNodePoolUsable(t *testing.T) {
 	RegisterWorker("test.pool", func(n *Node) error {
 		// Each node sums [0,100) on its thread pool, then reduces to root.
 		v := poolSum(n, 100)
-		_, _, err := mpi.ReduceT(n.Comm, serial.IntC(), v, func(a, b int) int { return a + b })
+		_, _, err := mpi.ReduceT(n.Comm, intC, v, func(a, b int) int { return a + b })
 		return err
 	})
 	_, err := Run(Config{Nodes: 2, CoresPerNode: 3}, func(s *Session) error {
@@ -214,7 +217,7 @@ func TestNodePoolUsable(t *testing.T) {
 		if err := s.Invoke("test.pool"); err != nil {
 			return err
 		}
-		got, _, err := mpi.ReduceT(s.Node().Comm, serial.IntC(), poolSum(s.Node(), 100), func(a, b int) int { return a + b })
+		got, _, err := mpi.ReduceT(s.Node().Comm, intC, poolSum(s.Node(), 100), func(a, b int) int { return a + b })
 		if err != nil {
 			return err
 		}
@@ -246,7 +249,7 @@ func poolSum(n *Node, count int) int {
 func TestRunWithWireDelay(t *testing.T) {
 	workerKernels.reset()
 	RegisterWorker("test.delayed", func(n *Node) error {
-		_, _, err := mpi.ReduceT(n.Comm, serial.IntC(), n.Rank(), func(a, b int) int { return a + b })
+		_, _, err := mpi.ReduceT(n.Comm, intC, n.Rank(), func(a, b int) int { return a + b })
 		return err
 	})
 	cfg := Config{
@@ -259,7 +262,7 @@ func TestRunWithWireDelay(t *testing.T) {
 		if err := s.Invoke("test.delayed"); err != nil {
 			return err
 		}
-		v, _, err := mpi.ReduceT(s.Node().Comm, serial.IntC(), 0, func(a, b int) int { return a + b })
+		v, _, err := mpi.ReduceT(s.Node().Comm, intC, 0, func(a, b int) int { return a + b })
 		if err != nil {
 			return err
 		}

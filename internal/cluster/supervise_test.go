@@ -294,22 +294,18 @@ func TestFarmCancellationUnwindsSession(t *testing.T) {
 func TestFarmTZeroValueForQuarantined(t *testing.T) {
 	workerKernels.reset()
 	farmKernels.reset()
-	var intCodec serial.Codec[int] = serial.Funcs[int]{
-		Enc: func(w *serial.Writer, v int) { w.Int(v) },
-		Dec: func(r *serial.Reader) int { return r.Int() },
-	}
 	RegisterFarm("sup.typed", func(n *Node, task []byte) ([]byte, error) {
-		v, err := serial.Unmarshal(intCodec, task)
+		v, err := serial.Unmarshal(intC, task)
 		if err != nil {
 			return nil, err
 		}
 		if v == 2 {
 			return nil, errors.New("poison")
 		}
-		return serial.Marshal(intCodec, v*10), nil
+		return serial.Marshal(intC, v*10), nil
 	})
 	_, err := runGuarded(t, Config{Nodes: 3, CoresPerNode: 1}, func(s *Session) error {
-		tasks := [][]byte{serial.Marshal(intCodec, 1), serial.Marshal(intCodec, 2), serial.Marshal(intCodec, 3)}
+		tasks := [][]byte{serial.Marshal(intC, 1), serial.Marshal(intC, 2), serial.Marshal(intC, 3)}
 		fr, err := s.Farm("sup.typed", tasks)
 		if err != nil {
 			return err
@@ -318,7 +314,7 @@ func TestFarmTZeroValueForQuarantined(t *testing.T) {
 			return fmt.Errorf("Failed = %+v, Results[1] = %x", fr.Failed, fr.Results[1])
 		}
 		for i, want := range map[int]int{0: 10, 2: 30} {
-			if v, err := serial.Unmarshal(intCodec, fr.Results[i]); err != nil || v != want {
+			if v, err := serial.Unmarshal(intC, fr.Results[i]); err != nil || v != want {
 				return fmt.Errorf("Results[%d] = %d (%v), want %d", i, v, err, want)
 			}
 		}

@@ -16,6 +16,9 @@ import (
 	"triolet/internal/transport"
 )
 
+// intC is the codec of the single ints the tests exchange.
+var intC serial.Codec[int] = serial.Funcs[int]{Enc: (*serial.Writer).Int, Dec: (*serial.Reader).Int}
+
 // Distributed kernels are registered once per process, at init, exactly as
 // production code would.
 
@@ -54,7 +57,7 @@ var dotOp = NewMapReduce(
 var histOp = NewMapReduce(
 	"test.hist",
 	serial.Ints(),
-	serial.IntC(),
+	intC,
 	serial.I64s(),
 	func(n *cluster.Node, vals []int, bins int) ([]int64, error) {
 		return HistogramLocal(n.Pool, bins, iter.LocalPar(iter.FromSlice(vals)), 64), nil
@@ -96,7 +99,7 @@ var outerOp = NewBuild2D(
 	"test.outer",
 	outerSliceCodec(),
 	serial.Unit(),
-	serial.MatrixF64(),
+	serial.Matrix[float64](),
 	func(n *cluster.Node, s outerSlice, _ struct{}) (array.Matrix[float64], error) {
 		out := array.NewMatrix[float64](len(s.Rows), len(s.Cols))
 		for y, ry := range s.Rows {
@@ -366,7 +369,7 @@ func TestDuplicateKernelNamePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewMapReduce("test.dot", serial.Unit(), serial.Unit(), serial.IntC(),
+	NewMapReduce("test.dot", serial.Unit(), serial.Unit(), intC,
 		func(*cluster.Node, struct{}, struct{}) (int, error) { return 0, nil },
 		func(a, b int) int { return a + b })
 }
@@ -406,20 +409,20 @@ func rectCodec() serial.Codec[domain.Rect] {
 const contractGridW = 3
 
 var (
-	contractSum = NewMapReduce("contract.sum", serial.Ints(), serial.IntC(), serial.IntC(),
+	contractSum = NewMapReduce("contract.sum", serial.Ints(), intC, intC,
 		func(n *cluster.Node, xs []int, fail int) (int, error) {
 			return iter.Sum(iter.FromSlice(xs)), failOn(n, fail)
 		},
 		func(a, b int) int { return a + b })
-	contractSquares = NewBuildArray("contract.squares", serial.Ints(), serial.IntC(), serial.Ints(),
+	contractSquares = NewBuildArray("contract.squares", serial.Ints(), intC, serial.Ints(),
 		func(n *cluster.Node, xs []int, fail int) ([]int, error) {
 			return iter.ToSlice(iter.Map(func(x int) int { return x * x }, iter.FromSlice(xs))), failOn(n, fail)
 		})
-	contractEvens = NewFlatMap("contract.evens", serial.Ints(), serial.IntC(), serial.Ints(),
+	contractEvens = NewFlatMap("contract.evens", serial.Ints(), intC, serial.Ints(),
 		func(n *cluster.Node, xs []int, fail int) ([]int, error) {
 			return iter.ToSlice(iter.Filter(func(x int) bool { return x%2 == 0 }, iter.FromSlice(xs))), failOn(n, fail)
 		})
-	contractGrid = NewBuild2D("contract.grid", rectCodec(), serial.IntC(), serial.MatrixF64(),
+	contractGrid = NewBuild2D("contract.grid", rectCodec(), intC, serial.Matrix[float64](),
 		func(n *cluster.Node, r domain.Rect, fail int) (array.Matrix[float64], error) {
 			m := array.NewMatrix[float64](r.Rows.Len(), r.Cols.Len())
 			for y := range m.H {

@@ -9,14 +9,17 @@ import (
 	"triolet/internal/transport"
 )
 
+// intC is the codec of the single ints the tests exchange.
+var intC serial.Codec[int] = serial.Funcs[int]{Enc: (*serial.Writer).Int, Dec: (*serial.Reader).Int}
+
 func init() {
 	// Test processes, registered once like production kernels.
 	RegisterProcess("t.double", func(_ *Proc, in []byte) ([]byte, error) {
-		v, err := serial.Unmarshal(serial.IntC(), in)
+		v, err := serial.Unmarshal(intC, in)
 		if err != nil {
 			return nil, err
 		}
-		return serial.Marshal(serial.IntC(), v*2), nil
+		return serial.Marshal(intC, v*2), nil
 	})
 	RegisterProcess("t.sumvec", func(_ *Proc, in []byte) ([]byte, error) {
 		xs, err := serial.Unmarshal(serial.F64s(), in)
@@ -36,14 +39,14 @@ func init() {
 
 func TestSpawnAwait(t *testing.T) {
 	_, err := Run(Config{Processes: 3}, func(m *Master) error {
-		if err := m.Spawn(1, "t.double", serial.Marshal(serial.IntC(), 21)); err != nil {
+		if err := m.Spawn(1, "t.double", serial.Marshal(intC, 21)); err != nil {
 			return err
 		}
 		out, err := m.Await(1)
 		if err != nil {
 			return err
 		}
-		v, err := serial.Unmarshal(serial.IntC(), out)
+		v, err := serial.Unmarshal(intC, out)
 		if err != nil {
 			return err
 		}
@@ -113,7 +116,7 @@ func TestParMapFlat(t *testing.T) {
 			for i := range inputs {
 				inputs[i] = i
 			}
-			out, err := ParMapT(m, "t.double", serial.IntC(), serial.IntC(), inputs)
+			out, err := ParMapT(m, "t.double", intC, intC, inputs)
 			got = out
 			return err
 		})
@@ -141,7 +144,7 @@ func TestTwoLevelParMap(t *testing.T) {
 			for i := range inputs {
 				inputs[i] = i * 3
 			}
-			out, err := TwoLevelParMapT(m, "t.double", serial.IntC(), serial.IntC(), inputs)
+			out, err := TwoLevelParMapT(m, "t.double", intC, intC, inputs)
 			got = out
 			return err
 		})
@@ -225,7 +228,7 @@ func TestLeaderRejectsUnknownInnerProcess(t *testing.T) {
 	// A two-level bundle naming an unregistered inner process must surface
 	// a clear error through the leader, not hang.
 	_, err := Run(Config{Processes: 4, ProcsPerNode: 2}, func(m *Master) error {
-		_, err := TwoLevelParMapT(m, "t.not-registered", serial.IntC(), serial.IntC(), []int{1, 2, 3})
+		_, err := TwoLevelParMapT(m, "t.not-registered", intC, intC, []int{1, 2, 3})
 		if err == nil {
 			return errors.New("unknown inner process accepted")
 		}
@@ -284,11 +287,11 @@ func TestDuplicateProcessPanics(t *testing.T) {
 
 func TestRunLocal(t *testing.T) {
 	_, err := Run(Config{Processes: 1}, func(m *Master) error {
-		out, err := m.RunLocal("t.double", serial.Marshal(serial.IntC(), 5))
+		out, err := m.RunLocal("t.double", serial.Marshal(intC, 5))
 		if err != nil {
 			return err
 		}
-		v, _ := serial.Unmarshal(serial.IntC(), out)
+		v, _ := serial.Unmarshal(intC, out)
 		if v != 10 {
 			t.Errorf("RunLocal = %d", v)
 		}

@@ -11,6 +11,9 @@ import (
 	"triolet/internal/transport"
 )
 
+// intC is the codec of the single ints the tests exchange.
+var intC serial.Codec[int] = serial.Funcs[int]{Enc: (*serial.Writer).Int, Dec: (*serial.Reader).Int}
+
 // sizes exercises non-power-of-two and degenerate cluster shapes, where
 // binomial-tree bugs hide.
 var sizes = []int{1, 2, 3, 4, 5, 7, 8, 13, 16}
@@ -151,7 +154,7 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 
 func TestScatterWrongPartsCount(t *testing.T) {
 	err := Run(transport.Config{Ranks: 1}, func(c *Comm) error {
-		_, err := ScatterT(c, 0, serial.IntC(), []int{1, 2})
+		_, err := ScatterT(c, 0, intC, []int{1, 2})
 		if err == nil {
 			return errors.New("scatter accepted wrong part count")
 		}
@@ -165,7 +168,7 @@ func TestScatterWrongPartsCount(t *testing.T) {
 func TestReduceSumAllSizes(t *testing.T) {
 	for _, n := range sizes {
 		err := Run(transport.Config{Ranks: n}, func(c *Comm) error {
-			v, ok, err := ReduceT(c, serial.IntC(), c.Rank()+1, func(a, b int) int { return a + b })
+			v, ok, err := ReduceT(c, intC, c.Rank()+1, func(a, b int) int { return a + b })
 			if err != nil {
 				return err
 			}
@@ -214,7 +217,7 @@ func TestReduceVectorAdd(t *testing.T) {
 func TestAllreduce(t *testing.T) {
 	for _, n := range sizes {
 		err := Run(transport.Config{Ranks: n}, func(c *Comm) error {
-			v, err := AllreduceT(c, serial.IntC(), 1, func(a, b int) int { return a + b })
+			v, err := AllreduceT(c, intC, 1, func(a, b int) int { return a + b })
 			if err != nil {
 				return err
 			}
@@ -240,7 +243,7 @@ func TestCollectivesInterleaveWithP2P(t *testing.T) {
 		if err := c.Barrier(); err != nil {
 			return err
 		}
-		if _, err := AllreduceT(c, serial.IntC(), 1, func(a, b int) int { return a + b }); err != nil {
+		if _, err := AllreduceT(c, intC, 1, func(a, b int) int { return a + b }); err != nil {
 			return err
 		}
 		if c.Rank() == 0 {
@@ -303,7 +306,7 @@ func TestCollectivesUnderWireDelay(t *testing.T) {
 		if len(got) != 3 || got[2] != 3 {
 			t.Errorf("rank %d: bcast = %v", c.Rank(), got)
 		}
-		v, err := AllreduceT(c, serial.IntC(), c.Rank(), func(a, b int) int { return a + b })
+		v, err := AllreduceT(c, intC, c.Rank(), func(a, b int) int { return a + b })
 		if err != nil {
 			return err
 		}

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"triolet/internal/serial"
 	"triolet/internal/transport"
 )
 
@@ -56,7 +55,7 @@ func TestRandomCollectiveSequences(t *testing.T) {
 			for i, op := range ops {
 				switch expect[i].kind {
 				case "bcast":
-					v, err := BcastT(c, 0, serial.IntC(), int(op.Val))
+					v, err := BcastT(c, 0, intC, int(op.Val))
 					if err != nil {
 						return err
 					}
@@ -64,7 +63,7 @@ func TestRandomCollectiveSequences(t *testing.T) {
 						ok = false
 					}
 				case "allreduce":
-					v, err := AllreduceT(c, serial.IntC(), c.Rank()+int(op.Val),
+					v, err := AllreduceT(c, intC, c.Rank()+int(op.Val),
 						func(a, b int) int { return a + b })
 					if err != nil {
 						return err
@@ -80,11 +79,11 @@ func TestRandomCollectiveSequences(t *testing.T) {
 							parts[r] = r * int(op.Val)
 						}
 					}
-					mine, err := ScatterT(c, 0, serial.IntC(), parts)
+					mine, err := ScatterT(c, 0, intC, parts)
 					if err != nil {
 						return err
 					}
-					all, err := GatherT(c, 0, serial.IntC(), 2*mine)
+					all, err := GatherT(c, 0, intC, 2*mine)
 					if err != nil {
 						return err
 					}

@@ -15,30 +15,9 @@ import (
 
 // ---- codecs ----
 
-func atomsCodec() serial.Codec[[]Atom] {
-	return serial.Funcs[[]Atom]{
-		Enc: func(w *serial.Writer, v []Atom) {
-			w.Int(len(v))
-			for _, a := range v {
-				w.F32(a.X)
-				w.F32(a.Y)
-				w.F32(a.Z)
-				w.F32(a.Q)
-			}
-		},
-		Dec: func(r *serial.Reader) []Atom {
-			n := r.Int()
-			if r.Err() != nil || n < 0 || n > r.Remaining()/16 {
-				return nil
-			}
-			out := make([]Atom, n)
-			for i := range out {
-				out[i] = Atom{X: r.F32(), Y: r.F32(), Z: r.F32(), Q: r.F32()}
-			}
-			return out
-		},
-	}
-}
+// atomsCodec ships atoms as one block copy: Atom is a packed record of
+// four float32 words.
+var atomsCodec = serial.Records[Atom, float32]()
 
 func geoCodec() serial.Codec[Geometry] {
 	return serial.Funcs[Geometry]{
@@ -177,7 +156,7 @@ const atomGrain = 64
 // which sequentially builds one histogram per thread" (§3.4).
 var trioletOp = core.NewMapReduce(
 	"cutcp.triolet",
-	atomsCodec(),
+	atomsCodec,
 	geoCodec(),
 	serial.F32s(),
 	func(n *cluster.Node, atoms []Atom, g Geometry) ([]float32, error) {
@@ -203,14 +182,14 @@ type edenTask struct {
 }
 
 func edenTaskCodec() serial.Codec[edenTask] {
-	ac, gc := atomsCodec(), geoCodec()
+	gc := geoCodec()
 	return serial.Funcs[edenTask]{
 		Enc: func(w *serial.Writer, v edenTask) {
-			ac.Encode(w, v.Atoms)
+			atomsCodec.Encode(w, v.Atoms)
 			gc.Encode(w, v.Geo)
 		},
 		Dec: func(r *serial.Reader) edenTask {
-			return edenTask{Atoms: ac.Decode(r), Geo: gc.Decode(r)}
+			return edenTask{Atoms: atomsCodec.Decode(r), Geo: gc.Decode(r)}
 		},
 	}
 }
@@ -260,7 +239,7 @@ func Ref(cfg cluster.Config, in *Input) ([]float32, error) {
 				parts[i] = in.Atoms[r.Lo:r.Hi]
 			}
 		}
-		mine, err := mpi.ScatterT(c, 0, atomsCodec(), parts)
+		mine, err := mpi.ScatterT(c, 0, atomsCodec, parts)
 		if err != nil {
 			return err
 		}

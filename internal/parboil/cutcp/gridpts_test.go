@@ -117,7 +117,7 @@ func TestOutOfGridAtomsContributeNothing(t *testing.T) {
 		// Two and three axes at once.
 		Atom{X: 2, Y: -far, Z: -far, Q: 1}, Atom{X: -far, Y: 2, Z: ez + far, Q: 1},
 		Atom{X: ex + far, Y: ey + far, Z: 2, Q: 1}, Atom{X: -far, Y: -far, Z: -far, Q: 1},
-		// What a hostile frame can carry through atomsCodec.
+		// What a hostile frame can carry through the atom codec.
 		Atom{X: inf, Y: 2, Z: 2, Q: 1}, Atom{X: 2, Y: -inf, Z: 2, Q: 1},
 		Atom{X: 2, Y: 2, Z: float32(math.NaN()), Q: 1}, Atom{X: 1e30, Y: -1e30, Z: 2, Q: 1},
 	}

@@ -41,16 +41,16 @@ type slabTask struct {
 }
 
 func slabTaskCodec() serial.Codec[slabTask] {
-	ac, gc := atomsCodec(), geoCodec()
+	gc := geoCodec()
 	return serial.Funcs[slabTask]{
 		Enc: func(w *serial.Writer, v slabTask) {
-			ac.Encode(w, v.Atoms)
+			atomsCodec.Encode(w, v.Atoms)
 			gc.Encode(w, v.Geo)
 			w.Int(v.ZLo)
 			w.Int(v.ZHi)
 		},
 		Dec: func(r *serial.Reader) slabTask {
-			return slabTask{Atoms: ac.Decode(r), Geo: gc.Decode(r), ZLo: r.Int(), ZHi: r.Int()}
+			return slabTask{Atoms: atomsCodec.Decode(r), Geo: gc.Decode(r), ZLo: r.Int(), ZHi: r.Int()}
 		},
 	}
 }

@@ -54,28 +54,9 @@ func samplesCodec() serial.Codec[samples] {
 	}
 }
 
-func qCodec() serial.Codec[[]QPoint] {
-	return serial.Funcs[[]QPoint]{
-		Enc: func(w *serial.Writer, v []QPoint) {
-			w.Int(len(v))
-			for _, q := range v {
-				w.F32(q.Re)
-				w.F32(q.Im)
-			}
-		},
-		Dec: func(r *serial.Reader) []QPoint {
-			n := r.Int()
-			if r.Err() != nil || n < 0 || n > r.Remaining()/8 {
-				return nil
-			}
-			out := make([]QPoint, n)
-			for i := range out {
-				out[i] = QPoint{Re: r.F32(), Im: r.F32()}
-			}
-			return out
-		},
-	}
-}
+// qCodec ships Q as one block copy: QPoint is a packed record of two
+// float32 words.
+var qCodec = serial.Records[QPoint, float32]()
 
 func (s samples) toInput(v voxSlice) *Input {
 	return &Input{X: v.X, Y: v.Y, Z: v.Z, KX: s.KX, KY: s.KY, KZ: s.KZ, PhiMag: s.PhiMag}
@@ -156,7 +137,7 @@ var trioletOp = core.NewBuildArray(
 	"mriq.triolet",
 	voxCodec(),
 	samplesCodec(),
-	qCodec(),
+	qCodec,
 	func(n *cluster.Node, v voxSlice, aux samples) ([]QPoint, error) {
 		return computeLocal(n.Pool, aux.toInput(v)), nil
 	},
@@ -213,7 +194,7 @@ func init() {
 		for i := range out {
 			out[i] = VoxelQEden(in, in.X[i], in.Y[i], in.Z[i])
 		}
-		return serial.Marshal(qCodec(), out), nil
+		return serial.Marshal(qCodec, out), nil
 	})
 }
 
@@ -227,7 +208,7 @@ func Eden(m *eden.Master, in *Input) ([]QPoint, error) {
 			Aux: aux,
 		})
 	}
-	chunks, err := eden.TwoLevelParMapT(m, "mriq.eden", edenTaskCodec(), qCodec(), tasks)
+	chunks, err := eden.TwoLevelParMapT(m, "mriq.eden", edenTaskCodec(), qCodec, tasks)
 	if err != nil {
 		return nil, err
 	}
@@ -298,7 +279,7 @@ func Ref(cfg cluster.Config, in *Input) ([]QPoint, error) {
 				if err != nil {
 					return err
 				}
-				sec, err := serial.Unmarshal(qCodec(), msg.Payload)
+				sec, err := serial.Unmarshal(qCodec, msg.Payload)
 				if err != nil {
 					return fmt.Errorf("mriq: section from rank %d: %w", src, err)
 				}
@@ -323,7 +304,7 @@ func Ref(cfg cluster.Config, in *Input) ([]QPoint, error) {
 		if err != nil {
 			return err
 		}
-		return c.Send(0, tagOut, serial.Marshal(qCodec(), compute(aux, mine)))
+		return c.Send(0, tagOut, serial.Marshal(qCodec, compute(aux, mine)))
 	})
 	return out, err
 }

@@ -101,8 +101,9 @@ func VoxelQEden(in *Input, x, y, z float32) QPoint {
 // paper Fig. 4.
 func Seq(in *Input) []QPoint {
 	out := make([]QPoint, in.NumVoxels())
+	ys, zs := in.Y[:len(out)], in.Z[:len(out)]
 	for i := range out {
-		out[i] = VoxelQ(in, in.X[i], in.Y[i], in.Z[i])
+		out[i] = VoxelQ(in, in.X[i], ys[i], zs[i])
 	}
 	return out
 }

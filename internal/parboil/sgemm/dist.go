@@ -24,7 +24,7 @@ type blockSlice struct {
 }
 
 func blockCodec() serial.Codec[blockSlice] {
-	mc := serial.MatrixF32()
+	mc := serial.Matrix[float32]()
 	return serial.Funcs[blockSlice]{
 		Enc: func(w *serial.Writer, v blockSlice) {
 			mc.Encode(w, v.ARows)
@@ -86,7 +86,7 @@ var trioletOp = core.NewBuild2D(
 	"sgemm.triolet",
 	blockCodec(),
 	serial.Unit(),
-	serial.MatrixF32(),
+	serial.Matrix[float32](),
 	func(n *cluster.Node, s blockSlice, _ struct{}) (array.Matrix[float32], error) {
 		return blockMul(n.Pool, &s), nil
 	},
@@ -139,7 +139,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return serial.Marshal(serial.MatrixF32(), blockMulImperative(s)), nil
+		return serial.Marshal(serial.Matrix[float32](), blockMulImperative(s)), nil
 	})
 }
 
@@ -158,7 +158,7 @@ func Eden(m *eden.Master, in *Input) (array.Matrix[float32], error) {
 			Alpha:  in.Alpha,
 		}
 	}
-	blocks, err := eden.TwoLevelParMapT(m, "sgemm.eden", blockCodec(), serial.MatrixF32(), tasks)
+	blocks, err := eden.TwoLevelParMapT(m, "sgemm.eden", blockCodec(), serial.Matrix[float32](), tasks)
 	if err != nil {
 		return array.Matrix[float32]{}, err
 	}
@@ -211,7 +211,7 @@ func Ref(cfg cluster.Config, in *Input) (array.Matrix[float32], error) {
 				}
 			}
 		})
-		blocks, err := mpi.GatherT(c, 0, serial.MatrixF32(), block)
+		blocks, err := mpi.GatherT(c, 0, serial.Matrix[float32](), block)
 		if err != nil {
 			return err
 		}

@@ -15,31 +15,11 @@ import (
 
 // ---- codecs ----
 
-func pointsCodec() serial.Codec[[]Point] {
-	return serial.Funcs[[]Point]{
-		Enc: func(w *serial.Writer, v []Point) {
-			w.Int(len(v))
-			for _, p := range v {
-				w.F32(p.X)
-				w.F32(p.Y)
-				w.F32(p.Z)
-			}
-		},
-		Dec: func(r *serial.Reader) []Point {
-			n := r.Int()
-			if r.Err() != nil || n < 0 || n > r.Remaining()/12 {
-				return nil
-			}
-			out := make([]Point, n)
-			for i := range out {
-				out[i] = Point{X: r.F32(), Y: r.F32(), Z: r.F32()}
-			}
-			return out
-		},
-	}
-}
+// pointsCodec ships a point set as one block copy: Point is a packed
+// record of three float32 words.
+var pointsCodec = serial.Records[Point, float32]()
 
-func setsCodec() serial.Codec[[][]Point] { return serial.SliceOf(pointsCodec()) }
+func setsCodec() serial.Codec[[][]Point] { return serial.SliceOf(pointsCodec) }
 
 // obsAux is the broadcast auxiliary input: the observed set and binning.
 type obsAux struct {
@@ -48,14 +28,13 @@ type obsAux struct {
 }
 
 func obsAuxCodec() serial.Codec[obsAux] {
-	pc := pointsCodec()
 	return serial.Funcs[obsAux]{
 		Enc: func(w *serial.Writer, v obsAux) {
-			pc.Encode(w, v.Obs)
+			pointsCodec.Encode(w, v.Obs)
 			w.F32Slice(v.Binb)
 		},
 		Dec: func(r *serial.Reader) obsAux {
-			return obsAux{Obs: pc.Decode(r), Binb: r.F32Slice()}
+			return obsAux{Obs: pointsCodec.Decode(r), Binb: r.F32Slice()}
 		},
 	}
 }
@@ -269,7 +248,7 @@ type edenTask struct {
 }
 
 func edenTaskCodec() serial.Codec[edenTask] {
-	pc, ac := pointsCodec(), obsAuxCodec()
+	pc, ac := pointsCodec, obsAuxCodec()
 	return serial.Funcs[edenTask]{
 		Enc: func(w *serial.Writer, v edenTask) {
 			pc.Encode(w, v.Set)

@@ -1,6 +1,8 @@
 package serial
 
 import (
+	"fmt"
+	"reflect"
 	"unsafe"
 
 	"triolet/internal/array"
@@ -41,9 +43,9 @@ func Unmarshal[T any](c Codec[T], b []byte) (T, error) {
 }
 
 // DecodeInto decodes a slice that c encoded straight into dst, which the
-// slice must fill exactly: a block codec (F64s, F32s, I64s) copies the words
-// in place, any other codec decodes and copies. A slice of another length
-// fails r and leaves dst unspecified.
+// slice must fill exactly: a block codec (F64s, F32s, I64s, Records) copies
+// the words in place, any other codec decodes and copies. A slice of another
+// length fails r and leaves dst unspecified.
 func DecodeInto[T any](c Codec[[]T], r *Reader, dst []T) {
 	if b, ok := c.(interface{ decodeInto(*Reader, []T) }); ok {
 		b.decodeInto(r, dst)
@@ -56,46 +58,85 @@ func DecodeInto[T any](c Codec[[]T], r *Reader, dst []T) {
 	}
 }
 
-// blockCodec is the codec of fixed-width numbers whose wire layout is their
-// little-endian memory layout: a length, then the words.
-type blockCodec[E RawElem] struct{ Funcs[[]E] }
+// blockCodec is the codec of a slice whose wire layout is its memory layout
+// on a little-endian host: a count, then the elements as words of E. T is E
+// itself (F64s, F32s, I64s) or a packed record of E's (Records).
+type blockCodec[T any, E RawElem] struct{}
 
-func (c blockCodec[E]) decodeInto(r *Reader, dst []E) {
-	var zero E
+// Encode implements Codec.
+func (blockCodec[T, E]) Encode(w *Writer, v []T) { w.block(len(v), Raw(words[T, E](v))) }
+
+// Decode implements Codec.
+func (blockCodec[T, E]) Decode(r *Reader) []T { return readBlock[T, E](r) }
+
+func (blockCodec[T, E]) decodeInto(r *Reader, dst []T) {
+	var zero T
 	if _, b := r.block(int(unsafe.Sizeof(zero)), len(dst)); b != nil {
-		rawInto(dst, b)
+		rawInto(words[T, E](dst), b)
 	}
+}
+
+// words views the elements of v as the E words they are made of.
+func words[T any, E RawElem](v []T) []E {
+	var t T
+	var e E
+	return unsafe.Slice((*E)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*int(unsafe.Sizeof(t)/unsafe.Sizeof(e)))
+}
+
+// readBlock reads a length-prefixed block of T's into fresh storage with one
+// copy.
+func readBlock[T any, E RawElem](r *Reader) []T {
+	var zero T
+	n, b := r.block(int(unsafe.Sizeof(zero)), -1)
+	if b == nil {
+		return nil
+	}
+	out := make([]T, n)
+	rawInto(words[T, E](out), b)
+	return out
 }
 
 // F64s is the codec for []float64 (block encoded).
-func F64s() Codec[[]float64] {
-	return blockCodec[float64]{Funcs[[]float64]{Enc: (*Writer).F64Slice, Dec: (*Reader).F64Slice}}
-}
+func F64s() Codec[[]float64] { return blockCodec[float64, float64]{} }
 
 // F32s is the codec for []float32 (block encoded).
-func F32s() Codec[[]float32] {
-	return blockCodec[float32]{Funcs[[]float32]{Enc: (*Writer).F32Slice, Dec: (*Reader).F32Slice}}
-}
+func F32s() Codec[[]float32] { return blockCodec[float32, float32]{} }
 
 // I64s is the codec for []int64 (block encoded).
-func I64s() Codec[[]int64] {
-	return blockCodec[int64]{Funcs[[]int64]{Enc: (*Writer).I64Slice, Dec: (*Reader).I64Slice}}
+func I64s() Codec[[]int64] { return blockCodec[int64, int64]{} }
+
+// Ints is the codec for []int, as 64-bit words on every host.
+func Ints() Codec[[]int] { return Funcs[[]int]{Enc: (*Writer).IntSlice, Dec: (*Reader).IntSlice} }
+
+// Records is the block codec for []T where T is a packed record: a struct
+// whose fields all have type E and no padding between or after them. Its
+// memory layout is then its wire layout, a count and the records as
+// little-endian E words, byte for byte what encoding each field in turn
+// writes: a record array crosses the wire as one block copy, as the paper's
+// runtime ships every pointer-free array (§3.4). T is checked once, here;
+// any other type panics.
+func Records[T any, E RawElem]() Codec[[]T] {
+	var t T
+	var e E
+	if !packed(t, e, unsafe.Sizeof(t), unsafe.Sizeof(e)) {
+		panic(fmt.Sprintf("serial: %T is not a packed record of %T", t, e))
+	}
+	return blockCodec[T, E]{}
 }
 
-// Ints is the codec for []int.
-func Ints() Codec[[]int] {
-	return Funcs[[]int]{
-		Enc: func(w *Writer, v []int) { w.IntSlice(v) },
-		Dec: func(r *Reader) []int { return r.IntSlice() },
+// packed reports whether t, of tsize bytes, is a struct of one or more
+// fields of e's type, of esize bytes each, with no padding.
+func packed(t, e any, tsize, esize uintptr) bool {
+	rt, et := reflect.TypeOf(t), reflect.TypeOf(e)
+	if rt.Kind() != reflect.Struct || rt.NumField() == 0 || tsize != uintptr(rt.NumField())*esize {
+		return false
 	}
-}
-
-// IntC is the codec for a single int.
-func IntC() Codec[int] {
-	return Funcs[int]{
-		Enc: func(w *Writer, v int) { w.Int(v) },
-		Dec: func(r *Reader) int { return r.Int() },
+	for i := range rt.NumField() {
+		if rt.Field(i).Type != et {
+			return false
+		}
 	}
+	return true
 }
 
 // I64C is the codec for a single int64.
@@ -144,67 +185,32 @@ func SliceOf[T any](elem Codec[T]) Codec[[]T] {
 	}
 }
 
-// PairOf combines two codecs into a codec for a pair, encoded first-then-
-// second.
-func PairOf[A, B any](a Codec[A], b Codec[B]) Codec[PairV[A, B]] {
-	return Funcs[PairV[A, B]]{
-		Enc: func(w *Writer, v PairV[A, B]) {
-			a.Encode(w, v.Fst)
-			b.Encode(w, v.Snd)
-		},
-		Dec: func(r *Reader) PairV[A, B] {
-			return PairV[A, B]{Fst: a.Decode(r), Snd: b.Decode(r)}
-		},
-	}
+// Matrix is the codec for array.Matrix[E]: the shape, then the data as one
+// block. The decoded shape must be one the data fills exactly: negative
+// sides, and a product that overflows or differs from the data's length,
+// fail the reader.
+func Matrix[E RawElem]() Codec[array.Matrix[E]] { return matrixCodec[E]{} }
+
+// matrixCodec is a method type, not a Funcs: a port that inlines Matrix
+// gets no copy of its encoder and decoder.
+type matrixCodec[E RawElem] struct{ data blockCodec[E, E] }
+
+// Encode implements Codec.
+func (c matrixCodec[E]) Encode(w *Writer, m array.Matrix[E]) {
+	w.Int(m.H)
+	w.Int(m.W)
+	c.data.Encode(w, m.Data)
 }
 
-// PairV is the serializable pair used by PairOf.
-type PairV[A, B any] struct {
-	Fst A
-	Snd B
-}
-
-// MatrixF64 is the codec for array.Matrix[float64]: shape header plus block
-// encoded data.
-func MatrixF64() Codec[array.Matrix[float64]] {
-	return Funcs[array.Matrix[float64]]{
-		Enc: func(w *Writer, m array.Matrix[float64]) {
-			w.Int(m.H)
-			w.Int(m.W)
-			w.F64Slice(m.Data)
-		},
-		Dec: func(r *Reader) array.Matrix[float64] {
-			h := r.Int()
-			wd := r.Int()
-			data := r.F64Slice()
-			if r.Err() != nil || len(data) != h*wd {
-				r.fail()
-				return array.Matrix[float64]{}
-			}
-			return array.Matrix[float64]{H: h, W: wd, Data: data}
-		},
+// Decode implements Codec.
+func (c matrixCodec[E]) Decode(r *Reader) array.Matrix[E] {
+	h, wd := r.Int(), r.Int()
+	d := c.data.Decode(r)
+	if r.Err() != nil || h < 0 || wd < 0 || h > 0 && wd > len(d)/h || h*wd != len(d) {
+		r.fail()
+		return array.Matrix[E]{}
 	}
-}
-
-// MatrixF32 is the codec for array.Matrix[float32].
-func MatrixF32() Codec[array.Matrix[float32]] {
-	return Funcs[array.Matrix[float32]]{
-		Enc: func(w *Writer, m array.Matrix[float32]) {
-			w.Int(m.H)
-			w.Int(m.W)
-			w.F32Slice(m.Data)
-		},
-		Dec: func(r *Reader) array.Matrix[float32] {
-			h := r.Int()
-			wd := r.Int()
-			data := r.F32Slice()
-			if r.Err() != nil || len(data) != h*wd {
-				r.fail()
-				return array.Matrix[float32]{}
-			}
-			return array.Matrix[float32]{H: h, W: wd, Data: data}
-		},
-	}
+	return array.Matrix[E]{H: h, W: wd, Data: d}
 }
 
 // Unit is the codec for struct{} (zero bytes), used for control messages.

@@ -9,8 +9,8 @@ import (
 )
 
 func TestPrimitiveCodecs(t *testing.T) {
-	if v, err := Unmarshal(IntC(), Marshal(IntC(), -99)); err != nil || v != -99 {
-		t.Fatalf("IntC: %v %v", v, err)
+	if v, err := Unmarshal(I64C(), Marshal(I64C(), -99)); err != nil || v != -99 {
+		t.Fatalf("I64C: %v %v", v, err)
 	}
 	if v, err := Unmarshal(F64C(), Marshal(F64C(), 3.5)); err != nil || v != 3.5 {
 		t.Fatalf("F64C: %v %v", v, err)
@@ -48,18 +48,9 @@ func TestSliceOfRefusesAbsurdLength(t *testing.T) {
 	// A corrupt header claiming a huge count must fail, not allocate.
 	w := NewWriter(0)
 	w.Int(1 << 40)
-	_, err := Unmarshal(SliceOf(IntC()), w.Bytes())
+	_, err := Unmarshal(SliceOf(I64C()), w.Bytes())
 	if err == nil {
 		t.Fatal("absurd length decoded")
-	}
-}
-
-func TestPairOf(t *testing.T) {
-	c := PairOf(IntC(), F64s())
-	in := PairV[int, []float64]{Fst: 7, Snd: []float64{1.5}}
-	out, err := Unmarshal(c, Marshal(c, in))
-	if err != nil || out.Fst != 7 || out.Snd[0] != 1.5 {
-		t.Fatalf("pair = %+v err %v", out, err)
 	}
 }
 
@@ -68,7 +59,7 @@ func TestMatrixCodecs(t *testing.T) {
 	for i := range m.Data {
 		m.Data[i] = float64(i) * 1.5
 	}
-	got, err := Unmarshal(MatrixF64(), Marshal(MatrixF64(), m))
+	got, err := Unmarshal(Matrix[float64](), Marshal(Matrix[float64](), m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +74,7 @@ func TestMatrixCodecs(t *testing.T) {
 
 	m32 := array.NewMatrix[float32](1, 2)
 	m32.Data[1] = 4
-	got32, err := Unmarshal(MatrixF32(), Marshal(MatrixF32(), m32))
+	got32, err := Unmarshal(Matrix[float32](), Marshal(Matrix[float32](), m32))
 	if err != nil || got32.At(0, 1) != 4 {
 		t.Fatalf("f32 matrix: %+v err %v", got32, err)
 	}
@@ -94,8 +85,36 @@ func TestMatrixCodecShapeMismatchFails(t *testing.T) {
 	w.Int(2)
 	w.Int(3)
 	w.F64Slice([]float64{1}) // 1 element for a claimed 2x3
-	if _, err := Unmarshal(MatrixF64(), w.Bytes()); err == nil {
+	if _, err := Unmarshal(Matrix[float64](), w.Bytes()); err == nil {
 		t.Fatal("shape mismatch decoded")
+	}
+}
+
+// TestMatrixCodecRefusesImpossibleShapes: a shape whose product overflows,
+// or a negative side, is refused rather than decoded into a matrix whose
+// rows index out of range.
+func TestMatrixCodecRefusesImpossibleShapes(t *testing.T) {
+	for _, c := range []struct {
+		h, w int
+		data []float64
+	}{
+		{1 << 32, 1 << 32, nil},
+		{-1, -1, []float64{1}},
+		{-2, 0, nil},
+		{0, -3, nil},
+		{3, 1 << 62, []float64{1, 2}},
+	} {
+		w := NewWriter(0)
+		w.Int(c.h)
+		w.Int(c.w)
+		w.F64Slice(c.data)
+		if m, err := Unmarshal(Matrix[float64](), w.Bytes()); err == nil {
+			t.Errorf("%dx%d with %d elements decoded as %dx%d", c.h, c.w, len(c.data), m.H, m.W)
+		}
+	}
+	// A zero side is a shape the data fills: rows of nothing.
+	if m, err := Unmarshal(Matrix[float64](), Marshal(Matrix[float64](), array.Matrix[float64]{H: 5})); err != nil || m.H != 5 || len(m.Row(4)) != 0 {
+		t.Fatalf("5x0 matrix: %+v, %v", m, err)
 	}
 }
 

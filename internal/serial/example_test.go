@@ -6,15 +6,18 @@ import (
 	"triolet/internal/serial"
 )
 
-// Codecs compose: a slice-of-pairs codec built from primitives, round-
-// tripped through bytes as it would be across the cluster fabric.
+// point is a packed record: two float64 words, no padding.
+type point struct{ X, Y float64 }
+
+// Codecs compose: a codec for a slice of point arrays, each array one block
+// copy, round-tripped through bytes as it would be across the cluster fabric.
 func ExampleMarshal() {
-	codec := serial.SliceOf(serial.PairOf(serial.IntC(), serial.F64s()))
-	in := []serial.PairV[int, []float64]{
-		{Fst: 1, Snd: []float64{0.5}},
-		{Fst: 2, Snd: []float64{1.5, 2.5}},
+	codec := serial.SliceOf(serial.Records[point, float64]())
+	in := [][]point{
+		{{X: 0.5, Y: 1}},
+		{{X: 1.5, Y: 2}, {X: 2.5, Y: 3}},
 	}
 	out, err := serial.Unmarshal(codec, serial.Marshal(codec, in))
-	fmt.Println(err, out[1].Fst, out[1].Snd)
-	// Output: <nil> 2 [1.5 2.5]
+	fmt.Println(err, len(out[1]), out[1][1])
+	// Output: <nil> 2 {2.5 3}
 }

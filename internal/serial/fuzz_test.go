@@ -1,6 +1,7 @@
 package serial
 
 import (
+	"bytes"
 	"testing"
 
 	"triolet/internal/array"
@@ -49,8 +50,8 @@ func FuzzSliceDecoders(f *testing.F) {
 }
 
 func FuzzComposedCodecs(f *testing.F) {
-	c := SliceOf(PairOf(IntC(), F64s()))
-	seed := Marshal(c, []PairV[int, []float64]{{Fst: 1, Snd: []float64{2}}})
+	c := SliceOf(SliceOf(I64C()))
+	seed := Marshal(c, [][]int64{{1}, {2, 3}})
 	f.Add(seed)
 	f.Add([]byte{9, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -64,12 +65,48 @@ func FuzzComposedCodecs(f *testing.F) {
 
 func FuzzMatrixCodec(f *testing.F) {
 	m := array.NewMatrix[float64](2, 2)
-	f.Add(Marshal(MatrixF64(), m))
+	f.Add(Marshal(Matrix[float64](), m))
 	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0})
+	// H = W = 2^32 with no data, and H = W = -1 with one element: shapes
+	// whose product wraps to the data's length.
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	neg := NewWriter(0)
+	neg.Int(-1)
+	neg.Int(-1)
+	neg.F64Slice([]float64{1})
+	f.Add(neg.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v, err := Unmarshal(MatrixF64(), data)
-		if err == nil && len(v.Data) != v.H*v.W {
-			t.Fatalf("decoded inconsistent matrix %dx%d with %d elements", v.H, v.W, len(v.Data))
+		v, err := Unmarshal(Matrix[float64](), data)
+		if err != nil {
+			return
+		}
+		// Every row in range: H·W ≤ len(Data), computed without overflow.
+		if v.H < 0 || v.W < 0 || v.W > 0 && v.H > len(v.Data)/v.W {
+			t.Fatalf("decoded impossible matrix %dx%d with %d elements", v.H, v.W, len(v.Data))
+		}
+		if v.H > 0 {
+			_, _ = v.Row(0), v.Row(v.H-1)
+		}
+	})
+}
+
+// FuzzRecordCodec: a record decoder never panics on arbitrary bytes, and
+// whatever it accepts re-encodes to exactly the bytes it consumed.
+func FuzzRecordCodec(f *testing.F) {
+	c := Records[vec3, float32]()
+	f.Add(Marshal(c, []vec3{{1, 2, 3}, {4, 5, 6}}))
+	f.Add(Marshal(c, nil))
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3})                // one record, short body
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // absurd count
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := NewReader(data)
+		v := c.Decode(r)
+		if r.Err() != nil {
+			return
+		}
+		consumed := data[:len(data)-r.Remaining()]
+		if got := Marshal(c, v); !bytes.Equal(got, consumed) {
+			t.Fatalf("re-encoded %x, consumed %x", got, consumed)
 		}
 	})
 }

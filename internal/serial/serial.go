@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // ErrShortBuffer is reported when a decoder runs past the end of a message.
@@ -105,24 +106,17 @@ func (w *Writer) block(n int, b []byte) {
 	w.Append(b)
 }
 
-// IntSlice appends a length-prefixed []int (64-bit each).
+// IntSlice appends a length-prefixed []int as 64-bit words: one block copy
+// where int is 64 bits wide.
 func (w *Writer) IntSlice(xs []int) {
+	if unsafe.Sizeof(0) == 8 {
+		w.block(len(xs), Raw(xs))
+		return
+	}
 	w.Int(len(xs))
-	w.buf = growBy(w.buf, 8*len(xs))
-	off := len(w.buf) - 8*len(xs)
-	for i, v := range xs {
-		binary.LittleEndian.PutUint64(w.buf[off+8*i:], uint64(v))
+	for _, v := range xs {
+		w.Int(v)
 	}
-}
-
-func growBy(b []byte, n int) []byte {
-	l := len(b)
-	if l+n <= cap(b) {
-		return b[:l+n]
-	}
-	nb := make([]byte, l+n, max(2*cap(b), l+n))
-	copy(nb, b)
-	return nb
 }
 
 // Reader decodes a message produced by Writer. Errors are sticky: after the
@@ -241,41 +235,26 @@ func (r *Reader) block(size, want int) (int, []byte) {
 }
 
 // F64Slice reads a length-prefixed []float64.
-func (r *Reader) F64Slice() []float64 {
-	n, b := r.block(8, -1)
-	if b == nil {
-		return nil
-	}
-	return rawCopyOut[float64](b, n)
-}
+func (r *Reader) F64Slice() []float64 { return readBlock[float64, float64](r) }
 
 // F32Slice reads a length-prefixed []float32.
-func (r *Reader) F32Slice() []float32 {
-	n, b := r.block(4, -1)
-	if b == nil {
-		return nil
-	}
-	return rawCopyOut[float32](b, n)
-}
+func (r *Reader) F32Slice() []float32 { return readBlock[float32, float32](r) }
 
 // I64Slice reads a length-prefixed []int64.
-func (r *Reader) I64Slice() []int64 {
-	n, b := r.block(8, -1)
-	if b == nil {
-		return nil
-	}
-	return rawCopyOut[int64](b, n)
-}
+func (r *Reader) I64Slice() []int64 { return readBlock[int64, int64](r) }
 
-// IntSlice reads a length-prefixed []int.
+// IntSlice reads a length-prefixed []int of 64-bit words.
 func (r *Reader) IntSlice() []int {
-	n, b := r.block(8, -1)
-	if b == nil {
+	if unsafe.Sizeof(0) == 8 {
+		return readBlock[int, int](r)
+	}
+	xs := r.I64Slice()
+	if xs == nil {
 		return nil
 	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(binary.LittleEndian.Uint64(b[8*i:]))
+	out := make([]int, len(xs))
+	for i, x := range xs {
+		out[i] = int(x)
 	}
 	return out
 }

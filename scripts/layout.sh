@@ -9,15 +9,18 @@
 #     the same amount, with its mod-64 class, its size and its first and
 #     last package;
 #   - the deltas of the sentinel functions whose speed reads the layout
-#     (sgemm.Seq, sgemm.blockMul, main.heatCell, main.lifeCell, and
-#     cutcp-node's two kernels: cutcp.Accumulate, inside the Ref twin, and
-#     cutcp.gridPts on the solve side);
+#     (sgemm.Seq, sgemm.blockMul and the Ref twin's loop sgemm.Ref.func1.1,
+#     main.heatCell, main.lifeCell, cutcp-node's two kernels:
+#     cutcp.Accumulate, inside the Ref twin, and cutcp.gridPts on the solve
+#     side, and the runtime's runtime.memmove and runtime.mallocgc, which
+#     move with the size of the packages linked before them even when
+#     every sgemm function stays put);
 #   - one closing line: the sentinels off the base's (normally the
 #     parent's) 64-byte class, or "all sentinels on the parent's 64-byte
 #     class".
-# A change to an early package (transport, mpi, cluster) moves everything
-# linked after it; keep that shift a multiple of 64 bytes, or sgemm-wire's
-# vs_ref moves with no sgemm code changed. Gates nothing.
+# A change to an early package (serial, transport, mpi, cluster) moves
+# everything linked after it; keep that shift a multiple of 64 bytes, or
+# sgemm-wire's vs_ref moves with no sgemm code changed. Gates nothing.
 #
 # usage: layout.sh -base <git-ref>
 set -eu
@@ -49,7 +52,7 @@ syms() {
 syms "$tmp/perfbench.base" >"$tmp/base.syms"
 syms "$tmp/perfbench.work" >"$tmp/work.syms"
 
-awk -v sentinels='triolet/internal/parboil/sgemm.Seq triolet/internal/parboil/sgemm.blockMul main.heatCell main.lifeCell triolet/internal/parboil/cutcp.Accumulate triolet/internal/parboil/cutcp.gridPts' '
+awk -v sentinels='triolet/internal/parboil/sgemm.Seq triolet/internal/parboil/sgemm.blockMul triolet/internal/parboil/sgemm.Ref.func1.1 runtime.memmove runtime.mallocgc main.heatCell main.lifeCell triolet/internal/parboil/cutcp.Accumulate triolet/internal/parboil/cutcp.gridPts' '
 function name(line) { return substr(line, index(line, " ") + 1) }
 # addr: the hex address that starts a line (no strtonum: mawk has none).
 function addr(line,   h, v, i) {
