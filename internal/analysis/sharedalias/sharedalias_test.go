@@ -8,7 +8,7 @@ import (
 )
 
 // TestRelinquish proves direct writes, alias writes, append, and copy
-// after SendShared/serial.Raw are flagged; fill-then-ship, plain Send,
+// after SendShared/SendHalo/serial.Raw are flagged; fill-then-ship, plain Send,
 // and rebinding are not; and a reasoned allow suppresses the documented
 // flow-insensitive false positive.
 func TestRelinquish(t *testing.T) {

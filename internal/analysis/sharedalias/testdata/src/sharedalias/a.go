@@ -1,19 +1,27 @@
 // Fixture for the sharedalias analyzer: writes to a buffer after it was
-// relinquished to SendShared or viewed as wire bytes by serial.Raw.
+// relinquished to SendShared or SendHalo, or viewed as wire bytes by
+// serial.Raw.
 package sharedfixture
 
 import "triolet/internal/serial"
 
 // conn stands in for transport.Endpoint / mpi.Comm: the contract is
-// carried by the SendShared method name, wherever it is defined.
+// carried by the SendShared and SendHalo method names, wherever they are
+// defined.
 type conn struct{}
 
 func (conn) SendShared(dst, tag int, payload []byte) error { return nil }
+func (conn) SendHalo(dst, tag int, payload []byte) error   { return nil }
 func (conn) Send(dst, tag int, payload []byte) error       { return nil }
 
 func writeAfterSend(c conn, buf []byte) {
 	_ = c.SendShared(1, 0, buf)
 	buf[0] = 1 // want `sharedalias: "buf" is written after being relinquished to SendShared`
+}
+
+func writeAfterHalo(c conn, buf []byte) {
+	_ = c.SendHalo(1, 0, buf)
+	buf[0] = 1 // want `sharedalias: "buf" is written after being relinquished to SendHalo`
 }
 
 func writeAfterRaw(xs []float64) []byte {

@@ -18,7 +18,10 @@ import (
 // parts and how the collected partials become its result.
 //
 // S is the per-node input slice, A the broadcast auxiliary value, P one
-// node's partial result.
+// node's partial result. On the master the kernel reads its slice and aux
+// by reference (they never cross the codec) and must not write them;
+// combine may write its first argument, which is always the node's own
+// partial or an earlier result of combine.
 type collective[S, A, P any] struct {
 	name    string
 	sCodec  serial.Codec[S]

@@ -25,7 +25,10 @@ type MapReduceOp[S, A, R any] struct {
 // NewMapReduce registers a distributed map-reduce kernel under name and
 // returns its typed handle. Call once per kernel at package init — the
 // name is the serialized identity of the kernel, standing in for Triolet's
-// serialized closures. combine must be associative.
+// serialized closures. combine must be associative; it may write its first
+// argument, which is always a node's own partial or an earlier result. The
+// master's kernel reads its slice and aux by reference and must not write
+// them.
 func NewMapReduce[S, A, R any](
 	name string,
 	sCodec serial.Codec[S],

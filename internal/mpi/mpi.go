@@ -204,14 +204,17 @@ func (c *Comm) SendHead(ctx context.Context, dst, tag int, head, payload []byte)
 	return c.send(ctx, dst, tag, head, payload, false)
 }
 
-// SendHalo is Send with halo attribution: the payload bytes are additionally
-// counted in the fabric's Stats.HaloBytes, so ghost-row and boundary-
-// replication traffic is separable from task traffic in the wire pins.
-// Attribution is once per logical payload; reliable-mode retries do not
-// inflate it.
+// SendHalo is SendShared with halo attribution: the payload bytes are also
+// counted in the fabric's Stats.HaloBytes, once per logical payload (retries
+// do not inflate it), so ghost-row and boundary-replication traffic is
+// separable from task traffic in the wire pins. Like SendShared it takes
+// ownership of payload: the caller must not write it again.
 func (c *Comm) SendHalo(dst, tag int, payload []byte) error {
+	if tag < 0 || tag > MaxUserTag {
+		return fmt.Errorf("mpi: user tag %d out of range", tag)
+	}
 	c.f.AddHaloBytes(int64(len(payload)))
-	return c.Send(dst, tag, payload)
+	return c.send(c.Context(), dst, tag, nil, payload, true)
 }
 
 // SendShared delivers payload to dst by reference: the zero-copy path for
@@ -433,38 +436,4 @@ func (c *Comm) gatherPayload(root int, mine []byte, shared bool) ([][]byte, erro
 		out[m.Src] = m.Payload
 	}
 	return out, nil
-}
-
-// ReduceBytes folds every rank's payload into one value at rank 0 using a
-// binomial tree; combine must be associative. Returns (result, true) at
-// rank 0 and (nil, false) elsewhere.
-func (c *Comm) ReduceBytes(mine []byte, combine func(a, b []byte) ([]byte, error)) ([]byte, bool, error) {
-	return c.reducePayload(mine, combine, false)
-}
-
-// reducePayload is ReduceBytes with an ownership flag: shared means the
-// caller has relinquished mine and combine always returns fresh storage,
-// so partial results climb the tree by reference.
-func (c *Comm) reducePayload(mine []byte, combine func(a, b []byte) ([]byte, error), shared bool) ([]byte, bool, error) {
-	ctx := c.Context()
-	tag := c.nextTag()
-	rank, size := c.Rank(), c.Size()
-	acc := mine
-	for dist := 1; dist < size; dist <<= 1 {
-		if rank&dist != 0 {
-			return nil, false, c.send(ctx, rank-dist, tag, nil, acc, shared)
-		}
-		peer := rank + dist
-		if peer < size {
-			m, err := c.recvMsg(ctx, peer, tag)
-			if err != nil {
-				return nil, false, err
-			}
-			acc, err = combine(acc, m.Payload)
-			if err != nil {
-				return nil, false, err
-			}
-		}
-	}
-	return acc, rank == 0, nil
 }

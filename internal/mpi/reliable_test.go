@@ -148,9 +148,7 @@ func TestReliableCollectivesUnderFaults(t *testing.T) {
 				errs[r] = fmt.Errorf("gather: %w", err)
 				return
 			}
-			sum, root, err := c.ReduceBytes([]byte{byte(r)}, func(a, b []byte) ([]byte, error) {
-				return []byte{a[0] + b[0]}, nil
-			})
+			sum, root, err := ReduceT(c, intC, r, func(a, b int) int { return a + b })
 			if err != nil {
 				errs[r] = fmt.Errorf("reduce: %w", err)
 				return
@@ -164,7 +162,7 @@ func TestReliableCollectivesUnderFaults(t *testing.T) {
 					errs[r] = errors.New("rank 0 not reduce root")
 					return
 				}
-				results[0] = fmt.Sprintf("%s/%d", sig, sum[0])
+				results[0] = fmt.Sprintf("%s/%d", sig, sum)
 			}
 		}()
 	}

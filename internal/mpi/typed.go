@@ -9,23 +9,31 @@ import (
 	"triolet/internal/transport"
 )
 
-// BcastT broadcasts a typed value from root to all ranks. The marshalled
-// payload is freshly allocated and never touched again, so it travels the
-// shared (zero-copy) wire path.
+// BcastT broadcasts a typed value from root to all ranks. Root gets v back
+// as is, by reference: it never crosses the codec, and only the bytes bound
+// for peers are marshalled. That payload is freshly allocated and never
+// touched again, so it travels the shared (zero-copy) wire path.
 func BcastT[T any](c *Comm, root int, codec serial.Codec[T], v T) (T, error) {
+	if c.Rank() != root {
+		out, err := c.bcastPayload(root, nil, true)
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		return serial.Unmarshal(codec, out)
+	}
 	var payload []byte
-	if c.Rank() == root {
+	if c.Size() > 1 {
 		payload = serial.Marshal(codec, v)
 	}
-	out, err := c.bcastPayload(root, payload, true)
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	return serial.Unmarshal(codec, out)
+	_, err := c.bcastPayload(root, payload, true)
+	return v, err
 }
 
 // ScatterT sends parts[i] to rank i (typed); only root supplies parts.
+// Root's own part is returned by reference (it shares parts[root]'s
+// storage, as MPI_IN_PLACE leaves the root's block where it is); only the
+// parts bound for peers are marshalled.
 func ScatterT[T any](c *Comm, root int, codec serial.Codec[T], parts []T) (T, error) {
 	var raw [][]byte
 	if c.Rank() == root {
@@ -35,7 +43,9 @@ func ScatterT[T any](c *Comm, root int, codec serial.Codec[T], parts []T) (T, er
 		}
 		raw = make([][]byte, len(parts))
 		for i, p := range parts {
-			raw[i] = serial.Marshal(codec, p)
+			if i != root {
+				raw[i] = serial.Marshal(codec, p)
+			}
 		}
 	}
 	mine, err := c.scatterPayload(root, raw, true)
@@ -43,13 +53,21 @@ func ScatterT[T any](c *Comm, root int, codec serial.Codec[T], parts []T) (T, er
 		var zero T
 		return zero, err
 	}
+	if c.Rank() == root {
+		return parts[root], nil
+	}
 	return serial.Unmarshal(codec, mine)
 }
 
 // GatherT collects a typed value from every rank at root; the result is
-// indexed by rank at root and nil elsewhere.
+// indexed by rank at root and nil elsewhere. Root's own entry is mine by
+// reference: only peers marshal, and root decodes only what they sent.
 func GatherT[T any](c *Comm, root int, codec serial.Codec[T], mine T) ([]T, error) {
-	raw, err := c.gatherPayload(root, serial.Marshal(codec, mine), true)
+	var payload []byte
+	if c.Rank() != root {
+		payload = serial.Marshal(codec, mine)
+	}
+	raw, err := c.gatherPayload(root, payload, true)
 	if err != nil {
 		return nil, err
 	}
@@ -58,6 +76,10 @@ func GatherT[T any](c *Comm, root int, codec serial.Codec[T], mine T) ([]T, erro
 	}
 	out := make([]T, len(raw))
 	for i, b := range raw {
+		if i == root {
+			out[i] = mine
+			continue
+		}
 		out[i], err = serial.Unmarshal(codec, b)
 		if err != nil {
 			return nil, fmt.Errorf("mpi: gather decode rank %d: %w", i, err)
@@ -67,26 +89,34 @@ func GatherT[T any](c *Comm, root int, codec serial.Codec[T], mine T) ([]T, erro
 }
 
 // ReduceT folds every rank's typed value to rank 0 with the associative
-// operator op. ok is true only at rank 0.
+// operator op, up a binomial tree; ok is true only at rank 0. A rank decodes
+// each child once, folds acc = op(acc, child) from acc = mine, children in
+// increasing distance, and marshals once to send up. op may write its first
+// argument, which is always mine or an earlier result of op; mine is never
+// copied, so on one rank the result is mine.
 func ReduceT[T any](c *Comm, codec serial.Codec[T], mine T, op func(T, T) T) (T, bool, error) {
-	combine := func(a, b []byte) ([]byte, error) {
-		av, err := serial.Unmarshal(codec, a)
-		if err != nil {
-			return nil, err
+	var zero T
+	ctx := c.Context()
+	tag := c.nextTag()
+	rank, size := c.Rank(), c.Size()
+	acc := mine
+	for dist := 1; dist < size; dist <<= 1 {
+		if rank&dist != 0 {
+			return zero, false, c.send(ctx, rank-dist, tag, nil, serial.Marshal(codec, acc), true)
 		}
-		bv, err := serial.Unmarshal(codec, b)
-		if err != nil {
-			return nil, err
+		if peer := rank + dist; peer < size {
+			m, err := c.recvMsg(ctx, peer, tag)
+			if err != nil {
+				return zero, false, err
+			}
+			child, err := serial.Unmarshal(codec, m.Payload)
+			if err != nil {
+				return zero, false, fmt.Errorf("mpi: reduce decode rank %d: %w", peer, err)
+			}
+			acc = op(acc, child)
 		}
-		return serial.Marshal(codec, op(av, bv)), nil
 	}
-	out, ok, err := c.reducePayload(serial.Marshal(codec, mine), combine, true)
-	if err != nil || !ok {
-		var zero T
-		return zero, false, err
-	}
-	v, err := serial.Unmarshal(codec, out)
-	return v, err == nil, err
+	return acc, rank == 0, nil
 }
 
 // AllreduceT is ReduceT followed by a broadcast of the result, so every

@@ -9,6 +9,7 @@ import (
 	"triolet/internal/domain"
 	"triolet/internal/eden"
 	"triolet/internal/parboil"
+	"triolet/internal/serial"
 )
 
 func smallInput(atoms int, seed uint64) *Input {
@@ -206,6 +207,28 @@ func TestRefMatchesSeq(t *testing.T) {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
 		checkGrid(t, "ref", got, in)
+	}
+}
+
+// TestGeoCodecRejectsUnallocatableGrid feeds the geometry decoder a grid
+// with a negative side and one whose D·H·W overflows int: a worker sizes a
+// grid from what it decodes, so both must fail the reader.
+func TestGeoCodecRejectsUnallocatableGrid(t *testing.T) {
+	gc := geoCodec()
+	ok := Geometry{Dim: domain.Dim3{D: 3, H: 4, W: 5}, Spacing: 0.5, Cutoff: 1.5}
+	if got, err := serial.Unmarshal(gc, serial.Marshal(gc, ok)); err != nil || got != ok {
+		t.Fatalf("round trip = %+v, %v; want %+v", got, err, ok)
+	}
+	for _, d := range []domain.Dim3{
+		{D: 3, H: -4, W: 5},
+		{D: -1, H: 0, W: 0},
+		{D: 1 << 22, H: 1 << 22, W: 1 << 22},
+		{D: 2, H: math.MaxInt / 2, W: 3},
+	} {
+		b := serial.Marshal(gc, Geometry{Dim: d, Spacing: 0.5, Cutoff: 1.5})
+		if got, err := serial.Unmarshal(gc, b); err == nil {
+			t.Errorf("grid %v decoded as %+v, want an error", d, got)
+		}
 	}
 }
 

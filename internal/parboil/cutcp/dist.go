@@ -1,6 +1,8 @@
 package cutcp
 
 import (
+	"math"
+
 	"triolet/internal/array"
 	"triolet/internal/cluster"
 	"triolet/internal/core"
@@ -29,13 +31,26 @@ func geoCodec() serial.Codec[Geometry] {
 			w.F32(v.Cutoff)
 		},
 		Dec: func(r *serial.Reader) Geometry {
-			return Geometry{
+			g := Geometry{
 				Dim:     domain.Dim3{D: r.Int(), H: r.Int(), W: r.Int()},
 				Spacing: r.F32(),
 				Cutoff:  r.F32(),
 			}
+			if !fits(g.Dim) {
+				r.Fail()
+				return Geometry{}
+			}
+			return g
 		},
 	}
+}
+
+// fits reports whether d is a grid a node can allocate: no negative side,
+// and D·H·W within int. A worker sizes its grid from a decoded Geometry.
+func fits(d domain.Dim3) bool {
+	return d.D >= 0 && d.H >= 0 && d.W >= 0 &&
+		(d.H == 0 || d.D <= math.MaxInt/d.H) &&
+		(d.W == 0 || d.D*d.H <= math.MaxInt/d.W)
 }
 
 // ---- Triolet ----

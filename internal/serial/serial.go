@@ -18,6 +18,9 @@ import (
 // ErrShortBuffer is reported when a decoder runs past the end of a message.
 var ErrShortBuffer = errors.New("serial: read past end of buffer")
 
+// ErrBadValue is reported when a decoder refuses a value it read.
+var ErrBadValue = errors.New("serial: decoded value out of range")
+
 // Writer accumulates an encoded message.
 type Writer struct {
 	buf []byte
@@ -138,6 +141,15 @@ func (r *Reader) Err() error { return r.err }
 
 // Remaining reports how many undecoded bytes are left.
 func (r *Reader) Remaining() int { return len(r.buf) - r.pos }
+
+// Fail marks the message bad: a decoder calls it on a value it cannot
+// accept (a negative extent, a size that overflows int), so Err reports
+// ErrBadValue and every later read returns zero values.
+func (r *Reader) Fail() {
+	if r.err == nil {
+		r.err = ErrBadValue
+	}
+}
 
 func (r *Reader) fail() {
 	if r.err == nil {

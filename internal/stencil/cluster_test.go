@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -30,6 +31,28 @@ var (
 	farmSum1 = stencil.NewFarmOp("test.sum.r1", serial.I64C(), serial.I64s(), asFunc(sumKernel(1)))
 	farmLife = stencil.NewFarmOp("test.life", serial.I64C(), serial.I64s(), asFunc(lifeKernel))
 )
+
+// TestOpRunLeavesInputIntact runs Op.Run on one and three nodes and
+// compares the grid bit for bit with a clone taken before: the root's slab
+// is built from the caller's rows by reference, not from a decoded copy.
+func TestOpRunLeavesInputIntact(t *testing.T) {
+	for _, nodes := range []int{1, 3} {
+		g := fillF64(12, 7, uint64(nodes))
+		before := slices.Clone(g.Data)
+		par := stencil.Params[float64]{Radius: 1, Boundary: stencil.Wrap}
+		if _, err := cluster.Run(cluster.Config{Nodes: nodes, CoresPerNode: 2}, func(s *cluster.Session) error {
+			_, err := opHeat.Run(s, g, par, 4)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range g.Data {
+			if math.Float64bits(v) != math.Float64bits(before[i]) {
+				t.Fatalf("%d nodes: cell %d changed from %v to %v", nodes, i, before[i], v)
+			}
+		}
+	}
+}
 
 // TestOpMatchesLocal runs the collective stencil skeleton on virtual
 // clusters of 1–8 nodes over every boundary strategy and degenerate

@@ -204,7 +204,9 @@ func (s *Slab[T]) ownRow(y int) []T { return s.sw.buf[(y-s.sw.rowLo+s.sw.pad)*s.
 // sweep; the fabric buffers sends, so posting all sends before any receive
 // cannot deadlock. One message per peer per direction carries the peer's
 // needed rows concatenated in its slot order, encoded with the slab's
-// element codec; the payload is attributed to Stats.HaloBytes via SendHalo.
+// element codec; the payload is attributed to Stats.HaloBytes via SendHalo,
+// which takes it by reference: each is a fresh encoding, never written
+// again, so a halo costs its encoding and no second copy.
 func (s *Slab[T]) ExchangeHalos(c *mpi.Comm) error {
 	if err := s.postHalos(c); err != nil {
 		return err
