@@ -18,10 +18,11 @@ import (
 // parts and how the collected partials become its result.
 //
 // S is the per-node input slice, A the broadcast auxiliary value, P one
-// node's partial result. On the master the kernel reads its slice and aux
-// by reference (they never cross the codec) and must not write them;
-// combine may write its first argument, which is always the node's own
-// partial or an earlier result of combine.
+// node's partial result. The kernel reads its slice and aux by reference on
+// the master and as views of the bytes that arrived on a worker, and must
+// not write them on any rank; combine may write its first argument, which
+// is always the node's own partial or an earlier result of combine, never
+// its second.
 type collective[S, A, P any] struct {
 	name    string
 	sCodec  serial.Codec[S]

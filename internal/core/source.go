@@ -10,9 +10,9 @@ import (
 // [r.Lo, r.Hi) read, as a serializable value of type S. The distributed
 // skeletons block-partition tasks across nodes and ship each node its
 // slice — never the whole input. The master's own slice is not shipped:
-// its kernel reads Slice's result, and the aux value, by reference, so a
-// kernel must not write either (a view such as SliceSource's aliases the
-// caller's data).
+// its kernel reads Slice's result, and the aux value, by reference, and a
+// worker's are views of the bytes that arrived, so a kernel must not write
+// either (a view such as SliceSource's aliases the caller's data).
 type DistSource[S any] interface {
 	// Tasks is the extent of the distributable outer loop.
 	Tasks() int

@@ -12,7 +12,9 @@ import (
 // BcastT broadcasts a typed value from root to all ranks. Root gets v back
 // as is, by reference: it never crosses the codec, and only the bytes bound
 // for peers are marshalled. That payload is freshly allocated and never
-// touched again, so it travels the shared (zero-copy) wire path.
+// touched again, so it travels the shared (zero-copy) wire path, and every
+// other rank decodes a view of it (serial.UnmarshalView) that each rank the
+// tree forwarded it to shares. The result is read-only on every rank.
 func BcastT[T any](c *Comm, root int, codec serial.Codec[T], v T) (T, error) {
 	if c.Rank() != root {
 		out, err := c.bcastPayload(root, nil, true)
@@ -20,7 +22,7 @@ func BcastT[T any](c *Comm, root int, codec serial.Codec[T], v T) (T, error) {
 			var zero T
 			return zero, err
 		}
-		return serial.Unmarshal(codec, out)
+		return serial.UnmarshalView(codec, out)
 	}
 	var payload []byte
 	if c.Size() > 1 {
@@ -33,7 +35,8 @@ func BcastT[T any](c *Comm, root int, codec serial.Codec[T], v T) (T, error) {
 // ScatterT sends parts[i] to rank i (typed); only root supplies parts.
 // Root's own part is returned by reference (it shares parts[root]'s
 // storage, as MPI_IN_PLACE leaves the root's block where it is); only the
-// parts bound for peers are marshalled.
+// parts bound for peers are marshalled, and a peer's part is a view of the
+// bytes that arrived. Either way the part is read-only.
 func ScatterT[T any](c *Comm, root int, codec serial.Codec[T], parts []T) (T, error) {
 	var raw [][]byte
 	if c.Rank() == root {
@@ -56,12 +59,13 @@ func ScatterT[T any](c *Comm, root int, codec serial.Codec[T], parts []T) (T, er
 	if c.Rank() == root {
 		return parts[root], nil
 	}
-	return serial.Unmarshal(codec, mine)
+	return serial.UnmarshalView(codec, mine)
 }
 
 // GatherT collects a typed value from every rank at root; the result is
 // indexed by rank at root and nil elsewhere. Root's own entry is mine by
-// reference: only peers marshal, and root decodes only what they sent.
+// reference: only peers marshal, and root decodes what they sent as views
+// of the bytes that arrived. The result is read-only.
 func GatherT[T any](c *Comm, root int, codec serial.Codec[T], mine T) ([]T, error) {
 	var payload []byte
 	if c.Rank() != root {
@@ -80,7 +84,7 @@ func GatherT[T any](c *Comm, root int, codec serial.Codec[T], mine T) ([]T, erro
 			out[i] = mine
 			continue
 		}
-		out[i], err = serial.Unmarshal(codec, b)
+		out[i], err = serial.UnmarshalView(codec, b)
 		if err != nil {
 			return nil, fmt.Errorf("mpi: gather decode rank %d: %w", i, err)
 		}
@@ -90,10 +94,10 @@ func GatherT[T any](c *Comm, root int, codec serial.Codec[T], mine T) ([]T, erro
 
 // ReduceT folds every rank's typed value to rank 0 with the associative
 // operator op, up a binomial tree; ok is true only at rank 0. A rank decodes
-// each child once, folds acc = op(acc, child) from acc = mine, children in
-// increasing distance, and marshals once to send up. op may write its first
-// argument, which is always mine or an earlier result of op; mine is never
-// copied, so on one rank the result is mine.
+// each child once, as a read-only view of its bytes, folds acc = op(acc,
+// child) from acc = mine, children in increasing distance, and marshals once
+// to send up. op may write its first argument, which is always mine or an
+// earlier result of op; mine is never copied, so on one rank it is mine.
 func ReduceT[T any](c *Comm, codec serial.Codec[T], mine T, op func(T, T) T) (T, bool, error) {
 	var zero T
 	ctx := c.Context()
@@ -109,7 +113,7 @@ func ReduceT[T any](c *Comm, codec serial.Codec[T], mine T, op func(T, T) T) (T,
 			if err != nil {
 				return zero, false, err
 			}
-			child, err := serial.Unmarshal(codec, m.Payload)
+			child, err := serial.UnmarshalView(codec, m.Payload)
 			if err != nil {
 				return zero, false, fmt.Errorf("mpi: reduce decode rank %d: %w", peer, err)
 			}

@@ -5,6 +5,7 @@ package mpi
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"triolet/internal/serial"
 	"triolet/internal/transport"
@@ -114,4 +115,52 @@ func TestTypedCollectivesRootAllocs(t *testing.T) {
 			}, none))
 		f.Close()
 	}
+}
+
+// A rank reads what it receives in place: at two direct-mode ranks,
+// receiving 1 MiB of F64s allocates next to nothing in the peer's ScatterT
+// and BcastT and in the root's GatherT decode, and the result is a view of
+// the payload that arrived. The sender's half is the byte-level collective
+// each typed one rides on, so the test holds the very bytes it sent.
+func TestTypedCollectivesPeerAllocs(t *testing.T) {
+	const n, runs, slack = 1 << 17, 8, 64 << 10 // 1 MiB of float64
+	codec := serial.F64s()
+	payload := serial.Marshal(codec, make([]float64, n))
+	f := transport.New(transport.Config{Ranks: 2})
+	defer f.Close()
+	root, peer := NewComm(f, 0), NewComm(f, 1)
+	var got []float64
+	send := func(fn func() error) func() {
+		return func() {
+			if err := fn(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	none := func() {}
+	check := func(name string, bytes uint64) {
+		t.Helper()
+		if bytes >= slack {
+			t.Errorf("%s allocates %d bytes to receive %d, want < %d", name, bytes, len(payload), slack)
+		}
+		if len(got) != n || unsafe.Pointer(&got[0]) != unsafe.Pointer(&payload[8]) {
+			t.Errorf("%s result is not a view of the payload that arrived", name)
+		}
+	}
+
+	check("peer's ScatterT", heapBytes(runs,
+		send(func() error { _, err := root.scatterPayload(0, [][]byte{nil, payload}, true); return err }),
+		send(func() (err error) { got, err = ScatterT(peer, 0, codec, nil); return err }), none))
+	check("peer's BcastT", heapBytes(runs,
+		send(func() error { _, err := root.bcastPayload(0, payload, true); return err }),
+		send(func() (err error) { got, err = BcastT(peer, 0, codec, nil); return err }), none))
+	check("root's GatherT", heapBytes(runs,
+		send(func() error { _, err := peer.gatherPayload(0, payload, true); return err }),
+		send(func() error {
+			all, err := GatherT(root, 0, codec, nil)
+			if err == nil {
+				got = all[1]
+			}
+			return err
+		}), none))
 }

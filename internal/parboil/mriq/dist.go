@@ -261,8 +261,8 @@ func Ref(cfg cluster.Config, in *Input) ([]QPoint, error) {
 			var sends []*mpi.Request
 			auxBytes := serial.Marshal(samplesCodec(), aux)
 			for dst := 1; dst < c.Size(); dst++ {
-				sends = append(sends, c.Isend(dst, tagVox, serial.Marshal(voxCodec(), parts[dst])))
-				sends = append(sends, c.Isend(dst, tagSamples, auxBytes))
+				sends = append(sends, c.Isend(dst, tagVox, serial.Marshal(voxCodec(), parts[dst])),
+					c.Isend(dst, tagSamples, auxBytes))
 			}
 			recvs := make([]*mpi.Request, c.Size())
 			for src := 1; src < c.Size(); src++ {

@@ -110,13 +110,13 @@ func TransposeLocal(pool *sched.Pool, m array.Matrix[float32]) array.Matrix[floa
 // Triolet runs the paper's Triolet implementation: shared-memory parallel
 // transpose on the master node, then the distributed 2-D block product.
 func Triolet(s *cluster.Session, in *Input) (array.Matrix[float32], error) {
-	bt := TransposeLocal(s.Node().Pool, in.B)
+	a, bt := in.A, TransposeLocal(s.Node().Pool, in.B)
 	src := core.FuncSource2[blockSlice]{
 		D: domain.NewDim2(in.A.H, in.B.W),
 		SliceFn: func(r domain.Rect) blockSlice {
 			return blockSlice{
-				ARows:  in.A.RowBand(r.Rows).Clone(),
-				BTRows: bt.RowBand(r.Cols).Clone(),
+				ARows:  a.RowBand(r.Rows),
+				BTRows: bt.RowBand(r.Cols),
 				Alpha:  in.Alpha,
 			}
 		},

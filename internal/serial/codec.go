@@ -42,6 +42,14 @@ func Unmarshal[T any](c Codec[T], b []byte) (T, error) {
 	return v, r.Err()
 }
 
+// UnmarshalView is Unmarshal where each block of the value aliases b, with
+// capacity equal to its length, when aliasable allows, and is copied
+// otherwise. The value is read-only unless the caller owns b.
+func UnmarshalView[T any](c Codec[T], b []byte) (T, error) {
+	r := &Reader{buf: b, view: true}
+	return c.Decode(r), r.Err()
+}
+
 // DecodeInto decodes a slice that c encoded straight into dst, which the
 // slice must fill exactly: a block codec (F64s, F32s, I64s, Records) copies
 // the words in place, any other codec decodes and copies. A slice of another
@@ -84,12 +92,15 @@ func words[T any, E RawElem](v []T) []E {
 }
 
 // readBlock reads a length-prefixed block of T's into fresh storage with one
-// copy.
+// copy, or under UnmarshalView as a view of the message.
 func readBlock[T any, E RawElem](r *Reader) []T {
 	var zero T
 	n, b := r.block(int(unsafe.Sizeof(zero)), -1)
 	if b == nil {
 		return nil
+	}
+	if r.view && n > 0 && aliasable[E](b) {
+		return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b))), n)
 	}
 	out := make([]T, n)
 	rawInto(words[T, E](out), b)

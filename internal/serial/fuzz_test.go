@@ -46,7 +46,28 @@ func FuzzSliceDecoders(f *testing.F) {
 		_ = NewReader(data).F32Slice()
 		_ = NewReader(data).I64Slice()
 		_ = NewReader(data).IntSlice()
+		sameView(t, F64s(), data)
+		sameView(t, F32s(), data)
+		sameView(t, I64s(), data)
 	})
+}
+
+// sameView decodes data, and data one byte on, with Unmarshal and with
+// UnmarshalView: both must fail alike or decode values that re-encode to
+// the same bytes (a bit-pattern comparison, so NaNs compare equal), whether
+// the view decode aliased its block or copied it.
+func sameView[T any](t *testing.T, c Codec[T], data []byte) {
+	t.Helper()
+	for _, b := range [][]byte{data, data[min(1, len(data)):]} {
+		want, werr := Unmarshal(c, b)
+		got, gerr := UnmarshalView(c, b)
+		if (werr == nil) != (gerr == nil) || werr != nil && werr.Error() != gerr.Error() {
+			t.Fatalf("%T: Unmarshal error %v, UnmarshalView error %v", want, werr, gerr)
+		}
+		if werr == nil && !bytes.Equal(Marshal(c, got), Marshal(c, want)) {
+			t.Fatalf("%T: UnmarshalView decoded other bits than Unmarshal", want)
+		}
+	}
 }
 
 func FuzzComposedCodecs(f *testing.F) {
@@ -76,6 +97,7 @@ func FuzzMatrixCodec(f *testing.F) {
 	neg.F64Slice([]float64{1})
 	f.Add(neg.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
+		sameView(t, Matrix[float64](), data)
 		v, err := Unmarshal(Matrix[float64](), data)
 		if err != nil {
 			return
@@ -99,6 +121,7 @@ func FuzzRecordCodec(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3})                // one record, short body
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // absurd count
 	f.Fuzz(func(t *testing.T, data []byte) {
+		sameView(t, c, data)
 		r := NewReader(data)
 		v := c.Decode(r)
 		if r.Err() != nil {

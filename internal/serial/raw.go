@@ -23,10 +23,10 @@ import (
 //
 // Aliasing contract: the caller of Raw must not mutate xs until every
 // consumer of the returned bytes is done with them, and a consumer of
-// RawView must treat the result as read-only unless it owns the input
-// buffer. The transport layer upholds its side via Fabric.SendShared,
-// which meters the payload like any send but skips the defensive copy and
-// copies on write under corrupt-fault injection.
+// RawView or UnmarshalView must treat the result as read-only unless it
+// owns the input buffer. The transport layer upholds its side via
+// Fabric.SendShared, which meters the payload like any send but skips the
+// defensive copy and copies on write under corrupt-fault injection.
 
 // RawElem constrains Raw's element types to pointer-free fixed-width
 // numerics whose in-memory layout equals their wire layout on a
@@ -72,7 +72,7 @@ func RawView[E RawElem](b []byte) ([]E, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(b)))%uintptr(unsafe.Alignof(zero)) == 0 {
+	if aliasable[E](b) {
 		return unsafe.Slice((*E)(unsafe.Pointer(unsafe.SliceData(b))), n), nil
 	}
 	return rawCopyOut[E](b, n), nil
@@ -81,25 +81,18 @@ func RawView[E RawElem](b []byte) ([]E, error) {
 // RawCopy decodes a Raw payload into freshly allocated elements the caller
 // may mutate freely, regardless of the payload's alignment.
 func RawCopy[E RawElem](b []byte) ([]E, error) {
-	var zero E
-	size := int(unsafe.Sizeof(zero))
-	if len(b)%size != 0 {
-		return nil, fmt.Errorf("serial: raw payload of %d bytes is not a multiple of element size %d", len(b), size)
+	v, err := RawView[E](b)
+	if len(v) > 0 && aliasable[E](b) {
+		v = rawCopyOut[E](b, len(v))
 	}
-	n := len(b) / size
-	if n == 0 {
-		return nil, nil
-	}
-	return rawCopyOut[E](b, n), nil
+	return v, err
 }
 
-// RawAliases reports whether RawView[E] of b would alias b rather than
-// copy: exported so tests can pin down when the zero-copy path engages.
-func RawAliases[E RawElem](b []byte) bool {
+// aliasable is the one check of whether b may be read in place as E words
+// (RawView, UnmarshalView): a little-endian host and b on an E boundary.
+func aliasable[E RawElem](b []byte) bool {
 	var zero E
-	size := int(unsafe.Sizeof(zero))
-	return hostLittleEndian && len(b) > 0 && len(b)%size == 0 &&
-		uintptr(unsafe.Pointer(unsafe.SliceData(b)))%uintptr(unsafe.Alignof(zero)) == 0
+	return hostLittleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(b)))%unsafe.Alignof(zero) == 0
 }
 
 // rawSwap encodes xs element-wise with reversed byte order — the

@@ -84,8 +84,8 @@ func TestRawAliases(t *testing.T) {
 	if v[1] != 42 {
 		t.Fatalf("view not aliased: v[1] = %d, want 42", v[1])
 	}
-	if !RawAliases[int64](b) {
-		t.Fatal("RawAliases = false for an aligned payload")
+	if !aliasable[int64](b) {
+		t.Fatal("aliasable = false for an aligned payload")
 	}
 }
 
@@ -100,8 +100,8 @@ func TestRawViewMisaligned(t *testing.T) {
 	if uintptr(unsafe.Pointer(unsafe.SliceData(b)))%8 == 0 {
 		t.Skip("sub-slice landed aligned; cannot force misalignment here")
 	}
-	if RawAliases[float64](b) {
-		t.Fatal("RawAliases = true for a misaligned payload")
+	if aliasable[float64](b) {
+		t.Fatal("aliasable = true for a misaligned payload")
 	}
 	v, err := RawView[float64](b)
 	if err != nil {

@@ -128,9 +128,10 @@ func (w *Writer) IntSlice(xs []int) {
 // so decode errors indicate a codec mismatch — a programming error —
 // surfaced at the call site that checks Err.
 type Reader struct {
-	buf []byte
-	pos int
-	err error
+	buf  []byte
+	pos  int
+	err  error
+	view bool // set by UnmarshalView: blocks may alias buf
 }
 
 // NewReader returns a reader over an encoded message.
