@@ -69,34 +69,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(pos, fmt.Sprintf(format, args...))
 }
 
-// File returns the *ast.File containing pos, or nil.
-func (p *Pass) File(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}
-
-// IsPkgCall reports whether call is a direct call of the package-level
-// function pkgPath.name (matched through the file's import aliasing), and
-// returns the *types.Func when it is.
-func IsPkgCall(info *types.Info, call *ast.CallExpr, pkgPath, name string) (*types.Func, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil, false
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return nil, false
-	}
-	if fn.Pkg().Path() != pkgPath || fn.Name() != name {
-		return nil, false
-	}
-	return fn, true
-}
-
 // CalleeFunc resolves the function or method object a call invokes, when
 // it is statically known (package function, method, or local func value
 // declaration it does not chase).

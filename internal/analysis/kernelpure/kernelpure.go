@@ -17,7 +17,10 @@
 //   - wall-clock reads (time.Now/Since/Until);
 //   - ranging over a map (iteration order differs per run and per node).
 //
-// Deliberate exceptions carry //lint:allow kernelpure <reason>.
+// A farm kernel must not write its task (an element store, a copy into it,
+// a store through a slice of it) either: the task is a read-only view of the
+// frame that delivered it (DESIGN.md §11). Deliberate exceptions carry
+// //lint:allow kernelpure <reason>.
 package kernelpure
 
 import (
@@ -41,11 +44,13 @@ const (
 	farmFnType   = "FarmFn"
 )
 
+const taskWrite = "farm kernel writes its task, a read-only view of the frame that delivered it; copy it first"
+
 // Analyzer is the kernelpure pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "kernelpure",
 	Doc: "impure skeleton kernels: captured-variable writes, unseeded math/rand, " +
-		"wall-clock reads, and map iteration inside farm/pipeline kernels",
+		"wall-clock reads, and map iteration inside farm/pipeline kernels; writes to a farm kernel's task",
 	Run: run,
 }
 
@@ -63,8 +68,9 @@ func run(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			for _, lit := range kernelLits(pass, call) {
-				checkKernel(pass, lit)
+			lits, farm := kernelLits(pass, call)
+			for _, lit := range lits {
+				checkKernel(pass, lit, farm)
 			}
 			return true
 		})
@@ -72,8 +78,9 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// kernelLits returns the function literals call places in kernel position.
-func kernelLits(pass *analysis.Pass, call *ast.CallExpr) []*ast.FuncLit {
+// kernelLits returns the function literals call places in kernel position,
+// and whether they are farm kernels.
+func kernelLits(pass *analysis.Pass, call *ast.CallExpr) ([]*ast.FuncLit, bool) {
 	info := pass.TypesInfo
 
 	// Conversion to cluster.FarmFn: FarmFn(func(...){...}).
@@ -82,15 +89,15 @@ func kernelLits(pass *analysis.Pass, call *ast.CallExpr) []*ast.FuncLit {
 			named.Obj().Name() == farmFnType && named.Obj().Pkg() != nil &&
 			named.Obj().Pkg().Path() == clusterPkg && len(call.Args) == 1 {
 			if lit, ok := ast.Unparen(call.Args[0]).(*ast.FuncLit); ok {
-				return []*ast.FuncLit{lit}
+				return []*ast.FuncLit{lit}, true
 			}
 		}
-		return nil
+		return nil, false
 	}
 
 	fn := analysis.CalleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil {
-		return nil
+		return nil, false
 	}
 	pkg := fn.Pkg().Path()
 	kernelCall := pkg == clusterPkg && fn.Name() == registerFarm ||
@@ -99,7 +106,7 @@ func kernelLits(pass *analysis.Pass, call *ast.CallExpr) []*ast.FuncLit {
 	// forwards a kernel takes it as a func-typed argument too; the
 	// exported-entrypoint rule at the boundary is what user code sees.
 	if !kernelCall {
-		return nil
+		return nil, false
 	}
 	var lits []*ast.FuncLit
 	for _, arg := range call.Args {
@@ -107,17 +114,31 @@ func kernelLits(pass *analysis.Pass, call *ast.CallExpr) []*ast.FuncLit {
 			lits = append(lits, lit)
 		}
 	}
-	return lits
+	return lits, pkg == clusterPkg
 }
 
-// checkKernel applies the four purity checks to one kernel body.
-func checkKernel(pass *analysis.Pass, lit *ast.FuncLit) {
+// checkKernel applies the four purity checks to one kernel body, and the
+// task check to a farm kernel's.
+func checkKernel(pass *analysis.Pass, lit *ast.FuncLit, farm bool) {
 	info := pass.TypesInfo
 	inKernel := func(pos token.Pos) bool { return lit.Pos() <= pos && pos <= lit.End() }
+	// view holds a farm kernel's task and every variable taken of it.
+	view, params := map[types.Object]bool{}, lit.Type.Params.List
+	if names := params[len(params)-1].Names; farm && len(names) > 0 {
+		view[info.Defs[names[len(names)-1]]] = true
+	}
+	inView := func(e ast.Expr) bool { return view[info.ObjectOf(analysis.BaseIdent(e))] }
 
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				if id, ok := lhs.(*ast.Ident); !ok && inView(lhs) {
+					pass.Report(lhs.Pos(), taskWrite)
+				} else if ok && id.Name != "_" && len(n.Rhs) == len(n.Lhs) && inView(n.Rhs[i]) {
+					view[info.ObjectOf(id)] = true // or a byte of it: harmless, a byte is only written as an Ident
+				}
+			}
 			if n.Tok == token.DEFINE {
 				return true // := declares locals; shadowed reuse stays in scope
 			}
@@ -125,8 +146,14 @@ func checkKernel(pass *analysis.Pass, lit *ast.FuncLit) {
 				reportCapturedWrite(pass, lhs, inKernel)
 			}
 		case *ast.IncDecStmt:
+			if _, ok := n.X.(*ast.Ident); !ok && inView(n.X) {
+				pass.Report(n.Pos(), taskWrite)
+			}
 			reportCapturedWrite(pass, n.X, inKernel)
 		case *ast.CallExpr:
+			if b, ok := info.Uses[analysis.BaseIdent(n.Fun)].(*types.Builtin); ok && b.Name() == "copy" && inView(n.Args[0]) {
+				pass.Report(n.Pos(), taskWrite)
+			}
 			if name, ok := analysis.WallClockCall(info, n); ok &&
 				(name == "Now" || name == "Since" || name == "Until") {
 				pass.Reportf(n.Pos(),

@@ -32,6 +32,43 @@ var _ = cluster.FarmFn(func(n *cluster.Node, task []byte) ([]byte, error) {
 
 func task2ints([]byte) []int { return nil }
 
+// A farm kernel's task is a read-only view of the frame that delivered it:
+// every write to it, or through a slice of it, is flagged.
+func taskWritingFarmKernel() {
+	cluster.RegisterFarm("writes-task", func(n *cluster.Node, task []byte) ([]byte, error) {
+		task[0] = 1          // want `kernelpure: farm kernel writes its task`
+		task[1]++            // want `kernelpure: farm kernel writes its task`
+		copy(task[2:], "ab") // want `kernelpure: farm kernel writes its task`
+		body := task[4:]
+		body[0] = 2 // want `kernelpure: farm kernel writes its task`
+		var rest []byte
+		rest = body[1:]
+		copy(rest, task) // want `kernelpure: farm kernel writes its task`
+		return task, nil
+	})
+}
+
+// Reading the task, copying out of it, appending to it (a view's cap is its
+// length, so append reallocates) and writing a copy are not writes to it.
+var _ = cluster.FarmFn(func(_ *cluster.Node, task []byte) ([]byte, error) {
+	first := task[0]
+	first++
+	out := make([]byte, len(task))
+	copy(out, task)
+	out[0] = first
+	longer := append(task, first)
+	longer[0] = 0
+	return out, nil
+})
+
+// Kernels in other positions take no task.
+func taskNotAFarmKernel(xs [][]byte) {
+	_ = iter.Map(func(b []byte) []byte {
+		b[0] = 0
+		return b
+	}, iter.FromSlice(xs))
+}
+
 func impureMapKernel(xs []int, weights map[int]int) iter.Iter[int] {
 	return iter.Map(func(x int) int {
 		shared[0] = x // want `kernelpure: kernel writes captured variable "shared"`

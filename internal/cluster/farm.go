@@ -29,6 +29,7 @@ import (
 
 // FarmFn is a farm kernel body: one task in, one result out. It runs on
 // whichever node the task lands on (a worker, or the master as fallback).
+// task is read-only: it may view the frame that delivered it (DESIGN §11).
 type FarmFn func(n *Node, task []byte) ([]byte, error)
 
 var farmKernels = kernels[FarmFn]{what: "farm kernel"}
@@ -65,8 +66,9 @@ type TaskFailure struct {
 // FarmResult reports a farm run's outcome, including its partial-failure
 // details.
 type FarmResult struct {
-	// Results holds one result per task, in task order. Entries for
-	// quarantined tasks (see Failed) are nil.
+	// Results holds one result per task, in task order, read-only: each
+	// may view the frame it arrived in. Entries for quarantined tasks (see
+	// Failed) are nil.
 	Results [][]byte
 	// Failed lists quarantined tasks in task order: tasks whose kernel
 	// failed or panicked on every one of their MaxAttempts executions.

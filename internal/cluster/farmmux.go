@@ -380,7 +380,7 @@ func muxTaskHead(w *serial.Writer, stop bool, a MuxAssignment) []byte {
 
 // decodeMuxTask parses a task frame, as strictly as decodeMuxResult: a
 // short read, trailing bytes or a negative task index is an error. The payload
-// is a view of the frame, which its receiver owns.
+// is a read-only view of the frame, as every delivered message is.
 func decodeMuxTask(payload []byte) (stop bool, a MuxAssignment, err error) {
 	r := serial.NewReader(payload)
 	stop = r.Bool()

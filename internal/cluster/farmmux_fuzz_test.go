@@ -92,8 +92,8 @@ func sameAssignment(a, b MuxAssignment) bool {
 // TestMuxFrameAllocs: a frame's header is rewritten in its writer without
 // allocating once the writer has grown — the payload travels behind it
 // (mpi.Comm.SendHead), never copied to make room for it — and a decoder
-// allocates only its strings: the task payload and the result are views of
-// the frame, which its receiver owns.
+// allocates only its strings: the task payload and the result are read-only
+// views of the frame.
 func TestMuxFrameAllocs(t *testing.T) {
 	a := MuxAssignment{Job: "\x00farm7", Kernel: "fuzz.kernel", Task: 3, Payload: bytes.Repeat([]byte{7}, 4096)}
 	done := MuxEvent{Job: a.Job, Task: 3, OK: true, Result: bytes.Repeat([]byte{9}, 4096), Elapsed: time.Millisecond}

@@ -250,13 +250,14 @@ func (c *Comm) SendBeat(dst, tag int, payload []byte) error {
 }
 
 // Recv blocks for a message matching (src, tag); src may be
-// transport.AnySource.
+// transport.AnySource. The payload is read-only, as every delivered
+// message's is: it may view the sender's buffer or frame (DESIGN §11).
 func (c *Comm) Recv(src, tag int) (transport.Message, error) {
 	return c.RecvCtx(c.Context(), src, tag)
 }
 
 // RecvCtx is Recv under an explicit context: cancellation unblocks the
-// wait with ctx.Err().
+// wait with ctx.Err(). The payload is read-only, as Recv's.
 func (c *Comm) RecvCtx(ctx context.Context, src, tag int) (transport.Message, error) {
 	if tag != transport.AnyTag && (tag < 0 || tag > MaxUserTag) {
 		return transport.Message{}, fmt.Errorf("mpi: user tag %d out of range", tag)
@@ -268,7 +269,7 @@ func (c *Comm) RecvCtx(ctx context.Context, src, tag int) (transport.Message, er
 }
 
 // TryRecv is the non-blocking variant of Recv; ok is false when no
-// matching message is available.
+// matching message is available. The payload is read-only, as Recv's.
 func (c *Comm) TryRecv(src, tag int) (transport.Message, bool, error) {
 	if tag != transport.AnyTag && (tag < 0 || tag > MaxUserTag) {
 		return transport.Message{}, false, fmt.Errorf("mpi: user tag %d out of range", tag)

@@ -60,7 +60,8 @@ func (c *Comm) Isend(dst, tag int, payload []byte) *Request {
 
 // Irecv starts a nonblocking receive matching (src, tag). The match is
 // performed by a helper goroutine; Wait joins it. As with blocking Recv,
-// src may be transport.AnySource and tag transport.AnyTag.
+// src may be transport.AnySource and tag transport.AnyTag, and the payload
+// Wait returns is read-only.
 //
 // Concurrent Irecvs with overlapping match patterns race for messages the
 // same way concurrent MPI receives do; receives with distinct (src, tag)

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -272,7 +271,7 @@ var errMalformed = errors.New("mpi: malformed frame")
 // violation means a broken encoder, but the protocol still treats it as
 // corruption rather than decoding garbage. handleFrame walks a frame twice —
 // whole without apply, then applying — so a malformed one is dropped before
-// any of it counts. Only the payloads delivered or parked are allocated.
+// any of it counts. Delivered and parked payloads view body (DESIGN §11).
 func (r *reliable) walk(src int, body []byte, apply bool) error {
 	br := serial.NewReader(body)
 	for br.Err() == nil && br.Remaining() > 0 {
@@ -295,7 +294,7 @@ func (r *reliable) walk(src int, body []byte, apply bool) error {
 			// as-is. They may be lost, duplicated, or overtake data — the
 			// contract of SendBeat.
 			if tag, payload := br.Int(), br.View(); apply {
-				r.enqueue(src, tag, bytes.Clone(payload))
+				r.enqueue(src, tag, payload)
 			}
 		default:
 			return errMalformed
@@ -357,7 +356,7 @@ func (r *reliable) dropCorrupt(bytes int) error {
 // conforming peer and is dropped like a corrupt one, unacknowledged. Every
 // other valid message makes an ack owed to src — a duplicate usually means
 // our last ack was lost — which the end-of-pump flush sends when coalescing,
-// and which is sent at once otherwise. Only a kept payload is copied.
+// and which is sent at once otherwise.
 func (r *reliable) acceptData(src int, seq uint64, tag int, payload []byte) error {
 	expect := r.expect[src]
 	if seq >= expect+sendWindow {
@@ -366,7 +365,7 @@ func (r *reliable) acceptData(src int, seq uint64, tag int, payload []byte) erro
 	ahead := r.ahead[src*sendWindow : (src+1)*sendWindow]
 	switch slot := &ahead[seq%sendWindow]; {
 	case seq == expect:
-		r.enqueue(src, tag, bytes.Clone(payload))
+		r.enqueue(src, tag, payload)
 		for expect++; ahead[expect%sendWindow].held; expect++ {
 			pf := &ahead[expect%sendWindow]
 			r.enqueue(src, pf.tag, pf.payload)
@@ -374,7 +373,7 @@ func (r *reliable) acceptData(src int, seq uint64, tag int, payload []byte) erro
 		}
 		r.expect[src] = expect
 	case seq > expect && !slot.held:
-		*slot = pendFrame{tag: tag, payload: bytes.Clone(payload), held: true}
+		*slot = pendFrame{tag: tag, payload: payload, held: true}
 	default: // already delivered, or already parked
 		r.stats.DupDropped++
 		r.cfg.Tracer.Instant(r.c.Rank(), "net.dup-drop", int64(len(payload)))
@@ -625,7 +624,7 @@ func (r *reliable) acked(dst int, expect uint64, held uint8) error {
 			r.release(dst, seq)
 		} else if u.frame != nil && !u.fast {
 			u.fast = true
-			if err := r.resend(dst, u, r.clk.Now(), "net.fast-retry"); err != nil {
+			if err := r.resend(dst, seq, u, r.clk.Now(), "net.fast-retry"); err != nil {
 				return err
 			}
 		}
@@ -670,7 +669,7 @@ func (r *reliable) retransmit() error {
 			u.retries++
 			u.timeout = min(time.Duration(float64(u.timeout)*ackBackoff),
 				max(r.cfg.MaxAckTimeout, r.ackWait(len(u.frame))))
-			if err := r.resend(dst, u, now, "net.retry"); err != nil {
+			if err := r.resend(dst, seq, u, now, "net.retry"); err != nil {
 				return err
 			}
 		}
@@ -678,12 +677,17 @@ func (r *reliable) retransmit() error {
 	return nil
 }
 
-// resend puts u's frame on the wire again, recording event, and re-arms its
-// deadline one timeout from now. Callers hold r.mu.
-func (r *reliable) resend(dst int, u *unacked, now time.Time, event string) error {
+// resend puts u's frame, dst's seq, on the wire again, recording event, and
+// re-arms its deadline one timeout from now; a frame written since it was
+// built (a receiver wrote a delivered payload, DESIGN §11) fails instead.
+// Callers hold r.mu.
+func (r *reliable) resend(dst int, seq uint64, u *unacked, now time.Time, event string) error {
+	if _, ok := serial.VerifyCRC(u.frame); !ok {
+		return fmt.Errorf("mpi: frame %d to rank %d changed after send: a delivered payload was written", seq, dst)
+	}
 	r.stats.Retries++
-	r.cfg.Tracer.Instant(r.c.Rank(), event, int64(len(u.frame)))
 	u.deadline = now.Add(r.jitter(u.timeout))
+	r.cfg.Tracer.Instant(r.c.Rank(), event, int64(len(u.frame)))
 	if err := r.ship(dst, tagRelData, u.frame); err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -103,5 +104,36 @@ func TestSendDeadlineFollowsInjectedClock(t *testing.T) {
 	wg.Wait()
 	if s := a.ReliableStats(); s.Retries != 0 {
 		t.Fatalf("deadline fired on a frozen clock: %+v", s)
+	}
+}
+
+// A receiver that writes a delivered payload writes its sender's retransmit
+// copy of the frame. The sender's next retransmission finds the frame's CRC
+// broken and fails, naming the peer and the frame, instead of resending a
+// frame its receiver can only drop as corrupt until the peer is given up on.
+func TestResendRefusesFrameChangedAfterSend(t *testing.T) {
+	clk := newFakeClock()
+	f := transport.New(transport.Config{Ranks: 2, Clock: clk})
+	defer f.Close()
+	a, b := NewReliableComm(f, 0, ReliableConfig{}), NewReliableComm(f, 1, ReliableConfig{})
+	if err := a.Send(1, 3, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	m, err := b.Recv(0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Payload[0] ^= 1
+	if _, ok, _ := f.TryRecv(0, 1, tagRelAck); !ok { // the ack is lost
+		t.Fatal("no ack on the wire")
+	}
+	before := a.ReliableStats()
+	clk.Advance(time.Second)
+	_, _, err = a.TryRecv(1, 3)
+	if err == nil || !strings.Contains(err.Error(), "frame 0 to rank 1 changed after send") {
+		t.Fatalf("resend of a written frame: %v", err)
+	}
+	if after := a.ReliableStats(); after.Retries != before.Retries || after.FramesSent != before.FramesSent {
+		t.Fatalf("the written frame went out again: %+v, then %+v", before, after)
 	}
 }

@@ -231,8 +231,12 @@ func (r *Reader) RawBytes() []byte {
 }
 
 // View reads a length-prefixed byte slice like RawBytes, without the copy:
-// the result aliases the message.
-func (r *Reader) View() []byte { return r.take(r.Int()) }
+// the result aliases the message, read-only, with cap == len so that an
+// append reallocates instead of overwriting the bytes that follow it.
+func (r *Reader) View() []byte {
+	b := r.take(r.Int())
+	return b[:len(b):len(b)]
+}
 
 // block reads the length prefix of a block of size-byte words, then the
 // block: any count the bytes left can hold when want < 0, else exactly want.

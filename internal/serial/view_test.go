@@ -90,3 +90,22 @@ func TestUnmarshalViewMisaligned(t *testing.T) {
 		}
 	}
 }
+
+// TestReaderViewCapped: Reader.View aliases the message with cap == len, so
+// an append to a viewed payload reallocates and the bytes after it — in a
+// reliable frame, the ack record and the CRC — stay intact.
+func TestReaderViewCapped(t *testing.T) {
+	w := NewWriter(0)
+	w.RawBytes([]byte("view"))
+	w.U64(0xfeedface)
+	msg := w.Bytes()
+	before := bytes.Clone(msg)
+	r := NewReader(msg)
+	v := r.View()
+	if r.Err() != nil || string(v) != "view" || &v[0] != &msg[8] || cap(v) != len(v) {
+		t.Fatalf("View = %q (cap %d, err %v); want a capped view of the message", v, cap(v), r.Err())
+	}
+	if grown := append(v, '!'); &grown[0] == &v[0] || !bytes.Equal(msg, before) || r.U64() != 0xfeedface {
+		t.Fatal("append to a view wrote into the message")
+	}
+}
