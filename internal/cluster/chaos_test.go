@@ -148,7 +148,6 @@ func testTeardownFault(t *testing.T, kernel string, lossy transport.Link, seed i
 			AckTimeout:    20 * time.Millisecond,
 			MaxAckTimeout: 20 * time.Millisecond,
 			Retries:       5,
-			BackoffJitter: -1,
 		},
 		Fault: &transport.FaultConfig{
 			Seed:  seed,
@@ -297,7 +296,7 @@ func TestFarmTypedUnderLossyFabric(t *testing.T) {
 }
 
 // A deterministically failing task must not kill the job: the supervisor
-// retries it MaxAttempts times and then quarantines it in Failed, while
+// retries it maxAttempts times and then quarantines it in Failed, while
 // every other task still completes.
 func TestFarmErrorQuarantinesPoisonTask(t *testing.T) {
 	workerKernels.reset()

@@ -25,10 +25,10 @@ func (c *fakeClock) Now() time.Time { return c.base.Add(time.Duration(c.off.Load
 func (c *fakeClock) advance(d time.Duration) { c.off.Add(int64(d)) }
 
 // Heartbeat retirement is a function of fabric time, not wall-clock
-// scheduling: with an injected simulated clock and a HeartbeatTimeout of
-// minutes, a single fabric-clock jump past the timeout retires the silent
-// worker in well under a second of real time. Before farm.go read liveness
-// deadlines off the fabric clock this test would hang for the full
+// scheduling: with an injected simulated clock and a beat interval of an
+// hour, a single fabric-clock jump past heartbeatMisses intervals retires the
+// silent worker in well under a second of real time. Before farm.go read
+// liveness deadlines off the fabric clock this test would hang for the full
 // wall-clock timeout.
 func TestFarmHeartbeatRetirementFollowsFabricClock(t *testing.T) {
 	workerKernels.reset()
@@ -42,7 +42,8 @@ func TestFarmHeartbeatRetirementFollowsFabricClock(t *testing.T) {
 		return task, nil
 	})
 
-	const hbTimeout = 5 * time.Minute
+	const hb = time.Hour // beats never arrive: the worker reads as silent
+	const hbTimeout = heartbeatMisses * hb
 	clk := newFakeClock()
 	tr := trace.New()
 
@@ -57,11 +58,9 @@ func TestFarmHeartbeatRetirementFollowsFabricClock(t *testing.T) {
 		Nodes: 2, CoresPerNode: 1,
 		Tracer:        tr,
 		Clock:         clk,
-		FarmHeartbeat: time.Hour, // beats never arrive: the worker reads as silent
+		FarmHeartbeat: hb,
 	}, func(s *Session) error {
-		fr, err := s.FarmOpts("sup.fabric-clock", [][]byte{{0}, {1}}, FarmOptions{
-			HeartbeatTimeout: hbTimeout,
-		})
+		fr, err := s.FarmOpts("sup.fabric-clock", [][]byte{{0}, {1}}, FarmOptions{})
 		if err != nil {
 			return err
 		}
@@ -87,5 +86,41 @@ func TestFarmHeartbeatRetirementFollowsFabricClock(t *testing.T) {
 	}
 	if tr.Count("farm.retire") < 1 {
 		t.Fatal("no farm.retire trace event")
+	}
+}
+
+// The liveness rule, at two beat intervals: a worker silent for
+// heartbeatMisses intervals of FarmHeartbeat is retired, one silent for an
+// interval fewer is not. Beats are paced in real time, so at these intervals
+// none arrives during the test, and only the frozen fabric clock moves.
+func TestMuxRetiresAfterHeartbeatMisses(t *testing.T) {
+	for _, hb := range []time.Duration{time.Minute, time.Hour} {
+		t.Run(hb.String(), func(t *testing.T) {
+			workerKernels.reset()
+			farmKernels.reset()
+			clk := newFakeClock()
+			_, err := runGuarded(t, Config{Nodes: 2, CoresPerNode: 1, Clock: clk, FarmHeartbeat: hb}, func(s *Session) error {
+				m, err := s.OpenMux(MuxOptions{})
+				if err != nil {
+					return err
+				}
+				if got, want := m.NextExpiry(), clk.Now().Add(heartbeatMisses*hb); !got.Equal(want) {
+					return fmt.Errorf("NextExpiry = %v, want %v", got, want)
+				}
+				clk.advance((heartbeatMisses - 1) * hb)
+				if ev, ok, err := m.Poll(); ok || err != nil {
+					return fmt.Errorf("silent for %d intervals: event %+v, %v; want none", heartbeatMisses-1, ev, err)
+				}
+				clk.advance(hb)
+				ev, ok, err := m.Poll()
+				if err != nil || !ok || ev.Kind != MuxWorkerLost || ev.Worker != 1 {
+					return fmt.Errorf("silent for %d intervals: event %+v, %v, %v; want worker 1 retired", heartbeatMisses, ev, ok, err)
+				}
+				return m.Close()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -35,9 +36,6 @@ type Config struct {
 	Nodes int
 	// CoresPerNode is each node's thread-pool width.
 	CoresPerNode int
-	// MaxMessageBytes caps fabric payloads (0 = unlimited); used by the
-	// Eden baseline to model its bounded message buffer.
-	MaxMessageBytes int
 	// Tracer, when non-nil, records per-rank phase spans for the whole
 	// run (see internal/trace). Skeletons annotate their scatter, kernel,
 	// and reduce phases.
@@ -59,9 +57,9 @@ type Config struct {
 	// session instead of wedging the tree.
 	Reliable *mpi.ReliableConfig
 	// FarmHeartbeat is the interval at which farm workers send liveness
-	// beats to the master while a farm kernel is active (0 = 1ms). The
-	// master's health monitor retires workers whose beats stop (see
-	// FarmOptions.HeartbeatTimeout). Both sides read this config under
+	// beats to the master while a farm kernel is active (0 = 1ms). It is
+	// the one liveness setting: the master retires a worker silent for
+	// heartbeatMisses (500) intervals. Both sides read this config under
 	// the SPMD assumption that every node runs the same binary.
 	FarmHeartbeat time.Duration
 	// Clock, when non-nil, replaces the fabric's time source (see
@@ -76,6 +74,10 @@ func (c Config) TotalCores() int { return c.Nodes * c.CoresPerNode }
 func (c Config) validate() error {
 	if c.Nodes <= 0 || c.CoresPerNode <= 0 {
 		return fmt.Errorf("cluster: invalid config %+v", c)
+	}
+	// An overflowed retirement timeout would put every expiry in the past.
+	if c.FarmHeartbeat < 0 || c.FarmHeartbeat > math.MaxInt64/heartbeatMisses {
+		return fmt.Errorf("cluster: FarmHeartbeat %v outside [0, %v]", c.FarmHeartbeat, time.Duration(math.MaxInt64/heartbeatMisses))
 	}
 	return nil
 }
@@ -265,15 +267,17 @@ func RunCtx(ctx context.Context, cfg Config, master func(s *Session) error) (tra
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if cfg.FarmHeartbeat == 0 {
+		cfg.FarmHeartbeat = defaultFarmHeartbeat
+	}
 	// Communicators, and the helpers living with them (mpi.Comm.Serving), end with the run.
 	ctx, endRun := context.WithCancel(ctx)
 	defer endRun()
 	fabric := transport.New(transport.Config{
-		Ranks:           cfg.Nodes,
-		MaxMessageBytes: cfg.MaxMessageBytes,
-		Delay:           cfg.NetDelay,
-		Fault:           cfg.Fault,
-		Clock:           cfg.Clock,
+		Ranks: cfg.Nodes,
+		Delay: cfg.NetDelay,
+		Fault: cfg.Fault,
+		Clock: cfg.Clock,
 	})
 	defer fabric.Close()
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -17,12 +18,25 @@ var intC serial.Codec[int] = serial.Funcs[int]{Enc: (*serial.Writer).Int, Dec: (
 // The tests register kernels per test via a reset registry; production code
 // registers at init and never resets.
 
+// Run refuses a cluster without nodes or cores, and a FarmHeartbeat that is
+// negative or whose heartbeatMisses-fold retirement timeout would overflow
+// time.Duration and put every worker's expiry in the past.
 func TestConfigValidate(t *testing.T) {
-	if _, err := Run(Config{Nodes: 0, CoresPerNode: 1}, nil); err == nil {
-		t.Fatal("invalid config accepted")
-	}
-	if _, err := Run(Config{Nodes: 1, CoresPerNode: 0}, nil); err == nil {
-		t.Fatal("invalid config accepted")
+	limit := time.Duration(math.MaxInt64 / heartbeatMisses)
+	for _, row := range []struct {
+		cfg Config
+		ok  bool
+	}{
+		{Config{Nodes: 0, CoresPerNode: 1}, false},
+		{Config{Nodes: 1, CoresPerNode: 0}, false},
+		{Config{Nodes: 2, CoresPerNode: 1}, true},
+		{Config{Nodes: 2, CoresPerNode: 1, FarmHeartbeat: limit}, true},
+		{Config{Nodes: 2, CoresPerNode: 1, FarmHeartbeat: -time.Nanosecond}, false},
+		{Config{Nodes: 2, CoresPerNode: 1, FarmHeartbeat: limit + 1}, false},
+	} {
+		if _, err := Run(row.cfg, func(*Session) error { return nil }); (err == nil) != row.ok {
+			t.Errorf("%+v: Run = %v, want ok %v", row.cfg, err, row.ok)
+		}
 	}
 	if (Config{Nodes: 3, CoresPerNode: 4}).TotalCores() != 12 {
 		t.Fatal("TotalCores wrong")

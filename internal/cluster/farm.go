@@ -51,7 +51,7 @@ func runFarmTask(n *Node, fn FarmFn, task []byte) (out []byte, err error) {
 	return fn(n, task)
 }
 
-// TaskFailure is one quarantined task: it failed MaxAttempts times (on
+// TaskFailure is one quarantined task: it failed maxAttempts times (on
 // workers, the master fallback, or both) and was excluded from the run so
 // the remaining tasks could finish.
 type TaskFailure struct {
@@ -71,7 +71,7 @@ type FarmResult struct {
 	// Failed) are nil.
 	Results [][]byte
 	// Failed lists quarantined tasks in task order: tasks whose kernel
-	// failed or panicked on every one of their MaxAttempts executions.
+	// failed or panicked on every one of their maxAttempts executions.
 	Failed []TaskFailure
 	// Lost lists, in rank order, the worker ranks that died, stopped
 	// acknowledging, or went heartbeat-silent and were retired.
@@ -100,11 +100,8 @@ type FarmResult struct {
 var ErrPinLost = errors.New("cluster: pinned worker lost")
 
 // FarmOptions tunes a supervised farm run. The zero value is valid: no
-// checkpointing, default retry and heartbeat policy.
+// checkpointing, the fixed retry (maxAttempts) and heartbeat policy.
 type FarmOptions struct {
-	// MaxAttempts is the number of times one task may execute before it
-	// is quarantined in FarmResult.Failed (default 3).
-	MaxAttempts int
 	// Checkpoint, when non-nil, records every finished task (results and
 	// quarantined failures) under Job, and resumes the job on startup:
 	// tasks with a stored record are not re-executed, and their stored
@@ -114,12 +111,6 @@ type FarmOptions struct {
 	// Job names this run in the checkpoint store. Required when
 	// Checkpoint is set.
 	Job string
-	// HeartbeatTimeout retires a worker whose beats (and results) stop
-	// arriving for this long, requeueing its in-flight tasks — the
-	// failure detector for silent workers the fabric does not report as
-	// crashed. 0 means the default 500ms; negative disables heartbeat
-	// retirement (crash detection still applies).
-	HeartbeatTimeout time.Duration
 	// Pin, when non-nil, names for every task the one rank that may run it (0:
 	// the master) because only that node holds what it works on (Node.Segs) or
 	// the caller places it there. A pinned task is never reassigned: if its rank
@@ -128,10 +119,9 @@ type FarmOptions struct {
 	Pin []int
 }
 
-const (
-	defaultMaxAttempts      = 3
-	defaultHeartbeatTimeout = 500 * time.Millisecond
-)
+// maxAttempts is the number of times one farm task may execute before it is
+// quarantined in FarmResult.Failed.
+const maxAttempts = 3
 
 // Farm runs the named farm kernel over tasks with default supervision and
 // returns every result. Tasks are streamed to workers as they free a slot
@@ -163,9 +153,6 @@ func (s *Session) FarmOpts(name string, tasks [][]byte, opt FarmOptions) (*FarmR
 		return nil, fmt.Errorf("cluster: farm %q: checkpointing requires a job name", name)
 	}
 	ctx := s.node.Comm.Context()
-	if opt.MaxAttempts <= 0 {
-		opt.MaxAttempts = defaultMaxAttempts
-	}
 	if opt.Pin != nil && (len(opt.Pin) != len(tasks) ||
 		slices.ContainsFunc(opt.Pin, func(p int) bool { return p < 0 || p >= s.node.Nodes() || p > math.MaxInt16 })) {
 		return nil, fmt.Errorf("cluster: farm %q: pins %v for %d tasks on %d nodes", name, opt.Pin, len(tasks), s.node.Nodes())
@@ -177,7 +164,7 @@ func (s *Session) FarmOpts(name string, tasks [][]byte, opt FarmOptions) (*FarmR
 	// A farm call retries without a job-wide budget and without backoff.
 	s.farmRuns++
 	run := "\x00farm" + strconv.Itoa(s.farmRuns)
-	l := NewLedger(run, name, tasks, opt.MaxAttempts, math.MaxInt, nil)
+	l := NewLedger(run, name, tasks, maxAttempts, math.MaxInt, nil)
 	for t, p := range opt.Pin {
 		l.state[t].pin = int16(p)
 	}
@@ -195,7 +182,7 @@ func (s *Session) FarmOpts(name string, tasks [][]byte, opt FarmOptions) (*FarmR
 			tr.Instant(0, "farm.resume", int64(res.Resumed))
 		}
 	}
-	mux, err := s.OpenMux(MuxOptions{HeartbeatTimeout: opt.HeartbeatTimeout})
+	mux, err := s.OpenMux(MuxOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: farm %q: %w", name, err)
 	}

@@ -32,7 +32,6 @@ func TestFarmOneEngineEveryPath(t *testing.T) {
 		}
 		return []byte{task[0] * 2, task[1] + 1}, nil
 	}
-	opt := FarmOptions{MaxAttempts: 2}
 	rows := []struct {
 		name      string
 		cfg       Config
@@ -61,7 +60,7 @@ func TestFarmOneEngineEveryPath(t *testing.T) {
 			row.cfg.Tracer = tr
 			var fr *FarmResult
 			if _, err := runGuarded(t, row.cfg, func(s *Session) (err error) {
-				fr, err = s.FarmOpts("engine.mixed", tasks, opt)
+				fr, err = s.FarmOpts("engine.mixed", tasks, FarmOptions{})
 				return err
 			}); err != nil {
 				t.Fatalf("session: %v", err)
@@ -79,12 +78,12 @@ func TestFarmOneEngineEveryPath(t *testing.T) {
 				t.Fatalf("Failed = %+v, want tasks %d and %d in order", fr.Failed, errTask, panicTask)
 			}
 			for i, text := range []string{"always fails", "panicked: boom"} {
-				if f := fr.Failed[i]; f.Attempts != 2 || !strings.Contains(f.Err, text) {
-					t.Errorf("quarantine record = %+v, want 2 attempts and %q", f, text)
+				if f := fr.Failed[i]; f.Attempts != maxAttempts || !strings.Contains(f.Err, text) {
+					t.Errorf("quarantine record = %+v, want %d attempts and %q", f, maxAttempts, text)
 				}
 			}
-			if fr.Retried != 2 {
-				t.Errorf("Retried = %d, want 2 (one re-execution per poison task)", fr.Retried)
+			if want := 2 * (maxAttempts - 1); fr.Retried != want {
+				t.Errorf("Retried = %d, want %d (the re-executions of both poison tasks)", fr.Retried, want)
 			}
 			if fr.MasterRan != row.masterRan {
 				t.Errorf("MasterRan = %d, want %d", fr.MasterRan, row.masterRan)
@@ -92,8 +91,8 @@ func TestFarmOneEngineEveryPath(t *testing.T) {
 			if fmt.Sprint(fr.Lost) != fmt.Sprint(row.lost) {
 				t.Errorf("Lost = %v, want %v", fr.Lost, row.lost)
 			}
-			if got := tr.Count("farm.task-fail"); got != 4 {
-				t.Errorf("farm.task-fail instants = %d, want 4", got)
+			if got := tr.Count("farm.task-fail"); got != 2*maxAttempts {
+				t.Errorf("farm.task-fail instants = %d, want %d", got, 2*maxAttempts)
 			}
 			if got := tr.InstantValues("farm.quarantine"); len(got) != 2 {
 				t.Errorf("farm.quarantine instants = %v, want one per poison task", got)
@@ -103,26 +102,33 @@ func TestFarmOneEngineEveryPath(t *testing.T) {
 }
 
 // A worker written off during one farm call must not be able to answer the
-// next one. Call 1's worker goes silent inside task 0 and is retired; the
-// master finishes call 1 itself and starts call 2, whose task 0 goes to the
-// same (live again) worker. The worker then wakes and delivers call 1's
-// task 0. The result frame names the call it belongs to, so call 2 drops it
-// and waits for its own task 0.
+// next one. Call 1's worker goes silent inside task 0 — its kernel moves the
+// frozen fabric clock past heartbeatMisses beats, none of which arrives — and
+// is retired; the master finishes call 1 itself and starts call 2, whose task
+// 0 goes to the same (live again) worker. The clock does not move again, so
+// call 2 never retires it. The worker then wakes and delivers call 1's task 0.
+// The result frame names the call it belongs to, so call 2 drops it and waits
+// for its own task 0.
 func TestFarmDropsStragglerResultFromEarlierCall(t *testing.T) {
 	workerKernels.reset()
 	farmKernels.reset()
+	const hb = time.Hour
+	clk := newFakeClock()
 	RegisterFarm("engine.straggler", func(n *Node, task []byte) ([]byte, error) {
 		if !n.IsRoot() && task[0] == 'o' {
-			time.Sleep(150 * time.Millisecond) // far beyond call 1's heartbeat timeout
+			if string(task) == "old0" {
+				clk.advance(heartbeatMisses * hb)
+			}
+			time.Sleep(150 * time.Millisecond)
 		}
 		return append([]byte("out:"), task...), nil
 	})
 	_, err := runGuarded(t, Config{
 		Nodes: 2, CoresPerNode: 1,
-		FarmHeartbeat: time.Hour, // beats never arrive: the worker reads as silent
+		Clock:         clk,
+		FarmHeartbeat: hb,
 	}, func(s *Session) error {
-		first, err := s.FarmOpts("engine.straggler", [][]byte{[]byte("old0"), []byte("old1")},
-			FarmOptions{HeartbeatTimeout: 20 * time.Millisecond})
+		first, err := s.FarmOpts("engine.straggler", [][]byte{[]byte("old0"), []byte("old1")}, FarmOptions{})
 		if err != nil {
 			return err
 		}
@@ -130,10 +136,7 @@ func TestFarmDropsStragglerResultFromEarlierCall(t *testing.T) {
 			return fmt.Errorf("call 1: Lost = %v, MasterRan = %d; want the worker retired and both tasks on the master",
 				first.Lost, first.MasterRan)
 		}
-		// Heartbeat retirement off: call 2 waits for the worker, so the
-		// straggler lands while task 0 of this call is in flight on it.
-		second, err := s.FarmOpts("engine.straggler", [][]byte{[]byte("new0"), []byte("new1")},
-			FarmOptions{HeartbeatTimeout: -1})
+		second, err := s.FarmOpts("engine.straggler", [][]byte{[]byte("new0"), []byte("new1")}, FarmOptions{})
 		if err != nil {
 			return err
 		}

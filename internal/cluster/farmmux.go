@@ -58,6 +58,10 @@ const pinDepth = 6
 // is unset.
 const defaultFarmHeartbeat = time.Millisecond
 
+// heartbeatMisses is how many beat intervals a worker may stay silent — no
+// beat, no result — before the Mux retires it: 500ms at the default interval.
+const heartbeatMisses = 500
+
 // MuxAssignment is one task routed through the Mux: a job-qualified,
 // kernel-named unit of work.
 type MuxAssignment struct {
@@ -103,12 +107,9 @@ type MuxEvent struct {
 	Next MuxAssignment
 }
 
-// MuxOptions tunes a Mux.
-type MuxOptions struct {
-	// HeartbeatTimeout retires a worker whose beats and results stop for
-	// this long (0 = the farm default 500ms; negative disables).
-	HeartbeatTimeout time.Duration
-}
+// MuxOptions tunes a Mux. It has no settings: worker liveness follows
+// Config.FarmHeartbeat.
+type MuxOptions struct{}
 
 // Mux is the master's handle on the multiplexed worker pool. It is owned
 // by a single goroutine (its client's loop), like a Comm.
@@ -133,15 +134,11 @@ type Mux struct {
 // returns the master's handle, not waiting for acknowledgements. Workers the
 // fabric reports crashed at dispatch come out of the first Poll calls as
 // MuxWorkerLost events; every other one is parked, and Poll retires it later.
-func (s *Session) OpenMux(opt MuxOptions) (*Mux, error) {
-	hb := opt.HeartbeatTimeout
-	if hb == 0 {
-		hb = defaultHeartbeatTimeout
-	}
+func (s *Session) OpenMux(MuxOptions) (*Mux, error) {
 	m := &Mux{
 		s:         s,
 		clk:       s.fabric.Clock(),
-		hbTimeout: hb,
+		hbTimeout: heartbeatMisses * s.node.cfg.FarmHeartbeat,
 		depth:     muxDepth,
 		alive:     make(map[int]bool),
 		busy:      make(map[int][]MuxAssignment),
@@ -280,7 +277,7 @@ func (m *Mux) Poll() (MuxEvent, bool, error) {
 		case !m.alive[w]:
 		case m.s.fabric.Crashed(w):
 			m.retire(w)
-		case m.hbTimeout > 0 && !now.Before(m.lastSeen[w].Add(m.hbTimeout)):
+		case !now.Before(m.lastSeen[w].Add(m.hbTimeout)):
 			m.tracer().Instant(0, "farm.heartbeat-miss", int64(w))
 			m.retire(w)
 		}
@@ -293,11 +290,8 @@ func (m *Mux) Poll() (MuxEvent, bool, error) {
 
 // NextExpiry is the earliest fabric-clock instant at which a live worker's
 // silence reaches the heartbeat timeout — when Poll has something to say
-// even if nothing arrives. Zero means never.
+// even if nothing arrives. Zero means no worker is alive.
 func (m *Mux) NextExpiry() (next time.Time) {
-	if m.hbTimeout <= 0 {
-		return next
-	}
 	for w := range m.alive {
 		next = transport.Sooner(next, m.lastSeen[w].Add(m.hbTimeout))
 	}
@@ -440,16 +434,12 @@ func decodeMuxResult(src int, payload []byte) (MuxEvent, error) {
 // master prefetches while the kernel computes (mpi.Comm.Serving).
 func muxWorkerMain(n *Node) error {
 	defer n.Comm.Serving()()
-	interval := n.cfg.FarmHeartbeat
-	if interval <= 0 {
-		interval = defaultFarmHeartbeat
-	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		tick := time.NewTicker(interval) //lint:allow fabrictime beat pacing is real-time by design; liveness deadlines are measured on the fabric clock master-side
+		tick := time.NewTicker(n.cfg.FarmHeartbeat) //lint:allow fabrictime beat pacing is real-time by design; liveness deadlines are measured on the fabric clock master-side
 		defer tick.Stop()
 		for {
 			select {

@@ -137,7 +137,7 @@ func TestFarmShipsPinnedShare(t *testing.T) {
 	cfg := Config{Nodes: 2, CoresPerNode: 1, FarmHeartbeat: time.Hour, Reliable: &mpi.ReliableConfig{AckTimeout: time.Second}}
 	_, err := runGuarded(t, cfg, func(s *Session) error {
 		base = s.node.Comm.ReliableStats().FramesSent
-		res, err := s.FarmOpts("pin.sent", autoTasks(len(pins)), FarmOptions{Pin: pins, HeartbeatTimeout: -1})
+		res, err := s.FarmOpts("pin.sent", autoTasks(len(pins)), FarmOptions{Pin: pins})
 		if err != nil {
 			return err
 		}

@@ -55,11 +55,11 @@ func TestMuxPrefetch(t *testing.T) {
 			}
 		}
 	})
-	_, err := runGuarded(t, Config{Nodes: 2, CoresPerNode: 1}, func(s *Session) error {
+	_, err := runGuarded(t, Config{Nodes: 2, CoresPerNode: 1, FarmHeartbeat: time.Hour}, func(s *Session) error {
 		if err := s.Invoke("mux.reverse"); err != nil {
 			return err
 		}
-		m, err := s.OpenMux(MuxOptions{HeartbeatTimeout: -1})
+		m, err := s.OpenMux(MuxOptions{})
 		if err != nil {
 			return err
 		}
@@ -155,9 +155,9 @@ func TestMuxCrashedEmptyWorker(t *testing.T) {
 	workerKernels.reset()
 	farmKernels.reset()
 	RegisterFarm("mux.echo", func(n *Node, task []byte) ([]byte, error) { return task, nil })
-	cfg := Config{Nodes: 2, CoresPerNode: 1, Reliable: &mpi.ReliableConfig{AckTimeout: time.Second}}
+	cfg := Config{Nodes: 2, CoresPerNode: 1, FarmHeartbeat: time.Hour, Reliable: &mpi.ReliableConfig{AckTimeout: time.Second}}
 	_, err := runGuarded(t, cfg, func(s *Session) error {
-		m, err := s.OpenMux(MuxOptions{HeartbeatTimeout: -1})
+		m, err := s.OpenMux(MuxOptions{})
 		if err != nil {
 			return err
 		}

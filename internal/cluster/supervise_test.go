@@ -39,7 +39,7 @@ func TestFarmPanicQuarantined(t *testing.T) {
 		if len(fr.Failed) != 1 || fr.Failed[0].Task != 1 {
 			return fmt.Errorf("Failed = %+v, want task 1 quarantined", fr.Failed)
 		}
-		if f := fr.Failed[0]; f.Attempts != 3 || !strings.Contains(f.Err, "panicked") {
+		if f := fr.Failed[0]; f.Attempts != maxAttempts || !strings.Contains(f.Err, "panicked") {
 			return fmt.Errorf("quarantine record = %+v", f)
 		}
 		return nil
@@ -55,21 +55,21 @@ func TestFarmTransientFailureRetried(t *testing.T) {
 	farmKernels.reset()
 	var failures atomic.Int32
 	RegisterFarm("sup.flaky", func(n *Node, task []byte) ([]byte, error) {
-		if task[0] == 1 && failures.Add(1) <= 2 {
+		if task[0] == 1 && failures.Add(1) < maxAttempts {
 			return nil, errors.New("transient")
 		}
 		return task, nil
 	})
 	_, err := runGuarded(t, Config{Nodes: 3, CoresPerNode: 1}, func(s *Session) error {
-		fr, err := s.FarmOpts("sup.flaky", [][]byte{{0}, {1}, {2}}, FarmOptions{MaxAttempts: 5})
+		fr, err := s.FarmOpts("sup.flaky", [][]byte{{0}, {1}, {2}}, FarmOptions{})
 		if err != nil {
 			return err
 		}
 		if len(fr.Failed) != 0 {
 			return fmt.Errorf("transiently failing task quarantined: %+v", fr.Failed)
 		}
-		if fr.Retried != 2 {
-			return fmt.Errorf("Retried = %d, want 2", fr.Retried)
+		if fr.Retried != maxAttempts-1 {
+			return fmt.Errorf("Retried = %d, want %d", fr.Retried, maxAttempts-1)
 		}
 		if fr.Results[1][0] != 1 {
 			return fmt.Errorf("results = %v", fr.Results)
@@ -82,13 +82,18 @@ func TestFarmTransientFailureRetried(t *testing.T) {
 }
 
 // A worker that goes silent — no beats, no results — is retired by the
-// heartbeat monitor and its task finishes elsewhere.
+// heartbeat monitor and its task finishes elsewhere. Its beats are an hour
+// apart, so none arrives; its kernel moves the fabric clock past
+// heartbeatMisses of them and stays silent while the master sweeps.
 func TestFarmHeartbeatRetiresSilentWorker(t *testing.T) {
 	workerKernels.reset()
 	farmKernels.reset()
+	const hb = time.Hour
+	clk := newFakeClock()
 	RegisterFarm("sup.slow", func(n *Node, task []byte) ([]byte, error) {
-		if !n.IsRoot() {
-			time.Sleep(200 * time.Millisecond) // far beyond the heartbeat timeout
+		if !n.IsRoot() && task[0] == 0 {
+			clk.advance(heartbeatMisses * hb)
+			time.Sleep(200 * time.Millisecond)
 		}
 		return task, nil
 	})
@@ -96,11 +101,10 @@ func TestFarmHeartbeatRetiresSilentWorker(t *testing.T) {
 	_, err := runGuarded(t, Config{
 		Nodes: 2, CoresPerNode: 1,
 		Tracer:        tr,
-		FarmHeartbeat: time.Hour, // beats never arrive: the worker reads as silent
+		Clock:         clk,
+		FarmHeartbeat: hb,
 	}, func(s *Session) error {
-		fr, err := s.FarmOpts("sup.slow", [][]byte{{0}, {1}}, FarmOptions{
-			HeartbeatTimeout: 20 * time.Millisecond,
-		})
+		fr, err := s.FarmOpts("sup.slow", [][]byte{{0}, {1}}, FarmOptions{})
 		if err != nil {
 			return err
 		}
@@ -127,21 +131,21 @@ func TestFarmHeartbeatRetiresSilentWorker(t *testing.T) {
 }
 
 // Heartbeats keep a slow-but-alive worker employed: with beats flowing, a
-// kernel that outlives the heartbeat timeout must NOT be retired.
+// kernel that outlives the heartbeat timeout (heartbeatMisses beats of
+// 400µs: 200ms) must NOT be retired.
 func TestFarmHeartbeatKeepsSlowWorkerAlive(t *testing.T) {
 	workerKernels.reset()
 	farmKernels.reset()
+	const hb = 400 * time.Microsecond
 	RegisterFarm("sup.slow-alive", func(n *Node, task []byte) ([]byte, error) {
-		time.Sleep(60 * time.Millisecond)
+		time.Sleep(3 * heartbeatMisses * hb / 2)
 		return task, nil
 	})
 	_, err := runGuarded(t, Config{
 		Nodes: 2, CoresPerNode: 1,
-		FarmHeartbeat: time.Millisecond,
+		FarmHeartbeat: hb,
 	}, func(s *Session) error {
-		fr, err := s.FarmOpts("sup.slow-alive", [][]byte{{7}}, FarmOptions{
-			HeartbeatTimeout: 20 * time.Millisecond, // << the kernel's 60ms
-		})
+		fr, err := s.FarmOpts("sup.slow-alive", [][]byte{{7}}, FarmOptions{})
 		if err != nil {
 			return err
 		}

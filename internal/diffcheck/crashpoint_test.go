@@ -219,6 +219,8 @@ func enumerateCrashPoints(t *testing.T, c crashClient) (appends, compacts int) {
 // crashRuns counts diffcheck.crashfarm executions by task payload.
 var crashRuns sync.Map // string(payload) -> *atomic.Int64
 
+// crashAttempts is every client's attempt limit per task: the farm's fixed
+// one, and what the job specs set.
 const crashAttempts = 3
 
 func init() {
@@ -309,7 +311,7 @@ func TestCrashPointFarm(t *testing.T) {
 			var fr *cluster.FarmResult
 			err := crashLifetime(cluster.Config{}, func(s *cluster.Session) (err error) {
 				fr, err = s.FarmOpts("diffcheck.crashfarm", tasks,
-					cluster.FarmOptions{Checkpoint: store, Job: "farm", MaxAttempts: crashAttempts})
+					cluster.FarmOptions{Checkpoint: store, Job: "farm"})
 				return err
 			})
 			return fr, err
@@ -404,9 +406,7 @@ func TestCrashPointService(t *testing.T) {
 	}
 	appends, compacts := enumerateCrashPoints(t, crashClient{
 		life: func(store checkpoint.Store) (any, error) {
-			svc, err := jobs.NewService(jobs.Config{
-				Store: store, CompactEvery: 1, BackoffBase: time.Nanosecond, BackoffMax: time.Nanosecond,
-			})
+			svc, err := jobs.NewService(jobs.Config{Store: store, CompactEvery: 1})
 			if err != nil {
 				return nil, err
 			}

@@ -119,7 +119,7 @@ func TestLadderRungByRungThroughBothClients(t *testing.T) {
 			var fr *cluster.FarmResult
 			run(func(s *cluster.Session) (err error) {
 				fr, err = s.FarmOpts("diffcheck.crashfarm", row.tasks,
-					cluster.FarmOptions{Checkpoint: farmStore, Job: job, MaxAttempts: crashAttempts})
+					cluster.FarmOptions{Checkpoint: farmStore, Job: job})
 				return err
 			})
 			farmFailed := map[int]string{}
@@ -134,7 +134,7 @@ func TestLadderRungByRungThroughBothClients(t *testing.T) {
 
 			resetCrashRuns()
 			svcStore := newCrashStore()
-			svc, err := jobs.NewService(jobs.Config{Store: svcStore, BackoffBase: time.Nanosecond, BackoffMax: time.Nanosecond})
+			svc, err := jobs.NewService(jobs.Config{Store: svcStore})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +145,7 @@ func TestLadderRungByRungThroughBothClients(t *testing.T) {
 				// The earlier life's records follow its admission record; the
 				// service under test is the one that recovers from them.
 				seed(svcStore)
-				if svc, err = jobs.NewService(jobs.Config{Store: svcStore, BackoffBase: time.Nanosecond, BackoffMax: time.Nanosecond}); err != nil {
+				if svc, err = jobs.NewService(jobs.Config{Store: svcStore}); err != nil {
 					t.Fatal(err)
 				}
 			}

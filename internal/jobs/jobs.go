@@ -208,18 +208,6 @@ type Config struct {
 	// Seed feeds the scheduler's jitter stream (retry backoff spreading).
 	// The same seed over the same event sequence replays identically.
 	Seed int64
-	// BackoffBase is the first retry's delay (default 2ms); attempt n
-	// waits Base×2ⁿ⁻¹, capped at BackoffMax (default 100ms), stretched by
-	// up to 20% seeded jitter. Delays are measured on the fabric clock.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// HeartbeatTimeout is passed through to the Mux (0 = farm default).
-	HeartbeatTimeout time.Duration
-	// DrainScore is the rank health score at which the scheduler stops
-	// assigning new tasks to a rank (default 3): each task failure adds 1,
-	// each success halves. Draining precedes heartbeat retirement — a
-	// flaky-but-alive rank sheds load before it is declared dead.
-	DrainScore float64
 	// CompactEvery compacts the registry after that many job completions,
 	// shrinking finished jobs to their summary records (0 disables —
 	// compaction drops completed jobs' task results from the store, so it
@@ -236,15 +224,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Store == nil {
 		cfg.Store = checkpoint.NewMem()
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 2 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 100 * time.Millisecond
-	}
-	if cfg.DrainScore <= 0 {
-		cfg.DrainScore = 3
 	}
 	return cfg
 }

@@ -156,7 +156,7 @@ func TestConcurrentJobsShareOnePool(t *testing.T) {
 // with a partial-result report, while a clean job sharing the pool
 // completes untouched.
 func TestPoisonJobDegradesWithPartialResults(t *testing.T) {
-	s := newTestService(t, Config{BackoffBase: 200 * time.Microsecond, BackoffMax: time.Millisecond})
+	s := newTestService(t, Config{})
 	poisonTasks := makeTasks(10, 4)
 	poisonIdx := map[int]bool{2: true, 5: true, 8: true}
 	for i := range poisonIdx {
@@ -262,7 +262,7 @@ func TestDispatchToWorkerCrashedEmpty(t *testing.T) {
 	}
 	cfg := cluster.Config{Nodes: 2, CoresPerNode: 1, Reliable: &mpi.ReliableConfig{AckTimeout: time.Second}}
 	_, err := cluster.Run(cfg, func(sess *cluster.Session) error {
-		mux, err := sess.OpenMux(cluster.MuxOptions{HeartbeatTimeout: -1})
+		mux, err := sess.OpenMux(cluster.MuxOptions{})
 		if err != nil {
 			return err
 		}

@@ -17,7 +17,7 @@ import (
 // stops an idle job from hoarding a burst.
 //
 // Rank health: every task failure on a rank adds 1 to its score, every
-// success halves it. A rank at or above DrainScore is draining — the
+// success halves it. A rank at or above drainScore is draining — the
 // scheduler stops assigning to it while the Mux keeps it alive, so a flaky
 // rank sheds load gracefully before the heartbeat sweep retires it. Scores
 // decay on success, so a recovered rank earns its way back.
@@ -116,18 +116,25 @@ type plannedDispatch struct {
 	worker int
 }
 
+// The failure policy: failureBackoff's ladder and the rank-health drain mark.
+const (
+	backoffBase = 2 * time.Millisecond
+	backoffMax  = 100 * time.Millisecond
+	drainScore  = 3
+)
+
 // failureBackoff is the backoff schedule every job's ledger is opened with.
 // It computes attempt n's retry delay: exponential from
-// BackoffBase, capped at BackoffMax, stretched by up to 20% seeded jitter
+// backoffBase, capped at backoffMax, stretched by up to 20% seeded jitter
 // so retries of tasks that failed together do not return together.
 // Callers hold s.mu (the rng is shared).
 func (s *Service) failureBackoff(attempt int) time.Duration {
-	d := s.cfg.BackoffBase
-	for i := 1; i < attempt && d < s.cfg.BackoffMax; i++ {
+	d := backoffBase
+	for i := 1; i < attempt && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > s.cfg.BackoffMax {
-		d = s.cfg.BackoffMax
+	if d > backoffMax {
+		d = backoffMax
 	}
 	return d + time.Duration(float64(d)*0.2*s.rng.Float64())
 }
@@ -147,7 +154,7 @@ func (s *Service) noteWorkerSuccess(w int) {
 
 // drainingLocked reports whether rank w is drained from scheduling.
 func (s *Service) drainingLocked(w int) bool {
-	return s.health[w] >= s.cfg.DrainScore
+	return s.health[w] >= drainScore
 }
 
 // usableWorkers filters the Mux's idle slots to non-draining ranks, in place.

@@ -103,11 +103,11 @@ func TestWDRRTrickleSharesByWeight(t *testing.T) {
 // Tasks in backoff are invisible to the scheduler until their fabric-clock
 // release time, then dispatch normally.
 func TestScheduleHonorsBackoffRelease(t *testing.T) {
-	s := newTestService(t, Config{BackoffBase: 10 * time.Millisecond, BackoffMax: 10 * time.Millisecond})
+	s := newTestService(t, Config{})
 	submitN(t, s, "j", 2, 1)
 	now := time.Unix(0, 0)
 	// Both tasks fail their first attempt at now: each retry is held for
-	// 10ms plus at most 20% jitter.
+	// backoffBase plus at most 20% jitter.
 	for _, p := range s.schedule(now, []int{1, 2}) {
 		if err := s.handleEvent(cluster.MuxEvent{
 			Kind: cluster.MuxTaskDone, Worker: p.worker, Job: "j", Task: p.a.Task, Err: "flaky",
@@ -122,7 +122,7 @@ func TestScheduleHonorsBackoffRelease(t *testing.T) {
 	if plan := s.schedule(now, []int{1, 2}); len(plan) != 0 {
 		t.Fatalf("dispatched %d tasks still in backoff", len(plan))
 	}
-	plan := s.schedule(now.Add(13*time.Millisecond), []int{1, 2})
+	plan := s.schedule(now.Add(backoffBase*13/10), []int{1, 2})
 	if len(plan) != 2 {
 		t.Fatalf("released tasks not dispatched: %d", len(plan))
 	}
@@ -156,12 +156,12 @@ func TestScheduleIsDeterministic(t *testing.T) {
 // the score, and a fully drained pool still yields one worker so the
 // service degrades instead of deadlocking.
 func TestHealthDrainAndRecovery(t *testing.T) {
-	s := newTestService(t, Config{DrainScore: 3})
-	for i := 0; i < 3; i++ {
+	s := newTestService(t, Config{})
+	for i := 0; i < drainScore; i++ {
 		s.noteWorkerFailure(1)
 	}
 	if !s.drainingLocked(1) {
-		t.Fatal("rank 1 not draining after 3 failures")
+		t.Fatalf("rank 1 not draining after %d failures", drainScore)
 	}
 	if got := s.usableWorkers([]int{1, 2}); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("usableWorkers = %v, want [2]", got)
@@ -181,19 +181,16 @@ func TestHealthDrainAndRecovery(t *testing.T) {
 // Retry backoff is exponential, capped, and strictly non-shrinking under
 // jitter; the same seed replays the same delays.
 func TestFailureBackoffLadder(t *testing.T) {
-	s := newTestService(t, Config{Seed: 5, BackoffBase: time.Millisecond, BackoffMax: 8 * time.Millisecond})
-	for attempt := 1; attempt <= 6; attempt++ {
-		base := time.Millisecond << (attempt - 1)
-		if base > 8*time.Millisecond {
-			base = 8 * time.Millisecond
-		}
+	s := newTestService(t, Config{Seed: 5})
+	for attempt := 1; attempt <= 8; attempt++ {
+		base := min(backoffBase<<(attempt-1), backoffMax)
 		d := s.failureBackoff(attempt)
 		if d < base || d >= base+time.Duration(float64(base)*0.2)+time.Nanosecond {
 			t.Fatalf("attempt %d backoff %v outside [%v, %v+20%%]", attempt, d, base, base)
 		}
 	}
-	s2 := newTestService(t, Config{Seed: 5, BackoffBase: time.Millisecond, BackoffMax: 8 * time.Millisecond})
-	s3 := newTestService(t, Config{Seed: 5, BackoffBase: time.Millisecond, BackoffMax: 8 * time.Millisecond})
+	s2 := newTestService(t, Config{Seed: 5})
+	s3 := newTestService(t, Config{Seed: 5})
 	for i := 0; i < 10; i++ {
 		if a, b := s2.failureBackoff(2), s3.failureBackoff(2); a != b {
 			t.Fatalf("draw %d: same seed diverged: %v vs %v", i, a, b)

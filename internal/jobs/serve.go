@@ -18,7 +18,7 @@ import (
 // Serve owns the Mux and all dispatching; there is at most one Serve per
 // service at a time, running in the cluster master goroutine.
 func (s *Service) Serve(ctx context.Context, sess *cluster.Session) error {
-	mux, err := sess.OpenMux(cluster.MuxOptions{HeartbeatTimeout: s.cfg.HeartbeatTimeout})
+	mux, err := sess.OpenMux(cluster.MuxOptions{})
 	if err != nil {
 		return err
 	}

@@ -117,10 +117,7 @@ func dispatchTo(t *testing.T, s *Service, worker int, now time.Time) int {
 // reaches a terminal state instead of being reassigned forever.
 func TestTimeoutClimbsDegradationLadder(t *testing.T) {
 	store := checkpoint.NewMem()
-	s := newTestService(t, Config{
-		Store: store, Seed: 9,
-		BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond,
-	})
+	s := newTestService(t, Config{Store: store, Seed: 9})
 	spec := Spec{
 		Name: "hang", Kernel: "k", Tasks: [][]byte{{1}},
 		MaxTaskAttempts: 2, RetryBudget: 10, TaskTimeout: 5 * time.Millisecond,
@@ -197,7 +194,7 @@ func TestTimeoutClimbsDegradationLadder(t *testing.T) {
 // inflight entry in the dedup path — otherwise sweep keeps "timing
 // out" the stale entry and the settled task is re-executed forever.
 func TestLateResultThenRetryResultRetiresInflight(t *testing.T) {
-	s := newTestService(t, Config{BackoffBase: time.Millisecond, BackoffMax: time.Millisecond})
+	s := newTestService(t, Config{})
 	spec := Spec{
 		Name: "dup", Kernel: "k", Tasks: [][]byte{{1}, {2}},
 		TaskTimeout: 5 * time.Millisecond,
@@ -217,7 +214,7 @@ func TestLateResultThenRetryResultRetiresInflight(t *testing.T) {
 	if err := s.sweep(now); err != nil {
 		t.Fatal(err)
 	}
-	now = now.Add(2 * time.Millisecond)
+	now = now.Add(backoffBase * 13 / 10)
 	s.mu.Lock()
 	plan := s.schedule(now, []int{3, 2})
 	s.mu.Unlock()
@@ -351,13 +348,13 @@ func TestWorkerLostDoesNotRequeueSettledTask(t *testing.T) {
 	}
 }
 
-// The serve loop idles on the master's mailbox with no poll tick. With
-// heartbeats and their timeout switched off nothing ever arrives or expires
-// on its own, so only Submit's and Stop's explicit wakes can move an idle
-// Serve (its waits have no deadline at all): the job must be dispatched and
-// the drain noticed promptly.
+// The serve loop idles on the master's mailbox with no poll tick. With beats
+// an hour apart nothing arrives on its own and the only deadline, the
+// worker's retirement, is heartbeatMisses hours off, so only Submit's and
+// Stop's explicit wakes can move an idle Serve: the job must be dispatched
+// and the drain noticed promptly.
 func TestSubmitAndStopWakeIdleServe(t *testing.T) {
-	s := newTestService(t, Config{HeartbeatTimeout: -1})
+	s := newTestService(t, Config{})
 	served := make(chan error, 1)
 	go func() {
 		_, err := cluster.Run(cluster.Config{

@@ -101,7 +101,10 @@ func TestSendCtxCancelReliableSilentPeer(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			done := make(chan error, 1)
 			go func() { done <- block(ctx, c) }()
-			time.Sleep(10 * time.Millisecond) // let a few retries burn
+			// Let the ladder start: wait, bounded, for the first retransmission.
+			for end := time.Now().Add(2 * time.Second); c.ReliableStats().Retries == 0 && time.Now().Before(end); {
+				time.Sleep(time.Millisecond)
+			}
 			if c.ReliableStats().Retries == 0 {
 				t.Error("the blocked call is not retransmitting")
 			}

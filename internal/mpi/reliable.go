@@ -93,6 +93,11 @@ const ackRecordLen = 1 + 8 + 1
 // ackFrameLen is the size of an ack-only frame: the record and the CRC.
 const ackFrameLen = ackRecordLen + 4
 
+// backoffJitter stretches each ack deadline by up to this fraction of its
+// timeout, drawn per rank: without it, ranks blocked on one event retransmit
+// in lockstep and re-congest the fabric exactly when it is weakest.
+const backoffJitter = 0.2
+
 // coalesceDelay bounds how long a buffered beat waits for a fuller frame
 // before a deadline flush, on the fabric clock. Acknowledgements do not wait:
 // they flush at the end of the pump cycle that owed them.
@@ -117,18 +122,8 @@ type ReliableConfig struct {
 	// MaxAckTimeout caps the backed-off timeout (default 250ms, and never
 	// below AckTimeout).
 	MaxAckTimeout time.Duration
-	// BackoffJitter spreads each attempt's ack deadline by up to this
-	// fraction of the timeout, drawn from a seeded per-rank stream
-	// (default 0.2; negative disables). Without it, every rank blocked on
-	// the same event hits the shared ack-timeout floor at the same instant
-	// and retransmits in lockstep — a synchronized retransmit storm
-	// that re-congests the fabric exactly when it is weakest. Jitter is
-	// strictly additive, so the round-trip floor that keeps simulated
-	// latency from reading as loss is never undercut, and the jittered
-	// deadline is still measured on the fabric clock.
-	BackoffJitter float64
-	// JitterSeed seeds the jitter stream; the rank is mixed in, so ranks
-	// sharing a config (the SPMD default) still draw divergent jitter.
+	// JitterSeed seeds the backoffJitter stream; the rank is mixed in, so
+	// ranks sharing a config (the SPMD default) still draw divergent jitter.
 	JitterSeed int64
 	// CoalesceLimit is the number of beats buffered per peer that forces
 	// an immediate flush (default 8).
@@ -155,12 +150,6 @@ func (cfg ReliableConfig) withDefaults() ReliableConfig {
 		cfg.MaxAckTimeout = 250 * time.Millisecond
 	}
 	cfg.MaxAckTimeout = max(cfg.MaxAckTimeout, cfg.AckTimeout)
-	if cfg.BackoffJitter == 0 {
-		cfg.BackoffJitter = 0.2
-	}
-	if cfg.BackoffJitter < 0 {
-		cfg.BackoffJitter = 0
-	}
 	if cfg.CoalesceLimit <= 0 {
 		cfg.CoalesceLimit = 8
 	}
@@ -777,15 +766,12 @@ func (r *reliable) send(ctx context.Context, dst, tag int, head, payload []byte,
 }
 
 // jitter stretches one ack timeout by a seeded random fraction in
-// [0, BackoffJitter). Strictly additive: the result is never below d, so the
+// [0, backoffJitter). Strictly additive: the result is never below d, so the
 // round-trip floor of ackWait holds for every attempt. The draw is the only
 // randomness in the protocol and comes from the per-rank seeded stream,
 // keeping runs replayable. Callers hold r.mu.
 func (r *reliable) jitter(d time.Duration) time.Duration {
-	if r.cfg.BackoffJitter <= 0 {
-		return d
-	}
-	return d + time.Duration(float64(d)*r.cfg.BackoffJitter*r.rng.Float64())
+	return d + time.Duration(float64(d)*backoffJitter*r.rng.Float64())
 }
 
 // buildDataFrame encodes one data message — head then payload, one

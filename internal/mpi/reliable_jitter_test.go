@@ -62,33 +62,19 @@ func TestBackoffJitterSeededAndRankDivergent(t *testing.T) {
 	}
 }
 
-// Jitter is strictly additive: every draw lands in [d, d*(1+BackoffJitter)).
+// Jitter is strictly additive: every draw lands in [d, d*(1+backoffJitter)).
 // The lower bound is what preserves the RTT floor — a draw below d would let
 // simulated latency read as loss again (the regression pinned by
 // TestHighLatencyLosslessWireDoesNotRetransmit).
 func TestBackoffJitterNeverUndercutsTimeout(t *testing.T) {
 	fab := transport.New(transport.Config{Ranks: 1})
 	defer fab.Close()
-	c := NewReliableComm(fab, 0, ReliableConfig{BackoffJitter: 0.25, JitterSeed: 7})
+	c := NewReliableComm(fab, 0, ReliableConfig{JitterSeed: 7})
 	const d = 8 * time.Millisecond
-	upper := d + time.Duration(float64(d)*0.25)
+	upper := d + time.Duration(float64(d)*backoffJitter)
 	for i, got := range drawJitters(c, d, 200) {
 		if got < d || got >= upper {
 			t.Fatalf("draw %d = %v outside [%v, %v)", i, got, d, upper)
-		}
-	}
-}
-
-// A negative BackoffJitter disables the spread entirely; deadlines become
-// exactly the backed-off timeout again.
-func TestBackoffJitterDisabled(t *testing.T) {
-	fab := transport.New(transport.Config{Ranks: 1})
-	defer fab.Close()
-	c := NewReliableComm(fab, 0, ReliableConfig{BackoffJitter: -1})
-	const d = 3 * time.Millisecond
-	for i, got := range drawJitters(c, d, 50) {
-		if got != d {
-			t.Fatalf("draw %d = %v with jitter disabled, want exactly %v", i, got, d)
 		}
 	}
 }

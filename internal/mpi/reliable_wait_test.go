@@ -115,7 +115,7 @@ func TestReliableIdleTowardRetransmitSleeps(t *testing.T) {
 	f := transport.New(transport.Config{Ranks: 2})
 	defer f.Close()
 	const rto = 500 * time.Microsecond
-	c := NewReliableComm(f, 0, ReliableConfig{AckTimeout: rto, MaxAckTimeout: rto, BackoffJitter: -1, Retries: 1 << 20})
+	c := NewReliableComm(f, 0, ReliableConfig{AckTimeout: rto, MaxAckTimeout: rto, Retries: 1 << 20})
 	if err := c.Send(1, 3, []byte{1}); err != nil {
 		t.Fatal(err)
 	}

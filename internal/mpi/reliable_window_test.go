@@ -30,8 +30,13 @@ func newPair(t *testing.T, cfg ReliableConfig) pair {
 	clk := newFakeClock()
 	f := transport.New(transport.Config{Ranks: 2, Clock: clk})
 	t.Cleanup(f.Close)
-	cfg.BackoffJitter = -1
 	return pair{f: f, clk: clk, a: NewReliableComm(f, 0, cfg), b: NewReliableComm(f, 1, cfg)}
+}
+
+// ackDue is the latest a deadline armed with ack wait d can fall after its
+// arming: d stretched by the whole backoffJitter.
+func ackDue(d time.Duration) time.Duration {
+	return d + time.Duration(float64(d)*backoffJitter)
 }
 
 // drop loses the oldest frame on wireTag that is waiting in rank's mailbox.
@@ -150,7 +155,7 @@ func TestWindowFastRetransmitOncePerFrame(t *testing.T) {
 	if n := tr.Count("net.fast-retry"); n != 1 || p.a.rel.inflight != 1 {
 		t.Fatalf("%d fast retransmissions, %d in flight; want m0 resent once and alone unacknowledged", n, p.a.rel.inflight)
 	}
-	p.clk.Advance(time.Millisecond)
+	p.clk.Advance(ackDue(time.Millisecond))
 	pump(t, p.a) // the deadline: m0 again, timed
 	for i := range 4 {
 		wantNext(t, p.b, 0, fmt.Sprint("m", i))
@@ -209,9 +214,8 @@ func TestWindowStaleAndFutureAcksIgnored(t *testing.T) {
 func TestWindowReorderFastRetransmitsOncePerFrame(t *testing.T) {
 	tr := trace.New()
 	f := transport.New(transport.Config{Ranks: 2, Clock: newFakeClock(), Fault: &transport.FaultConfig{
-		Seed:          5,
-		Default:       transport.FaultProbs{Reorder: 0.2},
-		MaxExtraDelay: 300 * time.Microsecond,
+		Seed:    5,
+		Default: transport.FaultProbs{Reorder: 0.2},
 	}})
 	defer f.Close()
 	cfg := ReliableConfig{AckTimeout: time.Millisecond, Retries: 3, Tracer: tr}
@@ -296,9 +300,9 @@ func TestWindowsFilledAtEachOtherBothDrain(t *testing.T) {
 }
 
 // A silent peer is given up on after exactly Retries retransmissions, each
-// due 1.6× the last wait after the one before (capped at MaxAckTimeout), and
-// the loss is reported once, by whichever of the next send, a receive from
-// that peer, Flush or TakeLost the owner calls first.
+// due 1.6× the last wait after the one before (capped at MaxAckTimeout),
+// stretched by its jitter, and the loss is reported once, by whichever of the
+// next send, a receive from that peer, Flush or TakeLost the owner calls first.
 func TestWindowSilentPeerLostOnSchedule(t *testing.T) {
 	const retries = 4
 	cfg := ReliableConfig{AckTimeout: time.Millisecond, MaxAckTimeout: 3 * time.Millisecond, Retries: retries}
@@ -330,7 +334,11 @@ func TestWindowSilentPeerLostOnSchedule(t *testing.T) {
 			}
 			wait := time.Millisecond
 			for k := 0; k <= retries; k++ {
-				p.clk.Advance(wait - time.Nanosecond)
+				left := p.a.rel.slot(1, 0).deadline.Sub(p.clk.Now())
+				if left < wait || left >= ackDue(wait) {
+					t.Fatalf("deadline %d due in %v, want [%v, %v)", k, left, wait, ackDue(wait))
+				}
+				p.clk.Advance(left - time.Nanosecond)
 				pump(t, p.a)
 				if got := p.a.ReliableStats().Retries; got != int64(k) {
 					t.Fatalf("%d retransmissions a nanosecond before deadline %d", got, k)
@@ -368,7 +376,7 @@ func TestFlushDeliversDroppedFinalFrame(t *testing.T) {
 	clk := &stepClock{t: time.Unix(0, 0), step: 100 * time.Microsecond}
 	f := transport.New(transport.Config{Ranks: 2, Clock: clk})
 	defer f.Close()
-	cfg := ReliableConfig{AckTimeout: 5 * time.Millisecond, Retries: 3, BackoffJitter: -1}
+	cfg := ReliableConfig{AckTimeout: 5 * time.Millisecond, Retries: 3}
 	a, b := NewReliableComm(f, 0, cfg), NewReliableComm(f, 1, cfg)
 	if err := a.Send(1, 1, []byte("last words")); err != nil {
 		t.Fatal(err)

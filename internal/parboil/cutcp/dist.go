@@ -241,10 +241,10 @@ func Eden(m *eden.Master, in *Input) ([]float32, error) {
 // Ref is the hand-partitioned reference: atoms scattered, geometry
 // broadcast, per-thread private grids merged per node, grids tree-reduced
 // to the root.
-func Ref(cfg cluster.Config, in *Input) ([]float32, error) {
-	var out []float32
-	err := mpi.Run(transport.Config{Ranks: cfg.Nodes}, func(c *mpi.Comm) error {
-		pool := sched.NewPool(cfg.CoresPerNode)
+func Ref(cfg cluster.Config, in *Input) (out []float32, err error) {
+	cores := cfg.CoresPerNode
+	err = mpi.Run(transport.Config{Ranks: cfg.Nodes}, func(c *mpi.Comm) error {
+		pool := sched.NewPool(cores)
 		defer pool.Close()
 
 		var parts [][]Atom

@@ -228,15 +228,15 @@ func Eden(m *eden.Master, in *Input) ([]QPoint, error) {
 // receive up front, computes its own section while the transfers are in
 // flight, and waits at the end. Input lives at rank 0, as in an MPI
 // program.
-func Ref(cfg cluster.Config, in *Input) ([]QPoint, error) {
+func Ref(cfg cluster.Config, in *Input) (out []QPoint, err error) {
 	const (
 		tagVox     = 1
 		tagSamples = 2
 		tagOut     = 3
 	)
-	var out []QPoint
-	err := mpi.Run(transport.Config{Ranks: cfg.Nodes}, func(c *mpi.Comm) error {
-		pool := sched.NewPool(cfg.CoresPerNode)
+	cores := cfg.CoresPerNode
+	err = mpi.Run(transport.Config{Ranks: cfg.Nodes}, func(c *mpi.Comm) error {
+		pool := sched.NewPool(cores)
 		defer pool.Close()
 
 		compute := func(aux samples, mine voxSlice) []QPoint {

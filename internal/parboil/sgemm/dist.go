@@ -173,10 +173,10 @@ func Eden(m *eden.Master, in *Input) (array.Matrix[float32], error) {
 
 // Ref is the hand-partitioned reference: parallel transpose on rank 0's
 // cores, explicit block scatter, OpenMP-style block compute, block gather.
-func Ref(cfg cluster.Config, in *Input) (array.Matrix[float32], error) {
-	var out array.Matrix[float32]
-	err := mpi.Run(transport.Config{Ranks: cfg.Nodes}, func(c *mpi.Comm) error {
-		pool := sched.NewPool(cfg.CoresPerNode)
+func Ref(cfg cluster.Config, in *Input) (out array.Matrix[float32], err error) {
+	cores := cfg.CoresPerNode
+	err = mpi.Run(transport.Config{Ranks: cfg.Nodes}, func(c *mpi.Comm) error {
+		pool := sched.NewPool(cores)
 		defer pool.Close()
 
 		var parts []blockSlice

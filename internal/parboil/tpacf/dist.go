@@ -300,10 +300,10 @@ func Eden(m *eden.Master, in *Input) (Result, error) {
 // broadcast, per-thread private histograms (the paper notes the C code
 // "examines the number of threads in order to privatize histograms"),
 // tree-reduced.
-func Ref(cfg cluster.Config, in *Input) (Result, error) {
-	var out Result
-	err := mpi.Run(transport.Config{Ranks: cfg.Nodes}, func(c *mpi.Comm) error {
-		pool := sched.NewPool(cfg.CoresPerNode)
+func Ref(cfg cluster.Config, in *Input) (out Result, err error) {
+	cores := cfg.CoresPerNode
+	err = mpi.Run(transport.Config{Ranks: cfg.Nodes}, func(c *mpi.Comm) error {
+		pool := sched.NewPool(cores)
 		defer pool.Close()
 
 		var parts [][][]Point

@@ -64,17 +64,16 @@ func TestFarmOpRollbackOnWorkerLoss(t *testing.T) {
 				Fault:    &transport.FaultConfig{Seed: 5, Crashes: tc.crashes},
 				Reliable: &mpi.ReliableConfig{AckTimeout: time.Millisecond, Retries: 100, MaxAckTimeout: 50 * time.Millisecond},
 			}
-			quiet := cluster.FarmOptions{HeartbeatTimeout: -1}
 			var got iter.Matrix2[int64]
 			var probe *cluster.FarmResult
 			done := make(chan error, 1)
 			go func() {
 				_, err := cluster.Run(cfg, func(s *cluster.Session) (err error) {
-					if got, err = farmCounted.Run(s, g, par, iters, stencil.FarmRunOptions{Farm: quiet}); err != nil {
+					if got, err = farmCounted.Run(s, g, par, iters, stencil.FarmRunOptions{}); err != nil {
 						return err
 					}
-					quiet.Pin = []int{0, 1, 2, 3}
-					if probe, err = s.FarmOpts("test.segments", make([][]byte, nodes), quiet); !errors.Is(err, cluster.ErrPinLost) {
+					pins := cluster.FarmOptions{Pin: []int{0, 1, 2, 3}}
+					if probe, err = s.FarmOpts("test.segments", make([][]byte, nodes), pins); !errors.Is(err, cluster.ErrPinLost) {
 						return fmt.Errorf("probe of the dead ranks' pins: %v", err)
 					}
 					return nil
@@ -141,7 +140,7 @@ func TestFarmOpWireContract(t *testing.T) {
 		{2, false, wireShape{21, 4214, 1440}},
 		{4, false, wireShape{63, 10722, 2880}},
 	} {
-		fo := cluster.FarmOptions{HeartbeatTimeout: -1}
+		var fo cluster.FarmOptions
 		if tc.checkpointed {
 			fo.Checkpoint, fo.Job = checkpoint.NewMem(), "wire"
 		}

@@ -22,6 +22,9 @@ import (
 // remain reproducible in distribution; tests that need exact replay drive
 // the fabric from one goroutine.
 
+// maxExtraDelay bounds the random hold applied by Reorder and Delay faults.
+const maxExtraDelay = 2 * time.Millisecond
+
 // FaultProbs are per-message fault probabilities in [0, 1] for one link.
 type FaultProbs struct {
 	// Drop loses the message entirely.
@@ -65,9 +68,6 @@ type FaultConfig struct {
 	Default FaultProbs
 	// Links overrides Default per directed edge.
 	Links map[Link]FaultProbs
-	// MaxExtraDelay bounds the random hold applied by Reorder and Delay
-	// faults (default 2ms).
-	MaxExtraDelay time.Duration
 	// Pauses and Crashes are per-rank schedules.
 	Pauses  []Pause
 	Crashes []Crash
@@ -102,9 +102,6 @@ type injector struct {
 }
 
 func newInjector(cfg FaultConfig, f *Fabric) *injector {
-	if cfg.MaxExtraDelay <= 0 {
-		cfg.MaxExtraDelay = 2 * time.Millisecond
-	}
 	in := &injector{
 		cfg:       cfg,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
@@ -218,11 +215,11 @@ func (in *injector) apply(src, dst, tag int, payload []byte, shared bool) (pl []
 		in.stats.Paused++
 	}
 	if in.rng.Float64() < p.Reorder {
-		hold += time.Duration(in.rng.Int63n(int64(in.cfg.MaxExtraDelay)))
+		hold += time.Duration(in.rng.Int63n(int64(maxExtraDelay)))
 		in.stats.Reordered++
 	}
 	if in.rng.Float64() < p.Delay {
-		hold += time.Duration(in.rng.Int63n(int64(in.cfg.MaxExtraDelay)))
+		hold += time.Duration(in.rng.Int63n(int64(maxExtraDelay)))
 		in.stats.Delayed++
 	}
 	in.mu.Unlock()

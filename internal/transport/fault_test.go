@@ -93,9 +93,8 @@ func TestFaultDuplicate(t *testing.T) {
 // intact, whichever of the two lands first.
 func TestFaultDuplicateHeldIsItsOwnCopy(t *testing.T) {
 	f := New(Config{Ranks: 2, Fault: &FaultConfig{
-		Seed:          7,
-		Default:       FaultProbs{Duplicate: 1, Reorder: 1},
-		MaxExtraDelay: time.Millisecond,
+		Seed:    7,
+		Default: FaultProbs{Duplicate: 1, Reorder: 1},
 	}})
 	defer f.Close()
 	sent := []byte("xy")
@@ -146,9 +145,8 @@ func TestFaultCorrupt(t *testing.T) {
 
 func TestFaultReorderDeliversEventually(t *testing.T) {
 	f := New(Config{Ranks: 2, Fault: &FaultConfig{
-		Seed:          3,
-		Default:       FaultProbs{Reorder: 0.5},
-		MaxExtraDelay: time.Millisecond,
+		Seed:    3,
+		Default: FaultProbs{Reorder: 0.5},
 	}})
 	defer f.Close()
 	const n = 50
