@@ -24,7 +24,8 @@ race:
 
 # The fault-injection suites, run fresh (no test cache) with a deadline:
 # the failure mode they exist to catch is a hang. The farmed stencil's
-# rollback (workers killed holding resident slabs) runs under -race.
+# rollback (workers killed holding resident slabs) runs under -race, and the
+# failure ladder through both farm clients 50 times over.
 chaos:
 	$(GO) test -count=1 -timeout 5m \
 		-run 'Fault|Reliable|Chaos|Crash|Farm' \
@@ -33,6 +34,7 @@ chaos:
 	$(GO) test -count=20 -timeout 5m \
 		-run 'TestSessionIdenticalResultsUnderFaults|TestTeardown' ./internal/cluster/
 	$(GO) test -race -count=1 -timeout 5m -run 'Rollback|Chaos' ./internal/stencil/
+	$(GO) test -count=50 -timeout 5m -run TestLadderRungByRungThroughBothClients ./internal/diffcheck/
 
 # The checkpoint/resume suites under -race: a master killed mid-farm, the
 # WAL reopened by a fresh session, results bit-identical to an undisturbed

@@ -24,7 +24,7 @@ import (
 	"time"
 
 	"triolet/internal/checkpoint"
-	"triolet/internal/transport"
+	"triolet/internal/trace"
 )
 
 // FarmFn is a farm kernel body: one task in, one result out. It runs on
@@ -140,11 +140,8 @@ func (s *Session) Farm(name string, tasks [][]byte) (*FarmResult, error) {
 // workers are abandoned mid-protocol, so the session is over.
 //
 // It is the single-job client of the Mux: one Ledger (ledger.go) holds the
-// failure ladder, and this loop replays the job's checkpoint into it, keeps
-// every free worker slot fed from it, settles one Mux event per turn through
-// it — a checkpointed outcome is appended to the store before it is
-// committed — or, on a turn with none, runs one of the master's own tasks,
-// and idles on the master's mailbox when there is neither.
+// failure ladder, this call replays the job's checkpoint into it, and
+// Mux.Drive runs the master loop under farmPolicy.
 func (s *Session) FarmOpts(name string, tasks [][]byte, opt FarmOptions) (*FarmResult, error) {
 	if _, ok := farmKernels.lookup(name); !ok {
 		return nil, fmt.Errorf("cluster: farm kernel %q not registered", name)
@@ -152,34 +149,31 @@ func (s *Session) FarmOpts(name string, tasks [][]byte, opt FarmOptions) (*FarmR
 	if opt.Checkpoint != nil && opt.Job == "" {
 		return nil, fmt.Errorf("cluster: farm %q: checkpointing requires a job name", name)
 	}
-	ctx := s.node.Comm.Context()
 	if opt.Pin != nil && (len(opt.Pin) != len(tasks) ||
 		slices.ContainsFunc(opt.Pin, func(p int) bool { return p < 0 || p >= s.node.Nodes() || p > math.MaxInt16 })) {
 		return nil, fmt.Errorf("cluster: farm %q: pins %v for %d tasks on %d nodes", name, opt.Pin, len(tasks), s.node.Nodes())
 	}
-	tr := s.node.Tracer
 	// The ledger is named for this call, not for opt.Job: the name stamps
 	// assignments on the wire, so a straggler's result from an earlier call
 	// on the session is told apart from this call's task of the same index.
 	// A farm call retries without a job-wide budget and without backoff.
 	s.farmRuns++
 	run := "\x00farm" + strconv.Itoa(s.farmRuns)
-	l := NewLedger(run, name, tasks, maxAttempts, math.MaxInt, nil)
-	for t, p := range opt.Pin {
-		l.state[t].pin = int16(p)
+	p := &farmPolicy{l: NewLedger(run, name, tasks, maxAttempts, math.MaxInt, nil), tr: s.node.Tracer, opt: opt}
+	for t, pin := range opt.Pin {
+		p.l.state[t].pin = int16(pin)
 	}
-	res := &l.FarmResult // returned as it stands, partial, when the run fails
-	stranded := 0        // tasks given up because their pinned worker was retired
+	res := &p.l.FarmResult // returned as it stands, partial, when the run fails
 	if opt.Checkpoint != nil {
 		recs, err := opt.Checkpoint.Load(opt.Job)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: farm %q: load checkpoint: %w", name, err)
 		}
 		for _, rec := range recs {
-			l.Replay(rec)
+			p.l.Replay(rec)
 		}
 		if res.Resumed > 0 {
-			tr.Instant(0, "farm.resume", int64(res.Resumed))
+			p.tr.Instant(0, "farm.resume", int64(res.Resumed))
 		}
 	}
 	mux, err := s.OpenMux(MuxOptions{})
@@ -189,118 +183,88 @@ func (s *Session) FarmOpts(name string, tasks [][]byte, opt FarmOptions) (*FarmR
 	if opt.Pin != nil {
 		mux.depth = pinDepth // the first turn ships every worker its share
 	}
-
-	clk := s.fabric.Clock()
-	// settle applies one Mux observation to the ledger.
-	settle := func(ev MuxEvent) error {
-		if ev.Kind == MuxWorkerLost {
-			res.Lost = append(res.Lost, ev.Worker)
-			for _, a := range slices.Backward(ev.Requeued) { // each goes to the head: oldest ends first
-				l.WorkerLost(ev.Worker, a)
-			}
-			stranded += l.Strand(ev.Worker)
-			return nil
-		}
-		if ev.Job == run && ev.Task >= len(tasks) {
-			return fmt.Errorf("cluster: farm %q: malformed result from node %d", name, ev.Worker)
-		}
-		verdict, rec := l.Observe(ev, clk.Now())
-		if verdict == VerdictDuplicate {
-			return nil
-		}
-		if !ev.OK {
-			tr.Instant(0, "farm.task-fail", int64(ev.Task))
-		}
-		if verdict == VerdictRetry {
-			return nil
-		}
-		if opt.Checkpoint != nil {
-			// A checkpoint that cannot be written is job-fatal: the resume
-			// guarantee would be silently broken otherwise.
-			rec.Job = opt.Job
-			if err := opt.Checkpoint.Append(rec); err != nil {
-				return fmt.Errorf("cluster: farm %q checkpoint: %w", name, err)
-			}
-			tr.Instant(0, "farm.checkpoint", int64(len(rec.Payload)))
-		}
-		l.Commit(rec)
-		if verdict == VerdictQuarantine {
-			tr.Instant(0, "farm.quarantine", int64(ev.Task))
-			return nil
-		}
-		if ev.Worker == 0 {
-			res.MasterRan++
-		}
-		if res.Elapsed == nil {
-			res.Elapsed = make([]time.Duration, len(tasks))
-		}
-		res.Elapsed[ev.Task] = ev.Elapsed
-		return nil
+	if err := mux.Drive(s.node.Comm.Context(), p); err != nil {
+		return res, fmt.Errorf("cluster: farm %q: %w", name, err)
 	}
-
-	ep := s.fabric.Endpoint(0) // the master idles on its own mailbox
-	for l.Settled() < len(tasks) {
-		if err := ctx.Err(); err != nil {
-			return res, fmt.Errorf("cluster: farm %q: %w", name, err)
-		}
-		// Read before draining: whatever lands after the Poll below moves
-		// the generation, so the wait at the bottom cannot sleep through it.
-		gen := ep.Gen()
-
-		// Keep every free worker slot filled. A send to a worker that died
-		// retires it inside Assign; its tasks return as a MuxWorkerLost event.
-		for _, w := range mux.Idle() {
-			a, ok := l.Next(w, clk.Now())
-			if !ok {
-				continue // nothing for this worker; a pinned task may wait for another
-			}
-			if err := mux.Assign(ctx, w, a); err != nil {
-				return res, fmt.Errorf("cluster: farm %q assign: %w", name, err)
-			}
-		}
-
-		ev, ok, err := mux.Poll()
-		if err != nil {
-			return res, fmt.Errorf("cluster: farm %q: %w", name, err)
-		}
-		if ok {
-			// One event per turn: the worker a result frees is fed before
-			// the next result is settled (a checkpointed settle is an fsync).
-			if err := settle(ev); err != nil {
-				return res, err
-			}
-			continue
-		}
-
-		// Nothing arrived: the master runs one task itself, then goes back to
-		// feeding and polling, so a worker that finished meanwhile waits at
-		// most one task time for its next. Its tasks are those pinned to it,
-		// and every task once no worker is left — the last resort, under the
-		// same per-task failure policy.
-		if mux.Workers() == 0 || opt.Pin != nil {
-			if a, ok := l.Next(0, clk.Now()); ok {
-				if err := settle(mux.RunLocal(a)); err != nil {
-					return res, err
-				}
-				continue
-			}
-		}
-
-		// Idle until a frame arrives, a peer crashes, ctx is cancelled (the
-		// top of the loop reports it), the earliest heartbeat expires or an
-		// unacknowledged assignment is due again (the next Poll resends it).
-		if s.node.Comm.Idle(ctx, gen, mux.NextExpiry()) == transport.WaitClosed {
-			return res, fmt.Errorf("cluster: farm %q collect: %w", name, transport.ErrClosed)
-		}
-	}
-
 	if err := mux.Close(); err != nil {
 		return res, fmt.Errorf("cluster: farm %q: %w", name, err)
 	}
 	sort.Slice(res.Failed, func(i, j int) bool { return res.Failed[i].Task < res.Failed[j].Task })
 	slices.Sort(res.Lost) // workers crashing together are found in whatever order they died
-	if stranded > 0 {
-		return res, fmt.Errorf("cluster: farm %q: %d tasks stranded: %w", name, stranded, ErrPinLost)
+	if p.stranded > 0 {
+		return res, fmt.Errorf("cluster: farm %q: %d tasks stranded: %w", name, p.stranded, ErrPinLost)
 	}
 	return res, nil
 }
+
+// farmPolicy is FarmOpts' policy over Mux.Drive: one ledger, every free slot
+// fed from it in Idle's order, its outcomes traced, checkpointed and timed.
+type farmPolicy struct {
+	l        *Ledger
+	tr       *trace.Tracer
+	opt      FarmOptions
+	stranded int // tasks given up because their pinned worker was retired
+}
+
+func (p *farmPolicy) Dispatch(idle []int, now time.Time, assign func(int, MuxAssignment) error) error {
+	for _, w := range idle {
+		if a, ok := p.l.Next(w, now); ok { // none for w: a pinned task may wait for another
+			if err := assign(w, a); err != nil {
+				return fmt.Errorf("assign: %w", err)
+			}
+		}
+	}
+	return nil
+}
+
+func (p *farmPolicy) Settle(ev MuxEvent, now time.Time) error {
+	l, res := p.l, &p.l.FarmResult
+	if ev.Kind == MuxWorkerLost {
+		res.Lost = append(res.Lost, ev.Worker)
+		for _, a := range slices.Backward(ev.Requeued) { // each goes to the head: oldest ends first
+			l.WorkerLost(ev.Worker, a)
+		}
+		p.stranded += l.Strand(ev.Worker)
+		return nil
+	}
+	verdict, rec := l.Observe(ev, now)
+	switch verdict {
+	case VerdictMalformed:
+		return fmt.Errorf("malformed result from node %d", ev.Worker)
+	case VerdictDuplicate:
+		return nil
+	}
+	if !ev.OK {
+		p.tr.Instant(0, "farm.task-fail", int64(ev.Task))
+	}
+	if verdict == VerdictRetry {
+		return nil
+	}
+	if p.opt.Checkpoint != nil {
+		// A checkpoint that cannot be written is job-fatal: the resume
+		// guarantee would be silently broken otherwise.
+		rec.Job = p.opt.Job
+		if err := p.opt.Checkpoint.Append(rec); err != nil {
+			return fmt.Errorf("checkpoint: %w", err)
+		}
+		p.tr.Instant(0, "farm.checkpoint", int64(len(rec.Payload)))
+	}
+	l.Commit(rec)
+	if verdict == VerdictQuarantine {
+		p.tr.Instant(0, "farm.quarantine", int64(ev.Task))
+		return nil
+	}
+	if ev.Worker == 0 {
+		res.MasterRan++
+	}
+	if res.Elapsed == nil {
+		res.Elapsed = make([]time.Duration, len(l.state))
+	}
+	res.Elapsed[ev.Task] = ev.Elapsed
+	return nil
+}
+
+// Deadline is never: a farm call has no backoff and no task timeout.
+func (p *farmPolicy) Deadline(time.Time) time.Time { return time.Time{} }
+
+func (p *farmPolicy) Done() bool { return p.l.Settled() == len(p.l.state) }

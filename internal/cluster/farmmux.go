@@ -4,11 +4,12 @@
 // (muxDepth each, pinDepth in a pinned farm), polls for results and worker
 // losses, and runs a task on the master itself when asked. The Mux is pure
 // mechanism — dispatch, result collection, liveness — and makes no
-// scheduling decisions. Its two clients bring the policy, each with one
-// Ledger (ledger.go) per job for the retry/quarantine/checkpoint rules:
-// Session.FarmOpts (farm.go) runs one task list, and the job service
-// (internal/jobs) interleaves tasks from many concurrent jobs onto the shared
-// pool by weighted deficit round-robin.
+// scheduling decisions. Drive is the one master loop over it; its two
+// clients bring the policy (MuxPolicy), each with one Ledger (ledger.go) per
+// job for the retry/quarantine/checkpoint rules: Session.FarmOpts (farm.go)
+// runs one task list, and the job service (internal/jobs) interleaves tasks
+// from many concurrent jobs onto the shared pool by weighted deficit
+// round-robin.
 //
 // Fault handling: a worker that crashes, stops acknowledging, or goes
 // heartbeat-silent is retired, and its in-flight assignments come back to
@@ -305,6 +306,83 @@ func (m *Mux) popEvent() (MuxEvent, bool) {
 	ev := m.events[0]
 	m.events = m.events[1:]
 	return ev, true
+}
+
+// MuxPolicy is a Mux client's policy, the four things Drive asks it.
+type MuxPolicy interface {
+	// Dispatch hands out work at fabric time now to the free slots in idle
+	// (one entry per slot, the Mux's own slice), calling assign once per
+	// task it places. Drive offers [0] alone on the master's turn: a task
+	// assigned there runs on the master itself.
+	Dispatch(idle []int, now time.Time, assign func(w int, a MuxAssignment) error) error
+	// Settle applies one event; a settled outcome is appended to the store,
+	// if the client keeps one, before it is committed.
+	Settle(ev MuxEvent, now time.Time) error
+	// Deadline is the earliest fabric-clock instant after now at which the
+	// policy acts with nothing arriving; zero means none.
+	Deadline(now time.Time) time.Time
+	// Done reports whether the loop is over.
+	Done() bool
+}
+
+// Drive is the master loop of every Mux client, run until p is done or ctx
+// ends. Each turn reads the master mailbox's generation, lets p fill every
+// free worker slot, and settles one Poll event through p: the worker a
+// result frees is fed before the next result is settled (a checkpointed
+// settle is an fsync). A turn with no event is the master's when no worker
+// is left, or in a pinned farm, whose rank-0 tasks can run nowhere else: p
+// may give it one task, which RunLocal executes, so a worker that finished
+// meanwhile waits at most one task time for its next. A turn with neither
+// idles on the master's mailbox until a frame arrives, a peer crashes, a
+// caller wakes it (Endpoint.Wake), ctx ends, or the fabric clock reaches the
+// earliest heartbeat expiry, p's Deadline or an unacknowledged assignment's
+// retransmission.
+func (m *Mux) Drive(ctx context.Context, p MuxPolicy) error {
+	ep := m.s.fabric.Endpoint(0)
+	assign := func(w int, a MuxAssignment) error { return m.Assign(ctx, w, a) }
+	var local MuxAssignment
+	ran := false
+	runLocal := func(_ int, a MuxAssignment) error { local, ran = a, true; return nil }
+	master := []int{0}
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		// Read before draining: whatever lands after the Poll below moves
+		// the generation, so the wait at the bottom cannot sleep through it.
+		gen := ep.Gen()
+		now := m.clk.Now()
+		// A send to a worker that died retires it inside Assign; its tasks
+		// return as a MuxWorkerLost event.
+		if err := p.Dispatch(m.Idle(), now, assign); err != nil {
+			return err
+		}
+		if p.Done() {
+			return nil
+		}
+		ev, ok, err := m.Poll()
+		if err != nil {
+			return err
+		}
+		if !ok && (m.Workers() == 0 || m.depth == pinDepth) {
+			ran = false
+			if err := p.Dispatch(master, now, runLocal); err != nil {
+				return err
+			}
+			if ran {
+				ev, ok = m.RunLocal(local), true
+			}
+		}
+		if ok {
+			if err := p.Settle(ev, m.clk.Now()); err != nil {
+				return err
+			}
+			continue
+		}
+		if m.s.node.Comm.Idle(ctx, gen, transport.Sooner(m.NextExpiry(), p.Deadline(now))) == transport.WaitClosed {
+			return transport.ErrClosed
+		}
+	}
 }
 
 // RunLocal executes one assignment on the master itself — a task pinned to

@@ -30,6 +30,10 @@ const (
 	VerdictResult
 	// VerdictQuarantine: the ladder is spent; append the record, then Commit.
 	VerdictQuarantine
+	// VerdictMalformed: the outcome names a task index this run does not
+	// have. Nothing changes; only a corrupt frame says so, and the owner
+	// fails its run.
+	VerdictMalformed
 )
 
 // attempt is one dispatched execution that has not reported back.
@@ -197,13 +201,16 @@ func (l *Ledger) Strand(worker int) (stranded int) {
 // counted and the task rejoins the tail of the queue behind its backoff,
 // until its attempts or the job's retry budget are spent. For VerdictResult
 // and VerdictQuarantine Observe returns the record to make durable before
-// Commit; the task stays unsettled until then. ev.Task must be in range: the
-// owner checks what comes off the wire.
+// Commit; the task stays unsettled until then. An outcome of this run whose
+// task index is out of range is VerdictMalformed.
 func (l *Ledger) Observe(ev MuxEvent, now time.Time) (Verdict, checkpoint.Record) {
 	if ev.Job != l.job {
 		// A worker written off during an earlier run woke up and replied;
 		// its task index means nothing here.
 		return VerdictDuplicate, checkpoint.Record{}
+	}
+	if ev.Task < 0 || ev.Task >= len(l.state) {
+		return VerdictMalformed, checkpoint.Record{}
 	}
 	l.retire(ev.Worker, ev.Task)
 	st := &l.state[ev.Task]

@@ -16,6 +16,7 @@ import (
 	"triolet/internal/jobs"
 	"triolet/internal/serial"
 	"triolet/internal/stencil"
+	"triolet/internal/transport"
 )
 
 // Crash-point enumeration (ROADMAP 4(a)): every durable write a run makes is
@@ -141,7 +142,10 @@ func crashLifetime(cfg cluster.Config, master func(*cluster.Session) error) erro
 	cfg.Nodes, cfg.CoresPerNode = 3, 1
 	done := make(chan error, 1)
 	go func() {
-		_, err := cluster.Run(cfg, master)
+		_, err := cluster.Run(cfg, func(s *cluster.Session) error {
+			crashFabric.Store(s.Fabric())
+			return master(s)
+		})
 		done <- err
 	}()
 	select {
@@ -223,9 +227,14 @@ var crashRuns sync.Map // string(payload) -> *atomic.Int64
 // one, and what the job specs set.
 const crashAttempts = 3
 
+// crashFabric is the fabric of the running lifetime (crashLifetime).
+var crashFabric atomic.Pointer[transport.Fabric]
+
 func init() {
 	// Payloads starting 0xFF always fail, 0xFE fails its first execution
-	// since the last reset, 0xFD takes 3ms; all others echo with a tag.
+	// since the last reset, 0xFD takes 3ms, 0xFC kills the worker rank that
+	// runs its first execution since the last reset (its result is lost
+	// with it); all others echo with a tag.
 	cluster.RegisterFarm("diffcheck.crashfarm", func(n *cluster.Node, task []byte) ([]byte, error) {
 		ctr, _ := crashRuns.LoadOrStore(string(task), new(atomic.Int64))
 		run := ctr.(*atomic.Int64).Add(1)
@@ -236,6 +245,8 @@ func init() {
 			return nil, errors.New("transient failure")
 		case task[0] == 0xFD:
 			time.Sleep(3 * time.Millisecond)
+		case task[0] == 0xFC && run == 1 && !n.IsRoot():
+			crashFabric.Load().CrashRank(n.Rank())
 		}
 		return crashResult(task), nil
 	})

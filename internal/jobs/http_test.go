@@ -97,9 +97,10 @@ func TestHTTPQuotaPrecheck(t *testing.T) {
 // back from a restart as another one (2^32 as 0: a job never scheduled, or
 // one whose every failure quarantines). A task_timeout_ms whose nanoseconds
 // pass MaxInt64 would wrap (18446744073710 to a 448µs timeout that fails
-// every attempt, 9223372036855 to a negative one that disables it), and a
-// negative timeout or byte_budget would silently mean "none". Submission
-// refuses each; the largest value that survives is admitted.
+// every attempt, 9223372036855 to a negative one that disables it). A
+// negative count would silently mean its default ({"weight":-5} admitted at
+// weight 1), a negative timeout or byte_budget "none". Submission refuses
+// each; the largest value that survives is admitted, and 0 is the default.
 func TestHTTPCountsBeyondRegistryRange(t *testing.T) {
 	s := newTestService(t, Config{})
 	h := s.Handler()
@@ -114,7 +115,11 @@ func TestHTTPCountsBeyondRegistryRange(t *testing.T) {
 		{"task_timeout_ms", "9223372036855", http.StatusBadRequest},
 		{"task_timeout_ms", "-1", http.StatusBadRequest},
 		{"byte_budget", "-1", http.StatusBadRequest},
+		{"weight", "-5", http.StatusBadRequest},
+		{"max_task_attempts", "-1", http.StatusBadRequest},
+		{"retry_budget", "-1", http.StatusBadRequest},
 		{"weight", "4294967295", http.StatusCreated},
+		{"weight", "0", http.StatusCreated},
 		{"task_timeout_ms", "9223372036854", http.StatusCreated},
 	} {
 		body := strings.Replace(specBody(fmt.Sprintf("j%d", i), 4, 0), "{", fmt.Sprintf(`{%q:%s,`, c.field, c.value), 1)

@@ -268,7 +268,9 @@ func TestDispatchToWorkerCrashedEmpty(t *testing.T) {
 		}
 		defer mux.Close()
 		sess.Fabric().CrashRank(1)
-		if n, err := s.dispatch(context.Background(), mux, time.Time{}); n != 2 || err != nil {
+		n := 0
+		assign := func(w int, a cluster.MuxAssignment) error { n++; return mux.Assign(context.Background(), w, a) }
+		if err := (&servePolicy{s, mux}).Dispatch(mux.Idle(), time.Time{}, assign); n != 2 || err != nil {
 			return fmt.Errorf("dispatched %d, %v; want both slots planned without an error", n, err)
 		}
 		ev, ok, err := mux.Poll()

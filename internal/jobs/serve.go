@@ -15,8 +15,9 @@ import (
 // context is cancelled (a crash, from the registry's point of view: nothing
 // is flushed, resume happens on the next NewService over the same store) or
 // Stop has been called and every admitted job is terminal (graceful drain).
-// Serve owns the Mux and all dispatching; there is at most one Serve per
-// service at a time, running in the cluster master goroutine.
+// Serve owns the Mux and all dispatching: Mux.Drive runs the master loop
+// under servePolicy. There is at most one Serve per service at a time,
+// running in the cluster master goroutine.
 func (s *Service) Serve(ctx context.Context, sess *cluster.Session) error {
 	mux, err := sess.OpenMux(cluster.MuxOptions{})
 	if err != nil {
@@ -29,12 +30,9 @@ func (s *Service) Serve(ctx context.Context, sess *cluster.Session) error {
 		s.mu.Unlock()
 		mux.Close() // on a cancelled context the stop frames fail tolerably
 	}()
-	clk := sess.Fabric().Clock()
-	// The loop idles on the master's mailbox; Submit and Stop wake it there.
-	ep := sess.Fabric().Endpoint(0)
 	s.mu.Lock()
 	s.serving = true
-	s.ep = ep
+	s.ep = sess.Fabric().Endpoint(0) // the loop idles there; Submit and Stop wake it
 	recovered := make([]*job, 0, len(s.order))
 	for _, name := range s.order {
 		recovered = append(recovered, s.jobs[name])
@@ -48,120 +46,68 @@ func (s *Service) Serve(ctx context.Context, sess *cluster.Session) error {
 			return err
 		}
 	}
-
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		// Read before looking: a frame, Submit or Stop landing after this
-		// moves the generation, so the wait at the bottom cannot miss it.
-		gen := ep.Gen()
-		progress := false
-
-		// Drain every pending Mux observation.
-		for {
-			ev, ok, perr := mux.Poll()
-			if perr != nil {
-				return perr
-			}
-			if !ok {
-				break
-			}
-			progress = true
-			if herr := s.handleEvent(ev, clk.Now()); herr != nil {
-				return herr
-			}
-		}
-
-		// Fail attempts that outlived their job's task timeout, and degrade
-		// jobs that crossed their declared byte budget.
-		if serr := s.sweep(clk.Now()); serr != nil {
-			return serr
-		}
-
-		// Fair-share dispatch onto idle, non-draining workers.
-		now := clk.Now()
-		n, derr := s.dispatch(ctx, mux, now)
-		if derr != nil {
-			return derr
-		}
-		progress = progress || n > 0
-
-		// Master fallback: with every worker retired the master executes
-		// one ready task per iteration itself — degraded throughput, but
-		// jobs still reach a terminal state.
-		if mux.Workers() == 0 {
-			ranLocal, lerr := s.runLocalOnce(mux, now)
-			if lerr != nil {
-				return lerr
-			}
-			progress = progress || ranLocal
-		}
-
-		s.mu.Lock()
-		s.workers = mux.Workers()
-		s.draining = s.draining[:0]
-		for _, w := range mux.Idle() {
-			if s.drainingLocked(w) && !slices.Contains(s.draining, w) {
-				s.draining = append(s.draining, w)
-			}
-		}
-		stopNow := s.stopped && s.liveLocked() == 0
-		s.mu.Unlock()
-		if stopNow {
-			return nil
-		}
-		// Idle until a frame arrives, Submit or Stop wakes us, ctx is
-		// cancelled (the top of the loop reports it) or the fabric clock
-		// reaches the next heartbeat expiry, task timeout, backoff release or
-		// retransmission of an unacknowledged assignment.
-		if !progress && sess.Node().Comm.Idle(ctx, gen, s.nextDeadline(now, mux.NextExpiry())) == transport.WaitClosed {
-			return transport.ErrClosed
-		}
-	}
+	return mux.Drive(ctx, &servePolicy{s, mux})
 }
 
-// nextDeadline is the earliest fabric-clock instant at which the serve loop
-// must act with nothing arriving: at (the Mux's next heartbeat expiry), an
-// in-flight attempt's task timeout, or a retry-backoff release after now (one
-// at or before now only waits for a worker, whose result wakes the loop).
-func (s *Service) nextDeadline(now, at time.Time) time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, j := range s.jobs {
+// servePolicy is Serve's policy over Mux.Drive: WDRR dispatch over every
+// job's ledger, task timeouts and byte budgets, rank health and the status
+// fields.
+type servePolicy struct {
+	*Service
+	mux *cluster.Mux
+}
+
+// Dispatch fails attempts that outlived their job's task timeout and
+// degrades jobs that crossed their byte budget, then runs one scheduling
+// round onto the idle, non-draining slots. The plan is built and accounted
+// under the service mutex; the sends happen outside it so a slow
+// acknowledged send does not block Submit or the status surface.
+func (p *servePolicy) Dispatch(idle []int, now time.Time, assign func(int, cluster.MuxAssignment) error) error {
+	if err := p.sweep(now); err != nil {
+		return err
+	}
+	p.mu.Lock()
+	plan := p.schedule(now, p.usableWorkers(idle))
+	p.mu.Unlock()
+	for _, d := range plan {
+		if err := assign(d.worker, d.a); err != nil {
+			return fmt.Errorf("jobs: dispatch %q/%d to %d: %w", d.a.Job, d.a.Task, d.worker, err)
+		}
+	}
+	return nil
+}
+
+func (p *servePolicy) Settle(ev cluster.MuxEvent, now time.Time) error { return p.handleEvent(ev, now) }
+
+// Deadline is the earliest fabric-clock instant at which the service must
+// act with nothing arriving: an in-flight attempt's task timeout, or a
+// retry-backoff release after now (one at or before now only waits for a
+// worker, whose result wakes the loop).
+func (p *servePolicy) Deadline(now time.Time) (at time.Time) {
+	p.mu.Lock()
+	for _, j := range p.jobs {
 		if !j.state.Terminal() {
 			at = transport.Sooner(at, j.ledger.Deadline(now, j.spec.TaskTimeout))
 		}
 	}
+	p.mu.Unlock()
 	return at
 }
 
-// dispatch runs one scheduling round and ships the plan. The plan is built
-// and accounted under the service mutex; the sends happen outside it so a
-// slow acknowledged send does not block Submit or the status surface.
-func (s *Service) dispatch(ctx context.Context, mux *cluster.Mux, now time.Time) (int, error) {
-	s.mu.Lock()
-	plan := s.schedule(now, s.usableWorkers(mux.Idle()))
-	s.mu.Unlock()
-	for _, p := range plan {
-		// A send to a worker that died retires it inside Assign and the
-		// assignment returns through a MuxWorkerLost event for requeueing.
-		if err := mux.Assign(ctx, p.worker, p.a); err != nil {
-			return 0, fmt.Errorf("jobs: dispatch %q/%d: %w", p.a.Job, p.a.Task, err)
+// Done refreshes the status surface's view of the pool and reports whether
+// the service is stopped with every admitted job terminal.
+func (p *servePolicy) Done() bool {
+	p.mu.Lock()
+	p.workers = p.mux.Workers()
+	p.draining = p.draining[:0]
+	for _, w := range p.mux.Idle() {
+		if p.drainingLocked(w) && !slices.Contains(p.draining, w) {
+			p.draining = append(p.draining, w)
 		}
 	}
-	return len(plan), nil
-}
-
-// runLocalOnce executes one ready task on the master (no-workers fallback).
-func (s *Service) runLocalOnce(mux *cluster.Mux, now time.Time) (bool, error) {
-	s.mu.Lock()
-	plan := s.schedule(now, []int{0})
-	s.mu.Unlock()
-	if len(plan) == 0 {
-		return false, nil
-	}
-	return true, s.handleEvent(mux.RunLocal(plan[0].a), now)
+	done := p.stopped && p.liveLocked() == 0
+	p.mu.Unlock()
+	return done
 }
 
 // settle finishes the two-step settlement a job's ledger proposed as rec,
@@ -278,12 +224,12 @@ func (s *Service) handleTaskDone(ev cluster.MuxEvent, now time.Time) error {
 		s.mu.Unlock()
 		return nil
 	}
-	if ev.Task < 0 || ev.Task >= len(j.spec.Tasks) {
+	verdict, rec := j.ledger.Observe(ev, now)
+	switch verdict {
+	case cluster.VerdictMalformed:
 		s.mu.Unlock()
 		return fmt.Errorf("jobs: result for %q task %d out of range", ev.Job, ev.Task)
-	}
-	verdict, rec := j.ledger.Observe(ev, now)
-	if verdict == cluster.VerdictDuplicate {
+	case cluster.VerdictDuplicate:
 		s.mu.Unlock()
 		return nil
 	}
