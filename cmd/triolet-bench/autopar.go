@@ -10,8 +10,8 @@ import (
 )
 
 // AutoPar acceptance gate. The planner must beat the practitioner: for
-// every Parboil benchmark the perfmodel-chosen mapping (placement, node
-// count, grain, serialization) runs against the best hand-tuned
+// every Parboil benchmark the perfmodel-chosen mapping (one node or a
+// farm, node count, task count) runs against the best hand-tuned
 // 1/2/4/8-node configuration of the same farm, and the recalibrated
 // second run must land within the bound. CI runs this with a relaxed
 // bound (shared runners jitter); nightly enforces the paper's 10%.
@@ -55,7 +55,7 @@ func runAutoParSweep(jsonOut bool, bound float64, calibPath string, cores int) i
 	if jsonOut {
 		ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 		report := autoParReport{
-			Note:      "auto-mapped (planner-chosen placement/nodes/grain) vs best hand-tuned 1-8 nodes; run 2 is replanned from online recalibration",
+			Note:      "auto-mapped (planner-chosen nodes/tasks) vs best hand-tuned 1-8 nodes; run 2 is replanned from online recalibration",
 			Bound:     bound,
 			CalibPath: res.CalibPath,
 			Resumed:   res.Resumed,

@@ -23,13 +23,13 @@ import (
 
 // AutoPar sweep: the fig-4-style evidence that perfmodel-driven
 // auto-mapping works end to end. Each benchmark is described to the
-// planner as a Workload; the planner picks placement, node count, grain,
-// and serialization; the chosen configuration runs as a real farm whose
-// per-task timings feed the Online recalibrator; and the same farm forced
-// to every hand-tuned node count provides the bar the auto-mapped run is
-// measured against. Two auto-mapped runs are taken — the second planned
-// from recalibrated costs — so the sweep also proves prediction error
-// shrinks with feedback.
+// planner as a Workload; the planner picks one node or a farm, its node
+// count and its task count; the chosen configuration runs as a real farm
+// whose per-task timings feed the Online recalibrator; and the same farm
+// forced to every hand-tuned node count provides the bar the auto-mapped
+// run is measured against. Two auto-mapped runs are taken — the second
+// planned from recalibrated costs — so the sweep also proves prediction
+// error shrinks with feedback.
 
 // autoParData is the sweep's shared read-only input snapshot. The virtual
 // cluster shares one address space, so the broadcast side of each farm
@@ -273,33 +273,6 @@ func autoBenches(d *autoParData) []autoBench {
 	}
 }
 
-// planNodes is the cluster size a plan runs on: its node count when it farms
-// across nodes, else one node, where the master runs every task itself (the
-// kernel's own pool loops give it node-local parallelism).
-func planNodes(p perfmodel.Plan) int {
-	if p.Mode == perfmodel.ExecFarm && p.Nodes > 1 {
-		return p.Nodes
-	}
-	return 1
-}
-
-// autoTaskCount sizes the farm decomposition from a plan: the planner's
-// over-decomposed task count when distributing, else one task per
-// plan-grain range, bounded so the local path still interleaves.
-func autoTaskCount(p perfmodel.Plan, cores int) int {
-	if p.Tasks > 0 {
-		return p.Tasks
-	}
-	n := p.Workload.Elems / p.Grain
-	if n < 1 {
-		n = 1
-	}
-	if cap := 4 * cores; n > cap {
-		n = cap
-	}
-	return n
-}
-
 // autoTaskRanges cuts a bench's elems into n task ranges (at most one per
 // element, at least one).
 func autoTaskRanges(elems, n int) domain.Partition {
@@ -362,7 +335,7 @@ func autoRunBest(b autoBench, nodes, cores, nTasks, reps int) (time.Duration, in
 type AutoPoint struct {
 	Bench string
 	// Plan1/Plan2 describe the planner's choice before and after
-	// recalibration ("farm@4 grain=512 raw 12.3ms").
+	// recalibration ("farm@3 grain=256 0.0123s").
 	Plan1, Plan2   string
 	Nodes1, Nodes2 int
 	// Predicted and observed wall time per run.
@@ -497,8 +470,7 @@ func runAutoBench(pl *perfmodel.Planner, b autoBench, cores int) AutoPoint {
 	// per-task timings and the run-level bias back into the recalibrator.
 	autoOnce := func(runTag string) (perfmodel.Plan, time.Duration, int64, error) {
 		plan := pl.Plan(b.w)
-		el, bytes, fr, ranges, err := autoRunBest(b, planNodes(plan), cores,
-			autoTaskCount(plan, cores), autoReps)
+		el, bytes, fr, ranges, err := autoRunBest(b, plan.Nodes, cores, plan.Tasks, autoReps)
 		if err != nil {
 			return plan, el, bytes, fmt.Errorf("%s: %w", runTag, err)
 		}
@@ -510,7 +482,7 @@ func runAutoBench(pl *perfmodel.Planner, b autoBench, cores int) AutoPoint {
 		// Bias against a re-prediction under the freshly committed unit
 		// costs, not the stale pre-run plan: the EWMA already absorbed what
 		// the units explain, so the bias should only carry the residual the
-		// units cannot (pool spawn, fabric hops). Biasing against the old
+		// units cannot (farm spawn, fabric hops). Biasing against the old
 		// prediction would chase the same error twice and overshoot.
 		online.ObserveBias(b.w.Name, pl.Plan(b.w).Predicted.Total(), el.Seconds())
 		return plan, el, bytes, nil

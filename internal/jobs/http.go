@@ -68,14 +68,10 @@ func decodedLen(enc string) (int64, error) {
 
 func (sj specJSON) toSpec() (Spec, error) {
 	// A millisecond count past MaxInt64 nanoseconds would wrap the
-	// Duration (to a tiny or negative timeout), and a negative value would
-	// silently mean the default (a count) or "none" (a timeout or budget).
+	// Duration (to a tiny or negative timeout). Negative values are
+	// Spec.validate's to refuse.
 	if sj.TaskTimeoutMS < 0 || time.Duration(sj.TaskTimeoutMS) > math.MaxInt64/time.Millisecond {
 		return Spec{}, fmt.Errorf("task_timeout_ms %d outside [0, %d]", sj.TaskTimeoutMS, math.MaxInt64/time.Millisecond)
-	}
-	if sj.Weight < 0 || sj.MaxTaskAttempts < 0 || sj.RetryBudget < 0 || sj.ByteBudget < 0 {
-		return Spec{}, fmt.Errorf("negative value: weight %d, max_task_attempts %d, retry_budget %d, byte_budget %d",
-			sj.Weight, sj.MaxTaskAttempts, sj.RetryBudget, sj.ByteBudget)
 	}
 	sp := Spec{
 		Name:            sj.Name,

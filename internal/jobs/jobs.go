@@ -148,14 +148,16 @@ type Spec struct {
 	ByteBudget int64
 }
 
+// withDefaults fills the counts left at zero. A negative count stays
+// negative, so validate refuses it instead of admitting it at the default.
 func (sp Spec) withDefaults() Spec {
-	if sp.Weight <= 0 {
+	if sp.Weight == 0 {
 		sp.Weight = 1
 	}
-	if sp.MaxTaskAttempts <= 0 {
+	if sp.MaxTaskAttempts == 0 {
 		sp.MaxTaskAttempts = 3
 	}
-	if sp.RetryBudget <= 0 {
+	if sp.RetryBudget == 0 {
 		sp.RetryBudget = 2 * len(sp.Tasks)
 	}
 	return sp
@@ -163,7 +165,8 @@ func (sp Spec) withDefaults() Spec {
 
 // validate checks a defaulted spec. The registry stores the three counts as
 // U32, so a count beyond that range would come back from a restart as
-// another value.
+// another value. A negative timeout or byte budget would silently mean
+// "none".
 func (sp Spec) validate() error {
 	if sp.Name == "" {
 		return errors.New("jobs: spec needs a name")
@@ -172,6 +175,9 @@ func (sp Spec) validate() error {
 		if n < 1 || int64(n) > math.MaxUint32 {
 			return fmt.Errorf("jobs: spec %q: weight, max_task_attempts and retry_budget must lie in [1, 2^32)", sp.Name)
 		}
+	}
+	if sp.TaskTimeout < 0 || sp.ByteBudget < 0 {
+		return fmt.Errorf("jobs: spec %q: task_timeout and byte_budget must not be negative", sp.Name)
 	}
 	if sp.Kernel == "" {
 		return fmt.Errorf("jobs: spec %q needs a kernel", sp.Name)
@@ -234,6 +240,9 @@ func (cfg Config) withDefaults() Config {
 type job struct {
 	spec  Spec
 	state State
+	// seq is the job's admission sequence number, its place on the WDRR
+	// ring (see sched.go).
+	seq int
 	// recorded reports that the job's admission record is durable in the
 	// registry. Until then the job is invisible to the scheduler (ready()
 	// returns false), so a failed Submit can roll the slot back with
@@ -300,14 +309,19 @@ func newJob(sp Spec, backoff func(attempt int) time.Duration) *job {
 type Service struct {
 	cfg Config
 
-	mu      sync.Mutex
-	jobs    map[string]*job
-	order   []string // admission order: the scheduler's round-robin ring
-	stopped bool
-	health  map[int]float64
-	rng     *rand.Rand
-	// ringIdx is the WDRR ring pointer: the admission-order index the next
-	// scheduling walk resumes from (see sched.go).
+	mu    sync.Mutex
+	jobs  map[string]*job
+	order []string // admission order, for the status surface
+	// live holds the non-terminal jobs in admission order: what the master
+	// loop walks every turn. liveJobsLocked prunes the ones that finished.
+	live []*job
+	// admitted numbers admissions: the next job's seq.
+	admitted int
+	stopped  bool
+	health   map[int]float64
+	rng      *rand.Rand
+	// ringIdx is the WDRR ring pointer: the seq the next scheduling walk
+	// resumes from (see sched.go).
 	ringIdx int
 	// completedSinceCompact counts terminal transitions toward the next
 	// registry compaction.
@@ -365,8 +379,7 @@ func (s *Service) recover() error {
 			}
 			j := newJob(sp, s.failureBackoff)
 			j.recorded = true // the spec record is what we just read
-			s.jobs[rec.Job] = j
-			s.order = append(s.order, rec.Job)
+			s.admitLocked(j)
 		case checkpoint.KindJobDone:
 			sum, derr := decodeDone(rec.Payload)
 			if derr != nil {
@@ -383,8 +396,7 @@ func (s *Service) recover() error {
 				j = newJob(Spec{Name: rec.Job}, nil)
 				j.tombstone = &sum
 				j.recorded = true
-				s.jobs[rec.Job] = j
-				s.order = append(s.order, rec.Job)
+				s.admitLocked(j)
 			}
 			j.state = sum.state
 			// A terminal job's ledger is closed; its retry count is the
@@ -433,8 +445,7 @@ func (s *Service) Submit(sp Spec) error {
 	// append fails and the slot is rolled back (the crash-resume invariant:
 	// no task ever executes for a job without a durable admission record).
 	j := newJob(sp, s.failureBackoff)
-	s.jobs[sp.Name] = j
-	s.order = append(s.order, sp.Name)
+	s.admitLocked(j)
 	s.mu.Unlock()
 
 	if err := s.cfg.Store.Append(checkpoint.Record{
@@ -445,6 +456,7 @@ func (s *Service) Submit(sp Spec) error {
 		s.mu.Lock()
 		delete(s.jobs, sp.Name)
 		s.order = removeName(s.order, sp.Name)
+		j.state = Degraded // terminal, so liveJobsLocked drops it too
 		s.mu.Unlock()
 		close(j.done) // release any waiter that raced the failed admission
 		return fmt.Errorf("jobs: record admission of %q: %w", sp.Name, err)
@@ -465,16 +477,35 @@ func removeName(names []string, name string) []string {
 	return names
 }
 
-// liveLocked counts non-terminal jobs. Callers hold s.mu.
-func (s *Service) liveLocked() int {
-	n := 0
-	for _, j := range s.jobs {
+// admitLocked enters j into the job table, the admission order and the
+// live list. Callers hold s.mu.
+func (s *Service) admitLocked(j *job) {
+	j.seq = s.admitted
+	s.admitted++
+	s.jobs[j.spec.Name] = j
+	s.order = append(s.order, j.spec.Name)
+	s.live = append(s.live, j)
+}
+
+// liveJobsLocked drops the jobs that became terminal from s.live and
+// returns it. Callers hold s.mu and do not reach it again while walking the
+// result. It stays out of line: its callers would each inline a copy.
+//
+//go:noinline
+func (s *Service) liveJobsLocked() []*job {
+	kept := s.live[:0]
+	for _, j := range s.live {
 		if !j.state.Terminal() {
-			n++
+			kept = append(kept, j)
 		}
 	}
-	return n
+	clear(s.live[len(kept):])
+	s.live = kept
+	return kept
 }
+
+// liveLocked counts non-terminal jobs. Callers hold s.mu.
+func (s *Service) liveLocked() int { return len(s.liveJobsLocked()) }
 
 // Stop puts the service into drain mode: no new submissions, and Serve
 // returns once every admitted job is terminal.

@@ -450,3 +450,23 @@ func TestRegistryCompactionShrinksCompletedJobs(t *testing.T) {
 		t.Fatalf("compacted name reused: %v", err)
 	}
 }
+
+// The Go API refuses the negative settings POST /jobs refuses, instead of
+// admitting them at their defaults (a negative weight as weight 1) or as
+// "none" (a negative timeout or byte budget).
+func TestSubmitRefusesNegativeSettings(t *testing.T) {
+	s := newTestService(t, Config{})
+	for i, sp := range []Spec{
+		{Weight: -5}, {MaxTaskAttempts: -1}, {RetryBudget: -1},
+		{TaskTimeout: -time.Millisecond}, {ByteBudget: -1},
+	} {
+		sp.Name, sp.Kernel, sp.Tasks = fmt.Sprintf("neg%d", i), "k", [][]byte{{1}}
+		if err := s.Submit(sp); err == nil {
+			st, _ := s.Job(sp.Name)
+			t.Errorf("Submit(%+v) admitted the job as %+v", sp, st)
+		}
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Fatalf("%d jobs admitted, want 0", n)
+	}
+}

@@ -103,10 +103,8 @@ func (s *Service) Jobs() []JobStatus {
 // liveWeightLocked sums live jobs' weights (the share denominator).
 func (s *Service) liveWeightLocked() int {
 	tw := 0
-	for _, j := range s.jobs {
-		if !j.state.Terminal() {
-			tw += j.spec.Weight
-		}
+	for _, j := range s.liveJobsLocked() {
+		tw += j.spec.Weight
 	}
 	return tw
 }

@@ -32,9 +32,9 @@ func (j *job) ready(now time.Time) bool {
 // schedule runs one WDRR round: it fills the provided idle-worker list with
 // assignments in fair-share order — each taken from its job's ledger, which
 // counts it in flight from now, and charged to its tenant — and returns
-// them. Callers hold s.mu. The walk is deterministic — admission-order ring,
-// ascending idle ranks — so a given state always yields the same dispatch
-// plan (campaign replays).
+// them. Callers hold s.mu. The walk is deterministic — admission-order ring
+// over the live jobs, ascending idle ranks — so a given state always yields
+// the same dispatch plan (campaign replays).
 //
 // The ring rotates: each call resumes where the previous dispatch left off
 // (s.ringIdx). Without the rotation a busy pool's steady state — workers
@@ -49,12 +49,11 @@ func (s *Service) schedule(now time.Time, idle []int) []plannedDispatch {
 		return nil
 	}
 	var active []*job
-	var pos []int // admission-order index of each active job
-	for oi, name := range s.order {
-		j := s.jobs[name]
+	var pos []int // admission seq of each active job
+	for _, j := range s.liveJobsLocked() {
 		if j.ready(now) {
 			active = append(active, j)
-			pos = append(pos, oi)
+			pos = append(pos, j.seq)
 		} else {
 			j.credit = 0 // DRR: no banking while nothing is ready
 		}

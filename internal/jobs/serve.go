@@ -33,10 +33,7 @@ func (s *Service) Serve(ctx context.Context, sess *cluster.Session) error {
 	s.mu.Lock()
 	s.serving = true
 	s.ep = sess.Fabric().Endpoint(0) // the loop idles there; Submit and Stop wake it
-	recovered := make([]*job, 0, len(s.order))
-	for _, name := range s.order {
-		recovered = append(recovered, s.jobs[name])
-	}
+	recovered := slices.Clone(s.liveJobsLocked())
 	s.mu.Unlock()
 	// A job whose last task records reached the registry but whose summary
 	// did not (a crash in the gap) finishes now, without re-execution.
@@ -85,10 +82,8 @@ func (p *servePolicy) Settle(ev cluster.MuxEvent, now time.Time) error { return 
 // worker, whose result wakes the loop).
 func (p *servePolicy) Deadline(now time.Time) (at time.Time) {
 	p.mu.Lock()
-	for _, j := range p.jobs {
-		if !j.state.Terminal() {
-			at = transport.Sooner(at, j.ledger.Deadline(now, j.spec.TaskTimeout))
-		}
+	for _, j := range p.liveJobsLocked() {
+		at = transport.Sooner(at, j.ledger.Deadline(now, j.spec.TaskTimeout))
 	}
 	p.mu.Unlock()
 	return at
@@ -145,11 +140,8 @@ func (s *Service) settle(rec checkpoint.Record, now time.Time) error {
 func (s *Service) sweep(now time.Time) error {
 	var out []checkpoint.Record
 	s.mu.Lock()
-	for _, name := range s.order {
-		j := s.jobs[name]
-		if j.state.Terminal() {
-			continue
-		}
+	for _, j := range s.liveJobsLocked() {
+		name := j.spec.Name
 		for j.spec.TaskTimeout > 0 {
 			worker, task, ok := j.ledger.Expired(now, j.spec.TaskTimeout)
 			if !ok {

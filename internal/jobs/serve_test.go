@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -405,5 +406,34 @@ func TestSubmitAndStopWakeIdleServe(t *testing.T) {
 		if !bytes.Equal(got[i], want) {
 			t.Fatalf("task %d result mismatch", i)
 		}
+	}
+}
+
+// One master-loop turn (Dispatch + Deadline) beside n terminal jobs, here
+// compacted ones rebuilt from their summaries: the loop walks live jobs
+// only, so the turn's cost does not grow with the jobs that finished.
+func BenchmarkServeTurnTerminalJobs(b *testing.B) {
+	for _, n := range []int{10, 1000, 10000} {
+		b.Run(fmt.Sprintf("terminal=%d", n), func(b *testing.B) {
+			store := checkpoint.NewMem()
+			sum := encodeDone(doneSummary{state: Done, completed: 1})
+			for i := 0; i < n; i++ {
+				store.Append(checkpoint.Record{Job: fmt.Sprintf("done%d", i), Kind: checkpoint.KindJobDone, Payload: sum})
+			}
+			s, err := NewService(Config{Store: store})
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := &servePolicy{Service: s}
+			now := time.Unix(0, 0)
+			assign := func(int, cluster.MuxAssignment) error { return nil }
+			idle := []int{1}
+			for b.Loop() {
+				if err := p.Dispatch(idle, now, assign); err != nil {
+					b.Fatal(err)
+				}
+				p.Deadline(now)
+			}
+		})
 	}
 }

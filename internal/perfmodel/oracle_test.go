@@ -17,14 +17,12 @@ import (
 )
 
 // oracleMode projects a plan onto the diffcheck execution matrix the same
-// way the runtime realizes it: seq on one goroutine, pool on the local
-// work-stealing executor, farm as distributed chunks over Nodes ranks.
+// way the runtime realizes it: seq on one goroutine, farm as distributed
+// chunks over Nodes ranks.
 func oracleMode(p perfmodel.Plan) diffcheck.Mode {
 	switch p.Mode {
 	case perfmodel.ExecSeq:
 		return diffcheck.Mode{Engine: diffcheck.Block, Exec: diffcheck.Seq}
-	case perfmodel.ExecPool:
-		return diffcheck.Mode{Engine: diffcheck.Block, Exec: diffcheck.LocalPar}
 	default:
 		return diffcheck.Mode{Engine: diffcheck.Block, Exec: diffcheck.Par, Nodes: p.Nodes}
 	}

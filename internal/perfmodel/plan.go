@@ -7,13 +7,12 @@ import (
 )
 
 // This file closes the model→runtime loop (ROADMAP item 5): instead of the
-// programmer hand-picking a node count and grain per benchmark, a Planner
-// consults the calibrated unit costs to choose sequential vs. node-local
-// pool vs. distributed farm execution, the virtual node count, the grain
-// (snapped to sched.BlockAlign so leaf ranges drive full-width block
-// kernels), and the serialization path. The resulting Plan carries its
-// predicted Breakdown so the runtime can record predicted-vs-observed
-// trace instants and feed an Online recalibrator.
+// programmer hand-picking a node count per benchmark, a Planner consults the
+// calibrated unit costs to choose between the two placements the farm
+// executes — every task on one node, or a farm over n nodes whose worker
+// ranks each run one task at a time — and the task count and grain that go
+// with it. The resulting Plan carries its predicted Breakdown so the caller
+// can compare it with the observed run and feed an Online recalibrator.
 
 // CostClass names which calibrated unit cost prices a workload's kernel.
 // The four Parboil classes use the Triolet-implementation measurements
@@ -111,8 +110,8 @@ type Workload struct {
 	// the combined block size for ReduceScalar/ReduceGrid).
 	Reduce      ReduceShape
 	ReduceBytes int
-	// Pointerless marks element data eligible for the serial.Raw
-	// zero-copy path.
+	// Pointerless marks element data the wire moves as one block copy
+	// (serial.Raw), priced at allocation cost without the per-byte encode.
 	Pointerless bool
 }
 
@@ -123,11 +122,10 @@ func (w Workload) units() float64 { return float64(w.Elems) * w.UnitsPerElem }
 type ExecMode int
 
 const (
-	// ExecSeq runs on the master goroutine with no parallel region.
+	// ExecSeq runs every task on one node, one at a time.
 	ExecSeq ExecMode = iota
-	// ExecPool runs node-local on the master's work-stealing pool.
-	ExecPool
-	// ExecFarm distributes across Plan.Nodes virtual nodes.
+	// ExecFarm distributes across Plan.Nodes virtual nodes: the master
+	// dispatches, each of the Nodes−1 worker ranks runs one task at a time.
 	ExecFarm
 )
 
@@ -135,30 +133,10 @@ func (m ExecMode) String() string {
 	switch m {
 	case ExecSeq:
 		return "seq"
-	case ExecPool:
-		return "pool"
 	case ExecFarm:
 		return "farm"
 	}
 	return fmt.Sprintf("ExecMode(%d)", int(m))
-}
-
-// SerialPath is the planner's wire-encoding decision.
-type SerialPath int
-
-const (
-	// SerCodec is the generic field-by-field codec.
-	SerCodec SerialPath = iota
-	// SerRaw aliases pointer-free backing arrays (serial.Raw), paying
-	// allocation but not the per-byte encode/decode copy.
-	SerRaw
-)
-
-func (s SerialPath) String() string {
-	if s == SerRaw {
-		return "raw"
-	}
-	return "codec"
 }
 
 // Plan is the planner's decision for one workload, with its prediction
@@ -168,13 +146,11 @@ type Plan struct {
 	Mode     ExecMode
 	// Nodes is the virtual cluster size (1 unless Mode == ExecFarm).
 	Nodes int
-	// Grain is the per-range element grain for parallel loops, snapped to
-	// sched.BlockAlign (never zero).
+	// Grain is the elements per task, snapped to sched.BlockAlign (never
+	// zero).
 	Grain int
-	// Tasks is the farm task count (0 unless Mode == ExecFarm).
+	// Tasks is the task count: 1 for ExecSeq, over-decomposed for ExecFarm.
 	Tasks int
-	// Serial is the chosen wire encoding (meaningful for ExecFarm).
-	Serial SerialPath
 	// Predicted is the modeled Breakdown for the chosen configuration,
 	// bias-corrected when the recalibrator has seen this workload before.
 	Predicted Breakdown
@@ -182,13 +158,13 @@ type Plan struct {
 	PredictedBytes int64
 }
 
-// String renders the decision compactly: "farm@4 grain=512 raw 12.3ms".
+// String renders the decision compactly: "farm@4 grain=512 0.0123s".
 func (p Plan) String() string {
 	s := p.Mode.String()
 	if p.Mode == ExecFarm {
 		s = fmt.Sprintf("farm@%d", p.Nodes)
 	}
-	return fmt.Sprintf("%s grain=%d %s %.3gs", s, p.Grain, p.Serial, p.Predicted.Total())
+	return fmt.Sprintf("%s grain=%d %.3gs", s, p.Grain, p.Predicted.Total())
 }
 
 // VirtualMachine models the in-process fabric the reproduction actually
@@ -205,32 +181,29 @@ func VirtualMachine() Machine {
 	}
 }
 
-// tasksPerWorker over-decomposes farm work so stealing/reassignment can
-// balance (mirrors sched.ParallelForRect's factor).
+// tasksPerWorker over-decomposes farm work so reassignment can balance.
 const tasksPerWorker = 4
 
 // maxPlanNodes bounds the search: the paper's testbed is 8 nodes.
 const maxPlanNodes = 8
 
-// poolSpawnCost approximates the fixed cost of opening one parallel
-// region (worker wakeup + deque seeding), charged to ExecPool/ExecFarm so
-// tiny workloads plan sequential.
-const poolSpawnCost = 20e-6
+// farmSpawnCost approximates the fixed cost of opening a farm (worker
+// wakeup, first dispatch), so tiny workloads plan sequential.
+const farmSpawnCost = 20e-6
 
 // Planner chooses execution plans from an Online cost source. It is
 // stateless beyond the recalibrator; one Planner may serve many workloads.
 type Planner struct {
 	online *Online
 	mach   Machine
-	// Cores is the per-node pool width the plan will run with.
+	// Cores is the per-node core count of the cluster a plan runs on.
+	// Pricing does not read it: a farm worker runs one task at a time.
 	Cores int
-	// PhysCores, when set, caps the modeled parallel speedup at the
-	// physical parallelism actually available to the in-process virtual
-	// cluster. Zero trusts the paper-semantics model where every virtual
-	// node owns real cores. An oversubscribed box time-slices virtual
-	// ranks, so distributing there buys overhead, never speedup — a
-	// planner that knows the box picks the local plan the measurements
-	// favor.
+	// PhysCores, when set, caps the modeled speedup at the physical
+	// parallelism actually available to the in-process virtual cluster.
+	// Zero trusts the paper-semantics model where every virtual node owns
+	// real cores. An oversubscribed box time-slices virtual ranks, so
+	// workers beyond PhysCores add overhead, never speedup.
 	PhysCores int
 }
 
@@ -262,35 +235,15 @@ func SnapGrain(grain int) int {
 	return grain &^ (sched.BlockAlign - 1)
 }
 
-// grainFor sizes the grain so each of workers' deques sees several
-// steal-able ranges, snapped to the block lattice and clamped to n.
-func grainFor(n, workers int) int {
-	if workers <= 0 {
-		workers = 1
-	}
-	g := SnapGrain(n / (workers * tasksPerWorker))
-	if g > n && n >= sched.BlockAlign {
-		g = SnapGrain(n)
-	}
-	return g
-}
-
-// Plan evaluates seq, pool, and farm@2..maxPlanNodes under the current
-// (possibly recalibrated) unit costs and returns the minimum-predicted
-// configuration.
+// Plan evaluates seq and farm@2..maxPlanNodes under the current (possibly
+// recalibrated) unit costs and returns the minimum-predicted configuration.
 func (pl *Planner) Plan(w Workload) Plan {
 	unit := pl.online.UnitCost(w.Class, w.Class.baseUnitCost(pl.online.Base(), w.UnitCost))
 	bias := pl.online.Bias(w.Name)
 	work := w.units() * unit
-	cores := pl.Cores
 	cal := pl.online.Base()
-
-	serial := SerCodec
 	serCost := cal.SerPerByte + cal.AllocPerByte
 	if w.Pointerless {
-		// serial.Raw skips the per-byte encode/decode copy; the buffer
-		// handoff still pays allocation-order cost on the receive side.
-		serial = SerRaw
 		serCost = cal.AllocPerByte
 	}
 
@@ -299,51 +252,23 @@ func (pl *Planner) Plan(w Workload) Plan {
 		Mode:      ExecSeq,
 		Nodes:     1,
 		Grain:     SnapGrain(w.Elems),
-		Serial:    serial,
+		Tasks:     1,
 		Predicted: scale(Breakdown{Compute: work}, bias),
 	}
-
-	if cores > 1 {
-		p := Plan{
-			Workload: w,
-			Mode:     ExecPool,
-			Nodes:    1,
-			Grain:    grainFor(w.Elems, cores),
-			Serial:   serial,
-			Predicted: scale(Breakdown{
-				Compute: work / pl.speedup(cores),
-				Serial:  poolSpawnCost,
-			}, bias),
-		}
-		if p.Predicted.Total() < best.Predicted.Total() {
-			best = p
-		}
-	}
-
 	for n := 2; n <= maxPlanNodes; n++ {
-		p := pl.farmPlan(w, n, cores, work, serial, serCost, bias)
-		if p.Predicted.Total() < best.Predicted.Total() {
+		if p := pl.farmPlan(w, n, work, serCost, bias); p.Predicted.Total() < best.Predicted.Total() {
 			best = p
 		}
 	}
 	return best
 }
 
-// farmPlan models distributing w across n nodes × cores.
-func (pl *Planner) farmPlan(w Workload, n, cores int, work float64, serial SerialPath, serCost, bias float64) Plan {
+// farmPlan models distributing w across n nodes: n−1 worker ranks, each
+// running one task at a time.
+func (pl *Planner) farmPlan(w Workload, n int, work, serCost, bias float64) Plan {
 	cal := pl.online.Base()
 	workers := n - 1 // rank 0 masters; ranks 1..n-1 compute
-	if workers < 1 {
-		workers = 1
-	}
-	tasks := workers * tasksPerWorker
-	if tasks > w.Elems {
-		tasks = w.Elems
-	}
-	if tasks < 1 {
-		tasks = 1
-	}
-
+	tasks := min(workers*tasksPerWorker, max(w.Elems, 1))
 	inBytes := float64(w.Elems) * float64(w.BytesPerElem)
 	var outBytes, mergeCost float64
 	msgs := float64(2 * tasks) // dispatch + result per task
@@ -364,21 +289,16 @@ func (pl *Planner) farmPlan(w Workload, n, cores int, work float64, serial Seria
 	}
 
 	b := Breakdown{
-		Compute: work/pl.speedup(workers*cores) + poolSpawnCost,
+		Compute: work/pl.speedup(workers) + farmSpawnCost,
 		Comm:    pl.mach.netTime(inBytes+outBytes, msgs),
 		Serial:  (inBytes+outBytes)*serCost + mergeCost,
-	}
-	perWorker := w.Elems / workers
-	if perWorker < 1 {
-		perWorker = 1
 	}
 	return Plan{
 		Workload:       w,
 		Mode:           ExecFarm,
 		Nodes:          n,
-		Grain:          grainFor(perWorker, cores),
+		Grain:          SnapGrain(w.Elems / tasks),
 		Tasks:          tasks,
-		Serial:         serial,
 		Predicted:      scale(b, bias),
 		PredictedBytes: int64(inBytes + outBytes),
 	}
@@ -389,9 +309,6 @@ func (pl *Planner) farmPlan(w Workload, n, cores int, work float64, serial Seria
 func (pl *Planner) speedup(n int) float64 {
 	if pl.PhysCores > 0 && n > pl.PhysCores {
 		n = pl.PhysCores
-	}
-	if n < 1 {
-		n = 1
 	}
 	return float64(n)
 }

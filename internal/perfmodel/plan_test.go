@@ -103,15 +103,22 @@ func TestPlanGrainAlwaysAligned(t *testing.T) {
 	}
 }
 
-func TestPlanSerialPath(t *testing.T) {
+// A farm worker runs one task at a time, so a farm is priced by its worker
+// ranks alone: on a 2-core box two workers already take every core, and
+// farm@3 beats both the sequential plan and wider farms that pay more
+// messages for no more speedup, however many cores each node claims.
+func TestPlanPricesFarmByRanks(t *testing.T) {
 	pl := planTestPlanner(2)
-	w := Workload{Name: "s", Elems: 1 << 16, BytesPerElem: 64, UnitsPerElem: 100, Class: CostGeneric, UnitCost: 5e-9}
-	if p := pl.Plan(w); p.Serial != SerCodec {
-		t.Errorf("pointered workload chose %v, want codec", p.Serial)
+	pl.PhysCores = 2
+	p := pl.Plan(Workload{
+		Name: "heavy", Elems: 1 << 16, BytesPerElem: 12, BytesPerResult: 8,
+		UnitsPerElem: 1000, Class: CostMRIQ, Reduce: ReduceGather, Pointerless: true,
+	})
+	if p.Mode != ExecFarm || p.Nodes != 3 {
+		t.Fatalf("compute-heavy workload on 2 cores planned %s, want farm@3", p)
 	}
-	w.Pointerless = true
-	if p := pl.Plan(w); p.Serial != SerRaw {
-		t.Errorf("pointerless workload chose %v, want raw", p.Serial)
+	if p.Tasks != 2*tasksPerWorker {
+		t.Errorf("farm@3 plans %d tasks, want %d", p.Tasks, 2*tasksPerWorker)
 	}
 }
 
