@@ -1,6 +1,7 @@
 // Package sharedalias enforces the zero-copy relinquish contract from the
-// wire path (DESIGN.md §11): a buffer handed to SendShared or SendHalo — or
-// viewed as wire bytes by serial.Raw — belongs to the fabric afterwards. On the
+// wire path (DESIGN.md §11): a buffer handed to SendShared, SendHalo,
+// SendBeat or SendFrame — or viewed as wire bytes by serial.Raw — belongs to
+// the fabric afterwards. On the
 // in-process fabric the receiver aliases the sender's backing array, so a
 // later write by the sender is a silent cross-rank data race that no
 // copy-based test will catch.
@@ -24,8 +25,8 @@ import (
 // Analyzer is the sharedalias pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "sharedalias",
-	Doc: "writes to a buffer after it was relinquished to SendShared or " +
-		"SendHalo, or aliased as wire bytes by serial.Raw",
+	Doc: "writes to a buffer after it was relinquished to SendShared, " +
+		"SendHalo, SendBeat or SendFrame, or aliased as wire bytes by serial.Raw",
 	Run: run,
 }
 
@@ -55,7 +56,7 @@ func run(pass *analysis.Pass) error {
 // relinquished variable).
 type mark struct {
 	pos token.Pos
-	via string // "SendShared", "SendHalo", "serial.Raw", or the alias source
+	via string // the relinquishing call ("SendShared", …, "serial.Raw"), or the alias source
 }
 
 // checkBody runs the relinquish-then-write check over one function body,
@@ -153,7 +154,7 @@ func relinquished(info *types.Info, call *ast.CallExpr) (*types.Var, string, boo
 	var via string
 	if fn := analysis.CalleeFunc(info, call); fn != nil {
 		switch {
-		case fn.Name() == "SendShared" || fn.Name() == "SendHalo":
+		case fn.Name() == "SendShared" || fn.Name() == "SendHalo" || fn.Name() == "SendBeat" || fn.Name() == "SendFrame":
 			arg, via = call.Args[len(call.Args)-1], fn.Name()
 		case fn.Name() == "Raw" && fn.Pkg() != nil && fn.Pkg().Path() == serialPkg:
 			arg, via = call.Args[0], "serial.Raw"

@@ -1,17 +1,18 @@
 // Fixture for the sharedalias analyzer: writes to a buffer after it was
-// relinquished to SendShared or SendHalo, or viewed as wire bytes by
-// serial.Raw.
+// relinquished to SendShared, SendHalo, SendBeat or SendFrame, or viewed as
+// wire bytes by serial.Raw.
 package sharedfixture
 
 import "triolet/internal/serial"
 
 // conn stands in for transport.Endpoint / mpi.Comm: the contract is
-// carried by the SendShared and SendHalo method names, wherever they are
-// defined.
+// carried by the relinquishing method names, wherever they are defined.
 type conn struct{}
 
 func (conn) SendShared(dst, tag int, payload []byte) error { return nil }
 func (conn) SendHalo(dst, tag int, payload []byte) error   { return nil }
+func (conn) SendBeat(dst, tag int, payload []byte) error   { return nil }
+func (conn) SendFrame(dst, tag int, frame []byte) error    { return nil }
 func (conn) Send(dst, tag int, payload []byte) error       { return nil }
 
 func writeAfterSend(c conn, buf []byte) {
@@ -22,6 +23,18 @@ func writeAfterSend(c conn, buf []byte) {
 func writeAfterHalo(c conn, buf []byte) {
 	_ = c.SendHalo(1, 0, buf)
 	buf[0] = 1 // want `sharedalias: "buf" is written after being relinquished to SendHalo`
+}
+
+func writeAfterBeat(c conn, buf []byte) {
+	_ = c.SendBeat(1, 0, buf)
+	buf[0] = 1 // want `sharedalias: "buf" is written after being relinquished to SendBeat`
+}
+
+// A frame's body is relinquished with the room in front of it.
+func writeAfterFrame(c conn, frame []byte) {
+	_ = c.SendFrame(1, 0, frame)
+	body := frame[25:]
+	body[0] = 1 // want `sharedalias: "body" is written after being relinquished to SendFrame`
 }
 
 func writeAfterRaw(xs []float64) []byte {

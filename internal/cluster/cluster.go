@@ -94,6 +94,11 @@ type Node struct {
 	// first kernel stores something, it dies with the session.
 	Segs map[SegKey]any
 	cfg  Config
+	// The last Answer's buffer, written by answerW, with answerHead bytes of
+	// room in front for the frame's heads (0 on the master).
+	answer     []byte
+	answerHead int
+	answerW    serial.Writer
 }
 
 // SegKey names one resident segment of a distributed value: the kernel that
@@ -118,6 +123,19 @@ func (n *Node) Cores() int { return n.cfg.CoresPerNode }
 
 // IsRoot reports whether this node is the master (rank 0).
 func (n *Node) IsRoot() bool { return n.Comm.Rank() == 0 }
+
+// Answer returns a writer for a farm kernel's answer of size bytes. On a worker
+// its buffer is the frame that carries the answer, valid until the next Answer:
+// returned, its bytes travel with no copy, and the kernel must not write them
+// again. On the master, whose answers never travel, it is an exact plain writer.
+func (n *Node) Answer(size int) *serial.Writer {
+	if n.answerHead == 0 {
+		return serial.NewWriter(size)
+	}
+	n.answer = make([]byte, n.answerHead, n.answerHead+size+mpi.FrameTail)
+	n.answerW = *serial.WriterOn(n.answer[n.answerHead:])
+	return &n.answerW
+}
 
 // Worker is a node-side kernel body. It runs on every non-master node when
 // the master invokes the kernel's name; the matching master-side logic runs

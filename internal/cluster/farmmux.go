@@ -559,14 +559,25 @@ func muxWorkerMain(n *Node) error {
 		if stopFrame {
 			return nil
 		}
-		ev := execute(n, a) // a failed task's event carries no Result
-		if err := n.Comm.SendHead(n.Comm.Context(), 0, muxResultTag, muxResultHead(&head, ev), ev.Result); err != nil {
+		if err := serveTask(n, &head, a); err != nil {
 			if errors.Is(err, mpi.ErrRankLost) {
 				return nil // retired mid-reply: quiet exit
 			}
 			return err
 		}
 	}
+}
+
+// serveTask executes a on worker n and sends the result to the master, its
+// head written by head: in the Node.Answer buffer whose body it is, if any.
+func serveTask(n *Node, head *serial.Writer, a MuxAssignment) error {
+	n.answerHead, n.answer = mpi.FrameHead+len(muxResultHead(head, MuxEvent{Job: a.Job, OK: true})), nil
+	ev := execute(n, a) // a failed task's event carries no Result
+	if n.answer == nil || len(ev.Result) == 0 || &ev.Result[0] != &n.answer[:n.answerHead+1][n.answerHead] {
+		return n.Comm.SendHead(n.Comm.Context(), 0, muxResultTag, muxResultHead(head, ev), ev.Result)
+	}
+	copy(n.answer[mpi.FrameHead:n.answerHead], muxResultHead(head, ev))
+	return n.Comm.SendFrame(0, muxResultTag, n.answer[:n.answerHead+len(ev.Result)])
 }
 
 // clockOf returns the node's time source: the injected cluster clock when

@@ -445,25 +445,37 @@ func runAutoBench(pl *perfmodel.Planner, b autoBench, cores int) AutoPoint {
 	pt := AutoPoint{Bench: b.name, Hand: make(map[int]time.Duration)}
 	online := pl.Online()
 
-	// Hand-tuned ladder: the same farm executor forced to each node count.
-	for _, nodes := range handNodeCounts {
-		nTasks := 4 * cores
-		if nodes > 1 {
-			nTasks = 4 * (nodes - 1)
+	// Hand-tuned ladder: the same farm executor forced to each node count,
+	// reps repetitions a rung, keeping each rung's best. Its handReps are
+	// split around the auto-mapped runs — one before run 1, the rest after
+	// run 2 — so a host slowdown over one phase reaches both sides of the
+	// ratio, not the auto side alone.
+	ladder := func(reps int) bool {
+		for _, nodes := range handNodeCounts {
+			nTasks := 4 * cores
+			if nodes > 1 {
+				nTasks = 4 * (nodes - 1)
+			}
+			el, _, fr, ranges, err := autoRunBest(b, nodes, cores, nTasks, reps)
+			if err != nil {
+				pt.Verify = fmt.Sprintf("hand@%d: %v", nodes, err)
+				return false
+			}
+			if detail, ok := b.verify(ranges, fr.Results); !ok {
+				pt.Verify = fmt.Sprintf("hand@%d: %s", nodes, detail)
+				return false
+			}
+			if prev, ok := pt.Hand[nodes]; !ok || el < prev {
+				pt.Hand[nodes] = el
+			}
+			if pt.Best == 0 || el < pt.Best {
+				pt.Best, pt.BestNodes = el, nodes
+			}
 		}
-		el, _, fr, ranges, err := autoRunBest(b, nodes, cores, nTasks, handReps)
-		if err != nil {
-			pt.Verify = fmt.Sprintf("hand@%d: %v", nodes, err)
-			return pt
-		}
-		if detail, ok := b.verify(ranges, fr.Results); !ok {
-			pt.Verify = fmt.Sprintf("hand@%d: %s", nodes, detail)
-			return pt
-		}
-		pt.Hand[nodes] = el
-		if pt.Best == 0 || el < pt.Best {
-			pt.Best, pt.BestNodes = el, nodes
-		}
+		return true
+	}
+	if !ladder(1) {
+		return pt
 	}
 
 	// Auto-mapped run 1 (static or snapshot-informed calibration), feeding
@@ -506,6 +518,9 @@ func runAutoBench(pl *perfmodel.Planner, b autoBench, cores int) AutoPoint {
 	pt.Plan2, pt.Nodes2 = plan2.String(), plan2.Nodes
 	pt.Pred2 = time.Duration(plan2.Predicted.Total() * float64(time.Second))
 	pt.Obs2 = obs2
+	if !ladder(handReps - 1) {
+		return pt
+	}
 
 	pt.Err1, pt.Err2 = relErr(pt.Pred1, pt.Obs1), relErr(pt.Pred2, pt.Obs2)
 	if pt.Best > 0 {

@@ -88,7 +88,7 @@ func (c *Comm) Context() context.Context {
 // read-only.
 func (c *Comm) send(ctx context.Context, dst, tag int, head, payload []byte, shared bool) error {
 	if c.rel != nil {
-		return c.rel.send(ctx, dst, tag, head, payload, shared)
+		return c.rel.send(ctx, dst, tag, head, payload, shared, false)
 	}
 	if err := ctx.Err(); err != nil {
 		return err
@@ -190,10 +190,10 @@ func (c *Comm) SendCtx(ctx context.Context, dst, tag int, payload []byte) error 
 
 // SendHead is SendCtx of head followed by payload — the receiver gets one
 // message, their concatenation — without building it: in reliable mode both
-// are written straight into the frame the layer builds anyway, and direct
-// mode builds the message once, in place of the fabric's defensive copy. A
-// protocol header in front of a payload (the farm's task and result frames)
-// so costs no copy of the payload. Both buffers stay the caller's.
+// are copied into the one frame the layer allocates, and direct mode builds
+// the message once, in place of the fabric's defensive copy. A protocol header
+// in front of a payload (the farm's task frames) so costs no extra copy. Both
+// buffers stay the caller's (SendFrame saves the copy of one that is not).
 func (c *Comm) SendHead(ctx context.Context, dst, tag int, head, payload []byte) error {
 	if tag < 0 || tag > MaxUserTag {
 		return fmt.Errorf("mpi: user tag %d out of range", tag)
@@ -202,6 +202,16 @@ func (c *Comm) SendHead(ctx context.Context, dst, tag int, head, payload []byte)
 		ctx = context.Background()
 	}
 	return c.send(ctx, dst, tag, head, payload, false)
+}
+
+// SendFrame is SendShared of frame[FrameHead:], encoded behind FrameHead bytes
+// of room and ideally before FrameTail spare ones: in reliable mode the buffer
+// becomes the frame in place, so the message allocates nothing of its own.
+func (c *Comm) SendFrame(dst, tag int, frame []byte) error {
+	if c.rel == nil || dst == c.Rank() || tag < 0 || tag > MaxUserTag {
+		return c.SendShared(dst, tag, frame[FrameHead:])
+	}
+	return c.rel.send(c.Context(), dst, tag, nil, frame, true, true)
 }
 
 // SendHalo is SendShared with halo attribution: the payload bytes are also
@@ -238,7 +248,8 @@ func (c *Comm) SendShared(dst, tag int, payload []byte) error {
 // send plus an ack per beat. The price is every delivery guarantee: beats
 // may be lost, duplicated, delayed, or overtake sequenced data. Use them
 // only for idempotent signals whose loss the receiver already tolerates.
-// In direct mode a beat is an ordinary send.
+// In direct mode a beat is an ordinary send. payload is relinquished, as to
+// SendShared.
 func (c *Comm) SendBeat(dst, tag int, payload []byte) error {
 	if tag < 0 || tag > MaxUserTag {
 		return fmt.Errorf("mpi: user tag %d out of range", tag)
@@ -246,7 +257,7 @@ func (c *Comm) SendBeat(dst, tag int, payload []byte) error {
 	if c.rel != nil {
 		return c.rel.sendBeat(dst, tag, payload)
 	}
-	return c.ep.Send(dst, tag, payload)
+	return c.ep.SendShared(dst, tag, payload)
 }
 
 // Recv blocks for a message matching (src, tag); src may be

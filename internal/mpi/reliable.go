@@ -93,6 +93,12 @@ const ackRecordLen = 1 + 8 + 1
 // ackFrameLen is the size of an ack-only frame: the record and the CRC.
 const ackFrameLen = ackRecordLen + 4
 
+// A Comm.SendFrame buffer keeps FrameHead bytes in front of its body for the
+// data record's header (kind, seq, tag, length), and FrameTail behind it seal
+// the frame in place: the owed ack, empty beats at the default CoalesceLimit,
+// and the CRC (a frame that outgrows them is reallocated once).
+const FrameHead, FrameTail = 1 + 8 + 8 + 8, ackRecordLen + 8*(1+8+8) + 4
+
 // backoffJitter stretches each ack deadline by up to this fraction of its
 // timeout, drawn per rank: without it, ranks blocked on one event retransmit
 // in lockstep and re-congest the fabric exactly when it is weakest.
@@ -720,11 +726,12 @@ func (r *reliable) takeLoss(src int) *RankLostError {
 // The message is head followed by payload (see Comm.SendHead): the data frame
 // is built from both, so neither is copied but into it. shared marks a payload
 // the caller has relinquished (see Comm.SendShared): local delivery of a
-// headless message then skips its defensive copy. Wire frames are always
-// shipped with transport.SendShared — the frame buffer belongs to this
-// layer, is never mutated after encoding, and retransmits resend the same
-// bytes, so the fabric's defensive copy would buy nothing.
-func (r *reliable) send(ctx context.Context, dst, tag int, head, payload []byte, shared bool) error {
+// headless message then skips its defensive copy; framed marks a payload that
+// is its own frame to another rank (see Comm.SendFrame). Wire frames are always
+// shipped with transport.SendShared — the frame buffer belongs to this layer,
+// is never mutated after encoding, and retransmits resend the same bytes, so
+// the fabric's defensive copy would buy nothing.
+func (r *reliable) send(ctx context.Context, dst, tag int, head, payload []byte, shared, framed bool) error {
 	if dst == r.c.Rank() {
 		// Local delivery: no wire, no frames.
 		if !shared || len(head) > 0 {
@@ -750,8 +757,13 @@ func (r *reliable) send(ctx context.Context, dst, tag int, head, payload []byte,
 	defer r.mu.Unlock()
 	seq := r.nextSeq[dst]
 	r.nextSeq[dst]++
+	frame := payload
+	if !framed {
+		frame = make([]byte, FrameHead, FrameHead+len(head)+len(payload)+r.pendingLen(dst))
+		frame = append(append(frame, head...), payload...)
+	}
 	u := r.slot(dst, seq)
-	u.frame = r.buildDataFrame(dst, seq, tag, head, payload)
+	u.frame = r.seal(dst, seq, tag, frame)
 	u.timeout = r.ackWait(len(u.frame))
 	u.deadline = r.clk.Now().Add(r.jitter(u.timeout))
 	r.inflight++
@@ -774,20 +786,18 @@ func (r *reliable) jitter(d time.Duration) time.Duration {
 	return d + time.Duration(float64(d)*backoffJitter*r.rng.Float64())
 }
 
-// buildDataFrame encodes one data message — head then payload, one
-// length-prefixed body — followed by dst's owed ack and buffered beats when
-// there are any: they ride for free on a frame that is going to that peer
-// anyway. A retransmit resends them too; an old cumulative ack says nothing
-// new and beats tolerate duplication by contract. Callers hold r.mu.
-func (r *reliable) buildDataFrame(dst int, seq uint64, tag int, head, payload []byte) []byte {
-	w := serial.NewWriter(1 + 8 + 8 + 8 + len(head) + len(payload) + r.pendingLen(dst))
+// seal completes the data frame of one message — its body behind FrameHead
+// bytes of room for the record's header — with dst's owed ack and buffered
+// beats when there are any: they ride for free on a frame that is going to
+// that peer anyway. A retransmit resends them too; an old cumulative ack says
+// nothing new and beats tolerate duplication by contract. Callers hold r.mu.
+func (r *reliable) seal(dst int, seq uint64, tag int, frame []byte) []byte {
+	w := serial.WriterOn(frame[:0])
 	w.U8(subData)
 	w.U64(seq)
 	w.Int(tag)
-	w.Int(len(head) + len(payload))
-	w.Append(head)
-	w.Append(payload)
-	return r.appendPending(w, dst, 1)
+	w.Int(len(frame) - FrameHead)
+	return r.appendPending(serial.WriterOn(frame), dst, 1)
 }
 
 // sendBeat queues one fire-and-forget beat for dst. Beats are unsequenced
@@ -799,22 +809,20 @@ func (r *reliable) buildDataFrame(dst int, seq uint64, tag int, head, payload []
 // to the same peer carries pending beats for free. With coalescing
 // disabled a beat is an ordinary acknowledged send.
 func (r *reliable) sendBeat(dst, tag int, payload []byte) error {
-	rank := r.c.Rank()
-	if dst == rank {
-		r.enqueueLocal(tag, append([]byte(nil), payload...))
+	if dst == r.c.Rank() {
+		r.enqueueLocal(tag, payload)
 		return nil
 	}
 	if r.cfg.DisableCoalesce {
-		return r.send(context.Background(), dst, tag, nil, payload, false)
+		return r.send(context.Background(), dst, tag, nil, payload, true, false)
 	}
-	cp := append([]byte(nil), payload...)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.beats[dst]) == 0 {
 		r.beatSince[dst] = r.clk.Now()
 		defer r.c.ep.Wake() // an idling loop adopts the new flush deadline
 	}
-	r.beats[dst] = append(r.beats[dst], pendFrame{tag: tag, payload: cp})
+	r.beats[dst] = append(r.beats[dst], pendFrame{tag: tag, payload: payload})
 	if len(r.beats[dst]) >= r.cfg.CoalesceLimit ||
 		r.clk.Now().Sub(r.beatSince[dst]) >= coalesceDelay {
 		return r.flushTo(dst)

@@ -31,6 +31,10 @@ func NewWriter(capacity int) *Writer {
 	return &Writer{buf: make([]byte, 0, capacity)}
 }
 
+// WriterOn returns a writer that appends to buf, filling its spare capacity
+// before it reallocates: a message encoded in place behind bytes already there.
+func WriterOn(buf []byte) *Writer { return &Writer{buf: buf} }
+
 // Grow makes room for n more bytes, reallocating to exactly that size when
 // the buffer is short: a writer reused across messages grows once, to the
 // largest of them.

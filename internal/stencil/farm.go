@@ -268,7 +268,7 @@ func (op *FarmOp[T]) taskBody(n *cluster.Node, task []byte) ([]byte, error) {
 	}
 	n.Segs[key] = res
 	if t.flags&farmLast != 0 {
-		w := serial.NewWriter(8 + 8*len(res.Rows()))
+		w := n.Answer(8 + 8*len(res.Rows()))
 		op.elems.Encode(w, res.Rows())
 		op.evict(n, key)
 		return w.Bytes(), nil
@@ -277,7 +277,7 @@ func (op *FarmOp[T]) taskBody(n *cluster.Node, task []byte) ([]byte, error) {
 	for _, y := range res.edges {
 		res.scratch = append(res.scratch, res.ownRow(y)...)
 	}
-	w := serial.NewWriter(16 + 8*len(res.scratch))
+	w := n.Answer(16 + 8*len(res.scratch))
 	w.Int(n.Rank())
 	op.elems.Encode(w, res.scratch)
 	return w.Bytes(), nil

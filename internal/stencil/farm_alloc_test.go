@@ -17,13 +17,13 @@ import (
 	"triolet/internal/serial"
 )
 
-// TestFarmOpFrameAllocs: every task frame and every answer is built in a
-// buffer of exactly its size; a slab's writer, grown by its inline frame,
-// rewrites the frames of the sweeps after it without allocating; and a
+// TestFarmOpFrameAllocs: every task frame and every master-side answer is
+// built in a buffer of exactly its size; a slab's writer, grown by its inline
+// frame, rewrites the frames of the sweeps after it without allocating; and a
 // life-farm-shaped solve — 128², 8 slabs, 40 sweeps on 2 reliable nodes —
-// allocates at most 5.8 MB: one encode per hop, the Mux header written into
-// the reliable frame, sections decoded where they land, slab buffers and task
-// frames reused.
+// allocates at most 3.1 MB: one encode per hop, a worker's answer encoded into
+// the reliable frame that carries it, the Mux header written into the reliable
+// frame, sections decoded where they land, slab buffers and task frames reused.
 func TestFarmOpFrameAllocs(t *testing.T) {
 	inline, handle, last := farmSeedFrames()
 	drop, _ := tableFarm.frame(new(serial.Writer), farmHeader{h: 12, w: 5, slabs: 3, run: 7, flags: farmDrop}, -5, nil, nil, 0)
@@ -88,8 +88,8 @@ func TestFarmOpFrameAllocs(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6 / solves
 		t.Logf("%.2f MB a solve", mb)
-		if mb > 5.8 {
-			t.Errorf("a life-farm-shaped solve allocates %.2f MB, want ≤ 5.8", mb)
+		if mb > 3.1 {
+			t.Errorf("a life-farm-shaped solve allocates %.2f MB, want ≤ 3.1", mb)
 		}
 		return solve()
 	})
