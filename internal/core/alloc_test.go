@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"triolet/internal/iter"
@@ -60,5 +61,59 @@ func TestWeightedHistogramMergeAllocsBounded(t *testing.T) {
 	small, big := measure(4096), measure(262144)
 	if big > small+8 {
 		t.Fatalf("weighted histogram allocs scale with input: %v for 4Ki elems, %v for 256Ki", small, big)
+	}
+}
+
+// leafGrowth reports how many more bytes a call of run allocates, per extra
+// leaf, at grain 8 than at grain 64: 64 leaves against 8 over a 512-atom nest.
+func leafGrowth(run func(grain int)) float64 {
+	bytes := func(grain int) float64 {
+		run(grain)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 20 {
+			run(grain)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / 20
+	}
+	few := bytes(64)
+	return (bytes(8) - few) / 56
+}
+
+// cutcpNest is a cutcp-shaped stream nest: 512 atoms, each updating a run of
+// 40–100 grid points of a 64-bin grid.
+func cutcpNest[U any](bin func(i int, w float32) U) iter.Iter[U] {
+	return iter.LocalPar(iter.StreamNest(iter.IdxRange(512), func(a int) int { return 40 + a%61 },
+		func(a int, dst []U, base int) int {
+			for j := range dst {
+				dst[j] = bin((a+base+j)%64, float32(a%7)*0.5)
+			}
+			return len(dst)
+		}))
+}
+
+// TestWeightedHistogramLocalLeafAllocs: each pool worker stages its leaves'
+// blocks in one arena, kept beside its bins, so what a threaded weighted
+// histogram allocates per leaf of a cutcp-shaped nest is the split's range
+// descriptors (≈ 200 bytes), not a staging arena of BlockSize bins (4 KiB).
+// Runs under CI's alloc-gate job.
+func TestWeightedHistogramLocalLeafAllocs(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	it := cutcpNest(func(i int, w float32) iter.Bin[float32] { return iter.Bin[float32]{I: i, W: w} })
+	if b := leafGrowth(func(grain int) { whistAllocSink = WeightedHistogramLocal(pool, 64, it, grain) }); b > 512 {
+		t.Fatalf("a weighted histogram leaf allocates %.0f bytes, want ≤ 512", b)
+	}
+}
+
+// TestHistogramLocalLeafAllocs is TestWeightedHistogramLocalLeafAllocs for
+// HistogramLocal's int bins, whose per-leaf arena would be 2 KiB.
+func TestHistogramLocalLeafAllocs(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	it := cutcpNest(func(i int, _ float32) int { return i })
+	if b := leafGrowth(func(grain int) { histAllocSink = HistogramLocal(pool, 64, it, grain) }); b > 512 {
+		t.Fatalf("a histogram leaf allocates %.0f bytes, want ≤ 512", b)
 	}
 }

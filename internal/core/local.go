@@ -47,17 +47,18 @@ func HistogramLocal(pool *sched.Pool, bins int, it iter.Iter[int], grain int) []
 	if it.Hint() == iter.Sequential || !splittable || pool == nil {
 		return iter.Histogram(bins, it)
 	}
-	private := make([][]int64, pool.Workers())
-	for i := range private {
+	private, arenas := make([][]int64, pool.Workers()), make([][]int, pool.Workers())
+	for i := range arenas {
 		private[i] = make([]int64, bins)
 	}
 	pool.ParallelFor(n, grain, func(worker, lo, hi int) {
-		iter.HistogramInto(private[worker], iter.Split(it, domain.Range{Lo: lo, Hi: hi}))
+		iter.HistogramIntoArena(private[worker], iter.Split(it, domain.Range{Lo: lo, Hi: hi}), &arenas[worker])
 	})
 	// Merge each worker's bins in one block add (array.AddInto — a
 	// bounds-check-hoisted, vectorizable loop) instead of an indexed
-	// per-element accumulate. Allocation stays workers+1 bin arrays,
-	// independent of element count — pinned by the core alloc gate.
+	// per-element accumulate. Allocation stays workers+1 bin arrays and
+	// workers arenas, independent of element and leaf count — pinned by the
+	// core alloc gate.
 	out := make([]int64, bins)
 	for _, h := range private {
 		array.AddInto(out, h)
@@ -72,12 +73,12 @@ func WeightedHistogramLocal[W iter.Number](pool *sched.Pool, bins int, it iter.I
 	if it.Hint() == iter.Sequential || !splittable || pool == nil {
 		return iter.WeightedHistogram(bins, it)
 	}
-	private := make([][]W, pool.Workers())
-	for i := range private {
+	private, arenas := make([][]W, pool.Workers()), make([][]iter.Bin[W], pool.Workers())
+	for i := range arenas {
 		private[i] = make([]W, bins)
 	}
 	pool.ParallelFor(n, grain, func(worker, lo, hi int) {
-		iter.WeightedHistogramInto(private[worker], iter.Split(it, domain.Range{Lo: lo, Hi: hi}))
+		iter.WeightedHistogramIntoArena(private[worker], iter.Split(it, domain.Range{Lo: lo, Hi: hi}), &arenas[worker])
 	})
 	// Same block merge as HistogramLocal; for float bins the unchanged
 	// per-worker merge order keeps results bit-identical to the old loop.

@@ -44,12 +44,11 @@ func WeightedHistogram[W Number](n int, it Iter[Bin[W]]) []W {
 // block path — partial ones included — are driven through At with the bin
 // update inline, so a short inner loop costs no collector, no closure and
 // one indirect call per element.
-func HistogramInto(bins []int64, it Iter[int]) {
-	var arena []int
-	histInto(bins, it, &arena)
-}
+func HistogramInto(bins []int64, it Iter[int]) { HistogramIntoArena(bins, it, new([]int)) }
 
-func histInto(bins []int64, it Iter[int], arena *[]int) {
+// HistogramIntoArena is HistogramInto staging blocks in *arena, grown once and
+// left grown: a caller binning many ranges keeps one per thread, beside its bins.
+func HistogramIntoArena(bins []int64, it Iter[int], arena *[]int) {
 	n := len(bins)
 	each := func(block []int) {
 		for _, b := range block {
@@ -62,7 +61,7 @@ func histInto(bins []int64, it Iter[int], arena *[]int) {
 	case KIdxNest:
 		if inner := it.idxN; !driveNest(inner, arena, each) {
 			for i := 0; i < inner.N; i++ {
-				histInto(bins, inner.At(i), arena)
+				HistogramIntoArena(bins, inner.At(i), arena)
 			}
 		}
 	case KIdxFlat:
@@ -93,11 +92,12 @@ func histInto(bins []int64, it Iter[int], arena *[]int) {
 // WeightedHistogramInto adds it's weighted updates into an existing array;
 // same traversal as HistogramInto.
 func WeightedHistogramInto[W Number](bins []W, it Iter[Bin[W]]) {
-	var arena []Bin[W]
-	weightedHistInto(bins, it, &arena)
+	WeightedHistogramIntoArena(bins, it, new([]Bin[W]))
 }
 
-func weightedHistInto[W Number](bins []W, it Iter[Bin[W]], arena *[]Bin[W]) {
+// WeightedHistogramIntoArena is WeightedHistogramInto staging blocks in *arena,
+// like HistogramIntoArena.
+func WeightedHistogramIntoArena[W Number](bins []W, it Iter[Bin[W]], arena *[]Bin[W]) {
 	n := len(bins)
 	each := func(block []Bin[W]) {
 		for _, u := range block {
@@ -110,7 +110,7 @@ func weightedHistInto[W Number](bins []W, it Iter[Bin[W]], arena *[]Bin[W]) {
 	case KIdxNest:
 		if inner := it.idxN; !driveNest(inner, arena, each) {
 			for i := 0; i < inner.N; i++ {
-				weightedHistInto(bins, inner.At(i), arena)
+				WeightedHistogramIntoArena(bins, inner.At(i), arena)
 			}
 		}
 	case KIdxFlat:

@@ -29,6 +29,8 @@ type FarmOp[T any] struct {
 	fn    Func[T]
 	runs  atomic.Uint32 // Run calls so far; the number stamps a run's frames and names its resident slabs
 	spare sync.Pool     // *Slab[T]s no node holds any more, whose buffers the next inline frames reuse
+	mu    sync.Mutex
+	free  [][]serial.Writer // runs' frame and answer writers no run holds, kept grown for the next run
 }
 
 // NewFarmOp registers the farm stencil kernel "stencil.farm.<name>".
@@ -268,7 +270,7 @@ func (op *FarmOp[T]) taskBody(n *cluster.Node, task []byte) ([]byte, error) {
 	}
 	n.Segs[key] = res
 	if t.flags&farmLast != 0 {
-		w := n.Answer(8 + 8*len(res.Rows()))
+		w := op.answer(n, key, 8+8*len(res.Rows()))
 		op.elems.Encode(w, res.Rows())
 		op.evict(n, key)
 		return w.Bytes(), nil
@@ -277,14 +279,37 @@ func (op *FarmOp[T]) taskBody(n *cluster.Node, task []byte) ([]byte, error) {
 	for _, y := range res.edges {
 		res.scratch = append(res.scratch, res.ownRow(y)...)
 	}
-	w := n.Answer(16 + 8*len(res.scratch))
+	w := op.answer(n, key, 16+8*len(res.scratch))
 	w.Int(n.Rank())
 	op.elems.Encode(w, res.scratch)
 	return w.Bytes(), nil
 }
 
+// answer returns the writer for a size-byte answer to key's task: the slab's
+// writer Run keeps in the master's store under Seg -1, else n.Answer's.
+func (op *FarmOp[T]) answer(n *cluster.Node, key cluster.SegKey, size int) *serial.Writer {
+	ws, _ := n.Segs[cluster.SegKey{Kernel: op.name, Run: key.Run, Seg: -1}].([]serial.Writer)
+	if key.Seg >= len(ws) {
+		return n.Answer(size)
+	}
+	ws[key.Seg].Reset()
+	ws[key.Seg].Grow(size)
+	return &ws[key.Seg]
+}
+
 // errStale is a node's empty answer, read by the master.
 var errStale = errors.New("stencil: resident slab is not at the task's generation")
+
+// writers takes a run's writers off the free list — a sync.Pool would
+// drop them at every GC — and extends them to at least m.
+func (op *FarmOp[T]) writers(m int) (ws []serial.Writer) {
+	op.mu.Lock()
+	if k := len(op.free); k > 0 {
+		ws, op.free = op.free[k-1], op.free[:k-1]
+	}
+	op.mu.Unlock()
+	return append(ws, make([]serial.Writer, max(0, m-len(ws)))...)
+}
 
 // Run executes iters farmed sweeps over g and returns the final grid; g is
 // not modified. Call from the master. Any quarantined slab task fails the
@@ -343,11 +368,25 @@ func (op *FarmOp[T]) Run(s *cluster.Session, g iter.Matrix2[T], par Params[T], i
 	// base is the generation the epoch started from; next collects the rows
 	// answered since: edge rows, then whole slabs from the epoch's last sweep.
 	base, next := g.Clone(), iter.Matrix2[T]{H: g.H, W: w, Data: make([]T, len(g.Data))}
-	// Slab j's task is rewritten in frames[j] every sweep. A frame is its
-	// sweep's only until FarmOpts returns — a reliable send frames a copy, the
-	// fabric copies a direct one, and a task the master runs decodes its
-	// sections out of it — so one buffer a slab serves the whole run.
-	tasks, frames, scratch := make([][]byte, n), make([]serial.Writer, n), []T(nil)
+	// Slab j's task is rewritten in frames[j] every sweep, the master's answer
+	// to it in answers[j]. A frame is its sweep's only until FarmOpts returns —
+	// a reliable send frames a copy, the fabric copies a direct one, a task the
+	// master runs decodes out of it — an answer until Results are decoded (a
+	// checkpoint copies it), so one of each a slab serves this run and the next.
+	ws := op.writers(2 * n)
+	frames, answers := ws[:n], ws[n:2*n]
+	node, answerKey := s.Node(), cluster.SegKey{Kernel: op.name, Run: int(hd.run), Seg: -1}
+	if node.Segs == nil {
+		node.Segs = make(map[cluster.SegKey]any)
+	}
+	node.Segs[answerKey] = answers
+	defer func() {
+		delete(node.Segs, answerKey)
+		op.mu.Lock()
+		op.free = append(op.free, ws)
+		op.mu.Unlock()
+	}()
+	tasks, scratch := make([][]byte, n), []T(nil)
 
 	// sweep farms generation it → it+1: inline from base and placed on home
 	// if it is the epoch's first, else pinned where the slabs are, with ghosts

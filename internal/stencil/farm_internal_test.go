@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -249,4 +250,42 @@ func TestFarmOpMasterSweepsItsShare(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFarmOpConcurrentRuns: two sessions, each on its own goroutine, run the
+// same FarmOp five times each — over different grids and slab counts, so the
+// writers one session's run hands back to the op's free list are the wrong
+// size for the other's next run — and every grid is the reference's to the
+// bit: the two masters share the op's free list and run counter, and no run
+// writes a frame or an answer into writers another run holds.
+func TestFarmOpConcurrentRuns(t *testing.T) {
+	var wg sync.WaitGroup
+	for i, slabs := range []int{8, 5} {
+		g := iter.Matrix2[int64]{H: 24 + 8*i, W: 9 - i, Data: make([]int64, (24+8*i)*(9-i))}
+		for c := range g.Data {
+			g.Data[c] = int64((c*c + i) % 5 & 1)
+		}
+		par := Params[int64]{Radius: 1, Boundary: Wrap}
+		want := tableRef(g, par, 7)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := cluster.Run(cluster.Config{Nodes: 2, CoresPerNode: 1}, func(s *cluster.Session) error {
+				for run := range 5 {
+					got, err := tableFarm.Run(s, g, par, 7, FarmRunOptions{Slabs: slabs})
+					if err != nil {
+						return err
+					}
+					if !slices.Equal(got.Data, want) {
+						t.Errorf("%d slabs, run %d: grid differs from the reference", slabs, run)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Errorf("%d slabs: %v", slabs, err)
+			}
+		}()
+	}
+	wg.Wait()
 }
