@@ -155,3 +155,38 @@ func TestFarmShipsPinnedShare(t *testing.T) {
 		t.Fatalf("%d frames sent when the master's first task started, want the dispatch and 6 tasks", sentAtFirst)
 	}
 }
+
+// BenchmarkFarmOptsPinnedRound prices one pinned FarmOpts round of no-op
+// tasks on 2 reliable nodes — what a stencil.FarmOp sweep pays besides its
+// kernels: "split" pins 8 tasks 4/4 like a life-farm sweep, "master" runs 4
+// on the master alone, "worker" ships 4 to the worker. One op is one round.
+func BenchmarkFarmOptsPinnedRound(b *testing.B) {
+	farmKernels.reset()
+	RegisterFarm("pin.noop", func(*Node, []byte) ([]byte, error) { return []byte{0}, nil })
+	for _, bc := range []struct {
+		name string
+		pins []int
+	}{
+		{"split", []int{0, 0, 0, 0, 1, 1, 1, 1}},
+		{"master", []int{0, 0, 0, 0}},
+		{"worker", []int{1, 1, 1, 1}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := Config{Nodes: 2, CoresPerNode: 1, Reliable: &mpi.ReliableConfig{AckTimeout: time.Second}}
+			tasks := autoTasks(len(bc.pins))
+			_, err := Run(cfg, func(s *Session) error {
+				b.ResetTimer()
+				for range b.N {
+					if _, err := s.FarmOpts("pin.noop", tasks, FarmOptions{Pin: bc.pins}); err != nil {
+						return err
+					}
+				}
+				b.StopTimer()
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}

@@ -35,10 +35,11 @@ import (
 // (sendWindow frames) is full. The windows are served by pump — by whatever
 // the communicator's owner does next: a receive, a TryRecv, a Flush. A pump
 // retransmits, with exponential backoff, the frames whose ack deadline has
-// passed — a lost tail has no later frame to reveal it — and a loop idling
-// between pumps sleeps no later than the earliest such deadline (idle). A
-// peer that leaves a frame unacknowledged through the whole retry budget, or
-// that the fabric reports crashed, is given up on: its window is emptied and
+// passed — a lost tail has no later frame to reveal it, unless a probe found
+// it first (probeTails) — and a loop idling between pumps sleeps no later
+// than the earliest such deadline (idle). A peer that leaves a frame
+// unacknowledged through the whole retry budget, or that the fabric reports
+// crashed, is given up on: its window is emptied and
 // the loss reported once — by the next send to it, a blocking receive it
 // could be stalling, Flush or TakeLost, whichever the owner calls first — so
 // nothing blocks forever and the cluster runtime can degrade gracefully. A
@@ -87,6 +88,10 @@ const sendWindow = 8
 
 const _ uint8 = 1 << (sendWindow - 1) // an ack's map is one byte: bit k names expect+k
 
+// lossMemory is how many frames to a peer must be acknowledged without a loss
+// repair, after the last one, before an idling rank stops probing its tail.
+const lossMemory = 64
+
 // ackRecordLen is the size of an ack record: kind, expect, map.
 const ackRecordLen = 1 + 8 + 1
 
@@ -115,7 +120,9 @@ type ReliableConfig struct {
 	// AckTimeout is how long a frame waits for its acknowledgement before
 	// its first timed retransmission (default 5ms); later ones back off from
 	// it. A frame that an ack for a later one shows lost is resent at once,
-	// so the timeout is paid only for a lost tail frame, or a lost resend.
+	// so the timeout is paid only for a lost tail frame, or a lost resend;
+	// on a link that lost a frame lately a rank resends its tail once as it
+	// goes idle (tail probe), which leaves the timeout to a lost probe.
 	// A rank idles toward the deadline on its mailbox timer, which fires at
 	// the host timer's tick (~1.1 ms, bench/README.md "Host"): a timeout
 	// below a tick rounds up to one. When the fabric simulates wire delay,
@@ -140,8 +147,8 @@ type ReliableConfig struct {
 	// runs with it to measure what coalescing saves.
 	DisableCoalesce bool
 	// Tracer, when non-nil, records retransmissions and dropped frames
-	// as trace events ("net.retry", "net.fast-retry", "net.corrupt-drop",
-	// "net.dup-drop").
+	// as trace events ("net.retry", "net.fast-retry", "net.tlp",
+	// "net.corrupt-drop", "net.dup-drop").
 	Tracer *trace.Tracer
 }
 
@@ -166,6 +173,7 @@ func (cfg ReliableConfig) withDefaults() ReliableConfig {
 type ReliableStats struct {
 	FramesSent     int64
 	Retries        int64 // retransmissions, timed and fast
+	TailProbes     int64 // tails resent once as their sender went idle; not Retries
 	AcksSent       int64 // cumulative acknowledgements, framed or carried in a container
 	Delivered      int64
 	DupDropped     int64
@@ -191,6 +199,7 @@ type unacked struct {
 	frame    []byte        // nil: the slot is free
 	retries  int           // timed retransmissions so far
 	fast     bool          // resent once already because an ack showed it lost
+	probed   bool          // resent once already as the tail its sender idled behind
 	timeout  time.Duration // the ack wait that ends at deadline; the next one backs off from it
 	deadline time.Time     // fabric-clock instant the next retransmission is due
 }
@@ -221,6 +230,7 @@ type reliable struct {
 	window   []unacked // per dst: sendWindow slots
 	inflight int       // occupied slots over all peers
 	lost     []int     // per dst: delivery attempts of a loss not yet reported (0: none)
+	lossy    []int     // per dst: clean acks left before tail probes stop (0: no loss lately)
 	// Receive side. A frame from src ahead of expect[src] parks in
 	// ahead[src*sendWindow + seq%sendWindow].
 	expect []uint64            // per src: next in-order sequence expected
@@ -250,6 +260,7 @@ func newReliable(c *Comm, cfg ReliableConfig) *reliable {
 		sendBase:  make([]uint64, n),
 		window:    make([]unacked, n*sendWindow),
 		lost:      make([]int, n),
+		lossy:     make([]int, n),
 		expect:    make([]uint64, n),
 		ahead:     make([]pendFrame, n*sendWindow),
 		owed:      make([]bool, n),
@@ -372,6 +383,14 @@ func (r *reliable) acceptData(src int, seq uint64, tag int, payload []byte) erro
 	default: // already delivered, or already parked
 		r.stats.DupDropped++
 		r.cfg.Tracer.Instant(r.c.Rank(), "net.dup-drop", int64(len(payload)))
+		// A copy of the newest delivery that lands in the pump still owing
+		// the original's ack — a tail probe, typically — is acked on its
+		// own, so one lost ack does not leave the tail to its deadline.
+		if seq+1 == expect && r.owed[src] {
+			if err := r.flushTo(src); err != nil {
+				return err
+			}
+		}
 	}
 	r.owed[src] = true
 	if r.cfg.DisableCoalesce {
@@ -501,6 +520,7 @@ func (r *reliable) idle(ctx context.Context, since transport.Gen, deadline time.
 	}
 	var resend time.Time
 	if r.inflight > 0 {
+		r.probeTails()
 		for i := range r.window {
 			if r.window[i].frame != nil {
 				resend = transport.Sooner(resend, r.window[i].deadline)
@@ -509,6 +529,22 @@ func (r *reliable) idle(ctx context.Context, since transport.Gen, deadline time.
 	}
 	r.mu.Unlock()
 	return r.c.ep.Wait(ctx, since, transport.Sooner(deadline, resend))
+}
+
+// probeTails resends once, outside the retry budget and its deadline, the
+// newest frame to each peer that lost a frame lately, unless a repair resent
+// it: a rank going idle sends nothing more, so no later frame can show that
+// tail lost. A lost probe, or one a written frame refused, is left to the
+// deadline, which reports the failure. Callers hold r.mu.
+func (r *reliable) probeTails() {
+	for dst, seq := range r.nextSeq {
+		if u := r.slot(dst, seq-1); r.lossy[dst] > 0 && u.frame != nil && !u.probed && u.retries == 0 && !u.fast {
+			u.probed = true
+			if r.reship(dst, seq-1, u, "net.tlp") == nil {
+				r.stats.TailProbes++
+			}
+		}
+	}
 }
 
 // serve pumps the endpoint until ready, checked under r.mu before and after
@@ -586,10 +622,13 @@ func (r *reliable) slot(dst int, seq uint64) *unacked {
 	return &r.window[dst*sendWindow+int(seq%sendWindow)]
 }
 
-// release frees the window slot of dst's frame seq if it is in use. Callers
-// hold r.mu.
+// release frees the window slot of dst's frame seq if it is in use; one never
+// resent for loss brings the end of dst's tail probes nearer. Callers hold r.mu.
 func (r *reliable) release(dst int, seq uint64) {
 	if u := r.slot(dst, seq); u.frame != nil {
+		if u.retries == 0 && !u.fast && r.lossy[dst] > 0 {
+			r.lossy[dst]--
+		}
 		*u = unacked{}
 		r.inflight--
 	}
@@ -672,16 +711,25 @@ func (r *reliable) retransmit() error {
 	return nil
 }
 
-// resend puts u's frame, dst's seq, on the wire again, recording event, and
-// re-arms its deadline one timeout from now; a frame written since it was
-// built (a receiver wrote a delivered payload, DESIGN §11) fails instead.
-// Callers hold r.mu.
+// resend repairs a loss: it reships u's frame, dst's seq, re-arms its deadline
+// one timeout from now and marks dst lossy. Callers hold r.mu.
 func (r *reliable) resend(dst int, seq uint64, u *unacked, now time.Time, event string) error {
+	if err := r.reship(dst, seq, u, event); err != nil {
+		return err
+	}
+	u.deadline = now.Add(r.jitter(u.timeout))
+	r.stats.Retries++
+	r.lossy[dst] = lossMemory
+	return nil
+}
+
+// reship puts u's frame, dst's seq, on the wire again, recording event; a
+// frame written since it was built (a receiver wrote a delivered payload,
+// DESIGN §11) fails instead. Callers hold r.mu.
+func (r *reliable) reship(dst int, seq uint64, u *unacked, event string) error {
 	if _, ok := serial.VerifyCRC(u.frame); !ok {
 		return fmt.Errorf("mpi: frame %d to rank %d changed after send: a delivered payload was written", seq, dst)
 	}
-	r.stats.Retries++
-	u.deadline = now.Add(r.jitter(u.timeout))
 	r.cfg.Tracer.Instant(r.c.Rank(), event, int64(len(u.frame)))
 	if err := r.ship(dst, tagRelData, u.frame); err != nil {
 		return err
@@ -692,14 +740,13 @@ func (r *reliable) resend(dst int, seq uint64, u *unacked, now time.Time, event 
 
 // giveUp declares dst lost after attempts deliveries of one frame: its window
 // is abandoned (a peer that was only slow will never see past that gap in its
-// stream) and the loss waits in r.lost for the call that reports it. Callers
-// hold r.mu.
+// stream), the link counts as lossy, and the loss waits in r.lost for the call
+// that reports it. Callers hold r.mu.
 func (r *reliable) giveUp(dst, attempts int) {
 	for seq := r.sendBase[dst]; seq < r.nextSeq[dst]; seq++ {
 		r.release(dst, seq)
 	}
-	r.sendBase[dst] = r.nextSeq[dst]
-	r.lost[dst] = attempts
+	r.sendBase[dst], r.lost[dst], r.lossy[dst] = r.nextSeq[dst], attempts, lossMemory
 }
 
 // takeLoss returns, and marks reported, one unreported loss among the peers
@@ -880,11 +927,11 @@ func (r *reliable) tryRecv(src, tag int) (transport.Message, bool, error) {
 }
 
 // ReliableStats returns protocol counters; all-zero in direct mode.
-func (c *Comm) ReliableStats() ReliableStats {
-	if c.rel == nil {
-		return ReliableStats{}
+func (c *Comm) ReliableStats() (st ReliableStats) {
+	if c.rel != nil {
+		c.rel.mu.Lock()
+		defer c.rel.mu.Unlock()
+		st = c.rel.stats
 	}
-	c.rel.mu.Lock()
-	defer c.rel.mu.Unlock()
-	return c.rel.stats
+	return st
 }

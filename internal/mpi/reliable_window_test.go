@@ -568,3 +568,227 @@ func FuzzReliableFrames(f *testing.F) {
 		}
 	})
 }
+
+// lossyLink returns a pair whose link 0→1 has just repaired a loss: m0 is
+// dropped, m1's ack shows the hole, m0 is resent at once, and both are
+// delivered and acknowledged.
+func lossyLink(t *testing.T, cfg ReliableConfig) pair {
+	t.Helper()
+	p := newPair(t, cfg)
+	for i := range 2 {
+		if err := p.a.Send(1, 1, []byte(fmt.Sprint("m", i))); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			p.drop(t, 1, tagRelData)
+		}
+	}
+	pump(t, p.b) // parks m1; the ack shows m0 missing
+	pump(t, p.a) // m0 resent at once
+	wantNext(t, p.b, 0, "m0")
+	wantNext(t, p.b, 0, "m1")
+	pump(t, p.a)
+	if st := p.a.ReliableStats(); st.Retries != 1 || p.a.rel.inflight != 0 {
+		t.Fatalf("setup: %+v, %d in flight; want m0's fast retransmission and an empty window", st, p.a.rel.inflight)
+	}
+	return p
+}
+
+// goIdle makes one Comm.Idle call on c that returns at once: the moment a
+// rank going idle probes its tails.
+func goIdle(c *Comm) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c.Idle(ctx, c.ep.Gen(), time.Time{})
+}
+
+// On a link that has lost a frame, a dropped tail — nothing sent behind it to
+// show it lost — is resent once as its sender goes idle, and delivered on a
+// frozen clock: no deadline. A second idle does not resend it again.
+func TestReliableTailProbeRepairsDroppedTail(t *testing.T) {
+	tr := trace.New()
+	p := lossyLink(t, ReliableConfig{AckTimeout: time.Millisecond, Retries: 3, Tracer: tr})
+	if err := p.a.Send(1, 1, []byte("tail")); err != nil {
+		t.Fatal(err)
+	}
+	p.drop(t, 1, tagRelData)
+	goIdle(p.a)
+	goIdle(p.a)
+	if n := tr.Count("net.tlp"); n != 1 {
+		t.Fatalf("%d tail probes after two idles, want 1", n)
+	}
+	wantNext(t, p.b, 0, "tail")
+	pump(t, p.a)
+	st := p.a.ReliableStats()
+	if st.TailProbes != 1 || st.Retries != 1 || st.FramesSent != 5 || p.a.rel.inflight != 0 || tr.Count("net.retry") != 0 {
+		t.Fatalf("sender: %+v, %d in flight, %d timed; want the tail probed once, repaired, no deadline spent",
+			st, p.a.rel.inflight, tr.Count("net.retry"))
+	}
+}
+
+// A probe that reaches its receiver in the same pump as the tail it copies is
+// acknowledged apart from it: with one of the two acks dropped the tail is
+// still released, on a frozen clock.
+func TestReliableTailProbeAckedApart(t *testing.T) {
+	p := lossyLink(t, ReliableConfig{AckTimeout: time.Millisecond, Retries: 3})
+	if err := p.a.Send(1, 1, []byte("tail")); err != nil {
+		t.Fatal(err)
+	}
+	goIdle(p.a)
+	wantNext(t, p.b, 0, "tail") // the tail and its probe, one pump
+	p.drop(t, 0, tagRelAck)
+	pump(t, p.a)
+	if st := p.a.ReliableStats(); st.TailProbes != 1 || st.Retries != 1 || p.a.rel.inflight != 0 {
+		t.Fatalf("sender: %+v, %d in flight; want the tail released by the probe's own ack", st, p.a.rel.inflight)
+	}
+}
+
+// A link that never lost a frame is never probed: a sender that idles behind
+// every message sends each exactly once.
+func TestReliableTailProbeNeverOnLosslessLink(t *testing.T) {
+	tr := trace.New()
+	p := newPair(t, ReliableConfig{AckTimeout: time.Millisecond, Retries: 3, Tracer: tr})
+	const n = 3 * lossMemory
+	for i := range n {
+		if err := p.a.Send(1, 1, []byte(fmt.Sprint("m", i))); err != nil {
+			t.Fatal(err)
+		}
+		goIdle(p.a)
+		wantNext(t, p.b, 0, fmt.Sprint("m", i))
+		pump(t, p.a)
+	}
+	if st := p.a.ReliableStats(); st.FramesSent != n || st.TailProbes != 0 || st.Retries != 0 || tr.Count("net.tlp") != 0 {
+		t.Fatalf("sender: %+v; want %d frames, no probe and no retransmission", st, n)
+	}
+}
+
+// A probe spends no retry budget and leaves the frame's deadline where it
+// was: a dropped probe is resent at that deadline, and the frame is given up
+// on after Retries timed retransmissions, the probe not among its attempts.
+func TestReliableTailProbeOutsideRetryBudget(t *testing.T) {
+	tr := trace.New()
+	p := lossyLink(t, ReliableConfig{AckTimeout: time.Millisecond, Retries: 1, Tracer: tr})
+	if err := p.a.Send(1, 1, []byte("tail")); err != nil {
+		t.Fatal(err)
+	}
+	p.drop(t, 1, tagRelData)
+	due := p.a.rel.slot(1, 2).deadline
+	goIdle(p.a)
+	p.drop(t, 1, tagRelData) // the probe
+	if st := p.a.ReliableStats(); st.TailProbes != 1 || st.Retries != 1 || p.a.rel.slot(1, 2).deadline != due {
+		t.Fatalf("after the probe: %+v, deadline moved by %v; want one probe, no retry spent", st, p.a.rel.slot(1, 2).deadline.Sub(due))
+	}
+	p.clk.Advance(due.Sub(p.clk.Now()))
+	pump(t, p.a) // the deadline: the tail again, timed
+	if n := tr.Count("net.retry"); n != 1 {
+		t.Fatalf("%d timed retransmissions at the tail's deadline, want 1", n)
+	}
+	p.drop(t, 1, tagRelData)
+	p.clk.Advance(time.Hour)
+	pump(t, p.a)
+	var rle *RankLostError
+	if err := p.a.Send(1, 1, nil); !errors.As(err, &rle) || rle.Attempts != 2 {
+		t.Fatalf("reported %v, want rank 1 lost after 2 attempts: the original and one timed retransmission", err)
+	}
+	if st := p.a.ReliableStats(); st.TailProbes != 1 || st.Retries != 2 {
+		t.Fatalf("sender: %+v; want one probe beside one fast and one timed retransmission", st)
+	}
+}
+
+// A tail that a repair has just resent is not probed as well: the probe would
+// only repeat that copy at the same instant.
+func TestReliableTailProbeSkipsResentTail(t *testing.T) {
+	tr := trace.New()
+	p := lossyLink(t, ReliableConfig{AckTimeout: time.Millisecond, Retries: 3, Tracer: tr})
+	if err := p.a.Send(1, 1, []byte("tail")); err != nil {
+		t.Fatal(err)
+	}
+	p.drop(t, 1, tagRelData)
+	p.clk.Advance(ackDue(time.Millisecond))
+	pump(t, p.a) // the deadline: the tail again, timed
+	goIdle(p.a)
+	if st := p.a.ReliableStats(); st.TailProbes != 0 || tr.Count("net.retry") != 1 {
+		t.Fatalf("sender: %+v, %d timed; want the tail resent by its deadline and not probed", st, tr.Count("net.retry"))
+	}
+	wantNext(t, p.b, 0, "tail")
+}
+
+// The gate clears after lossMemory frames acknowledged without a loss repair
+// since the last one — the first is lossyLink's m1, whose ack showed m0 lost
+// — and a probe is no repair: the frame that completes the run is still
+// probed, the dropped tail after it is not.
+func TestReliableTailProbeGateClears(t *testing.T) {
+	tr := trace.New()
+	p := lossyLink(t, ReliableConfig{AckTimeout: time.Millisecond, Retries: 3, Tracer: tr})
+	for i := range lossMemory - 1 {
+		if err := p.a.Send(1, 1, []byte(fmt.Sprint("c", i))); err != nil {
+			t.Fatal(err)
+		}
+		if i == lossMemory-2 {
+			goIdle(p.a)
+		}
+		wantNext(t, p.b, 0, fmt.Sprint("c", i))
+		pump(t, p.a)
+	}
+	if n := tr.Count("net.tlp"); n != 1 {
+		t.Fatalf("%d probes over a loss-free run, want 1: its last frame, the gate still open", n)
+	}
+	if err := p.a.Send(1, 1, []byte("tail")); err != nil {
+		t.Fatal(err)
+	}
+	p.drop(t, 1, tagRelData)
+	goIdle(p.a)
+	if n := tr.Count("net.tlp"); n != 1 {
+		t.Fatalf("a dropped tail was probed after %d loss-free frames", lossMemory)
+	}
+}
+
+// Probes race nothing: over a lossy fabric on the system clock, with each
+// rank's Serving helper pumping and idling beside its owner under the one
+// mutex, a ping-pong delivers every message once, in order, and the tails
+// probed are counted apart from the retransmissions.
+func TestReliableTailProbeWithServingHelper(t *testing.T) {
+	f := lossyFabric(2, 51)
+	defer f.Close()
+	a, b := NewReliableComm(f, 0, fastReliable()), NewReliableComm(f, 1, fastReliable())
+	defer a.Serving()()
+	defer b.Serving()()
+	const n = 100
+	errc := make(chan error, 1)
+	go func() {
+		for i := range n {
+			m, err := b.Recv(0, 1)
+			if err == nil && string(m.Payload) != fmt.Sprint("m", i) {
+				err = fmt.Errorf("delivery %d = %q", i, m.Payload)
+			}
+			if err == nil {
+				err = b.Send(0, 1, m.Payload)
+			}
+			if err != nil {
+				errc <- err
+				return
+			}
+		}
+		errc <- finish(b)
+	}()
+	for i := range n {
+		if err := a.Send(1, 1, []byte(fmt.Sprint("m", i))); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := a.Recv(1, 1); err != nil || string(m.Payload) != fmt.Sprint("m", i) {
+			t.Fatalf("echo %d = %q, %v", i, m.Payload, err)
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := <-errc; err != nil {
+			t.Error(err)
+		}
+	}()
+	attend(a, done)
+	st := a.ReliableStats()
+	if st.TailProbes == 0 || st.Delivered != n {
+		t.Fatalf("sender: %+v; want %d echoes and tails probed", st, n)
+	}
+}

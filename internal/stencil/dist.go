@@ -130,7 +130,7 @@ type Slab[T any] struct {
 // len must be Part.Rows[rank].Len()×W). elems is the wire codec for halo
 // and gather payloads.
 func NewSlab[T any](part Partition, rank int, par Params[T], elems serial.Codec[[]T], rows []T) (*Slab[T], error) {
-	s, err := newSlab(part, rank, par, elems, nil)
+	s, err := newSlab(part, rank, par, elems, nil, nil)
 	if err == nil && len(rows) != len(s.Rows()) {
 		return nil, fmt.Errorf("stencil: slab %d got %d cells for %d rows of width %d", rank, len(rows), s.sw.nRows, part.W)
 	} else if err == nil {
@@ -141,8 +141,9 @@ func NewSlab[T any](part Partition, rank int, par Params[T], elems serial.Codec[
 
 // newSlab is NewSlab with the owned rows left for the caller to fill, in
 // spare's double buffer when it has the size (its cells are all rewritten
-// before they are read: owned rows by the caller, ghosts by every exchange).
-func newSlab[T any](part Partition, rank int, par Params[T], elems serial.Codec[[]T], spare *Slab[T]) (*Slab[T], error) {
+// before they are read: owned rows by the caller, ghosts by every exchange),
+// and with plan as its halo plan unless that is nil.
+func newSlab[T any](part Partition, rank int, par Params[T], elems serial.Codec[[]T], spare *Slab[T], plan *haloPlan) (*Slab[T], error) {
 	if err := par.check(); err != nil {
 		return nil, err
 	}
@@ -150,6 +151,10 @@ func newSlab[T any](part Partition, rank int, par Params[T], elems serial.Codec[
 		return nil, fmt.Errorf("stencil: slab rank %d of %d", rank, len(part.Rows))
 	}
 	own, pad := part.Rows[rank], par.Radius
+	if plan == nil {
+		p := newHaloPlan(part, rank, par.Radius, par.Boundary)
+		plan = &p
+	}
 	var front, back, scratch []T
 	if n := (own.Len() + 2*pad) * part.W; spare != nil && len(spare.back) == n {
 		front, back, scratch = spare.sw.buf, spare.back, spare.scratch[:0]
@@ -162,7 +167,7 @@ func newSlab[T any](part Partition, rank int, par Params[T], elems serial.Codec[
 		elems:   elems,
 		sw:      newSweeper(par, front, part.H, part.W, own.Lo, own.Len(), pad),
 		back:    back,
-		plan:    newHaloPlan(part, rank, par.Radius, par.Boundary),
+		plan:    *plan,
 		scratch: scratch,
 	}
 	// Border-constant slots never change: fill once, in both generations.

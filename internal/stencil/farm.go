@@ -27,10 +27,21 @@ type FarmOp[T any] struct {
 	elem  serial.Codec[T]
 	elems serial.Codec[[]T]
 	fn    Func[T]
-	runs  atomic.Uint32 // Run calls so far; the number stamps a run's frames and names its resident slabs
-	spare sync.Pool     // *Slab[T]s no node holds any more, whose buffers the next inline frames reuse
-	mu    sync.Mutex
+	runs  atomic.Uint32     // Run calls so far; the number stamps a run's frames and names its resident slabs
+	mu    sync.Mutex        // guards the fields below
 	free  [][]serial.Writer // runs' frame and answer writers no run holds, kept grown for the next run
+	spare []*Slab[T]        // slabs no node holds any more, whose buffers the next inline frames reuse
+	shape farmHeader        // the latest task shape: its h, w, slabs, radius and boundary; its
+	part  Partition         // partition; and, while slabs² ≤ farmBudget, each slab's geometry
+	geo   []*slabGeo        // from the first frame that names it
+}
+
+// slabGeo is what a task's shape fixes for its slab: the remote ghost slots in
+// slot order (top of them above the slab), the halo plan and its edge rows.
+type slabGeo struct {
+	recv, edges []int
+	top         int
+	plan        haloPlan
 }
 
 // NewFarmOp registers the farm stencil kernel "stencil.farm.<name>".
@@ -156,11 +167,36 @@ func (op *FarmOp[T]) frame(w *serial.Writer, hd farmHeader, border T, rows, ghos
 // at the sections, for sections to decode where they land.
 type farmTask[T any] struct {
 	farmHeader
+	slabGeo
 	par  Params[T]
 	part Partition
-	recv []int // the slab's remote ghost slots, in slot order
-	top  int   // how many of them lie above the slab
 	r    *serial.Reader
+}
+
+// geometry returns hd's partition and slab geometry, derived once per shape.
+func (op *FarmOp[T]) geometry(hd farmHeader) (Partition, slabGeo) {
+	key, j, r := farmHeader{h: hd.h, w: hd.w, slabs: hd.slabs, radius: hd.radius, boundary: hd.boundary}, int(hd.slab), int(hd.radius)
+	op.mu.Lock()
+	defer op.mu.Unlock()
+	if op.shape != key {
+		op.shape, op.part, op.geo = key, NewPartition(int(hd.h), int(hd.w), int(hd.slabs)), nil
+		if int(hd.slabs)*int(hd.slabs) <= farmBudget {
+			op.geo = make([]*slabGeo, len(op.part.Rows))
+		}
+	}
+	var g *slabGeo
+	if j < len(op.geo) {
+		g = op.geo[j]
+	}
+	if g == nil {
+		g = &slabGeo{plan: newHaloPlan(op.part, j, r, hd.boundary)}
+		g.recv, _, g.top = remoteSlots(op.part, j, r, hd.boundary)
+		g.edges = g.plan.edgeRows()
+		if j < len(op.geo) {
+			op.geo[j] = g
+		}
+	}
+	return op.part, *g
 }
 
 // decodeTask parses a task frame's header, taking nothing in it on trust: the
@@ -178,8 +214,7 @@ func (op *FarmOp[T]) decodeTask(task []byte) (t farmTask[T], err error) {
 	t.r = r
 	err = errors.Join(r.Err(), t.par.check(), checkFarmShape(int(hd.h), int(hd.w), int(hd.slabs), int(hd.slab), t.par.Radius))
 	if err == nil && hd.flags&farmDrop == 0 {
-		t.part = NewPartition(int(hd.h), int(hd.w), int(hd.slabs))
-		t.recv, _, t.top = remoteSlots(t.part, int(hd.slab), t.par.Radius, hd.boundary)
+		t.part, t.slabGeo = op.geometry(*hd)
 		cells := len(t.recv) * t.part.W
 		if hd.flags&farmInline != 0 {
 			cells += t.part.Rows[hd.slab].Len() * t.part.W
@@ -216,11 +251,16 @@ type residentSlab[T any] struct {
 }
 
 // evict drops key's slab from the node's store, keeping its double buffer for
-// the next inline frame: spare holds no node's state, only memory.
-func (op *FarmOp[T]) evict(n *cluster.Node, key cluster.SegKey) {
+// the next inline frame: spare holds no node's state, only memory, at most a
+// run's slabs (a sync.Pool would drop it at every GC).
+func (op *FarmOp[T]) evict(n *cluster.Node, key cluster.SegKey, slabs int) {
 	if res, ok := n.Segs[key].(*residentSlab[T]); ok {
 		delete(n.Segs, key)
-		op.spare.Put(res.Slab)
+		op.mu.Lock()
+		if len(op.spare) < slabs {
+			op.spare = append(op.spare, res.Slab)
+		}
+		op.mu.Unlock()
 	}
 }
 
@@ -237,7 +277,7 @@ func (op *FarmOp[T]) taskBody(n *cluster.Node, task []byte) ([]byte, error) {
 	key := cluster.SegKey{Kernel: op.name, Run: int(t.run), Seg: int(t.slab)}
 	if t.flags&farmDrop != 0 {
 		for key.Seg = 0; key.Seg < int(t.slabs); key.Seg++ {
-			op.evict(n, key)
+			op.evict(n, key, int(t.slabs))
 		}
 		return []byte{}, nil
 	}
@@ -245,13 +285,18 @@ func (op *FarmOp[T]) taskBody(n *cluster.Node, task []byte) ([]byte, error) {
 	stamp.flags = 0
 	res, _ := n.Segs[key].(*residentSlab[T])
 	if t.flags&farmInline != 0 {
-		op.evict(n, key)
-		spare, _ := op.spare.Get().(*Slab[T])
-		sl, err := newSlab(t.part, int(t.slab), t.par, op.elems, spare)
+		op.evict(n, key, int(t.slabs))
+		var spare *Slab[T]
+		op.mu.Lock()
+		if k := len(op.spare); k > 0 {
+			spare, op.spare[k-1], op.spare = op.spare[k-1], nil, op.spare[:k-1]
+		}
+		op.mu.Unlock()
+		sl, err := newSlab(t.part, int(t.slab), t.par, op.elems, spare, &t.plan)
 		if err != nil {
 			return nil, err
 		}
-		res = &residentSlab[T]{Slab: sl, edges: sl.plan.edgeRows()}
+		res = &residentSlab[T]{Slab: sl, edges: t.edges}
 	} else if res == nil || res.stamp != stamp {
 		return []byte{}, nil
 	}
@@ -272,7 +317,7 @@ func (op *FarmOp[T]) taskBody(n *cluster.Node, task []byte) ([]byte, error) {
 	if t.flags&farmLast != 0 {
 		w := op.answer(n, key, 8+8*len(res.Rows()))
 		op.elems.Encode(w, res.Rows())
-		op.evict(n, key)
+		op.evict(n, key, int(t.slabs))
 		return w.Bytes(), nil
 	}
 	res.scratch = res.scratch[:0]
