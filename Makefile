@@ -62,11 +62,9 @@ chaos-campaign:
 # 30-second fuzz smokes over the decoders at a trust boundary: the serial
 # slice, record and matrix codecs, the farm engine's task/result frames, the reliable layer's
 # frames (any record list under a valid CRC), the farmed stencil's task
-# frames, the job service's specs (HTTP body, registry records), the AutoPar
-# calibration snapshot and the differential oracle's chunk tasks — plus
-# the stream nest against its per-element reference. perfmodel's step runs no
-# tests (-run '^$'): its host-timing shape tests do not hold under fuzz
-# instrumentation, and `test` runs them.
+# frames, the job service's specs (HTTP body, registry records) and the
+# differential oracle's chunk tasks — plus the stream nest against its
+# per-element reference.
 fuzz:
 	$(GO) test -fuzz=FuzzSliceDecoders -fuzztime=30s ./internal/serial
 	$(GO) test -fuzz=FuzzRecordCodec -fuzztime=30s ./internal/serial
@@ -75,7 +73,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzReliableFrames -fuzztime=30s ./internal/mpi
 	$(GO) test -fuzz=FuzzFarmOpTask -fuzztime=30s ./internal/stencil
 	$(GO) test -fuzz=FuzzJobSpec -fuzztime=30s ./internal/jobs
-	$(GO) test -run '^$$' -fuzz=FuzzOnlineSnapshot -fuzztime=30s ./internal/perfmodel
 	$(GO) test -fuzz=FuzzDecodeChunkTask -fuzztime=30s ./internal/diffcheck
 	$(GO) test -fuzz=FuzzStreamNest -fuzztime=30s ./internal/iter
 
@@ -124,13 +121,12 @@ diffcheck-soak:
 		-run Soak ./internal/diffcheck/
 
 # AutoPar acceptance sweep: planner-mapped runs vs the best hand-tuned
-# 1-8 node configuration, with online recalibration between runs. CI uses
-# a relaxed bound for shared runners (AUTOPAR_BOUND=1.25); the nightly and
-# local runs enforce the paper's 10%. AUTOPAR_CALIB persists the snapshot.
+# 1-8 node configuration, each port planned once from a fresh calibration.
+# CI uses a relaxed bound for shared runners (AUTOPAR_BOUND=1.25); the
+# nightly and local runs enforce the paper's 10%.
 autopar-gate:
 	$(GO) run ./cmd/triolet-bench -autopar-sweep \
-		-autopar-bound $${AUTOPAR_BOUND:-1.10} \
-		-autopar-calib "$${AUTOPAR_CALIB:-AUTOPAR_CALIB.json}" -cores 2
+		-autopar-bound $${AUTOPAR_BOUND:-1.10} -cores 2
 
 # The repo's own analyzer suite: clock-injection, kernel-purity,
 # shared-buffer-aliasing, float-determinism, and message-tag contracts

@@ -42,9 +42,8 @@ func main() {
 	addr := flag.String("addr", "localhost:8080", "with -serve: HTTP listen address")
 	walPath := flag.String("wal", "", "with -serve: registry WAL path (durable jobs; restart resumes)")
 	jsonOut := flag.Bool("json", false, "with -autopar-sweep: emit results as JSON")
-	autoParSweep := flag.Bool("autopar-sweep", false, "run the AutoPar acceptance sweep: planner-mapped runs vs best hand-tuned 1-8 node configs, with online recalibration")
+	autoParSweep := flag.Bool("autopar-sweep", false, "run the AutoPar acceptance sweep: planner-mapped runs vs best hand-tuned 1-8 node configs")
 	autoParBound := flag.Float64("autopar-bound", 1.10, "with -autopar-sweep: fail if any auto-mapped run exceeds bound x best hand-tuned time")
-	autoParCalib := flag.String("autopar-calib", "", "with -autopar-sweep: calibration snapshot path to load/update (default: no persistence)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (any mode; pprof evidence for perf PRs)")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
@@ -63,7 +62,7 @@ func main() {
 	defer stopProfiles()
 
 	if *autoParSweep {
-		finish(runAutoParSweep(*jsonOut, *autoParBound, *autoParCalib, *cores))
+		finish(runAutoParSweep(*jsonOut, *autoParBound, *cores))
 	}
 
 	if *farmDemo {

@@ -60,8 +60,42 @@ func TestFarmAutoDistributedMatchesLocal(t *testing.T) {
 	}
 }
 
-// Every executed task reports its kernel time, on the master alone and with
-// workers (carried on the result frame); a checkpoint-resumed task reports 0.
+// timedPolicy hands out one job's tasks in order, to whichever slot is free,
+// and keeps each task's reported kernel time.
+type timedPolicy struct {
+	kernel  string
+	tasks   [][]byte
+	next    int
+	elapsed map[int]time.Duration
+}
+
+func (p *timedPolicy) Dispatch(idle []int, _ time.Time, assign func(int, MuxAssignment) error) error {
+	for _, w := range idle {
+		if p.next == len(p.tasks) {
+			return nil
+		}
+		if err := assign(w, MuxAssignment{Job: "timed", Kernel: p.kernel, Task: p.next, Payload: p.tasks[p.next]}); err != nil {
+			return err
+		}
+		p.next++
+	}
+	return nil
+}
+
+func (p *timedPolicy) Settle(ev MuxEvent, _ time.Time) error {
+	if ev.Kind == MuxTaskDone && ev.OK {
+		p.elapsed[ev.Task] = ev.Elapsed
+	}
+	return nil
+}
+
+func (p *timedPolicy) Deadline(time.Time) time.Time { return time.Time{} }
+
+func (p *timedPolicy) Done() bool { return len(p.elapsed) == len(p.tasks) }
+
+// Every executed task reports its kernel time on its MuxTaskDone event (what
+// the job service sums into task-seconds), on the master alone and with
+// workers, where it is carried back on the result frame.
 func TestFarmAutoTaskTimings(t *testing.T) {
 	workerKernels.reset()
 	farmKernels.reset()
@@ -73,25 +107,23 @@ func TestFarmAutoTaskTimings(t *testing.T) {
 	tasks := autoTasks(8)
 
 	for _, nodes := range []int{1, 3} {
-		store := checkpoint.NewMem()
-		if err := store.Append(checkpoint.Record{
-			Job: "timed", Task: 0, Kind: checkpoint.KindResult, Payload: tasks[0],
-		}); err != nil {
-			t.Fatal(err)
-		}
-		fr, _, err := farmOn(Config{Nodes: nodes}, "auto.timed", tasks, FarmOptions{Checkpoint: store, Job: "timed"})
+		p := &timedPolicy{kernel: "auto.timed", tasks: tasks, elapsed: make(map[int]time.Duration)}
+		_, err := Run(Config{Nodes: nodes, CoresPerNode: 1}, func(s *Session) error {
+			mux, err := s.OpenMux(MuxOptions{})
+			if err != nil {
+				return err
+			}
+			if err := mux.Drive(s.node.Comm.Context(), p); err != nil {
+				return err
+			}
+			return mux.Close()
+		})
 		if err != nil {
 			t.Fatalf("%d nodes: %v", nodes, err)
 		}
-		if len(fr.Elapsed) != len(tasks) {
-			t.Fatalf("%d nodes: %d timings for %d tasks", nodes, len(fr.Elapsed), len(tasks))
-		}
-		if fr.Elapsed[0] != 0 {
-			t.Fatalf("%d nodes: resumed task timed %v, want 0", nodes, fr.Elapsed[0])
-		}
-		for task, d := range fr.Elapsed[1:] {
-			if d < sleep {
-				t.Fatalf("%d nodes: task %d timed %v, want >= %v", nodes, task+1, d, sleep)
+		for task := range tasks {
+			if d, ok := p.elapsed[task]; !ok || d < sleep {
+				t.Fatalf("%d nodes: task %d timed %v (reported %v), want >= %v", nodes, task, d, ok, sleep)
 			}
 		}
 	}

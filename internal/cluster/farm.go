@@ -87,11 +87,6 @@ type FarmResult struct {
 	// Resumed counts tasks restored from the checkpoint store instead of
 	// executed (results and previously quarantined failures both).
 	Resumed int
-	// Elapsed holds, per task, the kernel time of the execution that settled
-	// it, measured on the executing node's fabric clock and carried back on
-	// the result frame; 0 for a task resumed or quarantined. It is nil when
-	// the call ran no task to a result.
-	Elapsed []time.Duration
 }
 
 // ErrPinLost is what a farm call returns, wrapped, when a worker was retired
@@ -198,7 +193,7 @@ func (s *Session) FarmOpts(name string, tasks [][]byte, opt FarmOptions) (*FarmR
 }
 
 // farmPolicy is FarmOpts' policy over Mux.Drive: one ledger, every free slot
-// fed from it in Idle's order, its outcomes traced, checkpointed and timed.
+// fed from it in Idle's order, its outcomes traced and checkpointed.
 type farmPolicy struct {
 	l        *Ledger
 	tr       *trace.Tracer
@@ -218,9 +213,9 @@ func (p *farmPolicy) Dispatch(idle []int, now time.Time, assign func(int, MuxAss
 }
 
 func (p *farmPolicy) Settle(ev MuxEvent, now time.Time) error {
-	l, res := p.l, &p.l.FarmResult
+	l := p.l
 	if ev.Kind == MuxWorkerLost {
-		res.Lost = append(res.Lost, ev.Worker)
+		l.Lost = append(l.Lost, ev.Worker)
 		for _, a := range slices.Backward(ev.Requeued) { // each goes to the head: oldest ends first
 			l.WorkerLost(ev.Worker, a)
 		}
@@ -252,15 +247,9 @@ func (p *farmPolicy) Settle(ev MuxEvent, now time.Time) error {
 	l.Commit(rec)
 	if verdict == VerdictQuarantine {
 		p.tr.Instant(0, "farm.quarantine", int64(ev.Task))
-		return nil
+	} else if ev.Worker == 0 {
+		l.MasterRan++
 	}
-	if ev.Worker == 0 {
-		res.MasterRan++
-	}
-	if res.Elapsed == nil {
-		res.Elapsed = make([]time.Duration, len(l.state))
-	}
-	res.Elapsed[ev.Task] = ev.Elapsed
 	return nil
 }
 

@@ -24,12 +24,10 @@ import (
 // AutoPar sweep: the fig-4-style evidence that perfmodel-driven
 // auto-mapping works end to end. Each benchmark is described to the
 // planner as a Workload; the planner picks one node or a farm, its node
-// count and its task count; the chosen configuration runs as a real farm
-// whose per-task timings feed the Online recalibrator; and the same farm
-// forced to every hand-tuned node count provides the bar the auto-mapped
-// run is measured against. Two auto-mapped runs are taken — the second
-// planned from recalibrated costs — so the sweep also proves prediction
-// error shrinks with feedback.
+// count and its task count from the calibration alone; the chosen
+// configuration runs as a real farm; and the same farm forced to every
+// hand-tuned node count provides the bar the auto-mapped run is measured
+// against.
 
 // autoParData is the sweep's shared read-only input snapshot. The virtual
 // cluster shares one address space, so the broadcast side of each farm
@@ -147,8 +145,7 @@ func autoBenches(d *autoParData) []autoBench {
 	sg, mr, tp, cu := d.sgemm, d.mriq, d.tpacf, d.cutcp
 	// cutcp's work units must use the same accounting the calibrator does —
 	// actual clipped AtomBox cells, not the unclipped cutoff-cube span — or
-	// the online EWMA mixes samples measured in different units and the
-	// recalibrated predictions drift instead of converging.
+	// the plan prices cutcp's work in other units than its unit cost's.
 	cells := 0
 	for _, a := range cu.Atoms {
 		zr, yr, xr := cutcp.AtomBox(cu.Geo, a)
@@ -307,10 +304,8 @@ func autoRun(b autoBench, nodes, cores, nTasks int) (time.Duration, int64, *clus
 
 // autoRunBest is autoRun with best-of-n wall time, returning the fastest
 // repetition's measurements: virtual-cluster startup jitter is the dominant
-// noise at sweep scale, and the minimum is the stable statistic. Its task
-// timings are the ones the recalibrator learns, for the same reason the
-// calibrator keeps best-observed costs — an EWMA fed mean-of-reps would
-// learn scheduler noise the best-of wall times it must predict never pay.
+// noise at sweep scale, and the minimum is the stable statistic, as it is
+// for the calibrator's best-observed unit costs.
 func autoRunBest(b autoBench, nodes, cores, nTasks, reps int) (time.Duration, int64, *cluster.FarmResult, domain.Partition, error) {
 	var (
 		bestT  time.Duration
@@ -330,26 +325,21 @@ func autoRunBest(b autoBench, nodes, cores, nTasks, reps int) (time.Duration, in
 	return bestT, bytes, best, ranges, nil
 }
 
-// AutoPoint is one benchmark's autopar measurement: two auto-mapped runs
-// (before and after recalibration) against the best hand-tuned node count.
+// AutoPoint is one benchmark's autopar measurement: the auto-mapped run
+// against the best hand-tuned node count.
 type AutoPoint struct {
 	Bench string
-	// Plan1/Plan2 describe the planner's choice before and after
-	// recalibration ("farm@3 grain=256 0.0123s").
-	Plan1, Plan2   string
-	Nodes1, Nodes2 int
-	// Predicted and observed wall time per run.
-	Pred1, Obs1 time.Duration
-	Pred2, Obs2 time.Duration
-	// Err1/Err2 are |predicted-observed|/observed per run.
-	Err1, Err2 float64
+	// Plan describes the planner's choice ("farm@3 grain=256 0.0123s").
+	Plan string
+	// Pred and Obs are the predicted and observed wall time; Err is
+	// |Pred-Obs|/Obs.
+	Pred, Obs time.Duration
+	Err       float64
 	// PredBytes/ObsBytes compare the plan's traffic model to the fabric
-	// meter (run 1).
+	// meter.
 	PredBytes, ObsBytes int64
 	// Hand holds the hand-tuned sweep (nodes → wall time); Best/BestNodes
-	// its winner. Ratio is min(Obs1, Obs2) / Best: the hand side's floor
-	// is a minimum over every rung's repetitions, so the auto side's floor
-	// uses both runs' repetitions too.
+	// its winner. Ratio is Obs / Best.
 	Hand      map[int]time.Duration
 	Best      time.Duration
 	BestNodes int
@@ -358,13 +348,9 @@ type AutoPoint struct {
 	OK        bool
 }
 
-// AutoSweepResult is the full sweep outcome plus the calibration snapshot
-// it read and wrote.
+// AutoSweepResult is the full sweep outcome.
 type AutoSweepResult struct {
-	Points    []AutoPoint
-	CalibPath string
-	// Resumed reports whether a prior snapshot informed run 1's plans.
-	Resumed bool
+	Points []AutoPoint
 }
 
 // handNodeCounts is the hand-tuned ladder the auto-mapped run must match:
@@ -377,57 +363,44 @@ var handNodeCounts = []int{1, 2, 4, 8}
 // floor equally well.
 const (
 	handReps = 2
-	autoReps = 6
+	autoReps = 12
 )
 
-// AutoSweep runs the full autopar sweep: calibrate (planning subset), load
-// the snapshot at calibPath (empty = no persistence), plan and run every
-// benchmark twice with recalibration in between, hand-sweep 1–8 nodes for
-// the bar, and save the updated snapshot.
-func AutoSweep(cores int, calibPath string) (*AutoSweepResult, error) {
-	if cores <= 0 {
-		cores = 2
-	}
-	cal := perfmodel.CalibratePlanning()
-	online, _ := perfmodel.LoadOnline(calibPath, cal, perfmodel.DefaultDecay)
-	pl := perfmodel.NewPlannerOnline(online, perfmodel.VirtualMachine(), cores)
-	// The sweep runs on a real box, not the paper's testbed: tell the
-	// planner how much physical parallelism the virtual cluster actually
-	// has, so it only distributes when distribution can pay for itself.
-	pl.PhysCores = runtime.NumCPU()
-
-	// Inputs are sized so kernel compute dominates farm overhead (sgemm and
-	// cutcp run larger than the scaling sweep's inputs): the within-bound
-	// claim is about mapping quality, not about measuring dispatch floors.
-	d := &autoParData{
+// autoSweepData generates the sweep's inputs. They are sized so kernel
+// compute dominates farm overhead (sgemm and cutcp run larger than the
+// scaling sweep's inputs): the within-bound claim is about mapping quality,
+// not about measuring dispatch floors.
+func autoSweepData() *autoParData {
+	return &autoParData{
 		sgemm: sgemm.Gen(256, 192, 192, 202),
 		mriq:  mriq.Gen(3000, 256, 201),
 		tpacf: tpacf.Gen(128, 16, 16, 203),
 		cutcp: cutcp.Gen(2400, domain.Dim3{D: 16, H: 16, W: 16}, 0.5, 2.0, 204),
 	}
+}
+
+// AutoSweep runs the full autopar sweep: calibrate (planning subset), plan
+// every benchmark once, run the plan, and hand-sweep 1–8 nodes for the bar.
+func AutoSweep(cores int) *AutoSweepResult {
+	if cores <= 0 {
+		cores = 2
+	}
+	pl := perfmodel.NewPlanner(perfmodel.CalibratePlanning(), perfmodel.VirtualMachine(), cores)
+	// The sweep runs on a real box, not the paper's testbed: tell the
+	// planner how much physical parallelism the virtual cluster actually
+	// has, so it only distributes when distribution can pay for itself.
+	pl.PhysCores = runtime.NumCPU()
+
+	d := autoSweepData()
 	d.sgemmBT = array.Transpose(d.sgemm.B)
 	autoParCtx.Store(d)
 	registerAutoParKernels()
 
-	res := &AutoSweepResult{CalibPath: calibPath, Resumed: online.Samples(perfmodel.CostSGEMM) > 0}
+	res := &AutoSweepResult{}
 	for _, b := range autoBenches(d) {
-		res.Points = append(res.Points, runAutoBench(pl, b, cores))
+		res.Points = append(res.Points, runAutoBench(pl.Plan(b.w), b, cores))
 	}
-	if calibPath != "" {
-		if err := online.Save(calibPath); err != nil {
-			return res, fmt.Errorf("harness: save calibration snapshot: %w", err)
-		}
-	}
-	return res, nil
-}
-
-// timingFeed routes a farm's per-task kernel times into the recalibrator:
-// each task's kernel seconds over its units become one EWMA sample for the
-// workload's cost class.
-func timingFeed(online *perfmodel.Online, b autoBench, ranges domain.Partition, fr *cluster.FarmResult) {
-	for task, d := range fr.Elapsed {
-		online.Observe(b.w.Class, task, float64(ranges[task].Len())*b.w.UnitsPerElem, d)
-	}
+	return res
 }
 
 func relErr(pred, obs time.Duration) float64 {
@@ -441,15 +414,14 @@ func relErr(pred, obs time.Duration) float64 {
 	return d / obs.Seconds()
 }
 
-func runAutoBench(pl *perfmodel.Planner, b autoBench, cores int) AutoPoint {
-	pt := AutoPoint{Bench: b.name, Hand: make(map[int]time.Duration)}
-	online := pl.Online()
+func runAutoBench(plan perfmodel.Plan, b autoBench, cores int) AutoPoint {
+	pt := AutoPoint{Bench: b.name, Plan: plan.String(), Hand: make(map[int]time.Duration)}
 
 	// Hand-tuned ladder: the same farm executor forced to each node count,
 	// reps repetitions a rung, keeping each rung's best. Its handReps are
-	// split around the auto-mapped runs — one before run 1, the rest after
-	// run 2 — so a host slowdown over one phase reaches both sides of the
-	// ratio, not the auto side alone.
+	// split around the auto-mapped run — one before it, the rest after — so
+	// a host slowdown over one phase reaches both sides of the ratio, not
+	// the auto side alone.
 	ladder := func(reps int) bool {
 		for _, nodes := range handNodeCounts {
 			nTasks := 4 * cores
@@ -478,57 +450,24 @@ func runAutoBench(pl *perfmodel.Planner, b autoBench, cores int) AutoPoint {
 		return pt
 	}
 
-	// Auto-mapped run 1 (static or snapshot-informed calibration), feeding
-	// per-task timings and the run-level bias back into the recalibrator.
-	autoOnce := func(runTag string) (perfmodel.Plan, time.Duration, int64, error) {
-		plan := pl.Plan(b.w)
-		el, bytes, fr, ranges, err := autoRunBest(b, plan.Nodes, cores, plan.Tasks, autoReps)
-		if err != nil {
-			return plan, el, bytes, fmt.Errorf("%s: %w", runTag, err)
-		}
-		if detail, ok := b.verify(ranges, fr.Results); !ok {
-			return plan, el, bytes, fmt.Errorf("%s: %s", runTag, detail)
-		}
-		timingFeed(online, b, ranges, fr)
-		online.Commit()
-		// Bias against a re-prediction under the freshly committed unit
-		// costs, not the stale pre-run plan: the EWMA already absorbed what
-		// the units explain, so the bias should only carry the residual the
-		// units cannot (farm spawn, fabric hops). Biasing against the old
-		// prediction would chase the same error twice and overshoot.
-		online.ObserveBias(b.w.Name, pl.Plan(b.w).Predicted.Total(), el.Seconds())
-		return plan, el, bytes, nil
-	}
-
-	plan1, obs1, bytes1, err := autoOnce("auto run 1")
+	obs, bytes, fr, ranges, err := autoRunBest(b, plan.Nodes, cores, plan.Tasks, autoReps)
 	if err != nil {
-		pt.Verify = err.Error()
+		pt.Verify = fmt.Sprintf("auto: %v", err)
 		return pt
 	}
-	pt.Plan1, pt.Nodes1 = plan1.String(), plan1.Nodes
-	pt.Pred1 = time.Duration(plan1.Predicted.Total() * float64(time.Second))
-	pt.Obs1 = obs1
-	pt.PredBytes, pt.ObsBytes = plan1.PredictedBytes, bytes1
-
-	plan2, obs2, _, err := autoOnce("auto run 2")
-	if err != nil {
-		pt.Verify = err.Error()
+	if detail, ok := b.verify(ranges, fr.Results); !ok {
+		pt.Verify = "auto: " + detail
 		return pt
 	}
-	pt.Plan2, pt.Nodes2 = plan2.String(), plan2.Nodes
-	pt.Pred2 = time.Duration(plan2.Predicted.Total() * float64(time.Second))
-	pt.Obs2 = obs2
+	pt.Pred = time.Duration(plan.Predicted.Total() * float64(time.Second))
+	pt.Obs, pt.Err = obs, relErr(pt.Pred, obs)
+	pt.PredBytes, pt.ObsBytes = plan.PredictedBytes, bytes
 	if !ladder(handReps - 1) {
 		return pt
 	}
 
-	pt.Err1, pt.Err2 = relErr(pt.Pred1, pt.Obs1), relErr(pt.Pred2, pt.Obs2)
 	if pt.Best > 0 {
-		bestAuto := pt.Obs2
-		if pt.Obs1 < bestAuto {
-			bestAuto = pt.Obs1
-		}
-		pt.Ratio = bestAuto.Seconds() / pt.Best.Seconds()
+		pt.Ratio = pt.Obs.Seconds() / pt.Best.Seconds()
 	}
 	pt.Verify = "results recompose to the sequential reference"
 	pt.OK = true
@@ -536,8 +475,7 @@ func runAutoBench(pl *perfmodel.Planner, b autoBench, cores int) AutoPoint {
 }
 
 // AutoGate checks a sweep against the acceptance bound: every benchmark
-// verified, auto-mapped within bound × the best hand-tuned time, and the
-// recalibrated run's prediction error improved (or is already ≤ 10%).
+// verified, and auto-mapped within bound × the best hand-tuned time.
 func AutoGate(res *AutoSweepResult, bound float64) error {
 	if bound <= 0 {
 		bound = 1.10
@@ -551,10 +489,6 @@ func AutoGate(res *AutoSweepResult, bound float64) error {
 				p.Bench, p.Ratio,
 				float64(p.Best.Microseconds())/1e3, p.BestNodes, bound)
 		}
-		if !(p.Err2 < p.Err1 || p.Err2 <= 0.10) {
-			return fmt.Errorf("autopar: %s recalibration did not converge: err1 %.1f%%, err2 %.1f%%",
-				p.Bench, 100*p.Err1, 100*p.Err2)
-		}
 	}
 	return nil
 }
@@ -564,20 +498,16 @@ func AutoTable(res *AutoSweepResult) string {
 	var sb strings.Builder
 	sb.WriteString("AutoPar sweep: planner-mapped vs best hand-tuned 1-8 nodes\n")
 	w := tabwriter.NewWriter(&sb, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "benchmark\tauto plan (run 2)\tpred1\tobs1\tpred2\tobs2\terr1\terr2\tbest hand\tratio\tverify")
+	fmt.Fprintln(w, "benchmark\tauto plan\tpred\tobs\terr\tbest hand\tratio\tverify")
 	ms := func(d time.Duration) string { return fmt.Sprintf("%.1fms", float64(d.Microseconds())/1e3) }
 	for _, p := range res.Points {
 		status := p.Verify
 		if p.OK {
 			status = "ok"
 		}
-		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t%s\t%.0f%%\t%.0f%%\t%s@%d\t%.2fx\t%s\n",
-			p.Bench, p.Plan2, ms(p.Pred1), ms(p.Obs1), ms(p.Pred2), ms(p.Obs2),
-			100*p.Err1, 100*p.Err2, ms(p.Best), p.BestNodes, p.Ratio, status)
+		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%.0f%%\t%s@%d\t%.2fx\t%s\n",
+			p.Bench, p.Plan, ms(p.Pred), ms(p.Obs), 100*p.Err, ms(p.Best), p.BestNodes, p.Ratio, status)
 	}
 	w.Flush()
-	if res.CalibPath != "" {
-		fmt.Fprintf(&sb, "calibration snapshot: %s (resumed: %v)\n", res.CalibPath, res.Resumed)
-	}
 	return sb.String()
 }

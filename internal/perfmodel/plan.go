@@ -11,8 +11,9 @@ import (
 // calibrated unit costs to choose between the two placements the farm
 // executes — every task on one node, or a farm over n nodes whose worker
 // ranks each run one task at a time — and the task count and grain that go
-// with it. The resulting Plan carries its predicted Breakdown so the caller
-// can compare it with the observed run and feed an Online recalibrator.
+// with it. A plan is a pure function of the workload, the calibration and the
+// machine; it carries its predicted Breakdown so the caller can compare it
+// with the observed run.
 
 // CostClass names which calibrated unit cost prices a workload's kernel.
 // The four Parboil classes use the Triolet-implementation measurements
@@ -25,7 +26,6 @@ const (
 	CostSGEMM
 	CostTPACF
 	CostCUTCP
-	numCostClasses
 )
 
 func (c CostClass) String() string {
@@ -44,8 +44,8 @@ func (c CostClass) String() string {
 	return fmt.Sprintf("CostClass(%d)", int(c))
 }
 
-// baseUnitCost reads the class's statically calibrated seconds-per-unit.
-func (c CostClass) baseUnitCost(cal Calibration, generic float64) float64 {
+// unitCost reads the class's calibrated seconds-per-unit.
+func (c CostClass) unitCost(cal *Calibration, generic float64) float64 {
 	switch c {
 	case CostMRIQ:
 		return cal.MRIQUnit[Triolet]
@@ -89,7 +89,7 @@ func (r ReduceShape) String() string {
 // Workload describes one skeleton invocation for planning. Elements are the
 // outer decomposition axis; a task is a contiguous element range.
 type Workload struct {
-	// Name keys the online recalibrator's per-workload bias correction.
+	// Name labels the workload in reports.
 	Name string
 	// Elems is the outer element count.
 	Elems int
@@ -151,8 +151,7 @@ type Plan struct {
 	Grain int
 	// Tasks is the task count: 1 for ExecSeq, over-decomposed for ExecFarm.
 	Tasks int
-	// Predicted is the modeled Breakdown for the chosen configuration,
-	// bias-corrected when the recalibrator has seen this workload before.
+	// Predicted is the modeled Breakdown for the chosen configuration.
 	Predicted Breakdown
 	// PredictedBytes is the modeled cross-fabric byte volume.
 	PredictedBytes int64
@@ -170,8 +169,8 @@ func (p Plan) String() string {
 // VirtualMachine models the in-process fabric the reproduction actually
 // runs on: channel hops and memory copies instead of 10 GbE. Bandwidth is
 // effectively a memcpy and latency a scheduler wakeup. The absolute values
-// matter less than their ratio to compute cost — and the Online
-// recalibrator's per-workload bias absorbs residual systematic error.
+// matter less than their ratio to compute cost, which is what decides a
+// plan: a factor common to every candidate's total cannot move the argmin.
 func VirtualMachine() Machine {
 	return Machine{
 		NetBandwidth:   4e9,   // in-process copy through the fabric
@@ -191,11 +190,11 @@ const maxPlanNodes = 8
 // wakeup, first dispatch), so tiny workloads plan sequential.
 const farmSpawnCost = 20e-6
 
-// Planner chooses execution plans from an Online cost source. It is
-// stateless beyond the recalibrator; one Planner may serve many workloads.
+// Planner chooses execution plans from a static calibration. It holds no
+// state a plan changes; one Planner may serve many workloads.
 type Planner struct {
-	online *Online
-	mach   Machine
+	cal  *Calibration // NewPlanner's own copy, which nothing writes
+	mach Machine
 	// Cores is the per-node core count of the cluster a plan runs on.
 	// Pricing does not read it: a farm worker runs one task at a time.
 	Cores int
@@ -207,22 +206,13 @@ type Planner struct {
 	PhysCores int
 }
 
-// NewPlanner builds a planner over a static calibration (no history).
+// NewPlanner builds a planner over a static calibration.
 func NewPlanner(cal Calibration, mach Machine, cores int) *Planner {
-	return NewPlannerOnline(NewOnline(cal, DefaultDecay), mach, cores)
-}
-
-// NewPlannerOnline builds a planner over an existing recalibrator, so a
-// snapshot loaded from disk informs the first plan of a new process.
-func NewPlannerOnline(o *Online, mach Machine, cores int) *Planner {
 	if cores <= 0 {
 		cores = 1
 	}
-	return &Planner{online: o, mach: mach, Cores: cores}
+	return &Planner{cal: &cal, mach: mach, Cores: cores}
 }
-
-// Online exposes the planner's recalibrator for Observe/Commit feedback.
-func (pl *Planner) Online() *Online { return pl.online }
 
 // SnapGrain snaps a proposed grain to the sched.BlockAlign lattice:
 // grains at or above one block round down to a block multiple (so leaf
@@ -235,13 +225,11 @@ func SnapGrain(grain int) int {
 	return grain &^ (sched.BlockAlign - 1)
 }
 
-// Plan evaluates seq and farm@2..maxPlanNodes under the current (possibly
-// recalibrated) unit costs and returns the minimum-predicted configuration.
+// Plan evaluates seq and farm@2..maxPlanNodes under the calibrated unit
+// costs and returns the minimum-predicted configuration.
 func (pl *Planner) Plan(w Workload) Plan {
-	unit := pl.online.UnitCost(w.Class, w.Class.baseUnitCost(pl.online.Base(), w.UnitCost))
-	bias := pl.online.Bias(w.Name)
-	work := w.units() * unit
-	cal := pl.online.Base()
+	cal := pl.cal
+	work := w.units() * w.Class.unitCost(cal, w.UnitCost)
 	serCost := cal.SerPerByte + cal.AllocPerByte
 	if w.Pointerless {
 		serCost = cal.AllocPerByte
@@ -253,10 +241,10 @@ func (pl *Planner) Plan(w Workload) Plan {
 		Nodes:     1,
 		Grain:     SnapGrain(w.Elems),
 		Tasks:     1,
-		Predicted: scale(Breakdown{Compute: work}, bias),
+		Predicted: Breakdown{Compute: work},
 	}
 	for n := 2; n <= maxPlanNodes; n++ {
-		if p := pl.farmPlan(w, n, work, serCost, bias); p.Predicted.Total() < best.Predicted.Total() {
+		if p := pl.farmPlan(w, n, work, serCost); p.Predicted.Total() < best.Predicted.Total() {
 			best = p
 		}
 	}
@@ -265,8 +253,7 @@ func (pl *Planner) Plan(w Workload) Plan {
 
 // farmPlan models distributing w across n nodes: n−1 worker ranks, each
 // running one task at a time.
-func (pl *Planner) farmPlan(w Workload, n int, work, serCost, bias float64) Plan {
-	cal := pl.online.Base()
+func (pl *Planner) farmPlan(w Workload, n int, work, serCost float64) Plan {
 	workers := n - 1 // rank 0 masters; ranks 1..n-1 compute
 	tasks := min(workers*tasksPerWorker, max(w.Elems, 1))
 	inBytes := float64(w.Elems) * float64(w.BytesPerElem)
@@ -285,7 +272,7 @@ func (pl *Planner) farmPlan(w Workload, n int, work, serCost, bias float64) Plan
 		// grid-shaped results per task is what keeps the planner from
 		// over-distributing small grid workloads.
 		outBytes = float64(tasks) * float64(w.ReduceBytes)
-		mergeCost = outBytes / 4 * cal.AddF32
+		mergeCost = outBytes / 4 * pl.cal.AddF32
 	}
 
 	b := Breakdown{
@@ -299,7 +286,7 @@ func (pl *Planner) farmPlan(w Workload, n int, work, serCost, bias float64) Plan
 		Nodes:          n,
 		Grain:          SnapGrain(w.Elems / tasks),
 		Tasks:          tasks,
-		Predicted:      scale(b, bias),
+		Predicted:      b,
 		PredictedBytes: int64(inBytes + outBytes),
 	}
 }
@@ -311,16 +298,4 @@ func (pl *Planner) speedup(n int) float64 {
 		n = pl.PhysCores
 	}
 	return float64(n)
-}
-
-// scale applies the recalibrator's observed/predicted bias multiplier to
-// every component, preserving the breakdown's proportions.
-func scale(b Breakdown, bias float64) Breakdown {
-	if bias <= 0 {
-		bias = 1
-	}
-	b.Compute *= bias
-	b.Comm *= bias
-	b.Serial *= bias
-	return b
 }

@@ -145,21 +145,18 @@ func TestPlanMoreWorkPrefersMoreNodes(t *testing.T) {
 	}
 }
 
-func TestPlanBiasScalesPrediction(t *testing.T) {
-	pl := planTestPlanner(1)
-	w := Workload{Name: "biased", Elems: 1 << 16, UnitsPerElem: 10, Class: CostGeneric, UnitCost: 5e-9}
-	before := pl.Plan(w).Predicted.Total()
-	// Report the workload ran 2× slower than predicted; the next plan's
-	// prediction must grow by exactly that ratio (first bias sets directly).
-	pl.Online().ObserveBias("biased", 1.0, 2.0)
-	after := pl.Plan(w).Predicted.Total()
-	if after <= before*1.9 || after >= before*2.1 {
-		t.Fatalf("bias 2.0 scaled prediction %g → %g, want ~2x", before, after)
+// Each Parboil class prices its kernel by the calibration's Triolet column,
+// and CostGeneric by the workload's own UnitCost: the planner's unit costs
+// come from its Calibration and nowhere else.
+func TestUnitCostReadsTrioletColumn(t *testing.T) {
+	cal := planTestCal()
+	cal.MRIQUnit[Triolet], cal.SGEMMMac[Triolet] = 1e-9, 2e-9
+	cal.TPACFPair[Triolet], cal.CUTCPCell[Triolet] = 3e-9, 4e-9
+	var got [5]float64
+	for c := CostGeneric; c <= CostCUTCP; c++ {
+		got[c] = c.unitCost(&cal, 7e-9)
 	}
-	// Other workloads are untouched.
-	other := w
-	other.Name = "unbiased"
-	if got := pl.Plan(other).Predicted.Total(); got != before {
-		t.Fatalf("bias leaked across workloads: %g != %g", got, before)
+	if want := [5]float64{7e-9, 1e-9, 2e-9, 3e-9, 4e-9}; got != want {
+		t.Errorf("unit costs by class = %v, want %v", got, want)
 	}
 }
