@@ -25,8 +25,9 @@ race:
 # The fault-injection suites, run fresh (no test cache) with a deadline:
 # the failure mode they exist to catch is a hang. The farmed stencil's
 # rollback (workers killed holding resident slabs) runs under -race, the
-# failure ladder through both farm clients 50 times over, and the reliable
-# layer's tail probe (owner and Serving helper, one mutex) 50 times under -race.
+# failure ladder through both farm clients and the paused rank's retirement on
+# the fabric clock 50 times over each, and the reliable layer's tail probe
+# (owner and Serving helper, one mutex) 50 times under -race.
 chaos:
 	$(GO) test -count=1 -timeout 5m \
 		-run 'Fault|Reliable|Chaos|Crash|Farm' \
@@ -36,6 +37,7 @@ chaos:
 		-run 'TestSessionIdenticalResultsUnderFaults|TestTeardown' ./internal/cluster/
 	$(GO) test -race -count=1 -timeout 5m -run 'Rollback|Chaos' ./internal/stencil/
 	$(GO) test -count=50 -timeout 5m -run TestLadderRungByRungThroughBothClients ./internal/diffcheck/
+	$(GO) test -count=50 -timeout 5m -run TestFarmPausedRankRetiredAndLateRepliesIgnored ./internal/cluster/
 	$(GO) test -race -count=50 -timeout 5m -run TestReliableTailProbe ./internal/mpi/
 
 # The checkpoint/resume suites under -race: a master killed mid-farm, the

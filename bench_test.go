@@ -531,7 +531,7 @@ func BenchmarkAblationFlatVsTwoLevel(b *testing.B) {
 	b.Run("flat", func(b *testing.B) {
 		for b.Loop() {
 			_, err := eden.Run(eden.Config{Processes: 16, ProcsPerNode: 4}, func(m *eden.Master) error {
-				_, err := eden.ParMapT(m, "bench.sumvec", serial.F64s(), serial.F64C(), tasks)
+				_, err := benchSumvec.ParMap(m, tasks)
 				return err
 			})
 			if err != nil {
@@ -542,7 +542,7 @@ func BenchmarkAblationFlatVsTwoLevel(b *testing.B) {
 	b.Run("two-level", func(b *testing.B) {
 		for b.Loop() {
 			_, err := eden.Run(eden.Config{Processes: 16, ProcsPerNode: 4}, func(m *eden.Master) error {
-				_, err := eden.TwoLevelParMapT(m, "bench.sumvec", serial.F64s(), serial.F64C(), tasks)
+				_, err := benchSumvec.TwoLevelParMap(m, tasks)
 				return err
 			})
 			if err != nil {
@@ -668,16 +668,10 @@ func BenchmarkFarmFrameCoalescing(b *testing.B) {
 	b.Run("legacy", func(b *testing.B) { run(b, true) })
 }
 
-func init() {
-	eden.RegisterProcess("bench.sumvec", func(_ *eden.Proc, in []byte) ([]byte, error) {
-		xs, err := serial.Unmarshal(serial.F64s(), in)
-		if err != nil {
-			return nil, err
-		}
-		var acc float64
-		for _, x := range xs {
-			acc += x
-		}
-		return serial.Marshal(serial.F64C(), acc), nil
-	})
-}
+var benchSumvec = eden.Declare("bench.sumvec", serial.F64s(), serial.F64C(), func(xs []float64) float64 {
+	var acc float64
+	for _, x := range xs {
+		acc += x
+	}
+	return acc
+})

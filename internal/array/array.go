@@ -111,13 +111,6 @@ func TransposeInto[T any](out, m Matrix[T], outRows domain.Range) {
 	}
 }
 
-// Fill sets every element of s to v.
-func Fill[T any](s []T, v T) {
-	for i := range s {
-		s[i] = v
-	}
-}
-
 // AddInto accumulates src into dst elementwise: dst[i] += src[i]. The slices
 // must have equal length. This is the histogram-merge step of the two-level
 // reductions.
@@ -138,15 +131,6 @@ type Number interface {
 		~float32 | ~float64
 }
 
-// Sum returns the sum of the elements of s.
-func Sum[T Number](s []T) T {
-	var acc T
-	for _, v := range s {
-		acc += v
-	}
-	return acc
-}
-
 // Dot returns the dot product of equal-length vectors.
 func Dot[T Number](xs, ys []T) T {
 	if len(xs) != len(ys) {
@@ -157,11 +141,4 @@ func Dot[T Number](xs, ys []T) T {
 		acc += x * ys[i]
 	}
 	return acc
-}
-
-// Scale multiplies every element of s by k in place.
-func Scale[T Number](s []T, k T) {
-	for i := range s {
-		s[i] *= k
-	}
 }

@@ -177,16 +177,6 @@ func TestTransposeIntoShapePanics(t *testing.T) {
 	TransposeInto(NewMatrix[int](2, 2), NewMatrix[int](2, 3), domain.Range{Lo: 0, Hi: 2})
 }
 
-func TestFill(t *testing.T) {
-	s := make([]float64, 5)
-	Fill(s, 2.5)
-	for _, v := range s {
-		if v != 2.5 {
-			t.Fatalf("Fill produced %v", s)
-		}
-	}
-}
-
 func TestAddInto(t *testing.T) {
 	dst := []int{1, 2, 3}
 	AddInto(dst, []int{10, 20, 30})
@@ -204,17 +194,9 @@ func TestAddIntoMismatchPanics(t *testing.T) {
 	AddInto([]int{1}, []int{1, 2})
 }
 
-func TestSumDotScale(t *testing.T) {
-	if got := Sum([]int{1, 2, 3, 4}); got != 10 {
-		t.Fatalf("Sum = %d", got)
-	}
+func TestDot(t *testing.T) {
 	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
 		t.Fatalf("Dot = %v", got)
-	}
-	s := []int{1, 2, 3}
-	Scale(s, 3)
-	if s[2] != 9 {
-		t.Fatalf("Scale = %v", s)
 	}
 }
 
@@ -227,7 +209,7 @@ func TestDotMismatchPanics(t *testing.T) {
 	Dot([]int{1}, []int{1, 2})
 }
 
-// Property: Dot is commutative and Sum of elementwise products equals Dot.
+// Property: Dot is commutative and equals the sum of elementwise products.
 func TestDotProperties(t *testing.T) {
 	prop := func(xs []int8) bool {
 		x := make([]int64, len(xs))
@@ -239,11 +221,11 @@ func TestDotProperties(t *testing.T) {
 		if Dot(x, y) != Dot(y, x) {
 			return false
 		}
-		prod := make([]int64, len(x))
+		var sum int64
 		for i := range x {
-			prod[i] = x[i] * y[i]
+			sum += x[i] * y[i]
 		}
-		return Dot(x, y) == Sum(prod)
+		return Dot(x, y) == sum
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)

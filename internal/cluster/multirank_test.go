@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"triolet/internal/mpi"
+	"triolet/internal/trace"
 	"triolet/internal/transport"
 )
 
@@ -70,6 +71,12 @@ func TestFarmSurvivesTwoRanksDyingInSameBeatWindow(t *testing.T) {
 // reassign its tasks; when the pause lifts, the parked frames deliver, the
 // zombie worker executes and replies, and those late acks and late results
 // must be ignored without a panic or a duplicate result.
+//
+// The pause window and the master's ack ladder both run on an injected
+// fabric clock, which only advancePastAcks moves: one step past any ack
+// deadline at a time, each taken once the master has retransmitted. The
+// ladder's eleven steps thus fit inside the pause window in fabric time
+// however long the master is descheduled between them.
 func TestFarmPausedRankRetiredAndLateRepliesIgnored(t *testing.T) {
 	workerKernels.reset()
 	farmKernels.reset()
@@ -81,28 +88,42 @@ func TestFarmPausedRankRetiredAndLateRepliesIgnored(t *testing.T) {
 	cfg := &transport.FaultConfig{
 		Seed: 12,
 		// Rank 1's inbox freezes shortly after the dispatch handshake and
-		// stays frozen for 80ms — longer than the ack ladder below takes to
-		// declare it lost, shorter than the farm takes to finish, so the
-		// zombie's late replies land while the master is still collecting.
+		// stays frozen for 80ms of fabric time — longer than the ack ladder
+		// below takes to declare it lost, so the zombie's late replies land
+		// after its retirement.
 		Pauses: []transport.Pause{{Rank: 1, AfterDeliveries: 2, Duration: 80 * time.Millisecond}},
 	}
+	rel := &mpi.ReliableConfig{
+		AckTimeout:    500 * time.Microsecond,
+		Retries:       10,
+		MaxAckTimeout: 5 * time.Millisecond,
+	}
+	clk := newFakeClock()
+	tr := trace.New()
 	const tasks = 60
 	var res *FarmResult
 	_, err := runGuarded(t, Config{
 		Nodes: 4, CoresPerNode: 1,
-		Fault: cfg,
-		Reliable: &mpi.ReliableConfig{
-			AckTimeout:    500 * time.Microsecond,
-			Retries:       10,
-			MaxAckTimeout: 5 * time.Millisecond,
-		},
+		Fault:    cfg,
+		Reliable: rel,
+		Clock:    clk,
+		Tracer:   tr,
 	}, func(s *Session) error {
 		in := make([][]byte, tasks)
 		for i := range in {
 			in[i] = []byte{byte(i)}
 		}
+		done := make(chan struct{})
+		driven := make(chan struct{})
+		go func() {
+			defer close(driven)
+			advancePastAcks(s, clk, tr, rel, done)
+			clk.advance(cfg.Pauses[0].Duration) // lift the pause
+		}()
 		var err error
 		res, err = s.Farm("multirank.slowinc", in)
+		close(done)
+		<-driven
 		return err
 	})
 	if err != nil {
@@ -127,6 +148,39 @@ func TestFarmPausedRankRetiredAndLateRepliesIgnored(t *testing.T) {
 	// by TestFarmHeartbeatRetiresSilentWorker.
 	if res.Failed != nil {
 		t.Fatalf("quarantined tasks in a pause-only run: %+v", res.Failed)
+	}
+}
+
+// advancePastAcks walks the master's ack ladder on the fabric clock: once the
+// pause holds a frame, it moves the clock past the longest jittered ack
+// timeout and wakes the master, then waits until the master has retransmitted
+// or retired a worker, and repeats while no worker is retired. Each step is
+// one retry of every frame the paused rank has not acknowledged, so the
+// ladder ends after Retries+1 steps. It returns early once done is closed.
+func advancePastAcks(s *Session, clk *fakeClock, tr *trace.Tracer, rel *mpi.ReliableConfig, done <-chan struct{}) {
+	step := rel.MaxAckTimeout * 6 / 5 // the timeout's cap plus its 20 % jitter
+	wait := func(ready func() bool) bool {
+		for !ready() {
+			select {
+			case <-done:
+				return false
+			case <-time.After(50 * time.Microsecond):
+			}
+		}
+		return true
+	}
+	if !wait(func() bool { return s.Fabric().Stats().Faults.Paused > 0 }) {
+		return
+	}
+	for tr.Count("farm.retire") == 0 {
+		before := s.node.Comm.ReliableStats().Retries
+		clk.advance(step)
+		s.Fabric().Endpoint(0).Wake()
+		if !wait(func() bool {
+			return s.node.Comm.ReliableStats().Retries > before || tr.Count("farm.retire") > 0
+		}) {
+			return
+		}
 	}
 }
 

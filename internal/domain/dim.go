@@ -38,11 +38,6 @@ func (d Dim2) Linear(ix Ix2) int { return ix.Y*d.W + ix.X }
 // Unlinear converts a row-major linear position back to a 2-D index.
 func (d Dim2) Unlinear(i int) Ix2 { return Ix2{Y: i / d.W, X: i % d.W} }
 
-// Contains reports whether ix lies inside the domain.
-func (d Dim2) Contains(ix Ix2) bool {
-	return ix.Y >= 0 && ix.Y < d.H && ix.X >= 0 && ix.X < d.W
-}
-
 func (d Dim2) String() string { return fmt.Sprintf("Dim2(%dx%d)", d.H, d.W) }
 
 // Rect is a rectangular sub-block of a Dim2 domain: rows Rows and columns
@@ -53,17 +48,6 @@ type Rect struct {
 
 // Size reports the number of index points in the rectangle.
 func (r Rect) Size() int { return r.Rows.Len() * r.Cols.Len() }
-
-// Empty reports whether the rectangle contains no points.
-func (r Rect) Empty() bool { return r.Rows.Empty() || r.Cols.Empty() }
-
-// Contains reports whether ix lies inside the rectangle.
-func (r Rect) Contains(ix Ix2) bool { return r.Rows.Contains(ix.Y) && r.Cols.Contains(ix.X) }
-
-// Intersect returns the overlap of two rectangles (possibly empty).
-func (r Rect) Intersect(s Rect) Rect {
-	return Rect{Rows: r.Rows.Intersect(s.Rows), Cols: r.Cols.Intersect(s.Cols)}
-}
 
 func (r Rect) String() string { return fmt.Sprintf("Rect{rows %v, cols %v}", r.Rows, r.Cols) }
 

@@ -17,9 +17,6 @@ func TestDim2Basics(t *testing.T) {
 	if !NewDim2(0, 4).Empty() || !NewDim2(3, 0).Empty() {
 		t.Fatal("degenerate Dim2 not empty")
 	}
-	if !d.Contains(Ix2{2, 3}) || d.Contains(Ix2{3, 0}) || d.Contains(Ix2{0, 4}) || d.Contains(Ix2{-1, 0}) {
-		t.Fatal("Contains wrong at boundaries")
-	}
 }
 
 func TestDim2NegativePanics(t *testing.T) {
@@ -39,7 +36,7 @@ func TestDim2LinearRoundTrip(t *testing.T) {
 		d := NewDim2(h, w)
 		for i := range d.Size() {
 			ix := d.Unlinear(i)
-			if !d.Contains(ix) || d.Linear(ix) != i {
+			if ix.Y < 0 || ix.Y >= h || ix.X < 0 || ix.X >= w || d.Linear(ix) != i {
 				return false
 			}
 		}
@@ -54,26 +51,6 @@ func TestRectBasics(t *testing.T) {
 	r := Rect{Rows: Range{1, 3}, Cols: Range{2, 6}}
 	if r.Size() != 8 {
 		t.Fatalf("Size = %d", r.Size())
-	}
-	if r.Empty() {
-		t.Fatal("reported empty")
-	}
-	if !r.Contains(Ix2{1, 2}) || r.Contains(Ix2{3, 2}) || r.Contains(Ix2{1, 6}) {
-		t.Fatal("Contains wrong")
-	}
-	e := Rect{Rows: Range{0, 0}, Cols: Range{0, 5}}
-	if !e.Empty() {
-		t.Fatal("empty-rows rect not empty")
-	}
-}
-
-func TestRectIntersect(t *testing.T) {
-	a := Rect{Rows: Range{0, 4}, Cols: Range{0, 4}}
-	b := Rect{Rows: Range{2, 6}, Cols: Range{3, 9}}
-	got := a.Intersect(b)
-	want := Rect{Rows: Range{2, 4}, Cols: Range{3, 4}}
-	if got != want {
-		t.Fatalf("Intersect = %v, want %v", got, want)
 	}
 }
 
@@ -99,7 +76,7 @@ func TestGridPartitionTiles(t *testing.T) {
 			ix := d.Unlinear(i)
 			count := 0
 			for _, r := range rects {
-				if r.Contains(ix) {
+				if r.Rows.Contains(ix.Y) && r.Cols.Contains(ix.X) {
 					count++
 				}
 			}
@@ -167,7 +144,7 @@ func TestGridShapePanics(t *testing.T) {
 func TestDim2Whole(t *testing.T) {
 	d := NewDim2(3, 5)
 	w := d.Whole()
-	if w.Size() != d.Size() || !w.Contains(Ix2{2, 4}) {
+	if w != (Rect{Rows: Range{0, 3}, Cols: Range{0, 5}}) {
 		t.Fatalf("Whole = %v", w)
 	}
 }

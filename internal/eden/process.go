@@ -35,12 +35,16 @@ func (c Config) validate() error {
 }
 
 // Proc is the context an Eden process body runs in: its rank, the machine
-// shape, and its fabric endpoint, which leader processes in the two-level
-// skeletons use to forward work to sibling processes.
+// shape, and its fabric endpoint, through which the master and the node
+// leaders of the two-level skeleton spawn work on other processes.
 type Proc struct {
 	cfg Config
 	ep  *transport.Endpoint
 }
+
+// Master is process 0, which runs the user's program and, as Eden's main
+// process does, evaluates a share of every skeleton's tasks itself.
+type Master struct{ Proc }
 
 // Rank reports the process's rank.
 func (p *Proc) Rank() int { return p.ep.Rank() }
@@ -48,7 +52,9 @@ func (p *Proc) Rank() int { return p.ep.Rank() }
 // Config reports the machine shape.
 func (p *Proc) Config() Config { return p.cfg }
 
-// Spawn ships input to another process, which applies the named body.
+// Spawn ships input to another process, which applies the named body. The
+// result arrives asynchronously; collect it with Await. Spawning serializes
+// the entire input — Eden's whole-value copy semantics.
 func (p *Proc) Spawn(dst int, name string, input []byte) error {
 	if dst < 0 || dst >= p.cfg.Processes || dst == p.ep.Rank() {
 		return fmt.Errorf("eden: spawn on rank %d from %d", dst, p.ep.Rank())
@@ -76,31 +82,72 @@ func (p *Proc) Await(src int) ([]byte, error) {
 	return out, nil
 }
 
-// Process is a process body: serialized input in, serialized output out,
-// mirroring an Eden process abstraction whose input and output channels
-// carry fully serialized values. The Proc context allows forwarding.
-type Process func(p *Proc, in []byte) ([]byte, error)
+// RunLocal evaluates the named body on p itself.
+func (p *Proc) RunLocal(name string, input []byte) ([]byte, error) {
+	body, err := lookupProcess(name)
+	if err != nil {
+		return nil, err
+	}
+	return body(p, input)
+}
+
+// fanOut deals tasks round-robin over width processes stride ranks apart,
+// starting with p, which evaluates its own share, and collects the results
+// in task order. Every remote task is spawned before p evaluates any.
+func (p *Proc) fanOut(name string, tasks [][]byte, width, stride int) ([][]byte, error) {
+	body, err := lookupProcess(name)
+	if err != nil {
+		return nil, err
+	}
+	for i, task := range tasks {
+		if off := i % width; off != 0 {
+			if err := p.Spawn(p.Rank()+off*stride, name, task); err != nil {
+				return nil, fmt.Errorf("eden: spawn task %d: %w", i, err)
+			}
+		}
+	}
+	results := make([][]byte, len(tasks))
+	for i, task := range tasks {
+		if off := i % width; off == 0 {
+			results[i], err = body(p, task)
+		} else {
+			results[i], err = p.Await(p.Rank() + off*stride)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("eden: task %d: %w", i, err)
+		}
+	}
+	return results, nil
+}
+
+// Body is an untyped process body: serialized input in, serialized output
+// out, mirroring an Eden process abstraction whose input and output
+// channels carry fully serialized values. The Proc context allows
+// forwarding.
+type Body func(p *Proc, in []byte) ([]byte, error)
 
 var (
 	regMu    sync.RWMutex
-	registry = map[string]Process{}
+	registry = map[string]Body{}
 )
 
 // RegisterProcess installs a named process body (once, at init).
-func RegisterProcess(name string, p Process) {
+func RegisterProcess(name string, body Body) {
 	regMu.Lock()
 	defer regMu.Unlock()
 	if _, dup := registry[name]; dup {
 		panic(fmt.Sprintf("eden: duplicate process %q", name))
 	}
-	registry[name] = p
+	registry[name] = body
 }
 
-func lookupProcess(name string) (Process, bool) {
+func lookupProcess(name string) (Body, error) {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	p, ok := registry[name]
-	return p, ok
+	if body, ok := registry[name]; ok {
+		return body, nil
+	}
+	return nil, fmt.Errorf("eden: unknown process %q", name)
 }
 
 // Message tags of the process protocol.
@@ -109,63 +156,6 @@ const (
 	tagResult = 2 // process→master: output
 	tagDone   = 3 // master→process: shutdown
 )
-
-// Master drives an Eden machine from rank 0.
-type Master struct {
-	cfg    Config
-	fabric *transport.Fabric
-	ep     *transport.Endpoint
-}
-
-// Config reports the machine shape.
-func (m *Master) Config() Config { return m.cfg }
-
-// Fabric exposes traffic statistics.
-func (m *Master) Fabric() *transport.Fabric { return m.fabric }
-
-// Processes reports the total process count (including the master, which
-// also evaluates tasks, as Eden's main process does).
-func (m *Master) Processes() int { return m.cfg.Processes }
-
-// Spawn ships input to process rank dst, which applies the named process
-// body. The result arrives asynchronously; collect it with Await. Spawning
-// serializes the entire input — Eden's whole-value copy semantics.
-func (m *Master) Spawn(dst int, name string, input []byte) error {
-	if dst <= 0 || dst >= m.cfg.Processes {
-		return fmt.Errorf("eden: spawn on rank %d of %d", dst, m.cfg.Processes)
-	}
-	w := serial.NewWriter(len(input) + len(name) + 16)
-	w.String(name)
-	w.RawBytes(input)
-	return m.ep.Send(dst, tagSpawn, w.Bytes())
-}
-
-// Await blocks for one result from process rank src.
-func (m *Master) Await(src int) ([]byte, error) {
-	msg, err := m.ep.Recv(src, tagResult)
-	if err != nil {
-		return nil, err
-	}
-	r := serial.NewReader(msg.Payload)
-	if ok := r.Bool(); !ok {
-		return nil, fmt.Errorf("eden: process %d failed: %s", src, r.String())
-	}
-	out := r.RawBytes()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RunLocal evaluates a process body on the master itself (Eden's main
-// process participates in evaluation).
-func (m *Master) RunLocal(name string, input []byte) ([]byte, error) {
-	p, ok := lookupProcess(name)
-	if !ok {
-		return nil, fmt.Errorf("eden: process %q not registered", name)
-	}
-	return p(&Proc{cfg: m.cfg, ep: m.ep}, input)
-}
 
 // Run boots an Eden machine and executes master on rank 0. All other ranks
 // run process loops: receive a spawn, evaluate, reply. The first error
@@ -199,7 +189,7 @@ func Run(cfg Config, master func(m *Master) error) (transport.Stats, error) {
 		}()
 	}
 
-	m := &Master{cfg: cfg, fabric: fabric, ep: fabric.Endpoint(0)}
+	m := &Master{Proc{cfg: cfg, ep: fabric.Endpoint(0)}}
 	masterErr := func() (err error) {
 		defer func() {
 			if p := recover(); p != nil {
@@ -249,12 +239,8 @@ func processLoop(pc *Proc) error {
 			if err := r.Err(); err != nil {
 				return err
 			}
-			p, ok := lookupProcess(name)
 			w := serial.NewWriter(64)
-			if !ok {
-				w.Bool(false)
-				w.String(fmt.Sprintf("unknown process %q", name))
-			} else if out, perr := p(pc, input); perr != nil {
+			if out, perr := pc.RunLocal(name, input); perr != nil {
 				w.Bool(false)
 				w.String(perr.Error())
 			} else {

@@ -116,7 +116,7 @@ func TestParMapFlat(t *testing.T) {
 			for i := range inputs {
 				inputs[i] = i
 			}
-			out, err := ParMapT(m, "t.double", intC, intC, inputs)
+			out, err := Process[int, int]{"t.double", intC, intC}.ParMap(m, inputs)
 			got = out
 			return err
 		})
@@ -144,7 +144,7 @@ func TestTwoLevelParMap(t *testing.T) {
 			for i := range inputs {
 				inputs[i] = i * 3
 			}
-			out, err := TwoLevelParMapT(m, "t.double", intC, intC, inputs)
+			out, err := Process[int, int]{"t.double", intC, intC}.TwoLevelParMap(m, inputs)
 			got = out
 			return err
 		})
@@ -172,14 +172,14 @@ func TestTwoLevelReducesMasterTraffic(t *testing.T) {
 		return tasks
 	}
 	flatStats, err := Run(Config{Processes: 16, ProcsPerNode: 4}, func(m *Master) error {
-		_, err := ParMapT(m, "t.sumvec", serial.F64s(), serial.F64C(), mkTasks())
+		_, err := Process[[]float64, float64]{"t.sumvec", serial.F64s(), serial.F64C()}.ParMap(m, mkTasks())
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	twoStats, err := Run(Config{Processes: 16, ProcsPerNode: 4}, func(m *Master) error {
-		_, err := TwoLevelParMapT(m, "t.sumvec", serial.F64s(), serial.F64C(), mkTasks())
+		_, err := Process[[]float64, float64]{"t.sumvec", serial.F64s(), serial.F64C()}.TwoLevelParMap(m, mkTasks())
 		return err
 	})
 	if err != nil {
@@ -195,7 +195,7 @@ func TestTwoLevelReducesMasterTraffic(t *testing.T) {
 func TestParMapReduce(t *testing.T) {
 	_, err := Run(Config{Processes: 4, ProcsPerNode: 2}, func(m *Master) error {
 		tasks := [][]float64{{1, 2}, {3}, {4, 5, 6}, {}}
-		got, err := ParMapReduceT(m, "t.sumvec", serial.F64s(), serial.F64C(), tasks,
+		got, err := Process[[]float64, float64]{"t.sumvec", serial.F64s(), serial.F64C()}.ParMapReduce(m, tasks,
 			0, func(a, b float64) float64 { return a + b })
 		if err != nil {
 			return err
@@ -216,7 +216,7 @@ func TestMessageBufferLimitFailsLikeSgemm(t *testing.T) {
 	cfg := Config{Processes: 2, MaxMessageBytes: 1024}
 	_, err := Run(cfg, func(m *Master) error {
 		big := make([]float64, 10000)
-		_, err := ParMapT(m, "t.sumvec", serial.F64s(), serial.F64C(), [][]float64{big, big})
+		_, err := Process[[]float64, float64]{"t.sumvec", serial.F64s(), serial.F64C()}.ParMap(m, [][]float64{big, big})
 		return err
 	})
 	if err == nil || !errors.Is(err, transport.ErrMessageTooLarge) {
@@ -228,7 +228,7 @@ func TestLeaderRejectsUnknownInnerProcess(t *testing.T) {
 	// A two-level bundle naming an unregistered inner process must surface
 	// a clear error through the leader, not hang.
 	_, err := Run(Config{Processes: 4, ProcsPerNode: 2}, func(m *Master) error {
-		_, err := TwoLevelParMapT(m, "t.not-registered", intC, intC, []int{1, 2, 3})
+		_, err := TwoLevelParMap(m, "t.not-registered", [][]byte{serial.Marshal(intC, 1), serial.Marshal(intC, 2), serial.Marshal(intC, 3)})
 		if err == nil {
 			return errors.New("unknown inner process accepted")
 		}

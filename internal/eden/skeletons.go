@@ -13,27 +13,7 @@ import (
 // messages directly with the master — the communication bottleneck the
 // paper's two-level rewrite works around (§4.1).
 func ParMap(m *Master, name string, inputs [][]byte) ([][]byte, error) {
-	p := m.cfg.Processes
-	for i, in := range inputs {
-		if dst := i % p; dst != 0 {
-			if err := m.Spawn(dst, name, in); err != nil {
-				return nil, fmt.Errorf("eden: parMap spawn %d: %w", i, err)
-			}
-		}
-	}
-	results := make([][]byte, len(inputs))
-	for i := range inputs {
-		var err error
-		if dst := i % p; dst == 0 {
-			results[i], err = m.RunLocal(name, inputs[i])
-		} else {
-			results[i], err = m.Await(dst)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("eden: parMap task %d: %w", i, err)
-		}
-	}
-	return results, nil
+	return m.fanOut(name, inputs, m.cfg.Processes, 1)
 }
 
 // leaderName is the built-in node-leader process of the two-level skeleton.
@@ -43,128 +23,58 @@ func init() {
 	RegisterProcess(leaderName, leaderBody)
 }
 
-// encodeBundle packs (inner process name, inputs) for a node leader.
-func encodeBundle(name string, inputs [][]byte) []byte {
-	w := serial.NewWriter(64)
-	w.String(name)
-	w.Int(len(inputs))
-	for _, in := range inputs {
-		w.RawBytes(in)
+// taskList is the codec of a leader's bundled tasks and of its results: a
+// count, then each serialized value length-prefixed.
+var taskList = serial.SliceOf[[]byte](serial.Funcs[[]byte]{Enc: (*serial.Writer).RawBytes, Dec: (*serial.Reader).RawBytes})
+
+// nodeWidth is the number of processes per node.
+func (c Config) nodeWidth() int {
+	if c.ProcsPerNode == 0 {
+		return c.Processes
 	}
-	return w.Bytes()
+	return c.ProcsPerNode
 }
 
-func decodeBundle(b []byte) (string, [][]byte, error) {
-	r := serial.NewReader(b)
+// leaderBody deals a bundle of tasks (the inner process name, then the task
+// list) round-robin over its node's processes, itself included, and returns
+// their results as one list. Paper §4.1: "The main process distributes work
+// to one process in each node, which further distributes work to other
+// processes in the same node."
+func leaderBody(p *Proc, in []byte) ([]byte, error) {
+	r := serial.NewReader(in)
 	name := r.String()
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return "", nil, err
-	}
-	inputs := make([][]byte, 0, n)
-	for range n {
-		inputs = append(inputs, r.RawBytes())
-	}
-	return name, inputs, r.Err()
-}
-
-func encodeResults(results [][]byte) []byte {
-	w := serial.NewWriter(64)
-	w.Int(len(results))
-	for _, out := range results {
-		w.RawBytes(out)
-	}
-	return w.Bytes()
-}
-
-func decodeResults(b []byte) ([][]byte, error) {
-	r := serial.NewReader(b)
-	n := r.Int()
+	tasks := taskList.Decode(r)
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	out := make([][]byte, 0, n)
-	for range n {
-		out = append(out, r.RawBytes())
-	}
-	return out, r.Err()
-}
-
-// leaderBody distributes a bundle of tasks round-robin over its node's
-// processes (itself included), collects the results in order, and returns
-// them as one bundle. Paper §4.1: "The main process distributes work to one
-// process in each node, which further distributes work to other processes
-// in the same node."
-func leaderBody(p *Proc, in []byte) ([]byte, error) {
-	name, inputs, err := decodeBundle(in)
+	results, err := p.fanOut(name, tasks, p.cfg.nodeWidth(), 1)
 	if err != nil {
 		return nil, err
 	}
-	inner, ok := lookupProcess(name)
-	if !ok {
-		return nil, fmt.Errorf("eden: leader: unknown process %q", name)
-	}
-	c := p.cfg.ProcsPerNode
-	if c == 0 {
-		c = p.cfg.Processes
-	}
-	leader := p.Rank()
-	for i, task := range inputs {
-		if off := i % c; off != 0 {
-			if err := p.Spawn(leader+off, name, task); err != nil {
-				return nil, err
-			}
-		}
-	}
-	results := make([][]byte, len(inputs))
-	for i := range inputs {
-		if off := i % c; off == 0 {
-			results[i], err = inner(p, inputs[i])
-		} else {
-			results[i], err = p.Await(leader + off)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return encodeResults(results), nil
+	return serial.Marshal(taskList, results), nil
 }
 
 // TwoLevelParMap is the paper's hand-written Eden improvement: the master
-// ships one bundle per node to a leader process, which fans tasks out
-// within its node. Still no shared memory — every task's input is copied
-// again from leader to worker process.
+// ships one bundle per node to its leader process (the master leads node
+// 0), which fans the tasks out within its node. Still no shared memory —
+// every task's input is copied again from leader to worker process.
 func TwoLevelParMap(m *Master, name string, inputs [][]byte) ([][]byte, error) {
-	c := m.cfg.ProcsPerNode
-	if c == 0 {
-		c = m.cfg.Processes
-	}
+	c := m.cfg.nodeWidth()
 	nodes := m.cfg.Processes / c
-	parts := domain.BlockPartition(len(inputs), nodes)
-	// Ship bundles to remote leaders first, then evaluate node 0's bundle
-	// on the master (which is node 0's leader).
-	for nodeIdx := 1; nodeIdx < nodes; nodeIdx++ {
-		r := parts[nodeIdx]
-		if err := m.Spawn(nodeIdx*c, leaderName, encodeBundle(name, inputs[r.Lo:r.Hi])); err != nil {
-			return nil, fmt.Errorf("eden: twoLevel spawn node %d: %w", nodeIdx, err)
-		}
+	bundles := make([][]byte, nodes)
+	for i, r := range domain.BlockPartition(len(inputs), nodes) {
+		w := serial.NewWriter(64)
+		w.String(name)
+		taskList.Encode(w, inputs[r.Lo:r.Hi])
+		bundles[i] = w.Bytes()
 	}
-	results := make([][]byte, 0, len(inputs))
-	localOut, err := m.RunLocal(leaderName, encodeBundle(name, inputs[parts[0].Lo:parts[0].Hi]))
-	if err != nil {
-		return nil, fmt.Errorf("eden: twoLevel node 0: %w", err)
-	}
-	local, err := decodeResults(localOut)
+	outs, err := m.fanOut(leaderName, bundles, nodes, c)
 	if err != nil {
 		return nil, err
 	}
-	results = append(results, local...)
-	for nodeIdx := 1; nodeIdx < nodes; nodeIdx++ {
-		out, err := m.Await(nodeIdx * c)
-		if err != nil {
-			return nil, fmt.Errorf("eden: twoLevel await node %d: %w", nodeIdx, err)
-		}
-		rs, err := decodeResults(out)
+	results := make([][]byte, 0, len(inputs))
+	for _, out := range outs {
+		rs, err := serial.Unmarshal(taskList, out)
 		if err != nil {
 			return nil, err
 		}
@@ -173,38 +83,43 @@ func TwoLevelParMap(m *Master, name string, inputs [][]byte) ([][]byte, error) {
 	return results, nil
 }
 
-// ParMapT is the typed flat parMap.
-func ParMapT[I, O any](m *Master, name string, ic serial.Codec[I], oc serial.Codec[O], inputs []I) ([]O, error) {
-	raw := make([][]byte, len(inputs))
-	for i, in := range inputs {
-		raw[i] = serial.Marshal(ic, in)
-	}
-	outs, err := ParMap(m, name, raw)
-	if err != nil {
-		return nil, err
-	}
-	return decodeAll(oc, outs)
+// Process is a declared process: its name and the codecs of its task and
+// result, which its skeleton calls ship typed tasks through.
+type Process[I, O any] struct {
+	name string
+	in   serial.Codec[I]
+	out  serial.Codec[O]
 }
 
-// TwoLevelParMapT is the typed two-level parMap.
-func TwoLevelParMapT[I, O any](m *Master, name string, ic serial.Codec[I], oc serial.Codec[O], inputs []I) ([]O, error) {
-	raw := make([][]byte, len(inputs))
-	for i, in := range inputs {
-		raw[i] = serial.Marshal(ic, in)
-	}
-	outs, err := TwoLevelParMap(m, name, raw)
-	if err != nil {
-		return nil, err
-	}
-	return decodeAll(oc, outs)
+// Declare registers body under name (once, at init) as the process that
+// decodes a task with in, applies body and encodes the result with out.
+func Declare[I, O any](name string, in serial.Codec[I], out serial.Codec[O], body func(I) O) Process[I, O] {
+	RegisterProcess(name, func(_ *Proc, b []byte) ([]byte, error) {
+		t, err := serial.Unmarshal(in, b)
+		if err != nil {
+			return nil, err
+		}
+		return serial.Marshal(out, body(t)), nil
+	})
+	return Process[I, O]{name, in, out}
 }
 
-// ParMapReduceT maps tasks with the two-level skeleton and folds the typed
-// results on the master — the map+reduce shape of tpacf's and cutcp's Eden
-// ports. The master-side fold is itself a sequential bottleneck, which is
-// one of the costs the paper attributes to Eden's flat result collection.
-func ParMapReduceT[I, O any](m *Master, name string, ic serial.Codec[I], oc serial.Codec[O], inputs []I, z O, combine func(O, O) O) (O, error) {
-	outs, err := TwoLevelParMapT(m, name, ic, oc, inputs)
+// ParMap runs tasks with the flat skeleton.
+func (d Process[I, O]) ParMap(m *Master, tasks []I) ([]O, error) {
+	return d.run(ParMap, m, tasks)
+}
+
+// TwoLevelParMap runs tasks with the two-level skeleton.
+func (d Process[I, O]) TwoLevelParMap(m *Master, tasks []I) ([]O, error) {
+	return d.run(TwoLevelParMap, m, tasks)
+}
+
+// ParMapReduce maps tasks with the two-level skeleton and folds the results
+// on the master — the map+reduce shape of tpacf's and cutcp's Eden ports.
+// The master-side fold is itself a sequential bottleneck, which is one of
+// the costs the paper attributes to Eden's flat result collection.
+func (d Process[I, O]) ParMapReduce(m *Master, tasks []I, z O, combine func(O, O) O) (O, error) {
+	outs, err := d.TwoLevelParMap(m, tasks)
 	if err != nil {
 		var zero O
 		return zero, err
@@ -216,14 +131,20 @@ func ParMapReduceT[I, O any](m *Master, name string, ic serial.Codec[I], oc seri
 	return acc, nil
 }
 
-func decodeAll[O any](oc serial.Codec[O], outs [][]byte) ([]O, error) {
+func (d Process[I, O]) run(skeleton func(*Master, string, [][]byte) ([][]byte, error), m *Master, tasks []I) ([]O, error) {
+	raw := make([][]byte, len(tasks))
+	for i, t := range tasks {
+		raw[i] = serial.Marshal(d.in, t)
+	}
+	outs, err := skeleton(m, d.name, raw)
+	if err != nil {
+		return nil, err
+	}
 	res := make([]O, len(outs))
 	for i, b := range outs {
-		v, err := serial.Unmarshal(oc, b)
-		if err != nil {
+		if res[i], err = serial.Unmarshal(d.out, b); err != nil {
 			return nil, fmt.Errorf("eden: result %d: %w", i, err)
 		}
-		res[i] = v
 	}
 	return res, nil
 }

@@ -209,31 +209,25 @@ func edenTaskCodec() serial.Codec[edenTask] {
 	}
 }
 
-func init() {
-	eden.RegisterProcess("cutcp.eden", func(_ *eden.Proc, b []byte) ([]byte, error) {
-		t, err := serial.Unmarshal(edenTaskCodec(), b)
-		if err != nil {
-			return nil, err
-		}
-		grid := make([]float32, t.Geo.Points())
-		for _, a := range t.Atoms {
-			Accumulate(t.Geo, a, grid)
-		}
-		return serial.Marshal(serial.F32s(), grid), nil
-	})
-}
+// edenProc adds one block of atoms into a full-size grid.
+var edenProc = eden.Declare("cutcp.eden", edenTaskCodec(), serial.F32s(), func(t edenTask) []float32 {
+	grid := make([]float32, t.Geo.Points())
+	for _, a := range t.Atoms {
+		Accumulate(t.Geo, a, grid)
+	}
+	return grid
+})
 
 // Eden runs the Eden implementation: one task per process (atom blocks),
 // two-level distribution, master-side grid summation.
 func Eden(m *eden.Master, in *Input) ([]float32, error) {
-	blocks := domain.BlockPartition(len(in.Atoms), m.Processes())
+	blocks := domain.BlockPartition(len(in.Atoms), m.Config().Processes)
 	tasks := make([]edenTask, 0, len(blocks))
 	for _, r := range blocks {
 		tasks = append(tasks, edenTask{Atoms: in.Atoms[r.Lo:r.Hi], Geo: in.Geo})
 	}
 	zero := make([]float32, in.Geo.Points())
-	return eden.ParMapReduceT(m, "cutcp.eden", edenTaskCodec(), serial.F32s(), tasks,
-		zero, func(a, b []float32) []float32 { array.AddInto(a, b); return a })
+	return edenProc.ParMapReduce(m, tasks, zero, func(a, b []float32) []float32 { array.AddInto(a, b); return a })
 }
 
 // ---- C+MPI+OpenMP reference ----

@@ -181,21 +181,17 @@ func edenTaskCodec() serial.Codec[edenTask] {
 	}
 }
 
-func init() {
-	eden.RegisterProcess("mriq.eden", func(_ *eden.Proc, b []byte) ([]byte, error) {
-		task, err := serial.Unmarshal(edenTaskCodec(), b)
-		if err != nil {
-			return nil, err
-		}
-		// An Eden process has one core and no pool: sequential compute,
-		// with the un-fused Sin/Cos inner loop (see VoxelQEden).
-		in := task.Aux.toInput(task.Vox)
-		out := make([]QPoint, len(in.X))
-		for i := range out {
-			out[i] = VoxelQEden(in, in.X[i], in.Y[i], in.Z[i])
-		}
-		return serial.Marshal(qCodec, out), nil
-	})
+var edenProc = eden.Declare("mriq.eden", edenTaskCodec(), qCodec, edenBody)
+
+// edenBody is the Eden process: one core and no pool, so sequential
+// compute, with the un-fused Sin/Cos inner loop (see VoxelQEden).
+func edenBody(task edenTask) []QPoint {
+	in := task.Aux.toInput(task.Vox)
+	out := make([]QPoint, len(in.X))
+	for i := range out {
+		out[i] = VoxelQEden(in, in.X[i], in.Y[i], in.Z[i])
+	}
+	return out
 }
 
 // Eden runs the chunked two-level Eden implementation.
@@ -208,7 +204,7 @@ func Eden(m *eden.Master, in *Input) ([]QPoint, error) {
 			Aux: aux,
 		})
 	}
-	chunks, err := eden.TwoLevelParMapT(m, "mriq.eden", edenTaskCodec(), qCodec, tasks)
+	chunks, err := edenProc.TwoLevelParMap(m, tasks)
 	if err != nil {
 		return nil, err
 	}

@@ -133,15 +133,7 @@ func Triolet(s *cluster.Session, in *Input) (array.Matrix[float32], error) {
 // transposition is 35 % of Eden's execution time). Whole blocks of A and
 // Bᵀ travel as single messages, which overflows Eden's bounded message
 // buffer on large inputs (the Fig. 5 failure at ≥2 nodes).
-func init() {
-	eden.RegisterProcess("sgemm.eden", func(_ *eden.Proc, b []byte) ([]byte, error) {
-		s, err := serial.Unmarshal(blockCodec(), b)
-		if err != nil {
-			return nil, err
-		}
-		return serial.Marshal(serial.Matrix[float32](), blockMulImperative(s)), nil
-	})
-}
+var edenProc = eden.Declare("sgemm.eden", blockCodec(), serial.Matrix[float32](), blockMulImperative)
 
 // Eden runs the Eden implementation. With a bounded message buffer
 // configured (eden.Config.MaxMessageBytes) and realistic matrix sizes, it
@@ -149,7 +141,7 @@ func init() {
 func Eden(m *eden.Master, in *Input) (array.Matrix[float32], error) {
 	bt := TransposeLocal(nil, in.B) // sequential: no shared memory in Eden
 	dom := domain.NewDim2(in.A.H, in.B.W)
-	rects := dom.PowerGrid(m.Processes())
+	rects := dom.PowerGrid(m.Config().Processes)
 	tasks := make([]blockSlice, len(rects))
 	for i, r := range rects {
 		tasks[i] = blockSlice{
@@ -158,7 +150,7 @@ func Eden(m *eden.Master, in *Input) (array.Matrix[float32], error) {
 			Alpha:  in.Alpha,
 		}
 	}
-	blocks, err := eden.TwoLevelParMapT(m, "sgemm.eden", blockCodec(), serial.Matrix[float32](), tasks)
+	blocks, err := edenProc.TwoLevelParMap(m, tasks)
 	if err != nil {
 		return array.Matrix[float32]{}, err
 	}

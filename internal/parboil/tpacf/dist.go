@@ -248,30 +248,27 @@ type edenTask struct {
 }
 
 func edenTaskCodec() serial.Codec[edenTask] {
-	pc, ac := pointsCodec, obsAuxCodec()
+	ac := obsAuxCodec()
 	return serial.Funcs[edenTask]{
 		Enc: func(w *serial.Writer, v edenTask) {
-			pc.Encode(w, v.Set)
+			pointsCodec.Encode(w, v.Set)
 			ac.Encode(w, v.Aux)
 		},
 		Dec: func(r *serial.Reader) edenTask {
-			return edenTask{Set: pc.Decode(r), Aux: ac.Decode(r)}
+			return edenTask{Set: pointsCodec.Decode(r), Aux: ac.Decode(r)}
 		},
 	}
 }
 
-func init() {
-	eden.RegisterProcess("tpacf.eden", func(_ *eden.Proc, b []byte) ([]byte, error) {
-		t, err := serial.Unmarshal(edenTaskCodec(), b)
-		if err != nil {
-			return nil, err
-		}
-		bins := len(t.Aux.Binb) - 1
-		hp := histPair{DR: make([]int64, bins), RR: make([]int64, bins)}
-		CrossCorr(t.Aux.Binb, t.Aux.Obs, t.Set, hp.DR)
-		SelfCorr(t.Aux.Binb, t.Set, hp.RR)
-		return serial.Marshal(histPairCodec(), hp), nil
-	})
+var edenProc = eden.Declare("tpacf.eden", edenTaskCodec(), histPairCodec(), edenBody)
+
+// edenBody is the Eden process: one random set's DR and RR histograms.
+func edenBody(t edenTask) histPair {
+	bins := len(t.Aux.Binb) - 1
+	dr, rr := make([]int64, bins), make([]int64, bins)
+	CrossCorr(t.Aux.Binb, t.Aux.Obs, t.Set, dr)
+	SelfCorr(t.Aux.Binb, t.Set, rr)
+	return histPair{DR: dr, RR: rr}
 }
 
 // Eden runs the Eden implementation: DD sequentially on the master (no
@@ -287,7 +284,7 @@ func Eden(m *eden.Master, in *Input) (Result, error) {
 		tasks[i] = edenTask{Set: set, Aux: aux}
 	}
 	zero := histPair{DR: make([]int64, bins), RR: make([]int64, bins)}
-	hp, err := eden.ParMapReduceT(m, "tpacf.eden", edenTaskCodec(), histPairCodec(), tasks, zero, addHistPair)
+	hp, err := edenProc.ParMapReduce(m, tasks, zero, addHistPair)
 	if err != nil {
 		return Result{}, err
 	}
