@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race chaos chaos-resume chaos-campaign fuzz fuzz-wal \
+.PHONY: build test race wait-poll chaos chaos-resume chaos-campaign fuzz fuzz-wal \
 	bench-smoke iter-bench alloc-gate \
 	diffcheck-gate diffcheck-soak autopar-gate lint lint-selftest inline-gate loc layout reach vet all
 
@@ -21,6 +21,14 @@ test:
 
 race:
 	$(GO) test -race -count=1 ./internal/...
+
+# The two-phase mailbox wait (transport.Endpoint.Wait polls, then parks):
+# the runtime packages at one processor, where the poll's gate stays shut
+# and no poller may starve a rank, then the poll tests 20 times under -race.
+wait-poll:
+	GOMAXPROCS=1 $(GO) test -count=1 -timeout 5m \
+		./internal/transport ./internal/mpi ./internal/cluster ./internal/stencil
+	$(GO) test -race -count=20 -timeout 5m -run TestWaitPoll ./internal/transport/
 
 # The fault-injection suites, run fresh (no test cache) with a deadline:
 # the failure mode they exist to catch is a hang. The farmed stencil's

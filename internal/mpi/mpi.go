@@ -128,7 +128,7 @@ func (c *Comm) Flush(ctx context.Context) (lost []int, err error) {
 	if c.rel == nil {
 		return nil, nil
 	}
-	err = c.rel.serve(ctx, func() bool { return c.rel.inflight == 0 })
+	err = c.rel.serve(ctx, c.ep, func() bool { return c.rel.inflight == 0 })
 	return c.TakeLost(), err
 }
 
@@ -157,7 +157,7 @@ func (c *Comm) Idle(ctx context.Context, since transport.Gen, deadline time.Time
 	if c.rel == nil {
 		return c.ep.Wait(ctx, since, deadline)
 	}
-	return c.rel.idle(ctx, since, deadline)
+	return c.rel.idle(ctx, c.ep, since, deadline)
 }
 
 // Serving switches on the communicator's standing helper, which keeps the

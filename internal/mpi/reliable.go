@@ -506,12 +506,13 @@ func (r *reliable) enqueueLocal(tag int, payload []byte) {
 	r.c.ep.Wake()
 }
 
-// idle blocks like Endpoint.Wait, but no later than the layer has something to
-// do with nothing arriving: flush a beat batch come due (coalesceDelay) or
+// idle blocks like ep.Wait, but no later than the layer has something to do
+// with nothing arriving: flush a beat batch come due (coalesceDelay) or
 // retransmit a frame. Both join the caller's deadline in one Wait on the
 // mailbox timer, so a retransmission due within a host tick waits for the
-// tick: the idle rank sleeps, leaving the CPU to the ranks that compute.
-func (r *reliable) idle(ctx context.Context, since transport.Gen, deadline time.Time) transport.WaitReason {
+// tick once Wait's poll has ended: the idle rank sleeps, leaving the CPU to
+// the ranks that compute. ep is the rank's endpoint, or the helper's Beside.
+func (r *reliable) idle(ctx context.Context, ep *transport.Endpoint, since transport.Gen, deadline time.Time) transport.WaitReason {
 	r.mu.Lock()
 	for dst, beats := range r.beats {
 		if len(beats) > 0 {
@@ -528,7 +529,7 @@ func (r *reliable) idle(ctx context.Context, since transport.Gen, deadline time.
 		}
 	}
 	r.mu.Unlock()
-	return r.c.ep.Wait(ctx, since, transport.Sooner(deadline, resend))
+	return ep.Wait(ctx, since, transport.Sooner(deadline, resend))
 }
 
 // probeTails resends once, outside the retry budget and its deadline, the
@@ -549,11 +550,11 @@ func (r *reliable) probeTails() {
 
 // serve pumps the endpoint until ready, checked under r.mu before and after
 // each pump, reports true; the pump fails; or ctx ends. Between pumps it
-// idles on the mailbox, where an arrival, a local enqueue, a peer's crash or
-// a cancelled ctx ends the wait at once. The generation is read before the
-// pump: a frame landing after it has moved the generation, so idle cannot
-// sleep through that frame.
-func (r *reliable) serve(ctx context.Context, ready func() bool) error {
+// idles on the mailbox through ep, where an arrival, a local enqueue, a
+// peer's crash or a cancelled ctx ends the wait at once. The generation is
+// read before the pump: a frame landing after it has moved the generation,
+// so idle cannot sleep through that frame.
+func (r *reliable) serve(ctx context.Context, ep *transport.Endpoint, ready func() bool) error {
 	for {
 		gen := r.c.ep.Gen()
 		r.mu.Lock()
@@ -573,28 +574,30 @@ func (r *reliable) serve(ctx context.Context, ready func() bool) error {
 		case ctx.Err() != nil:
 			return ctx.Err()
 		}
-		r.idle(ctx, gen, time.Time{})
+		r.idle(ctx, ep, gen, time.Time{})
 	}
 }
 
 // serving switches the standing helper on and returns its off switch. Only the
 // first call starts a goroutine, the helper: it serves while helping is set,
-// parks on resume while not, and ends with ctx. Nothing joins it.
+// parks on resume while not, and ends with ctx. Nothing joins it. It idles
+// through the Beside endpoint, so the rank whose owner computes meanwhile
+// does not count as waiting, and the helper never polls.
 func (r *reliable) serving() func() {
 	r.helping.Store(true)
 	if r.resume == nil {
 		r.resume = make(chan struct{}, 1)
 		r.unserve = r.stopServing
-		go func(ctx context.Context) {
+		go func(ctx context.Context, aside *transport.Endpoint) {
 			for {
 				select {
 				case <-r.resume:
-					r.serve(ctx, func() bool { return !r.helping.Load() })
+					r.serve(ctx, aside, func() bool { return !r.helping.Load() })
 				case <-ctx.Done():
 					return
 				}
 			}
-		}(r.c.Context())
+		}(r.c.Context(), r.c.ep.Beside())
 	}
 	select {
 	case r.resume <- struct{}{}:
@@ -796,7 +799,7 @@ func (r *reliable) send(ctx context.Context, dst, tag int, head, payload []byte,
 	r.mu.Lock()
 	for r.nextSeq[dst]-r.sendBase[dst] == sendWindow {
 		r.mu.Unlock()
-		if err := r.serve(ctx, func() bool { return r.nextSeq[dst]-r.sendBase[dst] < sendWindow }); err != nil {
+		if err := r.serve(ctx, r.c.ep, func() bool { return r.nextSeq[dst]-r.sendBase[dst] < sendWindow }); err != nil {
 			return err
 		}
 		r.mu.Lock()
@@ -895,7 +898,7 @@ func (r *reliable) match(src, tag int) (transport.Message, bool) {
 // was only slow. ctx bounds the wait.
 func (r *reliable) recv(ctx context.Context, src, tag int) (m transport.Message, err error) {
 	var lost *RankLostError
-	err = r.serve(ctx, func() (ok bool) {
+	err = r.serve(ctx, r.c.ep, func() (ok bool) {
 		if m, ok = r.match(src, tag); ok {
 			return true
 		}

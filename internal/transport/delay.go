@@ -16,7 +16,12 @@ import (
 // The delay applies between Send and receivability; Send itself stays
 // non-blocking (buffered-send semantics).
 
-// DelayConfig models the wire.
+// DelayConfig models the wire. Each message on an edge is held for Latency
+// plus its own size over BytesPerSec, counted from its own send
+// (delayer.submit's readyAt), and delivered in order: concurrent messages on
+// one edge share no bandwidth, so k messages sent at once all land one hold
+// later, where a shared link would take k transfers. The model has no
+// contention.
 type DelayConfig struct {
 	// Latency is charged per message.
 	Latency time.Duration

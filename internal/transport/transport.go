@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,6 +85,9 @@ type mailbox struct {
 	watched  []ctxWatch  // contexts whose cancellation broadcasts here
 	timer    *time.Timer // the rank's one deadline timer, created on first use
 	armedAt  time.Time   // fabric-clock instant the timer is set for; zero once fired
+	waiters  int         // this rank's Waits in progress, Beside's excluded
+	polls    uint64      // Waits that polled before parking (read by tests)
+	parks    uint64      // times a Wait parked on cond (read by tests)
 }
 
 // take removes and returns the earliest queued message matching (src, tag).
@@ -135,6 +139,8 @@ type Fabric struct {
 	haloBytes atomic.Int64
 	sentBytes []atomic.Int64
 	recvBytes []atomic.Int64
+	waitRanks atomic.Int32 // ranks with a Wait of their own in progress (wait.go)
+	procs     int          // GOMAXPROCS when the fabric was made
 }
 
 // New creates a fabric with the given configuration.
@@ -148,6 +154,7 @@ func New(cfg Config) *Fabric {
 		crashed:   make([]atomic.Bool, cfg.Ranks),
 		sentBytes: make([]atomic.Int64, cfg.Ranks),
 		recvBytes: make([]atomic.Int64, cfg.Ranks),
+		procs:     runtime.GOMAXPROCS(0),
 	}
 	for i := range f.boxes {
 		mb := &mailbox{}
@@ -401,8 +408,9 @@ func (f *Fabric) AddHaloBytes(n int64) {
 
 // Endpoint binds a rank to the fabric for convenience.
 type Endpoint struct {
-	f    *Fabric
-	rank int
+	f      *Fabric
+	rank   int
+	beside bool // Waits park at once and leave the rank's waiting count (Beside)
 }
 
 // Endpoint returns rank's bound endpoint.

@@ -11,6 +11,18 @@ import (
 // nothing, blocks in Wait. The snapshot precedes the drain, so whatever
 // lands after the drain has already moved the generation and Wait returns
 // at once: no wake-up is lost and no poll tick is needed.
+//
+// Wait blocks in two phases. It first polls the mailbox for pollWindow
+// (clock.go), yielding the processor between checks, and parks on the
+// mailbox cond only if nothing came: a parked goroutine pays a host thread
+// wake-up on every arrival, a polling one does not. The poll runs only in
+// wall-clock mode (an injected Clock parks at once, so fake time is never
+// spun on) and only while the fabric's ranks that are not waiting leave a
+// processor free (Ranks − waiting ranks < GOMAXPROCS, read when the fabric
+// is made), so it never takes a processor from a rank that computes. A
+// rank counts as waiting while a Wait of its own is in progress; a helper's
+// Wait through Beside neither polls nor counts, so a helper idling beside
+// its computing owner leaves the rank busy.
 
 // Gen is a snapshot of one mailbox's delivery and Wake counts.
 type Gen struct{ arrivals, wakes uint64 }
@@ -121,28 +133,79 @@ func (e *Endpoint) Wake() {
 	mb.mu.Unlock()
 }
 
+// Beside returns an endpoint on this rank for a goroutine that idles beside
+// the rank's owner while the owner computes (mpi's Serving helper): its Waits
+// park at once and do not count the rank as waiting, so they neither poll
+// nor open another rank's poll on the owner's processor.
+func (e *Endpoint) Beside() *Endpoint {
+	return &Endpoint{f: e.f, rank: e.rank, beside: true}
+}
+
+// settled reports the condition a Wait from since returns on, if one holds.
+// Callers hold mu.
+func (mb *mailbox) settled(ctx context.Context, since Gen) (WaitReason, bool) {
+	switch {
+	case mb.arrivals != since.arrivals:
+		return WaitArrival, true
+	case mb.wakes != since.wakes:
+		return WaitWake, true
+	case mb.closed:
+		return WaitClosed, true
+	case ctx.Err() != nil:
+		return WaitCtx, true
+	}
+	return 0, false
+}
+
+// waiting counts a Wait in and (by -1) out of this rank's; the fabric's
+// count of waiting ranks moves when the rank's first starts or last ends.
+// Callers hold mu.
+func (f *Fabric) waiting(mb *mailbox, by int) {
+	mb.waiters += by
+	if mb.waiters == 0 || mb.waiters == by {
+		f.waitRanks.Add(int32(by))
+	}
+}
+
 // Wait blocks until this endpoint's mailbox has moved past since (a delivery
 // or a Wake), the mailbox closed or crashed, ctx is done, or the fabric clock
 // reached deadline (zero: none), and reports which; conditions already true
-// on entry win in that order. The mailbox's one timer serves the deadline, so
-// a deadline nearer than the host timer's tick ends the wait at the tick.
-// A wait on a context the mailbox has seen before allocates nothing.
+// on entry win in that order. It polls for up to pollWindow first where the
+// poll is allowed (see above), then parks. The mailbox's one timer serves a
+// parked wait's deadline, so a deadline nearer than the host timer's tick
+// ends the wait at the tick. A wait on a context the mailbox has seen before
+// allocates nothing.
 func (e *Endpoint) Wait(ctx context.Context, since Gen, deadline time.Time) WaitReason {
 	mb := e.f.boxes[e.rank]
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	mb.watch(ctx)
+	polls := !e.beside && e.f.cfg.Clock == nil
+	if !e.beside {
+		e.f.waiting(mb, 1)
+		defer e.f.waiting(mb, -1)
+	}
 	for {
-		switch {
-		case mb.arrivals != since.arrivals:
-			return WaitArrival
-		case mb.wakes != since.wakes:
-			return WaitWake
-		case mb.closed:
-			return WaitClosed
-		case ctx.Err() != nil:
-			return WaitCtx
+		if why, ok := mb.settled(ctx, since); ok {
+			return why
 		}
+		if polls && e.f.cfg.Ranks-int(e.f.waitRanks.Load()) < e.f.procs {
+			polls = false
+			mb.polls++
+			mb.mu.Unlock()
+			why, ok := poll(e.f.Clock(), deadline, func() (WaitReason, bool) {
+				mb.mu.Lock()
+				why, ok := mb.settled(ctx, since)
+				mb.mu.Unlock()
+				return why, ok
+			})
+			mb.mu.Lock()
+			if ok {
+				return why
+			}
+			continue
+		}
+		polls = false
 		if !deadline.IsZero() {
 			now := e.f.Clock().Now()
 			left := deadline.Sub(now)
@@ -154,6 +217,7 @@ func (e *Endpoint) Wait(ctx context.Context, since Gen, deadline time.Time) Wait
 			}
 			mb.arm(now.Add(left), left)
 		}
+		mb.parks++
 		mb.cond.Wait()
 	}
 }

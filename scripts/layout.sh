@@ -14,7 +14,10 @@
 #     stencil.(*sweeper[go.shape.float64]).rows and its int64 twin, which
 #     heat-halo and life-* spend about half their CPU in, cutcp-node's two
 #     kernels: cutcp.Accumulate, inside the Ref twin, and cutcp.gridPts on
-#     the solve side, and the runtime's runtime.memmove and runtime.mallocgc, which
+#     the solve side, the mriq and tpacf kernels their parboil.*.vs_ref rows
+#     read: mriq.VoxelQ (the Ref twin's loop) and mriq.computeLocal (solve
+#     side), tpacf.SelfCorr (the Ref twin's) and tpacf.selfScores (solve
+#     side), and the runtime's runtime.memmove and runtime.mallocgc, which
 #     move with the size of the packages linked before them even when
 #     every sgemm function stays put);
 #   - one closing line: the sentinels off the base's (normally the
@@ -54,7 +57,7 @@ syms() {
 syms "$tmp/perfbench.base" >"$tmp/base.syms"
 syms "$tmp/perfbench.work" >"$tmp/work.syms"
 
-awk -v sentinels='triolet/internal/parboil/sgemm.Seq triolet/internal/parboil/sgemm.blockMul triolet/internal/parboil/sgemm.Ref.func1.1 runtime.memmove runtime.mallocgc main.heatCell main.lifeCell triolet/internal/parboil/cutcp.Accumulate triolet/internal/parboil/cutcp.gridPts triolet/internal/stencil.(*sweeper[go.shape.float64]).rows triolet/internal/stencil.(*sweeper[go.shape.int64]).rows' '
+awk -v sentinels='triolet/internal/parboil/sgemm.Seq triolet/internal/parboil/sgemm.blockMul triolet/internal/parboil/sgemm.Ref.func1.1 runtime.memmove runtime.mallocgc main.heatCell main.lifeCell triolet/internal/parboil/cutcp.Accumulate triolet/internal/parboil/cutcp.gridPts triolet/internal/parboil/mriq.VoxelQ triolet/internal/parboil/mriq.computeLocal triolet/internal/parboil/tpacf.SelfCorr triolet/internal/parboil/tpacf.selfScores triolet/internal/stencil.(*sweeper[go.shape.float64]).rows triolet/internal/stencil.(*sweeper[go.shape.int64]).rows' '
 function name(line) { return substr(line, index(line, " ") + 1) }
 # addr: the hex address that starts a line (no strtonum: mawk has none).
 function addr(line,   h, v, i) {
