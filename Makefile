@@ -32,7 +32,8 @@ wait-poll:
 
 # The fault-injection suites, run fresh (no test cache) with a deadline:
 # the failure mode they exist to catch is a hang. The farmed stencil's
-# rollback (workers killed holding resident slabs) runs under -race, the
+# rollback (workers killed holding resident slabs) runs under -race, Op's
+# slab release (failed runs, two sessions on one op) 20 times under it, the
 # failure ladder through both farm clients and the paused rank's retirement on
 # the fabric clock 50 times over each, and the reliable layer's tail probe
 # (owner and Serving helper, one mutex) 50 times under -race.
@@ -44,6 +45,7 @@ chaos:
 	$(GO) test -count=20 -timeout 5m \
 		-run 'TestSessionIdenticalResultsUnderFaults|TestTeardown' ./internal/cluster/
 	$(GO) test -race -count=1 -timeout 5m -run 'Rollback|Chaos' ./internal/stencil/
+	$(GO) test -race -count=20 -timeout 5m -run TestOpRelease ./internal/stencil/
 	$(GO) test -count=50 -timeout 5m -run TestLadderRungByRungThroughBothClients ./internal/diffcheck/
 	$(GO) test -count=50 -timeout 5m -run TestFarmPausedRankRetiredAndLateRepliesIgnored ./internal/cluster/
 	$(GO) test -race -count=50 -timeout 5m -run TestReliableTailProbe ./internal/mpi/

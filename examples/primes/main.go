@@ -42,6 +42,7 @@ var primesOp = core.NewFlatMap(
 		it := iter.LocalPar(iter.Filter(isPrime, iter.FromSlice(candidates)))
 		return core.CollectLocal(n.Pool, it, 512), nil
 	},
+	nil,
 )
 
 func main() {

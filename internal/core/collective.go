@@ -30,6 +30,9 @@ type collective[S, A, P any] struct {
 	pCodec  serial.Codec[P]
 	kernel  func(n *cluster.Node, slice S, aux A) (P, error)
 	combine func(P, P) P // nil: gather
+	// release, unless nil, gets a rank's partial once consumed — marshalled by
+	// the gather on a worker, assembled by Run on the master — never on error.
+	release func(*cluster.Node, P)
 }
 
 // newCollective registers the engine's worker side under name — the
@@ -100,6 +103,9 @@ func (c *collective[S, A, P]) body(n *cluster.Node, cut func() []S, aux A) ([]P,
 		end()
 		if err != nil {
 			return nil, fmt.Errorf("core: %s gather: %w", c.name, err)
+		}
+		if c.release != nil && !n.IsRoot() {
+			c.release(n, p)
 		}
 		return all, nil
 	}

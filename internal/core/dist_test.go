@@ -421,7 +421,7 @@ var (
 	contractEvens = NewFlatMap("contract.evens", serial.Ints(), intC, serial.Ints(),
 		func(n *cluster.Node, xs []int, fail int) ([]int, error) {
 			return iter.ToSlice(iter.Filter(func(x int) bool { return x%2 == 0 }, iter.FromSlice(xs))), failOn(n, fail)
-		})
+		}, nil)
 	contractGrid = NewBuild2D("contract.grid", rectCodec(), intC, serial.Matrix[float64](),
 		func(n *cluster.Node, r domain.Rect, fail int) (array.Matrix[float64], error) {
 			m := array.NewMatrix[float64](r.Rows.Len(), r.Cols.Len())

@@ -21,15 +21,18 @@ type FlatMapOp[S, A any, E any] struct {
 
 // NewFlatMap registers a distributed variable-length producer under name.
 // Unlike NewBuildArray, the kernel may return any number of elements for
-// its slice.
+// its slice. A non-nil release gets each section back (collective.release).
 func NewFlatMap[S, A any, E any](
 	name string,
 	sCodec serial.Codec[S],
 	aCodec serial.Codec[A],
 	eCodec serial.Codec[[]E],
 	kernel func(n *cluster.Node, slice S, aux A) ([]E, error),
+	release func(n *cluster.Node, section []E),
 ) *FlatMapOp[S, A, E] {
-	return &FlatMapOp[S, A, E]{newCollective(name, sCodec, aCodec, eCodec, kernel, nil)}
+	c := newCollective(name, sCodec, aCodec, eCodec, kernel, nil)
+	c.release = release
+	return &FlatMapOp[S, A, E]{c}
 }
 
 // Run executes the skeleton and returns the concatenated output.
@@ -37,6 +40,9 @@ func (op *FlatMapOp[S, A, E]) Run(s *cluster.Session, src DistSource[S], aux A) 
 	sections, _, err := op.runSource(s, src, aux)
 	if err != nil {
 		return nil, err
+	}
+	if op.release != nil {
+		defer op.release(s.Node(), sections[0])
 	}
 	return concat(sections), nil
 }

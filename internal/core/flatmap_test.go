@@ -21,6 +21,7 @@ var primesOp = NewFlatMap(
 		it := iter.LocalPar(iter.Filter(isPrime, iter.FromSlice(candidates)))
 		return CollectLocal(n.Pool, it, 64), nil
 	},
+	nil,
 )
 
 func isPrime(n int) bool {

@@ -75,6 +75,7 @@ var slabOp = core.NewFlatMap(
 	func(n *cluster.Node, t slabTask, _ struct{}) ([]float32, error) {
 		return slabGrid(n, t), nil
 	},
+	nil,
 )
 
 // TrioletSlab runs the slab-decomposed extension. It uses the FlatMap

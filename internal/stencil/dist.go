@@ -3,6 +3,7 @@ package stencil
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"triolet/internal/cluster"
 	"triolet/internal/core"
@@ -110,11 +111,11 @@ func newHaloPlan(p Partition, rank, radius int, b Boundary) haloPlan {
 	return pl
 }
 
-// Slab is one rank's share of a distributed stencil grid. Each generation
-// is one padded buffer — radius ghost rows covering [Lo-radius, Lo), the
-// owned rows, radius ghost rows covering [Hi, Hi+radius) — so rows next to
-// a ghost are interior rows. Front (the sweeper's window), back and exchange
-// scratch are allocated once; then only the wire encoding allocates.
+// Slab is one rank's share of a distributed stencil grid. Each generation is
+// one padded buffer — radius ghost rows covering [Lo-radius, Lo), the owned
+// rows, radius ghost rows covering [Hi, Hi+radius) — so rows next to a ghost
+// are interior rows. Front (the sweeper's window), back and exchange scratch
+// are allocated once, or reused from a spare; then only the wire encoding allocates.
 type Slab[T any] struct {
 	Part Partition
 	Rank int
@@ -127,10 +128,15 @@ type Slab[T any] struct {
 }
 
 // NewSlab builds rank's slab from its share of the grid (rows is copied,
-// len must be Part.Rows[rank].Len()×W). elems is the wire codec for halo
-// and gather payloads.
+// len must be Part.Rows[rank].Len()×W) in newly allocated buffers. elems is
+// the wire codec for halo and gather payloads.
 func NewSlab[T any](part Partition, rank int, par Params[T], elems serial.Codec[[]T], rows []T) (*Slab[T], error) {
-	s, err := newSlab(part, rank, par, elems, nil, nil)
+	return fillSlab(part, rank, par, elems, new(slabPool[T]), rows)
+}
+
+// fillSlab is NewSlab in a double buffer from pool when it has one of the size.
+func fillSlab[T any](part Partition, rank int, par Params[T], elems serial.Codec[[]T], pool *slabPool[T], rows []T) (*Slab[T], error) {
+	s, err := newSlab(part, rank, par, elems, pool, nil)
 	if err == nil && len(rows) != len(s.Rows()) {
 		return nil, fmt.Errorf("stencil: slab %d got %d cells for %d rows of width %d", rank, len(rows), s.sw.nRows, part.W)
 	} else if err == nil {
@@ -139,11 +145,11 @@ func NewSlab[T any](part Partition, rank int, par Params[T], elems serial.Codec[
 	return s, err
 }
 
-// newSlab is NewSlab with the owned rows left for the caller to fill, in
-// spare's double buffer when it has the size (its cells are all rewritten
-// before they are read: owned rows by the caller, ghosts by every exchange),
-// and with plan as its halo plan unless that is nil.
-func newSlab[T any](part Partition, rank int, par Params[T], elems serial.Codec[[]T], spare *Slab[T], plan *haloPlan) (*Slab[T], error) {
+// newSlab is NewSlab with the owned rows left for the caller to fill, in a
+// double buffer from pool when it has one of the size (its cells are all
+// rewritten before they are read: owned rows by the caller, ghosts by every
+// exchange), and with plan as its halo plan unless that is nil.
+func newSlab[T any](part Partition, rank int, par Params[T], elems serial.Codec[[]T], pool *slabPool[T], plan *haloPlan) (*Slab[T], error) {
 	if err := par.check(); err != nil {
 		return nil, err
 	}
@@ -156,7 +162,8 @@ func newSlab[T any](part Partition, rank int, par Params[T], elems serial.Codec[
 		plan = &p
 	}
 	var front, back, scratch []T
-	if n := (own.Len() + 2*pad) * part.W; spare != nil && len(spare.back) == n {
+	n := (own.Len() + 2*pad) * part.W
+	if spare := pool.take(n); spare != nil {
 		front, back, scratch = spare.sw.buf, spare.back, spare.scratch[:0]
 	} else {
 		front, back = make([]T, n), make([]T, n)
@@ -184,6 +191,36 @@ func newSlab[T any](part Partition, rank int, par Params[T], elems serial.Codec[
 	}
 	return s, nil
 }
+
+// slabPool holds an op's spare slabs: evicted, so no node holds them, kept
+// for their double buffers (a sync.Pool would drop them at every GC).
+type slabPool[T any] struct {
+	mu    sync.Mutex
+	spare []*Slab[T]
+}
+
+// take removes and returns a spare whose buffers hold n cells, or nil.
+func (p *slabPool[T]) take(n int) (s *Slab[T]) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if i := slices.IndexFunc(p.spare, func(s *Slab[T]) bool { return len(s.back) == n }); i >= 0 {
+		s = p.spare[i]
+		p.spare = slices.Delete(p.spare, i, i+1)
+	}
+	return s
+}
+
+// evict moves n's slab under key, if any, to the pool, which keeps the newest bound.
+func (p *slabPool[T]) evict(n *cluster.Node, key cluster.SegKey, bound int) {
+	if s, ok := n.Segs[key].(interface{ slab() *Slab[T] }); ok {
+		delete(n.Segs, key)
+		p.mu.Lock()
+		p.spare = append(slices.Delete(p.spare, 0, max(0, len(p.spare)+1-bound)), s.slab())
+		p.mu.Unlock()
+	}
+}
+
+func (s *Slab[T]) slab() *Slab[T] { return s }
 
 // Rows returns the slab's current generation (owned rows, no ghosts). The
 // slice is the live front buffer; it is valid until the next Sweep.
@@ -315,18 +352,19 @@ func (s *Slab[T]) step(c *mpi.Comm, pool *sched.Pool, fn Func[T]) error {
 // exchange overlapped with the interior sweep — over the rank's row slab;
 // the final generation is gathered back. Register once at init — one
 // registration serves every grid shape, radius, and boundary strategy,
-// which travel in the header.
+// which travel in the header. Slabs outlive runs in the op's pool (release).
 type Op[T any] struct {
 	elem  serial.Codec[T]
 	elems serial.Codec[[]T]
 	fn    Func[T]
 	dist  *core.FlatMapOp[[]T, opHeader[T], T]
+	pool  slabPool[T]
 }
 
 // NewOp registers the distributed stencil kernel "stencil.<name>".
 func NewOp[T any](name string, elem serial.Codec[T], elems serial.Codec[[]T], fn Func[T]) *Op[T] {
 	op := &Op[T]{elem: elem, elems: elems, fn: fn}
-	op.dist = core.NewFlatMap("stencil."+name, elems, op.hdrCodec(), elems, op.iterate)
+	op.dist = core.NewFlatMap("stencil."+name, elems, op.hdrCodec(), elems, op.iterate, op.release)
 	return op
 }
 
@@ -368,7 +406,7 @@ func (op *Op[T]) hdrCodec() serial.Codec[opHeader[T]] {
 // cut rows by — both block-partition hdr.h rows over the nodes.
 func (op *Op[T]) iterate(n *cluster.Node, rows []T, hdr opHeader[T]) ([]T, error) {
 	part := NewPartition(hdr.h, hdr.w, n.Nodes())
-	sl, err := NewSlab(part, n.Rank(), hdr.par, op.elems, rows)
+	sl, err := fillSlab(part, n.Rank(), hdr.par, op.elems, &op.pool, rows)
 	if err != nil {
 		return nil, err
 	}
@@ -377,7 +415,17 @@ func (op *Op[T]) iterate(n *cluster.Node, rows []T, hdr opHeader[T]) ([]T, error
 			return nil, err
 		}
 	}
+	if n.Segs == nil {
+		n.Segs = make(map[cluster.SegKey]any)
+	}
+	n.Segs[cluster.SegKey{Kernel: op.Name()}] = sl
 	return sl.Rows(), nil
+}
+
+// release moves the slab iterate left in the node's store to the pool once the
+// skeleton has consumed its rows. A failed run's stays: the next run replaces it.
+func (op *Op[T]) release(n *cluster.Node, _ []T) {
+	op.pool.evict(n, cluster.SegKey{Kernel: op.Name()}, n.Nodes())
 }
 
 // Run executes iters sweeps of the stencil over g on the whole cluster and

@@ -28,9 +28,9 @@ type FarmOp[T any] struct {
 	elems serial.Codec[[]T]
 	fn    Func[T]
 	runs  atomic.Uint32     // Run calls so far; the number stamps a run's frames and names its resident slabs
+	pool  slabPool[T]       // evicted slabs, whose buffers the next inline frames of their size reuse
 	mu    sync.Mutex        // guards the fields below
 	free  [][]serial.Writer // runs' frame and answer writers no run holds, kept grown for the next run
-	spare []*Slab[T]        // slabs no node holds any more, whose buffers the next inline frames reuse
 	shape farmHeader        // the latest task shape: its h, w, slabs, radius and boundary; its
 	part  Partition         // partition; and, while slabs² ≤ farmBudget, each slab's geometry
 	geo   []*slabGeo        // from the first frame that names it
@@ -250,20 +250,6 @@ type residentSlab[T any] struct {
 	stamp farmHeader // the next task's header, flags apart
 }
 
-// evict drops key's slab from the node's store, keeping its double buffer for
-// the next inline frame: spare holds no node's state, only memory, at most a
-// run's slabs (a sync.Pool would drop it at every GC).
-func (op *FarmOp[T]) evict(n *cluster.Node, key cluster.SegKey, slabs int) {
-	if res, ok := n.Segs[key].(*residentSlab[T]); ok {
-		delete(n.Segs, key)
-		op.mu.Lock()
-		if len(op.spare) < slabs {
-			op.spare = append(op.spare, res.Slab)
-		}
-		op.mu.Unlock()
-	}
-}
-
 // taskBody is the node side of one slab sweep: build the Slab in place from an
 // inline frame or find it resident, fill its ghosts, sweep, and answer — the
 // slab's rows if the task is the epoch's last, else this rank and the edge
@@ -277,7 +263,7 @@ func (op *FarmOp[T]) taskBody(n *cluster.Node, task []byte) ([]byte, error) {
 	key := cluster.SegKey{Kernel: op.name, Run: int(t.run), Seg: int(t.slab)}
 	if t.flags&farmDrop != 0 {
 		for key.Seg = 0; key.Seg < int(t.slabs); key.Seg++ {
-			op.evict(n, key, int(t.slabs))
+			op.pool.evict(n, key, int(t.slabs))
 		}
 		return []byte{}, nil
 	}
@@ -285,14 +271,8 @@ func (op *FarmOp[T]) taskBody(n *cluster.Node, task []byte) ([]byte, error) {
 	stamp.flags = 0
 	res, _ := n.Segs[key].(*residentSlab[T])
 	if t.flags&farmInline != 0 {
-		op.evict(n, key, int(t.slabs))
-		var spare *Slab[T]
-		op.mu.Lock()
-		if k := len(op.spare); k > 0 {
-			spare, op.spare[k-1], op.spare = op.spare[k-1], nil, op.spare[:k-1]
-		}
-		op.mu.Unlock()
-		sl, err := newSlab(t.part, int(t.slab), t.par, op.elems, spare, &t.plan)
+		op.pool.evict(n, key, int(t.slabs))
+		sl, err := newSlab(t.part, int(t.slab), t.par, op.elems, &op.pool, &t.plan)
 		if err != nil {
 			return nil, err
 		}
@@ -317,7 +297,7 @@ func (op *FarmOp[T]) taskBody(n *cluster.Node, task []byte) ([]byte, error) {
 	if t.flags&farmLast != 0 {
 		w := op.answer(n, key, 8+8*len(res.Rows()))
 		op.elems.Encode(w, res.Rows())
-		op.evict(n, key, int(t.slabs))
+		op.pool.evict(n, key, int(t.slabs))
 		return w.Bytes(), nil
 	}
 	res.scratch = res.scratch[:0]

@@ -100,3 +100,44 @@ func TestFarmOpFrameAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFarmOpUnevenSlabAllocs is TestFarmOpFrameAllocs' solve over 130 rows,
+// whose 8 slabs are 17 and 16 rows high: an inline frame finds a spare slab of
+// its own height in the pool, whatever height was released last, so the solve
+// allocates no more than the even one, plus the two rows (1.90 MB measured;
+// 2.70 when a spare of the wrong height was dropped and reallocated).
+func TestFarmOpUnevenSlabAllocs(t *testing.T) {
+	g := iter.Matrix2[int64]{H: 130, W: 128, Data: make([]int64, 130*128)}
+	for i := range g.Data {
+		g.Data[i] = int64(i * i % 7 & 1)
+	}
+	par := Params[int64]{Radius: 1, Boundary: Wrap}
+	want := tableRef(g, par, 40)
+	const solves = 4
+	cfg := cluster.Config{Nodes: 2, CoresPerNode: 1, Reliable: &mpi.ReliableConfig{AckTimeout: time.Second}}
+	_, err := cluster.Run(cfg, func(s *cluster.Session) error {
+		var before, after runtime.MemStats
+		for i := range solves + 1 {
+			if i == 1 { // the first solve fills the pool and grows the writers
+				runtime.ReadMemStats(&before)
+			}
+			got, err := tableFarm.Run(s, g, par, 40, FarmRunOptions{Slabs: 8})
+			if err != nil {
+				return err
+			}
+			if !slices.Equal(got.Data, want) {
+				t.Error("grid differs from the reference")
+			}
+		}
+		runtime.ReadMemStats(&after)
+		mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6 / solves
+		t.Logf("%.2f MB a solve", mb)
+		if mb > 2.10 {
+			t.Errorf("a 130-row life-farm-shaped solve allocates %.2f MB, want ≤ 2.10", mb)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,7 +1,11 @@
 package transport
 
 import (
+	"encoding/binary"
+	"fmt"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 )
@@ -292,5 +296,75 @@ func TestDelayQueueReusesItsArray(t *testing.T) {
 	}
 	if after := cap(eq.pending); before == 0 || after != before {
 		t.Fatalf("depth-1 queue capacity went %d → %d over 50 messages, want unchanged", before, after)
+	}
+}
+
+// BenchmarkDelayedLateness measures how late a delayed message becomes
+// receivable while both ranks compute, without changing how it is delivered.
+// Each step, each of two ranks sends the other 4 KB on a 50 µs + 125 MB/s
+// link, computes ≈ 0.7 ms — checking its mailbox every 10 µs, which never
+// yields the processor — and then receives. A message is due one hold after
+// its send; late-* is how long after that its receiver first finds it (both
+// ranks), wait-* how long rank 0 blocks in Recv a step, at p50/p90 in µs. The
+// drain goroutine that delivers a held message needs a processor, and two
+// computing ranks hold both of a 2-vCPU host's.
+func BenchmarkDelayedLateness(b *testing.B) {
+	const size, compute, slice = 4096, 700 * time.Microsecond, 10 * time.Microsecond
+	cfg := DelayConfig{Latency: 50 * time.Microsecond, BytesPerSec: 125e6}
+	f := New(Config{Ranks: 2, Delay: &cfg})
+	defer f.Close()
+	spin := func(d time.Duration) {
+		for start := time.Now(); time.Since(start) < d; {
+		}
+	}
+	base, due := time.Now(), cfg.delayFor(size)
+	late, wait := make([]time.Duration, 2*b.N), make([]time.Duration, b.N)
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for r := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			payload := make([]byte, size)
+			for i := range b.N {
+				binary.LittleEndian.PutUint64(payload, uint64(time.Since(base)))
+				if err := f.Send(r, 1-r, 0, payload); err != nil {
+					b.Error(err)
+					return
+				}
+				var m Message
+				var seen time.Time
+				ok := false
+				for start := time.Now(); time.Since(start) < compute; spin(slice) {
+					if !ok {
+						m, ok, _ = f.TryRecv(r, 1-r, 0)
+						seen = time.Now()
+					}
+				}
+				if !ok {
+					blocked := time.Now()
+					var err error
+					if m, err = f.Recv(r, 1-r, 0); err != nil {
+						b.Error(err)
+						return
+					}
+					if seen = time.Now(); r == 0 {
+						wait[i] = seen.Sub(blocked)
+					}
+				}
+				sent := base.Add(time.Duration(binary.LittleEndian.Uint64(m.Payload)))
+				late[2*i+r] = seen.Sub(sent.Add(due))
+			}
+		}()
+	}
+	wg.Wait()
+	for _, q := range []struct {
+		name string
+		ds   []time.Duration
+	}{{"late", late}, {"wait", wait}} {
+		slices.Sort(q.ds)
+		for _, at := range []int{50, 90} {
+			b.ReportMetric(float64(q.ds[(len(q.ds)-1)*at/100])/1e3, fmt.Sprintf("%s-p%d-us", q.name, at))
+		}
 	}
 }
