@@ -220,7 +220,7 @@ func (p *slabPool[T]) evict(n *cluster.Node, key cluster.SegKey, bound int) {
 	}
 }
 
-func (s *Slab[T]) slab() *Slab[T] { return s }
+func (s *Slab[T]) slab() *Slab[T] { return s } // evict takes a Slab or a residentSlab
 
 // Rows returns the slab's current generation (owned rows, no ghosts). The
 // slice is the live front buffer; it is valid until the next Sweep.

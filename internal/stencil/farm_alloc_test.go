@@ -63,41 +63,8 @@ func TestFarmOpFrameAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	g := iter.Matrix2[int64]{H: 128, W: 128, Data: make([]int64, 128*128)}
-	for i := range g.Data {
-		g.Data[i] = int64(i * i % 7 & 1)
-	}
-	par := Params[int64]{Radius: 1, Boundary: Wrap}
-	const solves = 4
-	cfg := cluster.Config{Nodes: 2, CoresPerNode: 1, Reliable: &mpi.ReliableConfig{AckTimeout: time.Second}}
-	_, err = cluster.Run(cfg, func(s *cluster.Session) error {
-		solve := func() error {
-			got, err := tableFarm.Run(s, g, par, 40, FarmRunOptions{Slabs: 8})
-			if err == nil && !slices.Equal(got.Data, tableRef(g, par, 40)) {
-				t.Error("grid differs from the reference")
-			}
-			return err
-		}
-		if err := solve(); err != nil { // the first solve fills the spare slabs and grows the writers
-			return err
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range solves {
-			if _, err := tableFarm.Run(s, g, par, 40, FarmRunOptions{Slabs: 8}); err != nil {
-				return err
-			}
-		}
-		runtime.ReadMemStats(&after)
-		mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6 / solves
-		t.Logf("%.2f MB a solve", mb)
-		if mb > 2.07 {
-			t.Errorf("a life-farm-shaped solve allocates %.2f MB, want ≤ 2.07", mb)
-		}
-		return solve()
-	})
-	if err != nil {
-		t.Fatal(err)
+	if mb := farmSolveMB(t, 128); mb > 2.07 {
+		t.Errorf("a life-farm-shaped solve allocates %.2f MB, want ≤ 2.07", mb)
 	}
 }
 
@@ -105,9 +72,19 @@ func TestFarmOpFrameAllocs(t *testing.T) {
 // whose 8 slabs are 17 and 16 rows high: an inline frame finds a spare slab of
 // its own height in the pool, whatever height was released last, so the solve
 // allocates no more than the even one, plus the two rows (1.90 MB measured;
-// 2.70 when a spare of the wrong height was dropped and reallocated).
+// 2.68 when a spare of the wrong height was dropped and reallocated).
 func TestFarmOpUnevenSlabAllocs(t *testing.T) {
-	g := iter.Matrix2[int64]{H: 130, W: 128, Data: make([]int64, 130*128)}
+	if mb := farmSolveMB(t, 130); mb > 2.10 {
+		t.Errorf("a 130-row life-farm-shaped solve allocates %.2f MB, want ≤ 2.10", mb)
+	}
+}
+
+// farmSolveMB runs a life-farm-shaped solve of an h×128 grid (40 sweeps, 8
+// slabs, 2 reliable nodes), which fills the spare slabs and grows the
+// writers, then four more, each checked against the reference, and returns
+// the four's MB allocated a solve.
+func farmSolveMB(t *testing.T, h int) (mb float64) {
+	g := iter.Matrix2[int64]{H: h, W: 128, Data: make([]int64, h*128)}
 	for i := range g.Data {
 		g.Data[i] = int64(i * i % 7 & 1)
 	}
@@ -118,7 +95,7 @@ func TestFarmOpUnevenSlabAllocs(t *testing.T) {
 	_, err := cluster.Run(cfg, func(s *cluster.Session) error {
 		var before, after runtime.MemStats
 		for i := range solves + 1 {
-			if i == 1 { // the first solve fills the pool and grows the writers
+			if i == 1 {
 				runtime.ReadMemStats(&before)
 			}
 			got, err := tableFarm.Run(s, g, par, 40, FarmRunOptions{Slabs: 8})
@@ -130,14 +107,12 @@ func TestFarmOpUnevenSlabAllocs(t *testing.T) {
 			}
 		}
 		runtime.ReadMemStats(&after)
-		mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6 / solves
-		t.Logf("%.2f MB a solve", mb)
-		if mb > 2.10 {
-			t.Errorf("a 130-row life-farm-shaped solve allocates %.2f MB, want ≤ 2.10", mb)
-		}
+		mb = float64(after.TotalAlloc-before.TotalAlloc) / 1e6 / solves
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("%.2f MB a solve", mb)
+	return mb
 }
