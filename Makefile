@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race wait-poll chaos chaos-resume chaos-campaign fuzz fuzz-wal \
+.PHONY: build test race wait-poll chaos chaos-resume chaos-campaign fuzz fuzz-nest fuzz-wal \
 	bench-smoke iter-bench alloc-gate \
 	diffcheck-gate diffcheck-soak autopar-gate lint lint-selftest inline-gate loc layout reach vet all
 
@@ -75,8 +75,8 @@ chaos-campaign:
 # slice, record and matrix codecs, the farm engine's task/result frames, the reliable layer's
 # frames (any record list under a valid CRC), the farmed stencil's task
 # frames, the job service's specs (HTTP body, registry records) and the
-# differential oracle's chunk tasks — plus the stream nest against its
-# per-element reference.
+# differential oracle's chunk tasks — plus the stream and ConcatMap nests
+# against their per-element reference.
 fuzz:
 	$(GO) test -fuzz=FuzzSliceDecoders -fuzztime=30s ./internal/serial
 	$(GO) test -fuzz=FuzzRecordCodec -fuzztime=30s ./internal/serial
@@ -87,6 +87,12 @@ fuzz:
 	$(GO) test -fuzz=FuzzJobSpec -fuzztime=30s ./internal/jobs
 	$(GO) test -fuzz=FuzzDecodeChunkTask -fuzztime=30s ./internal/diffcheck
 	$(GO) test -fuzz=FuzzStreamNest -fuzztime=30s ./internal/iter
+	$(GO) test -fuzz=FuzzConcatMapNest -fuzztime=30s ./internal/iter
+
+# Fuzz the nest walk alone: stream nests, then ConcatMap nests, 30 s each.
+fuzz-nest:
+	$(GO) test -fuzz=FuzzStreamNest -fuzztime=30s ./internal/iter
+	$(GO) test -fuzz=FuzzConcatMapNest -fuzztime=30s ./internal/iter
 
 # Fuzz the checkpoint WAL decoder: arbitrary bytes must yield a valid
 # prefix, never a panic or a runaway allocation.

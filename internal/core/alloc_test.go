@@ -14,9 +14,9 @@ var (
 	whistAllocSink []float32
 )
 
-// The parallel histogram's allocation bound is workers+1 bin arrays plus a
-// constant number of split/range descriptors — independent of element
-// count. The block AddInto merge must not reintroduce per-element or
+// The parallel histogram's allocation bound is workers bin arrays and
+// workers staging arenas plus a constant number of descriptors —
+// independent of element count. The block AddInto merge must not reintroduce per-element or
 // per-bin boxing, so the gate compares a 64× larger input at an identical
 // range count and requires no allocation growth. Runs under CI's
 // alloc-gate job (-run 'ZeroAllocs|Allocs|Arena|Presize').
@@ -67,18 +67,8 @@ func TestWeightedHistogramMergeAllocsBounded(t *testing.T) {
 // leafGrowth reports how many more bytes a call of run allocates, per extra
 // leaf, at grain 8 than at grain 64: 64 leaves against 8 over a 512-atom nest.
 func leafGrowth(run func(grain int)) float64 {
-	bytes := func(grain int) float64 {
-		run(grain)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range 20 {
-			run(grain)
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / 20
-	}
-	few := bytes(64)
-	return (bytes(8) - few) / 56
+	few := callBytes(func() { run(64) })
+	return (callBytes(func() { run(8) }) - few) / 56
 }
 
 // cutcpNest is a cutcp-shaped stream nest: 512 atoms, each updating a run of
@@ -94,26 +84,63 @@ func cutcpNest[U any](bin func(i int, w float32) U) iter.Iter[U] {
 }
 
 // TestWeightedHistogramLocalLeafAllocs: each pool worker stages its leaves'
-// blocks in one arena, kept beside its bins, so what a threaded weighted
-// histogram allocates per leaf of a cutcp-shaped nest is the split's range
-// descriptors (≈ 200 bytes), not a staging arena of BlockSize bins (4 KiB).
-// Runs under CI's alloc-gate job.
+// blocks in one arena, kept beside its bins, and a nest's Split moves its
+// outer window without allocating, so a leaf of a cutcp-shaped nest
+// allocates nothing: no staging arena of BlockSize bins (4 KiB), no split
+// descriptors. One pool worker runs every leaf, so its one arena is allocated on each
+// call: with two, whether the second worker's arena (2 KiB) is allocated
+// depends on whether it stole a leaf, ±36 bytes a leaf of noise. The
+// 16-byte budget is the work deque's growth with split depth. Runs under
+// CI's alloc-gate job.
 func TestWeightedHistogramLocalLeafAllocs(t *testing.T) {
-	pool := sched.NewPool(2)
+	pool := sched.NewPool(1)
 	defer pool.Close()
 	it := cutcpNest(func(i int, w float32) iter.Bin[float32] { return iter.Bin[float32]{I: i, W: w} })
-	if b := leafGrowth(func(grain int) { whistAllocSink = WeightedHistogramLocal(pool, 64, it, grain) }); b > 512 {
-		t.Fatalf("a weighted histogram leaf allocates %.0f bytes, want ≤ 512", b)
+	if b := leafGrowth(func(grain int) { whistAllocSink = WeightedHistogramLocal(pool, 64, it, grain) }); b > 16 {
+		t.Fatalf("a weighted histogram leaf allocates %.0f bytes, want ≤ 16", b)
 	}
 }
 
 // TestHistogramLocalLeafAllocs is TestWeightedHistogramLocalLeafAllocs for
 // HistogramLocal's int bins, whose per-leaf arena would be 2 KiB.
 func TestHistogramLocalLeafAllocs(t *testing.T) {
-	pool := sched.NewPool(2)
+	pool := sched.NewPool(1)
 	defer pool.Close()
 	it := cutcpNest(func(i int, _ float32) int { return i })
-	if b := leafGrowth(func(grain int) { histAllocSink = HistogramLocal(pool, 64, it, grain) }); b > 512 {
-		t.Fatalf("a histogram leaf allocates %.0f bytes, want ≤ 512", b)
+	if b := leafGrowth(func(grain int) { histAllocSink = HistogramLocal(pool, 64, it, grain) }); b > 16 {
+		t.Fatalf("a histogram leaf allocates %.0f bytes, want ≤ 16", b)
+	}
+}
+
+// callBytes is the bytes one call of run allocates, averaged over 20 calls
+// after a warm-up.
+func callBytes(run func()) float64 {
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 20 {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / 20
+}
+
+// TestHistogramLocalCallAllocs: a whole threaded histogram call allocates
+// one bin array and one staging arena per pool worker, plus the pool's and
+// the call's descriptors (1.1–1.4 KiB) — no merge target. The grids are 64 KiB
+// and 128 KiB, so a fresh grid to merge into would break the budget by far.
+func TestHistogramLocalCallAllocs(t *testing.T) {
+	const workers, bins, slack = 2, 1 << 14, 2048
+	pool := sched.NewPool(workers)
+	defer pool.Close()
+	wit := cutcpNest(func(i int, w float32) iter.Bin[float32] { return iter.Bin[float32]{I: i * 97 % bins, W: w} })
+	budget := float64(workers*(bins*4+iter.BlockSize*16) + slack)
+	if b := callBytes(func() { whistAllocSink = WeightedHistogramLocal(pool, bins, wit, 8) }); b > budget {
+		t.Fatalf("a weighted histogram call allocates %.0f bytes, want ≤ %.0f (2 grids, 2 arenas)", b, budget)
+	}
+	it := cutcpNest(func(i int, _ float32) int { return i * 97 % bins })
+	budget = float64(workers*(bins*8+iter.BlockSize*8) + slack)
+	if b := callBytes(func() { histAllocSink = HistogramLocal(pool, bins, it, 8) }); b > budget {
+		t.Fatalf("a histogram call allocates %.0f bytes, want ≤ %.0f (2 grids, 2 arenas)", b, budget)
 	}
 }

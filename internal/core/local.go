@@ -54,16 +54,7 @@ func HistogramLocal(pool *sched.Pool, bins int, it iter.Iter[int], grain int) []
 	pool.ParallelFor(n, grain, func(worker, lo, hi int) {
 		iter.HistogramIntoArena(private[worker], iter.Split(it, domain.Range{Lo: lo, Hi: hi}), &arenas[worker])
 	})
-	// Merge each worker's bins in one block add (array.AddInto — a
-	// bounds-check-hoisted, vectorizable loop) instead of an indexed
-	// per-element accumulate. Allocation stays workers+1 bin arrays and
-	// workers arenas, independent of element and leaf count — pinned by the
-	// core alloc gate.
-	out := make([]int64, bins)
-	for _, h := range private {
-		array.AddInto(out, h)
-	}
-	return out
+	return mergeGrids(private)
 }
 
 // WeightedHistogramLocal is HistogramLocal for weighted updates — the
@@ -80,13 +71,21 @@ func WeightedHistogramLocal[W iter.Number](pool *sched.Pool, bins int, it iter.I
 	pool.ParallelFor(n, grain, func(worker, lo, hi int) {
 		iter.WeightedHistogramIntoArena(private[worker], iter.Split(it, domain.Range{Lo: lo, Hi: hi}), &arenas[worker])
 	})
-	// Same block merge as HistogramLocal; for float bins the unchanged
-	// per-worker merge order keeps results bit-identical to the old loop.
-	out := make([]W, bins)
-	for _, h := range private {
-		array.AddInto(out, h)
+	return mergeGrids(private)
+}
+
+// mergeGrids adds every worker's bins into worker 0's, in worker order, with
+// one block add each (array.AddInto, a bounds-check-hoisted, vectorizable
+// loop), and returns worker 0's grid. Adding into it rather than into a fresh
+// zeroed grid gives the same bits: a bin starts at +0 and only has values
+// added, so it never holds −0, and 0 + x is x bit for bit otherwise. A
+// threaded histogram thus allocates workers bin arrays and workers arenas,
+// whatever its element and leaf count — pinned by the core alloc gate.
+func mergeGrids[W iter.Number](private [][]W) []W {
+	for _, h := range private[1:] {
+		array.AddInto(private[0], h)
 	}
-	return out
+	return private[0]
 }
 
 // BuildSliceLocal materializes a flat (KIdxFlat) iterator into a slice,

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
+	"triolet/internal/array"
 	"triolet/internal/domain"
 	"triolet/internal/iter"
 	"triolet/internal/sched"
@@ -193,4 +195,62 @@ func TestBuild2Local(t *testing.T) {
 	if len(em.Data) != 0 {
 		t.Fatal("empty build produced data")
 	}
+}
+
+// freshMerge is the threaded histograms' earlier merge: every worker's bins
+// added, in worker order, into a fresh zeroed grid.
+func freshMerge[W iter.Number](private [][]W) []W {
+	out := make([]W, len(private[0]))
+	for _, h := range private {
+		array.AddInto(out, h)
+	}
+	return out
+}
+
+// mergeCase is three workers' grids as bins fill them — each from +0, by
+// addition only — with bins that cancel to zero within a worker and across
+// workers, bins that only one worker touched, and bins no worker touched.
+func mergeCase[W iter.Number](vals []W) [][]W {
+	private := make([][]W, 3)
+	for w := range private {
+		private[w] = make([]W, 4*len(vals))
+	}
+	for i, v := range vals {
+		private[0][4*i] += v
+		private[1][4*i] += -v // cancels across workers
+		private[1][4*i+1] += v
+		private[1][4*i+1] += -v // cancels within a worker
+		private[2][4*i+2] += v * 3
+	}
+	return private
+}
+
+// TestMergeIntoWorkerZeroSameBits: merging the workers' grids into worker
+// 0's gives the bits the fresh-grid merge gave, for integer and float bins,
+// cancelling bins included (+0 either way: a bin that starts at +0 and only
+// has values added never holds −0).
+func TestMergeIntoWorkerZeroSameBits(t *testing.T) {
+	ints := []int64{0, 1, -7, 1 << 40, -(1 << 62)}
+	floats := []float32{0, 1.5, -2.25, 3e-39, -1e30, 0.1}
+	for name, got := range map[string][2][]uint64{
+		"int64":   bits(freshMerge(mergeCase(ints)), mergeGrids(mergeCase(ints)), func(v int64) uint64 { return uint64(v) }),
+		"float32": bits(freshMerge(mergeCase(floats)), mergeGrids(mergeCase(floats)), func(v float32) uint64 { return uint64(math.Float32bits(v)) }),
+	} {
+		for i := range got[0] {
+			if got[0][i] != got[1][i] {
+				t.Fatalf("%s bin %d: fresh-grid merge %#x, merge into worker 0 %#x", name, i, got[0][i], got[1][i])
+			}
+		}
+	}
+}
+
+func bits[W iter.Number](a, b []W, of func(W) uint64) [2][]uint64 {
+	var out [2][]uint64
+	for _, v := range a {
+		out[0] = append(out[0], of(v))
+	}
+	for _, v := range b {
+		out[1] = append(out[1], of(v))
+	}
+	return out
 }

@@ -210,11 +210,12 @@ func TestHistogramAllocsSizeIndependent(t *testing.T) {
 }
 
 // TestHistogramNestInnerLoopsZeroAllocs: the histogram consumers walk a
-// nest themselves and drive short inner indexers — flat or partial, with no
-// block kernel — through At with the bin update inline. Over prebuilt inner
-// iterators that is zero allocations; over ConcatMap's closure form it is
-// exactly what the producer allocates per outer element, whatever the inner
-// length (1x vs 8x at equal outer length).
+// nest through driveNest, which stages short inner indexers — flat or
+// partial, with no block kernel — through At into one arena. Over prebuilt
+// inner iterators that is one allocation, the arena, and nothing per inner
+// loop; over ConcatMap's closure form it is exactly what the producer
+// allocates per outer element, whatever the inner length (1x vs 8x at equal
+// outer length).
 func TestHistogramNestInnerLoopsZeroAllocs(t *testing.T) {
 	const outer = 64
 	bins := make([]int64, 16)
@@ -236,11 +237,11 @@ func TestHistogramNestInnerLoopsZeroAllocs(t *testing.T) {
 				winners[i] = Map(weigh, inners[i])
 			}
 			nest, wnest := IdxNest(IdxOf(inners)), IdxNest(IdxOf(winners))
-			if n := testing.AllocsPerRun(20, func() { HistogramInto(bins, nest) }); n != 0 {
-				t.Fatalf("HistogramInto over %d %s inner loops of %d allocated %.1f per run, want 0", outer, name, inner, n)
+			if n := testing.AllocsPerRun(20, func() { HistogramInto(bins, nest) }); n != 1 {
+				t.Fatalf("HistogramInto over %d %s inner loops of %d allocated %.1f per run, want 1 (the arena)", outer, name, inner, n)
 			}
-			if n := testing.AllocsPerRun(20, func() { WeightedHistogramInto(wbins, wnest) }); n != 0 {
-				t.Fatalf("WeightedHistogramInto over %d %s inner loops of %d allocated %.1f per run, want 0", outer, name, inner, n)
+			if n := testing.AllocsPerRun(20, func() { WeightedHistogramInto(wbins, wnest) }); n != 1 {
+				t.Fatalf("WeightedHistogramInto over %d %s inner loops of %d allocated %.1f per run, want 1 (the arena)", outer, name, inner, n)
 			}
 		}
 		cm := ConcatMap(func(i int) Iter[int] { return partial(i, inner) }, Range(outer))
@@ -324,5 +325,55 @@ func TestReduceKernelAllocsSizeIndependent(t *testing.T) {
 	}
 	if small > 4 {
 		t.Fatalf("Reduce over a kernel allocates %.1f per traversal, want <= 4 (kernel + scratch + one buffer)", small)
+	}
+}
+
+// TestConcatMapAllocs pins where a ConcatMap nest's consumers allocate.
+// When f allocates nothing (it returns a preset slice-view row), Sum,
+// Reduce and HistogramInto allocate the same at 256 and 4096 outer
+// elements: the walk's arena. When f returns a Map over a Range whose
+// closure captures the outer element (BenchmarkConcatMapSum's layered
+// twin), they allocate exactly one object more per outer element: that
+// closure. Runs under CI's alloc-gate job.
+func TestConcatMapAllocs(t *testing.T) {
+	rows := make([]Iter[int], 4)
+	for r := range rows {
+		row := make([]int, 3*r)
+		for j := range row {
+			row[j] = (r + j) % 64
+		}
+		rows[r] = FromSlice(row)
+	}
+	forms := map[string]func(v int) Iter[int]{
+		"preset": func(v int) Iter[int] { return rows[v%4] },
+		"probe":  func(v int) Iter[int] { return Map(func(j int) int { return (v + j) % 64 }, Range(v%4)) },
+	}
+	bins := make([]int64, 64)
+	consumers := map[string]func(it Iter[int]){
+		"Sum":           func(it Iter[int]) { allocSink = int64(Sum(it)) },
+		"Reduce":        func(it Iter[int]) { allocSink = int64(Reduce(it, 0, func(a, v int) int { return a ^ v })) },
+		"HistogramInto": func(it Iter[int]) { HistogramInto(bins, it) },
+	}
+	for cname, run := range consumers {
+		allocs := map[string]map[int]float64{}
+		for fname, f := range forms {
+			allocs[fname] = map[int]float64{}
+			for _, n := range []int{256, 4096} {
+				xs := make([]int, n)
+				for i := range xs {
+					xs[i] = i * 7
+				}
+				it := ConcatMap(f, FromSlice(xs))
+				allocs[fname][n] = testing.AllocsPerRun(10, func() { run(it) })
+			}
+		}
+		if p := allocs["preset"]; p[256] != p[4096] || p[256] > 1 {
+			t.Errorf("%s over ConcatMap of preset rows allocated %.0f at 256 outer elements and %.0f at 4096, want the same, ≤ 1", cname, p[256], p[4096])
+		}
+		for _, n := range []int{256, 4096} {
+			if extra := allocs["probe"][n] - allocs["preset"][n]; extra != float64(n) {
+				t.Errorf("%s over ConcatMap of %d capturing Maps allocated %.0f more than over preset rows, want %d (one closure each)", cname, n, extra, n)
+			}
+		}
 	}
 }

@@ -59,11 +59,7 @@ func HistogramIntoArena(bins []int64, it Iter[int], arena *[]int) {
 	}
 	switch it.kind {
 	case KIdxNest:
-		if inner := it.idxN; !driveNest(inner, arena, each) {
-			for i := 0; i < inner.N; i++ {
-				HistogramIntoArena(bins, inner.At(i), arena)
-			}
-		}
+		driveNest(&it, arena, each)
 	case KIdxFlat:
 		if ix := it.idx; !drive(ix.N, ix.fast, arena, each) {
 			for i := 0; i < ix.N; i++ {
@@ -108,11 +104,7 @@ func WeightedHistogramIntoArena[W Number](bins []W, it Iter[Bin[W]], arena *[]Bi
 	}
 	switch it.kind {
 	case KIdxNest:
-		if inner := it.idxN; !driveNest(inner, arena, each) {
-			for i := 0; i < inner.N; i++ {
-				WeightedHistogramIntoArena(bins, inner.At(i), arena)
-			}
-		}
+		driveNest(&it, arena, each)
 	case KIdxFlat:
 		if ix := it.idx; !drive(ix.N, ix.fast, arena, each) {
 			for i := 0; i < ix.N; i++ {

@@ -46,26 +46,32 @@ func IdxOf[T any](xs []T) Idx[T] {
 	return Idx[T]{N: len(xs), At: func(i int) T { return xs[i] }, fast: &fastPath[T]{back: xs}}
 }
 
-// IdxRange is the indexer of the integers [0, n). Ranges shorter than
-// blockMin stay At-only: no consumer drives blocks that short, and the tiny
-// ranges ConcatMap feeds to inner pipelines should not pay an allocation.
+// IdxRange is the indexer of the integers [0, n). Its At is the identity,
+// which rangeFast marks, so a map over a range is the mapped function alone
+// (mapIdxBase): the tiny ranges ConcatMap feeds to inner pipelines cost no
+// allocation. Ranges shorter than blockMin carry no kernel: no consumer
+// drives blocks that short.
 func IdxRange(n int) Idx[int] {
 	if n < 0 {
 		panic(fmt.Sprintf("iter: IdxRange(%d)", n))
 	}
-	out := Idx[int]{N: n, At: func(i int) int { return i }}
+	out := Idx[int]{N: n, At: func(i int) int { return i }, fast: rangeFast[0]}
 	if n >= blockMin {
-		out.fast = &fastPath[int]{fill: func() kernel[int] {
-			return func(dst []int, base int) int {
-				for i := range dst {
-					dst[i] = base + i
-				}
-				return len(dst)
-			}
-		}}
+		out.fast = rangeFast[1]
 	}
 	return out
 }
+
+// rangeFast is IdxRange's fastPath, shared by every range: without and
+// with the kernel.
+var rangeFast = [2]*fastPath[int]{{}, {fill: func() kernel[int] {
+	return func(dst []int, base int) int {
+		for i := range dst {
+			dst[i] = base + i
+		}
+		return len(dst)
+	}
+}}}
 
 // MapIdx builds the indexer whose lookup applies f after ix's lookup —
 // straight-line code, so composition fuses (paper §3.1 "Indexers"). Over a
@@ -98,7 +104,12 @@ func mapIdxBase[T, U any](f func(T) U, ix Idx[T]) Idx[U] {
 	// of the whole Idx struct, which matters when ConcatMap constructs one of
 	// these per outer element.
 	at := ix.At
-	out := Idx[U]{N: ix.N, At: func(i int) U { return f(at(i)) }}
+	out := Idx[U]{N: ix.N}
+	if g, ok := any(f).(func(int) U); ok && (any(ix.fast) == any(rangeFast[0]) || any(ix.fast) == any(rangeFast[1])) {
+		out.At = g
+	} else {
+		out.At = func(i int) U { return f(at(i)) }
+	}
 	if back := ix.backing(); back != nil {
 		out.At = func(i int) U { return f(back[i]) }
 		fast := &fastPath[U]{fill: func() kernel[U] {
@@ -289,10 +300,10 @@ func foldBlocks[T, A any](n int, f *fastPath[T], z A, w func(A, T) A, arena *[]T
 	return z, ok
 }
 
-// foldNest is foldBlocks over a stream nest.
-func foldNest[T, A any](ix Idx[Iter[T]], z A, w func(A, T) A, arena *[]T) (A, bool) {
-	ok := driveNest(ix, arena, func(b []T) { z = foldSlice(z, b, w) })
-	return z, ok
+// foldNest is foldBlocks over a nest.
+func foldNest[T, A any](it Iter[T], z A, w func(A, T) A, arena *[]T) A {
+	driveNest(&it, arena, func(b []T) { z = foldSlice(z, b, w) })
+	return z
 }
 
 func foldSlice[T, A any](acc A, b []T, w func(A, T) A) A {

@@ -2,6 +2,7 @@ package iter
 
 import (
 	"fmt"
+	"math"
 
 	"triolet/internal/domain"
 )
@@ -84,7 +85,12 @@ func (h ParHint) String() string {
 // determined solely by its input's structure, so compositions of calls
 // always simplify to a fused loop nest.
 type Iter[T any] struct {
-	kind  Kind
+	kind Kind
+	// lo is a nest's outer window: outer element i is idxN.At(lo+i), for i
+	// below idxN.N, so Split of a nest moves it and allocates nothing. It
+	// sits in kind's padding, which keeps Iter at its size (Split re-bases
+	// the outer indexer instead beyond math.MaxInt32).
+	lo    int32
 	idx   Idx[T]        // KIdxFlat
 	step  Step[T]       // KStepFlat
 	idxN  Idx[Iter[T]]  // KIdxNest
@@ -185,7 +191,8 @@ func ToStep[T any](it Iter[T]) Step[T] {
 	case KStepFlat:
 		return it.step
 	case KIdxNest:
-		return ConcatMapStep(ToStep[T], IdxToStep(it.idxN))
+		ix, lo := it.idxN, int(it.lo)
+		return ConcatMapStep(ToStep[T], IdxToStep(Idx[Iter[T]]{N: ix.N, At: func(i int) Iter[T] { return ix.At(lo + i) }}))
 	case KStepNest:
 		return ConcatMapStep(ToStep[T], it.stepN)
 	}
@@ -196,7 +203,7 @@ func ToStep[T any](it Iter[T]) Step[T] {
 // input structure, so regular input stays parallelizable and nested input
 // stays a loop nest.
 func Map[T, U any](f func(T) U, it Iter[T]) Iter[U] {
-	out := Iter[U]{kind: it.kind, hint: it.hint}
+	out := Iter[U]{kind: it.kind, lo: it.lo, hint: it.hint}
 	switch it.kind {
 	case KIdxFlat:
 		out.idx = MapIdx(f, it.idx)
@@ -232,7 +239,7 @@ func Map[T, U any](f func(T) U, it Iter[T]) Iter[U] {
 // tasks, which is the key to fusing sum-of-filter without a counting pass
 // (paper §3.2).
 func Filter[T any](pred func(T) bool, it Iter[T]) Iter[T] {
-	out := Iter[T]{hint: it.hint}
+	out := Iter[T]{lo: it.lo, hint: it.hint}
 	switch it.kind {
 	case KIdxFlat:
 		// Paper Fig. 2 builds IdxNest(mapIdx(StepFlat . filterStep pred .
@@ -273,7 +280,7 @@ func Filter[T any](pred func(T) bool, it Iter[T]) Iter[T] {
 // Over a flat indexer it adds one level of nesting, preserving outer-loop
 // parallelism instead of falling back to slow stepper nesting.
 func ConcatMap[T, U any](f func(T) Iter[U], it Iter[T]) Iter[U] {
-	out := Iter[U]{hint: it.hint}
+	out := Iter[U]{lo: it.lo, hint: it.hint}
 	switch it.kind {
 	case KIdxFlat:
 		out.kind = KIdxNest
@@ -393,11 +400,7 @@ func collectInto[T any](it Iter[T], w func(T), arena *[]T) {
 			w(v)
 		}
 	case KIdxNest:
-		if inner := it.idxN; !driveNest(inner, arena, each) {
-			for i := 0; i < inner.N; i++ {
-				collectInto(inner.At(i), w, arena)
-			}
-		}
+		driveNest(&it, arena, each)
 	case KStepNest:
 		cur := it.stepN.Gen()
 		for sub, ok := cur(); ok; sub, ok = cur() {
@@ -435,14 +438,7 @@ func reduceInto[T, A any](it Iter[T], acc A, w func(A, T) A, arena *[]T) A {
 	case KStepFlat:
 		return FoldStep(it.step, acc, w)
 	case KIdxNest:
-		inner := it.idxN
-		if out, ok := foldNest(inner, acc, w, arena); ok {
-			return out
-		}
-		for i := 0; i < inner.N; i++ {
-			acc = reduceInto(inner.At(i), acc, w, arena)
-		}
-		return acc
+		return foldNest(it, acc, w, arena)
 	case KStepNest:
 		return FoldStep(it.stepN, acc, func(a A, inner Iter[T]) A { return reduceInto(inner, a, w, arena) })
 	}
@@ -528,14 +524,7 @@ func sumInto[T Number](acc T, it Iter[T], arena *[]T) T {
 		}
 		return acc
 	case KIdxNest:
-		inner := it.idxN
-		if out, ok := sumNest(acc, inner, arena); ok {
-			return out
-		}
-		for i := 0; i < inner.N; i++ {
-			acc = sumInto(acc, inner.At(i), arena)
-		}
-		return acc
+		return sumNest(acc, it, arena)
 	}
 	return reduceInto(it, acc, func(a, v T) T { return a + v }, arena)
 }
@@ -548,10 +537,10 @@ func sumBlocks[T Number](acc T, n int, f *fastPath[T], arena *[]T) (T, bool) {
 	return acc, ok
 }
 
-// sumNest is sumBlocks over a stream nest.
-func sumNest[T Number](acc T, ix Idx[Iter[T]], arena *[]T) (T, bool) {
-	ok := driveNest(ix, arena, func(b []T) { acc = sumSliceFrom(acc, b) })
-	return acc, ok
+// sumNest is sumBlocks over a nest.
+func sumNest[T Number](acc T, it Iter[T], arena *[]T) T {
+	driveNest(&it, arena, func(b []T) { acc = sumSliceFrom(acc, b) })
+	return acc
 }
 
 // Count returns the number of elements the iterator yields. Flat indexers
@@ -568,14 +557,8 @@ func countInto[T any](it Iter[T], arena *[]T) int {
 	case KIdxFlat:
 		return it.idx.N
 	case KIdxNest:
-		inner := it.idxN
 		total := 0
-		if driveNest(inner, arena, func(b []T) { total += len(b) }) {
-			return total
-		}
-		for i := 0; i < inner.N; i++ {
-			total += countInto(inner.At(i), arena)
-		}
+		driveNest(&it, arena, func(b []T) { total += len(b) })
 		return total
 	case KIdxFilter:
 		fx := it.fidx
@@ -657,9 +640,21 @@ func Split[T any](it Iter[T], r domain.Range) Iter[T] {
 		out.hint = it.hint
 		return out
 	case KIdxNest:
-		out := IdxNest(SliceIdx(it.idxN, r.Lo, r.Hi))
-		out.hint = it.hint
-		return out
+		if r.Lo < 0 || r.Hi > it.idxN.N || r.Lo > r.Hi {
+			panic(fmt.Sprintf("iter: Split [%d,%d) of %d", r.Lo, r.Hi, it.idxN.N))
+		}
+		lo := int(it.lo) + r.Lo
+		if lo > math.MaxInt32 {
+			// Past lo's range: re-base the outer indexer and its fill.
+			ix := it.idxN
+			ix.N = lo + r.Len()
+			out := IdxNest(SliceIdx(ix, lo, ix.N))
+			out.hint = it.hint
+			return out
+		}
+		// Move the window; the outer indexer and its fill stay shared.
+		it.lo, it.idxN.N = int32(lo), r.Len()
+		return it
 	case KIdxFilter:
 		fx := it.fidx
 		if r.Lo < 0 || r.Hi > fx.N || r.Lo > r.Hi {
