@@ -89,7 +89,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzStreamNest -fuzztime=30s ./internal/iter
 	$(GO) test -fuzz=FuzzConcatMapNest -fuzztime=30s ./internal/iter
 
-# Fuzz the nest walk alone: stream nests, then ConcatMap nests, 30 s each.
+# Fuzz the nests alone: stream nests, then ConcatMap nests, 30 s each.
 fuzz-nest:
 	$(GO) test -fuzz=FuzzStreamNest -fuzztime=30s ./internal/iter
 	$(GO) test -fuzz=FuzzConcatMapNest -fuzztime=30s ./internal/iter

@@ -87,13 +87,10 @@ func cutcpNest[U any](bin func(i int, w float32) U) iter.Iter[U] {
 // blocks in one arena, kept beside its bins, and a nest's Split moves its
 // outer window without allocating, so a leaf of a cutcp-shaped nest
 // allocates nothing: no staging arena of BlockSize bins (4 KiB), no split
-// descriptors. One pool worker runs every leaf, so its one arena is allocated on each
-// call: with two, whether the second worker's arena (2 KiB) is allocated
-// depends on whether it stole a leaf, ±36 bytes a leaf of noise. The
-// 16-byte budget is the work deque's growth with split depth. Runs under
-// CI's alloc-gate job.
+// descriptors. The 16-byte budget is the work deque's growth with split
+// depth. Runs under CI's alloc-gate job.
 func TestWeightedHistogramLocalLeafAllocs(t *testing.T) {
-	pool := sched.NewPool(1)
+	pool := sched.NewPool(2)
 	defer pool.Close()
 	it := cutcpNest(func(i int, w float32) iter.Bin[float32] { return iter.Bin[float32]{I: i, W: w} })
 	if b := leafGrowth(func(grain int) { whistAllocSink = WeightedHistogramLocal(pool, 64, it, grain) }); b > 16 {
@@ -104,7 +101,7 @@ func TestWeightedHistogramLocalLeafAllocs(t *testing.T) {
 // TestHistogramLocalLeafAllocs is TestWeightedHistogramLocalLeafAllocs for
 // HistogramLocal's int bins, whose per-leaf arena would be 2 KiB.
 func TestHistogramLocalLeafAllocs(t *testing.T) {
-	pool := sched.NewPool(1)
+	pool := sched.NewPool(2)
 	defer pool.Close()
 	it := cutcpNest(func(i int, _ float32) int { return i })
 	if b := leafGrowth(func(grain int) { histAllocSink = HistogramLocal(pool, 64, it, grain) }); b > 16 {

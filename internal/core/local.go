@@ -49,7 +49,7 @@ func HistogramLocal(pool *sched.Pool, bins int, it iter.Iter[int], grain int) []
 	}
 	private, arenas := make([][]int64, pool.Workers()), make([][]int, pool.Workers())
 	for i := range arenas {
-		private[i] = make([]int64, bins)
+		private[i], arenas[i] = make([]int64, bins), make([]int, 0, iter.BlockSize)
 	}
 	pool.ParallelFor(n, grain, func(worker, lo, hi int) {
 		iter.HistogramIntoArena(private[worker], iter.Split(it, domain.Range{Lo: lo, Hi: hi}), &arenas[worker])
@@ -66,7 +66,7 @@ func WeightedHistogramLocal[W iter.Number](pool *sched.Pool, bins int, it iter.I
 	}
 	private, arenas := make([][]W, pool.Workers()), make([][]iter.Bin[W], pool.Workers())
 	for i := range arenas {
-		private[i] = make([]W, bins)
+		private[i], arenas[i] = make([]W, bins), make([]iter.Bin[W], 0, iter.BlockSize)
 	}
 	pool.ParallelFor(n, grain, func(worker, lo, hi int) {
 		iter.WeightedHistogramIntoArena(private[worker], iter.Split(it, domain.Range{Lo: lo, Hi: hi}), &arenas[worker])
@@ -79,8 +79,9 @@ func WeightedHistogramLocal[W iter.Number](pool *sched.Pool, bins int, it iter.I
 // loop), and returns worker 0's grid. Adding into it rather than into a fresh
 // zeroed grid gives the same bits: a bin starts at +0 and only has values
 // added, so it never holds −0, and 0 + x is x bit for bit otherwise. A
-// threaded histogram thus allocates workers bin arrays and workers arenas,
-// whatever its element and leaf count — pinned by the core alloc gate.
+// threaded histogram thus allocates workers bin arrays and workers arenas
+// (each made up front, whether or not its worker runs a leaf), whatever its
+// element and leaf count — pinned by the core alloc gate.
 func mergeGrids[W iter.Number](private [][]W) []W {
 	for _, h := range private[1:] {
 		array.AddInto(private[0], h)

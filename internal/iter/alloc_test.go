@@ -8,6 +8,7 @@ package iter
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"triolet/internal/domain"
@@ -210,12 +211,11 @@ func TestHistogramAllocsSizeIndependent(t *testing.T) {
 }
 
 // TestHistogramNestInnerLoopsZeroAllocs: the histogram consumers walk a
-// nest through driveNest, which stages short inner indexers — flat or
-// partial, with no block kernel — through At into one arena. Over prebuilt
-// inner iterators that is one allocation, the arena, and nothing per inner
-// loop; over ConcatMap's closure form it is exactly what the producer
-// allocates per outer element, whatever the inner length (1x vs 8x at equal
-// outer length).
+// nest themselves and drive short inner indexers — flat or partial, with no
+// block kernel — through At with the bin update inline. Over prebuilt inner
+// iterators that is zero allocations; over ConcatMap's closure form it is
+// exactly what the producer allocates per outer element, whatever the inner
+// length (1x vs 8x at equal outer length).
 func TestHistogramNestInnerLoopsZeroAllocs(t *testing.T) {
 	const outer = 64
 	bins := make([]int64, 16)
@@ -237,11 +237,11 @@ func TestHistogramNestInnerLoopsZeroAllocs(t *testing.T) {
 				winners[i] = Map(weigh, inners[i])
 			}
 			nest, wnest := IdxNest(IdxOf(inners)), IdxNest(IdxOf(winners))
-			if n := testing.AllocsPerRun(20, func() { HistogramInto(bins, nest) }); n != 1 {
-				t.Fatalf("HistogramInto over %d %s inner loops of %d allocated %.1f per run, want 1 (the arena)", outer, name, inner, n)
+			if n := testing.AllocsPerRun(20, func() { HistogramInto(bins, nest) }); n != 0 {
+				t.Fatalf("HistogramInto over %d %s inner loops of %d allocated %.1f per run, want 0", outer, name, inner, n)
 			}
-			if n := testing.AllocsPerRun(20, func() { WeightedHistogramInto(wbins, wnest) }); n != 1 {
-				t.Fatalf("WeightedHistogramInto over %d %s inner loops of %d allocated %.1f per run, want 1 (the arena)", outer, name, inner, n)
+			if n := testing.AllocsPerRun(20, func() { WeightedHistogramInto(wbins, wnest) }); n != 0 {
+				t.Fatalf("WeightedHistogramInto over %d %s inner loops of %d allocated %.1f per run, want 0", outer, name, inner, n)
 			}
 		}
 		cm := ConcatMap(func(i int) Iter[int] { return partial(i, inner) }, Range(outer))
@@ -330,11 +330,12 @@ func TestReduceKernelAllocsSizeIndependent(t *testing.T) {
 
 // TestConcatMapAllocs pins where a ConcatMap nest's consumers allocate.
 // When f allocates nothing (it returns a preset slice-view row), Sum,
-// Reduce and HistogramInto allocate the same at 256 and 4096 outer
-// elements: the walk's arena. When f returns a Map over a Range whose
-// closure captures the outer element (BenchmarkConcatMapSum's layered
-// twin), they allocate exactly one object more per outer element: that
-// closure. Runs under CI's alloc-gate job.
+// Reduce and HistogramInto allocate nothing at 256 and 4096 outer elements:
+// each consumer runs a slice-view inner loop over its backing array. When f
+// returns a Map over a Range whose closure captures the outer element
+// (BenchmarkConcatMapSum's layered twin), they allocate exactly one object
+// per outer element: that closure, since a Map over a short Range is the
+// mapped function itself. Runs under CI's alloc-gate job.
 func TestConcatMapAllocs(t *testing.T) {
 	rows := make([]Iter[int], 4)
 	for r := range rows {
@@ -367,13 +368,28 @@ func TestConcatMapAllocs(t *testing.T) {
 				allocs[fname][n] = testing.AllocsPerRun(10, func() { run(it) })
 			}
 		}
-		if p := allocs["preset"]; p[256] != p[4096] || p[256] > 1 {
-			t.Errorf("%s over ConcatMap of preset rows allocated %.0f at 256 outer elements and %.0f at 4096, want the same, ≤ 1", cname, p[256], p[4096])
+		if p := allocs["preset"]; p[256] != 0 || p[4096] != 0 {
+			t.Errorf("%s over ConcatMap of preset rows allocated %.0f at 256 outer elements and %.0f at 4096, want 0", cname, p[256], p[4096])
 		}
 		for _, n := range []int{256, 4096} {
 			if extra := allocs["probe"][n] - allocs["preset"][n]; extra != float64(n) {
 				t.Errorf("%s over ConcatMap of %d capturing Maps allocated %.0f more than over preset rows, want %d (one closure each)", cname, n, extra, n)
 			}
 		}
+	}
+}
+
+// TestSplitShortRangeAllocs: a window of a range shorter than blockMin is
+// At-only, like the range itself, so Split allocates its lookup closure and
+// no fastPath; a Map over that window composes through the closure, since
+// the window's At is no longer the identity.
+func TestSplitShortRangeAllocs(t *testing.T) {
+	it := Range(blockMin - 1)
+	var sub Iter[int]
+	if n := testing.AllocsPerRun(20, func() { sub = Split(it, domain.Range{Lo: 3, Hi: 9}) }); n != 1 {
+		t.Fatalf("Split of a %d-element range allocated %.1f objects, want 1 (the window's At)", blockMin-1, n)
+	}
+	if got := ToSlice(Map(func(i int) int { return 10 * i }, sub)); !slices.Equal(got, []int{30, 40, 50, 60, 70, 80}) {
+		t.Fatalf("Map over a range window read %v, want 30..80", got)
 	}
 }

@@ -222,10 +222,9 @@ func filterFast[T any](pred func(T) bool, src *fastPath[T]) *fastPath[T] {
 // feeds the producer's n indices to body as successive blocks of surviving
 // elements, in index order, and reports false — having called nothing —
 // when the producer has no block path, in which case the consumer runs its
-// own inline At loop. A nest's inner producers are staged by driveNest
-// instead, At-only ones included: on BenchmarkConcatMapSum (1024 At-only
-// inner loops of 0-28) that walk reads 61-63 us against 46-49 us for the
-// per-consumer inline loops it replaced.
+// own inline At loop. At-only producers are deliberately not staged here:
+// evaluating ConcatMap's short inner loops through the arena cost
+// concatmap-sum about 30% (43-44 us to 55-65 us).
 //
 // A slice view is one block, the backing array itself. Anything else stages
 // through *arena, grown once to the block length and reused by every
@@ -257,8 +256,8 @@ func drive[T any](n int, f *fastPath[T], arena *[]T, body func([]T)) bool {
 // StreamNest is the nest whose inner loop over outer element a is an
 // indexed stream (Kovach et al.): ext(a) indices, evaluated by the block
 // kernel kern(a, dst, base). It is a plain KIdxNest whose At(i) calls kern
-// on one-element windows — all ToStep and the oracle see — while driveNest
-// packs the kernel's windows, building nothing per outer element.
+// on one-element windows — all ToStep and the oracle see — while consumers
+// run the stream through driveNest, building nothing per outer element.
 func StreamNest[A, T any](outer Idx[A], ext func(A) int, kern func(a A, dst []T, base int) int) Iter[T] {
 	at := outer.At
 	fill := streamFill[T](func(dst []T, i, base, hi int) (int, int, int) {
@@ -287,142 +286,30 @@ func StreamNest[A, T any](outer Idx[A], ext func(A) int, kern func(a A, dst []T,
 }
 
 // streamFill is a stream nest as the driver sees it, held in fastPath.red
-// (redOff is where outer index 0 sits). From inner index base of outer
-// element i, up to outer index hi, it packs whole windows of up to len(dst)
-// indices into dst while the next one surely fits, and reports the count
-// and where it stopped. It takes no callback: a function value's callback
-// escapes, and the consumer's block body would cost an allocation a call.
+// with the outer offset in redOff, so Split re-bases it and Iter keeps its
+// size. From inner index base of outer element i, up to outer index hi, it
+// packs whole windows of up to len(dst) indices into dst while the next one
+// surely fits, and reports the count and where it stopped.
 type streamFill[T any] func(dst []T, i, base, hi int) (k, next, nextBase int)
 
-// driveNest is the nest walk: every consumer meets a KIdxNest here and only
-// here. It feeds the nest's elements to body, in order, as blocks staged in
-// *arena, and calls body itself, so body stays on the consumer's stack. Once
-// *arena holds BlockSize elements it allocates nothing of its own; what a
-// nest built per outer element (ConcatMap's f) allocates is the producer's.
-func driveNest[T any](it *Iter[T], arena *[]T, body func([]T)) {
-	buf := ensure(arena, BlockSize)
-	if k := stage(it, buf, 0, body); k > 0 {
-		body(buf[:k])
+// driveNest is drive for the outer window [lo, lo+ix.N) of a stream nest,
+// or false having called nothing. It calls body itself, so body stays on
+// the consumer's stack.
+func driveNest[T any](ix Idx[Iter[T]], lo int, arena *[]T, body func([]T)) bool {
+	f := ix.fast
+	if f == nil {
+		return false
 	}
-}
-
-// stageNest is stage for the outer elements [lo, lo+ix.N) of a nest. A
-// stream nest packs its kernel windows; any other nest builds each inner
-// iterator once, through At, and stages it.
-func stageNest[T any](ix Idx[Iter[T]], lo int, buf []T, k int, body func([]T)) int {
-	if f := ix.fast; f != nil {
-		if fill, ok := f.red.(streamFill[T]); ok {
-			for i, base, hi := f.redOff+lo, 0, f.redOff+lo+ix.N; i < hi; {
-				if k == len(buf) {
-					body(buf)
-					k = 0
-				}
-				var n int
-				n, i, base = fill(buf[k:], i, base, hi)
-				if k += n; i < hi {
-					// The next window did not fit.
-					body(buf[:k])
-					k = 0
-				}
-			}
-			return k
+	fill, ok := f.red.(streamFill[T])
+	if ok {
+		buf := ensure(arena, BlockSize)
+		for i, base, hi := f.redOff+lo, 0, f.redOff+lo+ix.N; i < hi; {
+			var k int
+			k, i, base = fill(buf, i, base, hi)
+			body(buf[:k])
 		}
 	}
-	for i := lo; i < lo+ix.N; i++ {
-		inner := ix.At(i)
-		k = stage(&inner, buf, k, body)
-	}
-	return k
-}
-
-// stage appends it's elements to buf[:k] in order, hands buf to body
-// whenever it is full, and returns how many elements are pending: one step
-// of a nest walk. Block producers stage through their kernels, an At-only
-// indexer through At, a nest through stageNest; a stepper, which cannot be
-// indexed, through its cursor.
-func stage[T any](it *Iter[T], buf []T, k int, body func([]T)) int {
-	switch it.kind {
-	case KIdxFlat:
-		ix := it.idx
-		if back := ix.backing(); len(back) >= BlockSize {
-			// A long slice view is a block of its own, as in drive.
-			if k > 0 {
-				body(buf[:k])
-			}
-			body(back)
-			return 0
-		} else if back != nil {
-			return stageKernel(len(back), buf, k, body, func(dst []T, base int) int { return copy(dst, back[base:]) })
-		}
-		if ix.fast.blocked() && ix.N >= blockMin {
-			return stageKernel(ix.N, buf, k, body, ix.fast.kernel())
-		}
-		at := ix.At
-		for j := 0; j < ix.N; {
-			if k == len(buf) {
-				body(buf)
-				k = 0
-			}
-			dst := buf[k:min(len(buf), k+ix.N-j)]
-			for d := range dst {
-				dst[d] = at(j + d)
-			}
-			k, j = k+len(dst), j+len(dst)
-		}
-		return k
-	case KIdxFilter:
-		fx := it.fidx
-		if fx.fast.blocked() && fx.N >= blockMin {
-			return stageKernel(fx.N, buf, k, body, fx.fast.kernel())
-		}
-		at := fx.At
-		return stageKernel(fx.N, buf, k, body, func(dst []T, base int) int {
-			w := 0
-			for j := range dst {
-				if v, ok := at(base + j); ok {
-					dst[w] = v
-					w++
-				}
-			}
-			return w
-		})
-	case KStepFlat:
-		cur := it.step.Gen()
-		for v, ok := cur(); ok; v, ok = cur() {
-			if k == len(buf) {
-				body(buf)
-				k = 0
-			}
-			buf[k] = v
-			k++
-		}
-		return k
-	case KIdxNest:
-		return stageNest(it.idxN, int(it.lo), buf, k, body)
-	case KStepNest:
-		cur := it.stepN.Gen()
-		for sub, ok := cur(); ok; sub, ok = cur() {
-			k = stage(&sub, buf, k, body)
-		}
-		return k
-	}
-	panic("iter: bad kind")
-}
-
-// stageKernel appends the survivors of a producer's indices [0, n), read
-// through its block kernel kern, to buf[:k], window by window, handing buf
-// to body whenever it is full.
-func stageKernel[T any](n int, buf []T, k int, body func([]T), kern kernel[T]) int {
-	for base := 0; base < n; {
-		if k == len(buf) {
-			body(buf)
-			k = 0
-		}
-		m := min(n-base, len(buf)-k)
-		k += kern(buf[k:k+m], base)
-		base += m
-	}
-	return k
+	return ok
 }
 
 // backing returns the slice view of ix, or nil.

@@ -68,8 +68,8 @@ func histPath(it Iter[int]) string {
 // timing gate on those ratios reads layout and host noise; a lost fast
 // path is the regression worth failing on, and it is deterministic. Each
 // row also checks the sum against its hand-written loop. concatmap-sum has
-// no stream kernel: the nest walk (driveNest) builds each outer element's
-// At-only inner iterator and stages it through At into the walk's arena.
+// no block path: per outer element it walks an At-only inner iterator,
+// and that row is meant to change when nests gain one.
 func TestFastPathPins(t *testing.T) {
 	xs := make([]int64, 1<<15)
 	for i := range xs {

@@ -59,7 +59,11 @@ func HistogramIntoArena(bins []int64, it Iter[int], arena *[]int) {
 	}
 	switch it.kind {
 	case KIdxNest:
-		driveNest(&it, arena, each)
+		if inner, lo := it.idxN, int(it.lo); !driveNest(inner, lo, arena, each) {
+			for i := lo; i < lo+inner.N; i++ {
+				HistogramIntoArena(bins, inner.At(i), arena)
+			}
+		}
 	case KIdxFlat:
 		if ix := it.idx; !drive(ix.N, ix.fast, arena, each) {
 			for i := 0; i < ix.N; i++ {
@@ -104,7 +108,11 @@ func WeightedHistogramIntoArena[W Number](bins []W, it Iter[Bin[W]], arena *[]Bi
 	}
 	switch it.kind {
 	case KIdxNest:
-		driveNest(&it, arena, each)
+		if inner, lo := it.idxN, int(it.lo); !driveNest(inner, lo, arena, each) {
+			for i := lo; i < lo+inner.N; i++ {
+				WeightedHistogramIntoArena(bins, inner.At(i), arena)
+			}
+		}
 	case KIdxFlat:
 		if ix := it.idx; !drive(ix.N, ix.fast, arena, each) {
 			for i := 0; i < ix.N; i++ {

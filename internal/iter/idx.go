@@ -20,7 +20,10 @@
 // the fused loop bodies.
 package iter
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Idx is the indexer encoding: a virtual collection of N elements where
 // element i is computed by At(i). Because any element can be retrieved
@@ -46,32 +49,37 @@ func IdxOf[T any](xs []T) Idx[T] {
 	return Idx[T]{N: len(xs), At: func(i int) T { return xs[i] }, fast: &fastPath[T]{back: xs}}
 }
 
-// IdxRange is the indexer of the integers [0, n). Its At is the identity,
-// which rangeFast marks, so a map over a range is the mapped function alone
-// (mapIdxBase): the tiny ranges ConcatMap feeds to inner pipelines cost no
-// allocation. Ranges shorter than blockMin carry no kernel: no consumer
-// drives blocks that short.
+// IdxRange is the indexer of the integers [0, n). Ranges shorter than
+// blockMin stay At-only: no consumer drives blocks that short, and the tiny
+// ranges ConcatMap feeds to inner pipelines should not pay an allocation —
+// nor should a map over one, which is the mapped function itself, since
+// every range's At is identity (mapIdxBase).
 func IdxRange(n int) Idx[int] {
 	if n < 0 {
 		panic(fmt.Sprintf("iter: IdxRange(%d)", n))
 	}
-	out := Idx[int]{N: n, At: func(i int) int { return i }, fast: rangeFast[0]}
+	out := Idx[int]{N: n, At: identity}
 	if n >= blockMin {
-		out.fast = rangeFast[1]
+		out.fast = &fastPath[int]{fill: func() kernel[int] {
+			return func(dst []int, base int) int {
+				for i := range dst {
+					dst[i] = base + i
+				}
+				return len(dst)
+			}
+		}}
 	}
 	return out
 }
 
-// rangeFast is IdxRange's fastPath, shared by every range: without and
-// with the kernel.
-var rangeFast = [2]*fastPath[int]{{}, {fill: func() kernel[int] {
-	return func(dst []int, base int) int {
-		for i := range dst {
-			dst[i] = base + i
-		}
-		return len(dst)
-	}
-}}}
+func identity(i int) int { return i }
+
+// isIdentity reports whether at is identity. A top-level function's func
+// value is one static word, the same wherever it is taken.
+func isIdentity[T any](at func(int) T) bool {
+	id := identity
+	return *(*unsafe.Pointer)(unsafe.Pointer(&at)) == *(*unsafe.Pointer)(unsafe.Pointer(&id))
+}
 
 // MapIdx builds the indexer whose lookup applies f after ix's lookup —
 // straight-line code, so composition fuses (paper §3.1 "Indexers"). Over a
@@ -105,7 +113,7 @@ func mapIdxBase[T, U any](f func(T) U, ix Idx[T]) Idx[U] {
 	// these per outer element.
 	at := ix.At
 	out := Idx[U]{N: ix.N}
-	if g, ok := any(f).(func(int) U); ok && (any(ix.fast) == any(rangeFast[0]) || any(ix.fast) == any(rangeFast[1])) {
+	if g, ok := any(f).(func(int) U); ok && isIdentity(at) {
 		out.At = g
 	} else {
 		out.At = func(i int) U { return f(at(i)) }
@@ -300,10 +308,10 @@ func foldBlocks[T, A any](n int, f *fastPath[T], z A, w func(A, T) A, arena *[]T
 	return z, ok
 }
 
-// foldNest is foldBlocks over a nest.
-func foldNest[T, A any](it Iter[T], z A, w func(A, T) A, arena *[]T) A {
-	driveNest(&it, arena, func(b []T) { z = foldSlice(z, b, w) })
-	return z
+// foldNest is foldBlocks over a stream nest.
+func foldNest[T, A any](ix Idx[Iter[T]], lo int, z A, w func(A, T) A, arena *[]T) (A, bool) {
+	ok := driveNest(ix, lo, arena, func(b []T) { z = foldSlice(z, b, w) })
+	return z, ok
 }
 
 func foldSlice[T, A any](acc A, b []T, w func(A, T) A) A {

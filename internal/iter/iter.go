@@ -86,10 +86,9 @@ func (h ParHint) String() string {
 // always simplify to a fused loop nest.
 type Iter[T any] struct {
 	kind Kind
-	// lo is a nest's outer window: outer element i is idxN.At(lo+i), for i
-	// below idxN.N, so Split of a nest moves it and allocates nothing. It
-	// sits in kind's padding, which keeps Iter at its size (Split re-bases
-	// the outer indexer instead beyond math.MaxInt32).
+	// lo starts a nest's outer window: outer element i is idxN.At(lo+i), so
+	// Split moves it and allocates nothing. It sits in kind's padding, so
+	// Iter keeps its size; past math.MaxInt32 Split re-bases idxN instead.
 	lo    int32
 	idx   Idx[T]        // KIdxFlat
 	step  Step[T]       // KStepFlat
@@ -191,8 +190,8 @@ func ToStep[T any](it Iter[T]) Step[T] {
 	case KStepFlat:
 		return it.step
 	case KIdxNest:
-		ix, lo := it.idxN, int(it.lo)
-		return ConcatMapStep(ToStep[T], IdxToStep(Idx[Iter[T]]{N: ix.N, At: func(i int) Iter[T] { return ix.At(lo + i) }}))
+		at, lo := it.idxN.At, int(it.lo)
+		return ConcatMapStep(ToStep[T], IdxToStep(Idx[Iter[T]]{N: it.idxN.N, At: func(i int) Iter[T] { return at(lo + i) }}))
 	case KStepNest:
 		return ConcatMapStep(ToStep[T], it.stepN)
 	}
@@ -400,7 +399,11 @@ func collectInto[T any](it Iter[T], w func(T), arena *[]T) {
 			w(v)
 		}
 	case KIdxNest:
-		driveNest(&it, arena, each)
+		if inner, lo := it.idxN, int(it.lo); !driveNest(inner, lo, arena, each) {
+			for i := lo; i < lo+inner.N; i++ {
+				collectInto(inner.At(i), w, arena)
+			}
+		}
 	case KStepNest:
 		cur := it.stepN.Gen()
 		for sub, ok := cur(); ok; sub, ok = cur() {
@@ -438,7 +441,14 @@ func reduceInto[T, A any](it Iter[T], acc A, w func(A, T) A, arena *[]T) A {
 	case KStepFlat:
 		return FoldStep(it.step, acc, w)
 	case KIdxNest:
-		return foldNest(it, acc, w, arena)
+		inner, lo := it.idxN, int(it.lo)
+		if out, ok := foldNest(inner, lo, acc, w, arena); ok {
+			return out
+		}
+		for i := lo; i < lo+inner.N; i++ {
+			acc = reduceInto(inner.At(i), acc, w, arena)
+		}
+		return acc
 	case KStepNest:
 		return FoldStep(it.stepN, acc, func(a A, inner Iter[T]) A { return reduceInto(inner, a, w, arena) })
 	}
@@ -524,7 +534,14 @@ func sumInto[T Number](acc T, it Iter[T], arena *[]T) T {
 		}
 		return acc
 	case KIdxNest:
-		return sumNest(acc, it, arena)
+		inner, lo := it.idxN, int(it.lo)
+		if out, ok := sumNest(acc, inner, lo, arena); ok {
+			return out
+		}
+		for i := range inner.N {
+			acc = sumInto(acc, inner.At(lo+i), arena)
+		}
+		return acc
 	}
 	return reduceInto(it, acc, func(a, v T) T { return a + v }, arena)
 }
@@ -537,10 +554,10 @@ func sumBlocks[T Number](acc T, n int, f *fastPath[T], arena *[]T) (T, bool) {
 	return acc, ok
 }
 
-// sumNest is sumBlocks over a nest.
-func sumNest[T Number](acc T, it Iter[T], arena *[]T) T {
-	driveNest(&it, arena, func(b []T) { acc = sumSliceFrom(acc, b) })
-	return acc
+// sumNest is sumBlocks over a stream nest.
+func sumNest[T Number](acc T, ix Idx[Iter[T]], lo int, arena *[]T) (T, bool) {
+	ok := driveNest(ix, lo, arena, func(b []T) { acc = sumSliceFrom(acc, b) })
+	return acc, ok
 }
 
 // Count returns the number of elements the iterator yields. Flat indexers
@@ -557,8 +574,14 @@ func countInto[T any](it Iter[T], arena *[]T) int {
 	case KIdxFlat:
 		return it.idx.N
 	case KIdxNest:
+		inner, lo := it.idxN, int(it.lo)
 		total := 0
-		driveNest(&it, arena, func(b []T) { total += len(b) })
+		if driveNest(inner, lo, arena, func(b []T) { total += len(b) }) {
+			return total
+		}
+		for i := lo; i < lo+inner.N; i++ {
+			total += countInto(inner.At(i), arena)
+		}
 		return total
 	case KIdxFilter:
 		fx := it.fidx
@@ -643,17 +666,15 @@ func Split[T any](it Iter[T], r domain.Range) Iter[T] {
 		if r.Lo < 0 || r.Hi > it.idxN.N || r.Lo > r.Hi {
 			panic(fmt.Sprintf("iter: Split [%d,%d) of %d", r.Lo, r.Hi, it.idxN.N))
 		}
-		lo := int(it.lo) + r.Lo
-		if lo > math.MaxInt32 {
-			// Past lo's range: re-base the outer indexer and its fill.
-			ix := it.idxN
-			ix.N = lo + r.Len()
-			out := IdxNest(SliceIdx(ix, lo, ix.N))
-			out.hint = it.hint
-			return out
+		if lo := int(it.lo) + r.Lo; lo <= math.MaxInt32 {
+			// Move the window; the outer indexer and its fill stay shared.
+			it.lo, it.idxN.N = int32(lo), r.Len()
+			return it
 		}
-		// Move the window; the outer indexer and its fill stay shared.
-		it.lo, it.idxN.N = int32(lo), r.Len()
+		// Past lo's range: re-base the outer indexer and its fill.
+		ix, lo := it.idxN, int(it.lo)
+		ix.N += lo
+		it.lo, it.idxN = 0, SliceIdx(ix, lo+r.Lo, lo+r.Hi)
 		return it
 	case KIdxFilter:
 		fx := it.fidx
